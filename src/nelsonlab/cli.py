@@ -35,6 +35,7 @@ import numpy as np
 
 from . import fock, ibc, inequalities, nelson, psido
 from .grid import Grid, LatticeFunction
+from .operators import opnorm
 
 EXPERIMENTS = (
     "weyl-identities",
@@ -180,21 +181,26 @@ def config_canonical_text(cfg: dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
+def _lattice(npts: int, box: float) -> Grid:
+    """The d = 1 grid of a config, with the library's lattice checks as guards."""
+    try:
+        return Grid(1, npts, box)
+    except ValueError as exc:
+        raise GuardError(f"lattice guard: {exc} (npts = {npts}, box = {box:g})") from exc
+
+
 def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
     model = cfg["model"]
     sweep = cfg["sweep"]
     npts, box = model["npts"], model["box"]
-    if npts < 2 or npts & (npts - 1):
-        raise GuardError(f"lattice guard: npts must be a power of two >= 2, got {npts}")
-    if box <= 0:
-        raise GuardError(f"lattice guard: box must be positive, got {box}")
+    grid = _lattice(npts, box)
     if model["mass"] <= 0:
         raise GuardError(f"mass guard: mass must be positive, got {model['mass']}")
     if model["n_max"] < 1:
         raise GuardError(f"sector guard: n_max must be at least 1, got {model['n_max']}")
     if abs(model["w_amplitude"]) >= 1.0 or abs(model["g_modulation"]) >= 1.0:
         raise GuardError("ellipticity guard: modulations must stay below 1 in magnitude")
-    saturation = np.pi * npts / box
+    saturation = grid.max_momentum()
     for lam in sweep["lams"]:
         if lam > saturation * (1 + 1e-12):
             raise GuardError(
@@ -205,11 +211,10 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
             f"fields [sweep] sizes and domain_lams must pair up, got {len(sweep['sizes'])} vs {len(sweep['domain_lams'])}"
         )
     for size, lam in zip(sweep["sizes"], sweep["domain_lams"]):
-        if size < 2 or size & (size - 1):
-            raise GuardError(f"lattice guard: sweep size {size} is not a power of two >= 2")
-        if lam > np.pi * size / box * (1 + 1e-12):
+        saturation = _lattice(size, box).max_momentum()
+        if lam > saturation * (1 + 1e-12):
             raise GuardError(
-                f"saturation guard: domain lam = {lam:g} above pi*npts/box = {np.pi * size / box:.6g} at npts = {size}"
+                f"saturation guard: domain lam = {lam:g} above pi*npts/box = {saturation:.6g} at npts = {size}"
             )
     for n in sweep["weyl_n_max"]:
         if not 1 <= n <= 128:
@@ -327,15 +332,9 @@ def run_psido_calculus(cfg, seed, threads) -> list[Row]:
         qa = psido.quantize(a, 1.0)
         qb = psido.quantize(b, 1.0)
         roundtrip = float(np.max(np.abs(psido.dequantize(grid, qa.mat, 1.0).values - a.values)))
-        comp = float(
-            np.linalg.norm(psido.quantize(psido.moyal(a, b, 1.0), 1.0).mat - qa.mat @ qb.mat, 2)
-        )
-        adj = float(
-            np.linalg.norm(psido.quantize(psido.adjoint_symbol(a, 1.0), 1.0).mat - qa.mat.conj().T, 2)
-        )
-        change = float(
-            np.linalg.norm(psido.quantize(psido.change_quantization(a, 1.0, 0.5), 0.5).mat - qa.mat, 2)
-        )
+        comp = opnorm(psido.quantize(psido.moyal(a, b, 1.0), 1.0).mat - qa.mat @ qb.mat)
+        adj = opnorm(psido.quantize(psido.adjoint_symbol(a, 1.0), 1.0).mat - qa.mat.conj().T)
+        change = opnorm(psido.quantize(psido.change_quantization(a, 1.0, 0.5), 0.5).mat - qa.mat)
         return {"roundtrip": roundtrip, "composition": comp, "adjoint": adj, "requantization": change}
 
     results = _ordered_map(residuals, list(range(len(symbols))), threads)
@@ -420,19 +419,16 @@ def run_ibc_identity(cfg, seed, threads) -> list[Row]:
     base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
 
     def one(lam: float):
-        keystone = ibc.factorization_identity_check(model, lam)
         ops = ibc.build_ibc(model, lam)
-        reference = (
-            nelson.assemble_cutoff_hamiltonian(model, lam).mat
-            + nelson.vacuum_energy_operator(model, lam).mat
+        # residual first: its dense temporaries are gone before H_lam is held
+        inverse_resid = opnorm(
+            (np.eye(model.dim) - ops.g_op.mat) @ ops.inverse.mat - np.eye(model.dim)
         )
+        h_lam = nelson.assemble_cutoff_hamiltonian(model, lam)
+        keystone = ibc.factorization_identity_check(model, ops, h_lam)
+        reference = h_lam.mat + ops.e_op.mat
         mismatch = float(
             np.max(np.abs(np.linalg.eigvalsh(ops.h_ibc.mat) - np.linalg.eigvalsh(reference)))
-        )
-        inverse_resid = float(
-            np.linalg.norm(
-                (np.eye(model.dim) - ops.g_op.mat) @ ops.inverse.mat - np.eye(model.dim), 2
-            )
         )
         return keystone, mismatch, ops.neumann_tail, inverse_resid, ops.shift
 

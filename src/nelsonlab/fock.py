@@ -54,6 +54,16 @@ class FockBasis:
     def sector_totals(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
 
+    def tensor_rows(self, copies: int, low: int, high: int) -> np.ndarray:
+        """Rows of the states with low <= total boson number <= high.
+
+        The rows index ``copies`` stacked Fock blocks, block-major: the
+        X-major tensor index of a lattice with ``copies`` points.
+        """
+        totals = self.sector_totals()
+        within = np.where((totals >= low) & (totals <= high))[0]
+        return np.concatenate([xi * self.dim + within for xi in range(copies)])
+
     def safe_cap(self, margin: int = 2) -> int:
         return self.n_max - margin
 

@@ -179,7 +179,20 @@ def gaussian_profile_hat(r: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.square(r))
 
 
-_PROFILES = {"gaussian": gaussian_profile_hat}
+PROFILE_HATS = {"gaussian": gaussian_profile_hat}
+
+
+def bump_hat(grid: Grid, lam: float, x0, profile: str, sigma: float) -> np.ndarray:
+    """Momentum side of the smeared bump at scale ``lam`` centered at ``x0``.
+
+    profile_hat(|xi|/lam) * ramp(|xi|, sigma) * exp(-i xi . x0) on the
+    flattened momentum mesh.  No scale guard: each caller checks ``lam``
+    against the range it promises to resolve.
+    """
+    mesh = grid.momentum_mesh()
+    r = np.sqrt(np.einsum("kd,kd->k", mesh, mesh))
+    prof = PROFILE_HATS[profile]
+    return prof(r / lam) * cosine_ramp(r, sigma) * np.exp(-1j * mesh @ x0)
 
 
 def cutoff_function(
@@ -202,23 +215,12 @@ def cutoff_function(
             f"cutoff scale lam={lam} exceeds the Nyquist guard {guard:.6g} "
             f"(npts={grid.npts}, box={grid.box:.6g})"
         )
-    try:
-        prof = _PROFILES[profile]
-    except KeyError:
-        raise ValueError(f"unknown profile {profile!r}") from None
-    return _bump_from_profile(grid, lam, center, prof)
-
-
-def _bump_from_profile(grid: Grid, lam: float, center, prof) -> LatticeFunction:
+    if profile not in PROFILE_HATS:
+        raise ValueError(f"unknown profile {profile!r}")
     if center is None:
         center = (0.0,) * grid.dim
-    idx = grid.snap_index(center)
-    x0 = np.asarray(idx, dtype=float) * grid.spacing
-    mesh = grid.momentum_mesh()
-    r = np.sqrt(np.einsum("kd,kd->k", mesh, mesh)) / lam
-    hat = prof(r) * np.exp(-1j * mesh @ x0)
-    vals = idft(grid, hat)
-    return LatticeFunction(grid, vals)
+    x0 = np.asarray(grid.snap_index(center), dtype=float) * grid.spacing
+    return LatticeFunction(grid, idft(grid, bump_hat(grid, lam, x0, profile, 0.0)))
 
 
 def delta_function(grid: Grid, center=None) -> LatticeFunction:

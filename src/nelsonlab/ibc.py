@@ -18,27 +18,30 @@ from . import fock
 from .nelson import (
     AssembledModel,
     SpectralError,
-    assemble_cutoff_hamiltonian,
     form_factor,
     vacuum_energy_operator,
 )
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, opnorm
 
 
-def free_shift(model: AssembledModel) -> float:
-    """Shift making H0 + s >= mass_floor / 2.
+def _free_bottom_and_shift(model: AssembledModel) -> tuple[float, float]:
+    """Bottom of H0 and the shift lifting it to mass_floor / 2.
 
     The bottom of H0 is the bottom of K (zero-boson sector; every boson adds
     at least the mass floor), so only the one-particle matrix is touched and
     the value is available at sizes where dense H0 is not.
     """
-    eps_min = float(np.linalg.eigvalsh(model.k)[0])
-    return max(0.0, 0.5 * model.spec.mass_floor - eps_min)
+    bottom = float(np.linalg.eigvalsh(model.k)[0])
+    return bottom, max(0.0, 0.5 * model.spec.mass_floor - bottom)
+
+
+def free_shift(model: AssembledModel) -> float:
+    """Shift making H0 + s >= mass_floor / 2."""
+    return _free_bottom_and_shift(model)[1]
 
 
 def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
     """Block-diagonal-in-X creation part a*(v_{lam,X}) of the interaction."""
-    fdim = model.fock_dim
     mat = np.zeros((model.dim, model.dim), dtype=complex)
     for xi in range(model.grid.size):
         v = form_factor(model, lam, xi)
@@ -47,41 +50,14 @@ def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
     return OperatorMatrix(mat, model.space, False)
 
 
-def _shifted_free(model: AssembledModel, shift: float | None) -> tuple[np.ndarray, float]:
-    s = free_shift(model) if shift is None else float(shift)
-    bottom = float(np.linalg.eigvalsh(model.k)[0]) + s
-    if bottom <= 1e-12:
-        raise SpectralError(
-            f"H0 + {s:g} is singular (bottom {bottom:.3e}); "
-            f"use the recorded shift {free_shift(model):.6g}"
-        )
-    return model.h0.mat + s * np.eye(model.dim), s
-
-
-def build_G(
-    model: AssembledModel, lam: float, shift: float | None = None
-) -> OperatorMatrix:
-    """G = -(H0 + s)^{-1} a*(v_{lam,X}), mapping sector n-1 into sector n."""
-    h0s, _ = _shifted_free(model, shift)
-    a = creation_family(model, lam)
-    return OperatorMatrix(-np.linalg.solve(h0s, a.mat), model.space, False)
-
-
 def sector_norms(basis: fock.FockBasis, g_mat: np.ndarray) -> np.ndarray:
-    """Operator norm of G restricted to sector n-1 -> n, for n = 1..N_max.
-
-    The tensor index is X-major, so sector rows repeat per particle point.
-    """
-    fdim = basis.dim
-    size = g_mat.shape[0] // fdim
-    totals = basis.sector_totals()
+    """Operator norm of G restricted to sector n-1 -> n, for n = 1..N_max."""
+    size = g_mat.shape[0] // basis.dim
     norms = []
     for n in range(1, basis.n_max + 1):
-        rows = np.concatenate([xi * fdim + np.where(totals == n)[0] for xi in range(size)])
-        cols = np.concatenate(
-            [xi * fdim + np.where(totals == n - 1)[0] for xi in range(size)]
-        )
-        norms.append(float(np.linalg.svd(g_mat[np.ix_(rows, cols)], compute_uv=False)[0]))
+        rows = basis.tensor_rows(size, n, n)
+        cols = basis.tensor_rows(size, n - 1, n - 1)
+        norms.append(opnorm(g_mat[np.ix_(rows, cols)]))
     return np.array(norms)
 
 
@@ -92,22 +68,29 @@ def sector_norm_exponent(norms) -> float:
     return -float(np.polyfit(np.log(ns), np.log(norms), 1)[0])
 
 
-def invert_one_minus_G(g_op: OperatorMatrix) -> tuple[OperatorMatrix, dict]:
+def invert_one_minus_G(
+    model: AssembledModel, g_op: OperatorMatrix
+) -> tuple[OperatorMatrix, dict]:
     """Neumann inverse of 1 - G, exact by nilpotency.
 
-    Accumulates powers until one vanishes; the metadata reports the number
-    of terms and the norm of the first discarded power (the tail bound,
-    exactly zero when nilpotency was reached).
+    G raises the boson number by one, so G^(N_max + 1) vanishes on the
+    truncation and the series stops after at most N_max + 1 products.  The
+    metadata reports the number of terms and the norm of the first discarded
+    power (the tail bound), exactly zero when nilpotency was reached; only a
+    nonzero discarded power costs a norm.
     """
     dim = g_op.dim
+    n_max = model.basis.n_max
     acc = np.eye(dim, dtype=complex)
     power = np.eye(dim, dtype=complex)
     terms = 1
     tail = 0.0
-    for _ in range(dim):
+    for _ in range(n_max + 1):
         power = power @ g_op.mat
-        tail = float(np.linalg.norm(power, 2))
-        if tail == 0.0:
+        if not power.any():
+            break
+        if terms > n_max:
+            tail = opnorm(power)
             break
         acc += power
         terms += 1
@@ -117,11 +100,18 @@ def invert_one_minus_G(g_op: OperatorMatrix) -> tuple[OperatorMatrix, dict]:
 
 @dataclass(frozen=True, eq=False)
 class IbcOperators:
-    """All pieces of one IBC assembly, built with a single recorded shift."""
+    """All pieces of one IBC assembly, built with a single recorded shift.
+
+    ``factorized`` is the right side (1-G)*(H0+s)(1-G) + T - s of the
+    keystone identity, ``e_op`` the vacuum energy E_lam(X), and ``h_ibc``
+    their sum.
+    """
 
     shift: float
     g_op: OperatorMatrix
     t_op: OperatorMatrix
+    factorized: OperatorMatrix
+    e_op: OperatorMatrix
     h_ibc: OperatorMatrix
     inverse: OperatorMatrix
     neumann_terms: int
@@ -133,66 +123,56 @@ def build_ibc(
 ) -> IbcOperators:
     """Assemble G, T = a(v)G, the Neumann inverse, and the IBC Hamiltonian.
 
+    G = -(H0 + s)^{-1} a*(v_{lam,X}) maps sector n-1 into sector n, and
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
     exactly at finite truncation.
     """
-    h0s, s = _shifted_free(model, shift)
+    bottom, recorded = _free_bottom_and_shift(model)
+    s = recorded if shift is None else float(shift)
+    if bottom + s <= 1e-12:
+        raise SpectralError(
+            f"H0 + {s:g} is singular (bottom {bottom + s:.3e}); "
+            f"use the recorded shift {recorded:.6g}"
+        )
+    eye = np.eye(model.dim)
+    h0s = model.h0.mat + s * eye
     a = creation_family(model, lam)
     g_mat = -np.linalg.solve(h0s, a.mat)
     t_mat = a.mat.conj().T @ g_mat
-    one_minus = np.eye(model.dim) - g_mat
-    e_mat = vacuum_energy_operator(model, lam).mat
-    h_mat = (
-        one_minus.conj().T @ h0s @ one_minus
-        + t_mat
-        + e_mat
-        - s * np.eye(model.dim)
-    )
+    one_minus = eye - g_mat
+    square = one_minus.conj().T @ h0s @ one_minus + t_mat
+    del h0s, a, one_minus  # free three dense matrices before the Neumann powers
+    e_op = vacuum_energy_operator(model, lam)
     g_op = OperatorMatrix(g_mat, model.space, False)
-    inverse, meta = invert_one_minus_G(g_op)
+    inverse, meta = invert_one_minus_G(model, g_op)
     return IbcOperators(
         shift=s,
         g_op=g_op,
         t_op=OperatorMatrix(t_mat, model.space, True),
-        h_ibc=OperatorMatrix(h_mat, model.space, True),
+        factorized=OperatorMatrix(square - s * eye, model.space, True),
+        e_op=e_op,
+        h_ibc=OperatorMatrix(square + e_op.mat - s * eye, model.space, True),
         inverse=inverse,
         neumann_terms=meta["terms"],
         neumann_tail=meta["tail_bound"],
     )
 
 
-def ibc_hamiltonian(
-    model: AssembledModel, lam: float, shift: float | None = None
-) -> OperatorMatrix:
-    return build_ibc(model, lam, shift).h_ibc
-
-
 def factorization_identity_check(
-    model: AssembledModel, lam: float, shift: float | None = None
+    model: AssembledModel, ops: IbcOperators, h_lam: OperatorMatrix
 ) -> float:
     """Relative residual of H_lam = (1-G)*(H0+s)(1-G) + T - s on safe sectors.
 
     Expanding the square, the cross terms -G*(H0+s) - (H0+s)G reproduce
     a(v) + a*(v) and T cancels G*(H0+s)G, so the identity is exact algebra;
     the residual only measures round-off.  Safe sectors keep total boson
-    number <= N_max - 1.
+    number <= N_max - 1.  ``h_lam`` is the cutoff Hamiltonian at the lam of
+    ``ops``.
     """
-    h0s, s = _shifted_free(model, shift)
-    a = creation_family(model, lam)
-    g_mat = -np.linalg.solve(h0s, a.mat)
-    t_mat = a.mat.conj().T @ g_mat
-    one_minus = np.eye(model.dim) - g_mat
-    rhs = one_minus.conj().T @ h0s @ one_minus + t_mat - s * np.eye(model.dim)
-    lhs = assemble_cutoff_hamiltonian(model, lam).mat
-
-    totals = model.basis.sector_totals()
-    safe = np.where(totals <= model.basis.n_max - 1)[0]
-    fdim = model.fock_dim
-    idx = np.concatenate([xi * fdim + safe for xi in range(model.grid.size)])
+    idx = model.basis.tensor_rows(model.grid.size, 0, model.basis.n_max - 1)
     sub = np.ix_(idx, idx)
-    num = float(np.linalg.svd((lhs - rhs)[sub], compute_uv=False)[0])
-    den = float(np.linalg.svd(lhs[sub], compute_uv=False)[0])
-    return num / den
+    lhs = h_lam.mat
+    return opnorm((lhs - ops.factorized.mat)[sub]) / opnorm(lhs[sub])
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +197,7 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     size = model.grid.size
     basis = model.basis
     eps_k, q_k = np.linalg.eigh(model.k)
-    s = max(0.0, 0.5 * model.spec.mass_floor - float(eps_k[0]))
+    s = free_shift(model)
     occ_energy = basis.occupations @ model.mode_freqs
     totals = basis.sector_totals()
     sectors = [np.where(totals == n)[0] for n in range(basis.n_max + 1)]

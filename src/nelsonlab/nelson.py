@@ -26,24 +26,22 @@ from scipy.integrate import quad
 
 from . import fock
 from .grid import (
+    PROFILE_HATS,
     Grid,
     LatticeFunction,
     ResolutionError,
-    cosine_ramp,
+    bump_hat,
     derivative_matrix,
-    gaussian_profile_hat,
     idft,
     inner,
     norm as lattice_norm,
     sobolev_norm,
 )
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, opnorm
 from .psido import dequantize
 
 # Largest tensor dimension (lattice size * Fock dimension) assembled densely.
 MAX_DENSE_DIM = 4096
-
-_PROFILE_HATS = {"gaussian": gaussian_profile_hat}
 
 
 class ModelSpecError(ValueError):
@@ -117,7 +115,7 @@ class ModelSpec:
             raise ModelSpecError(
                 f"n_modes must lie in [1, {self.grid.size}], got {self.n_modes}"
             )
-        if self.profile not in _PROFILE_HATS:
+        if self.profile not in PROFILE_HATS:
             raise ModelSpecError(f"unknown profile {self.profile!r}")
 
     @property
@@ -288,16 +286,10 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
 # bump family and form factors
 
 
-def form_factor_rho(
-    model: AssembledModel, lam: float, x_index: int, sigma: float | None = None
-) -> LatticeFunction:
-    """Smeared coupling bump rho_{lam,X} centered at lattice point ``x_index``.
-
-    Built on the Fourier side as coupling * profile_hat(|xi|/lam) *
-    ramp(|xi|, sigma) * exp(-i xi X).  ``lam`` may not exceed the largest
-    resolved momentum: beyond that the profile saturates on the lattice and
-    larger cutoffs change nothing.
-    """
+def _guarded_bump_hat(
+    model: AssembledModel, lam: float, x_index: int, sigma: float | None
+) -> np.ndarray:
+    """Momentum side of rho_{lam,X} / coupling; see ``form_factor_rho``."""
     spec = model.spec
     grid = model.grid
     if lam <= 0:
@@ -310,12 +302,22 @@ def form_factor_rho(
         )
     if sigma is None:
         sigma = spec.sigma
-    prof = _PROFILE_HATS[spec.profile]
-    mesh = grid.momentum_mesh()
-    r = np.sqrt(np.einsum("kd,kd->k", mesh, mesh))
     x0 = grid.position_mesh()[x_index]
-    hat = prof(r / lam) * cosine_ramp(r, sigma) * np.exp(-1j * mesh @ x0)
-    return LatticeFunction(grid, spec.coupling * idft(grid, hat))
+    return bump_hat(grid, lam, x0, spec.profile, sigma)
+
+
+def form_factor_rho(
+    model: AssembledModel, lam: float, x_index: int, sigma: float | None = None
+) -> LatticeFunction:
+    """Smeared coupling bump rho_{lam,X} centered at lattice point ``x_index``.
+
+    Built on the Fourier side as coupling * profile_hat(|xi|/lam) *
+    ramp(|xi|, sigma) * exp(-i xi X).  ``lam`` may not exceed the largest
+    resolved momentum: beyond that the profile saturates on the lattice and
+    larger cutoffs change nothing.
+    """
+    hat = _guarded_bump_hat(model, lam, x_index, sigma)
+    return LatticeFunction(model.grid, model.spec.coupling * idft(model.grid, hat))
 
 
 def form_factor(
@@ -337,18 +339,11 @@ def form_factor_split(
     (u, u~, ||u~|| / ||u||), both on the lattice side.
     """
     grid = model.grid
-    spec = model.spec
-    if sigma is None:
-        sigma = spec.sigma
     symbol = dequantize(grid, model.omega_power(-0.5).astype(complex), 1.0)
-    prof = _PROFILE_HATS[spec.profile]
-    mesh = grid.momentum_mesh()
-    r = np.sqrt(np.einsum("kd,kd->k", mesh, mesh))
-    x0 = grid.position_mesh()[x_index]
-    rho_hat = spec.coupling * prof(r / lam) * cosine_ramp(r, sigma) * np.exp(-1j * mesh @ x0)
-    u_vals = idft(grid, symbol.values[x_index, :] * rho_hat) / np.sqrt(2.0)
-    rho = form_factor_rho(model, lam, x_index, sigma)
-    v_vals = model.omega_power(-0.5) @ rho.values / np.sqrt(2.0)
+    hat = _guarded_bump_hat(model, lam, x_index, sigma)
+    coupling = model.spec.coupling
+    u_vals = idft(grid, symbol.values[x_index, :] * (coupling * hat)) / np.sqrt(2.0)
+    v_vals = model.omega_power(-0.5) @ (coupling * idft(grid, hat)) / np.sqrt(2.0)
     u = LatticeFunction(grid, u_vals)
     residual = LatticeFunction(grid, v_vals - u_vals)
     return u, residual, residual.norm() / u.norm()
@@ -420,7 +415,7 @@ def vacuum_energy_quadrature(
     """
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
-    prof = _PROFILE_HATS[profile]
+    prof = PROFILE_HATS[profile]
 
     def integrand(r: float) -> float:
         h0 = g_const * r * r
@@ -533,6 +528,8 @@ def transformed_hamiltonian_check(
         if fam_b.shape != (size, size):
             raise ValueError(f"b_family must have shape ({size}, {size})")
     fam_db = pd @ fam_b  # derivative along the family index X
+    # a(dB_X) per lattice point, shared by the diagonal and mixed terms
+    aops = [fock.annihilate(basis, model.project(fam_db[xi])).mat for xi in range(size)]
 
     ident_f = np.eye(fdim)
     h_mat = assemble_cutoff_hamiltonian(model, lam, sigma).mat
@@ -555,8 +552,7 @@ def transformed_hamiltonian_check(
     for xi in range(size):
         blk = model.block(xi)
         b_x = fam_b[xi]
-        q = model.project(fam_db[xi])
-        aop = fock.annihilate(basis, q).mat
+        aop = aops[xi]
         cop = aop.conj().T
         shifted = model.project(om_m12 @ rhos[xi] + (k0 + omega) @ b_x)
         rhs[blk, blk] += fock.field(basis, shifted).mat
@@ -570,15 +566,14 @@ def transformed_hamiltonian_check(
         for yi in range(size):
             blk_y = model.block(yi)
             rhs[blk, blk_y] += -sqrt2 * g_pd[xi, yi] * cop
-            qy = model.project(fam_db[yi])
-            rhs[blk, blk_y] += sqrt2 * pd_g[xi, yi] * fock.annihilate(basis, qy).mat
+            rhs[blk, blk_y] += sqrt2 * pd_g[xi, yi] * aops[yi]
 
     cap = max(0, basis.n_max - 2)
-    safe = np.where(basis.sector_totals() <= cap)[0]
-    idx = np.concatenate([xi * fdim + safe for xi in range(size)])
+    safe = basis.tensor_rows(1, 0, cap)
+    idx = basis.tensor_rows(size, 0, cap)
     sub = np.ix_(idx, idx)
-    residual_abs = float(np.linalg.svd((lhs - rhs)[sub], compute_uv=False)[0])
-    scale = float(np.linalg.svd(lhs[sub], compute_uv=False)[0])
+    residual_abs = opnorm((lhs - rhs)[sub])
+    scale = opnorm(lhs[sub])
 
     # Fock-only conjugation identities, worst deviation over X
     dev_dgamma, dev_field, tolerance = 0.0, 0.0, 0.0
@@ -683,9 +678,6 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
 
     def resolvent(mat: np.ndarray) -> np.ndarray:
         return np.linalg.inv(mat + 1j * eye)
-
-    def opnorm(mat: np.ndarray) -> float:
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
 
     pairs = []
     for a, b in zip(lams[:-1], lams[1:]):

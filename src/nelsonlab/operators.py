@@ -41,7 +41,7 @@ class OperatorMatrix:
 
     def norm(self) -> float:
         """Spectral norm."""
-        return float(np.linalg.norm(self.mat, 2))
+        return opnorm(self.mat)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.mat)))
@@ -78,6 +78,11 @@ class OperatorMatrix:
         """Add scalar * identity, keeping hermiticity for real shifts."""
         herm = self.hermitian if np.isreal(scalar) else None
         return replace(self, mat=self.mat + scalar * np.eye(self.dim), hermitian=herm)
+
+
+def opnorm(mat: np.ndarray) -> float:
+    """Spectral norm of a dense matrix: its largest singular value."""
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
 def identity(dim: int, space: str = "") -> OperatorMatrix:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid, cosine_ramp, momentum_multiplier
-from .operators import HERMITIAN_TOL, OperatorMatrix, hermitian_func
+from .operators import HERMITIAN_TOL, OperatorMatrix, hermitian_func, opnorm
 
 
 class EllipticityError(ValueError):
@@ -420,8 +420,8 @@ def cotlar_stein_bound(blocks: Sequence[OperatorMatrix]) -> float:
     plain = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            star[i, j] = np.sqrt(np.linalg.norm(mats[i].conj().T @ mats[j], 2))
-            plain[i, j] = np.sqrt(np.linalg.norm(mats[i] @ mats[j].conj().T, 2))
+            star[i, j] = np.sqrt(opnorm(mats[i].conj().T @ mats[j]))
+            plain[i, j] = np.sqrt(opnorm(mats[i] @ mats[j].conj().T))
     return float(max(star.sum(axis=1).max(), plain.sum(axis=1).max()))
 
 
@@ -459,7 +459,7 @@ def parametrix(a: Symbol, t: float = 1.0, iterations: int = 3):
             power = moyal(r, power, t)
             series = Symbol(grid, series.values + power.values)
             b = Symbol(grid, moyal(b0, series, t).values, inv_order)
-        residuals.append(float(np.linalg.norm(quantize(moyal(a, b, t), t).mat - ident, 2)))
+        residuals.append(opnorm(quantize(moyal(a, b, t), t).mat - ident))
     return b, residuals
 
 
@@ -553,11 +553,11 @@ def functional_calculus_check(
     for s in s_values:
         left = momentum_multiplier(grid, bracket ** (s - q))
         right = momentum_multiplier(grid, bracket ** (-s))
-        norms[float(s)] = float(np.linalg.norm(left @ diff @ right, 2))
+        norms[float(s)] = opnorm(left @ diff @ right)
     return {
         "difference_order": q,
         "weyl_deviation": dev,
-        "operator_norm": float(np.linalg.norm(diff, 2)),
+        "operator_norm": opnorm(diff),
         "sobolev_norms": norms,
     }
 

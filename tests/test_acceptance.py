@@ -28,7 +28,9 @@ def rand_vec(rng, n, scale=1.0):
 def test_ibc_keystone_identity(bench):
     # H_lam equals (1-G)* (H0+s) (1-G) + T - s on safe sectors, to relative 1e-10
     for lam in (1.0, 2.0, 4.0):
-        assert ibc.factorization_identity_check(bench, lam) <= 1e-10
+        ops = ibc.build_ibc(bench, lam)
+        h_lam = nelson.assemble_cutoff_hamiltonian(bench, lam)
+        assert ibc.factorization_identity_check(bench, ops, h_lam) <= 1e-10
 
 
 def test_ibc_spectral_equivalence(bench):

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from nelsonlab import ibc
 from nelsonlab.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -14,6 +15,7 @@ from nelsonlab.cli import (
     main,
     parse_config_text,
     resolve_config,
+    run_ibc_identity,
 )
 
 
@@ -150,6 +152,22 @@ def test_ibc_identity_run_passes(tmp_path, capsys):
         "neumann-inverse",
     }
     assert (out / "plot.gp").exists()
+
+
+def test_ibc_identity_assembles_each_cutoff_once(monkeypatch):
+    calls = []
+    original = ibc.creation_family
+
+    def counted(model, lam):
+        calls.append(lam)
+        return original(model, lam)
+
+    monkeypatch.setattr(ibc, "creation_family", counted)
+    cfg = resolve_config(None)
+    cfg["sweep"]["lams"] = [1.0, 2.0]
+    rows = run_ibc_identity(cfg, 7, 1)
+    assert all(row.status == "PASS" for row in rows)
+    assert calls == [1.0, 2.0]
 
 
 def test_results_csv_is_byte_identical_across_runs(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from nelsonlab.ibc import (
     IbcOperators,
-    build_G,
     build_ibc,
     creation_family,
     domain_regularity_experiment,
@@ -59,15 +58,32 @@ def test_free_shift_value(bench8):
 
 def test_zero_coupling_gives_zero_G():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
-    g = build_G(model, 2.0)
+    g = build_ibc(model, 2.0).g_op
     assert np.max(np.abs(g.mat)) == 0.0
-    inv, meta = invert_one_minus_G(g)
+    inv, meta = invert_one_minus_G(model, g)
     assert np.max(np.abs(inv.mat - np.eye(model.dim))) == 0.0
     assert meta["terms"] == 1 and meta["tail_bound"] == 0.0
 
 
+def test_neumann_series_stops_at_the_boson_cap(bench8):
+    # a G that is not nilpotent: the series stops after n_max + 1 products
+    # and reports the norm of the first discarded power
+    rng = np.random.default_rng(5)
+    shape = (bench8.dim, bench8.dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g *= 0.5 / opnorm(g)
+    n_max = bench8.basis.n_max
+    inv, meta = invert_one_minus_G(bench8, OperatorMatrix(g, bench8.space))
+    assert meta["terms"] == n_max + 1
+    assert meta["tail_bound"] > 0.0
+    tail = opnorm(np.linalg.matrix_power(g, n_max + 1))
+    assert meta["tail_bound"] == pytest.approx(tail, rel=1e-12)
+    partial = sum(np.linalg.matrix_power(g, k) for k in range(n_max + 1))
+    assert np.max(np.abs(inv.mat - partial)) < 1e-14
+
+
 def test_G_shifts_sectors_up_by_one(bench8):
-    g = build_G(bench8, 2.0).mat
+    g = build_ibc(bench8, 2.0).g_op.mat
     basis = bench8.basis
     fdim = basis.dim
     totals = basis.sector_totals()
@@ -91,7 +107,7 @@ def test_G_shifts_sectors_up_by_one(bench8):
 
 
 def test_sector_norms_decay_with_fitted_exponent(bench8_n3):
-    g = build_G(bench8_n3, 2.0)
+    g = build_ibc(bench8_n3, 2.0).g_op
     norms = sector_norms(bench8_n3.basis, g.mat)
     assert np.max(np.abs(norms - np.array(SECTOR_NORMS_N3))) < 1e-7
     assert norms[0] > norms[1] > norms[2]
@@ -101,7 +117,7 @@ def test_sector_norms_decay_with_fitted_exponent(bench8_n3):
 
 
 def test_G_power_norms_decay_superlinearly(bench8_n3):
-    g = build_G(bench8_n3, 2.0).mat
+    g = build_ibc(bench8_n3, 2.0).g_op.mat
     powers = [opnorm(np.linalg.matrix_power(g, k)) for k in (1, 2, 3)]
     incs = np.diff(np.log(powers))
     assert incs[1] < incs[0] < 0.0
@@ -109,7 +125,7 @@ def test_G_power_norms_decay_superlinearly(bench8_n3):
 
 
 def test_G_lam_trend_decreases(bench8):
-    gs = {lam: build_G(bench8, lam).mat for lam in (1.0, 2.0, 4.0)}
+    gs = {lam: build_ibc(bench8, lam).g_op.mat for lam in (1.0, 2.0, 4.0)}
     d12 = opnorm(gs[2.0] - gs[1.0])
     d24 = opnorm(gs[4.0] - gs[2.0])
     assert abs(d12 - G_TREND["d12"]) < 1e-6
@@ -132,8 +148,13 @@ def test_neumann_inverse_exact(bench8, ops2):
     assert powers[2] == 0.0
 
 
+def keystone(model, lam):
+    h_lam = assemble_cutoff_hamiltonian(model, lam)
+    return factorization_identity_check(model, build_ibc(model, lam), h_lam)
+
+
 def test_keystone_identity(bench8):
-    residuals = [factorization_identity_check(bench8, lam) for lam in (1.0, 2.0, 4.0)]
+    residuals = [keystone(bench8, lam) for lam in (1.0, 2.0, 4.0)]
     for res in residuals:
         assert res <= 1e-12
     # the identity is algebra: no lam dependence beyond round-off
@@ -142,12 +163,12 @@ def test_keystone_identity(bench8):
 
 def test_keystone_zero_coupling():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
-    assert factorization_identity_check(model, 2.0) < 1e-14
+    assert keystone(model, 2.0) < 1e-14
 
 
 def test_singular_shift_raises_with_recorded_value(bench8):
     with pytest.raises(SpectralError, match="0.520107"):
-        build_G(bench8, 2.0, shift=0.0)
+        build_ibc(bench8, 2.0, shift=0.0)
 
 
 def test_ibc_matches_subtracted_hamiltonian(bench8, ops2):
@@ -184,7 +205,7 @@ def test_zero_coupling_ibc_reduces_to_free():
 
 def test_domain_regularity_structured_matches_dense(bench8):
     result = domain_regularity_norms(bench8, 2.0, [0.0])
-    dense = opnorm(build_G(bench8, 2.0).mat)
+    dense = opnorm(build_ibc(bench8, 2.0).g_op.mat)
     assert abs(result["norms"][0.0] - dense) < 1e-10
     assert abs(result["shift"] - SHIFT_L8) < 1e-6
 
