@@ -29,6 +29,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from os import cpu_count, makedirs, path
 
 import numpy as np
@@ -225,6 +226,16 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
             raise GuardError(
                 f"dense dimension guard: {npts} x fock({npts},{model['n_max']}) = {dim} exceeds {nelson.MAX_DENSE_DIM}"
             )
+    if experiment == "domain-regularity":
+        # the norm kernel forms a dense Gram matrix of side npts * dim(sector n_max - 1)
+        n_max = model["n_max"]
+        for size in sweep["sizes"]:
+            side = size * comb(size + n_max - 2, n_max - 1)
+            if side > nelson.MAX_DENSE_DIM:
+                raise GuardError(
+                    f"dense dimension guard: [sweep] sizes entry {size} gives a Gram matrix of side "
+                    f"{size} x C({size + n_max - 2},{n_max - 1}) = {side}, above {nelson.MAX_DENSE_DIM}"
+                )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ hold exactly on states whose sector stays far enough below the particle cap;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial
 
 import numpy as np
@@ -30,6 +31,36 @@ def _compositions(total: int, parts: int):
     for head in range(total, -1, -1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque sortable key per row, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class SectorLadder:
+    """Nonzero elements <o| a*_k |a> = sqrt(occ_o[k]) from sector n-1 to n.
+
+    One entry per pair o = a + e_k, ordered by target; ``targets`` and
+    ``sources`` are local indices within sectors n and n-1.
+    """
+
+    targets: np.ndarray
+    sources: np.ndarray
+    modes: np.ndarray
+    factors: np.ndarray
+
+    @cached_property
+    def shared_target_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entry pairs (i, j) with equal targets, ordered by target, then i, then j."""
+        counts = np.bincount(self.targets)
+        starts = np.cumsum(counts) - counts
+        group = counts[self.targets]
+        first = np.repeat(np.arange(len(self.targets)), group)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(group) - group, group)
+        return first, starts[self.targets[first]] + offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +98,26 @@ class FockBasis:
     def safe_cap(self, margin: int = 2) -> int:
         return self.n_max - margin
 
+    @cached_property
+    def ladder(self) -> tuple[SectorLadder, ...]:
+        """Creation ladder tables; entry n-1 couples sector n-1 to sector n."""
+        occ = self.occupations
+        tables = []
+        for n in range(1, self.n_max + 1):
+            upper = occ[self.sector_slice(n)]
+            lower = occ[self.sector_slice(n - 1)]
+            targets, modes = np.nonzero(upper)
+            removed = upper[targets]
+            removed[np.arange(len(targets)), modes] -= 1
+            # find each occupation with one boson removed among the rows of
+            # sector n-1, comparing whole rows as raw bytes
+            keys = _row_keys(lower)
+            order = np.argsort(keys)
+            sources = order[np.searchsorted(keys[order], _row_keys(removed))]
+            factors = np.sqrt(upper[targets, modes])
+            tables.append(SectorLadder(targets, sources, modes, factors))
+        return tuple(tables)
+
 
 def fock_basis(n_modes: int, n_max: int) -> FockBasis:
     if n_modes < 1 or n_max < 0:
@@ -93,14 +144,11 @@ def annihilate(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
     if f.shape != (basis.n_modes,):
         raise ValueError(f"expected {basis.n_modes} mode coefficients")
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    occ = basis.occupations
-    for s in range(basis.dim):
-        state = occ[s]
-        for j in np.nonzero(state)[0]:
-            target = state.copy()
-            target[j] -= 1
-            t = basis.index[tuple(target)]
-            mat[t, s] += np.conj(f[j]) * np.sqrt(state[j])
+    bounds = basis.sector_bounds
+    for n, lad in enumerate(basis.ladder, start=1):
+        rows = bounds[n - 1] + lad.sources
+        cols = bounds[n] + lad.targets
+        mat[rows, cols] += np.conj(f)[lad.modes] * lad.factors
     return OperatorMatrix(mat, basis.space, False)
 
 

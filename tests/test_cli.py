@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from nelsonlab import ibc
+from nelsonlab import ibc, nelson
 from nelsonlab.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -106,6 +106,27 @@ def test_dense_dimension_guard_only_for_dense_experiments():
         check_guards(cfg, "ibc-identity")
     check_guards(cfg, "domain-regularity")
     check_guards(cfg, None)
+
+
+def test_domain_regularity_gram_guard_refuses_before_assembly(tmp_path, capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("assembled a model past the guard")
+
+    monkeypatch.setattr(nelson, "assemble_free", refuse)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[sweep]\nsizes = 8, 16, 32, 128\ndomain_lams = 2, 4, 8, 16\n")
+    # 128 x C(128,1) = 16384 is the Gram side of the last sizes entry
+    base = ("--experiment", "domain-regularity", "--config", str(cfg))
+    out = tmp_path / "run"
+    for extra in (("--validate",), ("--out", str(out))):
+        assert run_cli(*base, *extra) == 3
+        err = capsys.readouterr().err
+        assert "sizes" in err and "dense dimension" in err and "16384" in err
+    assert not out.exists()
+    # other experiments never read sizes
+    assert run_cli("--experiment", "weyl-identities", "--config", str(cfg), "--validate") == 0
+    # the defaults reach a Gram side of 32 x C(32,1) = 1024
+    check_guards(resolve_config(None), "domain-regularity")
 
 
 def test_lattice_guard_rejects_non_power_of_two():

@@ -79,6 +79,40 @@ def test_annihilate_matches_symmetric_tensor_construction():
         )
 
 
+def test_annihilate_matches_occupation_loop():
+    # oracle: the per-state occupation loop, one term per matrix entry
+    rng = np.random.default_rng(11)
+    b = fock_basis(4, 3)
+    f = rand_vec(rng, 4)
+    oracle = np.zeros((b.dim, b.dim), dtype=complex)
+    for s, state in enumerate(b.occupations):
+        for j in np.nonzero(state)[0]:
+            target = state.copy()
+            target[j] -= 1
+            oracle[b.index[tuple(target)], s] += np.conj(f[j]) * np.sqrt(state[j])
+    assert np.array_equal(annihilate(b, f).mat, oracle)
+
+
+def test_sector_ladder_lists_every_creation_element():
+    b = fock_basis(5, 3)
+    assert len(b.ladder) == 3
+    for n, lad in enumerate(b.ladder, start=1):
+        upper = b.occupations[b.sector_slice(n)]
+        lower = b.occupations[b.sector_slice(n - 1)]
+        # one entry per occupied mode of each target
+        assert len(lad.targets) == np.count_nonzero(upper)
+        raised = lower[lad.sources].copy()
+        raised[np.arange(len(lad.modes)), lad.modes] += 1
+        assert np.array_equal(raised, upper[lad.targets])
+        assert np.array_equal(lad.factors, np.sqrt(upper[lad.targets, lad.modes]))
+        first, second = lad.shared_target_pairs
+        assert np.array_equal(lad.targets[first], lad.targets[second])
+        assert len(first) == np.sum(np.count_nonzero(upper, axis=1) ** 2)
+    # 32 modes, sector 1 -> 2: 496 targets with two occupied modes, 32 with one
+    first, _ = fock_basis(32, 2).ladder[1].shared_target_pairs
+    assert len(first) == 496 * 4 + 32
+
+
 def test_create_is_exact_adjoint():
     rng = np.random.default_rng(6)
     b = fock_basis(4, 3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nelsonlab.ibc import (
     IbcOperators,
@@ -46,6 +47,11 @@ def bench8_n3():
 @pytest.fixture(scope="module")
 def ops2(bench8):
     return build_ibc(bench8, 2.0)
+
+
+@pytest.fixture(scope="module")
+def ops2_n3(bench8_n3):
+    return build_ibc(bench8_n3, 2.0)
 
 
 def opnorm(mat):
@@ -106,8 +112,8 @@ def test_G_shifts_sectors_up_by_one(bench8):
     assert np.max(np.abs(g[:, top])) < 1e-15
 
 
-def test_sector_norms_decay_with_fitted_exponent(bench8_n3):
-    g = build_ibc(bench8_n3, 2.0).g_op
+def test_sector_norms_decay_with_fitted_exponent(bench8_n3, ops2_n3):
+    g = ops2_n3.g_op
     norms = sector_norms(bench8_n3.basis, g.mat)
     assert np.max(np.abs(norms - np.array(SECTOR_NORMS_N3))) < 1e-7
     assert norms[0] > norms[1] > norms[2]
@@ -116,8 +122,8 @@ def test_sector_norms_decay_with_fitted_exponent(bench8_n3):
     assert p >= 0.15
 
 
-def test_G_power_norms_decay_superlinearly(bench8_n3):
-    g = build_ibc(bench8_n3, 2.0).g_op.mat
+def test_G_power_norms_decay_superlinearly(ops2_n3):
+    g = ops2_n3.g_op.mat
     powers = [opnorm(np.linalg.matrix_power(g, k)) for k in (1, 2, 3)]
     incs = np.diff(np.log(powers))
     assert incs[1] < incs[0] < 0.0
@@ -203,11 +209,62 @@ def test_zero_coupling_ibc_reduces_to_free():
     assert np.max(np.abs(ops.h_ibc.mat - model.h0.mat)) < 1e-12
 
 
-def test_domain_regularity_structured_matches_dense(bench8):
-    result = domain_regularity_norms(bench8, 2.0, [0.0])
-    dense = opnorm(build_ibc(bench8, 2.0).g_op.mat)
-    assert abs(result["norms"][0.0] - dense) < 1e-10
-    assert abs(result["shift"] - SHIFT_L8) < 1e-6
+def dense_domain_norms(model, g, ps):
+    """Dense oracle ||H0^p G|| = opnorm(hermitian_func(H0, clip(w, 0)**p) @ G).
+
+    One eigh of the dense H0 serves every p.  The clip only touches the
+    zero-boson sector, where H0 = K may dip below zero (to -0.020 on the
+    bench model) and which G never reaches; each boson adds at least the
+    mass 1 > |w_amplitude|.  Only the columns of the sectors below the cap
+    enter: G maps the top sector out of the truncation, so they are zero.
+    """
+    w, v = np.linalg.eigh(model.h0.mat)
+    cols = model.basis.tensor_rows(model.grid.size, 0, model.basis.n_max - 1)
+    vg = v.conj().T @ g[:, cols]
+    return {p: opnorm(v @ (np.clip(w, 0.0, None)[:, None] ** p * vg)) for p in ps}
+
+
+def test_domain_regularity_structured_matches_dense(bench8, ops2, bench8_n3, ops2_n3):
+    ps = [0.0, 0.2, 0.5, 1.0]
+    for model, ops in ((bench8, ops2), (bench8_n3, ops2_n3)):
+        result = domain_regularity_norms(model, 2.0, ps)
+        dense = dense_domain_norms(model, ops.g_op.mat, ps)
+        for p in ps:
+            assert abs(result["norms"][p] - dense[p]) < 1e-10
+        assert abs(result["shift"] - SHIFT_L8) < 1e-6
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    # the Gram holds squared norms, which underflow for couplings below about 1e-150
+    coupling=st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3)),
+    g_modulation=st.floats(-0.95, 0.95),
+    w_amplitude=st.floats(-0.95, 0.95),
+    n_max=st.sampled_from([1, 2, 3]),
+)
+@example(coupling=0.0, g_modulation=0.3, w_amplitude=0.2, n_max=2)
+@example(coupling=-1.5, g_modulation=-0.9, w_amplitude=0.9, n_max=2)
+def test_domain_regularity_matches_dense_on_random_models(
+    coupling, g_modulation, w_amplitude, n_max
+):
+    spec = sinusoidal_spec(
+        8,
+        coupling=coupling,
+        g_modulation=g_modulation,
+        w_amplitude=w_amplitude,
+        n_max=n_max,
+    )
+    model = assemble_free(spec)
+    ps = [0.0, 0.2, 0.5, 1.0]
+    fast = domain_regularity_norms(model, 2.0, ps)["norms"]
+    # G alone; build_ibc would also form T, E_lam and the Neumann inverse
+    g = -np.linalg.solve(
+        model.h0.mat + free_shift(model) * np.eye(model.dim),
+        creation_family(model, 2.0).mat,
+    )
+    dense = dense_domain_norms(model, g, ps)
+    for p in ps:
+        assert abs(fast[p] - dense[p]) <= 1e-10 * dense[p]
 
 
 def test_domain_regularity_zero_coupling():
