@@ -11,9 +11,9 @@ in parameter order regardless of the --threads setting.
 Configs are flat ``key = value`` text files with three typed sections,
 ``[model]``, ``[sweep]`` and ``[tolerances]``; ``#`` starts a comment.
 Unknown keys, unreadable values, and malformed lines are reported with
-their line number and exit code 2; violated numeric guards (saturation,
-dense-dimension, lattice caps) exit with code 3; a failed check exits
-with code 1.
+their line number and exit code 2; values the library refuses (model
+ingredients, lattices, cutoffs, dense dimensions) and the CLI's own sweep
+policies exit with code 3; a failed check exits with code 1.
 
 Check naming convention: a check whose name ends in ``-min`` passes when
 lhs >= rhs (fit quality, separation factors); every other check passes
@@ -28,8 +28,8 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from math import comb
 from os import cpu_count, makedirs, path
 
 import numpy as np
@@ -182,60 +182,59 @@ def config_canonical_text(cfg: dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
-def _lattice(npts: int, box: float) -> Grid:
-    """The d = 1 grid of a config, with the library's lattice checks as guards."""
+def _spec(cfg: dict, npts: int | None = None) -> nelson.ModelSpec:
+    """The model spec at ``npts`` (default: the config's), size-checked as in
+    ``assemble_free`` before any allocation."""
+    npts = cfg["model"]["npts"] if npts is None else npts
+    nelson.check_dense_size("one-particle matrix", npts)
+    return nelson.sinusoidal_spec(**dict(cfg["model"], npts=npts))
+
+
+@contextmanager
+def _refusal(field: str):
+    """Turn a library refusal (ModelSpecError, ResolutionError, SizeError or the
+    ValueError of a Grid) into a GuardError that names ``field``."""
     try:
-        return Grid(1, npts, box)
+        yield
     except ValueError as exc:
-        raise GuardError(f"lattice guard: {exc} (npts = {npts}, box = {box:g})") from exc
+        raise GuardError(f"{field}: {exc}") from exc
 
 
 def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
+    """Refuse a config before any large allocation: the lattices and model specs
+    a run would build meet the library's own checks, plus the CLI's sweep policies."""
     model = cfg["model"]
     sweep = cfg["sweep"]
-    npts, box = model["npts"], model["box"]
-    grid = _lattice(npts, box)
-    if model["mass"] <= 0:
-        raise GuardError(f"mass guard: mass must be positive, got {model['mass']}")
     if model["n_max"] < 1:
         raise GuardError(f"sector guard: n_max must be at least 1, got {model['n_max']}")
-    if abs(model["w_amplitude"]) >= 1.0 or abs(model["g_modulation"]) >= 1.0:
+    if not (abs(model["w_amplitude"]) < 1.0 and abs(model["g_modulation"]) < 1.0):
         raise GuardError("ellipticity guard: modulations must stay below 1 in magnitude")
-    saturation = grid.max_momentum()
-    for lam in sweep["lams"]:
-        if lam > saturation * (1 + 1e-12):
-            raise GuardError(
-                f"saturation guard: lam = {lam:g} above the grid maximum pi*npts/box = {saturation:.6g}"
-            )
+    for n in sweep["weyl_n_max"]:
+        if not 1 <= n <= 128:
+            raise GuardError(f"sector guard: weyl_n_max entries must lie in [1, 128], got {n}")
     if len(sweep["sizes"]) != len(sweep["domain_lams"]):
         raise ConfigError(
             f"fields [sweep] sizes and domain_lams must pair up, got {len(sweep['sizes'])} vs {len(sweep['domain_lams'])}"
         )
+    for key in ("psido_npts", "parametrix_npts"):
+        with _refusal(f"[sweep] {key}"):
+            Grid(1, sweep[key], model["box"])
+    with _refusal("[sweep] rearr_npts, rearr_box"):
+        Grid(1, sweep["rearr_npts"], sweep["rearr_box"])
+    with _refusal("[model]"):
+        spec = _spec(cfg)
+        if experiment in _DENSE_EXPERIMENTS:
+            nelson.check_tensor_size(spec)
+    for lam in sweep["lams"]:
+        with _refusal("[sweep] lams"):
+            spec.grid.check_cutoff(lam)
     for size, lam in zip(sweep["sizes"], sweep["domain_lams"]):
-        saturation = _lattice(size, box).max_momentum()
-        if lam > saturation * (1 + 1e-12):
-            raise GuardError(
-                f"saturation guard: domain lam = {lam:g} above pi*npts/box = {saturation:.6g} at npts = {size}"
-            )
-    for n in sweep["weyl_n_max"]:
-        if not 1 <= n <= 128:
-            raise GuardError(f"sector guard: weyl_n_max entries must lie in [1, 128], got {n}")
-    if experiment in _DENSE_EXPERIMENTS:
-        dim = npts * fock.fock_dim(npts, model["n_max"])
-        if dim > nelson.MAX_DENSE_DIM:
-            raise GuardError(
-                f"dense dimension guard: {npts} x fock({npts},{model['n_max']}) = {dim} exceeds {nelson.MAX_DENSE_DIM}"
-            )
-    if experiment == "domain-regularity":
-        # the norm kernel forms a dense Gram matrix of side npts * dim(sector n_max - 1)
-        n_max = model["n_max"]
-        for size in sweep["sizes"]:
-            side = size * comb(size + n_max - 2, n_max - 1)
-            if side > nelson.MAX_DENSE_DIM:
-                raise GuardError(
-                    f"dense dimension guard: [sweep] sizes entry {size} gives a Gram matrix of side "
-                    f"{size} x C({size + n_max - 2},{n_max - 1}) = {side}, above {nelson.MAX_DENSE_DIM}"
-                )
+        with _refusal(f"[sweep] sizes entry {size}"):
+            sized = _spec(cfg, size)
+            if experiment == "domain-regularity":
+                ibc.check_gram_size(sized)
+        with _refusal(f"[sweep] domain_lams at npts = {size}"):
+            sized.grid.check_cutoff(lam)
 
 
 @dataclass(frozen=True)
@@ -267,22 +266,6 @@ def _ordered_map(fn, items, threads: int):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _assemble(cfg: dict, npts: int | None = None) -> nelson.AssembledModel:
-    model = cfg["model"]
-    spec = nelson.sinusoidal_spec(
-        npts if npts is not None else model["npts"],
-        box=model["box"],
-        g_modulation=model["g_modulation"],
-        w_amplitude=model["w_amplitude"],
-        mass=model["mass"],
-        coupling=model["coupling"],
-        sigma=model["sigma"],
-        n_max=model["n_max"],
-        profile=model["profile"],
-    )
-    return nelson.assemble_free(spec)
 
 
 def run_weyl_identities(cfg, seed, threads) -> list[Row]:
@@ -368,7 +351,7 @@ def run_psido_calculus(cfg, seed, threads) -> list[Row]:
 
 def run_renorm_convergence(cfg, seed, threads) -> list[Row]:
     sweep = cfg["sweep"]
-    model = _assemble(cfg)
+    model = nelson.assemble_free(_spec(cfg))
     report = nelson.renorm_convergence_experiment(model, sweep["lams"])
     base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
     rows = []
@@ -405,7 +388,7 @@ def run_renorm_convergence(cfg, seed, threads) -> list[Row]:
 
 def run_gross_transform(cfg, seed, threads) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
-    model = _assemble(cfg)
+    model = nelson.assemble_free(_spec(cfg))
     base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
 
     def one(lam: float):
@@ -426,7 +409,7 @@ def run_gross_transform(cfg, seed, threads) -> list[Row]:
 
 def run_ibc_identity(cfg, seed, threads) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
-    model = _assemble(cfg)
+    model = nelson.assemble_free(_spec(cfg))
     base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
 
     def one(lam: float):
@@ -456,7 +439,7 @@ def run_ibc_identity(cfg, seed, threads) -> list[Row]:
 
 def run_domain_regularity(cfg, seed, threads) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
-    models = [_assemble(cfg, npts=size) for size in sweep["sizes"]]
+    models = [nelson.assemble_free(_spec(cfg, size)) for size in sweep["sizes"]]
     report = ibc.domain_regularity_experiment(models, sweep["domain_lams"], sweep["powers"])
     rows = []
     for entry in report["rows"]:
@@ -595,15 +578,12 @@ def run_vacuum_energy(cfg, seed, threads) -> list[Row]:
         return nelson.vacuum_energy_quadrature(lam, 3)
 
     values = _ordered_map(energy, lams, threads)
-    design = np.vstack([np.log(lams), np.ones(len(lams))]).T
-    coef, residual, *_ = np.linalg.lstsq(design, np.array(values), rcond=None)
-    total = float(np.sum((np.array(values) - np.mean(values)) ** 2))
-    r_squared = 1.0 - float(residual[0]) / total if residual.size else 1.0
+    slope, r_squared = inequalities.log_fit(lams, values)
     rows = []
     for lam_a, lam_b, val_a, val_b in zip(lams[:-1], lams[1:], values[:-1], values[1:]):
         rows.append(Row("divergence-monotone", {"lam": lam_a, "lam_next": lam_b, "d": 3}, val_a, val_b))
     rows.append(
-        Row("log-divergence-r2-min", {"lams": "|".join(map(_fmt, lams)), "d": 3, "slope": float(coef[0])}, r_squared, tol["fit_r2"])
+        Row("log-divergence-r2-min", {"lams": "|".join(map(_fmt, lams)), "d": 3, "slope": slope}, r_squared, tol["fit_r2"])
     )
     demo = inequalities.diagonal_divergence_demo(lams, g_const=sweep["demo_g_const"], tol=tol["quad_tol"])
     demo_params = {"g_const": sweep["demo_g_const"], "lams": "|".join(map(_fmt, lams))}

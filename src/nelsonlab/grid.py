@@ -31,8 +31,8 @@ class Grid:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.npts < 2 or self.npts & (self.npts - 1):
             raise ValueError(f"npts must be a power of two >= 2, got {self.npts}")
-        if not self.box > 0:
-            raise ValueError("box must be positive")
+        if not 0 < self.box < np.inf:
+            raise ValueError(f"box must be positive and finite, got {self.box}")
 
     @property
     def size(self) -> int:
@@ -85,9 +85,14 @@ class Grid:
         """Largest resolved momentum magnitude per axis, pi * npts / box."""
         return np.pi * self.npts / self.box
 
-    def nyquist_guard(self) -> float:
-        """Largest cutoff scale the lattice resolves, npts / (4 * box)."""
-        return 0.25 * self.npts / self.box
+    def check_cutoff(self, lam: float) -> None:
+        """Refuse a model cutoff outside (0, pi * npts / box], past which the profile saturates."""
+        top = self.max_momentum()
+        if not 0 < lam <= top * (1.0 + 1e-12):
+            raise ResolutionError(
+                f"cutoff lam={lam:g} outside (0, {top:g}]; past pi*npts/box the profile "
+                f"reaches saturation on the lattice (npts={self.npts}, box={self.box:g})"
+            )
 
     def snap_index(self, point) -> tuple[int, ...]:
         """Nearest lattice multi-index to ``point`` (periodic, ties down)."""
@@ -186,9 +191,10 @@ def bump_hat(grid: Grid, lam: float, x0, profile: str, sigma: float) -> np.ndarr
     """Momentum side of the smeared bump at scale ``lam`` centered at ``x0``.
 
     profile_hat(|xi|/lam) * ramp(|xi|, sigma) * exp(-i xi . x0) on the
-    flattened momentum mesh.  No scale guard: each caller checks ``lam``
-    against the range it promises to resolve.
+    flattened momentum mesh.  Refuses a ``lam`` that ``Grid.check_cutoff``
+    refuses.
     """
+    grid.check_cutoff(lam)
     mesh = grid.momentum_mesh()
     r = np.sqrt(np.einsum("kd,kd->k", mesh, mesh))
     prof = PROFILE_HATS[profile]
@@ -205,11 +211,11 @@ def cutoff_function(
 
     Built on the Fourier side as profile_hat(|xi|/lam) * exp(-i xi . X), which
     periodizes the continuum bump exactly and pins the discrete mass to 1.
-    Raises ResolutionError when lam exceeds the lattice's Nyquist guard.
+    Raises ResolutionError when lam is not positive or exceeds the Nyquist
+    guard npts / (4 * box), a stricter promise than ``Grid.check_cutoff``:
+    below it the bump is resolved and positive.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    guard = grid.nyquist_guard()
+    guard = 0.25 * grid.npts / grid.box
     if lam > guard * (1.0 + 1e-12):
         raise ResolutionError(
             f"cutoff scale lam={lam} exceeds the Nyquist guard {guard:.6g} "

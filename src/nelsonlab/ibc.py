@@ -11,13 +11,16 @@ inverse of 1 - G exact and the factorization identity an algebraic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import fock
 from .nelson import (
     AssembledModel,
+    ModelSpec,
     SpectralError,
+    check_dense_size,
     form_factor,
     vacuum_energy_operator,
 )
@@ -179,6 +182,13 @@ def factorization_identity_check(
 # domain regularity
 
 
+def check_gram_size(spec: ModelSpec) -> None:
+    """Refuse a model whose widest sector-step Gram matrix, of side
+    size * dim(sector n_max - 1) = size * C(n_modes + n_max - 2, n_max - 1), passes the guard."""
+    sector = comb(spec.n_modes + spec.n_max - 2, spec.n_max - 1) if spec.n_max else 0
+    check_dense_size("sector Gram matrix", spec.grid.size, sector)
+
+
 def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     """||H0^p G_lam|| for each p, from the exact Gram matrix of each sector step.
 
@@ -196,13 +206,15 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     clamped at zero so that zero coupling gives exactly 0.0.  Each step
     costs one Gram of side size * dim(sector n-1) and one dense ``eigvalsh``:
     no iterative solver, no start vector, and no dense tensor matrix.  The
-    shift s enters only through the resolvent factor of G.
+    shift s enters only through the resolvent factor of G.  An exact
+    power-of-two scale of the coefficients keeps their squares from underflowing.
 
     On the d = 1 tensor model the one-boson sector gives
     ||H0^p G_lam||^2 ~ int^lam k^{-1} k^{4p-4} dk: the norm stays bounded in
     lam for p < 1 and ||H0 G_lam||^2 grows like log lam (p = 1 is critical).
     The d = 3 threshold p = 1/2 belongs to the quadrature evaluators only.
     """
+    check_gram_size(model.spec)
     ps = [float(p) for p in ps]
     size = model.grid.size
     basis = model.basis
@@ -210,6 +222,9 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     s = free_shift(model)
     occ_energy = basis.occupations @ model.mode_freqs
     coeffs = np.array([form_factor(model, lam, xi) for xi in range(size)])
+    # the clamp keeps 2**-exponent finite when the largest entry is subnormal
+    exponent = max(int(np.frexp(np.max(np.abs(coeffs)))[1]), -1021)
+    coeffs *= 2.0**-exponent
     out = {p: 0.0 for p in ps}
     for n, lad in enumerate(basis.ladder, start=1):
         n_src = basis.sector_bounds[n] - basis.sector_bounds[n - 1]
@@ -224,7 +239,7 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
             gram = np.zeros((n_src, size, n_src, size), dtype=complex)
             np.add.at(gram, index, outer * w[lad.targets[first]])
             top = np.linalg.eigvalsh(gram.reshape(n_src * size, n_src * size))[-1]
-            out[p] = max(out[p], float(np.sqrt(max(0.0, top))))
+            out[p] = max(out[p], float(np.sqrt(max(0.0, top))) * 2.0**exponent)
     return {"norms": out, "shift": s}
 
 

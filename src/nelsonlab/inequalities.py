@@ -330,6 +330,16 @@ def offset_decay_check(
     }
 
 
+def log_fit(xs, values) -> tuple[float, float]:
+    """Least-squares fit values ~ slope * log(xs) + c; returns (slope, R^2)."""
+    xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
+    design = np.vstack([np.log(xs), np.ones_like(xs)]).T
+    coef, residual, *_ = np.linalg.lstsq(design, values, rcond=None)
+    total = float(np.sum((values - values.mean()) ** 2))
+    r_squared = 1.0 - float(residual[0]) / total if residual.size else 1.0
+    return float(coef[0]), r_squared
+
+
 def subtracted_kernel(h0):
     """(h0 + 2)/(h0 + 1)^2 - 1/(h0 + 1), the cancellation left after
     removing the vacuum term; equals (h0 + 1)^-2."""
@@ -374,16 +384,13 @@ def diagonal_divergence_demo(lams=(4.0, 8.0, 16.0, 32.0, 64.0), g_const: float =
 
     unsub = sweep(lambda h0: 1.0 / (h0 + 1.0), 1.0)
     sub = sweep(subtracted_kernel, -1.0)
-    design = np.vstack([np.log(lams), np.ones_like(lams)]).T
-    coef, residual, *_ = np.linalg.lstsq(design, unsub, rcond=None)
-    total = float(np.sum((unsub - unsub.mean()) ** 2))
-    r_squared = 1.0 - float(residual[0]) / total if residual.size else 1.0
+    slope, r_squared = log_fit(lams, unsub)
     variation = float((sub.max() - sub.min()) / np.max(np.abs(sub)))
     return {
         "lams": lams,
         "unsubtracted": unsub,
         "subtracted": sub,
-        "log_slope": float(coef[0]),
+        "log_slope": slope,
         "log_r_squared": r_squared,
         "variation": variation,
     }

@@ -29,7 +29,6 @@ from .grid import (
     PROFILE_HATS,
     Grid,
     LatticeFunction,
-    ResolutionError,
     bump_hat,
     derivative_matrix,
     idft,
@@ -54,6 +53,14 @@ class SpectralError(ValueError):
 
 class SizeError(ValueError):
     """A dense tensor assembly would exceed the memory guard."""
+
+
+def check_dense_size(what: str, size: int, block: int = 1) -> None:
+    """Refuse a dense matrix of side size * block above ``MAX_DENSE_DIM``."""
+    if size * block > MAX_DENSE_DIM:
+        raise SizeError(
+            f"dense dimension guard: {what} of side {size} x {block} = {size * block} exceeds {MAX_DENSE_DIM}"
+        )
 
 
 def _as_lattice_array(grid: Grid, values, name: str) -> np.ndarray:
@@ -93,7 +100,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", _as_lattice_array(self.grid, self.g, "g"))
-        object.__setattr__(self, "mu", _as_lattice_array(self.grid, self.mu, "mu"))
+        object.__setattr__(self, "mu", _as_lattice_array(self.grid, self.mu, "mass mu"))
         object.__setattr__(self, "w", _as_lattice_array(self.grid, self.w, "w"))
         if np.min(self.g) <= 0.0:
             bad = int(np.argmin(self.g))
@@ -105,8 +112,10 @@ class ModelSpec:
             raise ModelSpecError(
                 f"mass floor violated: mu = {self.mu[bad]:.6g} at lattice point {bad}"
             )
-        if self.sigma < 0.0:
-            raise ModelSpecError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ModelSpecError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        if not np.isfinite(self.coupling):
+            raise ModelSpecError(f"coupling must be finite, got {self.coupling}")
         if self.n_max < 0:
             raise ModelSpecError("n_max must be nonnegative")
         if self.n_modes is None:
@@ -153,6 +162,11 @@ def sinusoidal_spec(
         n_modes=n_modes,
         profile=profile,
     )
+
+
+def check_tensor_size(spec: ModelSpec) -> None:
+    """Refuse a model whose dense H0 (lattice x Fock space) exceeds the guard."""
+    check_dense_size("H0", spec.grid.size, fock.fock_dim(spec.n_modes, spec.n_max))
 
 
 def divergence_form(grid: Grid, g: np.ndarray) -> np.ndarray:
@@ -210,11 +224,7 @@ class AssembledModel:
         """K x 1 + 1 x dGamma as a dense matrix (lazy, size-guarded)."""
         cached = getattr(self, "_h0", None)
         if cached is None:
-            if self.dim > MAX_DENSE_DIM:
-                raise SizeError(
-                    f"dense H0 of dimension {self.dim} = {self.grid.size} x "
-                    f"{self.fock_dim} exceeds the guard {MAX_DENSE_DIM}"
-                )
+            check_tensor_size(self.spec)
             mat = np.kron(self.k, np.eye(self.fock_dim)) + np.kron(
                 np.eye(self.grid.size), self.dgamma.mat
             )
@@ -249,6 +259,7 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
     sqrt(eigenvalues of h).
     """
     grid = spec.grid
+    check_dense_size("one-particle matrix", grid.size)
     k0 = divergence_form(grid, spec.g)
     k = k0 + np.diag(spec.w)
     h = k0 + np.diag(spec.mu**2)
@@ -286,24 +297,13 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
 # bump family and form factors
 
 
-def _guarded_bump_hat(
+def _model_bump_hat(
     model: AssembledModel, lam: float, x_index: int, sigma: float | None
 ) -> np.ndarray:
     """Momentum side of rho_{lam,X} / coupling; see ``form_factor_rho``."""
-    spec = model.spec
-    grid = model.grid
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    guard = grid.max_momentum()
-    if lam > guard * (1.0 + 1e-12):
-        raise ResolutionError(
-            f"cutoff lam={lam:g} exceeds the resolved momentum range {guard:g} "
-            f"(npts={grid.npts}, box={grid.box:g})"
-        )
-    if sigma is None:
-        sigma = spec.sigma
-    x0 = grid.position_mesh()[x_index]
-    return bump_hat(grid, lam, x0, spec.profile, sigma)
+    x0 = model.grid.position_mesh()[x_index]
+    sigma = model.spec.sigma if sigma is None else sigma
+    return bump_hat(model.grid, lam, x0, model.spec.profile, sigma)
 
 
 def form_factor_rho(
@@ -313,10 +313,10 @@ def form_factor_rho(
 
     Built on the Fourier side as coupling * profile_hat(|xi|/lam) *
     ramp(|xi|, sigma) * exp(-i xi X).  ``lam`` may not exceed the largest
-    resolved momentum: beyond that the profile saturates on the lattice and
-    larger cutoffs change nothing.
+    resolved momentum (``Grid.check_cutoff``): beyond that the profile
+    saturates on the lattice and larger cutoffs change nothing.
     """
-    hat = _guarded_bump_hat(model, lam, x_index, sigma)
+    hat = _model_bump_hat(model, lam, x_index, sigma)
     return LatticeFunction(model.grid, model.spec.coupling * idft(model.grid, hat))
 
 
@@ -340,7 +340,7 @@ def form_factor_split(
     """
     grid = model.grid
     symbol = dequantize(grid, model.omega_power(-0.5).astype(complex), 1.0)
-    hat = _guarded_bump_hat(model, lam, x_index, sigma)
+    hat = _model_bump_hat(model, lam, x_index, sigma)
     coupling = model.spec.coupling
     u_vals = idft(grid, symbol.values[x_index, :] * (coupling * hat)) / np.sqrt(2.0)
     v_vals = model.omega_power(-0.5) @ (coupling * idft(grid, hat)) / np.sqrt(2.0)
@@ -353,11 +353,6 @@ def assemble_cutoff_hamiltonian(
     model: AssembledModel, lam: float, sigma: float | None = None
 ) -> OperatorMatrix:
     """H_lam = H0 + blockdiag_X Phi(omega^{-1/2} rho_{lam,X})."""
-    if model.dim > MAX_DENSE_DIM:
-        raise SizeError(
-            f"dense assembly of dimension {model.dim} = {model.grid.size} x "
-            f"{model.fock_dim} exceeds the guard {MAX_DENSE_DIM}"
-        )
     mat = model.h0.mat.copy()
     for x_index in range(model.grid.size):
         f = np.sqrt(2.0) * form_factor(model, lam, x_index, sigma)
@@ -492,11 +487,7 @@ def transformed_hamiltonian_check(
     grid = model.grid
     if spec.n_modes != grid.size:
         raise ModelSpecError("the conjugation check needs the full mode set")
-    if model.dim > MAX_DENSE_DIM:
-        raise SizeError(
-            f"dense conjugation at dimension {model.dim} = {grid.size} x "
-            f"{model.fock_dim} exceeds the guard {MAX_DENSE_DIM}"
-        )
+    h0 = model.h0.mat  # size-guarded; built before any other dense work
     if sigma is None:
         sigma = spec.sigma
     size = grid.size
@@ -545,7 +536,7 @@ def transformed_hamiltonian_check(
         u_mat[blk, blk] = weyls[xi]
     lhs = u_mat @ h_mat @ u_mat.conj().T
 
-    rhs = model.h0.mat.astype(complex).copy()
+    rhs = h0.copy()
     g_pd = np.diag(spec.g) @ pd
     pd_g = pd @ np.diag(spec.g)
     sqrt2 = np.sqrt(2.0)

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nelsonlab import ibc, nelson
 from nelsonlab.cli import (
@@ -141,6 +143,104 @@ def test_paired_sweep_lengths_checked():
     cfg["sweep"]["sizes"] = [8, 16]
     with pytest.raises(ConfigError, match="pair up"):
         check_guards(cfg, None)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, experiment",
+    [
+        ("model", "sigma", "-1", "renorm-convergence"),
+        ("model", "profile", "tophat", "gross-transform"),
+        ("model", "mass", "nan", "ibc-identity"),
+        ("sweep", "lams", "-1, 2", "renorm-convergence"),
+        ("sweep", "domain_lams", "0, 4, 8", "domain-regularity"),
+        ("sweep", "psido_npts", "12", "psido-calculus"),
+        ("sweep", "parametrix_npts", "48", "psido-calculus"),
+        ("sweep", "rearr_npts", "100", "appendix-inequalities"),
+    ],
+)
+def test_library_refusals_exit_three_before_assembly(
+    tmp_path, capsys, monkeypatch, section, key, value, experiment
+):
+    def refuse(spec):
+        raise AssertionError("assembled a model past the guard")
+
+    monkeypatch.setattr(nelson, "assemble_free", refuse)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    base = ("--experiment", experiment, "--config", str(cfg))
+    out = tmp_path / "run"
+    for extra in (("--validate",), ("--out", str(out))):
+        assert run_cli(*base, *extra) == 3
+        assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ROOT / "configs" / "default.cfg", *sorted((ROOT / "perfbench" / "workloads").glob("*.cfg"))],
+    ids=lambda path: path.name,
+)
+def test_shipped_configs_validate(config):
+    assert run_cli("--validate", "--config", str(config)) == 0
+
+
+def _drawn(values):
+    return st.one_of(st.none(), st.sampled_from(values))
+
+
+_FLOATS = ["-1", "0", "-0.0", "nan", "inf", "-inf", "1e-300", "0.3", "0.99", "1", "2.5", "1e300"]
+_MODEL_VALUES = {
+    "npts": _drawn(["-8", "0", "1", "2", "8", "12", "16", "8192", "2.5", "nan"]),
+    "box": st.one_of(_drawn(_FLOATS), st.floats().map(repr)),
+    "g_modulation": _drawn(_FLOATS),
+    "w_amplitude": _drawn(_FLOATS),
+    "mass": st.one_of(_drawn(_FLOATS), st.floats().map(repr)),
+    "coupling": _drawn(_FLOATS),
+    "sigma": st.one_of(_drawn(_FLOATS), st.floats().map(repr)),
+    "n_max": _drawn(["-1", "0", "1", "2", "3", "40"]),
+    "profile": _drawn(["gaussian", "tophat", "Gaussian", ""]),
+}
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "c.cfg"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.fixed_dictionaries(_MODEL_VALUES), experiment=st.sampled_from([None, *EXPERIMENTS]))
+@example(values={"sigma": "-1"}, experiment=None)
+def test_guards_pass_only_configs_the_library_accepts(config_file, values, experiment):
+    text = "[model]\n" + "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None)
+    config_file.write_text(text)
+    try:
+        parse_config_text(text)
+        cfg = resolve_config(str(config_file))
+        check_guards(cfg, experiment)
+    except (ConfigError, GuardError):
+        return
+    model, sweep = cfg["model"], cfg["sweep"]
+    specs = {
+        npts: nelson.sinusoidal_spec(
+            npts,
+            box=model["box"],
+            g_modulation=model["g_modulation"],
+            w_amplitude=model["w_amplitude"],
+            mass=model["mass"],
+            coupling=model["coupling"],
+            sigma=model["sigma"],
+            n_max=model["n_max"],
+            profile=model["profile"],
+        )
+        for npts in (model["npts"], *sweep["sizes"])
+    }
+    for lam in sweep["lams"]:
+        specs[model["npts"]].grid.check_cutoff(lam)
+    for size, lam in zip(sweep["sizes"], sweep["domain_lams"]):
+        specs[size].grid.check_cutoff(lam)
 
 
 def test_unknown_experiment_exits_two():

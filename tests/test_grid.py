@@ -116,6 +116,15 @@ def test_cutoff_guard_raises_with_scales():
     assert "Nyquist guard" in str(err.value)
 
 
+def test_model_cutoff_guard_accepts_exactly_the_resolved_range():
+    g = Grid(1, 8, 2 * np.pi)  # pi * npts / box = 4
+    g.check_cutoff(4.0)
+    g.check_cutoff(1e-6)
+    for lam in (0.0, -1.0, 4.001, np.nan, np.inf):
+        with pytest.raises(ResolutionError, match="saturation"):
+            g.check_cutoff(lam)
+
+
 def test_snap_index_ties_toward_minus_infinity():
     g = Grid(1, 8, 8.0)  # spacing 1
     assert g.snap_index((0.5,)) == (0,)

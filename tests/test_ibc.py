@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nelsonlab import fock, ibc
 from nelsonlab.ibc import (
     IbcOperators,
     build_ibc,
@@ -15,6 +16,7 @@ from nelsonlab.ibc import (
     sector_norms,
 )
 from nelsonlab.nelson import (
+    SizeError,
     SpectralError,
     assemble_cutoff_hamiltonian,
     assemble_free,
@@ -236,7 +238,6 @@ def test_domain_regularity_structured_matches_dense(bench8, ops2, bench8_n3, ops
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(
-    # the Gram holds squared norms, which underflow for couplings below about 1e-150
     coupling=st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3)),
     g_modulation=st.floats(-0.95, 0.95),
     w_amplitude=st.floats(-0.95, 0.95),
@@ -244,6 +245,9 @@ def test_domain_regularity_structured_matches_dense(bench8, ops2, bench8_n3, ops
 )
 @example(coupling=0.0, g_modulation=0.3, w_amplitude=0.2, n_max=2)
 @example(coupling=-1.5, g_modulation=-0.9, w_amplitude=0.9, n_max=2)
+# unscaled, the squared coefficients in the Gram underflow at these couplings
+@example(coupling=1e-160, g_modulation=0.3, w_amplitude=0.2, n_max=2)
+@example(coupling=1e-200, g_modulation=0.3, w_amplitude=0.2, n_max=2)
 def test_domain_regularity_matches_dense_on_random_models(
     coupling, g_modulation, w_amplitude, n_max
 ):
@@ -265,6 +269,19 @@ def test_domain_regularity_matches_dense_on_random_models(
     dense = dense_domain_norms(model, g, ps)
     for p in ps:
         assert abs(fast[p] - dense[p]) <= 1e-10 * dense[p]
+
+
+def test_domain_regularity_gram_guard_refuses_before_allocating(monkeypatch):
+    # Gram side 128 x C(33, 1) = 4224; the model itself is cheap (Fock dim 595)
+    model = assemble_free(sinusoidal_spec(128, n_modes=33))
+
+    def forbidden(*args):
+        raise AssertionError("built a ladder or coefficient table past the guard")
+
+    monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
+    monkeypatch.setattr(ibc, "form_factor", forbidden)
+    with pytest.raises(SizeError, match="4224"):
+        domain_regularity_norms(model, 2.0, [0.5])
 
 
 def test_domain_regularity_zero_coupling():

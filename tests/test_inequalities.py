@@ -13,6 +13,7 @@ from nelsonlab.inequalities import (
     integral_1d,
     integral_3d,
     integral_estimate_check,
+    log_fit,
     offset_decay_check,
     peetre_check,
     rearrange,
@@ -302,6 +303,13 @@ def test_diagonal_divergence_demo_columns():
     assert demo["variation"] < 0.10
     sub = demo["subtracted"]
     assert abs(sub[-1] - sub[2]) / abs(sub[2]) < 0.10
+
+
+def test_log_fit_recovers_slope_and_perfect_fit():
+    xs = [4.0, 8.0, 16.0, 32.0]
+    slope, r_squared = log_fit(xs, 3.0 * np.log(xs) + 1.0)
+    assert slope == pytest.approx(3.0, abs=1e-12)
+    assert r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonal_demo_needs_a_sweep():
