@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fock, ibc, inequalities, nelson, psido
 from .grid import Grid, LatticeFunction
-from .operators import opnorm
+from .operators import check_dense_size, opnorm
 
 EXPERIMENTS = (
     "weyl-identities",
@@ -186,7 +186,7 @@ def _spec(cfg: dict, npts: int | None = None) -> nelson.ModelSpec:
     """The model spec at ``npts`` (default: the config's), size-checked as in
     ``assemble_free`` before any allocation."""
     npts = cfg["model"]["npts"] if npts is None else npts
-    nelson.check_dense_size("one-particle matrix", npts)
+    check_dense_size("one-particle matrix", npts)
     return nelson.sinusoidal_spec(**dict(cfg["model"], npts=npts))
 
 
@@ -218,7 +218,7 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
         )
     for key in ("psido_npts", "parametrix_npts"):
         with _refusal(f"[sweep] {key}"):
-            Grid(1, sweep[key], model["box"])
+            check_dense_size("symbol table", Grid(1, sweep[key], model["box"]).size)
     with _refusal("[sweep] rearr_npts, rearr_box"):
         Grid(1, sweep["rearr_npts"], sweep["rearr_box"])
     with _refusal("[model]"):
@@ -420,7 +420,7 @@ def run_ibc_identity(cfg, seed, threads) -> list[Row]:
         )
         h_lam = nelson.assemble_cutoff_hamiltonian(model, lam)
         keystone = ibc.factorization_identity_check(model, ops, h_lam)
-        reference = h_lam.mat + ops.e_op.mat
+        reference = h_lam.mat + np.diag(ops.e_diag)
         mismatch = float(
             np.max(np.abs(np.linalg.eigvalsh(ops.h_ibc.mat) - np.linalg.eigvalsh(reference)))
         )

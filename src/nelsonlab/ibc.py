@@ -20,27 +20,20 @@ from .nelson import (
     AssembledModel,
     ModelSpec,
     SpectralError,
-    check_dense_size,
     form_factor,
     vacuum_energy_operator,
 )
-from .operators import OperatorMatrix, opnorm
-
-
-def _free_bottom_and_shift(model: AssembledModel) -> tuple[float, float]:
-    """Bottom of H0 and the shift lifting it to mass_floor / 2.
-
-    The bottom of H0 is the bottom of K (zero-boson sector; every boson adds
-    at least the mass floor), so only the one-particle matrix is touched and
-    the value is available at sizes where dense H0 is not.
-    """
-    bottom = float(np.linalg.eigvalsh(model.k)[0])
-    return bottom, max(0.0, 0.5 * model.spec.mass_floor - bottom)
+from .operators import OperatorMatrix, check_dense_size, opnorm
 
 
 def free_shift(model: AssembledModel) -> float:
-    """Shift making H0 + s >= mass_floor / 2."""
-    return _free_bottom_and_shift(model)[1]
+    """Shift making H0 + s >= mass_floor / 2.
+
+    The bottom of H0 is the bottom of K (zero-boson sector; every boson adds
+    at least the mass floor), so the value is available at sizes where dense
+    H0 is not.
+    """
+    return max(0.0, 0.5 * model.spec.mass_floor - float(model.k_evals[0]))
 
 
 def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
@@ -106,15 +99,15 @@ class IbcOperators:
     """All pieces of one IBC assembly, built with a single recorded shift.
 
     ``factorized`` is the right side (1-G)*(H0+s)(1-G) + T - s of the
-    keystone identity, ``e_op`` the vacuum energy E_lam(X), and ``h_ibc``
-    their sum.
+    keystone identity, ``e_diag`` the diagonal of the vacuum energy
+    E_lam(X) on the tensor space, and ``h_ibc`` their sum.
     """
 
     shift: float
     g_op: OperatorMatrix
     t_op: OperatorMatrix
     factorized: OperatorMatrix
-    e_op: OperatorMatrix
+    e_diag: np.ndarray
     h_ibc: OperatorMatrix
     inverse: OperatorMatrix
     neumann_terms: int
@@ -130,7 +123,8 @@ def build_ibc(
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
     exactly at finite truncation.
     """
-    bottom, recorded = _free_bottom_and_shift(model)
+    bottom = float(model.k_evals[0])
+    recorded = free_shift(model)
     s = recorded if shift is None else float(shift)
     if bottom + s <= 1e-12:
         raise SpectralError(
@@ -145,16 +139,19 @@ def build_ibc(
     one_minus = eye - g_mat
     square = one_minus.conj().T @ h0s @ one_minus + t_mat
     del h0s, a, one_minus  # free three dense matrices before the Neumann powers
-    e_op = vacuum_energy_operator(model, lam)
+    factorized = square - s * eye
+    e_diag = vacuum_energy_operator(model, lam)
+    # square becomes H_ibc in place: (square + E) - s, summed in that order
+    np.fill_diagonal(square, square.diagonal() + e_diag - s)
     g_op = OperatorMatrix(g_mat, model.space, False)
     inverse, meta = invert_one_minus_G(model, g_op)
     return IbcOperators(
         shift=s,
         g_op=g_op,
         t_op=OperatorMatrix(t_mat, model.space, True),
-        factorized=OperatorMatrix(square - s * eye, model.space, True),
-        e_op=e_op,
-        h_ibc=OperatorMatrix(square + e_op.mat - s * eye, model.space, True),
+        factorized=OperatorMatrix(factorized, model.space, True),
+        e_diag=e_diag,
+        h_ibc=OperatorMatrix(square, model.space, True),
         inverse=inverse,
         neumann_terms=meta["terms"],
         neumann_tail=meta["tail_bound"],
@@ -218,9 +215,9 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     ps = [float(p) for p in ps]
     size = model.grid.size
     basis = model.basis
-    eps_k, q_k = np.linalg.eigh(model.k)
+    eps_k, q_k = model.k_evals, model.k_evecs
     s = free_shift(model)
-    occ_energy = basis.occupations @ model.mode_freqs
+    occ_energy = model.occupation_energies
     coeffs = np.array([form_factor(model, lam, xi) for xi in range(size)])
     # the clamp keeps 2**-exponent finite when the largest entry is subnormal
     exponent = max(int(np.frexp(np.max(np.abs(coeffs)))[1]), -1021)

@@ -147,14 +147,26 @@ def peetre_check(t: float, samples: np.ndarray) -> int:
     return int(np.sum(lhs > rhs * (1.0 + 1e-12)))
 
 
+def _radial_quad(rad, edges, eps: float) -> float:
+    """int_0^inf rad(r) dr: quad over consecutive ``edges``, then the tail
+    beyond the last edge mapped to a finite interval through r -> 1/t."""
+    out = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, _ = quad(rad, a, b, limit=400, epsabs=eps)
+        out += val
+    tail, _ = quad(
+        lambda t: rad(1.0 / t) / (t * t), 1e-12, 1.0 / edges[-1], limit=400, epsabs=eps
+    )
+    return out + tail
+
+
 def integral_3d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
     """int_{R^3} F(|xi|, |Xi - xi|) dxi with |Xi| = R.
 
     In the coordinates (r, s) = (|xi|, |Xi - xi|) the inner integral runs
     over s in [|r - R|, r + R] with measure 2*pi*r*s/R (R > 0); at R = 0
     the integrand is 4*pi*r^2 F(r, r).  The radial integral splits at R/2,
-    R, 2R and any extra points, and the tail is mapped to a finite
-    interval through r -> 1/t.
+    R, 2R and any extra points (``_radial_quad``).
     """
     eps = tol * 1e-2
     if R == 0.0:
@@ -164,15 +176,7 @@ def integral_3d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
 
         pts = sorted(p for p in split_extra if p > 0)
         edge = 4.0 * pts[-1] if pts else 16.0
-        edges = [0.0] + pts + [edge]
-        out = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, _ = quad(rad, a, b, limit=400, epsabs=eps)
-            out += val
-        tail, _ = quad(
-            lambda t: rad(1.0 / t) / (t * t), 1e-12, 1.0 / edge, limit=400, epsabs=eps
-        )
-        return out + tail
+        return _radial_quad(rad, [0.0] + pts + [edge], eps)
 
     def rad(r):
         def ang(s):
@@ -188,18 +192,7 @@ def integral_3d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
         return out
 
     edges = sorted({0.0, R / 2.0, R, 2.0 * R, *[p for p in split_extra if p > 0]})
-    out = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = quad(rad, a, b, limit=400, epsabs=eps)
-        out += val
-    tail, _ = quad(
-        lambda t: rad(1.0 / t) / (t * t),
-        1e-12,
-        1.0 / edges[-1],
-        limit=400,
-        epsabs=eps,
-    )
-    return out + tail
+    return _radial_quad(rad, edges, eps)
 
 
 def integral_1d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
@@ -212,18 +205,7 @@ def integral_1d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
     edges = sorted({0.0, *(p for p in (R / 2.0, R, 2.0 * R) if p > 0), *[p for p in split_extra if p > 0]})
     if len(edges) == 1:
         edges.append(16.0)
-    out = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = quad(rad, a, b, limit=400, epsabs=eps)
-        out += val
-    tail, _ = quad(
-        lambda t: rad(1.0 / t) / (t * t),
-        1e-12,
-        1.0 / edges[-1],
-        limit=400,
-        epsabs=eps,
-    )
-    return out + tail
+    return _radial_quad(rad, edges, eps)
 
 
 def _high_pass(lam: float):

@@ -36,11 +36,8 @@ from .grid import (
     norm as lattice_norm,
     sobolev_norm,
 )
-from .operators import OperatorMatrix, opnorm
+from .operators import OperatorMatrix, SizeError, check_dense_size, opnorm  # noqa: F401 (SizeError re-exported)
 from .psido import dequantize
-
-# Largest tensor dimension (lattice size * Fock dimension) assembled densely.
-MAX_DENSE_DIM = 4096
 
 
 class ModelSpecError(ValueError):
@@ -49,18 +46,6 @@ class ModelSpecError(ValueError):
 
 class SpectralError(ValueError):
     """A matrix that must be definite or invertible fails the check."""
-
-
-class SizeError(ValueError):
-    """A dense tensor assembly would exceed the memory guard."""
-
-
-def check_dense_size(what: str, size: int, block: int = 1) -> None:
-    """Refuse a dense matrix of side size * block above ``MAX_DENSE_DIM``."""
-    if size * block > MAX_DENSE_DIM:
-        raise SizeError(
-            f"dense dimension guard: {what} of side {size} x {block} = {size * block} exceeds {MAX_DENSE_DIM}"
-        )
 
 
 def _as_lattice_array(grid: Grid, values, name: str) -> np.ndarray:
@@ -112,6 +97,9 @@ class ModelSpec:
             raise ModelSpecError(
                 f"mass floor violated: mu = {self.mu[bad]:.6g} at lattice point {bad}"
             )
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.max(self.mu) ** 2):
+                raise ModelSpecError(f"mass mu = {np.max(self.mu):.6g} has no finite square")
         if not 0.0 <= self.sigma < np.inf:
             raise ModelSpecError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not np.isfinite(self.coupling):
@@ -185,14 +173,18 @@ def divergence_form(grid: Grid, g: np.ndarray) -> np.ndarray:
 class AssembledModel:
     """Free pieces of the model: one-particle matrices, modes, and H0.
 
-    The dense tensor H0 is built on first access and cached; its dimension
-    is guarded so quadrature- and sector-level work on large grids never
-    pays for it.
+    The free spectrum is stored once: K = k_evecs diag(k_evals) k_evecs* and
+    dGamma = diag(occupation_energies), so H0 = (Q_K x 1) diag(eps_i + E_o)
+    (Q_K x 1)*.  The dense tensor H0 is built on first access and cached; its
+    dimension is guarded so quadrature- and sector-level work on large grids
+    never pays for it.
     """
 
     spec: ModelSpec
     k0: np.ndarray
     k: np.ndarray
+    k_evals: np.ndarray
+    k_evecs: np.ndarray
     h: np.ndarray
     h_evals: np.ndarray
     h_evecs: np.ndarray
@@ -200,7 +192,7 @@ class AssembledModel:
     modes: fock.ModeMap
     mode_freqs: np.ndarray
     basis: fock.FockBasis
-    dgamma: OperatorMatrix
+    occupation_energies: np.ndarray
 
     @property
     def grid(self) -> Grid:
@@ -225,8 +217,8 @@ class AssembledModel:
         cached = getattr(self, "_h0", None)
         if cached is None:
             check_tensor_size(self.spec)
-            mat = np.kron(self.k, np.eye(self.fock_dim)) + np.kron(
-                np.eye(self.grid.size), self.dgamma.mat
+            mat = np.kron(self.k, np.eye(self.fock_dim)) + np.diag(
+                np.tile(self.occupation_energies, self.grid.size)
             )
             cached = OperatorMatrix(mat, self.space, True)
             object.__setattr__(self, "_h0", cached)
@@ -252,16 +244,18 @@ class AssembledModel:
 
 
 def assemble_free(spec: ModelSpec) -> AssembledModel:
-    """Build K, h, omega, the spectral modes, and H0 = K x 1 + 1 x dGamma.
+    """Build K and its spectrum, h, omega, the spectral modes, and dGamma.
 
     Boson modes are the lowest ``n_modes`` eigenvectors of h, orthonormal in
     the weighted inner product, so dGamma acts diagonally with frequencies
-    sqrt(eigenvalues of h).
+    sqrt(eigenvalues of h); its diagonal, the occupation energies, is summed
+    in mode order.
     """
     grid = spec.grid
     check_dense_size("one-particle matrix", grid.size)
     k0 = divergence_form(grid, spec.g)
     k = k0 + np.diag(spec.w)
+    k_evals, k_evecs = np.linalg.eigh(k)
     h = k0 + np.diag(spec.mu**2)
     h_evals, h_evecs = np.linalg.eigh(h)
     floor = spec.mass_floor**2
@@ -277,11 +271,15 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
     modes = fock.ModeMap(grid, h_evecs[:, : spec.n_modes] / np.sqrt(grid.weight))
     mode_freqs = np.sqrt(h_evals[: spec.n_modes])
     basis = fock.fock_basis(spec.n_modes, spec.n_max)
-    dgamma = fock.second_quantize(basis, np.diag(mode_freqs))
+    occupation_energies = np.zeros(basis.dim)
+    for j, freq in enumerate(mode_freqs):
+        occupation_energies += freq * basis.occupations[:, j]
     return AssembledModel(
         spec=spec,
         k0=k0,
         k=k,
+        k_evals=k_evals,
+        k_evecs=k_evecs,
         h=h,
         h_evals=h_evals,
         h_evecs=h_evecs,
@@ -289,7 +287,7 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
         modes=modes,
         mode_freqs=mode_freqs,
         basis=basis,
-        dgamma=dgamma,
+        occupation_energies=occupation_energies,
     )
 
 
@@ -422,11 +420,10 @@ def vacuum_energy_quadrature(
     return 0.5 * (2.0 * np.pi) ** -d * sphere * (head + tail)
 
 
-def vacuum_energy_operator(model: AssembledModel, lam: float) -> OperatorMatrix:
-    """E_lam(X) as the diagonal-in-X multiplication operator on the tensor space."""
+def vacuum_energy_operator(model: AssembledModel, lam: float) -> np.ndarray:
+    """E_lam(X) as the diagonal of its multiplication operator on the tensor space."""
     vals = [vacuum_energy(model, lam, xi) for xi in range(model.grid.size)]
-    mat = np.kron(np.diag(vals), np.eye(model.fock_dim))
-    return OperatorMatrix(mat, model.space, True)
+    return np.repeat(vals, model.fock_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +566,13 @@ def transformed_hamiltonian_check(
     # Fock-only conjugation identities, worst deviation over X
     dev_dgamma, dev_field, tolerance = 0.0, 0.0, 0.0
     freqs = model.mode_freqs
+    dgamma = np.diag(model.occupation_energies)
     for xi in range(size):
         b = model.project(fam_b[xi])
         v = weyls[xi]
-        conj = v @ model.dgamma.mat @ v.conj().T
+        conj = v @ dgamma @ v.conj().T
         pred = (
-            model.dgamma.mat
+            dgamma
             + fock.field(basis, freqs * b).mat
             + 0.5 * np.dot(b, freqs * b).real * ident_f
         )
@@ -654,9 +652,8 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     eye = np.eye(model.dim)
     for lam in lams:
         h_mat = assemble_cutoff_hamiltonian(model, lam).mat
-        e_mat = vacuum_energy_operator(model, lam).mat
         plain[lam] = h_mat
-        subtracted[lam] = h_mat + e_mat
+        subtracted[lam] = h_mat + np.diag(vacuum_energy_operator(model, lam))
         ev_plain = np.linalg.eigvalsh(h_mat)
         ev_sub = np.linalg.eigvalsh(subtracted[lam])
         levels.append(

@@ -8,6 +8,22 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 
+# Largest side of a dense matrix (lattice size * Fock dimension, or lattice size
+# for phase-space symbol tables) the library assembles.
+MAX_DENSE_DIM = 4096
+
+
+class SizeError(ValueError):
+    """A dense assembly would exceed the memory guard."""
+
+
+def check_dense_size(what: str, size: int, block: int = 1) -> None:
+    """Refuse a dense matrix of side size * block above ``MAX_DENSE_DIM``."""
+    if size * block > MAX_DENSE_DIM:
+        raise SizeError(
+            f"dense dimension guard: {what} of side {size} x {block} = {size * block} exceeds {MAX_DENSE_DIM}"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid, cosine_ramp, momentum_multiplier
-from .operators import HERMITIAN_TOL, OperatorMatrix, hermitian_func, opnorm
+from .operators import HERMITIAN_TOL, OperatorMatrix, check_dense_size, hermitian_func, opnorm
 
 
 class EllipticityError(ValueError):
@@ -87,8 +87,9 @@ class Symbol:
     seminorm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
         n = self.grid.size
+        check_dense_size("symbol table", n)
+        v = np.asarray(self.values, dtype=complex)
         if v.shape != (n, n):
             raise ValueError(f"values must have shape ({n}, {n}), got {v.shape}")
         if not np.all(np.isfinite(v)):

@@ -151,10 +151,13 @@ def test_paired_sweep_lengths_checked():
         ("model", "sigma", "-1", "renorm-convergence"),
         ("model", "profile", "tophat", "gross-transform"),
         ("model", "mass", "nan", "ibc-identity"),
+        ("model", "mass", "1e300", "renorm-convergence"),
         ("sweep", "lams", "-1, 2", "renorm-convergence"),
         ("sweep", "domain_lams", "0, 4, 8", "domain-regularity"),
         ("sweep", "psido_npts", "12", "psido-calculus"),
         ("sweep", "parametrix_npts", "48", "psido-calculus"),
+        ("sweep", "psido_npts", "8192", "psido-calculus"),
+        ("sweep", "parametrix_npts", "8192", "psido-calculus"),
         ("sweep", "rearr_npts", "100", "appendix-inequalities"),
     ],
 )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nelsonlab.fock import second_quantize
 from nelsonlab.grid import Grid, ResolutionError, dft
 from nelsonlab.nelson import (
     ModelSpec,
@@ -48,6 +49,11 @@ def bench8():
 
 
 @pytest.fixture(scope="module")
+def bench8_n3():
+    return assemble_free(sinusoidal_spec(8, n_max=3))
+
+
+@pytest.fixture(scope="module")
 def bench32():
     return assemble_free(sinusoidal_spec(32))
 
@@ -77,6 +83,14 @@ def test_spec_names_offending_point_on_mass_floor_violation():
     mu = np.ones(8)
     mu[3] = 0.0
     with pytest.raises(ModelSpecError, match="lattice point 3"):
+        ModelSpec(grid=grid, g=1.0, mu=mu, w=0.0)
+
+
+def test_spec_refuses_mass_without_finite_square():
+    grid = Grid(1, 8, 2 * np.pi)
+    mu = np.ones(8)
+    mu[6] = 1e300
+    with pytest.raises(ModelSpecError, match=r"mass mu = 1e\+300"):
         ModelSpec(grid=grid, g=1.0, mu=mu, w=0.0)
 
 
@@ -128,8 +142,23 @@ def test_omega_powers_consistent(bench8):
     assert np.max(np.abs(prod - np.eye(8))) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
+def test_free_spectrum_matches_dense_oracle(request, name):
+    model = request.getfixturevalue(name)
+    dense_dgamma = second_quantize(model.basis, np.diag(model.mode_freqs)).mat
+    assert np.array_equal(model.occupation_energies, np.diag(dense_dgamma).real)
+    assert np.all(dense_dgamma == np.diag(np.diag(dense_dgamma)))
+    old_h0 = np.kron(model.k, np.eye(model.fock_dim)) + np.kron(
+        np.eye(model.grid.size), dense_dgamma
+    )
+    assert np.array_equal(model.h0.mat, old_h0)
+    q, eps = model.k_evecs, model.k_evals
+    assert np.max(np.abs((q * eps) @ q.T - model.k)) < 1e-12
+    assert np.all(np.diff(eps) >= 0.0)
+
+
 def test_dgamma_kills_vacuum(bench8):
-    dg = bench8.dgamma.mat
+    dg = np.diag(bench8.occupation_energies)
     assert np.max(np.abs(dg[:, 0])) == 0.0
 
 
@@ -240,13 +269,10 @@ def test_vacuum_energy_needs_positive_k_plus_omega():
 
 
 def test_vacuum_energy_operator_is_diagonal(bench8):
-    op = vacuum_energy_operator(bench8, 2.0)
-    assert op.hermitian is True
-    off = op.mat - np.diag(np.diag(op.mat))
-    assert np.max(np.abs(off)) == 0.0
-    f = bench8.fock_dim
-    assert abs(op.mat[0, 0] - vacuum_energy(bench8, 2.0, 0)) < 1e-14
-    assert abs(op.mat[f, f] - vacuum_energy(bench8, 2.0, 1)) < 1e-14
+    diag = vacuum_energy_operator(bench8, 2.0)
+    per_x = [vacuum_energy(bench8, 2.0, xi) for xi in range(bench8.grid.size)]
+    assert diag.shape == (bench8.dim,)
+    assert np.array_equal(diag, np.repeat(per_x, bench8.fock_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nelsonlab.grid import Grid, derivative_matrix, momentum_multiplier
-from nelsonlab.operators import OperatorMatrix
+from nelsonlab.operators import OperatorMatrix, SizeError
 from nelsonlab.psido import (
     EllipticityError,
     KernelMatrix,
@@ -575,6 +575,14 @@ def test_symbol_rejects_non_finite_values():
     vals[3, 3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         Symbol(G32, vals)
+
+
+def test_symbol_refuses_table_past_dense_guard():
+    # the guard fires before the values are read, so no 8192 x 8192 table exists
+    with pytest.raises(SizeError, match="symbol table of side 8192"):
+        Symbol(Grid(1, 8192, 2 * np.pi), np.ones((1, 1)))
+    with pytest.raises(SizeError, match="16384"):
+        Symbol(Grid(2, 128, 2 * np.pi), np.ones((1, 1)))
 
 
 # -- two-dimensional smoke -----------------------------------------------------------
