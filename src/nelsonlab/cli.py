@@ -669,7 +669,9 @@ def main(argv=None) -> int:
     parser.add_argument("--experiment", choices=EXPERIMENTS, help="experiment to run")
     parser.add_argument("--config", help="config file ([model]/[sweep]/[tolerances] key = value text)")
     parser.add_argument("--seed", type=int, default=7, help="seed for random draws (default 7)")
-    parser.add_argument("--threads", type=int, default=0, help="worker threads; 0 means all cores")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="sweep worker threads (default 1); 0 means all cores"
+    )
     parser.add_argument("--out", default="results", help="output directory (default: results)")
     parser.add_argument("--list", action="store_true", help="print the experiment names and exit")
     parser.add_argument("--validate", action="store_true", help="check config and guards without running")

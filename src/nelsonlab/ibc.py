@@ -20,6 +20,7 @@ from .nelson import (
     AssembledModel,
     ModelSpec,
     SpectralError,
+    creation_family,
     form_factor,
     vacuum_energy_operator,
 )
@@ -34,16 +35,6 @@ def free_shift(model: AssembledModel) -> float:
     H0 is not.
     """
     return max(0.0, 0.5 * model.spec.mass_floor - float(model.k_evals[0]))
-
-
-def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
-    """Block-diagonal-in-X creation part a*(v_{lam,X}) of the interaction."""
-    mat = np.zeros((model.dim, model.dim), dtype=complex)
-    for xi in range(model.grid.size):
-        v = form_factor(model, lam, xi)
-        blk = model.block(xi)
-        mat[blk, blk] = fock.annihilate(model.basis, v).mat.conj().T
-    return OperatorMatrix(mat, model.space, False)
 
 
 def sector_norms(basis: fock.FockBasis, g_mat: np.ndarray) -> np.ndarray:

@@ -295,40 +295,33 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
 # bump family and form factors
 
 
-def _model_bump_hat(
-    model: AssembledModel, lam: float, x_index: int, sigma: float | None
-) -> np.ndarray:
+def _model_bump_hat(model: AssembledModel, lam: float, x_index: int) -> np.ndarray:
     """Momentum side of rho_{lam,X} / coupling; see ``form_factor_rho``."""
     x0 = model.grid.position_mesh()[x_index]
-    sigma = model.spec.sigma if sigma is None else sigma
-    return bump_hat(model.grid, lam, x0, model.spec.profile, sigma)
+    return bump_hat(model.grid, lam, x0, model.spec.profile, model.spec.sigma)
 
 
-def form_factor_rho(
-    model: AssembledModel, lam: float, x_index: int, sigma: float | None = None
-) -> LatticeFunction:
+def form_factor_rho(model: AssembledModel, lam: float, x_index: int) -> LatticeFunction:
     """Smeared coupling bump rho_{lam,X} centered at lattice point ``x_index``.
 
     Built on the Fourier side as coupling * profile_hat(|xi|/lam) *
-    ramp(|xi|, sigma) * exp(-i xi X).  ``lam`` may not exceed the largest
+    ramp(|xi|, spec.sigma) * exp(-i xi X).  ``lam`` may not exceed the largest
     resolved momentum (``Grid.check_cutoff``): beyond that the profile
     saturates on the lattice and larger cutoffs change nothing.
     """
-    hat = _model_bump_hat(model, lam, x_index, sigma)
+    hat = _model_bump_hat(model, lam, x_index)
     return LatticeFunction(model.grid, model.spec.coupling * idft(model.grid, hat))
 
 
-def form_factor(
-    model: AssembledModel, lam: float, x_index: int, sigma: float | None = None
-) -> np.ndarray:
+def form_factor(model: AssembledModel, lam: float, x_index: int) -> np.ndarray:
     """Mode coefficients of v_{lam,X} = omega^{-1/2} rho_{lam,X} / sqrt(2)."""
-    rho = form_factor_rho(model, lam, x_index, sigma)
+    rho = form_factor_rho(model, lam, x_index)
     v = model.omega_power(-0.5) @ rho.values / np.sqrt(2.0)
     return model.project(v)
 
 
 def form_factor_split(
-    model: AssembledModel, lam: float, x_index: int, sigma: float | None = None
+    model: AssembledModel, lam: float, x_index: int
 ) -> tuple[LatticeFunction, LatticeFunction, float]:
     """Split v = u + u~ by freezing the dispersion symbol at X.
 
@@ -338,7 +331,7 @@ def form_factor_split(
     """
     grid = model.grid
     symbol = dequantize(grid, model.omega_power(-0.5).astype(complex), 1.0)
-    hat = _model_bump_hat(model, lam, x_index, sigma)
+    hat = _model_bump_hat(model, lam, x_index)
     coupling = model.spec.coupling
     u_vals = idft(grid, symbol.values[x_index, :] * (coupling * hat)) / np.sqrt(2.0)
     v_vals = model.omega_power(-0.5) @ (coupling * idft(grid, hat)) / np.sqrt(2.0)
@@ -347,15 +340,29 @@ def form_factor_split(
     return u, residual, residual.norm() / u.norm()
 
 
-def assemble_cutoff_hamiltonian(
-    model: AssembledModel, lam: float, sigma: float | None = None
-) -> OperatorMatrix:
-    """H_lam = H0 + blockdiag_X Phi(omega^{-1/2} rho_{lam,X})."""
-    mat = model.h0.mat.copy()
+def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
+    """A = blockdiag_X a*(v_{lam,X}), the creation part of the interaction.
+
+    The only builder of the coupling: the cutoff Hamiltonian adds A + A*,
+    and the IBC operators G = -(H0+s)^{-1} A and T = A* G read A itself.
+    """
+    check_tensor_size(model.spec)
+    mat = np.zeros((model.dim, model.dim), dtype=complex)
     for x_index in range(model.grid.size):
-        f = np.sqrt(2.0) * form_factor(model, lam, x_index, sigma)
+        v = form_factor(model, lam, x_index)
         blk = model.block(x_index)
-        mat[blk, blk] += fock.field(model.basis, f).mat
+        mat[blk, blk] = fock.annihilate(model.basis, v).mat.conj().T
+    return OperatorMatrix(mat, model.space, False)
+
+
+def assemble_cutoff_hamiltonian(model: AssembledModel, lam: float) -> OperatorMatrix:
+    """H_lam = H0 + A + A*, i.e. H0 + blockdiag_X Phi(omega^{-1/2} rho_{lam,X}).
+
+    H0 sits on the Fock diagonal and A + A* off it, so the sum is exact.
+    """
+    mat = creation_family(model, lam).mat
+    mat += mat.conj().T
+    mat += model.h0.mat
     return OperatorMatrix(mat, model.space, True)
 
 
@@ -370,19 +377,15 @@ def _k_plus_omega(model: AssembledModel) -> np.ndarray:
     return ko
 
 
-def vacuum_energy(
-    model: AssembledModel, lam: float, x_index: int, sigma: float | None = None
-) -> float:
+def vacuum_energy(model: AssembledModel, lam: float, x_index: int) -> float:
     """Second-order energy shift E_lam(X), matrix evaluator."""
     ko = _k_plus_omega(model)
-    rho = form_factor_rho(model, lam, x_index, sigma)
+    rho = form_factor_rho(model, lam, x_index)
     f = model.omega_power(-0.5) @ rho.values
     return 0.5 * inner(model.grid, f, np.linalg.solve(ko, f)).real
 
 
-def perturbation_energy_sum(
-    model: AssembledModel, lam: float, x_index: int, sigma: float | None = None
-) -> float:
+def perturbation_energy_sum(model: AssembledModel, lam: float, x_index: int) -> float:
     """E_lam(X) as an explicit sum over one-boson excitations.
 
     Diagonalizes K + omega and accumulates |amplitude|^2 / denominator, the
@@ -391,7 +394,7 @@ def perturbation_energy_sum(
     """
     ko = _k_plus_omega(model)
     evals, evecs = np.linalg.eigh(ko)
-    rho = form_factor_rho(model, lam, x_index, sigma)
+    rho = form_factor_rho(model, lam, x_index)
     f = model.omega_power(-0.5) @ rho.values
     amps = evecs.conj().T @ f * model.grid.weight
     return 0.5 * float(np.sum(np.abs(amps) ** 2 / evals)) / model.grid.weight
@@ -430,12 +433,10 @@ def vacuum_energy_operator(model: AssembledModel, lam: float) -> np.ndarray:
 # dressing transformation
 
 
-def gross_B(
-    model: AssembledModel, lam: float, x_index: int, sigma: float | None = None
-) -> LatticeFunction:
+def gross_B(model: AssembledModel, lam: float, x_index: int) -> LatticeFunction:
     """Dressing function B_{lam,X} = -(K+omega)^{-1} omega^{-1/2} rho^sigma."""
     ko = _k_plus_omega(model)
-    rho = form_factor_rho(model, lam, x_index, sigma)
+    rho = form_factor_rho(model, lam, x_index)
     b = -np.linalg.solve(ko, model.omega_power(-0.5) @ rho.values)
     imag = float(np.max(np.abs(b.imag)))
     if imag > 1e-10:
@@ -449,20 +450,16 @@ def gross_bound_ratio(
     x_index: int,
     alpha: float = 0.5,
     s: float = -2.0,
-    sigma: float | None = None,
 ) -> float:
     """||omega^alpha B|| / ||rho^sigma||_{H^s}; stability in lam is the point."""
-    b = gross_B(model, lam, x_index, sigma)
-    rho = form_factor_rho(model, lam, x_index, sigma)
+    b = gross_B(model, lam, x_index)
+    rho = form_factor_rho(model, lam, x_index)
     num = lattice_norm(model.grid, model.omega_power(alpha) @ b.values)
     return num / sobolev_norm(model.grid, rho.values, s)
 
 
 def transformed_hamiltonian_check(
-    model: AssembledModel,
-    lam: float,
-    sigma: float | None = None,
-    b_family: np.ndarray | str | None = None,
+    model: AssembledModel, lam: float, b_family: np.ndarray | None = None
 ) -> dict:
     """Conjugate H_lam by the blockwise Weyl dressing and rebuild it termwise.
 
@@ -475,8 +472,8 @@ def transformed_hamiltonian_check(
     commutator of the discrete derivative with the X-dependent dressing
     leaves a residual that shrinks under grid refinement.
 
-    Pass ``b_family`` to override the dressing: "zero" and "constant" are the
-    degenerate checks, or give a real (size, size) array of lattice rows.
+    Pass ``b_family``, a real (size, size) array of lattice rows B_X, to
+    override the dressing; zero or X-independent rows are the degenerate checks.
     Returns a report dict; the headline entry is ``residual`` = safe-sector
     residual norm relative to the safe-sector norm of the left side.
     """
@@ -485,8 +482,6 @@ def transformed_hamiltonian_check(
     if spec.n_modes != grid.size:
         raise ModelSpecError("the conjugation check needs the full mode set")
     h0 = model.h0.mat  # size-guarded; built before any other dense work
-    if sigma is None:
-        sigma = spec.sigma
     size = grid.size
     basis = model.basis
     fdim = basis.dim
@@ -496,21 +491,9 @@ def transformed_hamiltonian_check(
     omega = model.omega
     om_m12 = model.omega_power(-0.5)
 
-    rhos = np.array(
-        [form_factor_rho(model, lam, xi, sigma).values for xi in range(size)]
-    )
+    rhos = np.array([form_factor_rho(model, lam, xi).values for xi in range(size)])
     if b_family is None:
-        fam_b = np.array(
-            [gross_B(model, lam, xi, sigma).values.real for xi in range(size)]
-        )
-    elif isinstance(b_family, str):
-        base = gross_B(model, lam, 0, sigma).values.real
-        if b_family == "zero":
-            fam_b = np.zeros((size, size))
-        elif b_family == "constant":
-            fam_b = np.broadcast_to(base, (size, size)).copy()
-        else:
-            raise ValueError(f"unknown b_family {b_family!r}")
+        fam_b = np.array([gross_B(model, lam, xi).values.real for xi in range(size)])
     else:
         fam_b = np.asarray(b_family, dtype=float)
         if fam_b.shape != (size, size):
@@ -520,7 +503,7 @@ def transformed_hamiltonian_check(
     aops = [fock.annihilate(basis, model.project(fam_db[xi])).mat for xi in range(size)]
 
     ident_f = np.eye(fdim)
-    h_mat = assemble_cutoff_hamiltonian(model, lam, sigma).mat
+    h_mat = assemble_cutoff_hamiltonian(model, lam).mat
     weyls = []
     b_norm_max = 0.0
     for xi in range(size):
@@ -613,9 +596,9 @@ def relative_bound_report(
     of omega^{-1/2} v (against the dGamma^{1/2} piece) and of v (against the
     constant), plus eps * |min W| to undo the potential shift.
     """
-    h_mat = assemble_cutoff_hamiltonian(model, lam).mat
+    phi_part = creation_family(model, lam).mat
+    phi_part += phi_part.conj().T
     h0_mat = model.h0.mat
-    phi_part = h_mat - h0_mat
     size = model.grid.size
     v_bound = 0.0
     v_half = 0.0

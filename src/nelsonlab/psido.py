@@ -306,12 +306,11 @@ def adjoint_symbol(a: Symbol, t: float) -> Symbol:
     """Symbol of the conjugate transpose: Op_t(result) = Op_t(a)^dagger."""
     a1 = change_quantization(a, t, 1.0)
     grid = a.grid
-    S, d, L = grid.size, grid.dim, grid.npts
+    S, d = grid.size, grid.dim
     c2 = np.fft.fftn(a1.values.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S) / S
-    comp = _axis_components(grid)
-    gather = np.ravel_multi_index(
-        np.moveaxis((comp[None, :, :] - comp[:, None, :]) % L, -1, 0), grid.shape
-    )  # gather[m, k'] = flat index of (k' - m) mod L
+    # gather[m, k'] = flat index of (k' - m) mod L, copied to C order: an
+    # F-ordered h would move the last bits of the FFT below
+    gather = _target_index(grid).T.copy()
     h = np.conj(c2)[np.arange(S)[:, None], gather]
     vals = np.fft.fftn(h.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
     return change_quantization(Symbol(grid, vals, a.order), 1.0, t)
@@ -329,14 +328,11 @@ def moyal(a: Symbol, b: Symbol, t: float = 1.0) -> Symbol:
     grid = a.grid
     a1 = change_quantization(a, t, 1.0).values if t != 1.0 else a.values
     b1 = change_quantization(b, t, 1.0).values if t != 1.0 else b.values
-    S, d, L = grid.size, grid.dim, grid.npts
+    S, d = grid.size, grid.dim
     E = np.exp(1j * (grid.position_mesh() @ grid.momentum_mesh().T))
     bhat = np.fft.fftn(b1.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
-    comp = _axis_components(grid)
-    gather = np.ravel_multi_index(
-        np.moveaxis((comp[:, None, :] - comp[None, :, :]) % L, -1, 0), grid.shape
-    )  # gather[k, k'] = flat index of (k - k') mod L
-    G = bhat[gather, np.arange(S)[None, :]]
+    # _target_index(grid)[k, k'] = flat index of (k - k') mod L
+    G = bhat[_target_index(grid), np.arange(S)[None, :]]
     c1 = np.conj(E) * ((a1 * E) @ G) / S
     order = None
     if a.order is not None or b.order is not None:

@@ -6,7 +6,6 @@ from nelsonlab import fock, ibc
 from nelsonlab.ibc import (
     IbcOperators,
     build_ibc,
-    creation_family,
     domain_regularity_experiment,
     domain_regularity_norms,
     factorization_identity_check,
@@ -20,6 +19,7 @@ from nelsonlab.nelson import (
     SpectralError,
     assemble_cutoff_hamiltonian,
     assemble_free,
+    creation_family,
     sinusoidal_spec,
     vacuum_energy_operator,
 )

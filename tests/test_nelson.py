@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nelsonlab.fock import second_quantize
+from nelsonlab.fock import field, second_quantize
 from nelsonlab.grid import Grid, ResolutionError, dft
 from nelsonlab.nelson import (
     ModelSpec,
@@ -10,6 +10,7 @@ from nelsonlab.nelson import (
     SpectralError,
     assemble_cutoff_hamiltonian,
     assemble_free,
+    creation_family,
     divergence_form,
     form_factor,
     form_factor_rho,
@@ -194,8 +195,9 @@ def test_tiny_lam_couples_only_zero_mode(bench8):
 
 
 def test_infrared_ramp_zeroes_low_modes(bench32):
-    rho = form_factor_rho(bench32, 4.0, 0, sigma=1.5)
-    hat = dft(bench32.grid, rho.values)
+    ramped = assemble_free(sinusoidal_spec(32, sigma=1.5))
+    rho = form_factor_rho(ramped, 4.0, 0)
+    hat = dft(ramped.grid, rho.values)
     assert abs(hat[0]) < 1e-14  # |xi| = 0 < sigma
     assert abs(hat[1]) < abs(dft(bench32.grid, form_factor_rho(bench32, 4.0, 0).values)[1])
 
@@ -210,6 +212,19 @@ def test_cutoff_hamiltonian_lowers_ground_state(bench8):
     gs = np.linalg.eigvalsh(h2.mat)[0]
     assert abs(gs - GS_H2_L8) < 1e-9
     assert gs < np.linalg.eigvalsh(bench8.h0.mat)[0]
+
+
+@pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
+@pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+def test_cutoff_hamiltonian_matches_field_oracle(request, name, lam):
+    # dense oracle: H0 plus the field Phi(sqrt2 v_{lam,X}) on each diagonal X block
+    model = request.getfixturevalue(name)
+    want = model.h0.mat.copy()
+    for xi in range(model.grid.size):
+        blk = model.block(xi)
+        want[blk, blk] += field(model.basis, np.sqrt(2.0) * form_factor(model, lam, xi)).mat
+    got = assemble_cutoff_hamiltonian(model, lam).mat
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_vacuum_energy_matches_frozen_values(bench8):
@@ -280,15 +295,16 @@ def test_vacuum_energy_operator_is_diagonal(bench8):
 
 
 def test_gross_B_real_and_zero_for_zero_coupling(bench32):
-    b = gross_B(bench32, 4.0, 0, sigma=0.5)
+    b = gross_B(assemble_free(sinusoidal_spec(32, sigma=0.5)), 4.0, 0)
     assert b.is_real(1e-12)
     model0 = assemble_free(sinusoidal_spec(8, coupling=0.0))
     b0 = gross_B(model0, 2.0, 0)
     assert np.max(np.abs(b0.values)) == 0.0
 
 
-def test_gross_bound_ratio_stable_under_lam_doubling(bench32):
-    ratios = {lam: gross_bound_ratio(bench32, lam, 0, sigma=0.5) for lam in (2.0, 4.0, 8.0)}
+def test_gross_bound_ratio_stable_under_lam_doubling():
+    ramped = assemble_free(sinusoidal_spec(32, sigma=0.5))
+    ratios = {lam: gross_bound_ratio(ramped, lam, 0) for lam in (2.0, 4.0, 8.0)}
     for lam, want in GROSS_RATIOS_L32.items():
         assert abs(ratios[lam] - want) < 1e-5
     spread = max(ratios.values()) / min(ratios.values())
@@ -310,9 +326,10 @@ def test_form_factor_split_small_residual(bench32):
 
 
 def test_transformed_check_trivial_dressings(bench8):
-    rz = transformed_hamiltonian_check(bench8, 2.0, b_family="zero")
+    rz = transformed_hamiltonian_check(bench8, 2.0, b_family=np.zeros((8, 8)))
     assert rz["residual_abs"] == 0.0
-    rc = transformed_hamiltonian_check(bench8, 2.0, b_family="constant")
+    constant = np.broadcast_to(gross_B(bench8, 2.0, 0).values.real, (8, 8))
+    rc = transformed_hamiltonian_check(bench8, 2.0, b_family=constant)
     assert rc["residual_abs"] <= rc["fock_tolerance"]
 
 
@@ -338,6 +355,10 @@ def test_size_guard_reports_dimensions(bench32):
         bench32.h0
     with pytest.raises(SizeError, match="561"):
         assemble_cutoff_hamiltonian(bench32, 2.0)
+    with pytest.raises(SizeError, match="17952"):
+        creation_family(bench32, 2.0)
+    with pytest.raises(SizeError, match="17952"):
+        relative_bound_report(bench32, 2.0)
 
 
 # ---------------------------------------------------------------------------
