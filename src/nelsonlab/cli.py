@@ -79,7 +79,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("model", "coupling"): (float, "1.0"),
     ("model", "sigma"): (float, "0.0"),
     ("model", "n_max"): (int, "2"),
-    ("model", "profile"): (str, "gaussian"),
     ("sweep", "lams"): (_floats, "1.0, 2.0, 4.0"),
     ("sweep", "sizes"): (_ints, "8, 16, 32"),
     ("sweep", "domain_lams"): (_floats, "2.0, 4.0, 8.0"),

@@ -184,33 +184,25 @@ def gaussian_profile_hat(r: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.square(r))
 
 
-PROFILE_HATS = {"gaussian": gaussian_profile_hat}
-
-
-def bump_hat(grid: Grid, lam: float, x0, profile: str, sigma: float) -> np.ndarray:
+def bump_hat(grid: Grid, lam: float, x0, sigma: float) -> np.ndarray:
     """Momentum side of the smeared bump at scale ``lam`` centered at ``x0``.
 
-    profile_hat(|xi|/lam) * ramp(|xi|, sigma) * exp(-i xi . x0) on the
-    flattened momentum mesh.  Refuses a ``lam`` that ``Grid.check_cutoff``
+    gaussian_profile_hat(|xi|/lam) * ramp(|xi|, sigma) * exp(-i xi . x0) on
+    the flattened momentum mesh.  Refuses a ``lam`` that ``Grid.check_cutoff``
     refuses.
     """
     grid.check_cutoff(lam)
     mesh = grid.momentum_mesh()
     r = np.sqrt(np.einsum("kd,kd->k", mesh, mesh))
-    prof = PROFILE_HATS[profile]
-    return prof(r / lam) * cosine_ramp(r, sigma) * np.exp(-1j * mesh @ x0)
+    return gaussian_profile_hat(r / lam) * cosine_ramp(r, sigma) * np.exp(-1j * mesh @ x0)
 
 
-def cutoff_function(
-    grid: Grid,
-    lam: float,
-    center=None,
-    profile: str = "gaussian",
-) -> LatticeFunction:
+def cutoff_function(grid: Grid, lam: float, center=None) -> LatticeFunction:
     """Smeared unit-mass bump at scale ``lam`` centered at a lattice point.
 
-    Built on the Fourier side as profile_hat(|xi|/lam) * exp(-i xi . X), which
-    periodizes the continuum bump exactly and pins the discrete mass to 1.
+    Built on the Fourier side as gaussian_profile_hat(|xi|/lam) *
+    exp(-i xi . X), which periodizes the continuum bump exactly and pins the
+    discrete mass to 1.
     Raises ResolutionError when lam is not positive or exceeds the Nyquist
     guard npts / (4 * box), a stricter promise than ``Grid.check_cutoff``:
     below it the bump is resolved and positive.
@@ -221,12 +213,10 @@ def cutoff_function(
             f"cutoff scale lam={lam} exceeds the Nyquist guard {guard:.6g} "
             f"(npts={grid.npts}, box={grid.box:.6g})"
         )
-    if profile not in PROFILE_HATS:
-        raise ValueError(f"unknown profile {profile!r}")
     if center is None:
         center = (0.0,) * grid.dim
     x0 = np.asarray(grid.snap_index(center), dtype=float) * grid.spacing
-    return LatticeFunction(grid, idft(grid, bump_hat(grid, lam, x0, profile, 0.0)))
+    return LatticeFunction(grid, idft(grid, bump_hat(grid, lam, x0, 0.0)))
 
 
 def delta_function(grid: Grid, center=None) -> LatticeFunction:

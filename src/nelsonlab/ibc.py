@@ -89,15 +89,14 @@ def invert_one_minus_G(
 class IbcOperators:
     """All pieces of one IBC assembly, built with a single recorded shift.
 
-    ``factorized`` is the right side (1-G)*(H0+s)(1-G) + T - s of the
-    keystone identity, ``e_diag`` the diagonal of the vacuum energy
-    E_lam(X) on the tensor space, and ``h_ibc`` their sum.
+    ``h_ibc`` is (1-G)*(H0+s)(1-G) + T + E_lam(X) - s and ``e_diag`` the
+    diagonal of the vacuum energy E_lam(X) on the tensor space; the right
+    side of the keystone identity is h_ibc - diag(e_diag).
     """
 
     shift: float
     g_op: OperatorMatrix
     t_op: OperatorMatrix
-    factorized: OperatorMatrix
     e_diag: np.ndarray
     h_ibc: OperatorMatrix
     inverse: OperatorMatrix
@@ -130,7 +129,6 @@ def build_ibc(
     one_minus = eye - g_mat
     square = one_minus.conj().T @ h0s @ one_minus + t_mat
     del h0s, a, one_minus  # free three dense matrices before the Neumann powers
-    factorized = square - s * eye
     e_diag = vacuum_energy_operator(model, lam)
     # square becomes H_ibc in place: (square + E) - s, summed in that order
     np.fill_diagonal(square, square.diagonal() + e_diag - s)
@@ -140,7 +138,6 @@ def build_ibc(
         shift=s,
         g_op=g_op,
         t_op=OperatorMatrix(t_mat, model.space, True),
-        factorized=OperatorMatrix(factorized, model.space, True),
         e_diag=e_diag,
         h_ibc=OperatorMatrix(square, model.space, True),
         inverse=inverse,
@@ -158,12 +155,13 @@ def factorization_identity_check(
     a(v) + a*(v) and T cancels G*(H0+s)G, so the identity is exact algebra;
     the residual only measures round-off.  Safe sectors keep total boson
     number <= N_max - 1.  ``h_lam`` is the cutoff Hamiltonian at the lam of
-    ``ops``.
+    ``ops``; the right side is h_ibc - E_lam(X), formed on those sectors only.
     """
     idx = model.basis.tensor_rows(model.grid.size, 0, model.basis.n_max - 1)
     sub = np.ix_(idx, idx)
-    lhs = h_lam.mat
-    return opnorm((lhs - ops.factorized.mat)[sub]) / opnorm(lhs[sub])
+    lhs = h_lam.mat[sub]
+    rhs = ops.h_ibc.mat[sub] - np.diag(ops.e_diag[idx])
+    return opnorm(lhs - rhs) / opnorm(lhs)
 
 
 # ---------------------------------------------------------------------------

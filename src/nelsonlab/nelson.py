@@ -26,11 +26,11 @@ from scipy.integrate import quad
 
 from . import fock
 from .grid import (
-    PROFILE_HATS,
     Grid,
     LatticeFunction,
     bump_hat,
     derivative_matrix,
+    gaussian_profile_hat,
     idft,
     inner,
     norm as lattice_norm,
@@ -81,7 +81,6 @@ class ModelSpec:
     sigma: float = 0.0
     n_max: int = 2
     n_modes: int | None = None
-    profile: str = "gaussian"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", _as_lattice_array(self.grid, self.g, "g"))
@@ -112,8 +111,6 @@ class ModelSpec:
             raise ModelSpecError(
                 f"n_modes must lie in [1, {self.grid.size}], got {self.n_modes}"
             )
-        if self.profile not in PROFILE_HATS:
-            raise ModelSpecError(f"unknown profile {self.profile!r}")
 
     @property
     def mass_floor(self) -> float:
@@ -134,7 +131,6 @@ def sinusoidal_spec(
     sigma: float = 0.0,
     n_max: int = 2,
     n_modes: int | None = None,
-    profile: str = "gaussian",
 ) -> ModelSpec:
     """Bench family g = 1 + a sin(x), W = b cos(x), mu = const."""
     grid = Grid(1, npts, box)
@@ -148,7 +144,6 @@ def sinusoidal_spec(
         sigma=sigma,
         n_max=n_max,
         n_modes=n_modes,
-        profile=profile,
     )
 
 
@@ -298,13 +293,13 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
 def _model_bump_hat(model: AssembledModel, lam: float, x_index: int) -> np.ndarray:
     """Momentum side of rho_{lam,X} / coupling; see ``form_factor_rho``."""
     x0 = model.grid.position_mesh()[x_index]
-    return bump_hat(model.grid, lam, x0, model.spec.profile, model.spec.sigma)
+    return bump_hat(model.grid, lam, x0, model.spec.sigma)
 
 
 def form_factor_rho(model: AssembledModel, lam: float, x_index: int) -> LatticeFunction:
     """Smeared coupling bump rho_{lam,X} centered at lattice point ``x_index``.
 
-    Built on the Fourier side as coupling * profile_hat(|xi|/lam) *
+    Built on the Fourier side as coupling * gaussian_profile_hat(|xi|/lam) *
     ramp(|xi|, spec.sigma) * exp(-i xi X).  ``lam`` may not exceed the largest
     resolved momentum (``Grid.check_cutoff``): beyond that the profile
     saturates on the lattice and larger cutoffs change nothing.
@@ -400,22 +395,19 @@ def perturbation_energy_sum(model: AssembledModel, lam: float, x_index: int) -> 
     return 0.5 * float(np.sum(np.abs(amps) ** 2 / evals)) / model.grid.weight
 
 
-def vacuum_energy_quadrature(
-    lam: float, d: int, g_const: float = 1.0, profile: str = "gaussian"
-) -> float:
+def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
     """Leading symbol form of E_lam for constant coefficients and unit mass.
 
-    Radial quadrature of (h0+1)^{-1/2} / (K0+1) * profile_hat(r/lam)^2 with
-    h0 = K0 = g_const * r^2, d in {1, 3}.  The integrand decays like
+    Radial quadrature of (h0+1)^{-1/2} / (K0+1) * gaussian_profile_hat(r/lam)^2
+    with h0 = K0 = g_const * r^2, d in {1, 3}.  The integrand decays like
     r^{d-1-3}, so the d = 3 value grows logarithmically in lam.
     """
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
-    prof = PROFILE_HATS[profile]
 
     def integrand(r: float) -> float:
         h0 = g_const * r * r
-        return (h0 + 1.0) ** -0.5 / (h0 + 1.0) * prof(r / lam) ** 2 * r ** (d - 1)
+        return (h0 + 1.0) ** -0.5 / (h0 + 1.0) * gaussian_profile_hat(r / lam) ** 2 * r ** (d - 1)
 
     sphere = {1: 2.0, 3: 4.0 * np.pi}[d]
     head, _ = quad(integrand, 0.0, lam, limit=200)

@@ -167,16 +167,23 @@ def _target_index(grid: Grid) -> np.ndarray:
     diff = (comp[:, None, :] - comp[None, :, :]) % grid.npts
     return np.ravel_multi_index(np.moveaxis(diff, -1, 0), grid.shape)
 
-def _neg_index(grid: Grid) -> np.ndarray:
-    """Flat index of -n mod L, per axis."""
-    comp = _axis_components(grid)
-    return np.ravel_multi_index(np.moveaxis((-comp) % grid.npts, -1, 0), grid.shape)
-
-
 def _signed(grid: Grid, comp: np.ndarray) -> np.ndarray:
     """Signed (FFT-order) representative of index components."""
     L = grid.npts
     return (comp + L // 2) % L - L // 2
+
+
+def _displacement_phase(grid: Grid) -> np.ndarray:
+    """phase[xi, n] = xi . theta_n, theta_n the signed displacement of column n."""
+    disp = _signed(grid, _axis_components(grid)) * grid.spacing
+    return grid.momentum_mesh() @ disp.T
+
+
+def _translate_x(grid: Grid, cols: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Multiply the x-spectrum of column n of ``cols`` by ``phase[:, n]``."""
+    S, d = grid.size, grid.dim
+    spec = np.fft.fftn(cols.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
+    return np.fft.ifftn((spec * phase).reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
 
 
 def _chi_mesh(grid: Grid) -> np.ndarray:
@@ -236,61 +243,51 @@ def quantize(a: Symbol, t: float, midpoint: str = "interp") -> OperatorMatrix:
     quadrature weight, so quantize(1) is the identity.  ``midpoint`` selects
     how off-lattice m is evaluated: "interp" (band-limited interpolant,
     exact calculus) or "snap" (nearest lattice point, ties toward -inf).
+
+    Column n of the kernel (displacement theta_n = x - y) is the t = 1
+    column sum_xi a(x, xi) e^{i xi . theta_n} / S with x moved back by
+    (1-t) theta_n, and row x places it at y = x - n.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"ordering parameter t must lie in [0, 1], got {t}")
     if midpoint not in ("interp", "snap"):
         raise ValueError(f"unknown midpoint rule {midpoint!r}")
     grid = a.grid
-    S, L, d = grid.size, grid.npts, grid.dim
-    V = a.values
-    TG = _target_index(grid)
-    ncomp = _axis_components(grid)
-    disp = _signed(grid, ncomp) * grid.spacing  # signed displacement vectors
-    rows = np.arange(S)
-    mom = grid.momentum_mesh()
-    out = np.zeros((S, S), dtype=complex)
+    S = grid.size
+    arg = _displacement_phase(grid)
+    cols = a.values @ np.exp(1j * arg) / S
     back = 1.0 - t
-    if midpoint == "interp" and back != 0.0:
-        c2 = np.fft.fftn(V.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S) / S
-        eta = grid.momentum_mesh()
-    for nf in range(S):
-        theta = disp[nf]
-        if back == 0.0 or nf == 0:
-            mid = V
-        elif midpoint == "interp":
-            shifted = c2 * np.exp(-1j * back * (eta @ theta))[:, None]
-            mid = np.fft.ifftn(
-                shifted.reshape(grid.shape + (S,)), axes=range(d)
-            ).reshape(S, S) * S
+    if back != 0.0:
+        if midpoint == "interp":
+            cols = _translate_x(grid, cols, np.exp(-1j * back * arg))
         else:
-            src = np.ceil(
-                _axis_components(grid) - back * _signed(grid, ncomp[nf]) - 0.5
-            ).astype(int) % L
-            mid = V[np.ravel_multi_index(np.moveaxis(src, -1, 0), grid.shape), :]
-        col = mid @ np.exp(1j * (mom @ theta)) / S
-        out[rows, TG[:, nf]] = col
+            comp = _axis_components(grid)
+            src = np.ceil(comp[:, None, :] - back * _signed(grid, comp)[None, :, :] - 0.5)
+            src = np.ravel_multi_index(np.moveaxis(src.astype(int) % grid.npts, -1, 0), grid.shape)
+            cols = cols[src, np.arange(S)[None, :]]
+    out = np.empty((S, S), dtype=complex)
+    out[np.arange(S)[:, None], _target_index(grid)] = cols
     return OperatorMatrix(out, lattice_space(grid))
 
 
 def dequantize(grid: Grid, op, t: float) -> Symbol:
-    """Inverse of interp quantization: the symbol with quantize(a, t) = op."""
+    """Inverse of interp quantization: the symbol with quantize(a, t) = op.
+
+    The steps of ``quantize`` run backwards: gather the displacement columns,
+    move x forward by (1-t) theta_n, and undo the column sum with
+    E^{-1} = conj(E).T / S, since E[xi, n] = e^{i xi . theta_n} is a DFT matrix.
+    """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"ordering parameter t must lie in [0, 1], got {t}")
     A = op.mat if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    S, d = grid.size, grid.dim
+    S = grid.size
     if A.shape != (S, S):
         raise ValueError(f"operator must be {S} x {S}")
-    TG = _target_index(grid)
-    fmat = A[np.arange(S)[:, None], TG]  # fmat[x, n] = A[x, x - n]
-    fhat = np.fft.fftn(fmat.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
-    neg = _neg_index(grid)
-    ncomp = _axis_components(grid)
-    eta = grid.momentum_mesh()
-    theta_neg = _signed(grid, ncomp[neg]) * grid.spacing  # displacement of (-n') mod L
-    coeff = fhat[:, neg] * np.exp(1j * (1.0 - t) * (eta @ theta_neg.T)) / S
-    vals = np.fft.ifftn(coeff.reshape(grid.shape * 2)).reshape(S, S) * (S * S)
-    return Symbol(grid, vals)
+    cols = A[np.arange(S)[:, None], _target_index(grid)]  # cols[x, n] = A[x, x - n]
+    arg = _displacement_phase(grid)
+    if t != 1.0:
+        cols = _translate_x(grid, cols, np.exp(1j * (1.0 - t) * arg))
+    return Symbol(grid, cols @ np.exp(-1j * arg).T)
 
 
 def change_quantization(a: Symbol, t_from: float, t_to: float) -> Symbol:

@@ -149,7 +149,6 @@ def test_paired_sweep_lengths_checked():
     "section, key, value, experiment",
     [
         ("model", "sigma", "-1", "renorm-convergence"),
-        ("model", "profile", "tophat", "gross-transform"),
         ("model", "mass", "nan", "ibc-identity"),
         ("model", "mass", "1e300", "renorm-convergence"),
         ("sweep", "lams", "-1, 2", "renorm-convergence"),
@@ -204,7 +203,6 @@ _MODEL_VALUES = {
     "coupling": _drawn(_FLOATS),
     "sigma": st.one_of(_drawn(_FLOATS), st.floats().map(repr)),
     "n_max": _drawn(["-1", "0", "1", "2", "3", "40"]),
-    "profile": _drawn(["gaussian", "tophat", "Gaussian", ""]),
 }
 
 
@@ -236,7 +234,6 @@ def test_guards_pass_only_configs_the_library_accepts(config_file, values, exper
             coupling=model["coupling"],
             sigma=model["sigma"],
             n_max=model["n_max"],
-            profile=model["profile"],
         )
         for npts in (model["npts"], *sweep["sizes"])
     }

@@ -144,6 +144,51 @@ def test_snap_midpoint_differs_at_half_ordering():
     assert delta > 0.01
 
 
+def _loop_quantize(a, t, midpoint):
+    """Reference kernel built one displacement at a time, as a plain loop.
+
+    Column n holds the displacement theta_n = x - y (signed per axis); its
+    midpoint symbol is a moved back by (1-t)*theta_n in x, through the
+    band-limited interpolant ("interp") or the nearest lattice point with
+    ties toward -inf ("snap").
+    """
+    grid = a.grid
+    S, L, d = grid.size, grid.npts, grid.dim
+    V = a.values
+    comp = np.stack(np.unravel_index(np.arange(S), grid.shape), axis=-1)
+    signed = (comp + L // 2) % L - L // 2
+
+    def flat(c):
+        return np.ravel_multi_index(np.moveaxis(c % L, -1, 0), grid.shape)
+
+    mom = grid.momentum_mesh()
+    back = 1.0 - t
+    c2 = np.fft.fftn(V.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S) / S
+    out = np.zeros((S, S), dtype=complex)
+    for n in range(S):
+        theta = signed[n] * grid.spacing
+        if back == 0.0 or n == 0:
+            mid = V
+        elif midpoint == "interp":
+            shifted = c2 * np.exp(-1j * back * (mom @ theta))[:, None]
+            mid = np.fft.ifftn(shifted.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S) * S
+        else:
+            mid = V[flat(np.ceil(comp - back * signed[n] - 0.5).astype(int)), :]
+        out[np.arange(S), flat(comp - comp[n])] = mid @ np.exp(1j * (mom @ theta)) / S
+    return out
+
+
+@pytest.mark.parametrize("dim, npts", [(1, 8), (1, 16), (2, 4), (3, 4)])
+@pytest.mark.parametrize("midpoint", ["interp", "snap"])
+def test_quantize_matches_per_displacement_loop(dim, npts, midpoint):
+    grid = Grid(dim, npts, 2 * np.pi)
+    sym = _rand_symbol(grid, np.random.default_rng(40 + dim * npts))
+    for t in (0.0, 0.25, 0.5, 1.0):
+        ref = _loop_quantize(sym, t, midpoint)
+        dev = np.max(np.abs(quantize(sym, t, midpoint).mat - ref)) / np.max(np.abs(ref))
+        assert dev <= 1e-13, (t, dev)
+
+
 # -- dequantize and reordering ------------------------------------------------
 
 
@@ -152,6 +197,14 @@ def test_dequantize_inverts_quantize(t):
     rng = np.random.default_rng(23)
     sym = _rand_symbol(G32, rng)
     back = dequantize(G32, quantize(sym, t), t)
+    np.testing.assert_allclose(back.values, sym.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_dequantize_inverts_quantize_in_two_dimensions(t):
+    grid = Grid(2, 8, 2 * np.pi)
+    sym = _rand_symbol(grid, np.random.default_rng(24))
+    back = dequantize(grid, quantize(sym, t), t)
     np.testing.assert_allclose(back.values, sym.values, atol=1e-12)
 
 
