@@ -392,7 +392,7 @@ def run_gross_transform(cfg, seed, threads) -> list[Row]:
 
     def one(lam: float):
         report = nelson.transformed_hamiltonian_check(model, lam)
-        ratio = nelson.gross_bound_ratio(model, lam, 0)
+        ratio = nelson.gross_bound_ratio(model, lam)
         return report, ratio
 
     results = _ordered_map(one, sweep["lams"], threads)

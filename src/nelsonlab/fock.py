@@ -118,6 +118,21 @@ class FockBasis:
             tables.append(SectorLadder(targets, sources, modes, factors))
         return tuple(tables)
 
+    @cached_property
+    def creation_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero elements <row| a*_mode |col> = factor over the whole basis.
+
+        The ``ladder`` tables with their sector offsets added, concatenated:
+        a*(f) has entries f[modes] * factors at (rows, cols).
+        """
+        bounds = self.sector_bounds
+        entries = [
+            (bounds[n] + lad.targets, bounds[n - 1] + lad.sources, lad.modes, lad.factors)
+            for n, lad in enumerate(self.ladder, start=1)
+        ]
+        empty = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)
+        return tuple(np.concatenate(column) for column in zip(empty, *entries))
+
 
 def fock_basis(n_modes: int, n_max: int) -> FockBasis:
     if n_modes < 1 or n_max < 0:
@@ -143,12 +158,9 @@ def annihilate(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.n_modes,):
         raise ValueError(f"expected {basis.n_modes} mode coefficients")
+    rows, cols, modes, factors = basis.creation_entries
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    bounds = basis.sector_bounds
-    for n, lad in enumerate(basis.ladder, start=1):
-        rows = bounds[n - 1] + lad.sources
-        cols = bounds[n] + lad.targets
-        mat[rows, cols] += np.conj(f)[lad.modes] * lad.factors
+    mat[cols, rows] = np.conj(f)[modes] * factors
     return OperatorMatrix(mat, basis.space, False)
 
 

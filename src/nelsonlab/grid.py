@@ -133,8 +133,11 @@ def dft(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def idft(grid: Grid, values_hat: np.ndarray) -> np.ndarray:
-    shaped = np.asarray(values_hat).reshape(grid.shape)
-    return np.fft.ifftn(shaped).ravel() / grid.weight
+    """Momentum -> position transform; a stack of rows transforms row by row."""
+    arr = np.asarray(values_hat)
+    shaped = arr.reshape(arr.shape[:-1] + grid.shape)
+    axes = tuple(range(arr.ndim - 1, shaped.ndim))
+    return np.fft.ifftn(shaped, axes=axes).reshape(arr.shape) / grid.weight
 
 
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> complex:
@@ -188,13 +191,15 @@ def bump_hat(grid: Grid, lam: float, x0, sigma: float) -> np.ndarray:
     """Momentum side of the smeared bump at scale ``lam`` centered at ``x0``.
 
     gaussian_profile_hat(|xi|/lam) * ramp(|xi|, sigma) * exp(-i xi . x0) on
-    the flattened momentum mesh.  Refuses a ``lam`` that ``Grid.check_cutoff``
-    refuses.
+    the flattened momentum mesh.  ``x0`` is one point of ``grid.dim``
+    coordinates or an (m, dim) stack of them, which gives one row per center.
+    Refuses a ``lam`` that ``Grid.check_cutoff`` refuses.
     """
     grid.check_cutoff(lam)
     mesh = grid.momentum_mesh()
     r = np.sqrt(np.einsum("kd,kd->k", mesh, mesh))
-    return gaussian_profile_hat(r / lam) * cosine_ramp(r, sigma) * np.exp(-1j * mesh @ x0)
+    phase = np.exp(-1j * mesh @ np.asarray(x0, dtype=float).T).T
+    return gaussian_profile_hat(r / lam) * cosine_ramp(r, sigma) * phase
 
 
 def cutoff_function(grid: Grid, lam: float, center=None) -> LatticeFunction:

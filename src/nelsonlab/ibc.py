@@ -15,7 +15,6 @@ from math import comb
 
 import numpy as np
 
-from . import fock
 from .nelson import (
     AssembledModel,
     ModelSpec,
@@ -35,17 +34,6 @@ def free_shift(model: AssembledModel) -> float:
     H0 is not.
     """
     return max(0.0, 0.5 * model.spec.mass_floor - float(model.k_evals[0]))
-
-
-def sector_norms(basis: fock.FockBasis, g_mat: np.ndarray) -> np.ndarray:
-    """Operator norm of G restricted to sector n-1 -> n, for n = 1..N_max."""
-    size = g_mat.shape[0] // basis.dim
-    norms = []
-    for n in range(1, basis.n_max + 1):
-        rows = basis.tensor_rows(size, n, n)
-        cols = basis.tensor_rows(size, n - 1, n - 1)
-        norms.append(opnorm(g_mat[np.ix_(rows, cols)]))
-    return np.array(norms)
 
 
 def sector_norm_exponent(norms) -> float:
@@ -96,7 +84,6 @@ class IbcOperators:
 
     shift: float
     g_op: OperatorMatrix
-    t_op: OperatorMatrix
     e_diag: np.ndarray
     h_ibc: OperatorMatrix
     inverse: OperatorMatrix
@@ -107,11 +94,11 @@ class IbcOperators:
 def build_ibc(
     model: AssembledModel, lam: float, shift: float | None = None
 ) -> IbcOperators:
-    """Assemble G, T = a(v)G, the Neumann inverse, and the IBC Hamiltonian.
+    """Assemble G, the Neumann inverse, and the IBC Hamiltonian.
 
     G = -(H0 + s)^{-1} a*(v_{lam,X}) maps sector n-1 into sector n, and
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
-    exactly at finite truncation.
+    exactly at finite truncation; T = a(v)G is formed only inside the sum.
     """
     bottom = float(model.k_evals[0])
     recorded = free_shift(model)
@@ -125,9 +112,8 @@ def build_ibc(
     h0s = model.h0.mat + s * eye
     a = creation_family(model, lam)
     g_mat = -np.linalg.solve(h0s, a.mat)
-    t_mat = a.mat.conj().T @ g_mat
     one_minus = eye - g_mat
-    square = one_minus.conj().T @ h0s @ one_minus + t_mat
+    square = one_minus.conj().T @ h0s @ one_minus + a.mat.conj().T @ g_mat
     del h0s, a, one_minus  # free three dense matrices before the Neumann powers
     e_diag = vacuum_energy_operator(model, lam)
     # square becomes H_ibc in place: (square + E) - s, summed in that order
@@ -137,7 +123,6 @@ def build_ibc(
     return IbcOperators(
         shift=s,
         g_op=g_op,
-        t_op=OperatorMatrix(t_mat, model.space, True),
         e_diag=e_diag,
         h_ibc=OperatorMatrix(square, model.space, True),
         inverse=inverse,
@@ -199,6 +184,9 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     ||H0^p G_lam||^2 ~ int^lam k^{-1} k^{4p-4} dk: the norm stays bounded in
     lam for p < 1 and ||H0 G_lam||^2 grows like log lam (p = 1 is critical).
     The d = 3 threshold p = 1/2 belongs to the quadrature evaluators only.
+
+    Returns the norm per p under "norms" and the step norms n = 1..N_max per
+    p under "steps"; at p = 0 these are the sector norms ||G||_{n-1 -> n}.
     """
     check_gram_size(model.spec)
     ps = [float(p) for p in ps]
@@ -207,11 +195,11 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     eps_k, q_k = model.k_evals, model.k_evecs
     s = free_shift(model)
     occ_energy = model.occupation_energies
-    coeffs = np.array([form_factor(model, lam, xi) for xi in range(size)])
+    coeffs = form_factor(model, lam)
     # the clamp keeps 2**-exponent finite when the largest entry is subnormal
     exponent = max(int(np.frexp(np.max(np.abs(coeffs)))[1]), -1021)
     coeffs *= 2.0**-exponent
-    out = {p: 0.0 for p in ps}
+    steps = {p: [] for p in ps}
     for n, lad in enumerate(basis.ladder, start=1):
         n_src = basis.sector_bounds[n] - basis.sector_bounds[n - 1]
         base = eps_k[:, None] + occ_energy[basis.sector_slice(n)][None, :] + s
@@ -225,8 +213,9 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
             gram = np.zeros((n_src, size, n_src, size), dtype=complex)
             np.add.at(gram, index, outer * w[lad.targets[first]])
             top = np.linalg.eigvalsh(gram.reshape(n_src * size, n_src * size))[-1]
-            out[p] = max(out[p], float(np.sqrt(max(0.0, top))) * 2.0**exponent)
-    return {"norms": out, "shift": s}
+            steps[p].append(float(np.sqrt(max(0.0, top))) * 2.0**exponent)
+    norms = {p: max(steps[p], default=0.0) for p in ps}
+    return {"norms": norms, "steps": {p: np.array(steps[p]) for p in ps}, "shift": s}
 
 
 def domain_regularity_experiment(models, lams, ps) -> dict:

@@ -13,8 +13,9 @@ Scalar conventions used throughout:
   vacuum energy    E_lam(X) = (1/2) <omega^{-1/2} rho, (K+omega)^{-1} omega^{-1/2} rho>_w
   dressing         B_{lam,X} = -(K+omega)^{-1} omega^{-1/2} rho^sigma_{lam,X}
 
-Full tensor assemblies are pinned to d = 1; the d = 3 evaluators are
-quadrature-only.
+Each of these is evaluated for every particle point X at once and returned
+with one row (or entry) per lattice point.  Full tensor assemblies are
+pinned to d = 1; the d = 3 evaluators are quadrature-only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from scipy.integrate import quad
 from . import fock
 from .grid import (
     Grid,
-    LatticeFunction,
     bump_hat,
     derivative_matrix,
     gaussian_profile_hat,
@@ -229,13 +229,13 @@ class AssembledModel:
         return (self.h_evecs * self.h_evals ** (0.5 * p)) @ self.h_evecs.T
 
     def project(self, u) -> np.ndarray:
-        """Mode coefficients of a lattice vector.
+        """Mode coefficients of a lattice vector, or one row of them per row of a stack.
 
         The dropped complement is the mode truncation of the model itself,
         not an error; use ``modes.project`` directly to see the residual.
         """
-        coeffs, _ = self.modes.project(u)
-        return coeffs
+        coeffs, _ = self.modes.project(np.asarray(u).T)
+        return coeffs.T
 
 
 def assemble_free(spec: ModelSpec) -> AssembledModel:
@@ -287,52 +287,47 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
 
 
 # ---------------------------------------------------------------------------
-# bump family and form factors
+# coupling families: one row per particle point X
 
 
-def _model_bump_hat(model: AssembledModel, lam: float, x_index: int) -> np.ndarray:
-    """Momentum side of rho_{lam,X} / coupling; see ``form_factor_rho``."""
-    x0 = model.grid.position_mesh()[x_index]
-    return bump_hat(model.grid, lam, x0, model.spec.sigma)
-
-
-def form_factor_rho(model: AssembledModel, lam: float, x_index: int) -> LatticeFunction:
-    """Smeared coupling bump rho_{lam,X} centered at lattice point ``x_index``.
+def form_factor_rho(model: AssembledModel, lam: float) -> np.ndarray:
+    """Smeared coupling bumps rho_{lam,X}, one row per lattice point X.
 
     Built on the Fourier side as coupling * gaussian_profile_hat(|xi|/lam) *
     ramp(|xi|, spec.sigma) * exp(-i xi X).  ``lam`` may not exceed the largest
     resolved momentum (``Grid.check_cutoff``): beyond that the profile
     saturates on the lattice and larger cutoffs change nothing.
     """
-    hat = _model_bump_hat(model, lam, x_index)
-    return LatticeFunction(model.grid, model.spec.coupling * idft(model.grid, hat))
+    grid = model.grid
+    hat = bump_hat(grid, lam, grid.position_mesh(), model.spec.sigma)
+    return model.spec.coupling * idft(grid, hat)
 
 
-def form_factor(model: AssembledModel, lam: float, x_index: int) -> np.ndarray:
-    """Mode coefficients of v_{lam,X} = omega^{-1/2} rho_{lam,X} / sqrt(2)."""
-    rho = form_factor_rho(model, lam, x_index)
-    v = model.omega_power(-0.5) @ rho.values / np.sqrt(2.0)
-    return model.project(v)
+def _omega_rho(model: AssembledModel, lam: float) -> np.ndarray:
+    """omega^{-1/2} rho_{lam,X}, one row per lattice point X."""
+    return form_factor_rho(model, lam) @ model.omega_power(-0.5).T
+
+
+def form_factor(model: AssembledModel, lam: float) -> np.ndarray:
+    """Mode coefficients of v_{lam,X} = omega^{-1/2} rho_{lam,X} / sqrt(2), one row per X."""
+    return model.project(_omega_rho(model, lam) / np.sqrt(2.0))
 
 
 def form_factor_split(
-    model: AssembledModel, lam: float, x_index: int
-) -> tuple[LatticeFunction, LatticeFunction, float]:
-    """Split v = u + u~ by freezing the dispersion symbol at X.
+    model: AssembledModel, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split v_X = u_X + u~_X by freezing the dispersion symbol at X.
 
-    u applies the right-quantized symbol of omega^{-1/2} with its position
-    argument frozen at X to the bump; u~ is the residual.  Returns
-    (u, u~, ||u~|| / ||u||), both on the lattice side.
+    u_X applies the right-quantized symbol of omega^{-1/2} with its position
+    argument frozen at X to the bump; u~_X is the residual.  Returns the rows
+    u and u~, one per X on the lattice side, and the ratios ||u~_X|| / ||u_X||.
     """
     grid = model.grid
     symbol = dequantize(grid, model.omega_power(-0.5).astype(complex), 1.0)
-    hat = _model_bump_hat(model, lam, x_index)
-    coupling = model.spec.coupling
-    u_vals = idft(grid, symbol.values[x_index, :] * (coupling * hat)) / np.sqrt(2.0)
-    v_vals = model.omega_power(-0.5) @ (coupling * idft(grid, hat)) / np.sqrt(2.0)
-    u = LatticeFunction(grid, u_vals)
-    residual = LatticeFunction(grid, v_vals - u_vals)
-    return u, residual, residual.norm() / u.norm()
+    hat = model.spec.coupling * bump_hat(grid, lam, grid.position_mesh(), model.spec.sigma)
+    u = idft(grid, symbol.values * hat) / np.sqrt(2.0)
+    residual = _omega_rho(model, lam) / np.sqrt(2.0) - u
+    return u, residual, np.linalg.norm(residual, axis=1) / np.linalg.norm(u, axis=1)
 
 
 def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
@@ -340,14 +335,16 @@ def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
 
     The only builder of the coupling: the cutoff Hamiltonian adds A + A*,
     and the IBC operators G = -(H0+s)^{-1} A and T = A* G read A itself.
+    One scatter of the basis table ``FockBasis.creation_entries`` fills
+    every X block.
     """
     check_tensor_size(model.spec)
-    mat = np.zeros((model.dim, model.dim), dtype=complex)
-    for x_index in range(model.grid.size):
-        v = form_factor(model, lam, x_index)
-        blk = model.block(x_index)
-        mat[blk, blk] = fock.annihilate(model.basis, v).mat.conj().T
-    return OperatorMatrix(mat, model.space, False)
+    size, fdim = model.grid.size, model.fock_dim
+    rows, cols, modes, factors = model.basis.creation_entries
+    x = np.arange(size)[:, None]
+    mat = np.zeros((size, fdim, size, fdim), dtype=complex)
+    mat[x, rows, x, cols] = form_factor(model, lam)[:, modes] * factors
+    return OperatorMatrix(mat.reshape(model.dim, model.dim), model.space, False)
 
 
 def assemble_cutoff_hamiltonian(model: AssembledModel, lam: float) -> OperatorMatrix:
@@ -362,7 +359,7 @@ def assemble_cutoff_hamiltonian(model: AssembledModel, lam: float) -> OperatorMa
 
 
 # ---------------------------------------------------------------------------
-# vacuum energy
+# vacuum energy and dressing
 
 
 def _k_plus_omega(model: AssembledModel) -> np.ndarray:
@@ -372,16 +369,20 @@ def _k_plus_omega(model: AssembledModel) -> np.ndarray:
     return ko
 
 
-def vacuum_energy(model: AssembledModel, lam: float, x_index: int) -> float:
-    """Second-order energy shift E_lam(X), matrix evaluator."""
-    ko = _k_plus_omega(model)
-    rho = form_factor_rho(model, lam, x_index)
-    f = model.omega_power(-0.5) @ rho.values
-    return 0.5 * inner(model.grid, f, np.linalg.solve(ko, f)).real
+def _dressing(model: AssembledModel, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows f_X = omega^{-1/2} rho_X and -(K+omega)^{-1} f_X: one check, one solve."""
+    f = _omega_rho(model, lam)
+    return f, -np.linalg.solve(_k_plus_omega(model), f.T).T
 
 
-def perturbation_energy_sum(model: AssembledModel, lam: float, x_index: int) -> float:
-    """E_lam(X) as an explicit sum over one-boson excitations.
+def vacuum_energy(model: AssembledModel, lam: float) -> np.ndarray:
+    """Second-order energy shifts E_lam(X) = -(1/2) <omega^{-1/2} rho_X, B_X>, one per X."""
+    f, b = _dressing(model, lam)
+    return -0.5 * np.sum(f.conj() * b, axis=1).real * model.grid.weight
+
+
+def perturbation_energy_sum(model: AssembledModel, lam: float) -> np.ndarray:
+    """E_lam(X) as an explicit sum over one-boson excitations, one per X.
 
     Diagonalizes K + omega and accumulates |amplitude|^2 / denominator, the
     textbook second-order expression; agrees with ``vacuum_energy`` to
@@ -389,10 +390,8 @@ def perturbation_energy_sum(model: AssembledModel, lam: float, x_index: int) -> 
     """
     ko = _k_plus_omega(model)
     evals, evecs = np.linalg.eigh(ko)
-    rho = form_factor_rho(model, lam, x_index)
-    f = model.omega_power(-0.5) @ rho.values
-    amps = evecs.conj().T @ f * model.grid.weight
-    return 0.5 * float(np.sum(np.abs(amps) ** 2 / evals)) / model.grid.weight
+    amps = _omega_rho(model, lam) @ evecs.conj() * model.grid.weight
+    return 0.5 * np.sum(np.abs(amps) ** 2 / evals, axis=1) / model.grid.weight
 
 
 def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
@@ -417,37 +416,30 @@ def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
 
 def vacuum_energy_operator(model: AssembledModel, lam: float) -> np.ndarray:
     """E_lam(X) as the diagonal of its multiplication operator on the tensor space."""
-    vals = [vacuum_energy(model, lam, xi) for xi in range(model.grid.size)]
-    return np.repeat(vals, model.fock_dim)
+    return np.repeat(vacuum_energy(model, lam), model.fock_dim)
 
 
-# ---------------------------------------------------------------------------
-# dressing transformation
+def gross_B(model: AssembledModel, lam: float) -> np.ndarray:
+    """Dressing functions B_{lam,X} = -(K+omega)^{-1} omega^{-1/2} rho^sigma_{lam,X}.
 
-
-def gross_B(model: AssembledModel, lam: float, x_index: int) -> LatticeFunction:
-    """Dressing function B_{lam,X} = -(K+omega)^{-1} omega^{-1/2} rho^sigma."""
-    ko = _k_plus_omega(model)
-    rho = form_factor_rho(model, lam, x_index)
-    b = -np.linalg.solve(ko, model.omega_power(-0.5) @ rho.values)
+    One real row per lattice point X.
+    """
+    _, b = _dressing(model, lam)
     imag = float(np.max(np.abs(b.imag)))
     if imag > 1e-10:
         raise SpectralError(f"dressing function has imaginary part {imag:.3e}")
-    return LatticeFunction(model.grid, b.real.astype(complex))
+    return b.real
 
 
 def gross_bound_ratio(
     model: AssembledModel,
     lam: float,
-    x_index: int,
     alpha: float = 0.5,
     s: float = -2.0,
 ) -> float:
-    """||omega^alpha B|| / ||rho^sigma||_{H^s}; stability in lam is the point."""
-    b = gross_B(model, lam, x_index)
-    rho = form_factor_rho(model, lam, x_index)
-    num = lattice_norm(model.grid, model.omega_power(alpha) @ b.values)
-    return num / sobolev_norm(model.grid, rho.values, s)
+    """||omega^alpha B_X|| / ||rho^sigma_X||_{H^s} at X = 0; stability in lam is the point."""
+    num = lattice_norm(model.grid, model.omega_power(alpha) @ gross_B(model, lam)[0])
+    return num / sobolev_norm(model.grid, form_factor_rho(model, lam)[0], s)
 
 
 def transformed_hamiltonian_check(
@@ -479,29 +471,23 @@ def transformed_hamiltonian_check(
     fdim = basis.dim
     d = derivative_matrix(grid)
     pd = 1j * d
-    k0 = model.k0
     omega = model.omega
-    om_m12 = model.omega_power(-0.5)
 
-    rhos = np.array([form_factor_rho(model, lam, xi).values for xi in range(size)])
+    smeared = _omega_rho(model, lam)
     if b_family is None:
-        fam_b = np.array([gross_B(model, lam, xi).values.real for xi in range(size)])
+        fam_b = gross_B(model, lam)
     else:
         fam_b = np.asarray(b_family, dtype=float)
         if fam_b.shape != (size, size):
             raise ValueError(f"b_family must have shape ({size}, {size})")
     fam_db = pd @ fam_b  # derivative along the family index X
+    coeffs_b = model.project(fam_b)
     # a(dB_X) per lattice point, shared by the diagonal and mixed terms
-    aops = [fock.annihilate(basis, model.project(fam_db[xi])).mat for xi in range(size)]
+    aops = [fock.annihilate(basis, c).mat for c in model.project(fam_db)]
 
     ident_f = np.eye(fdim)
     h_mat = assemble_cutoff_hamiltonian(model, lam).mat
-    weyls = []
-    b_norm_max = 0.0
-    for xi in range(size):
-        b = model.project(fam_b[xi])
-        b_norm_max = max(b_norm_max, float(np.linalg.norm(b)))
-        weyls.append(fock.weyl(basis, b).mat)
+    weyls = [fock.weyl(basis, b).mat for b in coeffs_b]
     u_mat = np.zeros((model.dim, model.dim), dtype=complex)
     for xi in range(size):
         blk = model.block(xi)
@@ -512,17 +498,17 @@ def transformed_hamiltonian_check(
     g_pd = np.diag(spec.g) @ pd
     pd_g = pd @ np.diag(spec.g)
     sqrt2 = np.sqrt(2.0)
+    shifted = model.project(smeared + fam_b @ (model.k0 + omega).T)
     for xi in range(size):
         blk = model.block(xi)
         b_x = fam_b[xi]
         aop = aops[xi]
         cop = aop.conj().T
-        shifted = model.project(om_m12 @ rhos[xi] + (k0 + omega) @ b_x)
-        rhs[blk, blk] += fock.field(basis, shifted).mat
+        rhs[blk, blk] += fock.field(basis, shifted[xi]).mat
         rhs[blk, blk] += spec.g[xi] * (-0.5 * cop @ cop - 0.5 * aop @ aop + cop @ aop)
         scalar = (
             0.5 * inner(grid, b_x, omega @ b_x).real
-            + inner(grid, b_x, om_m12 @ rhos[xi]).real
+            + inner(grid, b_x, smeared[xi]).real
             + 0.5 * spec.g[xi] * inner(grid, fam_db[xi], fam_db[xi]).real
         )
         rhs[blk, blk] += scalar * ident_f
@@ -542,8 +528,9 @@ def transformed_hamiltonian_check(
     dev_dgamma, dev_field, tolerance = 0.0, 0.0, 0.0
     freqs = model.mode_freqs
     dgamma = np.diag(model.occupation_energies)
+    coeffs_u = model.project(smeared)
     for xi in range(size):
-        b = model.project(fam_b[xi])
+        b = coeffs_b[xi]
         v = weyls[xi]
         conj = v @ dgamma @ v.conj().T
         pred = (
@@ -554,7 +541,7 @@ def transformed_hamiltonian_check(
         dev_dgamma = max(
             dev_dgamma, float(np.abs((conj - pred)[np.ix_(safe, safe)]).max())
         )
-        u = model.project(om_m12 @ rhos[xi])
+        u = coeffs_u[xi]
         conj = v @ fock.field(basis, u).mat @ v.conj().T
         pred = fock.field(basis, u).mat + np.dot(b, u).real * ident_f
         dev_field = max(
@@ -571,7 +558,7 @@ def transformed_hamiltonian_check(
         "fock_dgamma_dev": dev_dgamma,
         "fock_field_dev": dev_field,
         "fock_tolerance": tolerance,
-        "b_norm_max": b_norm_max,
+        "b_norm_max": float(np.max(np.linalg.norm(coeffs_b, axis=1))),
     }
 
 
@@ -591,13 +578,9 @@ def relative_bound_report(
     phi_part = creation_family(model, lam).mat
     phi_part += phi_part.conj().T
     h0_mat = model.h0.mat
-    size = model.grid.size
-    v_bound = 0.0
-    v_half = 0.0
-    for xi in range(size):
-        v = form_factor(model, lam, xi)
-        v_bound = max(v_bound, float(np.linalg.norm(v)))
-        v_half = max(v_half, float(np.linalg.norm(v / np.sqrt(model.mode_freqs))))
+    v = form_factor(model, lam)
+    v_bound = float(np.max(np.linalg.norm(v, axis=1)))
+    v_half = float(np.max(np.linalg.norm(v / np.sqrt(model.mode_freqs), axis=1)))
     c_eps = eps * abs(float(np.min(model.spec.w))) + v_half**2 / eps + v_bound
     rng = np.random.default_rng(seed)
     worst = 0.0

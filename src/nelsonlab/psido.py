@@ -179,6 +179,18 @@ def _displacement_phase(grid: Grid) -> np.ndarray:
     return grid.momentum_mesh() @ disp.T
 
 
+def _column_table(grid: Grid) -> np.ndarray:
+    """E[xi, n] = exp(i xi . theta_n) from the exact integer phase.
+
+    xi . theta_n = (2*pi/L) sum_a k_a n_a for the index components k and n,
+    so the table reads the L-th roots of unity at (sum_a k_a n_a) mod L; the
+    unreduced phase grows like pi * L / 2 and costs digits in exp.
+    """
+    L = grid.npts
+    comp = _axis_components(grid)
+    return np.exp(2j * np.pi / L * np.arange(L))[(comp @ comp.T) % L]
+
+
 def _translate_x(grid: Grid, cols: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Multiply the x-spectrum of column n of ``cols`` by ``phase[:, n]``."""
     S, d = grid.size, grid.dim
@@ -254,12 +266,11 @@ def quantize(a: Symbol, t: float, midpoint: str = "interp") -> OperatorMatrix:
         raise ValueError(f"unknown midpoint rule {midpoint!r}")
     grid = a.grid
     S = grid.size
-    arg = _displacement_phase(grid)
-    cols = a.values @ np.exp(1j * arg) / S
+    cols = a.values @ _column_table(grid) / S
     back = 1.0 - t
     if back != 0.0:
         if midpoint == "interp":
-            cols = _translate_x(grid, cols, np.exp(-1j * back * arg))
+            cols = _translate_x(grid, cols, np.exp(-1j * back * _displacement_phase(grid)))
         else:
             comp = _axis_components(grid)
             src = np.ceil(comp[:, None, :] - back * _signed(grid, comp)[None, :, :] - 0.5)
@@ -284,10 +295,9 @@ def dequantize(grid: Grid, op, t: float) -> Symbol:
     if A.shape != (S, S):
         raise ValueError(f"operator must be {S} x {S}")
     cols = A[np.arange(S)[:, None], _target_index(grid)]  # cols[x, n] = A[x, x - n]
-    arg = _displacement_phase(grid)
     if t != 1.0:
-        cols = _translate_x(grid, cols, np.exp(1j * (1.0 - t) * arg))
-    return Symbol(grid, cols @ np.exp(-1j * arg).T)
+        cols = _translate_x(grid, cols, np.exp(1j * (1.0 - t) * _displacement_phase(grid)))
+    return Symbol(grid, cols @ np.conj(_column_table(grid)).T)
 
 
 def change_quantization(a: Symbol, t_from: float, t_to: float) -> Symbol:

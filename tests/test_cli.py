@@ -276,19 +276,22 @@ def test_ibc_identity_run_passes(tmp_path, capsys):
 
 
 def test_ibc_identity_assembles_each_cutoff_once(monkeypatch):
+    # build_ibc reaches the builder through ibc's binding, H_lam through nelson's
     calls = []
-    original = ibc.creation_family
+    original = nelson.creation_family
 
     def counted(model, lam):
         calls.append(lam)
         return original(model, lam)
 
     monkeypatch.setattr(ibc, "creation_family", counted)
+    monkeypatch.setattr(nelson, "creation_family", counted)
     cfg = resolve_config(None)
     cfg["sweep"]["lams"] = [1.0, 2.0]
     rows = run_ibc_identity(cfg, 7, 1)
     assert all(row.status == "PASS" for row in rows)
-    assert calls == [1.0, 2.0]
+    # one A for build_ibc and one for H_lam per cutoff
+    assert calls == [1.0, 1.0, 2.0, 2.0]
 
 
 def test_results_csv_is_byte_identical_across_runs(tmp_path):

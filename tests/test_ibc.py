@@ -12,7 +12,6 @@ from nelsonlab.ibc import (
     free_shift,
     invert_one_minus_G,
     sector_norm_exponent,
-    sector_norms,
 )
 from nelsonlab.nelson import (
     SizeError,
@@ -23,7 +22,7 @@ from nelsonlab.nelson import (
     sinusoidal_spec,
     vacuum_energy_operator,
 )
-from nelsonlab.operators import OperatorMatrix
+from nelsonlab.operators import HERMITIAN_TOL, OperatorMatrix
 
 # Frozen references for the bench model at L = 8, M = 8 (independent dense
 # oracle; see test_nelson.py for the model constants).
@@ -114,9 +113,9 @@ def test_G_shifts_sectors_up_by_one(bench8):
     assert np.max(np.abs(g[:, top])) < 1e-15
 
 
-def test_sector_norms_decay_with_fitted_exponent(bench8_n3, ops2_n3):
-    g = ops2_n3.g_op
-    norms = sector_norms(bench8_n3.basis, g.mat)
+def test_sector_norms_decay_with_fitted_exponent(bench8_n3):
+    # at p = 0 the Gram kernel's step norms are ||G||_{n-1 -> n}
+    norms = domain_regularity_norms(bench8_n3, 2.0, [0.0])["steps"][0.0]
     assert np.max(np.abs(norms - np.array(SECTOR_NORMS_N3))) < 1e-7
     assert norms[0] > norms[1] > norms[2]
     p = sector_norm_exponent(norms)
@@ -318,8 +317,8 @@ def test_creation_family_is_block_diagonal(bench8):
     assert np.max(np.abs(mat)) == 0.0
 
 
-def test_build_ibc_returns_consistent_bundle(ops2):
+def test_build_ibc_returns_consistent_bundle(bench8, ops2):
     assert isinstance(ops2, IbcOperators)
-    assert isinstance(ops2.t_op, OperatorMatrix)
-    assert ops2.t_op.hermitian is True
+    t_mat = creation_family(bench8, 2.0).mat.conj().T @ ops2.g_op.mat
+    assert np.max(np.abs(t_mat - t_mat.conj().T)) <= HERMITIAN_TOL
     assert abs(ops2.shift - SHIFT_L8) < 1e-6

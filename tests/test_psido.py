@@ -200,6 +200,16 @@ def test_dequantize_inverts_quantize(t):
     np.testing.assert_allclose(back.values, sym.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_dequantize_inverts_quantize_to_roundoff_at_npts_256(t):
+    # the t = 1 column table comes from the exact integer phase; the
+    # unreduced phase xi . theta reaches 402 here and misses by ~2e-14
+    grid = Grid(1, 256, 2 * np.pi)
+    sym = _rand_symbol(grid, np.random.default_rng(25))
+    back = dequantize(grid, quantize(sym, t), t)
+    assert np.max(np.abs(back.values - sym.values)) / np.max(np.abs(sym.values)) <= 2e-15
+
+
 @pytest.mark.parametrize("t", [0.0, 0.5])
 def test_dequantize_inverts_quantize_in_two_dimensions(t):
     grid = Grid(2, 8, 2 * np.pi)
