@@ -3,8 +3,9 @@
 A run executes one named experiment against a resolved configuration and
 writes three artifacts into the output directory: ``results.csv`` with one
 row per measurement (experiment, parameters, lhs, rhs, status),
-``summary.json`` with per-check status, tolerances, seed, config hash and
-wall clock, and ``plot.gp``, a gnuplot script over the CSV.  Identical
+``summary.json`` with per-check status, tolerances, seed, config hash,
+wall clock, the process's peak resident set size and the numpy and scipy
+versions, and ``plot.gp``, a gnuplot script over the CSV.  Identical
 (config, seed) pairs produce byte-identical CSV files; sweeps are merged
 in parameter order regardless of the --threads setting.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from os import cpu_count, makedirs, path
 
 import numpy as np
+import scipy
 
 from . import fock, ibc, inequalities, nelson, psido
 from .grid import Grid, LatticeFunction
@@ -413,10 +416,7 @@ def run_ibc_identity(cfg, seed, threads) -> list[Row]:
 
     def one(lam: float):
         ops = ibc.build_ibc(model, lam)
-        # residual first: its dense temporaries are gone before H_lam is held
-        inverse_resid = opnorm(
-            (np.eye(model.dim) - ops.g_op.mat) @ ops.inverse.mat - np.eye(model.dim)
-        )
+        inverse_resid = ibc.neumann_residual(model, ops)
         h_lam = nelson.assemble_cutoff_hamiltonian(model, lam)
         keystone = ibc.factorization_identity_check(model, ops, h_lam)
         reference = h_lam.mat + np.diag(ops.e_diag)
@@ -636,6 +636,9 @@ def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
         "config_hash": hashlib.sha256(config_canonical_text(cfg).encode("utf-8")).hexdigest()[:16],
         "status": "PASS" if all(r.status == "PASS" for r in rows) else "FAIL",
         "wall_clock_s": round(wall_clock, 3),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "checks": [
             {
                 "name": row.check,

@@ -6,6 +6,13 @@ inversion so that its bottom sits at half the boson mass floor; the shift is
 recorded and subtracted again in the assembled Hamiltonian, so no identity
 depends on it.  At finite boson cap G is nilpotent, which makes the Neumann
 inverse of 1 - G exact and the factorization identity an algebraic one.
+
+The assembly works in boson-number sectors: sector n is the set of tensor
+rows ``FockBasis.tensor_rows(size, n, n)``.  H0 + s is block diagonal, A and
+G map sector n-1 into sector n only, and G^k maps n-k into n.  So G comes
+from the free spectrum without a solve, and every product of the square, the
+Neumann series and its residual runs over the nonzero sector blocks only;
+the dense matrices of ``IbcOperators`` are scattered from those blocks once.
 """
 
 from __future__ import annotations
@@ -43,6 +50,50 @@ def sector_norm_exponent(norms) -> float:
     return -float(np.polyfit(np.log(ns), np.log(norms), 1)[0])
 
 
+# ---------------------------------------------------------------------------
+# sector blocks: a block matrix is a dict {(m, n): block} of the nonzero
+# blocks that map sector n into sector m; a missing block is zero.
+
+
+def _sector_rows(model: AssembledModel) -> list[np.ndarray]:
+    """Tensor rows of each boson-number sector 0..n_max, X-major within a sector."""
+    size = model.grid.size
+    return [model.basis.tensor_rows(size, n, n) for n in range(model.basis.n_max + 1)]
+
+
+def _blocks(mat: np.ndarray, rows: list[np.ndarray]) -> dict:
+    """The nonzero sector blocks of a dense matrix."""
+    blocks = {}
+    for m, target in enumerate(rows):
+        for n, source in enumerate(rows):
+            block = mat[np.ix_(target, source)]
+            if block.any():
+                blocks[m, n] = block
+    return blocks
+
+
+def _block_product(left: dict, right: dict) -> dict:
+    """Product of two block matrices, multiplying only their nonzero blocks."""
+    out = {}
+    for (m, k), lhs in left.items():
+        for (j, n), rhs in right.items():
+            if j == k:
+                term = lhs @ rhs
+                out[m, n] = out[m, n] + term if (m, n) in out else term
+    return {key: block for key, block in out.items() if block.any()}
+
+
+def _adjoint(blocks: dict) -> dict:
+    return {(n, m): block.conj().T for (m, n), block in blocks.items()}
+
+
+def _accumulate(mat: np.ndarray, rows: list[np.ndarray], blocks: dict) -> np.ndarray:
+    """Add the blocks into the dense ``mat`` in place and return it."""
+    for (m, n), block in blocks.items():
+        mat[np.ix_(rows[m], rows[n])] += block
+    return mat
+
+
 def invert_one_minus_G(
     model: AssembledModel, g_op: OperatorMatrix
 ) -> tuple[OperatorMatrix, dict]:
@@ -52,23 +103,27 @@ def invert_one_minus_G(
     truncation and the series stops after at most N_max + 1 products.  The
     metadata reports the number of terms and the norm of the first discarded
     power (the tail bound), exactly zero when nilpotency was reached; only a
-    nonzero discarded power costs a norm.
+    nonzero discarded power costs a norm.  The powers are products of the
+    nonzero sector blocks of G: for the IBC G each power has a single block,
+    and a G with no zero block runs the same series as the dense one.
     """
     dim = g_op.dim
     n_max = model.basis.n_max
+    rows = _sector_rows(model)
+    g = _blocks(g_op.mat, rows)
     acc = np.eye(dim, dtype=complex)
-    power = np.eye(dim, dtype=complex)
+    power = g
     terms = 1
     tail = 0.0
     for _ in range(n_max + 1):
-        power = power @ g_op.mat
-        if not power.any():
+        if not power:
             break
         if terms > n_max:
-            tail = opnorm(power)
+            tail = opnorm(_accumulate(np.zeros((dim, dim), dtype=complex), rows, power))
             break
-        acc += power
+        _accumulate(acc, rows, power)
         terms += 1
+        power = _block_product(power, g)
     inv = OperatorMatrix(acc, g_op.space, False)
     return inv, {"terms": terms, "tail_bound": tail}
 
@@ -99,6 +154,12 @@ def build_ibc(
     G = -(H0 + s)^{-1} a*(v_{lam,X}) maps sector n-1 into sector n, and
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
     exactly at finite truncation; T = a(v)G is formed only inside the sum.
+
+    With H0 + s = (Q_K x 1) diag(eps_i + E_o + s) (Q_K x 1)*, the block of G
+    from sector n-1 into n is -(Q_K x 1)[((Q_K* x 1) A_n) / (eps_i + E_o + s)]:
+    two rotations along X, no solve.  The square expands over the blocks as
+    D - DG - (DG)* + G*(DG) + A*G with D = H0 + s, and each of its products
+    is a product of sector blocks.
     """
     bottom = float(model.k_evals[0])
     recorded = free_shift(model)
@@ -108,16 +169,29 @@ def build_ibc(
             f"H0 + {s:g} is singular (bottom {bottom + s:.3e}); "
             f"use the recorded shift {recorded:.6g}"
         )
-    eye = np.eye(model.dim)
-    h0s = model.h0.mat + s * eye
-    a = creation_family(model, lam)
-    g_mat = -np.linalg.solve(h0s, a.mat)
-    one_minus = eye - g_mat
-    square = one_minus.conj().T @ h0s @ one_minus + a.mat.conj().T @ g_mat
-    del h0s, a, one_minus  # free three dense matrices before the Neumann powers
+    size, dim = model.grid.size, model.dim
+    basis = model.basis
+    q = model.k_evecs
+    rows = _sector_rows(model)
+    a = _blocks(creation_family(model, lam).mat, rows)
+    g = {}
+    for (m, n), block in a.items():
+        denom = model.k_evals[:, None] + model.occupation_energies[basis.sector_slice(m)] + s
+        rotated = (q.conj().T @ block.reshape(size, -1)).reshape(denom.shape + (-1,))
+        g[m, n] = -(q @ (rotated / denom[:, :, None]).reshape(size, -1)).reshape(block.shape)
+    # H0 keeps the boson number, so its blocks are the diagonal ones
+    d = {key: block + s * np.eye(len(block)) for key, block in _blocks(model.h0.mat, rows).items()}
+    dg = _block_product(d, g)
+    minus_dg = {key: -block for key, block in dg.items()}
+    gdg = _block_product(_adjoint(g), dg)
+    t_blocks = _block_product(_adjoint(a), g)
+    square = np.zeros((dim, dim), dtype=complex)
+    for part in (d, minus_dg, _adjoint(minus_dg), gdg, t_blocks):
+        _accumulate(square, rows, part)
     e_diag = vacuum_energy_operator(model, lam)
     # square becomes H_ibc in place: (square + E) - s, summed in that order
     np.fill_diagonal(square, square.diagonal() + e_diag - s)
+    g_mat = _accumulate(np.zeros((dim, dim), dtype=complex), rows, g)
     g_op = OperatorMatrix(g_mat, model.space, False)
     inverse, meta = invert_one_minus_G(model, g_op)
     return IbcOperators(
@@ -129,6 +203,22 @@ def build_ibc(
         neumann_terms=meta["terms"],
         neumann_tail=meta["tail_bound"],
     )
+
+
+def neumann_residual(model: AssembledModel, ops: IbcOperators) -> float:
+    """Spectral norm of (1 - G) N - 1 for the Neumann inverse N of ``ops``.
+
+    Formed blockwise as N - 1 - GN.  N has identity diagonal blocks and
+    blocks m <- n only for m > n, and GN has blocks m <- n only for m > n, so
+    the diagonal blocks, block row 0 and block column n_max of the residual
+    are exactly zero; the norm is taken on the rectangle of block rows
+    1..n_max by block columns 0..n_max-1, which carries all of it.
+    """
+    rows = _sector_rows(model)
+    gn = _block_product(_blocks(ops.g_op.mat, rows), _blocks(ops.inverse.mat, rows))
+    minus_gn = {key: -block for key, block in gn.items()}
+    resid = _accumulate(ops.inverse.mat - np.eye(model.dim), rows, minus_gn)
+    return opnorm(resid[np.ix_(np.concatenate(rows[1:]), np.concatenate(rows[:-1]))])
 
 
 def factorization_identity_check(

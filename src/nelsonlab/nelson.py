@@ -486,13 +486,12 @@ def transformed_hamiltonian_check(
     aops = [fock.annihilate(basis, c).mat for c in model.project(fam_db)]
 
     ident_f = np.eye(fdim)
-    h_mat = assemble_cutoff_hamiltonian(model, lam).mat
-    weyls = [fock.weyl(basis, b).mat for b in coeffs_b]
-    u_mat = np.zeros((model.dim, model.dim), dtype=complex)
-    for xi in range(size):
-        blk = model.block(xi)
-        u_mat[blk, blk] = weyls[xi]
-    lhs = u_mat @ h_mat @ u_mat.conj().T
+    # U is block diagonal, so (U H U*)[X, Y] = V_X H[X, Y] V_Y*: two batched
+    # products over the (X, Y) Fock blocks
+    weyls = np.stack([fock.weyl(basis, b).mat for b in coeffs_b])
+    h_blocks = assemble_cutoff_hamiltonian(model, lam).mat.reshape(size, fdim, size, fdim)
+    lhs = weyls[:, None] @ h_blocks.transpose(0, 2, 1, 3) @ weyls.conj().transpose(0, 2, 1)
+    lhs = lhs.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
 
     rhs = h0.copy()
     g_pd = np.diag(spec.g) @ pd

@@ -336,7 +336,8 @@ def moyal(a: Symbol, b: Symbol, t: float = 1.0) -> Symbol:
     a1 = change_quantization(a, t, 1.0).values if t != 1.0 else a.values
     b1 = change_quantization(b, t, 1.0).values if t != 1.0 else b.values
     S, d = grid.size, grid.dim
-    E = np.exp(1j * (grid.position_mesh() @ grid.momentum_mesh().T))
+    # E[x, xi] = exp(i x . xi) is the symmetric table of the exact integer phase
+    E = _column_table(grid)
     bhat = np.fft.fftn(b1.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
     # _target_index(grid)[k, k'] = flat index of (k - k') mod L
     G = bhat[_target_index(grid), np.arange(S)[None, :]]

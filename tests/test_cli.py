@@ -346,6 +346,9 @@ def test_summary_records_config_hash_and_seed(tmp_path):
     assert sum_a["config_hash"] == sum_b["config_hash"]
     assert sum_a["seed"] == 7
     assert sum_a["wall_clock_s"] >= 0.0
+    assert sum_a["peak_rss_mib"] > 0.0
+    assert set(sum_a["versions"]) == {"numpy", "scipy"}
+    assert sum_a["versions"]["numpy"] == np.__version__
     for check in sum_a["checks"]:
         assert set(check) == {"name", "parameters", "measured", "bound", "status"}
 

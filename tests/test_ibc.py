@@ -11,6 +11,7 @@ from nelsonlab.ibc import (
     factorization_identity_check,
     free_shift,
     invert_one_minus_G,
+    neumann_residual,
     sector_norm_exponent,
 )
 from nelsonlab.nelson import (
@@ -65,11 +66,37 @@ def test_free_shift_value(bench8):
 
 def test_zero_coupling_gives_zero_G():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
-    g = build_ibc(model, 2.0).g_op
+    ops = build_ibc(model, 2.0)
+    g = ops.g_op
     assert np.max(np.abs(g.mat)) == 0.0
     inv, meta = invert_one_minus_G(model, g)
     assert np.max(np.abs(inv.mat - np.eye(model.dim))) == 0.0
     assert meta["terms"] == 1 and meta["tail_bound"] == 0.0
+    assert ops.neumann_terms == 1 and ops.neumann_tail == 0.0
+    assert neumann_residual(model, ops) == 0.0
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+@pytest.mark.parametrize("model_name", ["bench8", "bench8_n3"])
+def test_sector_blocks_match_dense_route(model_name, lam, request):
+    # dense oracle: one solve against H0 + s, dense products, a dense inverse
+    model = request.getfixturevalue(model_name)
+    ops = build_ibc(model, lam)
+    eye = np.eye(model.dim)
+    h0s = model.h0.mat + ops.shift * eye
+    a = creation_family(model, lam).mat
+    g = -np.linalg.solve(h0s, a)
+    h_ibc = (eye - g).conj().T @ h0s @ (eye - g) + a.conj().T @ g
+    h_ibc += np.diag(vacuum_energy_operator(model, lam)) - ops.shift * eye
+
+    def rel(value, reference):
+        return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+    assert rel(ops.g_op.mat, g) < 1e-13
+    assert rel(ops.h_ibc.mat, h_ibc) < 1e-13
+    assert rel(ops.inverse.mat, np.linalg.inv(eye - g)) < 1e-13
+    dense_residual = opnorm((eye - ops.g_op.mat) @ ops.inverse.mat - eye)
+    assert abs(neumann_residual(model, ops) - dense_residual) < 1e-15
 
 
 def test_neumann_series_stops_at_the_boson_cap(bench8):

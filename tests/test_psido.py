@@ -307,6 +307,19 @@ def test_moyal_matrix_identity(t):
     assert np.max(np.abs(quantize(moyal(a, b, t), t).mat - qa @ qb)) < 1e-10
 
 
+def test_moyal_composition_stays_at_roundoff_on_a_fine_grid():
+    # the plane-wave table of the twisted product must come from the exact
+    # integer phase: exp of the unreduced x . xi (up to ~800 at npts 256)
+    # costs about two digits
+    grid = Grid(1, 256, 2 * np.pi)
+    rng = np.random.default_rng(7)
+    a = random_band_limited(grid, rng)
+    b = random_band_limited(grid, rng)
+    composed = quantize(moyal(a, b, 1.0), 1.0).mat
+    product = quantize(a, 1.0).mat @ quantize(b, 1.0).mat
+    assert np.linalg.norm(composed - product, 2) < 1e-15
+
+
 def test_moyal_momentum_symbols_multiply_pointwise():
     k = G32.momentum_mesh()[:, 0]
     a = xi_symbol(G32, 1.0 / (1.0 + k**2))
