@@ -4,10 +4,11 @@ A run executes one named experiment against a resolved configuration and
 writes three artifacts into the output directory: ``results.csv`` with one
 row per measurement (experiment, parameters, lhs, rhs, status),
 ``summary.json`` with per-check status, tolerances, seed, config hash,
-wall clock, the process's peak resident set size and the numpy and scipy
-versions, and ``plot.gp``, a gnuplot script over the CSV.  Identical
-(config, seed) pairs produce byte-identical CSV files; sweeps are merged
-in parameter order regardless of the --threads setting.
+wall clock, the process's peak resident set size, the numpy and scipy
+versions and the BLAS name and version, and ``plot.gp``, a gnuplot script
+over the CSV.  Identical (config, seed) pairs produce byte-identical CSV
+files; sweeps are merged in parameter order regardless of the --threads
+setting.
 
 Configs are flat ``key = value`` text files with three typed sections,
 ``[model]``, ``[sweep]`` and ``[tolerances]``; ``#`` starts a comment.
@@ -629,6 +630,7 @@ def render_plot(experiment: str) -> str:
 
 
 def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
         "experiment": experiment,
         "seed": seed,
@@ -638,7 +640,12 @@ def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
         "wall_clock_s": round(wall_clock, 3),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+        },
         "checks": [
             {
                 "name": row.check,

@@ -111,7 +111,7 @@ def invert_one_minus_G(
     n_max = model.basis.n_max
     rows = _sector_rows(model)
     g = _blocks(g_op.mat, rows)
-    acc = np.eye(dim, dtype=complex)
+    acc = np.eye(dim, dtype=g_op.mat.dtype)
     power = g
     terms = 1
     tail = 0.0
@@ -119,7 +119,7 @@ def invert_one_minus_G(
         if not power:
             break
         if terms > n_max:
-            tail = opnorm(_accumulate(np.zeros((dim, dim), dtype=complex), rows, power))
+            tail = opnorm(_accumulate(np.zeros_like(acc), rows, power))
             break
         _accumulate(acc, rows, power)
         terms += 1
@@ -173,7 +173,9 @@ def build_ibc(
     basis = model.basis
     q = model.k_evecs
     rows = _sector_rows(model)
-    a = _blocks(creation_family(model, lam).mat, rows)
+    a_mat = creation_family(model, lam).mat
+    dtype = np.result_type(a_mat, model.h0.mat)
+    a = _blocks(a_mat, rows)
     g = {}
     for (m, n), block in a.items():
         denom = model.k_evals[:, None] + model.occupation_energies[basis.sector_slice(m)] + s
@@ -185,13 +187,13 @@ def build_ibc(
     minus_dg = {key: -block for key, block in dg.items()}
     gdg = _block_product(_adjoint(g), dg)
     t_blocks = _block_product(_adjoint(a), g)
-    square = np.zeros((dim, dim), dtype=complex)
+    square = np.zeros((dim, dim), dtype=dtype)
     for part in (d, minus_dg, _adjoint(minus_dg), gdg, t_blocks):
         _accumulate(square, rows, part)
     e_diag = vacuum_energy_operator(model, lam)
     # square becomes H_ibc in place: (square + E) - s, summed in that order
     np.fill_diagonal(square, square.diagonal() + e_diag - s)
-    g_mat = _accumulate(np.zeros((dim, dim), dtype=complex), rows, g)
+    g_mat = _accumulate(np.zeros((dim, dim), dtype=dtype), rows, g)
     g_op = OperatorMatrix(g_mat, model.space, False)
     inverse, meta = invert_one_minus_G(model, g_op)
     return IbcOperators(
@@ -300,7 +302,7 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
         for p in ps:
             weight = ((base - s) ** p / base) ** 2
             w = (q_k[None, :, :] * weight.T[:, None, :]) @ q_k.conj().T
-            gram = np.zeros((n_src, size, n_src, size), dtype=complex)
+            gram = np.zeros((n_src, size, n_src, size), dtype=np.result_type(outer, w))
             np.add.at(gram, index, outer * w[lad.targets[first]])
             top = np.linalg.eigvalsh(gram.reshape(n_src * size, n_src * size))[-1]
             steps[p].append(float(np.sqrt(max(0.0, top))) * 2.0**exponent)

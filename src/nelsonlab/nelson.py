@@ -16,6 +16,13 @@ Scalar conventions used throughout:
 Each of these is evaluated for every particle point X at once and returned
 with one row (or entry) per lattice point.  Full tensor assemblies are
 pinned to d = 1; the d = 3 evaluators are quadrature-only.
+
+The model is real: K, omega and the bump rho_{lam,X} commute with complex
+conjugation, so in the lattice basis and the real eigenmodes of h every
+family above, H0, A and H_lam are float64 arrays.  ``form_factor_rho`` is
+the one place where realness is checked; everything downstream inherits
+the dtype of its data, and only the Weyl operators of the conjugation
+check and the resolvents of the cutoff sweep are complex.
 """
 
 from __future__ import annotations
@@ -297,10 +304,20 @@ def form_factor_rho(model: AssembledModel, lam: float) -> np.ndarray:
     ramp(|xi|, spec.sigma) * exp(-i xi X).  ``lam`` may not exceed the largest
     resolved momentum (``Grid.check_cutoff``): beyond that the profile
     saturates on the lattice and larger cutoffs change nothing.
+
+    The profile is even in xi and the unpaired Nyquist phase is real on
+    lattice points, so rho is real in exact arithmetic.  This is the one
+    realness check of the model: an imaginary part above roundoff raises
+    ``SpectralError``, and the rows are returned as float64, which keeps
+    every family, A, H_lam and the IBC operators built from them real.
     """
     grid = model.grid
     hat = bump_hat(grid, lam, grid.position_mesh(), model.spec.sigma)
-    return model.spec.coupling * idft(grid, hat)
+    rho = model.spec.coupling * idft(grid, hat)
+    imag = float(np.max(np.abs(rho.imag)))
+    if imag > 1e-10 * max(1.0, float(np.max(np.abs(rho)))):
+        raise SpectralError(f"coupling bump has imaginary part {imag:.3e}")
+    return rho.real
 
 
 def _omega_rho(model: AssembledModel, lam: float) -> np.ndarray:
@@ -342,8 +359,9 @@ def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
     size, fdim = model.grid.size, model.fock_dim
     rows, cols, modes, factors = model.basis.creation_entries
     x = np.arange(size)[:, None]
-    mat = np.zeros((size, fdim, size, fdim), dtype=complex)
-    mat[x, rows, x, cols] = form_factor(model, lam)[:, modes] * factors
+    coeffs = form_factor(model, lam)
+    mat = np.zeros((size, fdim, size, fdim), dtype=coeffs.dtype)
+    mat[x, rows, x, cols] = coeffs[:, modes] * factors
     return OperatorMatrix(mat.reshape(model.dim, model.dim), model.space, False)
 
 
@@ -422,13 +440,9 @@ def vacuum_energy_operator(model: AssembledModel, lam: float) -> np.ndarray:
 def gross_B(model: AssembledModel, lam: float) -> np.ndarray:
     """Dressing functions B_{lam,X} = -(K+omega)^{-1} omega^{-1/2} rho^sigma_{lam,X}.
 
-    One real row per lattice point X.
+    One real row per lattice point X: rho is real, and so are omega and K.
     """
-    _, b = _dressing(model, lam)
-    imag = float(np.max(np.abs(b.imag)))
-    if imag > 1e-10:
-        raise SpectralError(f"dressing function has imaginary part {imag:.3e}")
-    return b.real
+    return _dressing(model, lam)[1]
 
 
 def gross_bound_ratio(
@@ -493,7 +507,7 @@ def transformed_hamiltonian_check(
     lhs = weyls[:, None] @ h_blocks.transpose(0, 2, 1, 3) @ weyls.conj().transpose(0, 2, 1)
     lhs = lhs.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
 
-    rhs = h0.copy()
+    rhs = h0.astype(complex)  # the Weyl operators are complex
     g_pd = np.diag(spec.g) @ pd
     pd_g = pd @ np.diag(spec.g)
     sqrt2 = np.sqrt(2.0)
@@ -592,46 +606,51 @@ def relative_bound_report(
     return {"worst_ratio": worst, "c_eps": c_eps, "eps": eps, "draws": draws}
 
 
+def _level_and_resolvent(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Ground level and (H + i)^{-1} of a real symmetric H from one real eigh.
+
+    With H = V diag(w) V^T, (H + i)^{-1} = V diag(w / (w^2 + 1)) V^T
+    - i V diag(1 / (w^2 + 1)) V^T: two real products fill the real and the
+    imaginary part.
+    """
+    w, v = np.linalg.eigh(mat)
+    denom = w * w + 1.0
+    res = np.empty(mat.shape, dtype=complex)
+    res.real = (v * (w / denom)) @ v.T
+    res.imag = (v * (-1.0 / denom)) @ v.T
+    return float(w[0]), res
+
+
 def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     """Resolvent-distance table along a cutoff sweep, with and without E_lam.
 
     For each lam the level row records the ground-state energies of H_lam
     and H_lam + E_lam(X); for each consecutive pair the distance row records
     D = ||(H + E + i)^{-1} - (H' + E' + i)^{-1}|| (largest singular value)
-    next to the unsubtracted comparison.
+    next to the unsubtracted comparison.  Both the level and the resolvent
+    of each Hamiltonian come from one real eigh, and only the resolvents of
+    the previous sweep point are kept.
     """
     lams = [float(v) for v in lams]
     if len(lams) < 2:
         raise ValueError("need at least two sweep points")
-    plain: dict[float, np.ndarray] = {}
-    subtracted: dict[float, np.ndarray] = {}
-    levels = []
-    eye = np.eye(model.dim)
+    levels, pairs = [], []
+    previous = None
     for lam in lams:
         h_mat = assemble_cutoff_hamiltonian(model, lam).mat
-        plain[lam] = h_mat
-        subtracted[lam] = h_mat + np.diag(vacuum_energy_operator(model, lam))
-        ev_plain = np.linalg.eigvalsh(h_mat)
-        ev_sub = np.linalg.eigvalsh(subtracted[lam])
-        levels.append(
-            {
-                "lam": lam,
-                "gs_plain": float(ev_plain[0]),
-                "gs_subtracted": float(ev_sub[0]),
-            }
-        )
-
-    def resolvent(mat: np.ndarray) -> np.ndarray:
-        return np.linalg.inv(mat + 1j * eye)
-
-    pairs = []
-    for a, b in zip(lams[:-1], lams[1:]):
-        pairs.append(
-            {
-                "lam": a,
-                "lam_next": b,
-                "d_subtracted": opnorm(resolvent(subtracted[a]) - resolvent(subtracted[b])),
-                "d_unsubtracted": opnorm(resolvent(plain[a]) - resolvent(plain[b])),
-            }
-        )
+        gs_plain, r_plain = _level_and_resolvent(h_mat)
+        np.fill_diagonal(h_mat, h_mat.diagonal() + vacuum_energy_operator(model, lam))
+        gs_sub, r_sub = _level_and_resolvent(h_mat)
+        levels.append({"lam": lam, "gs_plain": gs_plain, "gs_subtracted": gs_sub})
+        if previous is not None:
+            lam_prev, prev_plain, prev_sub = previous
+            pairs.append(
+                {
+                    "lam": lam_prev,
+                    "lam_next": lam,
+                    "d_subtracted": opnorm(prev_sub - r_sub),
+                    "d_unsubtracted": opnorm(prev_plain - r_plain),
+                }
+            )
+        previous = (lam, r_plain, r_sub)
     return {"levels": levels, "pairs": pairs}

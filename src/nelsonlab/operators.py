@@ -27,7 +27,10 @@ def check_dense_size(what: str, size: int, block: int = 1) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Square complex matrix acting on a labeled finite-dimensional space.
+    """Square real or complex matrix acting on a labeled finite-dimensional space.
+
+    float64 and complex128 matrices are kept as given, so a real operator
+    stays real; any other dtype is cast to complex128.
 
     ``hermitian`` is three-valued: True (validated at construction), False,
     or None when unknown (products, generic sums).
@@ -41,8 +44,9 @@ class OperatorMatrix:
         m = np.asarray(self.mat)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
-        if m.dtype != complex:
-            object.__setattr__(self, "mat", m.astype(complex))
+        if m.dtype not in (np.float64, np.complex128):
+            m = m.astype(complex)
+        object.__setattr__(self, "mat", m)
         if self.hermitian is True:
             dev = float(np.max(np.abs(self.mat - self.mat.conj().T)))
             if dev > HERMITIAN_TOL:

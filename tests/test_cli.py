@@ -347,8 +347,11 @@ def test_summary_records_config_hash_and_seed(tmp_path):
     assert sum_a["seed"] == 7
     assert sum_a["wall_clock_s"] >= 0.0
     assert sum_a["peak_rss_mib"] > 0.0
-    assert set(sum_a["versions"]) == {"numpy", "scipy"}
+    assert set(sum_a["versions"]) == {"numpy", "scipy", "blas", "blas_version"}
     assert sum_a["versions"]["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert sum_a["versions"]["blas"] == blas["name"]
+    assert sum_a["versions"]["blas_version"] == blas["version"]
     for check in sum_a["checks"]:
         assert set(check) == {"name", "parameters", "measured", "bound", "status"}
 

@@ -20,6 +20,8 @@ from nelsonlab.nelson import (
     assemble_cutoff_hamiltonian,
     assemble_free,
     creation_family,
+    form_factor,
+    form_factor_rho,
     sinusoidal_spec,
     vacuum_energy_operator,
 )
@@ -342,6 +344,23 @@ def test_creation_family_is_block_diagonal(bench8):
         blk = bench8.block(xi)
         mat[blk, blk] = 0.0
     assert np.max(np.abs(mat)) == 0.0
+
+
+def test_real_model_stays_float64(bench8_n3, ops2_n3):
+    # a silent complex cast would make every dense LAPACK call about 4x dearer
+    model = bench8_n3
+    arrays = {
+        "rho": form_factor_rho(model, 2.0),
+        "v": form_factor(model, 2.0),
+        "A": creation_family(model, 2.0).mat,
+        "H_lam": assemble_cutoff_hamiltonian(model, 2.0).mat,
+        "H0": model.h0.mat,
+        "G": ops2_n3.g_op.mat,
+        "H_ibc": ops2_n3.h_ibc.mat,
+        "inverse": ops2_n3.inverse.mat,
+    }
+    for name, arr in arrays.items():
+        assert arr.dtype == np.float64, name
 
 
 def test_build_ibc_returns_consistent_bundle(bench8, ops2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nelsonlab import nelson
 from nelsonlab.fock import annihilate, field, second_quantize
 from nelsonlab.grid import (
     Grid,
@@ -34,6 +35,7 @@ from nelsonlab.nelson import (
     vacuum_energy_operator,
     vacuum_energy_quadrature,
 )
+from nelsonlab.operators import opnorm
 
 # Frozen reference values for the bench model g = 1 + 0.3 sin x, W = 0.2 cos x,
 # mu = 1, box = 2*pi, coupling 1, gaussian profile, computed with independent
@@ -196,9 +198,18 @@ def test_rho_guard_names_scales(bench8):
 
 def test_rho_is_real_with_unit_mass(bench8):
     rho = form_factor_rho(bench8, 2.0)[3]
-    assert np.max(np.abs(rho.imag)) <= 1e-12
-    mass = np.sum(rho).real * bench8.grid.weight
+    assert rho.dtype == np.float64
+    mass = np.sum(rho) * bench8.grid.weight
     assert abs(mass - bench8.spec.coupling) < 1e-12
+
+
+def test_rho_refuses_a_bump_with_an_imaginary_part(bench8, monkeypatch):
+    def skewed(grid, values_hat):
+        return idft(grid, values_hat) + 1e-6j
+
+    monkeypatch.setattr(nelson, "idft", skewed)
+    with pytest.raises(SpectralError, match="imaginary part 1.000e-06"):
+        form_factor_rho(bench8, 2.0)
 
 
 def test_tiny_lam_couples_only_zero_mode(bench8):
@@ -283,7 +294,7 @@ def test_cutoff_hamiltonian_lowers_ground_state(bench8):
 def test_cutoff_hamiltonian_matches_field_oracle(request, name, lam):
     # dense oracle: H0 plus the field Phi(sqrt2 v_{lam,X}) on each diagonal X block
     model = request.getfixturevalue(name)
-    want = model.h0.mat.copy()
+    want = model.h0.mat.astype(complex)
     v = form_factor(model, lam)
     for xi in range(model.grid.size):
         blk = model.block(xi)
@@ -433,6 +444,25 @@ def test_size_guard_reports_dimensions(bench32):
 @pytest.fixture(scope="module")
 def renorm_table(bench8):
     return renorm_convergence_experiment(bench8, [1.0, 2.0, 4.0])
+
+
+def test_renorm_table_matches_dense_oracle(bench8, renorm_table):
+    # dense oracle: eigvalsh for the levels, inv(H + i) and opnorm for the distances
+    eye = np.eye(bench8.dim)
+    levels, resolvents = [], {}
+    for lam in (1.0, 2.0, 4.0):
+        h = assemble_cutoff_hamiltonian(bench8, lam).mat
+        sub = h + np.diag(vacuum_energy_operator(bench8, lam))
+        levels.append((np.linalg.eigvalsh(h)[0], np.linalg.eigvalsh(sub)[0]))
+        resolvents[lam] = (np.linalg.inv(h + 1j * eye), np.linalg.inv(sub + 1j * eye))
+    for row, (plain, sub) in zip(renorm_table["levels"], levels):
+        assert abs(row["gs_plain"] - plain) <= 1e-12
+        assert abs(row["gs_subtracted"] - sub) <= 1e-12
+    assert len(renorm_table["levels"]) == 3 and len(renorm_table["pairs"]) == 2
+    for row in renorm_table["pairs"]:
+        (plain_a, sub_a), (plain_b, sub_b) = resolvents[row["lam"]], resolvents[row["lam_next"]]
+        assert abs(row["d_unsubtracted"] - opnorm(plain_a - plain_b)) <= 1e-12
+        assert abs(row["d_subtracted"] - opnorm(sub_a - sub_b)) <= 1e-12
 
 
 def test_renorm_levels_match_frozen(renorm_table):
