@@ -212,6 +212,8 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
         raise GuardError(f"sector guard: n_max must be at least 1, got {model['n_max']}")
     if not (abs(model["w_amplitude"]) < 1.0 and abs(model["g_modulation"]) < 1.0):
         raise GuardError("ellipticity guard: modulations must stay below 1 in magnitude")
+    if model["coupling"] == 0.0 and experiment in ("gross-transform", "domain-regularity"):
+        raise GuardError(f"[model] coupling: {experiment} takes norm ratios, 0 / 0 at zero coupling")
     for n in sweep["weyl_n_max"]:
         if not 1 <= n <= 128:
             raise GuardError(f"sector guard: weyl_n_max entries must lie in [1, 128], got {n}")
@@ -685,6 +687,8 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true", help="print the experiment names and exit")
     parser.add_argument("--validate", action="store_true", help="check config and guards without running")
     args = parser.parse_args(argv)
+    if args.threads < 0:
+        parser.error(f"argument --threads: must be 0 (all cores) or positive, got {args.threads}")
 
     if args.list:
         for name in EXPERIMENTS:

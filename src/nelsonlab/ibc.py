@@ -9,10 +9,11 @@ inverse of 1 - G exact and the factorization identity an algebraic one.
 
 The assembly works in boson-number sectors: sector n is the set of tensor
 rows ``FockBasis.tensor_rows(size, n, n)``.  H0 + s is block diagonal, A and
-G map sector n-1 into sector n only, and G^k maps n-k into n.  So G comes
-from the free spectrum without a solve, and every product of the square, the
-Neumann series and its residual runs over the nonzero sector blocks only;
-the dense matrices of ``IbcOperators`` are scattered from those blocks once.
+G map sector n-1 into sector n only, and G^k maps n-k into n.  So A comes
+from the creation ladder, H0 + s and G from the free spectrum without a
+solve, and every product of the square, the Neumann series and its residual
+runs over the nonzero sector blocks only.  G and the Neumann inverse exist
+only as blocks; H_ibc is the one dense matrix ``scatter`` lays out.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .nelson import (
     AssembledModel,
     ModelSpec,
     SpectralError,
-    creation_family,
+    check_tensor_size,
     form_factor,
     vacuum_energy_operator,
 )
@@ -51,25 +52,8 @@ def sector_norm_exponent(norms) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sector blocks: a block matrix is a dict {(m, n): block} of the nonzero
-# blocks that map sector n into sector m; a missing block is zero.
-
-
-def _sector_rows(model: AssembledModel) -> list[np.ndarray]:
-    """Tensor rows of each boson-number sector 0..n_max, X-major within a sector."""
-    size = model.grid.size
-    return [model.basis.tensor_rows(size, n, n) for n in range(model.basis.n_max + 1)]
-
-
-def _blocks(mat: np.ndarray, rows: list[np.ndarray]) -> dict:
-    """The nonzero sector blocks of a dense matrix."""
-    blocks = {}
-    for m, target in enumerate(rows):
-        for n, source in enumerate(rows):
-            block = mat[np.ix_(target, source)]
-            if block.any():
-                blocks[m, n] = block
-    return blocks
+# sector blocks: a block matrix is a dict {(m, n): block} of the nonzero blocks
+# that map sector n into sector m, X-major like the tensor; a missing block is zero.
 
 
 def _block_product(left: dict, right: dict) -> dict:
@@ -87,17 +71,20 @@ def _adjoint(blocks: dict) -> dict:
     return {(n, m): block.conj().T for (m, n), block in blocks.items()}
 
 
-def _accumulate(mat: np.ndarray, rows: list[np.ndarray], blocks: dict) -> np.ndarray:
-    """Add the blocks into the dense ``mat`` in place and return it."""
-    for (m, n), block in blocks.items():
-        mat[np.ix_(rows[m], rows[n])] += block
-    return mat
+def scatter(model: AssembledModel, *parts: dict) -> np.ndarray:
+    """Dense tensor matrix of the sum of the block matrices ``parts``, added in order."""
+    size, basis = model.grid.size, model.basis
+    dtypes = {block.dtype for part in parts for block in part.values()}
+    mat = np.zeros((size, basis.dim) * 2, dtype=np.result_type(np.float64, *dtypes))
+    for part in parts:
+        for (m, n), block in part.items():
+            view = mat[:, basis.sector_slice(m), :, basis.sector_slice(n)]
+            view += block.reshape(view.shape)
+    return mat.reshape(model.dim, model.dim)
 
 
-def invert_one_minus_G(
-    model: AssembledModel, g_op: OperatorMatrix
-) -> tuple[OperatorMatrix, dict]:
-    """Neumann inverse of 1 - G, exact by nilpotency.
+def invert_one_minus_G(model: AssembledModel, g: dict) -> tuple[dict, dict]:
+    """Neumann inverse of 1 - G, exact by nilpotency, as a block matrix.
 
     G raises the boson number by one, so G^(N_max + 1) vanishes on the
     truncation and the series stops after at most N_max + 1 products.  The
@@ -107,11 +94,9 @@ def invert_one_minus_G(
     nonzero sector blocks of G: for the IBC G each power has a single block,
     and a G with no zero block runs the same series as the dense one.
     """
-    dim = g_op.dim
     n_max = model.basis.n_max
-    rows = _sector_rows(model)
-    g = _blocks(g_op.mat, rows)
-    acc = np.eye(dim, dtype=g_op.mat.dtype)
+    sides = model.grid.size * np.diff(model.basis.sector_bounds)
+    inverse = {(n, n): np.eye(side) for n, side in enumerate(sides)}
     power = g
     terms = 1
     tail = 0.0
@@ -119,29 +104,30 @@ def invert_one_minus_G(
         if not power:
             break
         if terms > n_max:
-            tail = opnorm(_accumulate(np.zeros_like(acc), rows, power))
+            tail = opnorm(scatter(model, power))
             break
-        _accumulate(acc, rows, power)
+        for key, block in power.items():
+            inverse[key] = inverse[key] + block if key in inverse else block
         terms += 1
         power = _block_product(power, g)
-    inv = OperatorMatrix(acc, g_op.space, False)
-    return inv, {"terms": terms, "tail_bound": tail}
+    return inverse, {"terms": terms, "tail_bound": tail}
 
 
 @dataclass(frozen=True, eq=False)
 class IbcOperators:
     """All pieces of one IBC assembly, built with a single recorded shift.
 
-    ``h_ibc`` is (1-G)*(H0+s)(1-G) + T + E_lam(X) - s and ``e_diag`` the
-    diagonal of the vacuum energy E_lam(X) on the tensor space; the right
-    side of the keystone identity is h_ibc - diag(e_diag).
+    ``g`` and ``inverse`` are the block matrices of G and of the Neumann
+    inverse of 1 - G.  ``h_ibc`` is (1-G)*(H0+s)(1-G) + T + E_lam(X) - s and
+    ``e_diag`` the diagonal of the vacuum energy E_lam(X) on the tensor
+    space; the right side of the keystone identity is h_ibc - diag(e_diag).
     """
 
     shift: float
-    g_op: OperatorMatrix
+    g: dict
     e_diag: np.ndarray
     h_ibc: OperatorMatrix
-    inverse: OperatorMatrix
+    inverse: dict
     neumann_terms: int
     neumann_tail: float
 
@@ -155,12 +141,15 @@ def build_ibc(
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
     exactly at finite truncation; T = a(v)G is formed only inside the sum.
 
-    With H0 + s = (Q_K x 1) diag(eps_i + E_o + s) (Q_K x 1)*, the block of G
-    from sector n-1 into n is -(Q_K x 1)[((Q_K* x 1) A_n) / (eps_i + E_o + s)]:
+    The block A_n from sector n-1 into n holds v_X[k] sqrt(occ_o[k]) per
+    entry of ``FockBasis.ladder`` and point X.  On sector n, H0 + s is
+    K x 1 + 1 x diag(E_o) + s = (Q_K x 1) diag(eps_i + E_o + s) (Q_K x 1)*,
+    so the block of G is -(Q_K x 1)[((Q_K* x 1) A_n) / (eps_i + E_o + s)]:
     two rotations along X, no solve.  The square expands over the blocks as
     D - DG - (DG)* + G*(DG) + A*G with D = H0 + s, and each of its products
     is a product of sector blocks.
     """
+    check_tensor_size(model.spec)
     bottom = float(model.k_evals[0])
     recorded = free_shift(model)
     s = recorded if shift is None else float(shift)
@@ -169,36 +158,36 @@ def build_ibc(
             f"H0 + {s:g} is singular (bottom {bottom + s:.3e}); "
             f"use the recorded shift {recorded:.6g}"
         )
-    size, dim = model.grid.size, model.dim
-    basis = model.basis
-    q = model.k_evecs
-    rows = _sector_rows(model)
-    a_mat = creation_family(model, lam).mat
-    dtype = np.result_type(a_mat, model.h0.mat)
-    a = _blocks(a_mat, rows)
-    g = {}
-    for (m, n), block in a.items():
-        denom = model.k_evals[:, None] + model.occupation_energies[basis.sector_slice(m)] + s
+    size, basis, q = model.grid.size, model.basis, model.k_evecs
+    occ_energy, dims = model.occupation_energies, np.diff(basis.sector_bounds)
+    coeffs = form_factor(model, lam)
+    x = np.arange(size)[:, None]
+    a, g = {}, {}
+    for n, lad in enumerate(basis.ladder, start=1):
+        entries = coeffs[:, lad.modes] * lad.factors
+        if not entries.any():
+            continue
+        block = np.zeros((size, dims[n], size, dims[n - 1]), dtype=entries.dtype)
+        block[x, lad.targets, x, lad.sources] = entries
+        a[n, n - 1] = block = block.reshape(size * dims[n], size * dims[n - 1])
+        denom = model.k_evals[:, None] + occ_energy[basis.sector_slice(n)] + s
         rotated = (q.conj().T @ block.reshape(size, -1)).reshape(denom.shape + (-1,))
-        g[m, n] = -(q @ (rotated / denom[:, :, None]).reshape(size, -1)).reshape(block.shape)
-    # H0 keeps the boson number, so its blocks are the diagonal ones
-    d = {key: block + s * np.eye(len(block)) for key, block in _blocks(model.h0.mat, rows).items()}
+        g[n, n - 1] = -(q @ (rotated / denom[:, :, None]).reshape(size, -1)).reshape(block.shape)
+    d = {}
+    for n, dim in enumerate(dims):
+        energies = np.tile(occ_energy[basis.sector_slice(n)], size)
+        d[n, n] = np.kron(model.k, np.eye(dim)) + np.diag(energies) + s * np.eye(size * dim)
     dg = _block_product(d, g)
     minus_dg = {key: -block for key, block in dg.items()}
     gdg = _block_product(_adjoint(g), dg)
-    t_blocks = _block_product(_adjoint(a), g)
-    square = np.zeros((dim, dim), dtype=dtype)
-    for part in (d, minus_dg, _adjoint(minus_dg), gdg, t_blocks):
-        _accumulate(square, rows, part)
+    square = scatter(model, d, minus_dg, _adjoint(minus_dg), gdg, _block_product(_adjoint(a), g))
     e_diag = vacuum_energy_operator(model, lam)
     # square becomes H_ibc in place: (square + E) - s, summed in that order
     np.fill_diagonal(square, square.diagonal() + e_diag - s)
-    g_mat = _accumulate(np.zeros((dim, dim), dtype=dtype), rows, g)
-    g_op = OperatorMatrix(g_mat, model.space, False)
-    inverse, meta = invert_one_minus_G(model, g_op)
+    inverse, meta = invert_one_minus_G(model, g)
     return IbcOperators(
         shift=s,
-        g_op=g_op,
+        g=g,
         e_diag=e_diag,
         h_ibc=OperatorMatrix(square, model.space, True),
         inverse=inverse,
@@ -216,11 +205,15 @@ def neumann_residual(model: AssembledModel, ops: IbcOperators) -> float:
     are exactly zero; the norm is taken on the rectangle of block rows
     1..n_max by block columns 0..n_max-1, which carries all of it.
     """
-    rows = _sector_rows(model)
-    gn = _block_product(_blocks(ops.g_op.mat, rows), _blocks(ops.inverse.mat, rows))
-    minus_gn = {key: -block for key, block in gn.items()}
-    resid = _accumulate(ops.inverse.mat - np.eye(model.dim), rows, minus_gn)
-    return opnorm(resid[np.ix_(np.concatenate(rows[1:]), np.concatenate(rows[:-1]))])
+    resid = {(m, n): b - np.eye(len(b)) if m == n else b for (m, n), b in ops.inverse.items()}
+    for key, block in _block_product(ops.g, ops.inverse).items():
+        resid[key] = resid.get(key, 0.0) - block
+    sides = model.grid.size * np.diff(model.basis.sector_bounds)
+    rect = [
+        [resid.get((m, n), np.zeros((sides[m], sides[n]))) for n in range(len(sides) - 1)]
+        for m in range(1, len(sides))
+    ]
+    return opnorm(np.block(rect))
 
 
 def factorization_identity_check(

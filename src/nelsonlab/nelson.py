@@ -350,10 +350,9 @@ def form_factor_split(
 def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
     """A = blockdiag_X a*(v_{lam,X}), the creation part of the interaction.
 
-    The only builder of the coupling: the cutoff Hamiltonian adds A + A*,
-    and the IBC operators G = -(H0+s)^{-1} A and T = A* G read A itself.
-    One scatter of the basis table ``FockBasis.creation_entries`` fills
-    every X block.
+    The dense A of the cutoff Hamiltonian H0 + A + A*: one scatter of the
+    basis table ``FockBasis.creation_entries`` fills every X block.  The IBC
+    assembly scatters the sector blocks of A from ``FockBasis.ladder``.
     """
     check_tensor_size(model.spec)
     size, fdim = model.grid.size, model.fock_dim
@@ -451,9 +450,15 @@ def gross_bound_ratio(
     alpha: float = 0.5,
     s: float = -2.0,
 ) -> float:
-    """||omega^alpha B_X|| / ||rho^sigma_X||_{H^s} at X = 0; stability in lam is the point."""
-    num = lattice_norm(model.grid, model.omega_power(alpha) @ gross_B(model, lam)[0])
-    return num / sobolev_norm(model.grid, form_factor_rho(model, lam)[0], s)
+    """||omega^alpha B_X|| / ||rho^sigma_X||_{H^s} at X = 0; stability in lam is the point.
+
+    The ratio ignores the coupling's scale and sign, so both rows are scaled by
+    one exact power of two that keeps their squares from underflowing.
+    """
+    rho = form_factor_rho(model, lam)[0]
+    scale = 2.0 ** -max(int(np.frexp(np.max(np.abs(rho)))[1]), -1021)
+    num = lattice_norm(model.grid, model.omega_power(alpha) @ gross_B(model, lam)[0] * scale)
+    return num / sobolev_norm(model.grid, rho * scale, s)
 
 
 def transformed_hamiltonian_check(

@@ -63,9 +63,6 @@ class OperatorMatrix:
         """Spectral norm."""
         return opnorm(self.mat)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.mat)))
-
     def _check_space(self, other: "OperatorMatrix") -> str:
         if self.space and other.space and self.space != other.space:
             raise ValueError(f"space mismatch: {self.space!r} vs {other.space!r}")

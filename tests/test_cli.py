@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nelsonlab import ibc, nelson
+from nelsonlab import cli, nelson
 from nelsonlab.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -158,6 +158,8 @@ def test_paired_sweep_lengths_checked():
         ("sweep", "psido_npts", "8192", "psido-calculus"),
         ("sweep", "parametrix_npts", "8192", "psido-calculus"),
         ("sweep", "rearr_npts", "100", "appendix-inequalities"),
+        ("model", "coupling", "0", "gross-transform"),
+        ("model", "coupling", "-0.0", "domain-regularity"),
     ],
 )
 def test_library_refusals_exit_three_before_assembly(
@@ -249,6 +251,26 @@ def test_unknown_experiment_exits_two():
     assert info.value.code == 2
 
 
+def test_negative_threads_exit_two_before_any_run(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("started a run or a thread pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", forbidden)
+    monkeypatch.setattr(cli, "resolve_config", forbidden)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as info:
+        main(["--experiment", "weyl-identities", "--threads", "-3", "--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["renorm-convergence", "ibc-identity"])
+def test_zero_coupling_runs_where_no_norm_ratio_is_taken(tmp_path, experiment):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[model]\ncoupling = 0.0\n[sweep]\nlams = 1.0, 2.0\n")
+    assert run_cli("--experiment", experiment, "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+
+
 def test_experiment_required_without_list_or_validate(capsys):
     assert main([]) == 2
     assert "--experiment" in capsys.readouterr().err
@@ -276,7 +298,7 @@ def test_ibc_identity_run_passes(tmp_path, capsys):
 
 
 def test_ibc_identity_assembles_each_cutoff_once(monkeypatch):
-    # build_ibc reaches the builder through ibc's binding, H_lam through nelson's
+    # build_ibc scatters its A blocks from the ladder; only H_lam builds the dense A
     calls = []
     original = nelson.creation_family
 
@@ -284,14 +306,13 @@ def test_ibc_identity_assembles_each_cutoff_once(monkeypatch):
         calls.append(lam)
         return original(model, lam)
 
-    monkeypatch.setattr(ibc, "creation_family", counted)
     monkeypatch.setattr(nelson, "creation_family", counted)
     cfg = resolve_config(None)
     cfg["sweep"]["lams"] = [1.0, 2.0]
     rows = run_ibc_identity(cfg, 7, 1)
     assert all(row.status == "PASS" for row in rows)
-    # one A for build_ibc and one for H_lam per cutoff
-    assert calls == [1.0, 1.0, 2.0, 2.0]
+    # one A for H_lam per cutoff
+    assert calls == [1.0, 2.0]
 
 
 def test_results_csv_is_byte_identical_across_runs(tmp_path):

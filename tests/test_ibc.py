@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nelsonlab import fock, ibc
+from nelsonlab import fock, ibc, nelson
 from nelsonlab.ibc import (
     IbcOperators,
     build_ibc,
@@ -12,9 +12,11 @@ from nelsonlab.ibc import (
     free_shift,
     invert_one_minus_G,
     neumann_residual,
+    scatter,
     sector_norm_exponent,
 )
 from nelsonlab.nelson import (
+    AssembledModel,
     SizeError,
     SpectralError,
     assemble_cutoff_hamiltonian,
@@ -25,7 +27,7 @@ from nelsonlab.nelson import (
     sinusoidal_spec,
     vacuum_energy_operator,
 )
-from nelsonlab.operators import HERMITIAN_TOL, OperatorMatrix
+from nelsonlab.operators import HERMITIAN_TOL
 
 # Frozen references for the bench model at L = 8, M = 8 (independent dense
 # oracle; see test_nelson.py for the model constants).
@@ -69,10 +71,9 @@ def test_free_shift_value(bench8):
 def test_zero_coupling_gives_zero_G():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
     ops = build_ibc(model, 2.0)
-    g = ops.g_op
-    assert np.max(np.abs(g.mat)) == 0.0
-    inv, meta = invert_one_minus_G(model, g)
-    assert np.max(np.abs(inv.mat - np.eye(model.dim))) == 0.0
+    assert ops.g == {}
+    inv, meta = invert_one_minus_G(model, ops.g)
+    assert np.max(np.abs(scatter(model, inv) - np.eye(model.dim))) == 0.0
     assert meta["terms"] == 1 and meta["tail_bound"] == 0.0
     assert ops.neumann_terms == 1 and ops.neumann_tail == 0.0
     assert neumann_residual(model, ops) == 0.0
@@ -94,11 +95,22 @@ def test_sector_blocks_match_dense_route(model_name, lam, request):
     def rel(value, reference):
         return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
 
-    assert rel(ops.g_op.mat, g) < 1e-13
+    g_mat, inverse = scatter(model, ops.g), scatter(model, ops.inverse)
+    assert rel(g_mat, g) < 1e-13
     assert rel(ops.h_ibc.mat, h_ibc) < 1e-13
-    assert rel(ops.inverse.mat, np.linalg.inv(eye - g)) < 1e-13
-    dense_residual = opnorm((eye - ops.g_op.mat) @ ops.inverse.mat - eye)
+    assert rel(inverse, np.linalg.inv(eye - g)) < 1e-13
+    dense_residual = opnorm((eye - g_mat) @ inverse - eye)
     assert abs(neumann_residual(model, ops) - dense_residual) < 1e-15
+
+
+def split_blocks(model, mat):
+    """The sector blocks of a dense tensor matrix, all of them kept."""
+    rows = [model.basis.tensor_rows(model.grid.size, n, n) for n in range(model.basis.n_max + 1)]
+    return {
+        (m, n): mat[np.ix_(target, source)]
+        for m, target in enumerate(rows)
+        for n, source in enumerate(rows)
+    }
 
 
 def test_neumann_series_stops_at_the_boson_cap(bench8):
@@ -109,17 +121,19 @@ def test_neumann_series_stops_at_the_boson_cap(bench8):
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     g *= 0.5 / opnorm(g)
     n_max = bench8.basis.n_max
-    inv, meta = invert_one_minus_G(bench8, OperatorMatrix(g, bench8.space))
+    blocks = split_blocks(bench8, g)
+    assert np.array_equal(scatter(bench8, blocks), g)
+    inv, meta = invert_one_minus_G(bench8, blocks)
     assert meta["terms"] == n_max + 1
     assert meta["tail_bound"] > 0.0
     tail = opnorm(np.linalg.matrix_power(g, n_max + 1))
     assert meta["tail_bound"] == pytest.approx(tail, rel=1e-12)
     partial = sum(np.linalg.matrix_power(g, k) for k in range(n_max + 1))
-    assert np.max(np.abs(inv.mat - partial)) < 1e-14
+    assert np.max(np.abs(scatter(bench8, inv) - partial)) < 1e-14
 
 
 def test_G_shifts_sectors_up_by_one(bench8):
-    g = build_ibc(bench8, 2.0).g_op.mat
+    g = scatter(bench8, build_ibc(bench8, 2.0).g)
     basis = bench8.basis
     fdim = basis.dim
     totals = basis.sector_totals()
@@ -152,8 +166,8 @@ def test_sector_norms_decay_with_fitted_exponent(bench8_n3):
     assert p >= 0.15
 
 
-def test_G_power_norms_decay_superlinearly(ops2_n3):
-    g = ops2_n3.g_op.mat
+def test_G_power_norms_decay_superlinearly(bench8_n3, ops2_n3):
+    g = scatter(bench8_n3, ops2_n3.g)
     powers = [opnorm(np.linalg.matrix_power(g, k)) for k in (1, 2, 3)]
     incs = np.diff(np.log(powers))
     assert incs[1] < incs[0] < 0.0
@@ -161,7 +175,7 @@ def test_G_power_norms_decay_superlinearly(ops2_n3):
 
 
 def test_G_lam_trend_decreases(bench8):
-    gs = {lam: build_ibc(bench8, lam).g_op.mat for lam in (1.0, 2.0, 4.0)}
+    gs = {lam: scatter(bench8, build_ibc(bench8, lam).g) for lam in (1.0, 2.0, 4.0)}
     d12 = opnorm(gs[2.0] - gs[1.0])
     d24 = opnorm(gs[4.0] - gs[2.0])
     assert abs(d12 - G_TREND["d12"]) < 1e-6
@@ -172,13 +186,12 @@ def test_G_lam_trend_decreases(bench8):
 def test_neumann_inverse_exact(bench8, ops2):
     assert ops2.neumann_terms <= bench8.basis.n_max + 1
     assert ops2.neumann_tail == 0.0
-    residual = opnorm(
-        (np.eye(bench8.dim) - ops2.g_op.mat) @ ops2.inverse.mat - np.eye(bench8.dim)
-    )
+    g, inverse = scatter(bench8, ops2.g), scatter(bench8, ops2.inverse)
+    residual = opnorm((np.eye(bench8.dim) - g) @ inverse - np.eye(bench8.dim))
     assert residual < 1e-12
-    dense = np.linalg.inv(np.eye(bench8.dim) - ops2.g_op.mat)
-    assert opnorm(ops2.inverse.mat - dense) < 1e-12
-    powers = [opnorm(np.linalg.matrix_power(ops2.g_op.mat, k)) for k in (1, 2, 3)]
+    dense = np.linalg.inv(np.eye(bench8.dim) - g)
+    assert opnorm(inverse - dense) < 1e-12
+    powers = [opnorm(np.linalg.matrix_power(g, k)) for k in (1, 2, 3)]
     assert abs(powers[0] - G_POWERS_N2[0]) < 1e-6
     assert abs(powers[1] - G_POWERS_N2[1]) < 1e-6
     assert powers[2] == 0.0
@@ -200,6 +213,34 @@ def test_keystone_identity(bench8):
 def test_keystone_zero_coupling():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
     assert keystone(model, 2.0) < 1e-14
+
+
+def test_build_ibc_reads_neither_dense_H0_nor_A(monkeypatch):
+    # fresh model: no cached H0; A and H0 + s come from the ladder and the spectrum
+    model = assemble_free(sinusoidal_spec(8, n_max=3))
+
+    def forbidden(*args):
+        raise AssertionError("formed a dense H0 or A")
+
+    monkeypatch.setattr(AssembledModel, "h0", property(forbidden))
+    monkeypatch.setattr(nelson, "creation_family", forbidden)
+    monkeypatch.setattr(ibc, "creation_family", forbidden, raising=False)
+    ops = build_ibc(model, 2.0)
+    assert neumann_residual(model, ops) < 1e-12
+    assert sorted(ops.g) == [(1, 0), (2, 1), (3, 2)]
+
+
+def test_build_ibc_guard_refuses_before_the_ladder(monkeypatch):
+    # dense side 32 x fock_dim(32, 2) = 32 x 561 = 17952; the model itself is cheap
+    model = assemble_free(sinusoidal_spec(32))
+
+    def forbidden(*args):
+        raise AssertionError("read the ladder or the coupling past the guard")
+
+    monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
+    monkeypatch.setattr(ibc, "form_factor", forbidden)
+    with pytest.raises(SizeError, match="17952"):
+        build_ibc(model, 2.0)
 
 
 def test_singular_shift_raises_with_recorded_value(bench8):
@@ -258,7 +299,7 @@ def test_domain_regularity_structured_matches_dense(bench8, ops2, bench8_n3, ops
     ps = [0.0, 0.2, 0.5, 1.0]
     for model, ops in ((bench8, ops2), (bench8_n3, ops2_n3)):
         result = domain_regularity_norms(model, 2.0, ps)
-        dense = dense_domain_norms(model, ops.g_op.mat, ps)
+        dense = dense_domain_norms(model, scatter(model, ops.g), ps)
         for p in ps:
             assert abs(result["norms"][p] - dense[p]) < 1e-10
         assert abs(result["shift"] - SHIFT_L8) < 1e-6
@@ -355,9 +396,9 @@ def test_real_model_stays_float64(bench8_n3, ops2_n3):
         "A": creation_family(model, 2.0).mat,
         "H_lam": assemble_cutoff_hamiltonian(model, 2.0).mat,
         "H0": model.h0.mat,
-        "G": ops2_n3.g_op.mat,
+        "G": scatter(model, ops2_n3.g),
         "H_ibc": ops2_n3.h_ibc.mat,
-        "inverse": ops2_n3.inverse.mat,
+        "inverse": scatter(model, ops2_n3.inverse),
     }
     for name, arr in arrays.items():
         assert arr.dtype == np.float64, name
@@ -365,6 +406,6 @@ def test_real_model_stays_float64(bench8_n3, ops2_n3):
 
 def test_build_ibc_returns_consistent_bundle(bench8, ops2):
     assert isinstance(ops2, IbcOperators)
-    t_mat = creation_family(bench8, 2.0).mat.conj().T @ ops2.g_op.mat
+    t_mat = creation_family(bench8, 2.0).mat.conj().T @ scatter(bench8, ops2.g)
     assert np.max(np.abs(t_mat - t_mat.conj().T)) <= HERMITIAN_TOL
     assert abs(ops2.shift - SHIFT_L8) < 1e-6

@@ -386,6 +386,16 @@ def test_gross_bound_ratio_stable_under_lam_doubling():
     assert spread < 2.0
 
 
+def test_gross_bound_ratio_ignores_the_coupling_scale():
+    # unscaled, the squared norms underflow to 0 / 0 at coupling 1e-200
+    ratios = {
+        coupling: gross_bound_ratio(assemble_free(sinusoidal_spec(8, coupling=coupling)), 2.0)
+        for coupling in (1.0, 1e-200, -1e-200)
+    }
+    for coupling in (1e-200, -1e-200):
+        assert ratios[coupling] == pytest.approx(ratios[1.0], rel=1e-12)
+
+
 def test_form_factor_split_small_residual(bench32):
     u, residual, ratios = form_factor_split(bench32, 4.0)
     rhos = form_factor_rho(bench32, 4.0)
