@@ -5,10 +5,10 @@ writes three artifacts into the output directory: ``results.csv`` with one
 row per measurement (experiment, parameters, lhs, rhs, status),
 ``summary.json`` with per-check status, tolerances, seed, config hash,
 wall clock, the process's peak resident set size, the numpy and scipy
-versions and the BLAS name and version, and ``plot.gp``, a gnuplot script
-over the CSV.  Identical (config, seed) pairs produce byte-identical CSV
-files; sweeps are merged in parameter order regardless of the --threads
-setting.
+versions, the BLAS name and version and the telemetry of the run's
+iterative solvers, and ``plot.gp``, a gnuplot script over the CSV.
+Identical (config, seed) pairs produce byte-identical CSV files; sweeps
+are merged in parameter order regardless of the --threads setting.
 
 Configs are flat ``key = value`` text files with three typed sections,
 ``[model]``, ``[sweep]`` and ``[tolerances]``; ``#`` starts a comment.
@@ -256,6 +256,15 @@ class Row:
         return "PASS" if self.lhs <= self.rhs else "FAIL"
 
 
+class Rows(list):
+    """A runner's rows plus ``telemetry``: what the run reports about its own
+    solvers.  Telemetry goes to summary.json only, never to results.csv."""
+
+    def __init__(self, rows: list[Row], telemetry: dict):
+        super().__init__(rows)
+        self.telemetry = telemetry
+
+
 def _fmt(value) -> str:
     if isinstance(value, float) or isinstance(value, np.floating):
         return f"{float(value):.12g}"
@@ -388,7 +397,8 @@ def run_renorm_convergence(cfg, seed, threads) -> list[Row]:
                 prev["d_subtracted"],
             )
         )
-    return rows
+    distances = [{"lam": pair["lam"], "lam_next": pair["lam_next"], **pair["solver"]} for pair in pairs]
+    return Rows(rows, {"tensor_dim": report["dim"], "resolvent_distances": distances})
 
 
 def run_gross_transform(cfg, seed, threads) -> list[Row]:
@@ -405,9 +415,12 @@ def run_gross_transform(cfg, seed, threads) -> list[Row]:
     rows = []
     for lam, (report, ratio) in zip(sweep["lams"], results):
         params = dict(base, lam=lam)
+        # the truncation tolerance underflows to 0 for a tiny dressing, where
+        # the deviations are pure roundoff
+        fock_bound = max(report["fock_tolerance"], tol["float_floor"])
         rows.append(Row("transformed-residual", params, report["residual"], tol["gross_rtol"]))
-        rows.append(Row("fock-dgamma-conjugation", params, report["fock_dgamma_dev"], report["fock_tolerance"]))
-        rows.append(Row("fock-field-conjugation", params, report["fock_field_dev"], report["fock_tolerance"]))
+        rows.append(Row("fock-dgamma-conjugation", params, report["fock_dgamma_dev"], fock_bound))
+        rows.append(Row("fock-field-conjugation", params, report["fock_field_dev"], fock_bound))
         rows.append(Row("dressing-ratio", params, ratio, 1.0))
     return rows
 
@@ -648,6 +661,7 @@ def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
             "blas": blas.get("name"),
             "blas_version": blas.get("version"),
         },
+        "telemetry": getattr(rows, "telemetry", {}),
         "checks": [
             {
                 "name": row.check,

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import Grid, LatticeFunction, gaussian_profile_hat
 
@@ -150,6 +149,8 @@ def peetre_check(t: float, samples: np.ndarray) -> int:
 def _radial_quad(rad, edges, eps: float) -> float:
     """int_0^inf rad(r) dr: quad over consecutive ``edges``, then the tail
     beyond the last edge mapped to a finite interval through r -> 1/t."""
+    from scipy.integrate import quad
+
     out = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         val, _ = quad(rad, a, b, limit=400, epsabs=eps)
@@ -168,6 +169,8 @@ def integral_3d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
     the integrand is 4*pi*r^2 F(r, r).  The radial integral splits at R/2,
     R, 2R and any extra points (``_radial_quad``).
     """
+    from scipy.integrate import quad
+
     eps = tol * 1e-2
     if R == 0.0:
 
@@ -342,6 +345,8 @@ def diagonal_divergence_demo(lams=(4.0, 8.0, 16.0, 32.0, 64.0), g_const: float =
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or lams.size < 2 or np.any(lams <= 0.0):
         raise PreconditionError("the cutoff sweep needs at least two positive values")
+    from scipy.integrate import quad
+
     eps = tol * 1e-2
     prefactor = 0.5 * TWO_PI**-3 * 4.0 * np.pi
 

@@ -22,7 +22,7 @@ conjugation, so in the lattice basis and the real eigenmodes of h every
 family above, H0, A and H_lam are float64 arrays.  ``form_factor_rho`` is
 the one place where realness is checked; everything downstream inherits
 the dtype of its data, and only the Weyl operators of the conjugation
-check and the resolvents of the cutoff sweep are complex.
+check and the resolvent factors 1/(w + i) of the cutoff sweep are complex.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import fock
 from .grid import (
@@ -110,6 +109,11 @@ class ModelSpec:
             raise ModelSpecError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not np.isfinite(self.coupling):
             raise ModelSpecError(f"coupling must be finite, got {self.coupling}")
+        tiny = np.finfo(float).tiny
+        if 0.0 < abs(self.coupling) < tiny:
+            raise ModelSpecError(
+                f"coupling {self.coupling:.6g} is subnormal (below {tiny:.6g}) and has lost significant bits"
+            )
         if self.n_max < 0:
             raise ModelSpecError("n_max must be nonnegative")
         if self.n_modes is None:
@@ -420,6 +424,7 @@ def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
     """
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
+    from scipy.integrate import quad
 
     def integrand(r: float) -> float:
         h0 = g_const * r * r
@@ -611,19 +616,52 @@ def relative_bound_report(
     return {"worst_ratio": worst, "c_eps": c_eps, "eps": eps, "draws": draws}
 
 
-def _level_and_resolvent(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Ground level and (H + i)^{-1} of a real symmetric H from one real eigh.
+def _resolvent_distance(pair_a, pair_b, seed: int = 0) -> tuple[float, dict]:
+    """||(H_a + i)^{-1} - (H_b + i)^{-1}|| from the eigenpairs (w, V) of two real symmetric H.
 
-    With H = V diag(w) V^T, (H + i)^{-1} = V diag(w / (w^2 + 1)) V^T
-    - i V diag(1 / (w^2 + 1)) V^T: two real products fill the real and the
-    imaginary part.
+    With H = V diag(w) V^T and F = diag(1/(w + i)), the difference is
+    V_a (F_a - U F_b U^T) V_a^T with U = V_a^T V_b, so its norm is the
+    largest singular value of M = F_a - U F_b U^T.  ARPACK finds the top
+    eigenvalue theta of the Hermitian Gram operator M* M to machine
+    precision; no resolvent is formed.  Each Gram application is four
+    products of the real U with a complex vector viewed as a real (n, 2)
+    array, which keeps U real.  The start vector is drawn from a generator
+    seeded with ``seed``: a constant one can be orthogonal to the top
+    singular vector.  Identical eigenpairs give exactly 0.
+
+    Returns sqrt(theta) and the solver's record: the Gram applications
+    ARPACK made and the residual ||G u - theta u|| / theta of its vector.
     """
-    w, v = np.linalg.eigh(mat)
-    denom = w * w + 1.0
-    res = np.empty(mat.shape, dtype=complex)
-    res.real = (v * (w / denom)) @ v.T
-    res.imag = (v * (-1.0 / denom)) @ v.T
-    return float(w[0]), res
+    (w_a, v_a), (w_b, v_b) = pair_a, pair_b
+    if np.array_equal(w_a, w_b) and np.array_equal(v_a, v_b):
+        return 0.0, {"gram_applications": 0, "residual": 0.0}
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n = len(w_a)
+    u = v_a.T @ v_b
+    f_a, f_b = 1.0 / (w_a + 1j), 1.0 / (w_b + 1j)
+
+    def rotate(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return (mat @ x.view(float).reshape(n, 2)).view(complex).ravel()
+
+    applications = 0
+
+    def gram(x: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        x = np.ascontiguousarray(x, dtype=complex).reshape(n)
+        y = f_a * x - rotate(u, f_b * rotate(u.T, x))
+        return f_a.conj() * y - rotate(u, f_b.conj() * rotate(u.T, y))
+
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    op = LinearOperator((n, n), matvec=gram, dtype=complex)
+    theta, vecs = eigsh(op, k=1, which="LA", tol=0, v0=start)
+    record = {"gram_applications": applications}
+    theta, vec = float(theta[0]), vecs[:, 0]
+    residual = np.linalg.norm(gram(vec) - theta * vec) / np.linalg.norm(vec)
+    record["residual"] = float(residual / max(theta, np.finfo(float).tiny))
+    return float(np.sqrt(max(theta, 0.0))), record
 
 
 def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
@@ -632,9 +670,11 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     For each lam the level row records the ground-state energies of H_lam
     and H_lam + E_lam(X); for each consecutive pair the distance row records
     D = ||(H + E + i)^{-1} - (H' + E' + i)^{-1}|| (largest singular value)
-    next to the unsubtracted comparison.  Both the level and the resolvent
-    of each Hamiltonian come from one real eigh, and only the resolvents of
-    the previous sweep point are kept.
+    next to the unsubtracted comparison.  Each Hamiltonian gets one real
+    eigh: its lowest eigenvalue is the level, and its eigenpairs feed
+    ``_resolvent_distance``.  Only the eigenpairs of the previous sweep
+    point are kept.  Each pair row carries the solver records of both
+    distances under ``solver``; ``dim`` is the tensor dimension.
     """
     lams = [float(v) for v in lams]
     if len(lams) < 2:
@@ -643,19 +683,28 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     previous = None
     for lam in lams:
         h_mat = assemble_cutoff_hamiltonian(model, lam).mat
-        gs_plain, r_plain = _level_and_resolvent(h_mat)
+        plain = np.linalg.eigh(h_mat)
         np.fill_diagonal(h_mat, h_mat.diagonal() + vacuum_energy_operator(model, lam))
-        gs_sub, r_sub = _level_and_resolvent(h_mat)
-        levels.append({"lam": lam, "gs_plain": gs_plain, "gs_subtracted": gs_sub})
+        sub = np.linalg.eigh(h_mat)
+        levels.append(
+            {
+                "lam": lam,
+                "gs_plain": float(plain.eigenvalues[0]),
+                "gs_subtracted": float(sub.eigenvalues[0]),
+            }
+        )
         if previous is not None:
             lam_prev, prev_plain, prev_sub = previous
+            d_sub, solver_sub = _resolvent_distance(prev_sub, sub)
+            d_plain, solver_plain = _resolvent_distance(prev_plain, plain)
             pairs.append(
                 {
                     "lam": lam_prev,
                     "lam_next": lam,
-                    "d_subtracted": opnorm(prev_sub - r_sub),
-                    "d_unsubtracted": opnorm(prev_plain - r_plain),
+                    "d_subtracted": d_sub,
+                    "d_unsubtracted": d_plain,
+                    "solver": {"subtracted": solver_sub, "unsubtracted": solver_plain},
                 }
             )
-        previous = (lam, r_plain, r_sub)
-    return {"levels": levels, "pairs": pairs}
+        previous = (lam, plain, sub)
+    return {"dim": model.dim, "levels": levels, "pairs": pairs}

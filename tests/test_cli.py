@@ -160,6 +160,7 @@ def test_paired_sweep_lengths_checked():
         ("sweep", "rearr_npts", "100", "appendix-inequalities"),
         ("model", "coupling", "0", "gross-transform"),
         ("model", "coupling", "-0.0", "domain-regularity"),
+        ("model", "coupling", "1e-320", "gross-transform"),
     ],
 )
 def test_library_refusals_exit_three_before_assembly(
@@ -375,6 +376,39 @@ def test_summary_records_config_hash_and_seed(tmp_path):
     assert sum_a["versions"]["blas_version"] == blas["version"]
     for check in sum_a["checks"]:
         assert set(check) == {"name", "parameters", "measured", "bound", "status"}
+
+
+def test_renorm_summary_records_solver_telemetry(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[sweep]\nlams = 1.0, 2.0\n")
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "renorm-convergence", "--config", str(cfg), "--out", str(out)) == 0
+    telemetry = json.loads((out / "summary.json").read_text())["telemetry"]
+    assert telemetry["tensor_dim"] == 8 * 45
+    (distance,) = telemetry["resolvent_distances"]
+    assert (distance["lam"], distance["lam_next"]) == (1.0, 2.0)
+    for side in ("subtracted", "unsubtracted"):
+        assert distance[side]["gram_applications"] > 0
+        assert 0.0 <= distance[side]["residual"] < 1e-10
+    assert "gram" not in (out / "results.csv").read_text()
+
+
+def test_fock_conjugation_rows_pass_at_tiny_coupling(tmp_path):
+    # the Weyl truncation tolerance underflows to 0 here; the rows keep the roundoff floor
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[model]\ncoupling = 1e-200\n")
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "gross-transform", "--config", str(cfg), "--out", str(out)) == 0
+    fock_rows = [r for r in read_rows(out) if r[1]["check"].startswith("fock-")]
+    assert len(fock_rows) == 6
+    for _, _, lhs, rhs, status in fock_rows:
+        assert status == "PASS" and rhs == 1e-12 and lhs < 1e-20
+
+
+def test_cli_import_leaves_quadrature_and_sparse_solvers_unloaded():
+    code = "import sys, nelsonlab.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_weyl_rows_pass_and_shrink(tmp_path):

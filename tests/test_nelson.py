@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nelsonlab import nelson
+from nelsonlab import nelson, operators
 from nelsonlab.fock import annihilate, field, second_quantize
 from nelsonlab.grid import (
     Grid,
@@ -503,6 +503,48 @@ def test_renorm_lower_bound_stable(renorm_table):
     for a, b in [(1.0, 2.0), (2.0, 4.0)]:
         drop = (sub[a] - sub[b]) / abs(sub[a])
         assert drop <= 0.05
+
+
+def test_renorm_distances_match_dense_svd_at_n_max_3(bench8_n3):
+    # dense oracle at dim 1320: inv(H + i) and the full SVD of the difference
+    report = renorm_convergence_experiment(bench8_n3, [1.0, 4.0])
+    eye = np.eye(bench8_n3.dim)
+    resolvents = {}
+    for lam in (1.0, 4.0):
+        h = assemble_cutoff_hamiltonian(bench8_n3, lam).mat
+        sub = h + np.diag(vacuum_energy_operator(bench8_n3, lam))
+        resolvents[lam] = (np.linalg.inv(h + 1j * eye), np.linalg.inv(sub + 1j * eye))
+    (plain_a, sub_a), (plain_b, sub_b) = resolvents[1.0], resolvents[4.0]
+    (row,) = report["pairs"]
+    assert abs(row["d_unsubtracted"] - opnorm(plain_a - plain_b)) <= 1e-12
+    assert abs(row["d_subtracted"] - opnorm(sub_a - sub_b)) <= 1e-12
+    assert report["dim"] == 1320
+
+
+def test_resolvent_distance_independent_of_start_vector(bench8):
+    pairs = [np.linalg.eigh(assemble_cutoff_hamiltonian(bench8, lam).mat) for lam in (1.0, 2.0)]
+    runs = [nelson._resolvent_distance(*pairs, seed=seed) for seed in (0, 1, 2)]
+    values = [value for value, _ in runs]
+    assert max(values) - min(values) <= 1e-13 * values[0]
+    for _, record in runs:
+        assert record["gram_applications"] > 0
+        assert record["residual"] < 1e-10
+    assert nelson._resolvent_distance(pairs[0], pairs[0]) == (
+        0.0,
+        {"gram_applications": 0, "residual": 0.0},
+    )
+
+
+def test_renorm_sweep_takes_no_dense_svd(bench8, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense SVD in the resolvent distances")
+
+    monkeypatch.setattr(operators, "opnorm", forbidden)
+    monkeypatch.setattr(nelson, "opnorm", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    report = renorm_convergence_experiment(bench8, [1.0, 2.0])
+    (row,) = report["pairs"]
+    assert abs(row["d_subtracted"] - RENORM_D_SUB[(1.0, 2.0)]) < 1e-6
 
 
 def test_relative_bound_on_random_states(bench8):
