@@ -221,6 +221,17 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
         raise ConfigError(
             f"fields [sweep] sizes and domain_lams must pair up, got {len(sweep['sizes'])} vs {len(sweep['domain_lams'])}"
         )
+    # each sweep is long enough for the rows its experiment derives from it
+    if experiment == "renorm-convergence" and len(sweep["lams"]) < 2:
+        raise GuardError(f"[sweep] lams: {experiment} compares consecutive cutoffs and needs at least two, got {len(sweep['lams'])}")
+    if experiment == "domain-regularity":
+        if len(sweep["sizes"]) < 2:
+            raise GuardError(f"[sweep] sizes: {experiment} reports growth between grid sizes and needs at least two, got {len(sweep['sizes'])}")
+        if len(set(sweep["powers"])) != len(sweep["powers"]):
+            raise GuardError(f"[sweep] powers: {experiment} compares powers pairwise, so they must be distinct, got {sweep['powers']}")
+    quad_lams = sweep["quad_lams"]
+    if experiment == "vacuum-energy" and (len(quad_lams) < 2 or not all(lam > 0.0 for lam in quad_lams)):
+        raise GuardError(f"[sweep] quad_lams: {experiment} fits at least two positive cutoffs, got {quad_lams}")
     for key in ("psido_npts", "parametrix_npts"):
         with _refusal(f"[sweep] {key}"):
             check_dense_size("symbol table", Grid(1, sweep[key], model["box"]).size)
@@ -540,7 +551,7 @@ def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
 
         def estimate(omega: float):
             return inequalities.integral_estimate_check(
-                0.0, 0.0, 4.0, 1.0, 3, 0.0, omega, xi, eps, tol=quad_tol
+                0.0, 0.0, 4.0, 1.0, 0.0, omega, xi, eps, tol=quad_tol
             )
 
         values = _ordered_map(estimate, sweep["omegas"], threads)
@@ -563,7 +574,7 @@ def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
             )
 
     def cutoff_estimate(lam: float):
-        return inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, 3, lam, 1.0, 1.0, eps, tol=quad_tol)
+        return inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, lam, 1.0, 1.0, eps, tol=quad_tol)
 
     cut_lams = [1.0, 4.0, 16.0, 64.0]
     cut_values = _ordered_map(cutoff_estimate, cut_lams, threads)

@@ -15,8 +15,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grid import Grid, LatticeFunction
-from .operators import OperatorMatrix, hermitian_func, identity, psd_power
+from .grid import Grid
+from .operators import OperatorMatrix, hermitian_func, psd_power
 
 
 def fock_dim(n_modes: int, n_max: int) -> int:
@@ -95,9 +95,6 @@ class FockBasis:
         within = np.where((totals >= low) & (totals <= high))[0]
         return np.concatenate([xi * self.dim + within for xi in range(copies)])
 
-    def safe_cap(self, margin: int = 2) -> int:
-        return self.n_max - margin
-
     @cached_property
     def ladder(self) -> tuple[SectorLadder, ...]:
         """Creation ladder tables; entry n-1 couples sector n-1 to sector n."""
@@ -147,12 +144,6 @@ def fock_basis(n_modes: int, n_max: int) -> FockBasis:
     return FockBasis(n_modes, n_max, occ, tuple(bounds), index)
 
 
-def vacuum(basis: FockBasis) -> np.ndarray:
-    v = np.zeros(basis.dim, dtype=complex)
-    v[0] = 1.0
-    return v
-
-
 def annihilate(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
     """a(f) for mode coefficients ``f``; antilinear in f."""
     f = np.asarray(f, dtype=complex)
@@ -162,11 +153,6 @@ def annihilate(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     mat[cols, rows] = np.conj(f)[modes] * factors
     return OperatorMatrix(mat, basis.space, False)
-
-
-def create(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
-    """a*(f), the exact adjoint of a(f) on the truncation."""
-    return annihilate(basis, f).adjoint()
 
 
 def second_quantize(basis: FockBasis, h: np.ndarray) -> OperatorMatrix:
@@ -253,51 +239,18 @@ class ModeMap:
     grid: Grid
     vectors: np.ndarray  # (grid.size, n_modes)
 
-    @property
-    def n_modes(self) -> int:
-        return self.vectors.shape[1]
-
     def project(self, u) -> tuple[np.ndarray, float]:
         """Mode coefficients of ``u`` and the norm of what the modes miss.
 
         The residual is always reported, never silently dropped.
         """
-        vals = u.values if isinstance(u, LatticeFunction) else np.asarray(u)
+        vals = np.asarray(u)
         coeffs = self.vectors.conj().T @ vals * self.grid.weight
         recon = self.vectors @ coeffs
         residual = float(
             np.sqrt(np.vdot(vals - recon, vals - recon).real * self.grid.weight)
         )
         return coeffs, residual
-
-    def embed(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.vectors @ np.asarray(coeffs, dtype=complex)
-
-    def reduce(self, one_particle_mat: np.ndarray) -> np.ndarray:
-        """Compression of a lattice one-particle operator onto the modes."""
-        return self.vectors.conj().T @ one_particle_mat @ self.vectors * self.grid.weight
-
-
-def fourier_modes(grid: Grid, n_modes: int) -> ModeMap:
-    """Plane-wave modes ordered by |xi|^2, then lexicographically."""
-    if n_modes > grid.size:
-        raise ValueError("more modes than lattice points")
-    mesh = grid.momentum_mesh()
-    sq = grid.momentum_sq()
-    order = np.lexsort(tuple(mesh[:, d] for d in reversed(range(grid.dim))) + (sq,))
-    chosen = order[:n_modes]
-    pos = grid.position_mesh()
-    vecs = np.exp(1j * pos @ mesh[chosen].T) / np.sqrt(grid.box**grid.dim)
-    return ModeMap(grid, vecs)
-
-
-def spectral_modes(grid: Grid, one_particle_mat: np.ndarray, n_modes: int):
-    """Lowest eigenmodes of a hermitian lattice operator, weight-orthonormal."""
-    if n_modes > grid.size:
-        raise ValueError("more modes than lattice points")
-    w, v = np.linalg.eigh(np.asarray(one_particle_mat))
-    vecs = v[:, :n_modes] / np.sqrt(grid.weight)
-    return ModeMap(grid, vecs), w[:n_modes]
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +261,14 @@ def gross_check_static(
     basis: FockBasis,
     omega: np.ndarray,
     rho: np.ndarray,
-    margin: int = 10,
-    sector_cap: int | None = None,
+    sector_cap: int,
 ) -> float:
     """Residual of the exact dressing identity for a static source.
 
     Conjugating dGamma(omega) + Phi(omega^{-1/2} rho) by the Weyl operator of
     f = -omega^{-3/2} rho removes the field term and shifts the energy by
-    -||omega^{-1} rho||^2 / 2.  Returns the residual norm on sectors at least
-    ``margin`` below the cap; pass ``sector_cap`` for a window that stays
-    comparable across different caps.
+    -||omega^{-1} rho||^2 / 2.  Returns the residual norm on the sectors up to
+    ``sector_cap``, a window that stays comparable across different caps.
     """
     omega = np.asarray(omega, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
@@ -326,8 +277,7 @@ def gross_check_static(
     v = weyl(basis, f)
     shift = 0.5 * float(np.vdot(psd_power(omega, -1.0) @ rho, psd_power(omega, -1.0) @ rho).real)
     target = second_quantize(basis, omega).shifted(-shift)
-    cap = basis.n_max - margin if sector_cap is None else sector_cap
-    p = sector_projector(basis, cap)
+    p = sector_projector(basis, sector_cap)
     resid = p @ (v @ ham @ v.adjoint() - target) @ p
     return resid.norm()
 

@@ -94,14 +94,6 @@ class Grid:
                 f"reaches saturation on the lattice (npts={self.npts}, box={self.box:g})"
             )
 
-    def snap_index(self, point) -> tuple[int, ...]:
-        """Nearest lattice multi-index to ``point`` (periodic, ties down)."""
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
-        if pt.shape != (self.dim,):
-            raise ValueError(f"point must have {self.dim} coordinates")
-        idx = np.ceil(pt / self.spacing - 0.5).astype(int) % self.npts
-        return tuple(int(i) for i in idx)
-
 
 @dataclass(frozen=True)
 class LatticeFunction:
@@ -115,12 +107,6 @@ class LatticeFunction:
             raise ValueError(
                 f"values must be flat of length {self.grid.size}, got {self.values.shape}"
             )
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.values, self.values).real * self.grid.weight))
-
-    def inner(self, other: "LatticeFunction") -> complex:
-        return complex(np.vdot(self.values, other.values) * self.grid.weight)
 
     def is_real(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.values.imag)) <= tol)
@@ -147,10 +133,6 @@ def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> complex:
 
 def norm(grid: Grid, u: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(u, u).real * grid.weight))
-
-
-def momentum_inner(grid: Grid, uhat: np.ndarray, vhat: np.ndarray) -> complex:
-    return complex(np.vdot(uhat, vhat) * grid.dual_weight)
 
 
 def sobolev_norm(grid: Grid, values: np.ndarray, s: float) -> float:
@@ -200,39 +182,6 @@ def bump_hat(grid: Grid, lam: float, x0, sigma: float) -> np.ndarray:
     r = np.sqrt(np.einsum("kd,kd->k", mesh, mesh))
     phase = np.exp(-1j * mesh @ np.asarray(x0, dtype=float).T).T
     return gaussian_profile_hat(r / lam) * cosine_ramp(r, sigma) * phase
-
-
-def cutoff_function(grid: Grid, lam: float, center=None) -> LatticeFunction:
-    """Smeared unit-mass bump at scale ``lam`` centered at a lattice point.
-
-    Built on the Fourier side as gaussian_profile_hat(|xi|/lam) *
-    exp(-i xi . X), which periodizes the continuum bump exactly and pins the
-    discrete mass to 1.
-    Raises ResolutionError when lam is not positive or exceeds the Nyquist
-    guard npts / (4 * box), a stricter promise than ``Grid.check_cutoff``:
-    below it the bump is resolved and positive.
-    """
-    guard = 0.25 * grid.npts / grid.box
-    if lam > guard * (1.0 + 1e-12):
-        raise ResolutionError(
-            f"cutoff scale lam={lam} exceeds the Nyquist guard {guard:.6g} "
-            f"(npts={grid.npts}, box={grid.box:.6g})"
-        )
-    if center is None:
-        center = (0.0,) * grid.dim
-    x0 = np.asarray(grid.snap_index(center), dtype=float) * grid.spacing
-    return LatticeFunction(grid, idft(grid, bump_hat(grid, lam, x0, 0.0)))
-
-
-def delta_function(grid: Grid, center=None) -> LatticeFunction:
-    """Unit-mass lattice delta (all Fourier modes weighted equally)."""
-    if center is None:
-        center = (0.0,) * grid.dim
-    idx = grid.snap_index(center)
-    vals = np.zeros(grid.size, dtype=complex)
-    flat = int(np.ravel_multi_index(idx, grid.shape))
-    vals[flat] = 1.0 / grid.weight
-    return LatticeFunction(grid, vals)
 
 
 def cosine_ramp(r: np.ndarray, sigma: float) -> np.ndarray:

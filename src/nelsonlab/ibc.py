@@ -26,7 +26,6 @@ import numpy as np
 from .nelson import (
     AssembledModel,
     ModelSpec,
-    SpectralError,
     check_tensor_size,
     form_factor,
     vacuum_energy_operator,
@@ -42,13 +41,6 @@ def free_shift(model: AssembledModel) -> float:
     H0 is not.
     """
     return max(0.0, 0.5 * model.spec.mass_floor - float(model.k_evals[0]))
-
-
-def sector_norm_exponent(norms) -> float:
-    """Exponent p of the fit ||G||_{n-1 -> n} ~ C n^{-p}."""
-    norms = np.asarray(norms, dtype=float)
-    ns = np.arange(1, len(norms) + 1, dtype=float)
-    return -float(np.polyfit(np.log(ns), np.log(norms), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +124,11 @@ class IbcOperators:
     neumann_tail: float
 
 
-def build_ibc(
-    model: AssembledModel, lam: float, shift: float | None = None
-) -> IbcOperators:
+def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
     """Assemble G, the Neumann inverse, and the IBC Hamiltonian.
 
-    G = -(H0 + s)^{-1} a*(v_{lam,X}) maps sector n-1 into sector n, and
+    G = -(H0 + s)^{-1} a*(v_{lam,X}) maps sector n-1 into sector n, with
+    s = ``free_shift(model)``, so H0 + s >= mass_floor / 2 > 0, and
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
     exactly at finite truncation; T = a(v)G is formed only inside the sum.
 
@@ -150,14 +141,7 @@ def build_ibc(
     is a product of sector blocks.
     """
     check_tensor_size(model.spec)
-    bottom = float(model.k_evals[0])
-    recorded = free_shift(model)
-    s = recorded if shift is None else float(shift)
-    if bottom + s <= 1e-12:
-        raise SpectralError(
-            f"H0 + {s:g} is singular (bottom {bottom + s:.3e}); "
-            f"use the recorded shift {recorded:.6g}"
-        )
+    s = free_shift(model)
     size, basis, q = model.grid.size, model.basis, model.k_evecs
     occ_energy, dims = model.occupation_energies, np.diff(basis.sector_bounds)
     coeffs = form_factor(model, lam)
@@ -240,8 +224,8 @@ def factorization_identity_check(
 
 def check_gram_size(spec: ModelSpec) -> None:
     """Refuse a model whose widest sector-step Gram matrix, of side
-    size * dim(sector n_max - 1) = size * C(n_modes + n_max - 2, n_max - 1), passes the guard."""
-    sector = comb(spec.n_modes + spec.n_max - 2, spec.n_max - 1) if spec.n_max else 0
+    size * dim(sector n_max - 1) = size * C(size + n_max - 2, n_max - 1), passes the guard."""
+    sector = comb(spec.grid.size + spec.n_max - 2, spec.n_max - 1) if spec.n_max else 0
     check_dense_size("sector Gram matrix", spec.grid.size, sector)
 
 

@@ -8,11 +8,10 @@ recoverable from the radii, and rearranging acts by permuting the pairs
 from cumulative volume.  A nonnegative function on a one-dimensional
 periodic lattice enters by ordering its cells by distance to the origin.
 
-The integral estimates target kernels F(|xi|, |Xi - xi|) on R^3 (and their
-one-dimensional analogs): the d = 3 integrals reduce to an (r, s) double
-quadrature with measure 2*pi*r*s/|Xi| on the inner variable, split at the
-singular radii and at the cutoff scale, with power-law tails mapped to a
-finite interval.  Reported values are deterministic for a fixed tolerance.
+The integral estimates target kernels F(|xi|, |Xi - xi|) on R^3: the
+integrals reduce to an (r, s) double quadrature with measure 2*pi*r*s/|Xi|
+on the inner variable, split at the singular radii and at the cutoff scale,
+with power-law tails mapped to a finite interval.  Reported values are deterministic for a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, LatticeFunction, gaussian_profile_hat
+from .grid import LatticeFunction, gaussian_profile_hat
 
 TWO_PI = 2.0 * np.pi
 
@@ -198,19 +197,6 @@ def integral_3d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
     return _radial_quad(rad, edges, eps)
 
 
-def integral_1d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
-    """int_R F(|xi|, |Xi - xi|) dxi with |Xi| = R, folded onto r >= 0."""
-    eps = tol * 1e-2
-
-    def rad(r):
-        return F(r, abs(R - r)) + F(r, R + r)
-
-    edges = sorted({0.0, *(p for p in (R / 2.0, R, 2.0 * R) if p > 0), *[p for p in split_extra if p > 0]})
-    if len(edges) == 1:
-        edges.append(16.0)
-    return _radial_quad(rad, edges, eps)
-
-
 def _high_pass(lam: float):
     """1 - profile_hat(r / lam), the mass removed below the cutoff."""
     if lam <= 0.0:
@@ -223,32 +209,29 @@ def integral_estimate_check(
     sigma: float,
     alpha: float,
     gamma: float,
-    d: int,
     lam: float,
     omega: float,
     xi: float,
     eps: float,
     tol: float = 1e-6,
 ) -> tuple[float, float]:
-    """Weighted integral against its homogeneous bound in omega.
+    """Weighted integral on R^3 against its homogeneous bound in omega.
 
     Evaluates I = int |xi'|^-nu |Xi - xi'|^-sigma zeta_lam(xi') /
     (|xi'|^gamma + |Xi - xi'|^gamma + omega)^alpha dxi' at |Xi| = xi and
-    returns (I, C * omega^p * lam^-eps) with p = -alpha + (d - nu -
+    returns (I, C * omega^p * lam^-eps) with p = -alpha + (3 - nu -
     sigma)/gamma + eps and C fitted over {omega, 4 omega} so the bound
     dominates both evaluations.  At lam = 0 the quadrupled-omega value
     must match the predicted power within 15 percent.
     """
-    if not nu + sigma < d < nu + sigma + alpha * gamma:
+    if not nu + sigma < 3 < nu + sigma + alpha * gamma:
         raise PreconditionError(
-            f"dimension {d} outside the window ({nu + sigma}, {nu + sigma + alpha * gamma})"
+            f"dimension 3 outside the window ({nu + sigma}, {nu + sigma + alpha * gamma})"
         )
     if omega <= 0.0:
         raise PreconditionError(f"omega must be positive, got {omega}")
-    if d not in (1, 3):
-        raise PreconditionError(f"quadrature covers d in (1, 3), got {d}")
     zeta = _high_pass(lam)
-    power = -alpha + (d - nu - sigma) / gamma + eps
+    power = -alpha + (3 - nu - sigma) / gamma + eps
     lam_factor = lam ** (-eps) if lam > 0.0 else 1.0
 
     def kernel(om):
@@ -262,10 +245,9 @@ def integral_estimate_check(
 
         return F
 
-    integrate = integral_3d if d == 3 else integral_1d
     splits = (lam,) if lam > 0.0 else ()
-    value = integrate(kernel(omega), xi, split_extra=splits, tol=tol)
-    scaled = integrate(kernel(4.0 * omega), xi, split_extra=splits, tol=tol)
+    value = integral_3d(kernel(omega), xi, split_extra=splits, tol=tol)
+    scaled = integral_3d(kernel(4.0 * omega), xi, split_extra=splits, tol=tol)
     predicted = 4.0**power
     if lam == 0.0 and abs(scaled / value / predicted - 1.0) > 0.15:
         raise ScalingError(

@@ -28,6 +28,7 @@ check and the resolvent factors 1/(w + i) of the cutoff sweep are complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class ModelSpec:
     ``g`` is the scalar coefficient of the divergence-form kinetic term per
     lattice point (isotropic; tensor assemblies are pinned to d = 1), ``mu``
     the boson mass function with a strictly positive floor, ``w`` the bounded
-    particle potential.  ``n_modes`` counts the boson modes kept (default:
-    all of them); ``n_max`` caps the total boson number.
+    particle potential.  Every lattice mode is a boson mode, so the mode
+    count is ``grid.size``; ``n_max`` caps the total boson number.
     """
 
     grid: Grid
@@ -86,7 +87,6 @@ class ModelSpec:
     coupling: float = 1.0
     sigma: float = 0.0
     n_max: int = 2
-    n_modes: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", _as_lattice_array(self.grid, self.g, "g"))
@@ -116,20 +116,10 @@ class ModelSpec:
             )
         if self.n_max < 0:
             raise ModelSpecError("n_max must be nonnegative")
-        if self.n_modes is None:
-            object.__setattr__(self, "n_modes", self.grid.size)
-        if not 1 <= self.n_modes <= self.grid.size:
-            raise ModelSpecError(
-                f"n_modes must lie in [1, {self.grid.size}], got {self.n_modes}"
-            )
 
     @property
     def mass_floor(self) -> float:
         return float(np.min(self.mu))
-
-    @property
-    def ellipticity_bounds(self) -> tuple[float, float]:
-        return float(np.min(self.g)), float(np.max(self.g))
 
 
 def sinusoidal_spec(
@@ -141,7 +131,6 @@ def sinusoidal_spec(
     coupling: float = 1.0,
     sigma: float = 0.0,
     n_max: int = 2,
-    n_modes: int | None = None,
 ) -> ModelSpec:
     """Bench family g = 1 + a sin(x), W = b cos(x), mu = const."""
     grid = Grid(1, npts, box)
@@ -154,13 +143,12 @@ def sinusoidal_spec(
         coupling=coupling,
         sigma=sigma,
         n_max=n_max,
-        n_modes=n_modes,
     )
 
 
 def check_tensor_size(spec: ModelSpec) -> None:
     """Refuse a model whose dense H0 (lattice x Fock space) exceeds the guard."""
-    check_dense_size("H0", spec.grid.size, fock.fock_dim(spec.n_modes, spec.n_max))
+    check_dense_size("H0", spec.grid.size, fock.fock_dim(spec.grid.size, spec.n_max))
 
 
 def divergence_form(grid: Grid, g: np.ndarray) -> np.ndarray:
@@ -217,18 +205,14 @@ class AssembledModel:
         g = self.grid
         return f"tensor({g.dim},{g.npts},{g.box:g};{self.basis.space})"
 
-    @property
+    @cached_property
     def h0(self) -> OperatorMatrix:
         """K x 1 + 1 x dGamma as a dense matrix (lazy, size-guarded)."""
-        cached = getattr(self, "_h0", None)
-        if cached is None:
-            check_tensor_size(self.spec)
-            mat = np.kron(self.k, np.eye(self.fock_dim)) + np.diag(
-                np.tile(self.occupation_energies, self.grid.size)
-            )
-            cached = OperatorMatrix(mat, self.space, True)
-            object.__setattr__(self, "_h0", cached)
-        return cached
+        check_tensor_size(self.spec)
+        mat = np.kron(self.k, np.eye(self.fock_dim)) + np.diag(
+            np.tile(self.occupation_energies, self.grid.size)
+        )
+        return OperatorMatrix(mat, self.space, True)
 
     def block(self, x_index: int) -> slice:
         """Rows of the Fock block attached to particle point ``x_index``."""
@@ -242,8 +226,8 @@ class AssembledModel:
     def project(self, u) -> np.ndarray:
         """Mode coefficients of a lattice vector, or one row of them per row of a stack.
 
-        The dropped complement is the mode truncation of the model itself,
-        not an error; use ``modes.project`` directly to see the residual.
+        The modes span the lattice, so the residual of ``modes.project`` is
+        roundoff and is not returned.
         """
         coeffs, _ = self.modes.project(np.asarray(u).T)
         return coeffs.T
@@ -252,10 +236,9 @@ class AssembledModel:
 def assemble_free(spec: ModelSpec) -> AssembledModel:
     """Build K and its spectrum, h, omega, the spectral modes, and dGamma.
 
-    Boson modes are the lowest ``n_modes`` eigenvectors of h, orthonormal in
-    the weighted inner product, so dGamma acts diagonally with frequencies
-    sqrt(eigenvalues of h); its diagonal, the occupation energies, is summed
-    in mode order.
+    Boson modes are the eigenvectors of h, orthonormal in the weighted inner
+    product, so dGamma acts diagonally with frequencies sqrt(eigenvalues of
+    h); its diagonal, the occupation energies, is summed in mode order.
     """
     grid = spec.grid
     check_dense_size("one-particle matrix", grid.size)
@@ -274,9 +257,9 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
     if dev > 1e-10 * max(1.0, float(h_evals[-1])):
         raise SpectralError(f"omega^2 deviates from h by {dev:.3e}")
 
-    modes = fock.ModeMap(grid, h_evecs[:, : spec.n_modes] / np.sqrt(grid.weight))
-    mode_freqs = np.sqrt(h_evals[: spec.n_modes])
-    basis = fock.fock_basis(spec.n_modes, spec.n_max)
+    modes = fock.ModeMap(grid, h_evecs / np.sqrt(grid.weight))
+    mode_freqs = np.sqrt(h_evals)
+    basis = fock.fock_basis(grid.size, spec.n_max)
     occupation_energies = np.zeros(basis.dim)
     for j, freq in enumerate(mode_freqs):
         occupation_energies += freq * basis.occupations[:, j]
@@ -402,19 +385,6 @@ def vacuum_energy(model: AssembledModel, lam: float) -> np.ndarray:
     return -0.5 * np.sum(f.conj() * b, axis=1).real * model.grid.weight
 
 
-def perturbation_energy_sum(model: AssembledModel, lam: float) -> np.ndarray:
-    """E_lam(X) as an explicit sum over one-boson excitations, one per X.
-
-    Diagonalizes K + omega and accumulates |amplitude|^2 / denominator, the
-    textbook second-order expression; agrees with ``vacuum_energy`` to
-    round-off and exists purely as an independent cross-check.
-    """
-    ko = _k_plus_omega(model)
-    evals, evecs = np.linalg.eigh(ko)
-    amps = _omega_rho(model, lam) @ evecs.conj() * model.grid.weight
-    return 0.5 * np.sum(np.abs(amps) ** 2 / evals, axis=1) / model.grid.weight
-
-
 def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
     """Leading symbol form of E_lam for constant coefficients and unit mass.
 
@@ -449,21 +419,16 @@ def gross_B(model: AssembledModel, lam: float) -> np.ndarray:
     return _dressing(model, lam)[1]
 
 
-def gross_bound_ratio(
-    model: AssembledModel,
-    lam: float,
-    alpha: float = 0.5,
-    s: float = -2.0,
-) -> float:
-    """||omega^alpha B_X|| / ||rho^sigma_X||_{H^s} at X = 0; stability in lam is the point.
+def gross_bound_ratio(model: AssembledModel, lam: float) -> float:
+    """||omega^{1/2} B_X|| / ||rho^sigma_X||_{H^-2} at X = 0; stability in lam is the point.
 
     The ratio ignores the coupling's scale and sign, so both rows are scaled by
     one exact power of two that keeps their squares from underflowing.
     """
     rho = form_factor_rho(model, lam)[0]
     scale = 2.0 ** -max(int(np.frexp(np.max(np.abs(rho)))[1]), -1021)
-    num = lattice_norm(model.grid, model.omega_power(alpha) @ gross_B(model, lam)[0] * scale)
-    return num / sobolev_norm(model.grid, rho * scale, s)
+    num = lattice_norm(model.grid, model.omega_power(0.5) @ gross_B(model, lam)[0] * scale)
+    return num / sobolev_norm(model.grid, rho * scale, -2.0)
 
 
 def transformed_hamiltonian_check(
@@ -487,8 +452,6 @@ def transformed_hamiltonian_check(
     """
     spec = model.spec
     grid = model.grid
-    if spec.n_modes != grid.size:
-        raise ModelSpecError("the conjugation check needs the full mode set")
     h0 = model.h0.mat  # size-guarded; built before any other dense work
     size = grid.size
     basis = model.basis

@@ -85,12 +85,6 @@ class OperatorMatrix:
             return OperatorMatrix(self.mat - other.mat, self._check_space(other), herm)
         return NotImplemented
 
-    def __mul__(self, scalar):
-        herm = self.hermitian if (self.hermitian and np.isreal(scalar)) else None
-        return OperatorMatrix(self.mat * scalar, self.space, herm)
-
-    __rmul__ = __mul__
-
     def shifted(self, scalar) -> "OperatorMatrix":
         """Add scalar * identity, keeping hermiticity for real shifts."""
         herm = self.hermitian if np.isreal(scalar) else None
@@ -100,14 +94,6 @@ class OperatorMatrix:
 def opnorm(mat: np.ndarray) -> float:
     """Spectral norm of a dense matrix: its largest singular value."""
     return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def identity(dim: int, space: str = "") -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim, dtype=complex), space, True)
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return a @ b - b @ a
 
 
 def psd_power(mat: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:

@@ -4,11 +4,9 @@ A symbol is a complex tabulation a(x, xi) over the product of the position
 lattice and the momentum lattice.  Quantization at ordering parameter
 t in [0, 1] places the position argument at t*x + (1-t)*y.  Off-lattice
 midpoints are evaluated through the symbol's band-limited trigonometric
-interpolant in x (the default), which makes quantization a bijection on
-tabulated symbols and turns the composition, adjoint, and reordering rules
-into exact finite sums.  Nearest-point snapping of the midpoint is kept as
-an option; it agrees with the interpolant at t in {0, 1} but discards half
-the x-information at t = 1/2 and is not invertible there.
+interpolant in x, which makes quantization a bijection on tabulated symbols
+and turns the composition, adjoint, and reordering rules into exact finite
+sums.
 
 Conventions: momenta carry the signed FFT-order values of
 ``Grid.axis_momenta``; displacement frequencies (the duals of xi) use the
@@ -18,8 +16,7 @@ position samples, so the constant symbol 1 quantizes to the identity matrix.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,26 +62,17 @@ def xi_power_order(grid: Grid, m: float) -> OrderFunction:
     return OrderFunction(f"xi^{m:g}", grid.xi_bracket() ** m)
 
 
-def shifted_bracket_order(grid: Grid, shift: float = 0.0) -> OrderFunction:
-    """The family <xi>^2 + c, for a nonnegative frequency offset c."""
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    return OrderFunction(f"xi_sq+{shift:g}", grid.xi_bracket() ** 2 + shift)
-
-
 @dataclass(frozen=True, eq=False)
 class Symbol:
     """Tabulated phase-space symbol with an optional order function.
 
     ``values[j, k]`` is a(x_j, xi_k) with x flattened in C order and xi in
-    FFT order.  Derivative-based quantities (seminorms, Poisson brackets)
-    are computed by spectral differentiation and cached.
+    FFT order.  Poisson brackets are computed by spectral differentiation.
     """
 
     grid: Grid
     values: np.ndarray
     order: OrderFunction | None = None
-    seminorm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         n = self.grid.size
@@ -101,55 +89,9 @@ class Symbol:
             return np.ones((self.grid.size,) * 2)
         return self.order.table(self.grid.size)
 
-    def seminorm(self, alpha: tuple[int, ...]) -> float:
-        """sup |d^alpha a| / M; alpha runs over the 2*dim phase axes."""
-        alpha = tuple(int(p) for p in alpha)
-        if len(alpha) != 2 * self.grid.dim or min(alpha) < 0:
-            raise ValueError(f"alpha must be {2 * self.grid.dim} nonnegative orders")
-        if alpha not in self.seminorm_cache:
-            deriv = _phase_derivative(self.grid, self.values, alpha)
-            self.seminorm_cache[alpha] = float(
-                np.max(np.abs(deriv) / self.order_table())
-            )
-        return self.seminorm_cache[alpha]
-
-    def seminorms(self, up_to: int = 4) -> dict[tuple[int, ...], float]:
-        """All seminorms with |alpha| <= up_to (cached)."""
-        out = {}
-        for alpha in _multi_indices(2 * self.grid.dim, up_to):
-            out[alpha] = self.seminorm(alpha)
-        return out
-
 
 def constant_symbol(grid: Grid, value: complex = 1.0) -> Symbol:
     return Symbol(grid, np.full((grid.size,) * 2, value, dtype=complex))
-
-
-def xi_symbol(grid: Grid, values_xi: np.ndarray, order: OrderFunction | None = None) -> Symbol:
-    """x-independent symbol from momentum-mesh values."""
-    v = np.asarray(values_xi, dtype=complex)
-    if v.shape != (grid.size,):
-        raise ValueError("values_xi must be flat over the momentum mesh")
-    return Symbol(grid, np.broadcast_to(v[None, :], (grid.size,) * 2).copy(), order)
-
-
-def x_symbol(grid: Grid, values_x: np.ndarray) -> Symbol:
-    """xi-independent (multiplication) symbol from position-mesh values."""
-    v = np.asarray(values_x, dtype=complex)
-    if v.shape != (grid.size,):
-        raise ValueError("values_x must be flat over the position mesh")
-    return Symbol(grid, np.broadcast_to(v[:, None], (grid.size,) * 2).copy())
-
-
-def separable_symbol(
-    grid: Grid,
-    values_x: np.ndarray,
-    values_xi: np.ndarray,
-    order: OrderFunction | None = None,
-) -> Symbol:
-    vx = np.asarray(values_x, dtype=complex)
-    vk = np.asarray(values_xi, dtype=complex)
-    return Symbol(grid, np.outer(vx, vk), order)
 
 
 # -- internal index helpers ------------------------------------------------
@@ -166,6 +108,7 @@ def _target_index(grid: Grid) -> np.ndarray:
     comp = _axis_components(grid)
     diff = (comp[:, None, :] - comp[None, :, :]) % grid.npts
     return np.ravel_multi_index(np.moveaxis(diff, -1, 0), grid.shape)
+
 
 def _signed(grid: Grid, comp: np.ndarray) -> np.ndarray:
     """Signed (FFT-order) representative of index components."""
@@ -235,26 +178,16 @@ def _phase_derivative(grid: Grid, values: np.ndarray, alpha: Sequence[int]) -> n
     return arr.reshape(grid.size, grid.size)
 
 
-def _multi_indices(slots: int, total: int):
-    for t in range(total + 1):
-        for cuts in itertools.combinations_with_replacement(range(slots), t):
-            alpha = [0] * slots
-            for c in cuts:
-                alpha[c] += 1
-            yield tuple(alpha)
-
-
 # -- quantization ----------------------------------------------------------
 
 
-def quantize(a: Symbol, t: float, midpoint: str = "interp") -> OperatorMatrix:
+def quantize(a: Symbol, t: float) -> OperatorMatrix:
     """Matrix of Op_t(a) acting on flat position samples.
 
     The kernel is K(x, y) = dual_weight * sum_xi e^{i<x-y, xi>} a(m, xi) with
     m = t*x + (1-t)*y, and the returned matrix already carries the position
-    quadrature weight, so quantize(1) is the identity.  ``midpoint`` selects
-    how off-lattice m is evaluated: "interp" (band-limited interpolant,
-    exact calculus) or "snap" (nearest lattice point, ties toward -inf).
+    quadrature weight, so quantize(1) is the identity.  An off-lattice m is
+    evaluated through the band-limited interpolant of a in x.
 
     Column n of the kernel (displacement theta_n = x - y) is the t = 1
     column sum_xi a(x, xi) e^{i xi . theta_n} / S with x moved back by
@@ -262,27 +195,19 @@ def quantize(a: Symbol, t: float, midpoint: str = "interp") -> OperatorMatrix:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"ordering parameter t must lie in [0, 1], got {t}")
-    if midpoint not in ("interp", "snap"):
-        raise ValueError(f"unknown midpoint rule {midpoint!r}")
     grid = a.grid
     S = grid.size
     cols = a.values @ _column_table(grid) / S
     back = 1.0 - t
     if back != 0.0:
-        if midpoint == "interp":
-            cols = _translate_x(grid, cols, np.exp(-1j * back * _displacement_phase(grid)))
-        else:
-            comp = _axis_components(grid)
-            src = np.ceil(comp[:, None, :] - back * _signed(grid, comp)[None, :, :] - 0.5)
-            src = np.ravel_multi_index(np.moveaxis(src.astype(int) % grid.npts, -1, 0), grid.shape)
-            cols = cols[src, np.arange(S)[None, :]]
+        cols = _translate_x(grid, cols, np.exp(-1j * back * _displacement_phase(grid)))
     out = np.empty((S, S), dtype=complex)
     out[np.arange(S)[:, None], _target_index(grid)] = cols
     return OperatorMatrix(out, lattice_space(grid))
 
 
 def dequantize(grid: Grid, op, t: float) -> Symbol:
-    """Inverse of interp quantization: the symbol with quantize(a, t) = op.
+    """Inverse of quantization: the symbol with quantize(a, t) = op.
 
     The steps of ``quantize`` run backwards: gather the displacement columns,
     move x forward by (1-t) theta_n, and undo the column sum with
@@ -388,30 +313,13 @@ def poisson_residual(a: Symbol, b: Symbol, t: float = 1.0) -> float:
 # -- kernels and norm estimators --------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Unweighted kernel K(x, y); the operator sums K(x, y) u(y) * weight."""
+def schur_bound(op: OperatorMatrix) -> float:
+    """max of the absolute row and column sums of the matrix; dominates the norm.
 
-    grid: Grid
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=complex)
-        if e.shape != (self.grid.size,) * 2:
-            raise ValueError("entries must be square over the position lattice")
-        object.__setattr__(self, "entries", e)
-
-    def to_operator(self) -> OperatorMatrix:
-        return OperatorMatrix(self.entries * self.grid.weight, lattice_space(self.grid))
-
-
-def kernel_of(a: Symbol, t: float, midpoint: str = "interp") -> KernelMatrix:
-    return KernelMatrix(a.grid, quantize(a, t, midpoint).mat / a.grid.weight)
-
-
-def schur_bound(kernel: KernelMatrix) -> float:
-    """max of the two weighted absolute kernel sums; dominates the norm."""
-    absk = np.abs(kernel.entries) * kernel.grid.weight
+    The matrix of a kernel operator is K(x, y) * weight, so these are the
+    weighted absolute kernel sums of the Schur test.
+    """
+    absk = np.abs(op.mat)
     return float(max(absk.sum(axis=0).max(), absk.sum(axis=1).max()))
 
 

@@ -11,8 +11,7 @@ import pytest
 from nelsonlab import fock, ibc, inequalities, nelson, psido
 from nelsonlab.cli import main as cli_main
 from nelsonlab.grid import Grid, LatticeFunction
-from nelsonlab.operators import OperatorMatrix, commutator, identity
-from nelsonlab.psido import KernelMatrix
+from nelsonlab.operators import OperatorMatrix
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +48,15 @@ def test_fock_commutation_relations():
     # canonical commutators to 1e-12 on safe sectors, 20 random draws
     rng = np.random.default_rng(101)
     b = fock.fock_basis(3, 4)
-    p = fock.sector_projector(b, b.safe_cap())
-    eye = identity(b.dim, b.space)
+    p = fock.sector_projector(b, b.n_max - 2).mat
+    eye = np.eye(b.dim)
+
+    def comm(x, y):
+        return x.mat @ y.mat - y.mat @ x.mat
+
+    def create(f):
+        return fock.annihilate(b, f).adjoint()
+
     for _ in range(20):
         f = rand_vec(rng, 3)
         g = rand_vec(rng, 3)
@@ -58,16 +64,15 @@ def test_fock_commutation_relations():
         h = h + h.conj().T
         fg = np.vdot(f, g)
         residuals = (
-            commutator(fock.annihilate(b, f), fock.create(b, g)) - complex(fg) * eye,
-            commutator(fock.second_quantize(b, h), fock.create(b, f)) - fock.create(b, h @ f),
-            commutator(fock.second_quantize(b, h), fock.annihilate(b, f))
-            + fock.annihilate(b, h @ f),
-            commutator(fock.field(b, f), fock.field(b, g)) - complex(1j * fg.imag) * eye,
-            commutator(fock.momentum(b, f), fock.momentum(b, g)) - complex(1j * fg.imag) * eye,
-            commutator(fock.field(b, f), fock.momentum(b, g)) - complex(1j * fg.real) * eye,
+            comm(fock.annihilate(b, f), create(g)) - fg * eye,
+            comm(fock.second_quantize(b, h), create(f)) - create(h @ f).mat,
+            comm(fock.second_quantize(b, h), fock.annihilate(b, f)) + fock.annihilate(b, h @ f).mat,
+            comm(fock.field(b, f), fock.field(b, g)) - 1j * fg.imag * eye,
+            comm(fock.momentum(b, f), fock.momentum(b, g)) - 1j * fg.imag * eye,
+            comm(fock.field(b, f), fock.momentum(b, g)) - 1j * fg.real * eye,
         )
         for c in residuals:
-            assert (p @ c @ p).norm() <= 1e-12
+            assert np.linalg.norm(p @ c @ p, 2) <= 1e-12
 
 
 def test_weyl_conjugation_and_static_dressing():
@@ -219,7 +224,7 @@ def test_rearrangement_and_weight_inequalities():
     eps = 0.05
     vals = {}
     for om in (1.0, 2.0, 4.0, 8.0):
-        value, bound = inequalities.integral_estimate_check(0, 0, 4, 1, 3, 0.0, om, 1.0, eps)
+        value, bound = inequalities.integral_estimate_check(0, 0, 4, 1, 0.0, om, 1.0, eps)
         assert value <= bound + 1e-12
         vals[om] = value
     predicted = 2.0 ** (-4.0 + 3.0 + eps)
@@ -233,8 +238,8 @@ def test_norm_bound_estimators_dominate():
     rng = np.random.default_rng(31)
     for _ in range(100):
         entries = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        kern = KernelMatrix(grid, entries)
-        assert psido.schur_bound(kern) >= kern.to_operator().norm() - 1e-10
+        op = OperatorMatrix(entries * grid.weight)
+        assert psido.schur_bound(op) >= op.norm() - 1e-10
     for _ in range(100):
         blocks = [
             OperatorMatrix(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))

@@ -166,12 +166,34 @@ def test_paired_sweep_lengths_checked():
 def test_library_refusals_exit_three_before_assembly(
     tmp_path, capsys, monkeypatch, section, key, value, experiment
 ):
+    _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, f"[{section}]\n{key} = {value}\n", key, experiment)
+
+
+@pytest.mark.parametrize(
+    "text, key, experiment",
+    [
+        ("[model]\nnpts = 2\nn_max = 1\n[sweep]\nlams = 0.5\n", "lams", "renorm-convergence"),
+        ("[sweep]\nsizes = 8\ndomain_lams = 2.0\n", "sizes", "domain-regularity"),
+        ("[sweep]\nsizes = 8, 16\ndomain_lams = 2, 4\npowers = 0.5, 0.5\n", "powers", "domain-regularity"),
+        ("[sweep]\nquad_lams = 4.0\n", "quad_lams", "vacuum-energy"),
+    ],
+    ids=["single-cutoff", "single-size", "repeated-power", "single-quadrature-cutoff"],
+)
+def test_sweep_policies_exit_three_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment):
+    # without these policies each run dies part way with a traceback and exit 1
+    _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment)
+
+
+def _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment):
+    """The config ``text`` exits 3 naming ``key``, both under --validate and on a run,
+    without assembling a model or writing an output directory."""
+
     def refuse(spec):
         raise AssertionError("assembled a model past the guard")
 
     monkeypatch.setattr(nelson, "assemble_free", refuse)
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    cfg.write_text(text)
     base = ("--experiment", experiment, "--config", str(cfg))
     out = tmp_path / "run"
     for extra in (("--validate",), ("--out", str(out))):

@@ -6,28 +6,31 @@ from nelsonlab.fock import (
     ModeMap,
     ac_estimate_report,
     annihilate,
-    create,
     dgamma_power,
     field,
     fock_basis,
     fock_dim,
-    fourier_modes,
     gross_check_static,
     momentum,
     number_operator,
     second_quantize,
     sector_projector,
-    spectral_modes,
-    vacuum,
     weyl,
     weyl_truncation_tolerance,
 )
 from nelsonlab.grid import Grid
-from nelsonlab.operators import commutator, identity, psd_power
+from nelsonlab.nelson import assemble_free, sinusoidal_spec
+from nelsonlab.operators import opnorm, psd_power
 
 
 def rand_vec(rng, n, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _vacuum(basis):
+    v = np.zeros(basis.dim, dtype=complex)
+    v[0] = 1.0
+    return v
 
 
 @pytest.mark.parametrize(
@@ -113,17 +116,10 @@ def test_sector_ladder_lists_every_creation_element():
     assert len(first) == 496 * 4 + 32
 
 
-def test_create_is_exact_adjoint():
-    rng = np.random.default_rng(6)
-    b = fock_basis(4, 3)
-    f = rand_vec(rng, 4)
-    np.testing.assert_allclose(create(b, f).mat, annihilate(b, f).mat.conj().T)
-
-
 def test_annihilate_kills_vacuum():
     b = fock_basis(3, 2)
     f = np.array([1.0, 2.0, 3.0])
-    assert np.linalg.norm(annihilate(b, f) @ vacuum(b)) == 0.0
+    assert np.linalg.norm(annihilate(b, f) @ _vacuum(b)) == 0.0
 
 
 def test_ladder_amplitude_single_mode():
@@ -138,8 +134,15 @@ def test_ccr_and_second_quantization_commutators():
     # canonical commutators hold to 1e-12 on sectors two below the cap
     rng = np.random.default_rng(42)
     b = fock_basis(3, 4)
-    p = sector_projector(b, b.safe_cap())
-    eye = identity(b.dim, b.space)
+    p = sector_projector(b, b.n_max - 2).mat
+    eye = np.eye(b.dim)
+
+    def comm(x, y):
+        return x.mat @ y.mat - y.mat @ x.mat
+
+    def create(f):
+        return annihilate(b, f).adjoint()
+
     for _ in range(20):
         f = rand_vec(rng, 3)
         g = rand_vec(rng, 3)
@@ -147,14 +150,14 @@ def test_ccr_and_second_quantization_commutators():
         h = h + h.conj().T
         fg = np.vdot(f, g)
 
-        c1 = commutator(annihilate(b, f), create(b, g)) - complex(fg) * eye
-        c2 = commutator(second_quantize(b, h), create(b, f)) - create(b, h @ f)
-        c3 = commutator(second_quantize(b, h), annihilate(b, f)) + annihilate(b, h @ f)
-        c4 = commutator(field(b, f), field(b, g)) - complex(1j * fg.imag) * eye
-        c5 = commutator(momentum(b, f), momentum(b, g)) - complex(1j * fg.imag) * eye
-        c6 = commutator(field(b, f), momentum(b, g)) - complex(1j * fg.real) * eye
+        c1 = comm(annihilate(b, f), create(g)) - fg * eye
+        c2 = comm(second_quantize(b, h), create(f)) - create(h @ f).mat
+        c3 = comm(second_quantize(b, h), annihilate(b, f)) + annihilate(b, h @ f).mat
+        c4 = comm(field(b, f), field(b, g)) - 1j * fg.imag * eye
+        c5 = comm(momentum(b, f), momentum(b, g)) - 1j * fg.imag * eye
+        c6 = comm(field(b, f), momentum(b, g)) - 1j * fg.real * eye
         for c in (c1, c2, c3, c4, c5, c6):
-            assert (p @ c @ p).norm() <= 1e-12
+            assert opnorm(p @ c @ p) <= 1e-12
 
 
 def test_number_operator_is_dgamma_of_identity():
@@ -203,8 +206,8 @@ def test_weyl_product_phase_is_bch():
         f = rand_vec(rng, 2, 0.25)
         g = rand_vec(rng, 2, 0.25)
         phase = np.exp(-0.5j * np.vdot(f, g).imag)
-        resid = p @ (weyl(b, f) @ weyl(b, g) - phase * weyl(b, f + g)) @ p
-        assert resid.norm() <= 1e-9
+        resid = p.mat @ (weyl(b, f).mat @ weyl(b, g).mat - phase * weyl(b, f + g).mat) @ p.mat
+        assert opnorm(resid) <= 1e-9
 
 
 def test_weyl_conjugation_shifts_field():
@@ -277,7 +280,7 @@ def test_ac_estimates_reject_bad_h():
     b = fock_basis(2, 2)
     with pytest.raises(ValueError):
         ac_estimate_report(
-            b, np.diag([0.5, 2.0]), np.ones(2), np.ones(2), vacuum(b), 0.5
+            b, np.diag([0.5, 2.0]), np.ones(2), np.ones(2), _vacuum(b), 0.5
         )
 
 
@@ -295,29 +298,28 @@ def test_field_bound_sqrt2():
 
 
 def test_mode_map_projection_reports_residual():
+    # the plane waves xi = 0, -1, 1, -2, normalized in the weighted inner product
     g = Grid(1, 16, 2 * np.pi)
-    mm = fourier_modes(g, 4)
+    xi = g.momentum_mesh()[:, 0]
+    mm = ModeMap(g, np.exp(1j * np.outer(g.axis_positions(), xi[[0, 15, 1, 14]])) / np.sqrt(g.box))
     # orthonormality in the weighted inner product
     gram = mm.vectors.conj().T @ mm.vectors * g.weight
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
     rng = np.random.default_rng(17)
     coeffs_in = rand_vec(rng, 4)
-    u = mm.embed(coeffs_in)
+    u = mm.vectors @ coeffs_in
     coeffs, residual = mm.project(u)
     np.testing.assert_allclose(coeffs, coeffs_in, atol=1e-12)
     assert residual <= 1e-12
     # a vector orthogonal to the span reports its full norm as residual
-    xi = g.momentum_mesh()[:, 0]
     far = np.exp(1j * xi[7] * g.axis_positions()) / np.sqrt(g.box)
     _, res_far = mm.project(far)
     assert res_far == pytest.approx(1.0, rel=1e-10)
 
 
 def test_spectral_modes_diagonalize():
-    g = Grid(1, 8, 2 * np.pi)
-    rng = np.random.default_rng(18)
-    mat = rng.standard_normal((8, 8))
-    mat = mat + mat.T
-    mm, vals = spectral_modes(g, mat, 3)
-    compressed = mm.reduce(mat)
-    np.testing.assert_allclose(compressed, np.diag(vals), atol=1e-10)
+    # the model's boson modes are the eigenmodes of h, with frequencies sqrt(eig h)
+    model = assemble_free(sinusoidal_spec(8))
+    vecs = model.modes.vectors
+    compressed = vecs.conj().T @ model.h @ vecs * model.grid.weight
+    np.testing.assert_allclose(compressed, np.diag(model.mode_freqs**2), atol=1e-10)

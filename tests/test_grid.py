@@ -5,18 +5,29 @@ from nelsonlab.grid import (
     Grid,
     LatticeFunction,
     ResolutionError,
+    bump_hat,
     cosine_ramp,
-    cutoff_function,
-    delta_function,
     derivative_matrix,
     dft,
     gaussian_profile_hat,
     idft,
     inner,
-    momentum_inner,
     momentum_multiplier,
+    norm,
     sobolev_norm,
 )
+
+
+def _delta(grid, index=0):
+    """Unit-mass lattice delta at flat lattice index ``index`` (all Fourier modes equal)."""
+    vals = np.zeros(grid.size, dtype=complex)
+    vals[index] = 1.0 / grid.weight
+    return vals
+
+
+def _bump(grid, lam, x0=0.0):
+    """The model's smeared bump at scale ``lam`` centred at the lattice point ``x0``, no ramp."""
+    return idft(grid, bump_hat(grid, lam, (x0,), 0.0))
 
 
 def test_axis_momenta_are_signed_half_lattice():
@@ -36,7 +47,7 @@ def test_dft_parseval(dim, npts):
     u = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
     v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
     lhs = inner(g, u, v)
-    rhs = momentum_inner(g, dft(g, u), dft(g, v))
+    rhs = complex(np.vdot(dft(g, u), dft(g, v)) * g.dual_weight)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -84,15 +95,15 @@ def test_momentum_multiplier_matches_transform_route():
 
 def test_sobolev_norm_of_delta_closed_form():
     g = Grid(1, 32, 2 * np.pi)
-    d = delta_function(g)
+    d = _delta(g)
     for s in (-2.0, -1.0, 0.0, 1.0):
         expect = np.sqrt(np.sum(g.xi_bracket() ** (2 * s)) * g.dual_weight)
-        assert sobolev_norm(g, d.values, s) == pytest.approx(expect, rel=1e-12)
+        assert sobolev_norm(g, d, s) == pytest.approx(expect, rel=1e-12)
 
 
 def test_cutoff_mass_and_positivity():
     g = Grid(1, 64, 2 * np.pi)
-    rho = cutoff_function(g, lam=2.0)
+    rho = LatticeFunction(g, _bump(g, 2.0))
     mass = np.sum(rho.values).real * g.weight
     assert mass == pytest.approx(1.0, abs=1e-8)
     assert rho.is_real(1e-10)
@@ -101,19 +112,11 @@ def test_cutoff_mass_and_positivity():
 
 def test_cutoff_fourier_side_matches_profile():
     g = Grid(1, 64, 2 * np.pi)
-    x0 = 1.5 * g.spacing  # snaps to 2*spacing? no: 1.5 ties down to index 1
-    rho = cutoff_function(g, lam=2.0, center=(x0,))
-    xs = g.snap_index((x0,))[0] * g.spacing
+    xs = g.spacing  # a lattice point
+    rho = _bump(g, 2.0, xs)
     xi = g.momentum_mesh()[:, 0]
     expect = gaussian_profile_hat(np.abs(xi) / 2.0) * np.exp(-1j * xi * xs)
-    np.testing.assert_allclose(dft(g, rho.values), expect, atol=1e-12)
-
-
-def test_cutoff_guard_raises_with_scales():
-    g = Grid(1, 8, 2 * np.pi)
-    with pytest.raises(ResolutionError) as err:
-        cutoff_function(g, lam=1.0)
-    assert "Nyquist guard" in str(err.value)
+    np.testing.assert_allclose(dft(g, rho), expect, atol=1e-12)
 
 
 def test_model_cutoff_guard_accepts_exactly_the_resolved_range():
@@ -125,31 +128,20 @@ def test_model_cutoff_guard_accepts_exactly_the_resolved_range():
             g.check_cutoff(lam)
 
 
-def test_snap_index_ties_toward_minus_infinity():
-    g = Grid(1, 8, 8.0)  # spacing 1
-    assert g.snap_index((0.5,)) == (0,)
-    assert g.snap_index((1.5,)) == (1,)
-    assert g.snap_index((1.6,)) == (2,)
-    assert g.snap_index((-0.5,)) == (7,)
-
-
 def test_delta_unit_mass_and_flat_spectrum():
     g = Grid(1, 16, 2 * np.pi)
-    d = delta_function(g, center=(3 * g.spacing,))
-    assert np.sum(d.values).real * g.weight == pytest.approx(1.0, abs=1e-13)
-    np.testing.assert_allclose(np.abs(dft(g, d.values)), np.ones(g.size), atol=1e-12)
+    d = _delta(g, 3)
+    assert np.sum(d).real * g.weight == pytest.approx(1.0, abs=1e-13)
+    np.testing.assert_allclose(np.abs(dft(g, d)), np.ones(g.size), atol=1e-12)
 
 
 def test_hs_distance_to_delta_decreases_along_cutoff_sweep():
     # negative-order Sobolev distance between the smeared bump and the delta
     # shrinks as the cutoff scale grows (frozen trend, guarded sweep)
     g = Grid(1, 256, 2 * np.pi)
-    d = delta_function(g)
+    d = _delta(g)
     for s in (-1.6, -1.0):
-        dists = [
-            sobolev_norm(g, cutoff_function(g, lam).values - d.values, s)
-            for lam in (1.0, 2.0, 4.0, 8.0)
-        ]
+        dists = [sobolev_norm(g, _bump(g, lam) - d, s) for lam in (1.0, 2.0, 4.0, 8.0)]
         assert all(a > b for a, b in zip(dists, dists[1:])), dists
 
 
@@ -163,5 +155,5 @@ def test_cosine_ramp_profile():
 def test_lattice_function_inner_matches_weight():
     g = Grid(1, 8, 4.0)
     u = LatticeFunction(g, np.ones(8, dtype=complex))
-    assert u.norm() == pytest.approx(2.0)  # sqrt(8 * (4/8)) = 2
-    assert u.inner(u) == pytest.approx(4.0)
+    assert norm(g, u.values) == pytest.approx(2.0)  # sqrt(8 * (4/8)) = 2
+    assert inner(g, u.values, u.values) == pytest.approx(4.0)

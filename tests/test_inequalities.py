@@ -10,7 +10,6 @@ from nelsonlab.inequalities import (
     ScalingError,
     diagonal_divergence_demo,
     hardy_littlewood_check,
-    integral_1d,
     integral_3d,
     integral_estimate_check,
     log_fit,
@@ -197,7 +196,7 @@ def test_peetre_rejects_bad_shape():
 
 def test_omega_scaling_at_origin_matches_exact_value():
     for om, want in PROP_R0.items():
-        value, bound = integral_estimate_check(0, 0, 4, 1, 3, 0.0, om, 0.0, 0.0)
+        value, bound = integral_estimate_check(0, 0, 4, 1, 0.0, om, 0.0, 0.0)
         assert abs(value - want) < 1e-5
         assert abs(value - np.pi / (6.0 * om)) < 1e-6
         assert value <= bound + 1e-12
@@ -206,7 +205,7 @@ def test_omega_scaling_at_origin_matches_exact_value():
 def test_omega_scaling_off_origin_within_band():
     vals = {}
     for om in (1.0, 2.0, 4.0, 8.0):
-        value, bound = integral_estimate_check(0, 0, 4, 1, 3, 0.0, om, 1.0, 0.05)
+        value, bound = integral_estimate_check(0, 0, 4, 1, 0.0, om, 1.0, 0.05)
         vals[om] = value
         assert abs(value - PROP_R1[om]) < 1e-5
         assert value <= bound + 1e-12
@@ -217,19 +216,19 @@ def test_omega_scaling_off_origin_within_band():
 
 def test_scaling_guard_trips_without_slack():
     with pytest.raises(ScalingError, match="omega-scaling"):
-        integral_estimate_check(0, 0, 4, 1, 3, 0.0, 1.0, 1.0, 0.0)
+        integral_estimate_check(0, 0, 4, 1, 0.0, 1.0, 1.0, 0.0)
 
 
 def test_cutoff_suppresses_integral():
-    bare, _ = integral_estimate_check(0, 0, 4, 1, 3, 0.0, 1.0, 1.0, 0.05)
-    cut, _ = integral_estimate_check(0, 0, 4, 1, 3, 1.0, 1.0, 1.0, 0.05)
+    bare, _ = integral_estimate_check(0, 0, 4, 1, 0.0, 1.0, 1.0, 0.05)
+    cut, _ = integral_estimate_check(0, 0, 4, 1, 1.0, 1.0, 1.0, 0.05)
     assert cut < bare
 
 
 def test_prefactor_decreases_along_cutoff_sweep():
     values = []
     for lam in (1.0, 4.0, 16.0, 64.0):
-        value, bound = integral_estimate_check(0, 0, 4, 1, 3, lam, 1.0, 1.0, 0.05)
+        value, bound = integral_estimate_check(0, 0, 4, 1, lam, 1.0, 1.0, 0.05)
         values.append(value)
         assert value <= bound + 1e-12
     assert np.max(np.abs(np.array(values) - CUTOFF_PREFACTORS)) < 1e-6
@@ -238,19 +237,9 @@ def test_prefactor_decreases_along_cutoff_sweep():
 
 def test_estimate_preconditions():
     with pytest.raises(PreconditionError, match="window"):
-        integral_estimate_check(0, 0, 1, 1, 3, 0.0, 1.0, 0.0, 0.0)
+        integral_estimate_check(0, 0, 1, 1, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(PreconditionError, match="omega"):
-        integral_estimate_check(0, 0, 4, 1, 3, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(PreconditionError, match="d in"):
-        integral_estimate_check(0, 0, 4, 1, 2, 0.0, 1.0, 0.0, 0.0)
-
-
-def test_one_dimensional_analog_is_exact():
-    # int 1/(2 xi^2 + omega) dxi = pi / sqrt(2 omega)
-    for om in (0.5, 2.0):
-        value, bound = integral_estimate_check(0, 0, 1, 2, 1, 0.0, om, 0.0, 0.0)
-        assert abs(value - np.pi / np.sqrt(2.0 * om)) < 1e-9
-        assert value <= bound + 1e-12
+        integral_estimate_check(0, 0, 4, 1, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_offset_decay_table():
@@ -284,11 +273,6 @@ def test_quadrature_tolerance_convergence():
     coarse = integral_3d(F, 1.0, tol=1e-6)
     fine = integral_3d(F, 1.0, tol=5e-7)
     assert abs(coarse - fine) < 5e-7
-
-    def F1(r, s):
-        return 1.0 / (r * r + s * s + 1.0)
-
-    assert abs(integral_1d(F1, 0.0, tol=1e-6) - integral_1d(F1, 0.0, tol=5e-7)) < 5e-7
 
 
 # -- diagonal divergence demo

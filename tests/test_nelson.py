@@ -26,7 +26,6 @@ from nelsonlab.nelson import (
     form_factor_split,
     gross_B,
     gross_bound_ratio,
-    perturbation_energy_sum,
     relative_bound_report,
     renorm_convergence_experiment,
     sinusoidal_spec,
@@ -83,7 +82,7 @@ def test_spec_broadcasts_scalars():
     spec = ModelSpec(grid=grid, g=1.0, mu=1.0, w=0.0)
     assert spec.g.shape == (8,)
     assert spec.mass_floor == 1.0
-    assert spec.ellipticity_bounds == (1.0, 1.0)
+    assert (float(np.min(spec.g)), float(np.max(spec.g))) == (1.0, 1.0)
 
 
 def test_spec_names_offending_point_on_ellipticity_violation():
@@ -113,8 +112,6 @@ def test_spec_refuses_mass_without_finite_square():
 def test_spec_rejects_bad_mode_count_and_sigma():
     grid = Grid(1, 8, 2 * np.pi)
     with pytest.raises(ModelSpecError):
-        ModelSpec(grid=grid, g=1.0, mu=1.0, w=0.0, n_modes=9)
-    with pytest.raises(ModelSpecError):
         ModelSpec(grid=grid, g=1.0, mu=1.0, w=0.0, sigma=-0.1)
 
 
@@ -143,7 +140,7 @@ def test_divergence_form_is_real_symmetric_psd():
 def test_variable_h_spectrum_within_ellipticity_window(bench8):
     ev = np.linalg.eigvalsh(bench8.h)
     ximax2 = bench8.grid.max_momentum() ** 2
-    lo, hi = bench8.spec.ellipticity_bounds
+    hi = float(np.max(bench8.spec.g))
     assert ev[0] >= bench8.spec.mass_floor**2 - 1e-12
     assert ev[-1] <= hi * ximax2 + np.max(bench8.spec.mu**2) + 1e-12
     assert abs(ev[0] - 1.0) < 1e-10 and abs(ev[-1] - 17.0) < 0.5
@@ -311,9 +308,22 @@ def test_vacuum_energy_matches_frozen_values(bench8):
     assert vals[0] < vals[1] < vals[2]
 
 
+def _perturbation_energy_sum(model, lam):
+    """E_lam(X) as an explicit sum over one-boson excitations, one per X.
+
+    The oracle of ``vacuum_energy``: diagonalizes K + omega and accumulates
+    |amplitude|^2 / denominator, the textbook second-order expression,
+    instead of solving against K + omega.
+    """
+    evals, evecs = np.linalg.eigh(model.k + model.omega)
+    f = form_factor_rho(model, lam) @ model.omega_power(-0.5).T
+    amps = f @ evecs.conj() * model.grid.weight
+    return 0.5 * np.sum(np.abs(amps) ** 2 / evals, axis=1) / model.grid.weight
+
+
 def test_vacuum_energy_agrees_with_perturbation_sum(bench8):
     for lam in (1.0, 2.0, 4.0):
-        diff = np.abs(vacuum_energy(bench8, lam) - perturbation_energy_sum(bench8, lam))
+        diff = np.abs(vacuum_energy(bench8, lam) - _perturbation_energy_sum(bench8, lam))
         assert np.max(diff) < 1e-12
 
 
@@ -428,12 +438,6 @@ def test_transformed_check_values_and_decay(bench8):
     r16 = transformed_hamiltonian_check(m16, 2.0)
     assert abs(r16["residual"] - TRANSFORMED_REL_L16) < 1e-5
     assert r8["residual"] / r16["residual"] >= 1.5
-
-
-def test_transformed_check_requires_full_modes():
-    model = assemble_free(sinusoidal_spec(8, n_modes=4))
-    with pytest.raises(ModelSpecError):
-        transformed_hamiltonian_check(model, 2.0)
 
 
 def test_size_guard_reports_dimensions(bench32):

@@ -5,7 +5,6 @@ from nelsonlab.grid import Grid, derivative_matrix, momentum_multiplier
 from nelsonlab.operators import OperatorMatrix, SizeError
 from nelsonlab.psido import (
     EllipticityError,
-    KernelMatrix,
     OrderFunction,
     Symbol,
     adjoint_symbol,
@@ -16,7 +15,6 @@ from nelsonlab.psido import (
     dequantize,
     ellipticity_margin,
     functional_calculus_check,
-    kernel_of,
     measured_order,
     moyal,
     parametrix,
@@ -24,11 +22,7 @@ from nelsonlab.psido import (
     quantize,
     random_band_limited,
     schur_bound,
-    separable_symbol,
-    shifted_bracket_order,
-    x_symbol,
     xi_power_order,
-    xi_symbol,
 )
 
 G32 = Grid(1, 32, 2 * np.pi)
@@ -38,6 +32,13 @@ ORDERINGS = (0.0, 0.5, 1.0)
 def _rand_symbol(grid, rng):
     vals = rng.standard_normal((grid.size,) * 2) + 1j * rng.standard_normal((grid.size,) * 2)
     return Symbol(grid, vals)
+
+
+def _symbol(grid, values_x, values_xi, order=None):
+    """Separable symbol a(x, xi) = values_x(x) * values_xi(xi); a scalar is a constant factor."""
+    vx = np.broadcast_to(np.asarray(values_x, dtype=complex), (grid.size,))
+    vk = np.broadcast_to(np.asarray(values_xi, dtype=complex), (grid.size,))
+    return Symbol(grid, np.outer(vx, vk), order)
 
 
 def _wave(grid, k):
@@ -55,7 +56,7 @@ def test_quantize_constant_is_identity(t):
 
 def test_quantize_momentum_symbol_acts_as_derivative():
     """a(x, xi) = xi applied to a plane wave multiplies by its momentum."""
-    sym = xi_symbol(G32, G32.momentum_mesh()[:, 0])
+    sym = _symbol(G32, 1.0, G32.momentum_mesh()[:, 0])
     q = quantize(sym, 1.0)
     for k in (0, 3, 17, 31):
         u = _wave(G32, k)
@@ -69,17 +70,12 @@ def test_quantize_rejects_ordering_outside_unit_interval(t):
         quantize(constant_symbol(G32), t)
 
 
-def test_quantize_rejects_unknown_midpoint():
-    with pytest.raises(ValueError, match="midpoint"):
-        quantize(constant_symbol(G32), 0.5, midpoint="nearest")
-
-
 def test_ordering_extremes_factor_through_multiplication():
     """Left ordering gives g(x) D^2, right ordering gives D^2 g(x)."""
     x = G32.position_mesh()[:, 0]
     k = G32.momentum_mesh()[:, 0]
     g = 1.0 + 0.5 * np.cos(x) + 0.2 * np.sin(2 * x)
-    sym = separable_symbol(G32, g, k**2)
+    sym = _symbol(G32, g, k**2)
     D = derivative_matrix(G32)
     gm = np.diag(g.astype(complex))
     assert np.max(np.abs(quantize(sym, 1.0).mat - gm @ D @ D)) < 1e-10
@@ -91,8 +87,8 @@ def test_symmetric_ordering_star_square_is_sandwiched_derivative(t):
     """The product symbol xi # g # xi quantizes to D g D at every ordering."""
     x = G32.position_mesh()[:, 0]
     g = 1.0 + 0.5 * np.cos(x) + 0.2 * np.sin(2 * x)
-    xi = xi_symbol(G32, G32.momentum_mesh()[:, 0])
-    star = moyal(xi, moyal(x_symbol(G32, g), xi, t), t)
+    xi = _symbol(G32, 1.0, G32.momentum_mesh()[:, 0])
+    star = moyal(xi, moyal(_symbol(G32, g, 1.0), xi, t), t)
     D = derivative_matrix(G32)
     dgd = D @ np.diag(g.astype(complex)) @ D
     assert np.max(np.abs(quantize(star, t).mat - dgd)) < 1e-10
@@ -105,7 +101,7 @@ def test_weyl_of_metric_symbol_carries_curvature_correction():
     k = G32.momentum_mesh()[:, 0]
     g = 1.0 + 0.4 * np.cos(2 * x)
     gpp = -1.6 * np.cos(2 * x)
-    w = quantize(separable_symbol(G32, g, k**2), 0.5).mat
+    w = quantize(_symbol(G32, g, k**2), 0.5).mat
     D = derivative_matrix(G32)
     dgd = D @ np.diag(g.astype(complex)) @ D
     proj = momentum_multiplier(G32, (np.abs(np.rint(k)) <= 8).astype(complex))
@@ -122,35 +118,12 @@ def test_weyl_of_real_band_limited_symbol_is_hermitian():
         assert np.max(np.abs(q - q.conj().T)) < 1e-10
 
 
-def test_snap_midpoint_matches_interp_at_integer_orderings():
-    rng = np.random.default_rng(21)
-    sym = _rand_symbol(G32, rng)
-    for t in (0.0, 1.0):
-        np.testing.assert_allclose(
-            quantize(sym, t, midpoint="snap").mat,
-            quantize(sym, t, midpoint="interp").mat,
-            atol=1e-12,
-        )
-
-
-def test_snap_midpoint_differs_at_half_ordering():
-    # Snapping is only midpoint-exact when t*x + (1-t)*y lands on the lattice,
-    # so the two evaluations genuinely part ways at t = 1/2.
-    rng = np.random.default_rng(22)
-    sym = _rand_symbol(G32, rng)
-    delta = np.max(
-        np.abs(quantize(sym, 0.5, "snap").mat - quantize(sym, 0.5, "interp").mat)
-    )
-    assert delta > 0.01
-
-
-def _loop_quantize(a, t, midpoint):
+def _loop_quantize(a, t):
     """Reference kernel built one displacement at a time, as a plain loop.
 
     Column n holds the displacement theta_n = x - y (signed per axis); its
     midpoint symbol is a moved back by (1-t)*theta_n in x, through the
-    band-limited interpolant ("interp") or the nearest lattice point with
-    ties toward -inf ("snap").
+    band-limited interpolant.
     """
     grid = a.grid
     S, L, d = grid.size, grid.npts, grid.dim
@@ -169,23 +142,20 @@ def _loop_quantize(a, t, midpoint):
         theta = signed[n] * grid.spacing
         if back == 0.0 or n == 0:
             mid = V
-        elif midpoint == "interp":
+        else:
             shifted = c2 * np.exp(-1j * back * (mom @ theta))[:, None]
             mid = np.fft.ifftn(shifted.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S) * S
-        else:
-            mid = V[flat(np.ceil(comp - back * signed[n] - 0.5).astype(int)), :]
         out[np.arange(S), flat(comp - comp[n])] = mid @ np.exp(1j * (mom @ theta)) / S
     return out
 
 
 @pytest.mark.parametrize("dim, npts", [(1, 8), (1, 16), (2, 4), (3, 4)])
-@pytest.mark.parametrize("midpoint", ["interp", "snap"])
-def test_quantize_matches_per_displacement_loop(dim, npts, midpoint):
+def test_quantize_matches_per_displacement_loop(dim, npts):
     grid = Grid(dim, npts, 2 * np.pi)
     sym = _rand_symbol(grid, np.random.default_rng(40 + dim * npts))
     for t in (0.0, 0.25, 0.5, 1.0):
-        ref = _loop_quantize(sym, t, midpoint)
-        dev = np.max(np.abs(quantize(sym, t, midpoint).mat - ref)) / np.max(np.abs(ref))
+        ref = _loop_quantize(sym, t)
+        dev = np.max(np.abs(quantize(sym, t).mat - ref)) / np.max(np.abs(ref))
         assert dev <= 1e-13, (t, dev)
 
 
@@ -246,7 +216,7 @@ def test_change_quantization_group_law():
 
 def test_change_quantization_fixes_momentum_symbols():
     k = G32.momentum_mesh()[:, 0]
-    sym = xi_symbol(G32, np.exp(1j * k) / (1.0 + k**2))
+    sym = _symbol(G32, 1.0, np.exp(1j * k) / (1.0 + k**2))
     for t, s in ((1.0, 0.0), (0.5, 0.2)):
         moved = change_quantization(sym, t, s)
         np.testing.assert_allclose(moved.values, sym.values, atol=1e-13)
@@ -259,7 +229,7 @@ def test_reordering_offset_of_position_momentum_symbol():
     saw = G32.axis_positions().copy()
     saw[saw > np.pi] -= 2 * np.pi  # odd-symmetrized coordinate
     k = G32.momentum_mesh()[:, 0]
-    sym = separable_symbol(G32, saw, k)
+    sym = _symbol(G32, saw, k)
     m1 = quantize(sym, 1.0).mat
     m0 = quantize(sym, 0.0).mat
     D = derivative_matrix(G32)
@@ -290,7 +260,7 @@ def test_adjoint_fixed_points():
         adjoint_symbol(real_sym, 0.5).values, real_sym.values, atol=1e-12
     )
     k = G32.momentum_mesh()[:, 0]
-    mult = xi_symbol(G32, np.exp(1j * k))
+    mult = _symbol(G32, 1.0, np.exp(1j * k))
     for t in ORDERINGS:
         np.testing.assert_allclose(
             adjoint_symbol(mult, t).values, np.conj(mult.values), atol=1e-12
@@ -322,8 +292,8 @@ def test_moyal_composition_stays_at_roundoff_on_a_fine_grid():
 
 def test_moyal_momentum_symbols_multiply_pointwise():
     k = G32.momentum_mesh()[:, 0]
-    a = xi_symbol(G32, 1.0 / (1.0 + k**2))
-    b = xi_symbol(G32, np.cos(k))
+    a = _symbol(G32, 1.0, 1.0 / (1.0 + k**2))
+    b = _symbol(G32, 1.0, np.cos(k))
     for t in (1.0, 0.5):
         prod = moyal(a, b, t)
         np.testing.assert_allclose(prod.values, a.values * b.values, atol=1e-13)
@@ -353,8 +323,8 @@ def test_moyal_rejects_grid_mismatch():
 
 def test_moyal_order_function_multiplies():
     k = G32.momentum_mesh()[:, 0]
-    a = xi_symbol(G32, 1.0 + k**2, xi_power_order(G32, 2))
-    b = xi_symbol(G32, np.sqrt(1.0 + k**2), xi_power_order(G32, 1))
+    a = _symbol(G32, 1.0, 1.0 + k**2, xi_power_order(G32, 2))
+    b = _symbol(G32, 1.0, np.sqrt(1.0 + k**2), xi_power_order(G32, 1))
     prod = moyal(a, b, 1.0)
     np.testing.assert_allclose(
         prod.order.table(G32.size),
@@ -399,7 +369,7 @@ def test_parametrix_multiplier_family_is_exact(m):
     # at roundoff and must not grow along the iteration.
     g = Grid(1, 64, 2 * np.pi)
     k = g.momentum_mesh()[:, 0]
-    sym = xi_symbol(g, (1.0 + k**2) ** (m / 2.0), xi_power_order(g, m))
+    sym = _symbol(g, 1.0, (1.0 + k**2) ** (m / 2.0), xi_power_order(g, m))
     _, residuals = parametrix(sym, iterations=3)
     assert residuals[0] < 1e-12
     for prev, nxt in zip(residuals, residuals[1:]):
@@ -437,7 +407,7 @@ def test_parametrix_tracks_dense_inverse():
 
 def test_parametrix_rejects_non_elliptic_symbol():
     k = G32.momentum_mesh()[:, 0]
-    sym = xi_symbol(G32, k**2, xi_power_order(G32, 2))  # vanishes at xi = 0
+    sym = _symbol(G32, 1.0, k**2, xi_power_order(G32, 2))  # vanishes at xi = 0
     with pytest.raises(EllipticityError, match="min |a|/M".replace("|", r"\|")):
         parametrix(sym)
     assert ellipticity_margin(sym) == 0.0
@@ -450,21 +420,21 @@ def test_measured_order_of_power_symbols():
     g = Grid(1, 128, 2 * np.pi)
     k = g.momentum_mesh()[:, 0]
     bracket = np.sqrt(1.0 + k**2)
-    assert measured_order(xi_symbol(g, bracket**2)) == pytest.approx(2.0, abs=0.2)
-    assert measured_order(xi_symbol(g, bracket)) == pytest.approx(1.0, abs=0.2)
-    assert measured_order(xi_symbol(g, np.ones(128))) == pytest.approx(0.0, abs=1e-12)
+    assert measured_order(_symbol(g, 1.0, bracket**2)) == pytest.approx(2.0, abs=0.2)
+    assert measured_order(_symbol(g, 1.0, bracket)) == pytest.approx(1.0, abs=0.2)
+    assert measured_order(_symbol(g, 1.0, np.ones(128))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_measured_order_needs_enough_shells():
     g = Grid(1, 4, 2 * np.pi)
     with pytest.raises(ValueError, match="shells"):
-        measured_order(xi_symbol(g, np.ones(4)))
+        measured_order(_symbol(g, 1.0, np.ones(4)))
 
 
 def test_resum_single_term_matches_outside_bump():
     g = Grid(1, 128, 2 * np.pi)
     k = g.momentum_mesh()[:, 0]
-    a0 = xi_symbol(g, np.sqrt(1.0 + k**2), xi_power_order(g, 1))
+    a0 = _symbol(g, 1.0, np.sqrt(1.0 + k**2), xi_power_order(g, 1))
     total = asymptotic_resum(g, [(a0, 1.0)])
     eps0 = 8.0 / g.max_momentum()
     far = np.abs(k) >= 1.0 / eps0
@@ -479,7 +449,7 @@ def test_resum_two_term_remainder_order():
     g = Grid(1, 128, 2 * np.pi)
     x = g.position_mesh()[:, 0]
     k = g.momentum_mesh()[:, 0]
-    a0 = xi_symbol(g, np.sqrt(1.0 + k**2), xi_power_order(g, 1))
+    a0 = _symbol(g, 1.0, np.sqrt(1.0 + k**2), xi_power_order(g, 1))
     a1 = Symbol(g, np.outer(np.cos(x), np.ones(128)), xi_power_order(g, 0))
     total = asymptotic_resum(g, [(a0, 1.0), (a1, 0.0)])
     remainder = Symbol(g, total.values - a0.values)
@@ -488,7 +458,7 @@ def test_resum_two_term_remainder_order():
 
 def test_resum_rejects_non_decreasing_orders():
     k = G32.momentum_mesh()[:, 0]
-    a = xi_symbol(G32, np.ones(32))
+    a = _symbol(G32, 1.0, np.ones(32))
     with pytest.raises(ValueError, match="strictly decreasing"):
         asymptotic_resum(G32, [(a, 1.0), (a, 1.0)])
 
@@ -503,7 +473,7 @@ def test_resum_of_empty_series_is_zero():
 
 def test_functional_calculus_identity_and_constant_are_exact():
     k = G32.momentum_mesh()[:, 0]
-    sym = xi_symbol(G32, 1.0 + k**2, xi_power_order(G32, 2))
+    sym = _symbol(G32, 1.0, 1.0 + k**2, xi_power_order(G32, 2))
     ident = functional_calculus_check(sym, lambda v: v, 1.0)
     assert ident["operator_norm"] < 1e-12
     const = functional_calculus_check(sym, lambda v: 2.0 * np.ones_like(v), 0.0)
@@ -532,7 +502,7 @@ def test_functional_calculus_sqrt_uniform_under_refinement():
 def test_functional_calculus_sqrt_tracks_symbol_on_plane_waves():
     g = Grid(1, 128, 2 * np.pi)
     k = g.momentum_mesh()[:, 0]
-    sym = xi_symbol(g, 1.0 + k**2, xi_power_order(g, 2))
+    sym = _symbol(g, 1.0, 1.0 + k**2, xi_power_order(g, 2))
     a = quantize(sym, 0.5).mat
     from nelsonlab.operators import hermitian_func
 
@@ -552,7 +522,7 @@ def test_functional_calculus_rejects_complex_symbol():
 
 def test_functional_calculus_requires_known_order():
     k = G32.momentum_mesh()[:, 0]
-    sym = xi_symbol(G32, 2.0 + k**2, shifted_bracket_order(G32, 1.0))
+    sym = _symbol(G32, 1.0, 2.0 + k**2, OrderFunction("xi_sq+1", G32.xi_bracket() ** 2 + 1.0))
     with pytest.raises(ValueError, match="order_m"):
         functional_calculus_check(sym, np.sqrt, 0.5)
 
@@ -561,17 +531,17 @@ def test_functional_calculus_requires_known_order():
 
 
 def test_schur_bound_of_identity_kernel():
-    kern = kernel_of(constant_symbol(G32), 0.5)
-    assert schur_bound(kern) == pytest.approx(1.0, abs=1e-12)
-    assert kern.to_operator().norm() == pytest.approx(1.0, abs=1e-12)
+    op = quantize(constant_symbol(G32), 0.5)
+    assert schur_bound(op) == pytest.approx(1.0, abs=1e-12)
+    assert op.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_schur_bound_dominates_spectral_norm():
     rng = np.random.default_rng(31)
     for _ in range(20):
         entries = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        kern = KernelMatrix(G32, entries)
-        assert schur_bound(kern) >= kern.to_operator().norm() - 1e-10
+        op = OperatorMatrix(entries * G32.weight)
+        assert schur_bound(op) >= op.norm() - 1e-10
 
 
 def test_cotlar_stein_bound_on_disjoint_unitaries():
@@ -609,27 +579,9 @@ def test_cotlar_stein_empty_list_is_zero():
 # -- symbol metadata -----------------------------------------------------------------
 
 
-def test_seminorms_are_cached_and_match_derivatives():
-    x = G32.position_mesh()[:, 0]
-    sym = x_symbol(G32, np.cos(x))
-    assert sym.seminorm((0, 0)) == pytest.approx(1.0, abs=1e-12)
-    assert sym.seminorm((1, 0)) == pytest.approx(1.0, abs=1e-12)  # sup |sin|
-    assert sym.seminorm((0, 1)) == pytest.approx(0.0, abs=1e-12)
-    table = sym.seminorms(up_to=2)
-    assert len(table) == 6
-    assert len(sym.seminorm_cache) == 6
-    assert sym.seminorm((1, 0)) == table[(1, 0)]
-
-
 def test_order_function_requires_positive_values():
     with pytest.raises(ValueError, match="positive"):
         OrderFunction("bad", np.array([1.0, 0.0, 1.0]))
-
-
-def test_shifted_bracket_order_table():
-    order = shifted_bracket_order(G32, 2.5)
-    expected = 1.0 + G32.momentum_sq() + 2.5
-    np.testing.assert_allclose(order.table(G32.size)[0], expected, rtol=1e-12)
 
 
 def test_random_band_limited_support_and_normalization():
