@@ -39,7 +39,7 @@ import numpy as np
 import scipy
 
 from . import fock, ibc, inequalities, nelson, psido
-from .grid import Grid, LatticeFunction
+from .grid import Grid
 from .operators import check_dense_size, opnorm
 
 EXPERIMENTS = (
@@ -63,6 +63,20 @@ class ConfigError(ValueError):
 
 class GuardError(ValueError):
     """A numeric field violates a structural guard."""
+
+
+# experiment -> the least length of each sweep list (or least value of each
+# count) it needs, so that every row it derives from a sweep measures something
+_SWEEP_MINIMA = {
+    "weyl-identities": {"weyl_n_max": 2},
+    "psido-calculus": {"draws": 1},
+    "renorm-convergence": {"lams": 2},
+    "gross-transform": {"lams": 1},
+    "ibc-identity": {"lams": 1},
+    "domain-regularity": {"sizes": 2, "powers": 2},
+    "appendix-inequalities": {"omegas": 2, "xis": 2, "fuzz_pairs": 1, "fuzz_samples": 1},
+    "vacuum-energy": {"quad_lams": 2},
+}
 
 
 def _floats(raw: str) -> list[float]:
@@ -221,17 +235,14 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
         raise ConfigError(
             f"fields [sweep] sizes and domain_lams must pair up, got {len(sweep['sizes'])} vs {len(sweep['domain_lams'])}"
         )
-    # each sweep is long enough for the rows its experiment derives from it
-    if experiment == "renorm-convergence" and len(sweep["lams"]) < 2:
-        raise GuardError(f"[sweep] lams: {experiment} compares consecutive cutoffs and needs at least two, got {len(sweep['lams'])}")
-    if experiment == "domain-regularity":
-        if len(sweep["sizes"]) < 2:
-            raise GuardError(f"[sweep] sizes: {experiment} reports growth between grid sizes and needs at least two, got {len(sweep['sizes'])}")
-        if len(set(sweep["powers"])) != len(sweep["powers"]):
-            raise GuardError(f"[sweep] powers: {experiment} compares powers pairwise, so they must be distinct, got {sweep['powers']}")
-    quad_lams = sweep["quad_lams"]
-    if experiment == "vacuum-energy" and (len(quad_lams) < 2 or not all(lam > 0.0 for lam in quad_lams)):
-        raise GuardError(f"[sweep] quad_lams: {experiment} fits at least two positive cutoffs, got {quad_lams}")
+    for key, least in _SWEEP_MINIMA.get(experiment, {}).items():
+        value = sweep[key]
+        if (len(value) if isinstance(value, list) else value) < least:
+            raise GuardError(f"[sweep] {key}: {experiment} needs at least {least}, got {value}")
+    if experiment == "domain-regularity" and len(set(sweep["powers"])) != len(sweep["powers"]):
+        raise GuardError(f"[sweep] powers: {experiment} compares powers pairwise, so they must be distinct, got {sweep['powers']}")
+    if experiment == "vacuum-energy" and not all(lam > 0.0 for lam in sweep["quad_lams"]):
+        raise GuardError(f"[sweep] quad_lams: {experiment} fits positive cutoffs, got {sweep['quad_lams']}")
     for key in ("psido_npts", "parametrix_npts"):
         with _refusal(f"[sweep] {key}"):
             check_dense_size("symbol table", Grid(1, sweep[key], model["box"]).size)
@@ -307,15 +318,13 @@ def run_weyl_identities(cfg, seed, threads) -> list[Row]:
         proj = fock.sector_projector(basis, cap)
         v = fock.weyl(basis, g)
         shift = complex(np.vdot(f, g).real)
-        field_resid = (
-            proj @ (v @ fock.field(basis, f) @ v.adjoint() - fock.field(basis, f).shifted(shift)) @ proj
-        ).norm()
-        target = (fock.second_quantize(basis, freq) + fock.field(basis, freq @ g)).shifted(
-            0.5 * np.vdot(freq @ g, g).real
+        eye = np.eye(basis.dim)
+        field_resid = opnorm(
+            proj @ (v @ fock.field(basis, f) @ v.conj().T - (fock.field(basis, f) + shift * eye)) @ proj
         )
-        dgamma_resid = (
-            proj @ (v @ fock.second_quantize(basis, freq) @ v.adjoint() - target) @ proj
-        ).norm()
+        target = fock.second_quantize(basis, freq) + fock.field(basis, freq @ g)
+        target += 0.5 * np.vdot(freq @ g, g).real * eye
+        dgamma_resid = opnorm(proj @ (v @ fock.second_quantize(basis, freq) @ v.conj().T - target) @ proj)
         static_resid = fock.gross_check_static(basis, freq, rho, sector_cap=cap)
         return {"field-shift": field_resid, "dgamma-shift": dgamma_resid, "static-dressing": static_resid}
 
@@ -327,7 +336,7 @@ def run_weyl_identities(cfg, seed, threads) -> list[Row]:
             rows.append(Row(name, params, value, tol["weyl_rtol"]))
     for name in ("field-shift", "dgamma-shift", "static-dressing"):
         series = [res[name] for res in results]
-        worst = max(np.diff(series)) if len(series) > 1 else 0.0
+        worst = max(np.diff(series))
         rows.append(
             Row(
                 f"{name}-monotone",
@@ -350,10 +359,10 @@ def run_psido_calculus(cfg, seed, threads) -> list[Row]:
         b = symbols[(i + 1) % len(symbols)]
         qa = psido.quantize(a, 1.0)
         qb = psido.quantize(b, 1.0)
-        roundtrip = float(np.max(np.abs(psido.dequantize(grid, qa.mat, 1.0).values - a.values)))
-        comp = opnorm(psido.quantize(psido.moyal(a, b, 1.0), 1.0).mat - qa.mat @ qb.mat)
-        adj = opnorm(psido.quantize(psido.adjoint_symbol(a, 1.0), 1.0).mat - qa.mat.conj().T)
-        change = opnorm(psido.quantize(psido.change_quantization(a, 1.0, 0.5), 0.5).mat - qa.mat)
+        roundtrip = float(np.max(np.abs(psido.dequantize(grid, qa, 1.0).values - a.values)))
+        comp = opnorm(psido.quantize(psido.moyal(a, b, 1.0), 1.0) - qa @ qb)
+        adj = opnorm(psido.quantize(psido.adjoint_symbol(a, 1.0), 1.0) - qa.conj().T)
+        change = opnorm(psido.quantize(psido.change_quantization(a, 1.0, 0.5), 0.5) - qa)
         return {"roundtrip": roundtrip, "composition": comp, "adjoint": adj, "requantization": change}
 
     results = _ordered_map(residuals, list(range(len(symbols))), threads)
@@ -446,9 +455,9 @@ def run_ibc_identity(cfg, seed, threads) -> list[Row]:
         inverse_resid = ibc.neumann_residual(model, ops)
         h_lam = nelson.assemble_cutoff_hamiltonian(model, lam)
         keystone = ibc.factorization_identity_check(model, ops, h_lam)
-        reference = h_lam.mat + np.diag(ops.e_diag)
+        reference = h_lam + np.diag(ops.e_diag)
         mismatch = float(
-            np.max(np.abs(np.linalg.eigvalsh(ops.h_ibc.mat) - np.linalg.eigvalsh(reference)))
+            np.max(np.abs(np.linalg.eigvalsh(ops.h_ibc) - np.linalg.eigvalsh(reference)))
         )
         return keystone, mismatch, ops.neumann_tail, inverse_resid, ops.shift
 
@@ -487,20 +496,19 @@ def run_domain_regularity(cfg, seed, threads) -> list[Row]:
                 tol["norm_cap"],
             )
         )
-    if len(powers) >= 2:
-        # excess growth over the last refinement step: factors of a slowly
-        # divergent quantity cluster near 1, so compare their excesses
-        top, ref = powers[-1], powers[-2]
-        excess_top = report["growth"][top]["factors"][-1] - 1.0
-        excess_ref = report["growth"][ref]["factors"][-1] - 1.0
-        rows.append(
-            Row(
-                "growth-separation-min",
-                {"p": top, "p_ref": ref, "sizes": "|".join(map(str, sweep["sizes"]))},
-                float(excess_top / excess_ref),
-                tol["growth_ratio_min"],
-            )
+    # excess growth over the last refinement step: factors of a slowly
+    # divergent quantity cluster near 1, so compare their excesses
+    top, ref = powers[-1], powers[-2]
+    excess_top = report["growth"][top]["factors"][-1] - 1.0
+    excess_ref = report["growth"][ref]["factors"][-1] - 1.0
+    rows.append(
+        Row(
+            "growth-separation-min",
+            {"p": top, "p_ref": ref, "sizes": "|".join(map(str, sweep["sizes"]))},
+            float(excess_top / excess_ref),
+            tol["growth_ratio_min"],
         )
+    )
     return rows
 
 
@@ -513,9 +521,9 @@ def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
 
     violations = 0
     for _ in range(sweep["fuzz_pairs"]):
-        f = LatticeFunction(grid, rng.random(grid.size).astype(complex))
-        g = LatticeFunction(grid, rng.random(grid.size).astype(complex))
-        lhs, rhs = inequalities.hardy_littlewood_check(f, g)
+        f = rng.random(grid.size).astype(complex)
+        g = rng.random(grid.size).astype(complex)
+        lhs, rhs = inequalities.hardy_littlewood_check(grid, f, g)
         violations += lhs > rhs + tol["hl_slack"]
     rows.append(
         Row("hardy-littlewood-fuzz", {"pairs": sweep["fuzz_pairs"], "npts": grid.npts, "seed": seed}, float(violations), 0.0)
@@ -531,8 +539,8 @@ def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
     half = 0.5 * grid.box
     signed = np.mod(grid.axis_positions() + half, grid.box) - half
     absx = np.abs(signed)
-    f_cut = LatticeFunction(grid, np.where(absx > 1.0, np.maximum(absx, 1.0) ** -1.5, 0.0).astype(complex))
-    profile = inequalities.rearrange(f_cut)
+    f_cut = np.where(absx > 1.0, np.maximum(absx, 1.0) ** -1.5, 0.0)
+    profile = inequalities.rearrange(inequalities.lattice_profile(grid, f_cut))
     radii = np.sort(absx, kind="stable")
     closed = (radii + 1.0) ** -1.5
     h = grid.spacing

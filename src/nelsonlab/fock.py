@@ -15,8 +15,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grid import Grid
-from .operators import OperatorMatrix, hermitian_func, psd_power
+from .operators import check_hermitian, hermitian_func, opnorm, psd_power
 
 
 def fock_dim(n_modes: int, n_max: int) -> int:
@@ -74,10 +73,6 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
-
-    @property
-    def space(self) -> str:
-        return f"fock({self.n_modes},{self.n_max})"
 
     def sector_slice(self, n: int) -> slice:
         return slice(self.sector_bounds[n], self.sector_bounds[n + 1])
@@ -144,7 +139,7 @@ def fock_basis(n_modes: int, n_max: int) -> FockBasis:
     return FockBasis(n_modes, n_max, occ, tuple(bounds), index)
 
 
-def annihilate(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
+def annihilate(basis: FockBasis, f: np.ndarray) -> np.ndarray:
     """a(f) for mode coefficients ``f``; antilinear in f."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.n_modes,):
@@ -152,15 +147,14 @@ def annihilate(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
     rows, cols, modes, factors = basis.creation_entries
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     mat[cols, rows] = np.conj(f)[modes] * factors
-    return OperatorMatrix(mat, basis.space, False)
+    return mat
 
 
-def second_quantize(basis: FockBasis, h: np.ndarray) -> OperatorMatrix:
+def second_quantize(basis: FockBasis, h: np.ndarray) -> np.ndarray:
     """dGamma(h) for a one-particle matrix ``h`` on the modes."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (basis.n_modes, basis.n_modes):
         raise ValueError("one-particle matrix has wrong shape")
-    herm = bool(np.max(np.abs(h - h.conj().T)) <= 1e-12)
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     occ = basis.occupations
     nz = [(j, k) for j in range(basis.n_modes) for k in range(basis.n_modes) if h[j, k] != 0]
@@ -177,34 +171,28 @@ def second_quantize(basis: FockBasis, h: np.ndarray) -> OperatorMatrix:
             target[j] += 1
             t = basis.index[tuple(target)]
             mat[t, s] += h[j, k] * np.sqrt(state[k] * (state[j] + 1))
-    return OperatorMatrix(mat, basis.space, herm if herm else None)
+    return mat
 
 
-def number_operator(basis: FockBasis) -> OperatorMatrix:
-    return OperatorMatrix(
-        np.diag(basis.sector_totals().astype(complex)), basis.space, True
-    )
+def number_operator(basis: FockBasis) -> np.ndarray:
+    return check_hermitian(np.diag(basis.sector_totals().astype(complex)))
 
 
-def field(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
+def field(basis: FockBasis, f: np.ndarray) -> np.ndarray:
     """Phi(f) = (a*(f) + a(f)) / sqrt(2)."""
     a = annihilate(basis, f)
-    mat = (a.adjoint().mat + a.mat) / np.sqrt(2.0)
-    return OperatorMatrix(mat, basis.space, True)
+    return check_hermitian((a.conj().T + a) / np.sqrt(2.0))
 
 
-def momentum(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
+def momentum(basis: FockBasis, f: np.ndarray) -> np.ndarray:
     """Pi(f) = i (a*(f) - a(f)) / sqrt(2) = Phi(i f)."""
     a = annihilate(basis, f)
-    mat = 1j * (a.adjoint().mat - a.mat) / np.sqrt(2.0)
-    return OperatorMatrix(mat, basis.space, True)
+    return check_hermitian(1j * (a.conj().T - a) / np.sqrt(2.0))
 
 
-def weyl(basis: FockBasis, f: np.ndarray) -> OperatorMatrix:
+def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
     """V(f) = exp(i Pi(f)), unitary on the truncation."""
-    pi = momentum(basis, f)
-    mat = hermitian_func(pi.mat, lambda w: np.exp(1j * w))
-    return OperatorMatrix(mat, basis.space, False)
+    return hermitian_func(momentum(basis, f), lambda w: np.exp(1j * w))
 
 
 def weyl_truncation_tolerance(n_max: int, sector_cap: int, f_norm: float) -> float:
@@ -217,40 +205,14 @@ def weyl_truncation_tolerance(n_max: int, sector_cap: int, f_norm: float) -> flo
     return float(np.exp(f_norm**2) * f_norm ** (2 * k) / factorial(k))
 
 
-def sector_projector(basis: FockBasis, cap: int) -> OperatorMatrix:
+def sector_projector(basis: FockBasis, cap: int) -> np.ndarray:
     diag = (basis.sector_totals() <= cap).astype(complex)
-    return OperatorMatrix(np.diag(diag), basis.space, True)
+    return check_hermitian(np.diag(diag))
 
 
-def dgamma_power(basis: FockBasis, h: np.ndarray, alpha: float) -> OperatorMatrix:
+def dgamma_power(basis: FockBasis, h: np.ndarray, alpha: float) -> np.ndarray:
     """dGamma(h)^alpha for hermitian psd ``h`` (blockwise eigh)."""
-    dg = second_quantize(basis, h)
-    return OperatorMatrix(psd_power(dg.mat, alpha), basis.space, True)
-
-
-# ---------------------------------------------------------------------------
-# mode maps: lattice one-particle space -> finite mode set
-
-
-@dataclass(frozen=True, eq=False)
-class ModeMap:
-    """Orthonormal mode family inside the weighted lattice inner product."""
-
-    grid: Grid
-    vectors: np.ndarray  # (grid.size, n_modes)
-
-    def project(self, u) -> tuple[np.ndarray, float]:
-        """Mode coefficients of ``u`` and the norm of what the modes miss.
-
-        The residual is always reported, never silently dropped.
-        """
-        vals = np.asarray(u)
-        coeffs = self.vectors.conj().T @ vals * self.grid.weight
-        recon = self.vectors @ coeffs
-        residual = float(
-            np.sqrt(np.vdot(vals - recon, vals - recon).real * self.grid.weight)
-        )
-        return coeffs, residual
+    return check_hermitian(psd_power(second_quantize(basis, h), alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +238,9 @@ def gross_check_static(
     ham = second_quantize(basis, omega) + field(basis, psd_power(omega, -0.5) @ rho)
     v = weyl(basis, f)
     shift = 0.5 * float(np.vdot(psd_power(omega, -1.0) @ rho, psd_power(omega, -1.0) @ rho).real)
-    target = second_quantize(basis, omega).shifted(-shift)
+    target = second_quantize(basis, omega) - shift * np.eye(basis.dim)
     p = sector_projector(basis, sector_cap)
-    resid = p @ (v @ ham @ v.adjoint() - target) @ p
-    return resid.norm()
+    return opnorm(p @ (v @ ham @ v.conj().T - target) @ p)
 
 
 def ac_estimate_report(
@@ -292,8 +253,10 @@ def ac_estimate_report(
 ) -> dict:
     """Left and right sides of the annihilation-bound family.
 
-    Requires h >= 1 hermitian on the modes and alpha >= 1/2.  Returns pairs
-    (lhs, rhs); each inequality asserts lhs <= rhs.
+    Requires h >= 1 hermitian on the modes and alpha >= 1/2.  The operators
+    are dense arrays on the Fock basis; dGamma(h)^alpha and (N + 1)^{-1/2}
+    pass ``check_hermitian``.  Returns pairs (lhs, rhs); each inequality
+    asserts lhs <= rhs.
     """
     if alpha < 0.5:
         raise ValueError("alpha must be at least 1/2")
@@ -309,13 +272,12 @@ def ac_estimate_report(
     dg_alpha = dgamma_power(basis, h, alpha)
     a_f = annihilate(basis, f)
     a_g = annihilate(basis, g)
-    n_shift = number_operator(basis).shifted(1.0)
-    n_inv_half = OperatorMatrix(psd_power(n_shift.mat, -0.5), basis.space, True)
+    n_inv_half = check_hermitian(psd_power(number_operator(basis) + np.eye(basis.dim), -0.5))
 
     lhs_a = vec_norm(a_f @ psi)
     rhs_a = vec_norm(psd_power(h, -alpha) @ f) * vec_norm(dg_alpha @ psi)
 
-    lhs_c = vec_norm(a_f.adjoint() @ psi)
+    lhs_c = vec_norm(a_f.conj().T @ psi)
     rhs_c = rhs_a + vec_norm(f) * vec_norm(psi)
 
     lhs_p = vec_norm(n_inv_half @ (a_f @ (a_g @ psi)))

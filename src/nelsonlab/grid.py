@@ -95,23 +95,6 @@ class Grid:
             )
 
 
-@dataclass(frozen=True)
-class LatticeFunction:
-    """Complex function sampled on a grid, flattened in C order."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.grid.size,):
-            raise ValueError(
-                f"values must be flat of length {self.grid.size}, got {self.values.shape}"
-            )
-
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.values.imag)) <= tol)
-
-
 def dft(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Position -> momentum transform; approximates the continuum integral."""
     shaped = np.asarray(values).reshape(grid.shape)

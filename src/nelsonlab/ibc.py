@@ -30,7 +30,7 @@ from .nelson import (
     form_factor,
     vacuum_energy_operator,
 )
-from .operators import OperatorMatrix, check_dense_size, opnorm
+from .operators import check_dense_size, check_hermitian, opnorm
 
 
 def free_shift(model: AssembledModel) -> float:
@@ -118,7 +118,7 @@ class IbcOperators:
     shift: float
     g: dict
     e_diag: np.ndarray
-    h_ibc: OperatorMatrix
+    h_ibc: np.ndarray
     inverse: dict
     neumann_terms: int
     neumann_tail: float
@@ -173,7 +173,7 @@ def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
         shift=s,
         g=g,
         e_diag=e_diag,
-        h_ibc=OperatorMatrix(square, model.space, True),
+        h_ibc=check_hermitian(square),
         inverse=inverse,
         neumann_terms=meta["terms"],
         neumann_tail=meta["tail_bound"],
@@ -201,7 +201,7 @@ def neumann_residual(model: AssembledModel, ops: IbcOperators) -> float:
 
 
 def factorization_identity_check(
-    model: AssembledModel, ops: IbcOperators, h_lam: OperatorMatrix
+    model: AssembledModel, ops: IbcOperators, h_lam: np.ndarray
 ) -> float:
     """Relative residual of H_lam = (1-G)*(H0+s)(1-G) + T - s on safe sectors.
 
@@ -213,8 +213,8 @@ def factorization_identity_check(
     """
     idx = model.basis.tensor_rows(model.grid.size, 0, model.basis.n_max - 1)
     sub = np.ix_(idx, idx)
-    lhs = h_lam.mat[sub]
-    rhs = ops.h_ibc.mat[sub] - np.diag(ops.e_diag[idx])
+    lhs = h_lam[sub]
+    rhs = ops.h_ibc[sub] - np.diag(ops.e_diag[idx])
     return opnorm(lhs - rhs) / opnorm(lhs)
 
 

@@ -6,7 +6,8 @@ profiles: ``radii[i]`` is the outer boundary of the i-th spherical shell,
 recoverable from the radii, and rearranging acts by permuting the pairs
 (value, volume) into non-increasing value order and re-deriving the radii
 from cumulative volume.  A nonnegative function on a one-dimensional
-periodic lattice enters by ordering its cells by distance to the origin.
+periodic lattice enters by ordering its cells by distance to the origin
+(``lattice_profile``).
 
 The integral estimates target kernels F(|xi|, |Xi - xi|) on R^3: the
 integrals reduce to an (r, s) double quadrature with measure 2*pi*r*s/|Xi|
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import LatticeFunction, gaussian_profile_hat
+from .grid import Grid, gaussian_profile_hat
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,34 +78,37 @@ class RadialProfile:
         return np.diff(balls, prepend=0.0)
 
 
-def _lattice_profile(f: LatticeFunction) -> RadialProfile:
-    """Order the cells of a one-dimensional lattice function by |x|."""
-    if f.grid.dim != 1:
-        raise DomainError(f"lattice rearrangement needs dim 1, got dim {f.grid.dim}")
-    if not f.is_real():
+def lattice_profile(grid: Grid, values) -> RadialProfile:
+    """Radial profile of a function on a one-dimensional lattice: its flat
+    values ordered by the distance |x| of their cells to the origin."""
+    if grid.dim != 1:
+        raise DomainError(f"lattice rearrangement needs dim 1, got dim {grid.dim}")
+    values = np.asarray(values)
+    if values.shape != (grid.size,):
+        raise DomainError(f"values must be flat of length {grid.size}, got {values.shape}")
+    if not np.max(np.abs(values.imag)) <= 1e-10:
         raise DomainError("lattice values must be real")
-    vals = f.values.real
+    vals = values.real
     if np.any(vals < 0.0):
         worst = int(np.argmin(vals))
         raise DomainError(
-            f"negative value {vals[worst]:.6g} at lattice point {f.grid.axis_positions()[worst]:.6g}"
+            f"negative value {vals[worst]:.6g} at lattice point {grid.axis_positions()[worst]:.6g}"
         )
-    half = 0.5 * f.grid.box
-    signed = np.mod(f.grid.axis_positions() + half, f.grid.box) - half
+    half = 0.5 * grid.box
+    signed = np.mod(grid.axis_positions() + half, grid.box) - half
     order = np.argsort(np.abs(signed), kind="stable")
-    cumulative = np.arange(1, f.grid.size + 1) * f.grid.weight
+    cumulative = np.arange(1, grid.size + 1) * grid.weight
     return RadialProfile(cumulative / _UNIT_BALL[1], vals[order], d=1)
 
 
-def rearrange(f: LatticeFunction | RadialProfile) -> RadialProfile:
+def rearrange(profile: RadialProfile) -> RadialProfile:
     """Symmetric decreasing rearrangement as a radial step profile.
 
     Already non-increasing profiles are returned unchanged, so the map is
-    exactly idempotent.  Lattice input is first radialized cell by cell;
-    equal cell volumes make the result's values an exact permutation of
-    the input values.
+    exactly idempotent.  A profile from ``lattice_profile`` has equal cell
+    volumes, so the result's values are an exact permutation of the
+    lattice values.
     """
-    profile = f if isinstance(f, RadialProfile) else _lattice_profile(f)
     if np.all(np.diff(profile.values) <= 0.0):
         return profile
     order = np.argsort(-profile.values, kind="stable")
@@ -113,14 +117,12 @@ def rearrange(f: LatticeFunction | RadialProfile) -> RadialProfile:
     return RadialProfile(radii, profile.values[order], d=profile.d)
 
 
-def hardy_littlewood_check(f: LatticeFunction, g: LatticeFunction) -> tuple[float, float]:
-    """Return (int f g, int f* g*) for nonnegative lattice functions."""
-    fp = _lattice_profile(f)
-    gp = _lattice_profile(g)
-    if f.grid != g.grid:
-        raise DomainError("both functions must live on the same grid")
-    lhs = f.grid.weight * float(f.values.real @ g.values.real)
-    rhs = f.grid.weight * float(
+def hardy_littlewood_check(grid: Grid, f, g) -> tuple[float, float]:
+    """Return (int f g, int f* g*) for nonnegative functions on a lattice."""
+    fp = lattice_profile(grid, f)
+    gp = lattice_profile(grid, g)
+    lhs = grid.weight * float(np.real(f) @ np.real(g))
+    rhs = grid.weight * float(
         np.sort(fp.values)[::-1] @ np.sort(gp.values)[::-1]
     )
     return lhs, rhs

@@ -43,7 +43,7 @@ from .grid import (
     norm as lattice_norm,
     sobolev_norm,
 )
-from .operators import OperatorMatrix, SizeError, check_dense_size, opnorm  # noqa: F401 (SizeError re-exported)
+from .operators import check_dense_size, check_hermitian, opnorm
 from .psido import dequantize
 
 
@@ -183,7 +183,7 @@ class AssembledModel:
     h_evals: np.ndarray
     h_evecs: np.ndarray
     omega: np.ndarray
-    modes: fock.ModeMap
+    mode_vectors: np.ndarray  # (grid.size, n_modes), orthonormal in the weighted inner product
     mode_freqs: np.ndarray
     basis: fock.FockBasis
     occupation_energies: np.ndarray
@@ -200,19 +200,14 @@ class AssembledModel:
     def dim(self) -> int:
         return self.grid.size * self.basis.dim
 
-    @property
-    def space(self) -> str:
-        g = self.grid
-        return f"tensor({g.dim},{g.npts},{g.box:g};{self.basis.space})"
-
     @cached_property
-    def h0(self) -> OperatorMatrix:
+    def h0(self) -> np.ndarray:
         """K x 1 + 1 x dGamma as a dense matrix (lazy, size-guarded)."""
         check_tensor_size(self.spec)
         mat = np.kron(self.k, np.eye(self.fock_dim)) + np.diag(
             np.tile(self.occupation_energies, self.grid.size)
         )
-        return OperatorMatrix(mat, self.space, True)
+        return check_hermitian(mat)
 
     def block(self, x_index: int) -> slice:
         """Rows of the Fock block attached to particle point ``x_index``."""
@@ -226,11 +221,9 @@ class AssembledModel:
     def project(self, u) -> np.ndarray:
         """Mode coefficients of a lattice vector, or one row of them per row of a stack.
 
-        The modes span the lattice, so the residual of ``modes.project`` is
-        roundoff and is not returned.
+        The modes span the lattice, so the coefficients lose nothing of ``u``.
         """
-        coeffs, _ = self.modes.project(np.asarray(u).T)
-        return coeffs.T
+        return (self.mode_vectors.conj().T @ np.asarray(u).T * self.grid.weight).T
 
 
 def assemble_free(spec: ModelSpec) -> AssembledModel:
@@ -257,7 +250,6 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
     if dev > 1e-10 * max(1.0, float(h_evals[-1])):
         raise SpectralError(f"omega^2 deviates from h by {dev:.3e}")
 
-    modes = fock.ModeMap(grid, h_evecs / np.sqrt(grid.weight))
     mode_freqs = np.sqrt(h_evals)
     basis = fock.fock_basis(grid.size, spec.n_max)
     occupation_energies = np.zeros(basis.dim)
@@ -273,7 +265,7 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
         h_evals=h_evals,
         h_evecs=h_evecs,
         omega=omega,
-        modes=modes,
+        mode_vectors=h_evecs / np.sqrt(grid.weight),
         mode_freqs=mode_freqs,
         basis=basis,
         occupation_energies=occupation_energies,
@@ -334,7 +326,7 @@ def form_factor_split(
     return u, residual, np.linalg.norm(residual, axis=1) / np.linalg.norm(u, axis=1)
 
 
-def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
+def creation_family(model: AssembledModel, lam: float) -> np.ndarray:
     """A = blockdiag_X a*(v_{lam,X}), the creation part of the interaction.
 
     The dense A of the cutoff Hamiltonian H0 + A + A*: one scatter of the
@@ -348,18 +340,18 @@ def creation_family(model: AssembledModel, lam: float) -> OperatorMatrix:
     coeffs = form_factor(model, lam)
     mat = np.zeros((size, fdim, size, fdim), dtype=coeffs.dtype)
     mat[x, rows, x, cols] = coeffs[:, modes] * factors
-    return OperatorMatrix(mat.reshape(model.dim, model.dim), model.space, False)
+    return mat.reshape(model.dim, model.dim)
 
 
-def assemble_cutoff_hamiltonian(model: AssembledModel, lam: float) -> OperatorMatrix:
+def assemble_cutoff_hamiltonian(model: AssembledModel, lam: float) -> np.ndarray:
     """H_lam = H0 + A + A*, i.e. H0 + blockdiag_X Phi(omega^{-1/2} rho_{lam,X}).
 
     H0 sits on the Fock diagonal and A + A* off it, so the sum is exact.
     """
-    mat = creation_family(model, lam).mat
+    mat = creation_family(model, lam)
     mat += mat.conj().T
-    mat += model.h0.mat
-    return OperatorMatrix(mat, model.space, True)
+    mat += model.h0
+    return check_hermitian(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +444,7 @@ def transformed_hamiltonian_check(
     """
     spec = model.spec
     grid = model.grid
-    h0 = model.h0.mat  # size-guarded; built before any other dense work
+    h0 = model.h0  # size-guarded; built before any other dense work
     size = grid.size
     basis = model.basis
     fdim = basis.dim
@@ -470,13 +462,13 @@ def transformed_hamiltonian_check(
     fam_db = pd @ fam_b  # derivative along the family index X
     coeffs_b = model.project(fam_b)
     # a(dB_X) per lattice point, shared by the diagonal and mixed terms
-    aops = [fock.annihilate(basis, c).mat for c in model.project(fam_db)]
+    aops = [fock.annihilate(basis, c) for c in model.project(fam_db)]
 
     ident_f = np.eye(fdim)
     # U is block diagonal, so (U H U*)[X, Y] = V_X H[X, Y] V_Y*: two batched
     # products over the (X, Y) Fock blocks
-    weyls = np.stack([fock.weyl(basis, b).mat for b in coeffs_b])
-    h_blocks = assemble_cutoff_hamiltonian(model, lam).mat.reshape(size, fdim, size, fdim)
+    weyls = np.stack([fock.weyl(basis, b) for b in coeffs_b])
+    h_blocks = assemble_cutoff_hamiltonian(model, lam).reshape(size, fdim, size, fdim)
     lhs = weyls[:, None] @ h_blocks.transpose(0, 2, 1, 3) @ weyls.conj().transpose(0, 2, 1)
     lhs = lhs.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
 
@@ -490,7 +482,7 @@ def transformed_hamiltonian_check(
         b_x = fam_b[xi]
         aop = aops[xi]
         cop = aop.conj().T
-        rhs[blk, blk] += fock.field(basis, shifted[xi]).mat
+        rhs[blk, blk] += fock.field(basis, shifted[xi])
         rhs[blk, blk] += spec.g[xi] * (-0.5 * cop @ cop - 0.5 * aop @ aop + cop @ aop)
         scalar = (
             0.5 * inner(grid, b_x, omega @ b_x).real
@@ -521,15 +513,15 @@ def transformed_hamiltonian_check(
         conj = v @ dgamma @ v.conj().T
         pred = (
             dgamma
-            + fock.field(basis, freqs * b).mat
+            + fock.field(basis, freqs * b)
             + 0.5 * np.dot(b, freqs * b).real * ident_f
         )
         dev_dgamma = max(
             dev_dgamma, float(np.abs((conj - pred)[np.ix_(safe, safe)]).max())
         )
         u = coeffs_u[xi]
-        conj = v @ fock.field(basis, u).mat @ v.conj().T
-        pred = fock.field(basis, u).mat + np.dot(b, u).real * ident_f
+        conj = v @ fock.field(basis, u) @ v.conj().T
+        pred = fock.field(basis, u) + np.dot(b, u).real * ident_f
         dev_field = max(
             dev_field, float(np.abs((conj - pred)[np.ix_(safe, safe)]).max())
         )
@@ -561,9 +553,9 @@ def relative_bound_report(
     of omega^{-1/2} v (against the dGamma^{1/2} piece) and of v (against the
     constant), plus eps * |min W| to undo the potential shift.
     """
-    phi_part = creation_family(model, lam).mat
+    phi_part = creation_family(model, lam)
     phi_part += phi_part.conj().T
-    h0_mat = model.h0.mat
+    h0_mat = model.h0
     v = form_factor(model, lam)
     v_bound = float(np.max(np.linalg.norm(v, axis=1)))
     v_half = float(np.max(np.linalg.norm(v / np.sqrt(model.mode_freqs), axis=1)))
@@ -645,7 +637,7 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     levels, pairs = [], []
     previous = None
     for lam in lams:
-        h_mat = assemble_cutoff_hamiltonian(model, lam).mat
+        h_mat = assemble_cutoff_hamiltonian(model, lam)
         plain = np.linalg.eigh(h_mat)
         np.fill_diagonal(h_mat, h_mat.diagonal() + vacuum_energy_operator(model, lam))
         sub = np.linalg.eigh(h_mat)

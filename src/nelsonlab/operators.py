@@ -1,8 +1,7 @@
-"""Dense operator matrices with space labels and hermiticity bookkeeping."""
+"""Dense operators as numpy arrays: the size guard, the hermiticity check, and
+spectral helpers (norm, psd powers, functions of hermitian matrices)."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,70 +24,12 @@ def check_dense_size(what: str, size: int, block: int = 1) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Square real or complex matrix acting on a labeled finite-dimensional space.
-
-    float64 and complex128 matrices are kept as given, so a real operator
-    stays real; any other dtype is cast to complex128.
-
-    ``hermitian`` is three-valued: True (validated at construction), False,
-    or None when unknown (products, generic sums).
-    """
-
-    mat: np.ndarray
-    space: str = ""
-    hermitian: bool | None = None
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {m.shape}")
-        if m.dtype not in (np.float64, np.complex128):
-            m = m.astype(complex)
-        object.__setattr__(self, "mat", m)
-        if self.hermitian is True:
-            dev = float(np.max(np.abs(self.mat - self.mat.conj().T)))
-            if dev > HERMITIAN_TOL:
-                raise ValueError(f"declared hermitian but max deviation {dev:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat.conj().T, self.space, self.hermitian)
-
-    def norm(self) -> float:
-        """Spectral norm."""
-        return opnorm(self.mat)
-
-    def _check_space(self, other: "OperatorMatrix") -> str:
-        if self.space and other.space and self.space != other.space:
-            raise ValueError(f"space mismatch: {self.space!r} vs {other.space!r}")
-        return self.space or other.space
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.mat @ other.mat, self._check_space(other))
-        return self.mat @ other
-
-    def __add__(self, other):
-        if isinstance(other, OperatorMatrix):
-            herm = True if (self.hermitian and other.hermitian) else None
-            return OperatorMatrix(self.mat + other.mat, self._check_space(other), herm)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, OperatorMatrix):
-            herm = True if (self.hermitian and other.hermitian) else None
-            return OperatorMatrix(self.mat - other.mat, self._check_space(other), herm)
-        return NotImplemented
-
-    def shifted(self, scalar) -> "OperatorMatrix":
-        """Add scalar * identity, keeping hermiticity for real shifts."""
-        herm = self.hermitian if np.isreal(scalar) else None
-        return replace(self, mat=self.mat + scalar * np.eye(self.dim), hermitian=herm)
+def check_hermitian(mat: np.ndarray) -> np.ndarray:
+    """Return ``mat`` after refusing a deviation max|M - M*| above ``HERMITIAN_TOL``."""
+    dev = float(np.max(np.abs(mat - mat.conj().T)))
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"declared hermitian but max deviation {dev:.3e}")
+    return mat
 
 
 def opnorm(mat: np.ndarray) -> float:

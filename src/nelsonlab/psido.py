@@ -22,15 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid, cosine_ramp, momentum_multiplier
-from .operators import HERMITIAN_TOL, OperatorMatrix, check_dense_size, hermitian_func, opnorm
+from .operators import HERMITIAN_TOL, check_dense_size, hermitian_func, opnorm
 
 
 class EllipticityError(ValueError):
     """The symbol has no positive lower bound against its order function."""
-
-
-def lattice_space(grid: Grid) -> str:
-    return f"grid({grid.dim},{grid.npts},{grid.box:g})"
 
 
 @dataclass(frozen=True)
@@ -181,7 +177,7 @@ def _phase_derivative(grid: Grid, values: np.ndarray, alpha: Sequence[int]) -> n
 # -- quantization ----------------------------------------------------------
 
 
-def quantize(a: Symbol, t: float) -> OperatorMatrix:
+def quantize(a: Symbol, t: float) -> np.ndarray:
     """Matrix of Op_t(a) acting on flat position samples.
 
     The kernel is K(x, y) = dual_weight * sum_xi e^{i<x-y, xi>} a(m, xi) with
@@ -203,7 +199,7 @@ def quantize(a: Symbol, t: float) -> OperatorMatrix:
         cols = _translate_x(grid, cols, np.exp(-1j * back * _displacement_phase(grid)))
     out = np.empty((S, S), dtype=complex)
     out[np.arange(S)[:, None], _target_index(grid)] = cols
-    return OperatorMatrix(out, lattice_space(grid))
+    return out
 
 
 def dequantize(grid: Grid, op, t: float) -> Symbol:
@@ -215,7 +211,7 @@ def dequantize(grid: Grid, op, t: float) -> Symbol:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"ordering parameter t must lie in [0, 1], got {t}")
-    A = op.mat if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
+    A = np.asarray(op, dtype=complex)
     S = grid.size
     if A.shape != (S, S):
         raise ValueError(f"operator must be {S} x {S}")
@@ -313,28 +309,27 @@ def poisson_residual(a: Symbol, b: Symbol, t: float = 1.0) -> float:
 # -- kernels and norm estimators --------------------------------------------
 
 
-def schur_bound(op: OperatorMatrix) -> float:
+def schur_bound(op: np.ndarray) -> float:
     """max of the absolute row and column sums of the matrix; dominates the norm.
 
     The matrix of a kernel operator is K(x, y) * weight, so these are the
     weighted absolute kernel sums of the Schur test.
     """
-    absk = np.abs(op.mat)
+    absk = np.abs(op)
     return float(max(absk.sum(axis=0).max(), absk.sum(axis=1).max()))
 
 
-def cotlar_stein_bound(blocks: Sequence[OperatorMatrix]) -> float:
+def cotlar_stein_bound(blocks: Sequence[np.ndarray]) -> float:
     """max of the two square-root cross-Gram row sums; dominates ||sum||."""
-    mats = [b.mat for b in blocks]
-    if not mats:
+    if not blocks:
         return 0.0
-    n = len(mats)
+    n = len(blocks)
     star = np.zeros((n, n))
     plain = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            star[i, j] = np.sqrt(opnorm(mats[i].conj().T @ mats[j]))
-            plain[i, j] = np.sqrt(opnorm(mats[i] @ mats[j].conj().T))
+            star[i, j] = np.sqrt(opnorm(blocks[i].conj().T @ blocks[j]))
+            plain[i, j] = np.sqrt(opnorm(blocks[i] @ blocks[j].conj().T))
     return float(max(star.sum(axis=1).max(), plain.sum(axis=1).max()))
 
 
@@ -372,7 +367,7 @@ def parametrix(a: Symbol, t: float = 1.0, iterations: int = 3):
             power = moyal(r, power, t)
             series = Symbol(grid, series.values + power.values)
             b = Symbol(grid, moyal(b0, series, t).values, inv_order)
-        residuals.append(opnorm(quantize(moyal(a, b, t), t).mat - ident))
+        residuals.append(opnorm(quantize(moyal(a, b, t), t) - ident))
     return b, residuals
 
 
@@ -451,14 +446,14 @@ def functional_calculus_check(
             raise ValueError("order_m is required unless the symbol uses the xi^m family")
         order_m = float(name[3:])
     A = quantize(a, 0.5)
-    dev = float(np.max(np.abs(A.mat - A.mat.conj().T)))
+    dev = float(np.max(np.abs(A - A.conj().T)))
     if dev > HERMITIAN_TOL:
         raise ValueError(
             f"Weyl matrix deviates from hermitian by {dev:.3e}; the symbol must be real"
         )
-    herm = 0.5 * (A.mat + A.mat.conj().T)
+    herm = 0.5 * (A + A.conj().T)
     f_of_op = hermitian_func(herm, f)
-    op_of_f = quantize(Symbol(grid, f(a.values.real).astype(complex)), 0.5).mat
+    op_of_f = quantize(Symbol(grid, f(a.values.real).astype(complex)), 0.5)
     diff = f_of_op - op_of_f
     q = order_m * p - 1.0
     bracket = grid.xi_bracket()

@@ -176,11 +176,39 @@ def test_library_refusals_exit_three_before_assembly(
         ("[sweep]\nsizes = 8\ndomain_lams = 2.0\n", "sizes", "domain-regularity"),
         ("[sweep]\nsizes = 8, 16\ndomain_lams = 2, 4\npowers = 0.5, 0.5\n", "powers", "domain-regularity"),
         ("[sweep]\nquad_lams = 4.0\n", "quad_lams", "vacuum-energy"),
+        ("[sweep]\nlams =\n", "lams", "gross-transform"),
+        ("[sweep]\nlams =\n", "lams", "ibc-identity"),
+        ("[sweep]\npowers =\n", "powers", "domain-regularity"),
+        ("[sweep]\nweyl_n_max =\n", "weyl_n_max", "weyl-identities"),
+        ("[sweep]\nweyl_n_max = 10\n", "weyl_n_max", "weyl-identities"),
+        ("[sweep]\nomegas =\n", "omegas", "appendix-inequalities"),
+        ("[sweep]\nfuzz_pairs = 0\n", "fuzz_pairs", "appendix-inequalities"),
+        ("[sweep]\nfuzz_samples = 0\n", "fuzz_samples", "appendix-inequalities"),
+        ("[sweep]\nxis =\n", "xis", "appendix-inequalities"),
+        ("[sweep]\nxis = 4.0\n", "xis", "appendix-inequalities"),
+        ("[sweep]\ndraws = 0\n", "draws", "psido-calculus"),
     ],
-    ids=["single-cutoff", "single-size", "repeated-power", "single-quadrature-cutoff"],
+    ids=[
+        "single-cutoff",
+        "single-size",
+        "repeated-power",
+        "single-quadrature-cutoff",
+        "no-cutoff-gross",
+        "no-cutoff-ibc",
+        "no-power",
+        "no-weyl-cap",
+        "single-weyl-cap",
+        "no-omega",
+        "no-fuzz-pair",
+        "no-fuzz-sample",
+        "no-offset",
+        "single-offset",
+        "no-draw",
+    ],
 )
 def test_sweep_policies_exit_three_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment):
-    # without these policies each run dies part way with a traceback and exit 1
+    # without these policies a run dies part way with a traceback and exit 1,
+    # or exits 0 with rows missing or measuring nothing
     _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment)
 
 

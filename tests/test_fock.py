@@ -3,7 +3,6 @@ import pytest
 
 from nelsonlab.fock import (
     FockBasis,
-    ModeMap,
     ac_estimate_report,
     annihilate,
     dgamma_power,
@@ -18,7 +17,6 @@ from nelsonlab.fock import (
     weyl,
     weyl_truncation_tolerance,
 )
-from nelsonlab.grid import Grid
 from nelsonlab.nelson import assemble_free, sinusoidal_spec
 from nelsonlab.operators import opnorm, psd_power
 
@@ -78,7 +76,7 @@ def test_annihilate_matches_symmetric_tensor_construction():
     for _ in range(5):
         f = rand_vec(rng, 2)
         np.testing.assert_allclose(
-            annihilate(b, f).mat, _tensor_oracle_annihilate(f), atol=1e-13
+            annihilate(b, f), _tensor_oracle_annihilate(f), atol=1e-13
         )
 
 
@@ -93,7 +91,7 @@ def test_annihilate_matches_occupation_loop():
             target = state.copy()
             target[j] -= 1
             oracle[b.index[tuple(target)], s] += np.conj(f[j]) * np.sqrt(state[j])
-    assert np.array_equal(annihilate(b, f).mat, oracle)
+    assert np.array_equal(annihilate(b, f), oracle)
 
 
 def test_sector_ladder_lists_every_creation_element():
@@ -127,21 +125,21 @@ def test_ladder_amplitude_single_mode():
     a = annihilate(b, np.array([1.0]))
     # <n-1| a |n> = sqrt(n)
     for n in range(1, 6):
-        assert a.mat[n - 1, n] == pytest.approx(np.sqrt(n))
+        assert a[n - 1, n] == pytest.approx(np.sqrt(n))
 
 
 def test_ccr_and_second_quantization_commutators():
     # canonical commutators hold to 1e-12 on sectors two below the cap
     rng = np.random.default_rng(42)
     b = fock_basis(3, 4)
-    p = sector_projector(b, b.n_max - 2).mat
+    p = sector_projector(b, b.n_max - 2)
     eye = np.eye(b.dim)
 
     def comm(x, y):
-        return x.mat @ y.mat - y.mat @ x.mat
+        return x @ y - y @ x
 
     def create(f):
-        return annihilate(b, f).adjoint()
+        return annihilate(b, f).conj().T
 
     for _ in range(20):
         f = rand_vec(rng, 3)
@@ -151,8 +149,8 @@ def test_ccr_and_second_quantization_commutators():
         fg = np.vdot(f, g)
 
         c1 = comm(annihilate(b, f), create(g)) - fg * eye
-        c2 = comm(second_quantize(b, h), create(f)) - create(h @ f).mat
-        c3 = comm(second_quantize(b, h), annihilate(b, f)) + annihilate(b, h @ f).mat
+        c2 = comm(second_quantize(b, h), create(f)) - create(h @ f)
+        c3 = comm(second_quantize(b, h), annihilate(b, f)) + annihilate(b, h @ f)
         c4 = comm(field(b, f), field(b, g)) - 1j * fg.imag * eye
         c5 = comm(momentum(b, f), momentum(b, g)) - 1j * fg.imag * eye
         c6 = comm(field(b, f), momentum(b, g)) - 1j * fg.real * eye
@@ -163,7 +161,7 @@ def test_ccr_and_second_quantization_commutators():
 def test_number_operator_is_dgamma_of_identity():
     b = fock_basis(3, 3)
     np.testing.assert_allclose(
-        number_operator(b).mat, second_quantize(b, np.eye(3)).mat, atol=1e-13
+        number_operator(b), second_quantize(b, np.eye(3)), atol=1e-13
     )
 
 
@@ -172,7 +170,7 @@ def test_dgamma_restricted_to_one_boson_is_the_one_particle_matrix():
     b = fock_basis(4, 2)
     h = rand_vec(rng, 16).reshape(4, 4)
     h = h + h.conj().T
-    dg = second_quantize(b, h).mat
+    dg = second_quantize(b, h)
     s1 = b.sector_slice(1)
     np.testing.assert_allclose(dg[s1, s1], h, atol=1e-13)
 
@@ -194,7 +192,7 @@ def test_weyl_unitary():
     rng = np.random.default_rng(11)
     b = fock_basis(2, 8)
     v = weyl(b, rand_vec(rng, 2, 0.7))
-    np.testing.assert_allclose(v.mat @ v.mat.conj().T, np.eye(b.dim), atol=1e-12)
+    np.testing.assert_allclose(v @ v.conj().T, np.eye(b.dim), atol=1e-12)
 
 
 def test_weyl_product_phase_is_bch():
@@ -206,7 +204,7 @@ def test_weyl_product_phase_is_bch():
         f = rand_vec(rng, 2, 0.25)
         g = rand_vec(rng, 2, 0.25)
         phase = np.exp(-0.5j * np.vdot(f, g).imag)
-        resid = p.mat @ (weyl(b, f).mat @ weyl(b, g).mat - phase * weyl(b, f + g).mat) @ p.mat
+        resid = p @ (weyl(b, f) @ weyl(b, g) - phase * weyl(b, f + g)) @ p
         assert opnorm(resid) <= 1e-9
 
 
@@ -218,8 +216,8 @@ def test_weyl_conjugation_shifts_field():
     g = np.array([0.3 - 0.4j])
     v = weyl(b, g)
     shift = complex(np.vdot(f, g).real)
-    resid = p @ (v @ field(b, f) @ v.adjoint() - field(b, f).shifted(shift)) @ p
-    assert resid.norm() <= 1e-7
+    resid = p @ (v @ field(b, f) @ v.conj().T - (field(b, f) + shift * np.eye(b.dim))) @ p
+    assert opnorm(resid) <= 1e-7
 
 
 def test_weyl_conjugation_shifts_dgamma():
@@ -229,12 +227,9 @@ def test_weyl_conjugation_shifts_dgamma():
     h = np.array([[1.4]])
     g = np.array([0.5 + 0.2j])
     v = weyl(b, g)
-    target = (
-        second_quantize(b, h)
-        + field(b, h @ g)
-    ).shifted(0.5 * np.vdot(h @ g, g).real)
-    resid = p @ (v @ second_quantize(b, h) @ v.adjoint() - target) @ p
-    assert resid.norm() <= 1e-7
+    target = second_quantize(b, h) + field(b, h @ g) + 0.5 * np.vdot(h @ g, g).real * np.eye(b.dim)
+    resid = p @ (v @ second_quantize(b, h) @ v.conj().T - target) @ p
+    assert opnorm(resid) <= 1e-7
 
 
 def test_weyl_truncation_tolerance_shrinks_with_headroom():
@@ -288,7 +283,7 @@ def test_field_bound_sqrt2():
     # ||Phi(f) psi|| <= sqrt(2) ||f|| ||(N+1)^{1/2} psi||
     rng = np.random.default_rng(16)
     b = fock_basis(2, 6)
-    nplus = psd_power(number_operator(b).shifted(1.0).mat, 0.5)
+    nplus = psd_power(number_operator(b) + np.eye(b.dim), 0.5)
     for _ in range(50):
         f = rand_vec(rng, 2)
         psi = rand_vec(rng, b.dim)
@@ -297,29 +292,22 @@ def test_field_bound_sqrt2():
         assert lhs <= rhs + 1e-12
 
 
-def test_mode_map_projection_reports_residual():
-    # the plane waves xi = 0, -1, 1, -2, normalized in the weighted inner product
-    g = Grid(1, 16, 2 * np.pi)
-    xi = g.momentum_mesh()[:, 0]
-    mm = ModeMap(g, np.exp(1j * np.outer(g.axis_positions(), xi[[0, 15, 1, 14]])) / np.sqrt(g.box))
-    # orthonormality in the weighted inner product
-    gram = mm.vectors.conj().T @ mm.vectors * g.weight
-    np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
+def test_model_projection_round_trips_mode_coefficients():
+    # the modes are orthonormal in the weighted inner product and span the lattice
+    model = assemble_free(sinusoidal_spec(8))
+    vecs = model.mode_vectors
+    np.testing.assert_allclose(vecs.conj().T @ vecs * model.grid.weight, np.eye(8), atol=1e-12)
     rng = np.random.default_rng(17)
-    coeffs_in = rand_vec(rng, 4)
-    u = mm.vectors @ coeffs_in
-    coeffs, residual = mm.project(u)
-    np.testing.assert_allclose(coeffs, coeffs_in, atol=1e-12)
-    assert residual <= 1e-12
-    # a vector orthogonal to the span reports its full norm as residual
-    far = np.exp(1j * xi[7] * g.axis_positions()) / np.sqrt(g.box)
-    _, res_far = mm.project(far)
-    assert res_far == pytest.approx(1.0, rel=1e-10)
+    coeffs_in = rand_vec(rng, 8)
+    np.testing.assert_allclose(model.project(vecs @ coeffs_in), coeffs_in, atol=1e-12)
+    # a stack of lattice vectors projects row by row and is rebuilt from its coefficients
+    stack = rand_vec(rng, 24).reshape(3, 8)
+    np.testing.assert_allclose(model.project(stack) @ vecs.T, stack, atol=1e-12)
 
 
 def test_spectral_modes_diagonalize():
     # the model's boson modes are the eigenmodes of h, with frequencies sqrt(eig h)
     model = assemble_free(sinusoidal_spec(8))
-    vecs = model.modes.vectors
+    vecs = model.mode_vectors
     compressed = vecs.conj().T @ model.h @ vecs * model.grid.weight
     np.testing.assert_allclose(compressed, np.diag(model.mode_freqs**2), atol=1e-10)

@@ -16,7 +16,6 @@ from nelsonlab.ibc import (
 )
 from nelsonlab.nelson import (
     AssembledModel,
-    SizeError,
     assemble_cutoff_hamiltonian,
     assemble_free,
     creation_family,
@@ -25,7 +24,7 @@ from nelsonlab.nelson import (
     sinusoidal_spec,
     vacuum_energy_operator,
 )
-from nelsonlab.operators import HERMITIAN_TOL
+from nelsonlab.operators import HERMITIAN_TOL, SizeError
 
 # Frozen references for the bench model at L = 8, M = 8 (independent dense
 # oracle; see test_nelson.py for the model constants).
@@ -84,8 +83,8 @@ def test_sector_blocks_match_dense_route(model_name, lam, request):
     model = request.getfixturevalue(model_name)
     ops = build_ibc(model, lam)
     eye = np.eye(model.dim)
-    h0s = model.h0.mat + ops.shift * eye
-    a = creation_family(model, lam).mat
+    h0s = model.h0 + ops.shift * eye
+    a = creation_family(model, lam)
     g = -np.linalg.solve(h0s, a)
     h_ibc = (eye - g).conj().T @ h0s @ (eye - g) + a.conj().T @ g
     h_ibc += np.diag(vacuum_energy_operator(model, lam)) - ops.shift * eye
@@ -95,7 +94,7 @@ def test_sector_blocks_match_dense_route(model_name, lam, request):
 
     g_mat, inverse = scatter(model, ops.g), scatter(model, ops.inverse)
     assert rel(g_mat, g) < 1e-13
-    assert rel(ops.h_ibc.mat, h_ibc) < 1e-13
+    assert rel(ops.h_ibc, h_ibc) < 1e-13
     assert rel(inverse, np.linalg.inv(eye - g)) < 1e-13
     dense_residual = opnorm((eye - g_mat) @ inverse - eye)
     assert abs(neumann_residual(model, ops) - dense_residual) < 1e-15
@@ -243,19 +242,19 @@ def test_build_ibc_guard_refuses_before_the_ladder(monkeypatch):
 
 
 def test_ibc_matches_subtracted_hamiltonian(bench8, ops2):
-    assert ops2.h_ibc.hermitian is True
+    assert np.max(np.abs(ops2.h_ibc - ops2.h_ibc.conj().T)) <= HERMITIAN_TOL
     reference = (
-        assemble_cutoff_hamiltonian(bench8, 2.0).mat
+        assemble_cutoff_hamiltonian(bench8, 2.0)
         + np.diag(vacuum_energy_operator(bench8, 2.0))
     )
-    e_ibc = np.linalg.eigvalsh(ops2.h_ibc.mat)
+    e_ibc = np.linalg.eigvalsh(ops2.h_ibc)
     e_ref = np.linalg.eigvalsh(reference)
     assert np.max(np.abs(e_ibc - e_ref)) < 1e-9
     assert e_ibc[0] > -1.0
 
 
 def test_ibc_resolvent_distances_decrease(bench8):
-    hams = {lam: build_ibc(bench8, lam).h_ibc.mat for lam in (1.0, 2.0, 4.0)}
+    hams = {lam: build_ibc(bench8, lam).h_ibc for lam in (1.0, 2.0, 4.0)}
     eye = np.eye(bench8.dim)
 
     def resolvent(mat):
@@ -271,7 +270,7 @@ def test_ibc_resolvent_distances_decrease(bench8):
 def test_zero_coupling_ibc_reduces_to_free():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
     ops = build_ibc(model, 2.0)
-    assert np.max(np.abs(ops.h_ibc.mat - model.h0.mat)) < 1e-12
+    assert np.max(np.abs(ops.h_ibc - model.h0)) < 1e-12
 
 
 def dense_domain_norms(model, g, ps):
@@ -283,7 +282,7 @@ def dense_domain_norms(model, g, ps):
     mass 1 > |w_amplitude|.  Only the columns of the sectors below the cap
     enter: G maps the top sector out of the truncation, so they are zero.
     """
-    w, v = np.linalg.eigh(model.h0.mat)
+    w, v = np.linalg.eigh(model.h0)
     cols = model.basis.tensor_rows(model.grid.size, 0, model.basis.n_max - 1)
     vg = v.conj().T @ g[:, cols]
     return {p: opnorm(v @ (np.clip(w, 0.0, None)[:, None] ** p * vg)) for p in ps}
@@ -326,8 +325,8 @@ def test_domain_regularity_matches_dense_on_random_models(
     fast = domain_regularity_norms(model, 2.0, ps)["norms"]
     # G alone; build_ibc would also form T, E_lam and the Neumann inverse
     g = -np.linalg.solve(
-        model.h0.mat + free_shift(model) * np.eye(model.dim),
-        creation_family(model, 2.0).mat,
+        model.h0 + free_shift(model) * np.eye(model.dim),
+        creation_family(model, 2.0),
     )
     dense = dense_domain_norms(model, g, ps)
     for p in ps:
@@ -374,7 +373,7 @@ def test_domain_regularity_table_and_growth():
 def test_creation_family_is_block_diagonal(bench8):
     a = creation_family(bench8, 2.0)
     fdim = bench8.fock_dim
-    mat = a.mat.copy()
+    mat = a.copy()
     for xi in range(bench8.grid.size):
         blk = bench8.block(xi)
         mat[blk, blk] = 0.0
@@ -387,11 +386,11 @@ def test_real_model_stays_float64(bench8_n3, ops2_n3):
     arrays = {
         "rho": form_factor_rho(model, 2.0),
         "v": form_factor(model, 2.0),
-        "A": creation_family(model, 2.0).mat,
-        "H_lam": assemble_cutoff_hamiltonian(model, 2.0).mat,
-        "H0": model.h0.mat,
+        "A": creation_family(model, 2.0),
+        "H_lam": assemble_cutoff_hamiltonian(model, 2.0),
+        "H0": model.h0,
         "G": scatter(model, ops2_n3.g),
-        "H_ibc": ops2_n3.h_ibc.mat,
+        "H_ibc": ops2_n3.h_ibc,
         "inverse": scatter(model, ops2_n3.inverse),
     }
     for name, arr in arrays.items():
@@ -400,6 +399,6 @@ def test_real_model_stays_float64(bench8_n3, ops2_n3):
 
 def test_build_ibc_returns_consistent_bundle(bench8, ops2):
     assert isinstance(ops2, IbcOperators)
-    t_mat = creation_family(bench8, 2.0).mat.conj().T @ scatter(bench8, ops2.g)
+    t_mat = creation_family(bench8, 2.0).conj().T @ scatter(bench8, ops2.g)
     assert np.max(np.abs(t_mat - t_mat.conj().T)) <= HERMITIAN_TOL
     assert abs(ops2.shift - SHIFT_L8) < 1e-6

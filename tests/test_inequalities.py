@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nelsonlab.grid import Grid, LatticeFunction
+from nelsonlab.grid import Grid
 from nelsonlab.inequalities import (
     DomainError,
     PreconditionError,
@@ -12,6 +12,7 @@ from nelsonlab.inequalities import (
     hardy_littlewood_check,
     integral_3d,
     integral_estimate_check,
+    lattice_profile,
     log_fit,
     offset_decay_check,
     peetre_check,
@@ -31,10 +32,6 @@ DECAY_SLOPE = -0.9450
 DECAY_PROXY = [23.98, 18.21, 6.65]
 DEMO_UNSUB = [0.0048601, 0.0069463, 0.0091045, 0.0112877, 0.0134789]
 DEMO_SUB = [-0.0009716, -0.0010263, -0.0010460, -0.0010525, -0.0010546]
-
-
-def lattice(grid, values):
-    return LatticeFunction(grid, np.asarray(values, dtype=complex))
 
 
 def signed_positions(grid):
@@ -59,7 +56,7 @@ point_3d = st.lists(
 
 @given(nonneg_16)
 def test_rearrange_idempotent_and_equimeasurable(vals):
-    prof = rearrange(lattice(SMALL, vals))
+    prof = rearrange(lattice_profile(SMALL, vals))
     assert rearrange(prof) is prof
     assert np.all(np.diff(prof.values) <= 0.0)
     assert np.array_equal(np.sort(prof.values), np.sort(np.asarray(vals)))
@@ -69,8 +66,8 @@ def test_rearrange_idempotent_and_equimeasurable(vals):
 def test_rearrange_order_preserving(base, bump):
     lo = np.asarray(base)
     hi = lo + np.asarray(bump)
-    p_lo = rearrange(lattice(SMALL, lo))
-    p_hi = rearrange(lattice(SMALL, hi))
+    p_lo = rearrange(lattice_profile(SMALL, lo))
+    p_hi = rearrange(lattice_profile(SMALL, hi))
     assert np.all(p_lo.values <= p_hi.values)
 
 
@@ -81,8 +78,8 @@ def test_rearrange_fixes_nonincreasing_profile():
 
 def test_rearrange_matches_closed_form_on_lattice():
     absx = np.abs(signed_positions(GRID))
-    f = lattice(GRID, np.where(absx > 1.0, np.maximum(absx, 1.0) ** -1.5, 0.0))
-    prof = rearrange(f)
+    f = np.where(absx > 1.0, np.maximum(absx, 1.0) ** -1.5, 0.0)
+    prof = rearrange(lattice_profile(GRID, f))
     h = GRID.spacing
     radii = np.sort(absx, kind="stable")
     closed = (radii + 1.0) ** -1.5
@@ -111,8 +108,8 @@ def test_rearrange_translate_of_symmetric_bump():
     xs = signed_positions(GRID)
     centered = np.exp(-0.5 * xs**2)
     shifted = np.roll(centered, 37)
-    p0 = rearrange(lattice(GRID, centered))
-    p1 = rearrange(lattice(GRID, shifted))
+    p0 = rearrange(lattice_profile(GRID, centered))
+    p1 = rearrange(lattice_profile(GRID, shifted))
     assert np.array_equal(p0.values, p1.values)
     assert np.array_equal(p0.radii, p1.radii)
 
@@ -121,9 +118,11 @@ def test_rearrange_rejects_bad_input():
     vals = np.ones(GRID.size)
     vals[5] = -0.25
     with pytest.raises(DomainError, match="negative value"):
-        rearrange(lattice(GRID, vals))
+        rearrange(lattice_profile(GRID, vals))
     with pytest.raises(DomainError, match="real"):
-        rearrange(LatticeFunction(GRID, np.full(GRID.size, 1.0 + 1.0j)))
+        lattice_profile(GRID, np.full(GRID.size, 1.0 + 1.0j))
+    with pytest.raises(DomainError, match="flat of length"):
+        lattice_profile(GRID, np.ones(SMALL.size))
     with pytest.raises(DomainError, match="increasing"):
         RadialProfile(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError, match="dimension"):
@@ -135,34 +134,33 @@ def test_rearrange_rejects_bad_input():
 
 def test_hardy_littlewood_constant_and_equal_inputs():
     rng = np.random.default_rng(7)
-    f = lattice(GRID, rng.random(GRID.size))
-    g = lattice(GRID, np.full(GRID.size, 0.75))
-    lhs, rhs = hardy_littlewood_check(f, g)
+    f = rng.random(GRID.size)
+    g = np.full(GRID.size, 0.75)
+    lhs, rhs = hardy_littlewood_check(GRID, f, g)
     assert abs(lhs - rhs) < 1e-12
-    lhs, rhs = hardy_littlewood_check(f, f)
+    lhs, rhs = hardy_littlewood_check(GRID, f, f)
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_hardy_littlewood_fuzz_campaign():
     rng = np.random.default_rng(23)
     for _ in range(1000):
-        f = lattice(GRID, rng.random(GRID.size))
-        g = lattice(GRID, rng.random(GRID.size))
-        lhs, rhs = hardy_littlewood_check(f, g)
+        f = rng.random(GRID.size)
+        g = rng.random(GRID.size)
+        lhs, rhs = hardy_littlewood_check(GRID, f, g)
         assert lhs <= rhs + 1e-12
 
 
 @given(nonneg_16, nonneg_16)
 def test_hardy_littlewood_property(a, b):
-    lhs, rhs = hardy_littlewood_check(lattice(SMALL, a), lattice(SMALL, b))
+    lhs, rhs = hardy_littlewood_check(SMALL, a, b)
     assert lhs <= rhs + 1e-12 * max(1.0, rhs)
 
 
 def test_hardy_littlewood_rejects_mismatched_grids():
-    with pytest.raises(DomainError, match="same grid"):
-        hardy_littlewood_check(
-            lattice(GRID, np.ones(GRID.size)), lattice(SMALL, np.ones(SMALL.size))
-        )
+    # a function sampled on SMALL does not fit the points of GRID
+    with pytest.raises(DomainError, match="flat of length"):
+        hardy_littlewood_check(GRID, np.ones(GRID.size), np.ones(SMALL.size))
 
 
 # -- Peetre

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from nelsonlab.grid import (
 from nelsonlab.nelson import (
     ModelSpec,
     ModelSpecError,
-    SizeError,
     SpectralError,
     assemble_cutoff_hamiltonian,
     assemble_free,
@@ -34,7 +35,7 @@ from nelsonlab.nelson import (
     vacuum_energy_operator,
     vacuum_energy_quadrature,
 )
-from nelsonlab.operators import opnorm
+from nelsonlab.operators import HERMITIAN_TOL, SizeError, check_hermitian, opnorm
 
 # Frozen reference values for the bench model g = 1 + 0.3 sin x, W = 0.2 cos x,
 # mu = 1, box = 2*pi, coupling 1, gaussian profile, computed with independent
@@ -158,13 +159,13 @@ def test_omega_powers_consistent(bench8):
 @pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
 def test_free_spectrum_matches_dense_oracle(request, name):
     model = request.getfixturevalue(name)
-    dense_dgamma = second_quantize(model.basis, np.diag(model.mode_freqs)).mat
+    dense_dgamma = second_quantize(model.basis, np.diag(model.mode_freqs))
     assert np.array_equal(model.occupation_energies, np.diag(dense_dgamma).real)
     assert np.all(dense_dgamma == np.diag(np.diag(dense_dgamma)))
     old_h0 = np.kron(model.k, np.eye(model.fock_dim)) + np.kron(
         np.eye(model.grid.size), dense_dgamma
     )
-    assert np.array_equal(model.h0.mat, old_h0)
+    assert np.array_equal(model.h0, old_h0)
     q, eps = model.k_evecs, model.k_evals
     assert np.max(np.abs((q * eps) @ q.T - model.k)) < 1e-12
     assert np.all(np.diff(eps) >= 0.0)
@@ -176,10 +177,26 @@ def test_dgamma_kills_vacuum(bench8):
 
 
 def test_h0_hermitian_and_bounded_by_potential_floor(bench8):
-    assert bench8.h0.hermitian is True
-    ev0 = np.linalg.eigvalsh(bench8.h0.mat)[0]
+    assert np.max(np.abs(bench8.h0 - bench8.h0.conj().T)) <= HERMITIAN_TOL
+    ev0 = np.linalg.eigvalsh(bench8.h0)[0]
     assert abs(ev0 - H0_MIN_EIG_L8) < 1e-9
     assert ev0 >= np.min(bench8.spec.w) - 1e-12
+
+
+def test_check_hermitian_refuses_twice_the_tolerance():
+    mat = np.eye(3, dtype=complex)
+    mat[0, 1] = 1e-15  # roundoff passes, and the matrix comes back
+    assert check_hermitian(mat) is mat
+    mat[0, 1] = 2.0 * HERMITIAN_TOL
+    with pytest.raises(ValueError, match="declared hermitian but max deviation 2.000e-10"):
+        check_hermitian(mat)
+
+
+def test_h0_refuses_an_asymmetric_k(bench8):
+    k = bench8.k.copy()
+    k[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="declared hermitian"):
+        replace(bench8, k=k).h0
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +258,7 @@ def _per_point_oracle(model, lam):
         f = om @ rho
         sol = np.linalg.solve(ko, f)
         rhos.append(rho)
-        vs.append(model.modes.project(f / np.sqrt(2.0))[0])
+        vs.append(model.project(f / np.sqrt(2.0)))
         bs.append(-sol)
         es.append(0.5 * inner(grid, f, sol).real)
     return {"rho": rhos, "v": vs, "b": bs, "e": es}
@@ -267,11 +284,11 @@ def test_families_match_per_point_oracle(request, name, lam):
 @pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
 def test_creation_family_blocks_are_per_point_creators(request, name):
     model = request.getfixturevalue(name)
-    mat = creation_family(model, 2.0).mat
+    mat = creation_family(model, 2.0)
     v = form_factor(model, 2.0)
     for xi in range(model.grid.size):
         blk = model.block(xi)
-        assert np.array_equal(mat[blk, blk], annihilate(model.basis, v[xi]).mat.conj().T)
+        assert np.array_equal(mat[blk, blk], annihilate(model.basis, v[xi]).conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +297,10 @@ def test_creation_family_blocks_are_per_point_creators(request, name):
 
 def test_cutoff_hamiltonian_lowers_ground_state(bench8):
     h2 = assemble_cutoff_hamiltonian(bench8, 2.0)
-    assert h2.hermitian is True
-    gs = np.linalg.eigvalsh(h2.mat)[0]
+    assert np.max(np.abs(h2 - h2.conj().T)) <= HERMITIAN_TOL
+    gs = np.linalg.eigvalsh(h2)[0]
     assert abs(gs - GS_H2_L8) < 1e-9
-    assert gs < np.linalg.eigvalsh(bench8.h0.mat)[0]
+    assert gs < np.linalg.eigvalsh(bench8.h0)[0]
 
 
 @pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
@@ -291,12 +308,12 @@ def test_cutoff_hamiltonian_lowers_ground_state(bench8):
 def test_cutoff_hamiltonian_matches_field_oracle(request, name, lam):
     # dense oracle: H0 plus the field Phi(sqrt2 v_{lam,X}) on each diagonal X block
     model = request.getfixturevalue(name)
-    want = model.h0.mat.astype(complex)
+    want = model.h0.astype(complex)
     v = form_factor(model, lam)
     for xi in range(model.grid.size):
         blk = model.block(xi)
-        want[blk, blk] += field(model.basis, np.sqrt(2.0) * v[xi]).mat
-    got = assemble_cutoff_hamiltonian(model, lam).mat
+        want[blk, blk] += field(model.basis, np.sqrt(2.0) * v[xi])
+    got = assemble_cutoff_hamiltonian(model, lam)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -465,7 +482,7 @@ def test_renorm_table_matches_dense_oracle(bench8, renorm_table):
     eye = np.eye(bench8.dim)
     levels, resolvents = [], {}
     for lam in (1.0, 2.0, 4.0):
-        h = assemble_cutoff_hamiltonian(bench8, lam).mat
+        h = assemble_cutoff_hamiltonian(bench8, lam)
         sub = h + np.diag(vacuum_energy_operator(bench8, lam))
         levels.append((np.linalg.eigvalsh(h)[0], np.linalg.eigvalsh(sub)[0]))
         resolvents[lam] = (np.linalg.inv(h + 1j * eye), np.linalg.inv(sub + 1j * eye))
@@ -515,7 +532,7 @@ def test_renorm_distances_match_dense_svd_at_n_max_3(bench8_n3):
     eye = np.eye(bench8_n3.dim)
     resolvents = {}
     for lam in (1.0, 4.0):
-        h = assemble_cutoff_hamiltonian(bench8_n3, lam).mat
+        h = assemble_cutoff_hamiltonian(bench8_n3, lam)
         sub = h + np.diag(vacuum_energy_operator(bench8_n3, lam))
         resolvents[lam] = (np.linalg.inv(h + 1j * eye), np.linalg.inv(sub + 1j * eye))
     (plain_a, sub_a), (plain_b, sub_b) = resolvents[1.0], resolvents[4.0]
@@ -526,7 +543,7 @@ def test_renorm_distances_match_dense_svd_at_n_max_3(bench8_n3):
 
 
 def test_resolvent_distance_independent_of_start_vector(bench8):
-    pairs = [np.linalg.eigh(assemble_cutoff_hamiltonian(bench8, lam).mat) for lam in (1.0, 2.0)]
+    pairs = [np.linalg.eigh(assemble_cutoff_hamiltonian(bench8, lam)) for lam in (1.0, 2.0)]
     runs = [nelson._resolvent_distance(*pairs, seed=seed) for seed in (0, 1, 2)]
     values = [value for value, _ in runs]
     assert max(values) - min(values) <= 1e-13 * values[0]
