@@ -27,6 +27,7 @@ from .nelson import (
     AssembledModel,
     ModelSpec,
     check_tensor_size,
+    creation_blocks,
     form_factor,
     vacuum_energy_operator,
 )
@@ -132,8 +133,8 @@ def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
     exactly at finite truncation; T = a(v)G is formed only inside the sum.
 
-    The block A_n from sector n-1 into n holds v_X[k] sqrt(occ_o[k]) per
-    entry of ``FockBasis.ladder`` and point X.  On sector n, H0 + s is
+    The blocks A_n from sector n-1 into n are ``creation_blocks``, scattered
+    from ``FockBasis.ladder``.  On sector n, H0 + s is
     K x 1 + 1 x diag(E_o) + s = (Q_K x 1) diag(eps_i + E_o + s) (Q_K x 1)*,
     so the block of G is -(Q_K x 1)[((Q_K* x 1) A_n) / (eps_i + E_o + s)]:
     two rotations along X, no solve.  The square expands over the blocks as
@@ -144,16 +145,9 @@ def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
     s = free_shift(model)
     size, basis, q = model.grid.size, model.basis, model.k_evecs
     occ_energy, dims = model.occupation_energies, np.diff(basis.sector_bounds)
-    coeffs = form_factor(model, lam)
-    x = np.arange(size)[:, None]
-    a, g = {}, {}
-    for n, lad in enumerate(basis.ladder, start=1):
-        entries = coeffs[:, lad.modes] * lad.factors
-        if not entries.any():
-            continue
-        block = np.zeros((size, dims[n], size, dims[n - 1]), dtype=entries.dtype)
-        block[x, lad.targets, x, lad.sources] = entries
-        a[n, n - 1] = block = block.reshape(size * dims[n], size * dims[n - 1])
+    a = creation_blocks(model, lam)
+    g = {}
+    for (n, _), block in a.items():
         denom = model.k_evals[:, None] + occ_energy[basis.sector_slice(n)] + s
         rotated = (q.conj().T @ block.reshape(size, -1)).reshape(denom.shape + (-1,))
         g[n, n - 1] = -(q @ (rotated / denom[:, :, None]).reshape(size, -1)).reshape(block.shape)

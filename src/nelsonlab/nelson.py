@@ -22,7 +22,9 @@ conjugation, so in the lattice basis and the real eigenmodes of h every
 family above, H0, A and H_lam are float64 arrays.  ``form_factor_rho`` is
 the one place where realness is checked; everything downstream inherits
 the dtype of its data, and only the Weyl operators of the conjugation
-check and the resolvent factors 1/(w + i) of the cutoff sweep are complex.
+check and the Schur resolvent of the cutoff sweep, (H + i)^{-1} through the
+complement L + i - C diag(1/(d + i)) C^T on the sectors below the top one,
+are complex.
 """
 
 from __future__ import annotations
@@ -326,12 +328,35 @@ def form_factor_split(
     return u, residual, np.linalg.norm(residual, axis=1) / np.linalg.norm(u, axis=1)
 
 
+def creation_blocks(model: AssembledModel, lam: float) -> dict:
+    """The nonzero boson-sector blocks of A = blockdiag_X a*(v_{lam,X}).
+
+    Returns {(n, n-1): A_n}: A_n maps sector n-1 into sector n, X-major like
+    the tensor, and holds v_X[k] sqrt(occ_o[k]) per entry of
+    ``FockBasis.ladder`` and point X.  The IBC assembly and the top-sector
+    split of the cutoff sweep read A only through these blocks.
+    """
+    size, basis = model.grid.size, model.basis
+    dims = np.diff(basis.sector_bounds)
+    coeffs = form_factor(model, lam)
+    x = np.arange(size)[:, None]
+    blocks = {}
+    for n, lad in enumerate(basis.ladder, start=1):
+        entries = coeffs[:, lad.modes] * lad.factors
+        if not entries.any():
+            continue
+        block = np.zeros((size, dims[n], size, dims[n - 1]), dtype=entries.dtype)
+        block[x, lad.targets, x, lad.sources] = entries
+        blocks[n, n - 1] = block.reshape(size * dims[n], size * dims[n - 1])
+    return blocks
+
+
 def creation_family(model: AssembledModel, lam: float) -> np.ndarray:
     """A = blockdiag_X a*(v_{lam,X}), the creation part of the interaction.
 
     The dense A of the cutoff Hamiltonian H0 + A + A*: one scatter of the
-    basis table ``FockBasis.creation_entries`` fills every X block.  The IBC
-    assembly scatters the sector blocks of A from ``FockBasis.ladder``.
+    basis table ``FockBasis.creation_entries`` fills every X block.
+    ``creation_blocks`` gives the same A by boson-sector blocks.
     """
     check_tensor_size(model.spec)
     size, fdim = model.grid.size, model.fock_dim
@@ -571,42 +596,157 @@ def relative_bound_report(
     return {"worst_ratio": worst, "c_eps": c_eps, "eps": eps, "draws": draws}
 
 
-def _resolvent_distance(pair_a, pair_b, seed: int = 0) -> tuple[float, dict]:
-    """||(H_a + i)^{-1} - (H_b + i)^{-1}|| from the eigenpairs (w, V) of two real symmetric H.
+def _real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x for a real matrix and a flat complex vector, through the real view of x.
 
-    With H = V diag(w) V^T and F = diag(1/(w + i)), the difference is
-    V_a (F_a - U F_b U^T) V_a^T with U = V_a^T V_b, so its norm is the
-    largest singular value of M = F_a - U F_b U^T.  ARPACK finds the top
-    eigenvalue theta of the Hermitian Gram operator M* M to machine
-    precision; no resolvent is formed.  Each Gram application is four
-    products of the real U with a complex vector viewed as a real (n, 2)
-    array, which keeps U real.  The start vector is drawn from a generator
-    seeded with ``seed``: a constant one can be orthogonal to the top
-    singular vector.  Identical eigenpairs give exactly 0.
+    The rows of x viewed as (mat.shape[1], -1) floats carry its real and
+    imaginary parts side by side, so the product stays a real GEMM.
+    """
+    return (mat @ x.view(float).reshape(mat.shape[1], -1)).view(complex).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class _TopSectorSplit:
+    """H = [[L, B], [B^T, D]] split at the top boson sector N = n_max.
+
+    ``low`` is L, H on sectors 0..N-1 laid out sector by sector (X-major
+    within each).  D = (K + diag E) x 1 + 1 x dGamma on sector N is
+    diagonal, with entries ``top`` d = eps_i + E_o, in the rotated
+    coordinates (Q x 1)^T, Q = ``rotation`` the eigenvectors of K + diag E.
+    ``coupling`` is C = A_N^T (Q x 1), the rows of B on sector N-1 (the last
+    rows of L) in those coordinates.  ``lu`` factors the Schur complement
+    S = L + i - C diag(1/(d + i)) C^T of H + i.
+    """
+
+    low: np.ndarray
+    coupling: np.ndarray
+    rotation: np.ndarray
+    top: np.ndarray
+    lu: tuple
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The data that determine H."""
+        return self.low, self.coupling, self.rotation, self.top
+
+    def resolve(self, x: np.ndarray) -> np.ndarray:
+        """(H + i)^{-1} x, with x laid out as L's rows, then sector N X-major."""
+        from scipy import linalg
+
+        cut = len(self.low)
+        inverse = 1.0 / (self.top + 1j)
+        rotated = _real_times(self.rotation.T, x[cut:])
+        rhs = x[:cut].copy()
+        rhs[cut - len(self.coupling) :] -= _real_times(self.coupling, rotated * inverse)
+        low = linalg.lu_solve(self.lu, rhs)
+        tail = _real_times(self.coupling.T, low[cut - len(self.coupling) :])
+        return np.concatenate([low, _real_times(self.rotation, (rotated - tail) * inverse)])
+
+
+def _split_top_sector(model: AssembledModel, blocks: dict, energies: np.ndarray) -> _TopSectorSplit:
+    """Split H_lam + E_lam(X) at sector n_max, from the sector blocks of A and one E per X.
+
+    ``blocks`` is ``creation_blocks(model, lam)``; ``energies`` is
+    E_lam(X), zeros for H_lam itself.  Only K + diag E (side grid.size) is
+    diagonalized, and the one matrix factored has the side of sectors
+    0..n_max-1.
+    """
+    from scipy import linalg
+
+    size, basis = model.grid.size, model.basis
+    top = basis.n_max
+    if top < 1:
+        raise ValueError("the top-sector split needs n_max >= 1")
+    sides = size * np.diff(basis.sector_bounds)
+    starts = np.concatenate([[0], np.cumsum(sides)])
+    rows = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    k = model.k + np.diag(energies)
+    low = np.zeros((starts[top], starts[top]))
+    for n in range(top):
+        occ = model.occupation_energies[basis.sector_slice(n)]
+        low[rows[n], rows[n]] = np.kron(k, np.eye(len(occ))) + np.diag(np.tile(occ, size))
+        if (n, n - 1) in blocks:
+            low[rows[n], rows[n - 1]] = blocks[n, n - 1]
+            low[rows[n - 1], rows[n]] = blocks[n, n - 1].T
+    evals, q = np.linalg.eigh(k)
+    d = (evals[:, None] + model.occupation_energies[basis.sector_slice(top)]).ravel()
+    a_top = blocks[top, top - 1] if (top, top - 1) in blocks else np.zeros((sides[top], sides[top - 1]))
+    coupling = np.ascontiguousarray((q.T @ a_top.reshape(size, -1)).reshape(sides[top], -1).T)
+    schur = low + 1j * np.eye(len(low))
+    schur[rows[top - 1], rows[top - 1]] -= (coupling / (d + 1j)) @ coupling.T
+    return _TopSectorSplit(low, coupling, q, d, linalg.lu_factor(schur))
+
+
+def _lowest_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    from scipy import linalg
+
+    (value,), vecs = linalg.eigh(mat, subset_by_index=[0, 0])
+    return float(value), vecs[:, 0]
+
+
+def _ground_level(split: _TopSectorSplit) -> tuple[float, dict]:
+    """Lowest eigenvalue of H from the Feshbach complement on sectors 0..N-1.
+
+    E0 is the root of f(E) = lambda_min(L - Sigma(E)) - E with
+    Sigma(E) = C diag(1/(d - E)) C^T on sector N-1.  Every boson costs at
+    least the mass floor, so by interlacing e0 = lambda_min(L) < min d and
+    f(e0) <= 0.  Below min d, f is concave and decreasing with
+    f'(E) = -1 - ||diag(1/(d - E)) C^T psi||^2 (psi the lowest eigenvector),
+    so Newton's iterates from e0 fall monotonically to the root; the loop
+    stops at the first iterate that does not fall.
+
+    Returns E0 and its record: the evaluations of f and the final |f(E0)|.
+    """
+    cut = len(split.low) - len(split.coupling)
+
+    def f(e: float) -> tuple[float, float]:
+        weight = 1.0 / (split.top - e)
+        mat = split.low.copy()
+        mat[cut:, cut:] -= (split.coupling * weight) @ split.coupling.T
+        value, vec = _lowest_pair(mat)
+        slope = -1.0 - float(np.sum((split.coupling.T @ vec[cut:] * weight) ** 2))
+        return value - e, slope
+
+    level = _lowest_pair(split.low)[0]
+    evaluations = 0
+    while True:
+        value, slope = f(level)
+        evaluations += 1
+        step = level - value / slope
+        if not step < level:
+            break
+        level = step
+    return level, {"newton_evaluations": evaluations, "residual": abs(value)}
+
+
+def _resolvent_distance(split_a: _TopSectorSplit, split_b: _TopSectorSplit, seed: int = 0) -> tuple[float, dict]:
+    """||(H_a + i)^{-1} - (H_b + i)^{-1}|| for two real symmetric H split at the top sector.
+
+    ARPACK finds the top eigenvalue theta of the Hermitian Gram operator
+    M* M, M = R_a - R_b, to machine precision; no resolvent is formed.
+    Each R = (H + i)^{-1} is applied through the LU of its Schur complement
+    (``_TopSectorSplit.resolve``), and R* x = conj(R conj x) since H is
+    real, so one Gram application is four solves.  The start vector is
+    drawn from a generator seeded with ``seed``: a constant one can be
+    orthogonal to the top singular vector.  Bitwise equal splits give
+    exactly 0.
 
     Returns sqrt(theta) and the solver's record: the Gram applications
     ARPACK made and the residual ||G u - theta u|| / theta of its vector.
     """
-    (w_a, v_a), (w_b, v_b) = pair_a, pair_b
-    if np.array_equal(w_a, w_b) and np.array_equal(v_a, v_b):
+    if all(np.array_equal(a, b) for a, b in zip(split_a.arrays, split_b.arrays)):
         return 0.0, {"gram_applications": 0, "residual": 0.0}
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    n = len(w_a)
-    u = v_a.T @ v_b
-    f_a, f_b = 1.0 / (w_a + 1j), 1.0 / (w_b + 1j)
-
-    def rotate(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (mat @ x.view(float).reshape(n, 2)).view(complex).ravel()
-
+    n = len(split_a.low) + len(split_a.top)
     applications = 0
 
     def gram(x: np.ndarray) -> np.ndarray:
         nonlocal applications
         applications += 1
         x = np.ascontiguousarray(x, dtype=complex).reshape(n)
-        y = f_a * x - rotate(u, f_b * rotate(u.T, x))
-        return f_a.conj() * y - rotate(u, f_b.conj() * rotate(u.T, y))
+        y = (split_a.resolve(x) - split_b.resolve(x)).conj()
+        return (split_a.resolve(y) - split_b.resolve(y)).conj()
 
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -625,11 +765,13 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     For each lam the level row records the ground-state energies of H_lam
     and H_lam + E_lam(X); for each consecutive pair the distance row records
     D = ||(H + E + i)^{-1} - (H' + E' + i)^{-1}|| (largest singular value)
-    next to the unsubtracted comparison.  Each Hamiltonian gets one real
-    eigh: its lowest eigenvalue is the level, and its eigenpairs feed
-    ``_resolvent_distance``.  Only the eigenpairs of the previous sweep
-    point are kept.  Each pair row carries the solver records of both
-    distances under ``solver``; ``dim`` is the tensor dimension.
+    next to the unsubtracted comparison.  Each Hamiltonian is split once at
+    the top boson sector (``_split_top_sector``): its level is the root of
+    the Feshbach complement (``_ground_level``) and its Schur LU feeds
+    ``_resolvent_distance``, so no matrix of the tensor side is formed or
+    diagonalized.  Only the splits of the previous sweep point are kept.
+    Each row carries its solver records under ``solver``; ``dim`` is the
+    tensor dimension and ``schur_dim`` the side of sectors 0..n_max-1.
     """
     lams = [float(v) for v in lams]
     if len(lams) < 2:
@@ -637,15 +779,17 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     levels, pairs = [], []
     previous = None
     for lam in lams:
-        h_mat = assemble_cutoff_hamiltonian(model, lam)
-        plain = np.linalg.eigh(h_mat)
-        np.fill_diagonal(h_mat, h_mat.diagonal() + vacuum_energy_operator(model, lam))
-        sub = np.linalg.eigh(h_mat)
+        blocks = creation_blocks(model, lam)
+        plain = _split_top_sector(model, blocks, np.zeros(model.grid.size))
+        sub = _split_top_sector(model, blocks, vacuum_energy(model, lam))
+        gs_plain, newton_plain = _ground_level(plain)
+        gs_sub, newton_sub = _ground_level(sub)
         levels.append(
             {
                 "lam": lam,
-                "gs_plain": float(plain.eigenvalues[0]),
-                "gs_subtracted": float(sub.eigenvalues[0]),
+                "gs_plain": gs_plain,
+                "gs_subtracted": gs_sub,
+                "solver": {"subtracted": newton_sub, "unsubtracted": newton_plain},
             }
         )
         if previous is not None:
@@ -662,4 +806,4 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
                 }
             )
         previous = (lam, plain, sub)
-    return {"dim": model.dim, "levels": levels, "pairs": pairs}
+    return {"dim": model.dim, "schur_dim": len(plain.low), "levels": levels, "pairs": pairs}

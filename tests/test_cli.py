@@ -187,6 +187,8 @@ def test_library_refusals_exit_three_before_assembly(
         ("[sweep]\nxis =\n", "xis", "appendix-inequalities"),
         ("[sweep]\nxis = 4.0\n", "xis", "appendix-inequalities"),
         ("[sweep]\ndraws = 0\n", "draws", "psido-calculus"),
+        ("[sweep]\nomegas = 0.0, 1.0\n", "omegas", "appendix-inequalities"),
+        ("[sweep]\nxis = -4.0, 8.0\n", "xis", "appendix-inequalities"),
     ],
     ids=[
         "single-cutoff",
@@ -204,6 +206,8 @@ def test_library_refusals_exit_three_before_assembly(
         "no-offset",
         "single-offset",
         "no-draw",
+        "nonpositive-omega",
+        "nonpositive-offset",
     ],
 )
 def test_sweep_policies_exit_three_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment):
@@ -435,12 +439,20 @@ def test_renorm_summary_records_solver_telemetry(tmp_path):
     assert run_cli("--experiment", "renorm-convergence", "--config", str(cfg), "--out", str(out)) == 0
     telemetry = json.loads((out / "summary.json").read_text())["telemetry"]
     assert telemetry["tensor_dim"] == 8 * 45
+    assert telemetry["schur_dim"] == 8 * 9
+    levels = telemetry["ground_levels"]
+    assert [level["lam"] for level in levels] == [1.0, 2.0]
+    for level in levels:
+        for side in ("subtracted", "unsubtracted"):
+            assert level[side]["newton_evaluations"] > 0
+            assert 0.0 <= level[side]["residual"] < 1e-12
     (distance,) = telemetry["resolvent_distances"]
     assert (distance["lam"], distance["lam_next"]) == (1.0, 2.0)
     for side in ("subtracted", "unsubtracted"):
         assert distance[side]["gram_applications"] > 0
         assert 0.0 <= distance[side]["residual"] < 1e-10
-    assert "gram" not in (out / "results.csv").read_text()
+    csv = (out / "results.csv").read_text()
+    assert "gram" not in csv and "newton" not in csv
 
 
 def test_fock_conjugation_rows_pass_at_tiny_coupling(tmp_path):

@@ -543,17 +543,86 @@ def test_renorm_distances_match_dense_svd_at_n_max_3(bench8_n3):
 
 
 def test_resolvent_distance_independent_of_start_vector(bench8):
-    pairs = [np.linalg.eigh(assemble_cutoff_hamiltonian(bench8, lam)) for lam in (1.0, 2.0)]
-    runs = [nelson._resolvent_distance(*pairs, seed=seed) for seed in (0, 1, 2)]
+    splits = [
+        nelson._split_top_sector(bench8, nelson.creation_blocks(bench8, lam), np.zeros(8))
+        for lam in (1.0, 2.0)
+    ]
+    runs = [nelson._resolvent_distance(*splits, seed=seed) for seed in (0, 1, 2)]
     values = [value for value, _ in runs]
     assert max(values) - min(values) <= 1e-13 * values[0]
     for _, record in runs:
         assert record["gram_applications"] > 0
         assert record["residual"] < 1e-10
-    assert nelson._resolvent_distance(pairs[0], pairs[0]) == (
+    assert nelson._resolvent_distance(splits[0], splits[0]) == (
         0.0,
         {"gram_applications": 0, "residual": 0.0},
     )
+
+
+@pytest.mark.parametrize("npts", [4, 8])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_top_sector_kernel_matches_dense_oracle(npts, n_max):
+    # dense oracle: eigvalsh for the levels, inv(H + i) and opnorm for the distances
+    model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
+    report = renorm_convergence_experiment(model, [1.0, 2.0])
+    assert report["schur_dim"] == npts * model.basis.sector_bounds[n_max]
+    eye = np.eye(model.dim)
+    resolvents = {}
+    for lam, row in zip((1.0, 2.0), report["levels"]):
+        h = assemble_cutoff_hamiltonian(model, lam)
+        sub = h + np.diag(vacuum_energy_operator(model, lam))
+        assert abs(row["gs_plain"] - np.linalg.eigvalsh(h)[0]) <= 1e-12
+        assert abs(row["gs_subtracted"] - np.linalg.eigvalsh(sub)[0]) <= 1e-12
+        for record in row["solver"].values():
+            assert record["newton_evaluations"] >= 1 and record["residual"] <= 1e-12
+        resolvents[lam] = (np.linalg.inv(h + 1j * eye), np.linalg.inv(sub + 1j * eye))
+    (plain_a, sub_a), (plain_b, sub_b) = resolvents[1.0], resolvents[2.0]
+    (row,) = report["pairs"]
+    assert abs(row["d_unsubtracted"] - opnorm(plain_a - plain_b)) <= 1e-12
+    assert abs(row["d_subtracted"] - opnorm(sub_a - sub_b)) <= 1e-12
+
+
+def test_renorm_sweep_at_zero_coupling():
+    # no coupling: H_lam is H0 at every lam and E_lam = 0, so every resolvent
+    # distance is exactly 0 without a Gram application, and the level is min K
+    model = assemble_free(sinusoidal_spec(8, coupling=0.0))
+    report = renorm_convergence_experiment(model, [1.0, 2.0, 4.0])
+    k_min = np.linalg.eigvalsh(model.k)[0]
+    for row in report["levels"]:
+        assert abs(row["gs_plain"] - k_min) <= 1e-15
+        assert abs(row["gs_subtracted"] - k_min) <= 1e-15
+    for row in report["pairs"]:
+        assert row["d_subtracted"] == row["d_unsubtracted"] == 0.0
+        for record in row["solver"].values():
+            assert record == {"gram_applications": 0, "residual": 0.0}
+
+
+def test_renorm_sweep_runs_no_solver_on_the_tensor_space(bench8_n3, monkeypatch):
+    import scipy.linalg
+
+    side = bench8_n3.dim
+
+    def guarded(name, fn):
+        def call(mat, *args, **kwargs):
+            if np.shape(mat) == (side, side):
+                raise AssertionError(f"{name} on a matrix of the tensor side {side}")
+            return fn(mat, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh", "svd", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, guarded(name, getattr(np.linalg, name)))
+    for name in ("eigh", "lu_factor"):
+        monkeypatch.setattr(scipy.linalg, name, guarded(name, getattr(scipy.linalg, name)))
+    report = renorm_convergence_experiment(bench8_n3, [1.0, 4.0])
+    # the rows of perfbench/reference/dense-tensor/renorm-convergence.csv
+    levels = [(row["gs_plain"], row["gs_subtracted"]) for row in report["levels"]]
+    want = [(-0.117584930081, -0.0182041715876), (-0.157422604427, -0.0177618525955)]
+    assert np.allclose(levels, want, rtol=1e-11, atol=0.0)
+    (row,) = report["pairs"]
+    assert abs(row["d_subtracted"] - 0.072017616394) <= 1e-12
+    assert abs(row["d_unsubtracted"] - 0.100704928252) <= 1e-12
+    assert (report["dim"], report["schur_dim"]) == (1320, 360)
 
 
 def test_renorm_sweep_takes_no_dense_svd(bench8, monkeypatch):
