@@ -5,8 +5,8 @@ writes three artifacts into the output directory: ``results.csv`` with one
 row per measurement (experiment, parameters, lhs, rhs, status),
 ``summary.json`` with per-check status, tolerances, seed, config hash,
 wall clock, the process's peak resident set size, the numpy and scipy
-versions, the BLAS name and version and the telemetry of the run's
-iterative solvers, and ``plot.gp``, a gnuplot script over the CSV.
+versions, the BLAS name and version and the run's telemetry (matrix sides
+and solver records), and ``plot.gp``, a gnuplot script over the CSV.
 Identical (config, seed) pairs produce byte-identical CSV files; sweeps
 are merged in parameter order regardless of the --threads setting.
 
@@ -53,9 +53,10 @@ EXPERIMENTS = (
     "vacuum-energy",
 )
 
-# experiments held to the dense tensor-size guard: gross-transform and
-# ibc-identity assemble full-tensor matrices; renorm-convergence forms only
-# its top-sector split, but keeps the guard until a size policy covers it
+# experiments held to the dense tensor-size guard: ibc-identity assembles
+# full-tensor matrices; renorm-convergence forms only its top-sector split and
+# gross-transform only the safe-row blocks of its check, but both keep the
+# guard until a size policy in bytes covers them
 _DENSE_EXPERIMENTS = {"renorm-convergence", "gross-transform", "ibc-identity"}
 
 
@@ -449,7 +450,7 @@ def run_gross_transform(cfg, seed, threads) -> list[Row]:
         return report, ratio
 
     results = _ordered_map(one, sweep["lams"], threads)
-    rows = []
+    rows, checks = [], []
     for lam, (report, ratio) in zip(sweep["lams"], results):
         params = dict(base, lam=lam)
         # the truncation tolerance underflows to 0 for a tiny dressing, where
@@ -459,7 +460,9 @@ def run_gross_transform(cfg, seed, threads) -> list[Row]:
         rows.append(Row("fock-dgamma-conjugation", params, report["fock_dgamma_dev"], fock_bound))
         rows.append(Row("fock-field-conjugation", params, report["fock_field_dev"], fock_bound))
         rows.append(Row("dressing-ratio", params, ratio, 1.0))
-    return rows
+        checks.append({"lam": lam, **{key: report[key] for key in ("residual_abs", "scale", "b_norm_max")}})
+    telemetry = {"tensor_dim": model.dim, "safe_dim": report["safe_dim"], "transformed": checks}
+    return Rows(rows, telemetry)
 
 
 def run_ibc_identity(cfg, seed, threads) -> list[Row]:

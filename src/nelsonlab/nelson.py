@@ -211,11 +211,6 @@ class AssembledModel:
         )
         return check_hermitian(mat)
 
-    def block(self, x_index: int) -> slice:
-        """Rows of the Fock block attached to particle point ``x_index``."""
-        f = self.basis.dim
-        return slice(x_index * f, (x_index + 1) * f)
-
     def omega_power(self, p: float) -> np.ndarray:
         """omega^p through the stored eigendecomposition of h (p acts as p/2 on h)."""
         return (self.h_evecs * self.h_evals ** (0.5 * p)) @ self.h_evecs.T
@@ -462,20 +457,31 @@ def transformed_hamiltonian_check(
     commutator of the discrete derivative with the X-dependent dressing
     leaves a residual that shrinks under grid refinement.
 
+    Both sides are compared on the safe rows only: s, the Fock states with
+    boson number <= max(0, n_max - 2), at every X.  H_lam = K x 1 +
+    blockdiag_X(dGamma + A_X + A_X^T) with A_X = a*(v_{lam,X}), so with
+    W_X = V(b_X)[s, :] the left side is, block by block,
+
+      (U H_lam U*)[X s, Y s] = K[X, Y] W_X W_Y* + delta_XY W_X (dGamma + A_X + A_X^T) W_X*,
+
+    and every right-side term is a Fock block restricted to s x s before it
+    is multiplied: (a* a*)[s, s] = a*[s, :] a*[:, s].  No matrix of the
+    tensor side is formed; the widest arrays are the Fock-side operators of
+    one X and the (safe_dim)^2 blocks, safe_dim = size * |s|.
+
     Pass ``b_family``, a real (size, size) array of lattice rows B_X, to
     override the dressing; zero or X-independent rows are the degenerate checks.
     Returns a report dict; the headline entry is ``residual`` = safe-sector
     residual norm relative to the safe-sector norm of the left side.
     """
     spec = model.spec
+    check_tensor_size(spec)  # before any allocation
     grid = model.grid
-    h0 = model.h0  # size-guarded; built before any other dense work
     size = grid.size
     basis = model.basis
-    fdim = basis.dim
-    d = derivative_matrix(grid)
-    pd = 1j * d
+    pd = 1j * derivative_matrix(grid)
     omega = model.omega
+    k = check_hermitian(model.k)
 
     smeared = _omega_rho(model, lam)
     if b_family is None:
@@ -486,74 +492,68 @@ def transformed_hamiltonian_check(
             raise ValueError(f"b_family must have shape ({size}, {size})")
     fam_db = pd @ fam_b  # derivative along the family index X
     coeffs_b = model.project(fam_b)
-    # a(dB_X) per lattice point, shared by the diagonal and mixed terms
-    aops = [fock.annihilate(basis, c) for c in model.project(fam_db)]
 
-    ident_f = np.eye(fdim)
-    # U is block diagonal, so (U H U*)[X, Y] = V_X H[X, Y] V_Y*: two batched
-    # products over the (X, Y) Fock blocks
-    weyls = np.stack([fock.weyl(basis, b) for b in coeffs_b])
-    h_blocks = assemble_cutoff_hamiltonian(model, lam).reshape(size, fdim, size, fdim)
-    lhs = weyls[:, None] @ h_blocks.transpose(0, 2, 1, 3) @ weyls.conj().transpose(0, 2, 1)
-    lhs = lhs.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
-
-    rhs = h0.astype(complex)  # the Weyl operators are complex
-    g_pd = np.diag(spec.g) @ pd
-    pd_g = pd @ np.diag(spec.g)
-    sqrt2 = np.sqrt(2.0)
+    cap = max(0, basis.n_max - 2)
+    safe = basis.tensor_rows(1, 0, cap)
+    ss = np.ix_(safe, safe)
+    n_safe = len(safe)
+    ident_s = np.eye(n_safe)
+    dgamma = np.diag(model.occupation_energies)
+    weyls = np.stack([fock.weyl(basis, b)[safe] for b in coeffs_b])  # W_X, (size, |s|, fdim)
+    flat = weyls.reshape(size * n_safe, basis.dim)
+    lhs = k[:, None, :, None] * (flat @ flat.conj().T).reshape(size, n_safe, size, n_safe)
+    # the Weyl operators are complex
+    rhs = (k[:, None, :, None] * ident_s[None, :, None, :]).astype(complex)
+    creators = form_factor(model, lam)
+    coeffs_db = model.project(fam_db)
+    coeffs_u = model.project(smeared)
     shifted = model.project(smeared + fam_b @ (model.k0 + omega).T)
+    freqs = model.mode_freqs
+    lowers = np.empty((size, n_safe, n_safe), dtype=complex)  # a(dB_X)[s, s]
+    dev_dgamma, dev_field, tolerance = 0.0, 0.0, 0.0
     for xi in range(size):
-        blk = model.block(xi)
+        w, b = weyls[xi], coeffs_b[xi]
+        a_x = fock.annihilate(basis, creators[xi]).T
+        lhs[xi, :, xi] += w @ (dgamma + a_x + a_x.T) @ w.conj().T
+        aop = fock.annihilate(basis, coeffs_db[xi])
+        lowers[xi] = aop[ss]
+        # the quadratic block, each product restricted before it is formed:
+        # a*[s, :] = a[:, s]* and a*[:, s] = a[s, :]*
+        into, out = aop[:, safe], aop[safe]
+        quadratic = -0.5 * into.conj().T @ out.conj().T - 0.5 * out @ into + into.conj().T @ into
         b_x = fam_b[xi]
-        aop = aops[xi]
-        cop = aop.conj().T
-        rhs[blk, blk] += fock.field(basis, shifted[xi])
-        rhs[blk, blk] += spec.g[xi] * (-0.5 * cop @ cop - 0.5 * aop @ aop + cop @ aop)
         scalar = (
             0.5 * inner(grid, b_x, omega @ b_x).real
             + inner(grid, b_x, smeared[xi]).real
             + 0.5 * spec.g[xi] * inner(grid, fam_db[xi], fam_db[xi]).real
         )
-        rhs[blk, blk] += scalar * ident_f
-        for yi in range(size):
-            blk_y = model.block(yi)
-            rhs[blk, blk_y] += -sqrt2 * g_pd[xi, yi] * cop
-            rhs[blk, blk_y] += sqrt2 * pd_g[xi, yi] * aops[yi]
+        rhs[xi, :, xi] += (
+            dgamma[ss] + fock.field(basis, shifted[xi])[ss] + spec.g[xi] * quadratic + scalar * ident_s
+        )
 
-    cap = max(0, basis.n_max - 2)
-    safe = basis.tensor_rows(1, 0, cap)
-    idx = basis.tensor_rows(size, 0, cap)
-    sub = np.ix_(idx, idx)
-    residual_abs = opnorm((lhs - rhs)[sub])
-    scale = opnorm(lhs[sub])
-
-    # Fock-only conjugation identities, worst deviation over X
-    dev_dgamma, dev_field, tolerance = 0.0, 0.0, 0.0
-    freqs = model.mode_freqs
-    dgamma = np.diag(model.occupation_energies)
-    coeffs_u = model.project(smeared)
-    for xi in range(size):
-        b = coeffs_b[xi]
-        v = weyls[xi]
-        conj = v @ dgamma @ v.conj().T
-        pred = (
-            dgamma
-            + fock.field(basis, freqs * b)
-            + 0.5 * np.dot(b, freqs * b).real * ident_f
-        )
-        dev_dgamma = max(
-            dev_dgamma, float(np.abs((conj - pred)[np.ix_(safe, safe)]).max())
-        )
-        u = coeffs_u[xi]
-        conj = v @ fock.field(basis, u) @ v.conj().T
-        pred = fock.field(basis, u) + np.dot(b, u).real * ident_f
-        dev_field = max(
-            dev_field, float(np.abs((conj - pred)[np.ix_(safe, safe)]).max())
-        )
+        # Fock-only conjugation identities, worst deviation over X
+        conj = w @ dgamma @ w.conj().T
+        pred = dgamma[ss] + fock.field(basis, freqs * b)[ss] + 0.5 * np.dot(b, freqs * b).real * ident_s
+        dev_dgamma = max(dev_dgamma, float(np.abs(conj - pred).max()))
+        phi = fock.field(basis, coeffs_u[xi])
+        conj = w @ phi @ w.conj().T
+        pred = phi[ss] + np.dot(b, coeffs_u[xi]).real * ident_s
+        dev_field = max(dev_field, float(np.abs(conj - pred).max()))
         tolerance = max(
             tolerance,
             fock.weyl_truncation_tolerance(basis.n_max, cap, float(np.linalg.norm(b))),
         )
+    # the mixed terms -sqrt2 (g pd)[X, Y] a*(dB_X) + sqrt2 (pd g)[X, Y] a(dB_Y)
+    sqrt2 = np.sqrt(2.0)
+    g_pd = spec.g[:, None] * pd
+    pd_g = pd * spec.g[None, :]
+    rhs -= sqrt2 * g_pd[:, None, :, None] * lowers.conj().transpose(0, 2, 1)[:, :, None, :]
+    rhs += sqrt2 * pd_g[:, None, :, None] * lowers.transpose(1, 0, 2)[None]
+
+    side = size * n_safe
+    lhs = lhs.reshape(side, side)
+    residual_abs = opnorm(lhs - rhs.reshape(side, side))
+    scale = opnorm(lhs)
     return {
         "residual": residual_abs / scale,
         "residual_abs": residual_abs,
@@ -562,6 +562,7 @@ def transformed_hamiltonian_check(
         "fock_field_dev": dev_field,
         "fock_tolerance": tolerance,
         "b_norm_max": float(np.max(np.linalg.norm(coeffs_b, axis=1))),
+        "safe_dim": side,
     }
 
 

@@ -455,6 +455,24 @@ def test_renorm_summary_records_solver_telemetry(tmp_path):
     assert "gram" not in csv and "newton" not in csv
 
 
+def test_gross_summary_records_check_telemetry(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[model]\nn_max = 3\n[sweep]\nlams = 1.0, 4.0\n")
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "gross-transform", "--config", str(cfg), "--out", str(out)) == 1
+    telemetry = json.loads((out / "summary.json").read_text())["telemetry"]
+    assert telemetry["tensor_dim"] == 8 * 165
+    assert telemetry["safe_dim"] == 8 * 9
+    checks = telemetry["transformed"]
+    residuals = [r[2] for r in read_rows(out) if r[1]["check"] == "transformed-residual"]
+    assert [check["lam"] for check in checks] == [1.0, 4.0]
+    for check, residual in zip(checks, residuals):
+        assert check["scale"] > 0.0 and check["b_norm_max"] > 0.0
+        assert check["residual_abs"] / check["scale"] == pytest.approx(residual, rel=1e-11)
+    csv = (out / "results.csv").read_text()
+    assert "safe_dim" not in csv and "scale" not in csv and "b_norm" not in csv
+
+
 def test_fock_conjugation_rows_pass_at_tiny_coupling(tmp_path):
     # the Weyl truncation tolerance underflows to 0 here; the rows keep the roundoff floor
     cfg = tmp_path / "c.cfg"

@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nelsonlab import nelson, operators
+from nelsonlab import fock, nelson, operators
 from nelsonlab.fock import annihilate, field, second_quantize
 from nelsonlab.grid import (
     Grid,
     ResolutionError,
     cosine_ramp,
+    derivative_matrix,
     dft,
     gaussian_profile_hat,
     idft,
@@ -286,8 +288,9 @@ def test_creation_family_blocks_are_per_point_creators(request, name):
     model = request.getfixturevalue(name)
     mat = creation_family(model, 2.0)
     v = form_factor(model, 2.0)
+    f = model.fock_dim
     for xi in range(model.grid.size):
-        blk = model.block(xi)
+        blk = slice(xi * f, (xi + 1) * f)
         assert np.array_equal(mat[blk, blk], annihilate(model.basis, v[xi]).conj().T)
 
 
@@ -310,8 +313,9 @@ def test_cutoff_hamiltonian_matches_field_oracle(request, name, lam):
     model = request.getfixturevalue(name)
     want = model.h0.astype(complex)
     v = form_factor(model, lam)
+    f = model.fock_dim
     for xi in range(model.grid.size):
-        blk = model.block(xi)
+        blk = slice(xi * f, (xi + 1) * f)
         want[blk, blk] += field(model.basis, np.sqrt(2.0) * v[xi])
     got = assemble_cutoff_hamiltonian(model, lam)
     assert np.max(np.abs(got - want)) <= 1e-15
@@ -457,9 +461,136 @@ def test_transformed_check_values_and_decay(bench8):
     assert r8["residual"] / r16["residual"] >= 1.5
 
 
+def _dense_transformed_oracle(model, lam, b_family=None):
+    """The conjugation check on the whole tensor space, restricted afterwards.
+
+    Forms the dense U H_lam U* from ``assemble_cutoff_hamiltonian`` and the
+    Weyl operator of each X, and the right side termwise in an X x Y loop
+    over full Fock blocks, then compares both on the safe rows.
+    """
+    spec, grid, basis = model.spec, model.grid, model.basis
+    h0 = model.h0
+    size, fdim = grid.size, basis.dim
+    pd = 1j * derivative_matrix(grid)
+    omega = model.omega
+
+    def block(xi):
+        return slice(xi * fdim, (xi + 1) * fdim)
+
+    smeared = nelson._omega_rho(model, lam)
+    fam_b = gross_B(model, lam) if b_family is None else np.asarray(b_family, dtype=float)
+    fam_db = pd @ fam_b
+    coeffs_b = model.project(fam_b)
+    aops = [annihilate(basis, c) for c in model.project(fam_db)]
+
+    ident_f = np.eye(fdim)
+    weyls = np.stack([fock.weyl(basis, b) for b in coeffs_b])
+    h_blocks = assemble_cutoff_hamiltonian(model, lam).reshape(size, fdim, size, fdim)
+    lhs = weyls[:, None] @ h_blocks.transpose(0, 2, 1, 3) @ weyls.conj().transpose(0, 2, 1)
+    lhs = lhs.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
+
+    rhs = h0.astype(complex)
+    g_pd = np.diag(spec.g) @ pd
+    pd_g = pd @ np.diag(spec.g)
+    sqrt2 = np.sqrt(2.0)
+    shifted = model.project(smeared + fam_b @ (model.k0 + omega).T)
+    for xi in range(size):
+        blk = block(xi)
+        b_x = fam_b[xi]
+        aop = aops[xi]
+        cop = aop.conj().T
+        rhs[blk, blk] += field(basis, shifted[xi])
+        rhs[blk, blk] += spec.g[xi] * (-0.5 * cop @ cop - 0.5 * aop @ aop + cop @ aop)
+        scalar = (
+            0.5 * inner(grid, b_x, omega @ b_x).real
+            + inner(grid, b_x, smeared[xi]).real
+            + 0.5 * spec.g[xi] * inner(grid, fam_db[xi], fam_db[xi]).real
+        )
+        rhs[blk, blk] += scalar * ident_f
+        for yi in range(size):
+            blk_y = block(yi)
+            rhs[blk, blk_y] += -sqrt2 * g_pd[xi, yi] * cop
+            rhs[blk, blk_y] += sqrt2 * pd_g[xi, yi] * aops[yi]
+
+    cap = max(0, basis.n_max - 2)
+    safe = basis.tensor_rows(1, 0, cap)
+    idx = basis.tensor_rows(size, 0, cap)
+    sub = np.ix_(idx, idx)
+    residual_abs = opnorm((lhs - rhs)[sub])
+    scale = opnorm(lhs[sub])
+
+    dev_dgamma, dev_field, tolerance = 0.0, 0.0, 0.0
+    freqs = model.mode_freqs
+    dgamma = np.diag(model.occupation_energies)
+    coeffs_u = model.project(smeared)
+    for xi in range(size):
+        b = coeffs_b[xi]
+        v = weyls[xi]
+        conj = v @ dgamma @ v.conj().T
+        pred = dgamma + field(basis, freqs * b) + 0.5 * np.dot(b, freqs * b).real * ident_f
+        dev_dgamma = max(dev_dgamma, float(np.abs((conj - pred)[np.ix_(safe, safe)]).max()))
+        u = coeffs_u[xi]
+        conj = v @ field(basis, u) @ v.conj().T
+        pred = field(basis, u) + np.dot(b, u).real * ident_f
+        dev_field = max(dev_field, float(np.abs((conj - pred)[np.ix_(safe, safe)]).max()))
+        tolerance = max(
+            tolerance, fock.weyl_truncation_tolerance(basis.n_max, cap, float(np.linalg.norm(b)))
+        )
+    return {
+        "residual": residual_abs / scale,
+        "residual_abs": residual_abs,
+        "scale": scale,
+        "fock_dgamma_dev": dev_dgamma,
+        "fock_field_dev": dev_field,
+        "fock_tolerance": tolerance,
+        "b_norm_max": float(np.max(np.linalg.norm(coeffs_b, axis=1))),
+        "safe_dim": len(idx),
+    }
+
+
+@pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+@pytest.mark.parametrize("family", ["dressing", "zero", "constant"])
+def test_transformed_check_matches_dense_oracle(request, name, lam, family):
+    model = request.getfixturevalue(name)
+    size = model.grid.size
+    b_family = {
+        "dressing": None,
+        "zero": np.zeros((size, size)),
+        "constant": np.broadcast_to(gross_B(model, lam)[0], (size, size)),
+    }[family]
+    want = _dense_transformed_oracle(model, lam, b_family)
+    got = transformed_hamiltonian_check(model, lam, b_family)
+    # the residual is a difference of terms of norm ``scale``, so its roundoff
+    # is relative to the scale: at a constant dressing it cancels to ~1e-5 of it
+    floor = {"residual_abs": want["scale"], "residual": 1.0}
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12 * floor.get(key, 0.0)), key
+
+
+def test_transformed_check_forms_no_tensor_matrix(bench8_n3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix of the tensor side was requested")
+
+    monkeypatch.setattr(nelson.AssembledModel, "h0", property(refuse))
+    monkeypatch.setattr(nelson, "assemble_cutoff_hamiltonian", refuse)
+    monkeypatch.setattr(nelson, "creation_family", refuse)
+    one_dense = 16 * bench8_n3.dim**2  # one complex array of side 1320: 27.9 MB
+    tracemalloc.start()
+    try:
+        report = transformed_hamiltonian_check(bench8_n3, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_dense
+    assert report["safe_dim"] == 72
+
+
 def test_size_guard_reports_dimensions(bench32):
     with pytest.raises(SizeError, match="17952"):
         bench32.h0
+    with pytest.raises(SizeError, match="17952"):
+        transformed_hamiltonian_check(bench32, 2.0)
     with pytest.raises(SizeError, match="561"):
         assemble_cutoff_hamiltonian(bench32, 2.0)
     with pytest.raises(SizeError, match="17952"):
