@@ -378,10 +378,8 @@ def run_psido_calculus(cfg, seed, threads) -> list[Row]:
 
     results = _ordered_map(residuals, list(range(len(symbols))), threads)
     params = {"npts": grid.npts, "draws": sweep["draws"], "seed": seed}
-    rows = [
-        Row(name, params, max(res[name] for res in results), tol["symbol_atol"])
-        for name in ("roundtrip", "composition", "adjoint", "requantization")
-    ]
+    names = ("roundtrip", "composition", "adjoint", "requantization")
+    rows = [Row(name, params, max(res[name] for res in results), tol["symbol_atol"]) for name in names]
     pgrid = Grid(1, sweep["parametrix_npts"], model["box"])
     x = pgrid.position_mesh()[:, 0]
     k = pgrid.momentum_mesh()[:, 0]
@@ -391,7 +389,15 @@ def run_psido_calculus(cfg, seed, threads) -> list[Row]:
     pparams = {"npts": pgrid.npts, "order": 2, "iterations": 3}
     rows.append(Row("parametrix-gain-min", pparams, resid[0], tol["parametrix_gain"] * resid[3]))
     rows.append(Row("parametrix-monotone", pparams, float(max(np.diff(resid))), 0.0))
-    return rows
+    telemetry = {
+        "symbol_side": grid.size,
+        "parametrix_side": pgrid.size,
+        "draws": len(symbols),
+        # the first draw that attains each row's maximum
+        "worst_draw": {name: int(np.argmax([res[name] for res in results])) for name in names},
+        "parametrix_residuals": [float(r) for r in resid],
+    }
+    return Rows(rows, telemetry)
 
 
 def run_renorm_convergence(cfg, seed, threads) -> list[Row]:

@@ -16,6 +16,7 @@ position samples, so the constant symbol 1 quantizes to the identity matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -93,12 +94,32 @@ def constant_symbol(grid: Grid, value: complex = 1.0) -> Symbol:
 # -- internal index helpers ------------------------------------------------
 
 
+def _grid_table(build):
+    """Keep the last table ``build`` made, read-only, keyed on its arguments.
+
+    One entry per builder holds about one grid's tables, so the cache stays
+    bounded for any sequence of orderings and any grid side; equal grids
+    hash alike and share the entry.
+    """
+
+    @functools.lru_cache(maxsize=1)
+    @functools.wraps(build)
+    def table(*key):
+        out = build(*key)
+        out.flags.writeable = False
+        return out
+
+    return table
+
+
+@_grid_table
 def _axis_components(grid: Grid) -> np.ndarray:
     """(size, dim) integer components of the flattened multi-index."""
     comps = np.unravel_index(np.arange(grid.size), grid.shape)
     return np.stack(comps, axis=-1)
 
 
+@_grid_table
 def _target_index(grid: Grid) -> np.ndarray:
     """TG[j, n] = flat index of (j - n) mod L, per axis."""
     comp = _axis_components(grid)
@@ -112,31 +133,38 @@ def _signed(grid: Grid, comp: np.ndarray) -> np.ndarray:
     return (comp + L // 2) % L - L // 2
 
 
-def _displacement_phase(grid: Grid) -> np.ndarray:
-    """phase[xi, n] = xi . theta_n, theta_n the signed displacement of column n."""
+@_grid_table
+def _translation_phase(grid: Grid, shift: float) -> np.ndarray:
+    """phase[xi, n] = exp(i * shift * xi . theta_n), theta_n the signed
+    displacement of column n."""
     disp = _signed(grid, _axis_components(grid)) * grid.spacing
-    return grid.momentum_mesh() @ disp.T
+    return np.exp(1j * shift * (grid.momentum_mesh() @ disp.T))
 
 
+@_grid_table
 def _column_table(grid: Grid) -> np.ndarray:
-    """E[xi, n] = exp(i xi . theta_n) from the exact integer phase.
+    """E[x, xi] = exp(i x . xi) = w^(k . n), w = exp(2*pi*i/L), for the index
+    components k and n: the plane-wave table of the twisted product in ``moyal``.
 
-    xi . theta_n = (2*pi/L) sum_a k_a n_a for the index components k and n,
-    so the table reads the L-th roots of unity at (sum_a k_a n_a) mod L; the
-    unreduced phase grows like pi * L / 2 and costs digits in exp.
+    It reads the L-th roots of unity at (k . n) mod L; the unreduced phase
+    grows like pi * L / 2 and costs digits in exp.  The same table is the
+    DFT matrix over the xi axes, which ``quantize`` and ``dequantize`` apply
+    as FFTs instead.
     """
     L = grid.npts
     comp = _axis_components(grid)
     return np.exp(2j * np.pi / L * np.arange(L))[(comp @ comp.T) % L]
 
 
-def _translate_x(grid: Grid, cols: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Multiply the x-spectrum of column n of ``cols`` by ``phase[:, n]``."""
+def _translate_x(grid: Grid, cols: np.ndarray, shift: float) -> np.ndarray:
+    """Move column n of ``cols`` by shift * theta_n in x, through its x-spectrum."""
     S, d = grid.size, grid.dim
     spec = np.fft.fftn(cols.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
-    return np.fft.ifftn((spec * phase).reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
+    spec *= _translation_phase(grid, shift)
+    return np.fft.ifftn(spec.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
 
 
+@_grid_table
 def _chi_mesh(grid: Grid) -> np.ndarray:
     """Signed pairing between x-frequencies and xi-frequencies.
 
@@ -155,6 +183,13 @@ def _chi_mesh(grid: Grid) -> np.ndarray:
     for a in range(grid.dim):
         chi = chi + np.multiply.outer(mtil[mcomp[:, a]], ptil[mcomp[:, a]])
     return 2.0 * np.pi / L * chi
+
+
+@_grid_table
+def _reordering_phase(grid: Grid, shift: float) -> np.ndarray:
+    """exp(i * shift * chi) on the phase-space lattice shape: the multiplier
+    of ``change_quantization`` for shift = t_to - t_from."""
+    return np.exp(1j * shift * _chi_mesh(grid)).reshape(grid.shape * 2)
 
 
 def _phase_derivative(grid: Grid, values: np.ndarray, alpha: Sequence[int]) -> np.ndarray:
@@ -187,16 +222,17 @@ def quantize(a: Symbol, t: float) -> np.ndarray:
 
     Column n of the kernel (displacement theta_n = x - y) is the t = 1
     column sum_xi a(x, xi) e^{i xi . theta_n} / S with x moved back by
-    (1-t) theta_n, and row x places it at y = x - n.
+    (1-t) theta_n, and row x places it at y = x - n.  With xi = k and
+    theta_n = n in index components, e^{i xi . theta_n} = e^{2 pi i k . n / L},
+    so the column sums are one inverse FFT over the xi axes: S^2 log S work.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"ordering parameter t must lie in [0, 1], got {t}")
     grid = a.grid
-    S = grid.size
-    cols = a.values @ _column_table(grid) / S
-    back = 1.0 - t
-    if back != 0.0:
-        cols = _translate_x(grid, cols, np.exp(-1j * back * _displacement_phase(grid)))
+    S, d = grid.size, grid.dim
+    cols = np.fft.ifftn(a.values.reshape((S,) + grid.shape), axes=range(1, d + 1)).reshape(S, S)
+    if t != 1.0:
+        cols = _translate_x(grid, cols, t - 1.0)
     out = np.empty((S, S), dtype=complex)
     out[np.arange(S)[:, None], _target_index(grid)] = cols
     return out
@@ -206,26 +242,33 @@ def dequantize(grid: Grid, op, t: float) -> Symbol:
     """Inverse of quantization: the symbol with quantize(a, t) = op.
 
     The steps of ``quantize`` run backwards: gather the displacement columns,
-    move x forward by (1-t) theta_n, and undo the column sum with
-    E^{-1} = conj(E).T / S, since E[xi, n] = e^{i xi . theta_n} is a DFT matrix.
+    move x forward by (1-t) theta_n, and undo the column sums with the
+    forward FFT over the displacement axes, the inverse of quantize's
+    inverse FFT over the xi axes.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"ordering parameter t must lie in [0, 1], got {t}")
     A = np.asarray(op, dtype=complex)
-    S = grid.size
+    S, d = grid.size, grid.dim
     if A.shape != (S, S):
         raise ValueError(f"operator must be {S} x {S}")
     cols = A[np.arange(S)[:, None], _target_index(grid)]  # cols[x, n] = A[x, x - n]
     if t != 1.0:
-        cols = _translate_x(grid, cols, np.exp(1j * (1.0 - t) * _displacement_phase(grid)))
-    return Symbol(grid, cols @ np.conj(_column_table(grid)).T)
+        cols = _translate_x(grid, cols, 1.0 - t)
+    vals = np.fft.fftn(cols.reshape((S,) + grid.shape), axes=range(1, d + 1)).reshape(S, S)
+    return Symbol(grid, vals)
 
 
 def change_quantization(a: Symbol, t_from: float, t_to: float) -> Symbol:
-    """Symbol with Op_{t_to}(result) = Op_{t_from}(a), exactly on the lattice."""
+    """Symbol with Op_{t_to}(result) = Op_{t_from}(a), exactly on the lattice.
+
+    At t_to == t_from that symbol is ``a`` itself.
+    """
+    if t_to == t_from:
+        return a
     grid = a.grid
     c = np.fft.fftn(a.values.reshape(grid.shape * 2))
-    c *= np.exp(1j * (t_to - t_from) * _chi_mesh(grid)).reshape(grid.shape * 2)
+    c *= _reordering_phase(grid, t_to - t_from)
     vals = np.fft.ifftn(c).reshape(grid.size, grid.size)
     return Symbol(grid, vals, a.order)
 

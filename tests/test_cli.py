@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nelsonlab import cli, nelson
+from nelsonlab import cli, nelson, psido
 from nelsonlab.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -19,6 +19,7 @@ from nelsonlab.cli import (
     resolve_config,
     run_ibc_identity,
 )
+from nelsonlab.grid import Grid
 
 
 def run_cli(*args) -> int:
@@ -471,6 +472,32 @@ def test_gross_summary_records_check_telemetry(tmp_path):
         assert check["residual_abs"] / check["scale"] == pytest.approx(residual, rel=1e-11)
     csv = (out / "results.csv").read_text()
     assert "safe_dim" not in csv and "scale" not in csv and "b_norm" not in csv
+
+
+def test_psido_summary_records_check_telemetry(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[sweep]\npsido_npts = 16\nparametrix_npts = 32\ndraws = 3\n")
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "psido-calculus", "--config", str(cfg), "--seed", "5", "--out", str(out)) == 0
+    telemetry = json.loads((out / "summary.json").read_text())["telemetry"]
+    assert telemetry["symbol_side"] == 16 and telemetry["parametrix_side"] == 32
+    assert telemetry["draws"] == 3
+    worst = telemetry["worst_draw"]
+    assert sorted(worst) == sorted(["roundtrip", "composition", "adjoint", "requantization"])
+    assert all(0 <= index < 3 for index in worst.values())
+    # the recorded draw reproduces its row
+    rows = {r[1]["check"]: r for r in read_rows(out)}
+    grid = Grid(1, 16, resolve_config(None)["model"]["box"])
+    rng = np.random.default_rng(5)
+    a = [psido.random_band_limited(grid, rng) for _ in range(3)][worst["roundtrip"]]
+    roundtrip = np.max(np.abs(psido.dequantize(grid, psido.quantize(a, 1.0), 1.0).values - a.values))
+    assert float(f"{roundtrip:.12g}") == rows["roundtrip"][2]
+    resid = telemetry["parametrix_residuals"]
+    assert len(resid) == 4
+    assert rows["parametrix-gain-min"][2] == pytest.approx(resid[0], rel=1e-11)
+    assert rows["parametrix-monotone"][2] == pytest.approx(max(np.diff(resid)), rel=1e-11)
+    csv = (out / "results.csv").read_text()
+    assert "side" not in csv and "worst" not in csv and "residuals" not in csv
 
 
 def test_fock_conjugation_rows_pass_at_tiny_coupling(tmp_path):

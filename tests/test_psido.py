@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,13 @@ from nelsonlab.psido import (
     EllipticityError,
     OrderFunction,
     Symbol,
+    _axis_components,
+    _chi_mesh,
+    _column_table,
+    _reordering_phase,
+    _target_index,
+    _translate_x,
+    _translation_phase,
     adjoint_symbol,
     asymptotic_resum,
     change_quantization,
@@ -172,12 +182,73 @@ def test_dequantize_inverts_quantize(t):
 
 @pytest.mark.parametrize("t", [0.5, 1.0])
 def test_dequantize_inverts_quantize_to_roundoff_at_npts_256(t):
-    # the t = 1 column table comes from the exact integer phase; the
-    # unreduced phase xi . theta reaches 402 here and misses by ~2e-14
+    # the column sums are FFTs over the xi axes, with no table of
+    # e^{i xi . theta}; exp of the unreduced phase xi . theta (it reaches 402
+    # here) would miss by ~2e-14
     grid = Grid(1, 256, 2 * np.pi)
     sym = _rand_symbol(grid, np.random.default_rng(25))
     back = dequantize(grid, quantize(sym, t), t)
     assert np.max(np.abs(back.values - sym.values)) / np.max(np.abs(sym.values)) <= 2e-15
+
+
+@pytest.mark.parametrize("dim, npts", [(1, 16), (2, 8), (3, 4)])
+def test_dequantize_matches_dft_matrix_product(dim, npts):
+    # the column sums undone by a product with the conjugate DFT table, as a GEMM
+    grid = Grid(dim, npts, 2 * np.pi)
+    S = grid.size
+    op = _rand_symbol(grid, np.random.default_rng(26 + dim)).values
+    for t in (0.5, 1.0):
+        cols = op[np.arange(S)[:, None], _target_index(grid)]
+        if t != 1.0:
+            cols = _translate_x(grid, cols, 1.0 - t)
+        ref = cols @ np.conj(_column_table(grid)).T
+        dev = np.max(np.abs(dequantize(grid, op, t).values - ref)) / np.max(np.abs(ref))
+        assert dev <= 1e-13, (t, dev)
+
+
+def test_grid_tables_are_read_only_and_shared_by_equal_grids():
+    first = _column_table(Grid(2, 4, 2 * np.pi))
+    assert _column_table(Grid(2, 4, 2 * np.pi)) is first
+    assert _translation_phase(Grid(1, 8, 1.0), -0.5) is _translation_phase(Grid(1, 8, 1.0), -0.5)
+    tables = (first, _target_index(G32), _axis_components(G32), _chi_mesh(G32), _reordering_phase(G32, 0.5))
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+
+
+def test_grid_table_cache_stays_bounded_over_many_orderings():
+    rng = np.random.default_rng(27)
+    sym = _rand_symbol(G32, rng)
+    for t in np.linspace(0.0, 1.0, 41):
+        q = quantize(sym, t)
+        dequantize(G32, q, t)
+        change_quantization(sym, t, 1.0 - t)
+    builders = (_axis_components, _target_index, _column_table, _chi_mesh, _translation_phase, _reordering_phase)
+    for build in builders:
+        assert build.cache_info().currsize <= 1, build
+
+
+def test_grid_tables_stay_consistent_across_threads():
+    # sweep threads share the cache; alternating grids and orderings evict
+    # entries while other threads read them
+    rng = np.random.default_rng(36)
+    cases = [(_rand_symbol(g, rng), t) for g in (Grid(1, 16, 2 * np.pi), Grid(2, 4, 2 * np.pi)) for t in (0.0, 0.3)]
+
+    def one(case):
+        a, t = case
+        return quantize(change_quantization(a, 1.0, t), t)
+
+    expected = [one(case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(one, case) for _ in range(8) for case in cases]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        assert np.array_equal(got, expected[k % len(cases)])
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5])
