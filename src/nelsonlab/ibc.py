@@ -2,18 +2,17 @@
 
 Everything revolves around G = -(H0 + s)^{-1} A with A the block-diagonal
 creation family a*(v_{lam,X}).  The free part is shifted by s before
-inversion so that its bottom sits at half the boson mass floor; the shift is
-recorded and subtracted again in the assembled Hamiltonian, so no identity
+inversion so that its bottom sits at half the boson mass floor; the shift
+cancels from H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s, so no identity
 depends on it.  At finite boson cap G is nilpotent, which makes the Neumann
 inverse of 1 - G exact and the factorization identity an algebraic one.
 
 The assembly works in boson-number sectors: sector n is the set of tensor
 rows ``FockBasis.tensor_rows(size, n, n)``.  H0 + s is block diagonal, A and
 G map sector n-1 into sector n only, and G^k maps n-k into n.  So A comes
-from the creation ladder, H0 + s and G from the free spectrum without a
-solve, and every product of the square, the Neumann series and its residual
-runs over the nonzero sector blocks only.  G and the Neumann inverse exist
-only as blocks; H_ibc is the one dense matrix ``scatter`` lays out.
+from the creation ladder, G from the free spectrum without a solve, and the
+defect H_ibc - (H_lam + E_lam), the Neumann series and its residual multiply
+only the nonzero sector blocks.  No matrix of the whole tensor space is formed.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from .nelson import (
     check_tensor_size,
     creation_blocks,
     form_factor,
-    vacuum_energy_operator,
+    lower_sectors,
+    sector_layout,
 )
-from .operators import check_dense_size, check_hermitian, opnorm
+from .operators import check_dense_size, opnorm
 
 
 def free_shift(model: AssembledModel) -> float:
@@ -45,51 +45,74 @@ def free_shift(model: AssembledModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sector blocks: a block matrix is a dict {(m, n): block} of the nonzero blocks
-# that map sector n into sector m, X-major like the tensor; a missing block is zero.
+# sector blocks, in the format of ``nelson.sector_layout``; only nonzero blocks are kept
+
+
+def _block_sum(*parts: dict) -> dict:
+    """Sum of block matrices, added in order; blocks that sum to zero are dropped."""
+    out = {}
+    for part in parts:
+        for key, block in part.items():
+            out[key] = out[key] + block if key in out else block
+    return {key: block for key, block in out.items() if block.any()}
 
 
 def _block_product(left: dict, right: dict) -> dict:
     """Product of two block matrices, multiplying only their nonzero blocks."""
-    out = {}
-    for (m, k), lhs in left.items():
-        for (j, n), rhs in right.items():
-            if j == k:
-                term = lhs @ rhs
-                out[m, n] = out[m, n] + term if (m, n) in out else term
-    return {key: block for key, block in out.items() if block.any()}
+    terms = ({(m, n): lhs @ rhs} for (m, k), lhs in left.items() for (j, n), rhs in right.items() if j == k)
+    return _block_sum(*terms)
 
 
 def _adjoint(blocks: dict) -> dict:
     return {(n, m): block.conj().T for (m, n), block in blocks.items()}
 
 
-def scatter(model: AssembledModel, *parts: dict) -> np.ndarray:
-    """Dense tensor matrix of the sum of the block matrices ``parts``, added in order."""
+def _resolve_free(model: AssembledModel, s: float, a: dict) -> dict:
+    """G = -(H0 + s)^{-1} A blockwise, from the free spectrum and without a solve.
+
+    On sector m, H0 + s = (Q_K x 1) diag(eps_i + E_o + s) (Q_K x 1)*, so each
+    block is -(Q_K x 1)[((Q_K* x 1) A) / (eps_i + E_o + s)]: two rotations along X.
+    """
+    size, basis, q = model.grid.size, model.basis, model.k_evecs
+    g = {}
+    for (m, n), block in a.items():
+        denom = model.k_evals[:, None] + model.occupation_energies[basis.sector_slice(m)] + s
+        rotated = (q.conj().T @ block.reshape(size, -1)).reshape(denom.shape + (-1,))
+        rotated /= -denom[:, :, None]
+        g[m, n] = (q @ rotated.reshape(size, -1)).reshape(block.shape)
+    return g
+
+
+def _defect(model: AssembledModel, s: float, a: dict, g: dict) -> dict:
+    """R = -(DG + A) - (DG + A)* + G*DG + A*G for the block matrices A and G.
+
+    D = H0 + s is applied to G, never replaced by -A: on sector m it is K
+    along X (rows X-major) plus the diagonal E_o + s.
+    """
     size, basis = model.grid.size, model.basis
-    dtypes = {block.dtype for part in parts for block in part.values()}
-    mat = np.zeros((size, basis.dim) * 2, dtype=np.result_type(np.float64, *dtypes))
-    for part in parts:
-        for (m, n), block in part.items():
-            view = mat[:, basis.sector_slice(m), :, basis.sector_slice(n)]
-            view += block.reshape(view.shape)
-    return mat.reshape(model.dim, model.dim)
+    dg, cross = {}, {}
+    for (m, n), block in g.items():
+        dg[m, n] = (model.k @ block.reshape(size, -1)).reshape(block.shape)
+        dg[m, n] += (np.tile(model.occupation_energies[basis.sector_slice(m)], size) + s)[:, None] * block
+        cross[m, n] = dg[m, n] + a[m, n]
+        cross[m, n] *= -1.0
+    return _block_sum(cross, _adjoint(cross), _block_product(_adjoint(g), dg), _block_product(_adjoint(a), g))
 
 
 def invert_one_minus_G(model: AssembledModel, g: dict) -> tuple[dict, dict]:
-    """Neumann inverse of 1 - G, exact by nilpotency, as a block matrix.
+    """Neumann series S = G + G^2 + ... of the inverse 1 + S of 1 - G, exact by nilpotency.
 
     G raises the boson number by one, so G^(N_max + 1) vanishes on the
-    truncation and the series stops after at most N_max + 1 products.  The
-    metadata reports the number of terms and the norm of the first discarded
-    power (the tail bound), exactly zero when nilpotency was reached; only a
-    nonzero discarded power costs a norm.  The powers are products of the
-    nonzero sector blocks of G: for the IBC G each power has a single block,
-    and a G with no zero block runs the same series as the dense one.
+    truncation and the series stops after at most N_max + 1 products; the
+    identity stays implicit.  The metadata reports the number of terms and
+    the norm of the first discarded power (the tail bound), exactly zero when
+    nilpotency was reached; only a nonzero discarded power costs a norm.  The
+    powers are products of the nonzero sector blocks of G: for the IBC G each
+    power has a single block, and a G with no zero block runs the same series
+    as the dense one.
     """
     n_max = model.basis.n_max
-    sides = model.grid.size * np.diff(model.basis.sector_bounds)
-    inverse = {(n, n): np.eye(side) for n, side in enumerate(sides)}
+    series = {}
     power = g
     terms = 1
     tail = 0.0
@@ -97,119 +120,91 @@ def invert_one_minus_G(model: AssembledModel, g: dict) -> tuple[dict, dict]:
         if not power:
             break
         if terms > n_max:
-            tail = opnorm(scatter(model, power))
+            tail = opnorm(sector_layout(model, power, range(n_max + 1), range(n_max + 1)))
             break
-        for key, block in power.items():
-            inverse[key] = inverse[key] + block if key in inverse else block
+        series = _block_sum(series, power)
         terms += 1
         power = _block_product(power, g)
-    return inverse, {"terms": terms, "tail_bound": tail}
+    return series, {"terms": terms, "tail_bound": tail}
 
 
 @dataclass(frozen=True, eq=False)
 class IbcOperators:
     """All pieces of one IBC assembly, built with a single recorded shift.
 
-    ``g`` and ``inverse`` are the block matrices of G and of the Neumann
-    inverse of 1 - G.  ``h_ibc`` is (1-G)*(H0+s)(1-G) + T + E_lam(X) - s and
-    ``e_diag`` the diagonal of the vacuum energy E_lam(X) on the tensor
-    space; the right side of the keystone identity is h_ibc - diag(e_diag).
+    ``a``, ``g`` and ``series`` are the block matrices of A, of G and of the
+    Neumann series S (the inverse of 1 - G is 1 + S); ``defect`` is that of
+    R = H_ibc - (H_lam + E_lam(X)), zero in exact arithmetic.
     """
 
     shift: float
+    a: dict
     g: dict
-    e_diag: np.ndarray
-    h_ibc: np.ndarray
-    inverse: dict
+    defect: dict
+    series: dict
     neumann_terms: int
     neumann_tail: float
 
 
 def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
-    """Assemble G, the Neumann inverse, and the IBC Hamiltonian.
+    """Assemble A, G, the Neumann series, and the defect of the IBC Hamiltonian.
 
     G = -(H0 + s)^{-1} a*(v_{lam,X}) maps sector n-1 into sector n, with
     s = ``free_shift(model)``, so H0 + s >= mass_floor / 2 > 0, and
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
-    exactly at finite truncation; T = a(v)G is formed only inside the sum.
-
-    The blocks A_n from sector n-1 into n are ``creation_blocks``, scattered
-    from ``FockBasis.ladder``.  On sector n, H0 + s is
-    K x 1 + 1 x diag(E_o) + s = (Q_K x 1) diag(eps_i + E_o + s) (Q_K x 1)*,
-    so the block of G is -(Q_K x 1)[((Q_K* x 1) A_n) / (eps_i + E_o + s)]:
-    two rotations along X, no solve.  The square expands over the blocks as
-    D - DG - (DG)* + G*(DG) + A*G with D = H0 + s, and each of its products
-    is a product of sector blocks.
+    exactly at finite truncation; T = a(v)G.  The blocks A_n from sector n-1
+    into n are ``creation_blocks``.  With D = H0 + s the square is
+    D - DG - (DG)* + G*DG and H_lam + E_lam(X) = D - s + A + A* + E_lam(X),
+    so D, s and E_lam cancel from the defect R = H_ibc - (H_lam + E_lam(X)):
+    R[n, n-1] = -(DG)_n - A_n and R[n-1, n-1] = G_n*(DG)_n + A_n*G_n.
     """
     check_tensor_size(model.spec)
     s = free_shift(model)
-    size, basis, q = model.grid.size, model.basis, model.k_evecs
-    occ_energy, dims = model.occupation_energies, np.diff(basis.sector_bounds)
     a = creation_blocks(model, lam)
-    g = {}
-    for (n, _), block in a.items():
-        denom = model.k_evals[:, None] + occ_energy[basis.sector_slice(n)] + s
-        rotated = (q.conj().T @ block.reshape(size, -1)).reshape(denom.shape + (-1,))
-        g[n, n - 1] = -(q @ (rotated / denom[:, :, None]).reshape(size, -1)).reshape(block.shape)
-    d = {}
-    for n, dim in enumerate(dims):
-        energies = np.tile(occ_energy[basis.sector_slice(n)], size)
-        d[n, n] = np.kron(model.k, np.eye(dim)) + np.diag(energies) + s * np.eye(size * dim)
-    dg = _block_product(d, g)
-    minus_dg = {key: -block for key, block in dg.items()}
-    gdg = _block_product(_adjoint(g), dg)
-    square = scatter(model, d, minus_dg, _adjoint(minus_dg), gdg, _block_product(_adjoint(a), g))
-    e_diag = vacuum_energy_operator(model, lam)
-    # square becomes H_ibc in place: (square + E) - s, summed in that order
-    np.fill_diagonal(square, square.diagonal() + e_diag - s)
-    inverse, meta = invert_one_minus_G(model, g)
+    g = _resolve_free(model, s, a)
+    series, meta = invert_one_minus_G(model, g)
     return IbcOperators(
         shift=s,
+        a=a,
         g=g,
-        e_diag=e_diag,
-        h_ibc=check_hermitian(square),
-        inverse=inverse,
+        defect=_defect(model, s, a, g),
+        series=series,
         neumann_terms=meta["terms"],
         neumann_tail=meta["tail_bound"],
     )
 
 
 def neumann_residual(model: AssembledModel, ops: IbcOperators) -> float:
-    """Spectral norm of (1 - G) N - 1 for the Neumann inverse N of ``ops``.
+    """Spectral norm of (1 - G)(1 + S) - 1 = S - G - GS for the Neumann series S of ``ops``.
 
-    Formed blockwise as N - 1 - GN.  N has identity diagonal blocks and
-    blocks m <- n only for m > n, and GN has blocks m <- n only for m > n, so
-    the diagonal blocks, block row 0 and block column n_max of the residual
-    are exactly zero; the norm is taken on the rectangle of block rows
-    1..n_max by block columns 0..n_max-1, which carries all of it.
+    S and GS have blocks m <- n only for m > n, so the norm is taken on the
+    rectangle of block rows 1..n_max by block columns 0..n_max-1, which
+    carries all of it; blocks that cancel to zero are dropped before the layout.
     """
-    resid = {(m, n): b - np.eye(len(b)) if m == n else b for (m, n), b in ops.inverse.items()}
-    for key, block in _block_product(ops.g, ops.inverse).items():
+    resid = dict(ops.series)
+    for key, block in [*ops.g.items(), *_block_product(ops.g, ops.series).items()]:
         resid[key] = resid.get(key, 0.0) - block
-    sides = model.grid.size * np.diff(model.basis.sector_bounds)
-    rect = [
-        [resid.get((m, n), np.zeros((sides[m], sides[n]))) for n in range(len(sides) - 1)]
-        for m in range(1, len(sides))
-    ]
-    return opnorm(np.block(rect))
+    resid = {key: block for key, block in resid.items() if block.any()}
+    n_max = model.basis.n_max
+    return opnorm(sector_layout(model, resid, range(1, n_max + 1), range(n_max)))
 
 
-def factorization_identity_check(
-    model: AssembledModel, ops: IbcOperators, h_lam: np.ndarray
-) -> float:
-    """Relative residual of H_lam = (1-G)*(H0+s)(1-G) + T - s on safe sectors.
+def factorization_identity_check(model: AssembledModel, ops: IbcOperators) -> float:
+    """||R|| / ||H_lam|| on the safe sectors 0..n_max-1 for the defect R of ``ops``.
 
-    Expanding the square, the cross terms -G*(H0+s) - (H0+s)G reproduce
-    a(v) + a*(v) and T cancels G*(H0+s)G, so the identity is exact algebra;
-    the residual only measures round-off.  Safe sectors keep total boson
-    number <= N_max - 1.  ``h_lam`` is the cutoff Hamiltonian at the lam of
-    ``ops``; the right side is h_ibc - E_lam(X), formed on those sectors only.
+    The identity H_ibc = H_lam + E_lam(X) is exact algebra, so this measures round-off.
     """
-    idx = model.basis.tensor_rows(model.grid.size, 0, model.basis.n_max - 1)
-    sub = np.ix_(idx, idx)
-    lhs = h_lam[sub]
-    rhs = ops.h_ibc[sub] - np.diag(ops.e_diag[idx])
-    return opnorm(lhs - rhs) / opnorm(lhs)
+    safe = range(model.basis.n_max)
+    h_lam = lower_sectors(model, ops.a, np.zeros(model.grid.size))
+    return opnorm(sector_layout(model, ops.defect, safe, safe)) / opnorm(h_lam)
+
+
+def defect_norm(ops: IbcOperators) -> float:
+    """Frobenius norm of all blocks of the defect R of ``ops``.
+
+    By Weyl's inequality it bounds max_i |lambda_i(H_ibc) - lambda_i(H_lam + E_lam)|.
+    """
+    return float(np.linalg.norm([np.linalg.norm(block) for block in ops.defect.values()]))
 
 
 # ---------------------------------------------------------------------------

@@ -349,9 +349,9 @@ def creation_blocks(model: AssembledModel, lam: float) -> dict:
 def creation_family(model: AssembledModel, lam: float) -> np.ndarray:
     """A = blockdiag_X a*(v_{lam,X}), the creation part of the interaction.
 
-    The dense A of the cutoff Hamiltonian H0 + A + A*: one scatter of the
-    basis table ``FockBasis.creation_entries`` fills every X block.
-    ``creation_blocks`` gives the same A by boson-sector blocks.
+    The dense A on the whole tensor space, for the relative-bound check: one
+    scatter of the basis table ``FockBasis.creation_entries`` fills every X
+    block.  ``creation_blocks`` gives the same A by boson-sector blocks.
     """
     check_tensor_size(model.spec)
     size, fdim = model.grid.size, model.fock_dim
@@ -361,17 +361,6 @@ def creation_family(model: AssembledModel, lam: float) -> np.ndarray:
     mat = np.zeros((size, fdim, size, fdim), dtype=coeffs.dtype)
     mat[x, rows, x, cols] = coeffs[:, modes] * factors
     return mat.reshape(model.dim, model.dim)
-
-
-def assemble_cutoff_hamiltonian(model: AssembledModel, lam: float) -> np.ndarray:
-    """H_lam = H0 + A + A*, i.e. H0 + blockdiag_X Phi(omega^{-1/2} rho_{lam,X}).
-
-    H0 sits on the Fock diagonal and A + A* off it, so the sum is exact.
-    """
-    mat = creation_family(model, lam)
-    mat += mat.conj().T
-    mat += model.h0
-    return check_hermitian(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +405,6 @@ def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
     head, _ = quad(integrand, 0.0, lam, limit=200)
     tail, _ = quad(integrand, lam, np.inf, limit=200)
     return 0.5 * (2.0 * np.pi) ** -d * sphere * (head + tail)
-
-
-def vacuum_energy_operator(model: AssembledModel, lam: float) -> np.ndarray:
-    """E_lam(X) as the diagonal of its multiplication operator on the tensor space."""
-    return np.repeat(vacuum_energy(model, lam), model.fock_dim)
 
 
 def gross_B(model: AssembledModel, lam: float) -> np.ndarray:
@@ -644,6 +628,37 @@ class _TopSectorSplit:
         return np.concatenate([low, _real_times(self.rotation, (rotated - tail) * inverse)])
 
 
+def sector_layout(model: AssembledModel, blocks: dict, rows: range, cols: range) -> np.ndarray:
+    """The block rows ``rows`` by block columns ``cols`` of a block matrix, laid out sector by sector.
+
+    A block matrix is a dict {(m, n): block} of the blocks that map boson
+    sector n into sector m, X-major like the tensor; a missing block is zero.
+    """
+    at = model.grid.size * np.asarray(model.basis.sector_bounds)  # first row of each sector
+    top, left = at[rows.start], at[cols.start]
+    dtype = np.result_type(np.float64, *(block.dtype for block in blocks.values()))
+    out = np.zeros((at[rows.stop] - top, at[cols.stop] - left), dtype)
+    for (m, n), block in blocks.items():
+        if m in rows and n in cols:
+            out[at[m] - top : at[m + 1] - top, at[n] - left : at[n + 1] - left] = block
+    return out
+
+
+def lower_sectors(model: AssembledModel, blocks: dict, energies: np.ndarray) -> np.ndarray:
+    """H_lam + E_lam(X) on the sectors 0..n_max-1, laid out sector by sector.
+
+    ``blocks`` is ``creation_blocks(model, lam)``; ``energies`` is
+    E_lam(X), zeros for H_lam itself.
+    """
+    k = model.k + np.diag(energies)
+    parts = dict(blocks) | {(n - 1, n): block.T for (n, _), block in blocks.items()}
+    for n in range(model.basis.n_max):
+        occ = model.occupation_energies[model.basis.sector_slice(n)]
+        parts[n, n] = np.kron(k, np.eye(len(occ))) + np.diag(np.tile(occ, model.grid.size))
+    low = range(model.basis.n_max)
+    return sector_layout(model, parts, low, low)
+
+
 def _split_top_sector(model: AssembledModel, blocks: dict, energies: np.ndarray) -> _TopSectorSplit:
     """Split H_lam + E_lam(X) at sector n_max, from the sector blocks of A and one E per X.
 
@@ -659,22 +674,13 @@ def _split_top_sector(model: AssembledModel, blocks: dict, energies: np.ndarray)
     if top < 1:
         raise ValueError("the top-sector split needs n_max >= 1")
     sides = size * np.diff(basis.sector_bounds)
-    starts = np.concatenate([[0], np.cumsum(sides)])
-    rows = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
-    k = model.k + np.diag(energies)
-    low = np.zeros((starts[top], starts[top]))
-    for n in range(top):
-        occ = model.occupation_energies[basis.sector_slice(n)]
-        low[rows[n], rows[n]] = np.kron(k, np.eye(len(occ))) + np.diag(np.tile(occ, size))
-        if (n, n - 1) in blocks:
-            low[rows[n], rows[n - 1]] = blocks[n, n - 1]
-            low[rows[n - 1], rows[n]] = blocks[n, n - 1].T
-    evals, q = np.linalg.eigh(k)
+    low = lower_sectors(model, blocks, energies)
+    evals, q = np.linalg.eigh(model.k + np.diag(energies))
     d = (evals[:, None] + model.occupation_energies[basis.sector_slice(top)]).ravel()
     a_top = blocks[top, top - 1] if (top, top - 1) in blocks else np.zeros((sides[top], sides[top - 1]))
     coupling = np.ascontiguousarray((q.T @ a_top.reshape(size, -1)).reshape(sides[top], -1).T)
     schur = low + 1j * np.eye(len(low))
-    schur[rows[top - 1], rows[top - 1]] -= (coupling / (d + 1j)) @ coupling.T
+    schur[-len(coupling) :, -len(coupling) :] -= (coupling / (d + 1j)) @ coupling.T  # sector N-1
     return _TopSectorSplit(low, coupling, q, d, linalg.lu_factor(schur))
 
 

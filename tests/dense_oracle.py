@@ -1,0 +1,62 @@
+"""Dense routes on the whole tensor space: the oracles of the sector-block library.
+
+The library forms no matrix of the whole tensor space for H_lam, E_lam(X) or
+H_ibc; these builders lay them out densely at the small sizes the tests run.
+Every matrix is X-major like the tensor: row X * fock_dim + o.
+"""
+
+import numpy as np
+
+from nelsonlab.ibc import free_shift
+from nelsonlab.nelson import creation_family, vacuum_energy
+from nelsonlab.operators import check_hermitian
+
+
+def scatter(model, *parts):
+    """Dense tensor matrix of the sum of the block matrices ``parts``, added in order."""
+    size, basis = model.grid.size, model.basis
+    dtypes = {block.dtype for part in parts for block in part.values()}
+    mat = np.zeros((size, basis.dim) * 2, dtype=np.result_type(np.float64, *dtypes))
+    for part in parts:
+        for (m, n), block in part.items():
+            view = mat[:, basis.sector_slice(m), :, basis.sector_slice(n)]
+            view += block.reshape(view.shape)
+    return mat.reshape(model.dim, model.dim)
+
+
+def split_blocks(model, mat):
+    """The sector blocks of a dense tensor matrix, all of them kept."""
+    rows = [model.basis.tensor_rows(model.grid.size, n, n) for n in range(model.basis.n_max + 1)]
+    return {
+        (m, n): mat[np.ix_(target, source)]
+        for m, target in enumerate(rows)
+        for n, source in enumerate(rows)
+    }
+
+
+def vacuum_energy_diagonal(model, lam):
+    """E_lam(X) as the diagonal of its multiplication operator on the tensor space."""
+    return np.kron(vacuum_energy(model, lam), np.ones(model.fock_dim))
+
+
+def cutoff_hamiltonian(model, lam):
+    """H_lam = H0 + A + A*, with H0 on the Fock diagonal and A + A* off it."""
+    mat = creation_family(model, lam)
+    mat += mat.conj().T
+    mat += model.h0
+    return check_hermitian(mat)
+
+
+def ibc_route(model, lam):
+    """G from one dense solve against H0 + s, and H_ibc from dense products.
+
+    Returns G and H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s with T = A*G.
+    """
+    s = free_shift(model)
+    eye = np.eye(model.dim)
+    h0s = model.h0 + s * eye
+    a = creation_family(model, lam)
+    g = -np.linalg.solve(h0s, a)
+    h_ibc = (eye - g).conj().T @ h0s @ (eye - g) + a.conj().T @ g
+    h_ibc += np.diag(vacuum_energy_diagonal(model, lam)) - s * eye
+    return g, h_ibc

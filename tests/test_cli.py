@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -353,22 +354,23 @@ def test_ibc_identity_run_passes(tmp_path, capsys):
     assert (out / "plot.gp").exists()
 
 
-def test_ibc_identity_assembles_each_cutoff_once(monkeypatch):
-    # build_ibc scatters its A blocks from the ladder; only H_lam builds the dense A
-    calls = []
-    original = nelson.creation_family
+def test_ibc_identity_forms_no_tensor_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix of the tensor side was requested")
 
-    def counted(model, lam):
-        calls.append(lam)
-        return original(model, lam)
-
-    monkeypatch.setattr(nelson, "creation_family", counted)
-    cfg = resolve_config(None)
-    cfg["sweep"]["lams"] = [1.0, 2.0]
-    rows = run_ibc_identity(cfg, 7, 1)
+    monkeypatch.setattr(nelson.AssembledModel, "h0", property(refuse))
+    monkeypatch.setattr(nelson, "creation_family", refuse)
+    cfg = resolve_config(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "dense-tensor.cfg"))
+    one_dense = 8 * 1320**2  # one float64 array of side 1320 at n_max 3: 13.9 MB
+    tracemalloc.start()
+    try:
+        rows = run_ibc_identity(cfg, 7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_dense
+    assert rows.telemetry["tensor_dim"] == 1320
     assert all(row.status == "PASS" for row in rows)
-    # one A for H_lam per cutoff
-    assert calls == [1.0, 2.0]
 
 
 def test_results_csv_is_byte_identical_across_runs(tmp_path):
@@ -472,6 +474,22 @@ def test_gross_summary_records_check_telemetry(tmp_path):
         assert check["residual_abs"] / check["scale"] == pytest.approx(residual, rel=1e-11)
     csv = (out / "results.csv").read_text()
     assert "safe_dim" not in csv and "scale" not in csv and "b_norm" not in csv
+
+
+def test_ibc_summary_records_assembly_telemetry(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[model]\nn_max = 3\n[sweep]\nlams = 1.0, 4.0\n")
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "ibc-identity", "--config", str(cfg), "--out", str(out)) == 0
+    telemetry = json.loads((out / "summary.json").read_text())["telemetry"]
+    assert telemetry["tensor_dim"] == 8 * 165
+    # G maps sector n-1 into sector n; a sector side is 8 x C(7 + n, n)
+    assert telemetry["g_blocks"] == {"1<-0": [64, 8], "2<-1": [288, 64], "3<-2": [960, 288]}
+    # nilpotent G: the series closes after n_max + 1 terms, as the neumann-closure rows say
+    assert telemetry["neumann"] == [{"lam": 1.0, "neumann_terms": 4}, {"lam": 4.0, "neumann_terms": 4}]
+    assert [r[2] for r in read_rows(out) if r[1]["check"] == "neumann-closure"] == [0.0, 0.0]
+    csv = (out / "results.csv").read_text()
+    assert "tensor_dim" not in csv and "g_blocks" not in csv and "neumann_terms" not in csv
 
 
 def test_psido_summary_records_check_telemetry(tmp_path):

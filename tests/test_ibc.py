@@ -6,25 +6,25 @@ from nelsonlab import fock, ibc, nelson
 from nelsonlab.ibc import (
     IbcOperators,
     build_ibc,
+    defect_norm,
     domain_regularity_experiment,
     domain_regularity_norms,
     factorization_identity_check,
     free_shift,
     invert_one_minus_G,
     neumann_residual,
-    scatter,
 )
 from nelsonlab.nelson import (
     AssembledModel,
-    assemble_cutoff_hamiltonian,
     assemble_free,
     creation_family,
     form_factor,
     form_factor_rho,
     sinusoidal_spec,
-    vacuum_energy_operator,
 )
 from nelsonlab.operators import HERMITIAN_TOL, SizeError
+
+from dense_oracle import cutoff_hamiltonian, ibc_route, scatter, split_blocks, vacuum_energy_diagonal
 
 # Frozen references for the bench model at L = 8, M = 8 (independent dense
 # oracle; see test_nelson.py for the model constants).
@@ -45,6 +45,11 @@ def bench8():
 @pytest.fixture(scope="module")
 def bench8_n3():
     return assemble_free(sinusoidal_spec(8, n_max=3))
+
+
+@pytest.fixture(scope="module")
+def free8():
+    return assemble_free(sinusoidal_spec(8, coupling=0.0))
 
 
 @pytest.fixture(scope="module")
@@ -69,45 +74,59 @@ def test_zero_coupling_gives_zero_G():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
     ops = build_ibc(model, 2.0)
     assert ops.g == {}
-    inv, meta = invert_one_minus_G(model, ops.g)
-    assert np.max(np.abs(scatter(model, inv) - np.eye(model.dim))) == 0.0
+    series, meta = invert_one_minus_G(model, ops.g)
+    assert series == {} and ops.series == {}  # the inverse is 1 exactly
     assert meta["terms"] == 1 and meta["tail_bound"] == 0.0
     assert ops.neumann_terms == 1 and ops.neumann_tail == 0.0
     assert neumann_residual(model, ops) == 0.0
 
 
 @pytest.mark.parametrize("lam", [1.0, 4.0])
-@pytest.mark.parametrize("model_name", ["bench8", "bench8_n3"])
+@pytest.mark.parametrize("model_name", ["bench8", "bench8_n3", "free8"])
 def test_sector_blocks_match_dense_route(model_name, lam, request):
     # dense oracle: one solve against H0 + s, dense products, a dense inverse
     model = request.getfixturevalue(model_name)
     ops = build_ibc(model, lam)
     eye = np.eye(model.dim)
-    h0s = model.h0 + ops.shift * eye
-    a = creation_family(model, lam)
-    g = -np.linalg.solve(h0s, a)
-    h_ibc = (eye - g).conj().T @ h0s @ (eye - g) + a.conj().T @ g
-    h_ibc += np.diag(vacuum_energy_operator(model, lam)) - ops.shift * eye
+    g, h_ibc = ibc_route(model, lam)
+    h_lam = cutoff_hamiltonian(model, lam)
+    subtracted = h_lam + np.diag(vacuum_energy_diagonal(model, lam))
+    defect = h_ibc - subtracted
+
+    # both ibc-identity rows, against the same rows of the dense route
+    idx = model.basis.tensor_rows(model.grid.size, 0, model.basis.n_max - 1)
+    sub = np.ix_(idx, idx)
+    keystone, mismatch = factorization_identity_check(model, ops), defect_norm(ops)
+    assert abs(keystone - opnorm(defect[sub]) / opnorm(h_lam[sub])) <= 1e-12
+    assert abs(mismatch - np.linalg.norm(defect)) <= 1e-12
+    if model.spec.coupling == 0.0:
+        # G and the defect are empty, and both rows read exactly 0
+        assert ops.g == {} and ops.defect == {}
+        assert keystone == 0.0 and mismatch == 0.0
+        return
 
     def rel(value, reference):
         return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
 
-    g_mat, inverse = scatter(model, ops.g), scatter(model, ops.inverse)
+    g_mat, inverse = scatter(model, ops.g), eye + scatter(model, ops.series)
     assert rel(g_mat, g) < 1e-13
-    assert rel(ops.h_ibc, h_ibc) < 1e-13
+    assert rel(subtracted + scatter(model, ops.defect), h_ibc) < 1e-13
+    scale = opnorm(h_lam)
+    for key, block in split_blocks(model, defect).items():
+        assert np.max(np.abs(ops.defect.get(key, 0.0) - block)) <= 1e-13 * scale, key
     assert rel(inverse, np.linalg.inv(eye - g)) < 1e-13
     dense_residual = opnorm((eye - g_mat) @ inverse - eye)
     assert abs(neumann_residual(model, ops) - dense_residual) < 1e-15
 
-
-def split_blocks(model, mat):
-    """The sector blocks of a dense tensor matrix, all of them kept."""
-    rows = [model.basis.tensor_rows(model.grid.size, n, n) for n in range(model.basis.n_max + 1)]
-    return {
-        (m, n): mat[np.ix_(target, source)]
-        for m, target in enumerate(rows)
-        for n, source in enumerate(rows)
-    }
+    # the defect applies H0 + s to G: off the exact G it follows the dense
+    # H_ibc(G) - (H_lam + E) = (1-G)*(H0+s)(1-G) + A*G - (H0+s) - A - A*
+    off = {key: 1.01 * block for key, block in ops.g.items()}
+    g_off, a = scatter(model, off), scatter(model, ops.a)
+    h0s = model.h0 + ops.shift * eye
+    want = (eye - g_off).T @ h0s @ (eye - g_off) + a.T @ g_off - h0s - a - a.T
+    got = scatter(model, ibc._defect(model, ops.shift, ops.a, off))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    assert np.max(np.abs(got)) > 1e-6 * scale
 
 
 def test_neumann_series_stops_at_the_boson_cap(bench8):
@@ -120,13 +139,13 @@ def test_neumann_series_stops_at_the_boson_cap(bench8):
     n_max = bench8.basis.n_max
     blocks = split_blocks(bench8, g)
     assert np.array_equal(scatter(bench8, blocks), g)
-    inv, meta = invert_one_minus_G(bench8, blocks)
+    series, meta = invert_one_minus_G(bench8, blocks)
     assert meta["terms"] == n_max + 1
     assert meta["tail_bound"] > 0.0
     tail = opnorm(np.linalg.matrix_power(g, n_max + 1))
     assert meta["tail_bound"] == pytest.approx(tail, rel=1e-12)
     partial = sum(np.linalg.matrix_power(g, k) for k in range(n_max + 1))
-    assert np.max(np.abs(scatter(bench8, inv) - partial)) < 1e-14
+    assert np.max(np.abs(np.eye(bench8.dim) + scatter(bench8, series) - partial)) < 1e-14
 
 
 def test_G_shifts_sectors_up_by_one(bench8):
@@ -184,7 +203,7 @@ def test_G_lam_trend_decreases(bench8):
 def test_neumann_inverse_exact(bench8, ops2):
     assert ops2.neumann_terms <= bench8.basis.n_max + 1
     assert ops2.neumann_tail == 0.0
-    g, inverse = scatter(bench8, ops2.g), scatter(bench8, ops2.inverse)
+    g, inverse = scatter(bench8, ops2.g), np.eye(bench8.dim) + scatter(bench8, ops2.series)
     residual = opnorm((np.eye(bench8.dim) - g) @ inverse - np.eye(bench8.dim))
     assert residual < 1e-12
     dense = np.linalg.inv(np.eye(bench8.dim) - g)
@@ -196,8 +215,7 @@ def test_neumann_inverse_exact(bench8, ops2):
 
 
 def keystone(model, lam):
-    h_lam = assemble_cutoff_hamiltonian(model, lam)
-    return factorization_identity_check(model, build_ibc(model, lam), h_lam)
+    return factorization_identity_check(model, build_ibc(model, lam))
 
 
 def test_keystone_identity(bench8):
@@ -225,6 +243,7 @@ def test_build_ibc_reads_neither_dense_H0_nor_A(monkeypatch):
     monkeypatch.setattr(ibc, "creation_family", forbidden, raising=False)
     ops = build_ibc(model, 2.0)
     assert neumann_residual(model, ops) < 1e-12
+    assert factorization_identity_check(model, ops) < 1e-12
     assert sorted(ops.g) == [(1, 0), (2, 1), (3, 2)]
 
 
@@ -242,19 +261,21 @@ def test_build_ibc_guard_refuses_before_the_ladder(monkeypatch):
 
 
 def test_ibc_matches_subtracted_hamiltonian(bench8, ops2):
-    assert np.max(np.abs(ops2.h_ibc - ops2.h_ibc.conj().T)) <= HERMITIAN_TOL
+    # H_ibc as the library holds it: H_lam + E_lam(X) plus the defect R
     reference = (
-        assemble_cutoff_hamiltonian(bench8, 2.0)
-        + np.diag(vacuum_energy_operator(bench8, 2.0))
+        cutoff_hamiltonian(bench8, 2.0)
+        + np.diag(vacuum_energy_diagonal(bench8, 2.0))
     )
-    e_ibc = np.linalg.eigvalsh(ops2.h_ibc)
+    h_ibc = reference + scatter(bench8, ops2.defect)
+    assert np.max(np.abs(h_ibc - h_ibc.conj().T)) <= HERMITIAN_TOL
+    e_ibc = np.linalg.eigvalsh(h_ibc)
     e_ref = np.linalg.eigvalsh(reference)
     assert np.max(np.abs(e_ibc - e_ref)) < 1e-9
     assert e_ibc[0] > -1.0
 
 
 def test_ibc_resolvent_distances_decrease(bench8):
-    hams = {lam: build_ibc(bench8, lam).h_ibc for lam in (1.0, 2.0, 4.0)}
+    hams = {lam: ibc_route(bench8, lam)[1] for lam in (1.0, 2.0, 4.0)}
     eye = np.eye(bench8.dim)
 
     def resolvent(mat):
@@ -269,8 +290,8 @@ def test_ibc_resolvent_distances_decrease(bench8):
 
 def test_zero_coupling_ibc_reduces_to_free():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
-    ops = build_ibc(model, 2.0)
-    assert np.max(np.abs(ops.h_ibc - model.h0)) < 1e-12
+    assert build_ibc(model, 2.0).defect == {}
+    assert np.max(np.abs(ibc_route(model, 2.0)[1] - model.h0)) < 1e-12
 
 
 def dense_domain_norms(model, g, ps):
@@ -323,7 +344,7 @@ def test_domain_regularity_matches_dense_on_random_models(
     model = assemble_free(spec)
     ps = [0.0, 0.2, 0.5, 1.0]
     fast = domain_regularity_norms(model, 2.0, ps)["norms"]
-    # G alone; build_ibc would also form T, E_lam and the Neumann inverse
+    # G alone; build_ibc would also form the defect and the Neumann inverse
     g = -np.linalg.solve(
         model.h0 + free_shift(model) * np.eye(model.dim),
         creation_family(model, 2.0),
@@ -387,11 +408,11 @@ def test_real_model_stays_float64(bench8_n3, ops2_n3):
         "rho": form_factor_rho(model, 2.0),
         "v": form_factor(model, 2.0),
         "A": creation_family(model, 2.0),
-        "H_lam": assemble_cutoff_hamiltonian(model, 2.0),
+        "H_lam": cutoff_hamiltonian(model, 2.0),
         "H0": model.h0,
         "G": scatter(model, ops2_n3.g),
-        "H_ibc": ops2_n3.h_ibc,
-        "inverse": scatter(model, ops2_n3.inverse),
+        "R": scatter(model, ops2_n3.defect),
+        "series": scatter(model, ops2_n3.series),
     }
     for name, arr in arrays.items():
         assert arr.dtype == np.float64, name

@@ -20,7 +20,6 @@ from nelsonlab.nelson import (
     ModelSpec,
     ModelSpecError,
     SpectralError,
-    assemble_cutoff_hamiltonian,
     assemble_free,
     creation_family,
     divergence_form,
@@ -34,10 +33,11 @@ from nelsonlab.nelson import (
     sinusoidal_spec,
     transformed_hamiltonian_check,
     vacuum_energy,
-    vacuum_energy_operator,
     vacuum_energy_quadrature,
 )
 from nelsonlab.operators import HERMITIAN_TOL, SizeError, check_hermitian, opnorm
+
+from dense_oracle import cutoff_hamiltonian, vacuum_energy_diagonal
 
 # Frozen reference values for the bench model g = 1 + 0.3 sin x, W = 0.2 cos x,
 # mu = 1, box = 2*pi, coupling 1, gaussian profile, computed with independent
@@ -299,7 +299,7 @@ def test_creation_family_blocks_are_per_point_creators(request, name):
 
 
 def test_cutoff_hamiltonian_lowers_ground_state(bench8):
-    h2 = assemble_cutoff_hamiltonian(bench8, 2.0)
+    h2 = cutoff_hamiltonian(bench8, 2.0)
     assert np.max(np.abs(h2 - h2.conj().T)) <= HERMITIAN_TOL
     gs = np.linalg.eigvalsh(h2)[0]
     assert abs(gs - GS_H2_L8) < 1e-9
@@ -317,7 +317,7 @@ def test_cutoff_hamiltonian_matches_field_oracle(request, name, lam):
     for xi in range(model.grid.size):
         blk = slice(xi * f, (xi + 1) * f)
         want[blk, blk] += field(model.basis, np.sqrt(2.0) * v[xi])
-    got = assemble_cutoff_hamiltonian(model, lam)
+    got = cutoff_hamiltonian(model, lam)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -390,7 +390,7 @@ def test_vacuum_energy_needs_positive_k_plus_omega():
 
 
 def test_vacuum_energy_operator_is_diagonal(bench8):
-    diag = vacuum_energy_operator(bench8, 2.0)
+    diag = vacuum_energy_diagonal(bench8, 2.0)
     per_x = vacuum_energy(bench8, 2.0)
     assert diag.shape == (bench8.dim,)
     assert np.array_equal(diag, np.repeat(per_x, bench8.fock_dim))
@@ -464,7 +464,7 @@ def test_transformed_check_values_and_decay(bench8):
 def _dense_transformed_oracle(model, lam, b_family=None):
     """The conjugation check on the whole tensor space, restricted afterwards.
 
-    Forms the dense U H_lam U* from ``assemble_cutoff_hamiltonian`` and the
+    Forms the dense U H_lam U* from the oracle ``cutoff_hamiltonian`` and the
     Weyl operator of each X, and the right side termwise in an X x Y loop
     over full Fock blocks, then compares both on the safe rows.
     """
@@ -485,7 +485,7 @@ def _dense_transformed_oracle(model, lam, b_family=None):
 
     ident_f = np.eye(fdim)
     weyls = np.stack([fock.weyl(basis, b) for b in coeffs_b])
-    h_blocks = assemble_cutoff_hamiltonian(model, lam).reshape(size, fdim, size, fdim)
+    h_blocks = cutoff_hamiltonian(model, lam).reshape(size, fdim, size, fdim)
     lhs = weyls[:, None] @ h_blocks.transpose(0, 2, 1, 3) @ weyls.conj().transpose(0, 2, 1)
     lhs = lhs.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
 
@@ -573,7 +573,6 @@ def test_transformed_check_forms_no_tensor_matrix(bench8_n3, monkeypatch):
         raise AssertionError("a matrix of the tensor side was requested")
 
     monkeypatch.setattr(nelson.AssembledModel, "h0", property(refuse))
-    monkeypatch.setattr(nelson, "assemble_cutoff_hamiltonian", refuse)
     monkeypatch.setattr(nelson, "creation_family", refuse)
     one_dense = 16 * bench8_n3.dim**2  # one complex array of side 1320: 27.9 MB
     tracemalloc.start()
@@ -591,8 +590,6 @@ def test_size_guard_reports_dimensions(bench32):
         bench32.h0
     with pytest.raises(SizeError, match="17952"):
         transformed_hamiltonian_check(bench32, 2.0)
-    with pytest.raises(SizeError, match="561"):
-        assemble_cutoff_hamiltonian(bench32, 2.0)
     with pytest.raises(SizeError, match="17952"):
         creation_family(bench32, 2.0)
     with pytest.raises(SizeError, match="17952"):
@@ -613,8 +610,8 @@ def test_renorm_table_matches_dense_oracle(bench8, renorm_table):
     eye = np.eye(bench8.dim)
     levels, resolvents = [], {}
     for lam in (1.0, 2.0, 4.0):
-        h = assemble_cutoff_hamiltonian(bench8, lam)
-        sub = h + np.diag(vacuum_energy_operator(bench8, lam))
+        h = cutoff_hamiltonian(bench8, lam)
+        sub = h + np.diag(vacuum_energy_diagonal(bench8, lam))
         levels.append((np.linalg.eigvalsh(h)[0], np.linalg.eigvalsh(sub)[0]))
         resolvents[lam] = (np.linalg.inv(h + 1j * eye), np.linalg.inv(sub + 1j * eye))
     for row, (plain, sub) in zip(renorm_table["levels"], levels):
@@ -663,8 +660,8 @@ def test_renorm_distances_match_dense_svd_at_n_max_3(bench8_n3):
     eye = np.eye(bench8_n3.dim)
     resolvents = {}
     for lam in (1.0, 4.0):
-        h = assemble_cutoff_hamiltonian(bench8_n3, lam)
-        sub = h + np.diag(vacuum_energy_operator(bench8_n3, lam))
+        h = cutoff_hamiltonian(bench8_n3, lam)
+        sub = h + np.diag(vacuum_energy_diagonal(bench8_n3, lam))
         resolvents[lam] = (np.linalg.inv(h + 1j * eye), np.linalg.inv(sub + 1j * eye))
     (plain_a, sub_a), (plain_b, sub_b) = resolvents[1.0], resolvents[4.0]
     (row,) = report["pairs"]
@@ -700,8 +697,8 @@ def test_top_sector_kernel_matches_dense_oracle(npts, n_max):
     eye = np.eye(model.dim)
     resolvents = {}
     for lam, row in zip((1.0, 2.0), report["levels"]):
-        h = assemble_cutoff_hamiltonian(model, lam)
-        sub = h + np.diag(vacuum_energy_operator(model, lam))
+        h = cutoff_hamiltonian(model, lam)
+        sub = h + np.diag(vacuum_energy_diagonal(model, lam))
         assert abs(row["gs_plain"] - np.linalg.eigvalsh(h)[0]) <= 1e-12
         assert abs(row["gs_subtracted"] - np.linalg.eigvalsh(sub)[0]) <= 1e-12
         for record in row["solver"].values():
