@@ -532,7 +532,7 @@ def run_domain_regularity(cfg, seed, threads) -> list[Row]:
             tol["growth_ratio_min"],
         )
     )
-    return rows
+    return Rows(rows, {"points": report["points"]})
 
 
 def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:

@@ -218,6 +218,61 @@ def check_gram_size(spec: ModelSpec) -> None:
     check_dense_size("sector Gram matrix", spec.grid.size, sector)
 
 
+# bytes of pair workspace that one chunk of ``_step_gram`` may hold
+_CHUNK_BYTES = 1 << 20
+# a chunk holds at most three (pairs x size^2) arrays at once: its pair
+# blocks, the W_o gathered onto them, and the W_o of its targets
+_CHUNK_ARRAYS = 3
+
+
+def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int) -> dict:
+    """Chunking and stated peak bytes of one sector-step Gram, from sizes alone.
+
+    The peak is the Gram, the copy that ``eigvalsh`` makes of it, and one chunk.
+    """
+    block = size * size * itemsize
+    per_chunk = max(1, min(n_pairs, _CHUNK_BYTES // (_CHUNK_ARRAYS * block)))
+    gram = (n_src * size) ** 2 * itemsize
+    return {
+        "gram_side": n_src * size,
+        "pairs": n_pairs,
+        "pairs_per_chunk": per_chunk,
+        "chunks": -(-n_pairs // per_chunk),
+        "peak_bytes": 2 * gram + _CHUNK_ARRAYS * per_chunk * block,
+    }
+
+
+def _step_gram(lad, c: np.ndarray, q_k: np.ndarray, weight: np.ndarray, n_src: int) -> np.ndarray:
+    """Gram sum_o conj(C_y[o,a]) W_o[y,z] C_z[o,b] of one sector step, W_o = Q_K diag(weight[:, o]) Q_K*.
+
+    ``c`` holds C_y of each ladder entry a -> o (rows y), ``weight`` one
+    column per target o.  Each chunk of target-ordered pairs (``_step_plan``)
+    is stable-sorted by source key (a, b) and summed per key with
+    ``np.add.reduceat``; the summed keys of a chunk are unique, so one
+    fancy-indexed ``+=`` adds them all.  Returned with shape (n_src, size, n_src, size).
+    """
+    size = q_k.shape[0]
+    first, second = lad.shared_target_pairs
+    dtype = np.result_type(c, q_k, weight)
+    per_chunk = _step_plan(len(first), size, n_src, dtype.itemsize)["pairs_per_chunk"]
+    gram = np.zeros((n_src, size, n_src, size), dtype=dtype)
+    for start in range(0, len(first), per_chunk):
+        i, j = first[start : start + per_chunk], second[start : start + per_chunk]
+        key = lad.sources[i] * n_src + lad.sources[j]
+        order = np.argsort(key, kind="stable")
+        i, j, key = i[order], j[order], key[order]
+        targets, local = np.unique(lad.targets[i], return_inverse=True)
+        w = (q_k[None, :, :] * weight[:, targets].T[:, None, :]) @ q_k.conj().T
+        blocks = c[:, i].conj().T[:, :, None] * c[:, j].T[:, None, :]
+        blocks *= w[local]
+        del w
+        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        sums = np.add.reduceat(blocks, heads, axis=0)
+        del blocks
+        gram[lad.sources[i[heads]], :, lad.sources[j[heads]], :] += sums
+    return gram
+
+
 def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     """||H0^p G_lam|| for each p, from the exact Gram matrix of each sector step.
 
@@ -231,7 +286,12 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
         W_o = Q_K diag(S_p^2[:, o]) Q_K*,  C_y[o,a] = v_y[k] sqrt(occ_o[k]),
 
     a sum over the pairs of ladder entries a -> o, b -> o that share their
-    target o.  The step norm is the square root of the top eigenvalue,
+    target o.  ``_step_gram`` sums it in chunks of pairs, ordered by target,
+    of at most ``_CHUNK_BYTES`` of workspace: each chunk forms W_o for its
+    own targets only, sums its pairs per source key (a, b) with
+    ``np.add.reduceat`` and adds the sums to the Gram.  No array holds every
+    pair, so a step holds the Gram, the copy ``eigvalsh`` makes of it, and
+    one chunk.  The step norm is the square root of the top eigenvalue,
     clamped at zero so that zero coupling gives exactly 0.0.  Each step
     costs one Gram of side size * dim(sector n-1) and one dense ``eigvalsh``:
     no iterative solver, no start vector, and no dense tensor matrix.  The
@@ -245,6 +305,8 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
 
     Returns the norm per p under "norms" and the step norms n = 1..N_max per
     p under "steps"; at p = 0 these are the sector norms ||G||_{n-1 -> n}.
+    "plans" holds each step's Gram side, ladder pair count, chunking and
+    stated peak bytes (``_step_plan``).
     """
     check_gram_size(model.spec)
     ps = [float(p) for p in ps]
@@ -258,22 +320,19 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     exponent = max(int(np.frexp(np.max(np.abs(coeffs)))[1]), -1021)
     coeffs *= 2.0**-exponent
     steps = {p: [] for p in ps}
+    plans = []
     for n, lad in enumerate(basis.ladder, start=1):
         n_src = basis.sector_bounds[n] - basis.sector_bounds[n - 1]
         base = eps_k[:, None] + occ_energy[basis.sector_slice(n)][None, :] + s
         c = coeffs[:, lad.modes] * lad.factors  # C_y of each ladder entry
-        first, second = lad.shared_target_pairs
-        outer = c[:, first].conj().T[:, :, None] * c[:, second].T[:, None, :]
-        index = (lad.sources[first], slice(None), lad.sources[second], slice(None))
+        itemsize = np.result_type(c, q_k, base).itemsize
+        plans.append(_step_plan(len(lad.shared_target_pairs[0]), size, n_src, itemsize))
         for p in ps:
-            weight = ((base - s) ** p / base) ** 2
-            w = (q_k[None, :, :] * weight.T[:, None, :]) @ q_k.conj().T
-            gram = np.zeros((n_src, size, n_src, size), dtype=np.result_type(outer, w))
-            np.add.at(gram, index, outer * w[lad.targets[first]])
+            gram = _step_gram(lad, c, q_k, ((base - s) ** p / base) ** 2, n_src)
             top = np.linalg.eigvalsh(gram.reshape(n_src * size, n_src * size))[-1]
             steps[p].append(float(np.sqrt(max(0.0, top))) * 2.0**exponent)
     norms = {p: max(steps[p], default=0.0) for p in ps}
-    return {"norms": norms, "steps": {p: np.array(steps[p]) for p in ps}, "shift": s}
+    return {"norms": norms, "steps": {p: np.array(steps[p]) for p in ps}, "shift": s, "plans": plans}
 
 
 def domain_regularity_experiment(models, lams, ps) -> dict:
@@ -287,10 +346,11 @@ def domain_regularity_experiment(models, lams, ps) -> dict:
     subcritical power against p = 1, not against the d = 3 threshold 1/2.
     """
     ps = [float(p) for p in ps]
-    rows = []
+    rows, points = [], []
     per_p: dict[float, list] = {p: [] for p in ps}
     for model, lam in zip(models, lams):
         result = domain_regularity_norms(model, lam, ps)
+        points.append({"npts": model.grid.npts, "lam": float(lam), "steps": result["plans"]})
         for p in ps:
             value = result["norms"][p]
             rows.append(
@@ -308,4 +368,4 @@ def domain_regularity_experiment(models, lams, ps) -> dict:
         vals = per_p[p]
         factors = [b / a for a, b in zip(vals[:-1], vals[1:])]
         growth[p] = {"factors": factors, "total": float(np.prod(factors))}
-    return {"rows": rows, "growth": growth}
+    return {"rows": rows, "growth": growth, "points": points}

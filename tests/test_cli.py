@@ -241,7 +241,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "config",
-    [ROOT / "configs" / "default.cfg", *sorted((ROOT / "perfbench" / "workloads").glob("*.cfg"))],
+    [
+        ROOT / "configs" / "default.cfg",
+        ROOT / "configs" / "regularity-64.cfg",
+        *sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")),
+    ],
     ids=lambda path: path.name,
 )
 def test_shipped_configs_validate(config):
@@ -490,6 +494,31 @@ def test_ibc_summary_records_assembly_telemetry(tmp_path):
     assert [r[2] for r in read_rows(out) if r[1]["check"] == "neumann-closure"] == [0.0, 0.0]
     csv = (out / "results.csv").read_text()
     assert "tensor_dim" not in csv and "g_blocks" not in csv and "neumann_terms" not in csv
+
+
+def test_domain_regularity_summary_records_kernel_telemetry(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[sweep]\nsizes = 8, 16\ndomain_lams = 2.0, 4.0\npowers = 0.0, 1.0\n")
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "domain-regularity", "--config", str(cfg), "--out", str(out)) == 0
+    points = json.loads((out / "summary.json").read_text())["telemetry"]["points"]
+    assert [(point["npts"], point["lam"]) for point in points] == [(8, 2.0), (16, 4.0)]
+    # step n has a Gram of side npts x dim(sector n-1); its pairs are the
+    # ladder entries a -> o, b -> o sharing o: npts of them into sector 1,
+    # and into sector 2 four per target with two distinct modes plus one per doubled mode
+    for point in points:
+        npts = point["npts"]
+        steps = point["steps"]
+        assert [step["gram_side"] for step in steps] == [npts, npts * npts]
+        assert [step["pairs"] for step in steps] == [npts, 4 * npts * (npts - 1) // 2 + npts]
+        for step in steps:
+            assert step["chunks"] == -(-step["pairs"] // step["pairs_per_chunk"])
+            gram_bytes = step["gram_side"] ** 2 * 8
+            assert 2 * gram_bytes < step["peak_bytes"] <= 2 * gram_bytes + step["pairs"] * 3 * npts**2 * 8
+    # at npts 16 the widest step no longer fits one chunk
+    assert points[1]["steps"][1]["chunks"] > 1
+    csv = (out / "results.csv").read_text()
+    assert "gram_side" not in csv and "chunks" not in csv and "peak_bytes" not in csv
 
 
 def test_psido_summary_records_check_telemetry(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -317,6 +319,40 @@ def test_domain_regularity_structured_matches_dense(bench8, ops2, bench8_n3, ops
         for p in ps:
             assert abs(result["norms"][p] - dense[p]) < 1e-10
         assert abs(result["shift"] - SHIFT_L8) < 1e-6
+
+
+def test_domain_regularity_chunking_does_not_change_norms(bench8, ops2, bench8_n3, ops2_n3, monkeypatch):
+    ps = [0.0, 0.2, 0.5, 1.0]
+    for model, ops in ((bench8, ops2), (bench8_n3, ops2_n3)):
+        dense = dense_domain_norms(model, scatter(model, ops.g), ps)
+        steps = {}
+        # a budget of one byte leaves one pair per chunk; 1 TiB takes every pair at once
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(ibc, "_CHUNK_BYTES", budget)
+            result = domain_regularity_norms(model, 2.0, ps)
+            for plan in result["plans"]:
+                assert plan["chunks"] == (plan["pairs"] if budget == 1 else 1)
+            for p in ps:
+                assert abs(result["norms"][p] - dense[p]) <= 1e-10 * dense[p]
+            steps[budget] = np.concatenate([result["steps"][p] for p in ps])
+        assert np.max(np.abs(steps[1] - steps[1 << 40]) / steps[1 << 40]) <= 1e-13
+
+
+def test_domain_regularity_peak_is_the_gram_twice_and_one_chunk():
+    model = assemble_free(sinusoidal_spec(32, n_max=2))
+    model.basis.ladder[-1].shared_target_pairs  # cached on the basis, not kernel memory
+    tracemalloc.start()
+    try:
+        result = domain_regularity_norms(model, 8.0, [0.0, 0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plan = result["plans"][-1]
+    gram_bytes = plan["gram_side"] ** 2 * 8
+    # tracemalloc does not see the LAPACK copy inside eigvalsh; the second
+    # Gram it sees is the previous power's, still held while the next is summed
+    assert peak <= 2.5 * gram_bytes
+    assert abs(peak - plan["peak_bytes"]) <= 0.25 * plan["peak_bytes"]
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
