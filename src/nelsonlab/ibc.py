@@ -31,7 +31,7 @@ from .nelson import (
     lower_sectors,
     sector_layout,
 )
-from .operators import check_dense_size, opnorm
+from .operators import check_dense_size, lanczos_cap, opnorm, top_eigenvalue
 
 
 def free_shift(model: AssembledModel) -> float:
@@ -228,17 +228,18 @@ _CHUNK_ARRAYS = 3
 def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int) -> dict:
     """Chunking and stated peak bytes of one sector-step Gram, from sizes alone.
 
-    The peak is the Gram, the copy that ``eigvalsh`` makes of it, and one chunk.
+    The peak is one Gram, the basis of ``top_eigenvalue`` (``lanczos_cap``
+    vectors of the Gram's side) and one chunk.
     """
     block = size * size * itemsize
     per_chunk = max(1, min(n_pairs, _CHUNK_BYTES // (_CHUNK_ARRAYS * block)))
-    gram = (n_src * size) ** 2 * itemsize
+    side = n_src * size
     return {
-        "gram_side": n_src * size,
+        "gram_side": side,
         "pairs": n_pairs,
         "pairs_per_chunk": per_chunk,
         "chunks": -(-n_pairs // per_chunk),
-        "peak_bytes": 2 * gram + _CHUNK_ARRAYS * per_chunk * block,
+        "peak_bytes": (side + lanczos_cap(side, itemsize)) * side * itemsize + _CHUNK_ARRAYS * per_chunk * block,
     }
 
 
@@ -289,13 +290,16 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     target o.  ``_step_gram`` sums it in chunks of pairs, ordered by target,
     of at most ``_CHUNK_BYTES`` of workspace: each chunk forms W_o for its
     own targets only, sums its pairs per source key (a, b) with
-    ``np.add.reduceat`` and adds the sums to the Gram.  No array holds every
-    pair, so a step holds the Gram, the copy ``eigvalsh`` makes of it, and
-    one chunk.  The step norm is the square root of the top eigenvalue,
-    clamped at zero so that zero coupling gives exactly 0.0.  Each step
-    costs one Gram of side size * dim(sector n-1) and one dense ``eigvalsh``:
-    no iterative solver, no start vector, and no dense tensor matrix.  The
-    shift s enters only through the resolvent factor of G.  An exact
+    ``np.add.reduceat`` and adds the sums to the Gram.  The step norm is the
+    square root of the Gram's top eigenvalue, clamped at zero so that zero
+    coupling gives exactly 0.0.  ``operators.top_eigenvalue`` finds it by
+    Lanczos from a seeded random start vector and stops once the residual
+    bound beta_k |s_k| of its Ritz value is at most 1e-15 of that value, or
+    exactly when the Krylov space closes.  Each power's Gram is freed before
+    the next is summed, and no array holds every pair, so a step holds one
+    Gram, the Lanczos basis and one chunk.  Each step costs one Gram of side
+    size * dim(sector n-1) per p, and no dense eigensolver or tensor matrix.
+    The shift s enters only through the resolvent factor of G.  An exact
     power-of-two scale of the coefficients keeps their squares from underflowing.
 
     On the d = 1 tensor model the one-boson sector gives
@@ -306,7 +310,8 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     Returns the norm per p under "norms" and the step norms n = 1..N_max per
     p under "steps"; at p = 0 these are the sector norms ||G||_{n-1 -> n}.
     "plans" holds each step's Gram side, ladder pair count, chunking and
-    stated peak bytes (``_step_plan``).
+    stated peak bytes (``_step_plan``), and under "lanczos" the step count
+    and final relative residual bound of each p's top eigenvalue.
     """
     check_gram_size(model.spec)
     ps = [float(p) for p in ps]
@@ -326,11 +331,15 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
         base = eps_k[:, None] + occ_energy[basis.sector_slice(n)][None, :] + s
         c = coeffs[:, lad.modes] * lad.factors  # C_y of each ladder entry
         itemsize = np.result_type(c, q_k, base).itemsize
-        plans.append(_step_plan(len(lad.shared_target_pairs[0]), size, n_src, itemsize))
+        plan = _step_plan(len(lad.shared_target_pairs[0]), size, n_src, itemsize)
+        plan["lanczos"] = []
         for p in ps:
             gram = _step_gram(lad, c, q_k, ((base - s) ** p / base) ** 2, n_src)
-            top = np.linalg.eigvalsh(gram.reshape(n_src * size, n_src * size))[-1]
+            top, iterations, residual = top_eigenvalue(gram.reshape(n_src * size, n_src * size))
+            del gram
+            plan["lanczos"].append({"p": p, "steps": iterations, "residual": residual})
             steps[p].append(float(np.sqrt(max(0.0, top))) * 2.0**exponent)
+        plans.append(plan)
     norms = {p: max(steps[p], default=0.0) for p in ps}
     return {"norms": norms, "steps": {p: np.array(steps[p]) for p in ps}, "shift": s, "plans": plans}
 

@@ -1,5 +1,5 @@
 """Dense operators as numpy arrays: the size guard, the hermiticity check, and
-spectral helpers (norm, psd powers, functions of hermitian matrices)."""
+spectral helpers (norm, top eigenvalue, psd powers, functions of hermitian matrices)."""
 
 from __future__ import annotations
 
@@ -35,6 +35,64 @@ def check_hermitian(mat: np.ndarray) -> np.ndarray:
 def opnorm(mat: np.ndarray) -> float:
     """Spectral norm of a dense matrix: its largest singular value."""
     return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+# The basis of ``top_eigenvalue`` holds at most this many vectors, or more if
+# they fit in _LANCZOS_BYTES: a Gram of side 512 then spans its whole space
+_LANCZOS_STEPS = 256
+_LANCZOS_BYTES = 2 << 20
+# relative bound on |lambda - theta| at which ``top_eigenvalue`` stops
+_LANCZOS_RTOL = 1e-15
+
+
+def lanczos_cap(side: int, itemsize: int) -> int:
+    """Number of basis vectors ``top_eigenvalue`` may hold for a matrix of side ``side``."""
+    return min(side, max(_LANCZOS_STEPS, _LANCZOS_BYTES // (side * itemsize)))
+
+
+def top_eigenvalue(mat: np.ndarray, seed: int = 0) -> tuple[float, int, float]:
+    """Largest eigenvalue of a real symmetric positive-semidefinite matrix, by Lanczos.
+
+    The start vector is a standard normal draw from a generator seeded with
+    ``seed``: a structured one (all ones, a basis vector) can be orthogonal
+    to the top eigenspace of a lattice-symmetric matrix.  Each step
+    reorthogonalizes against the whole basis, twice.  With T_k the
+    tridiagonal of k steps and theta_k, s_k its top eigenvalue and the last
+    entry of its eigenvector, |lambda - theta_k| <= beta_k |s_k|, and the
+    iteration stops once that bound is at most ``_LANCZOS_RTOL`` * theta_k.
+    T_k's eigenpair costs O(k^3), so past 32 steps it is taken only at every
+    (1 + k // 32)-th step.  The iteration also stops, exactly, at beta_k = 0
+    (a zero matrix gives 0.0 after one step) or when the basis spans the
+    space (k = side).  The basis holds ``lanczos_cap`` vectors; reaching
+    that cap short of the stopping rule raises, with the residual bound reached.
+
+    Returns (theta_k, k, beta_k |s_k| / theta_k).
+    """
+    side = mat.shape[0]
+    cap = lanczos_cap(side, mat.itemsize)
+    basis = np.empty((cap, side), dtype=mat.dtype)
+    vec = np.random.default_rng(seed).standard_normal(side)
+    basis[0] = vec / np.linalg.norm(vec)
+    alphas, betas = np.zeros(cap), np.zeros(cap)
+    for k in range(cap):
+        w = mat @ basis[k]
+        alphas[k] = basis[k] @ w
+        for _ in range(2):
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        betas[k] = np.linalg.norm(w)
+        if betas[k] == 0.0 or k + 1 == cap or (k + 1) % (1 + k // 32) == 0:
+            tri = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
+            evals, evecs = np.linalg.eigh(tri)
+            theta = float(evals[-1])
+            bound = float(betas[k] * abs(evecs[-1, -1]))
+            residual = bound / max(theta, np.finfo(float).tiny)
+            if betas[k] == 0.0 or k + 1 == side or bound <= _LANCZOS_RTOL * theta:
+                return theta, k + 1, residual
+        if k + 1 < cap:
+            basis[k + 1] = w / betas[k]
+    raise ArithmeticError(
+        f"Lanczos reached its cap of {cap} steps on a matrix of side {side} with relative residual {residual:.3e}"
+    )
 
 
 def psd_power(mat: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:

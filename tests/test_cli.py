@@ -21,6 +21,7 @@ from nelsonlab.cli import (
     run_ibc_identity,
 )
 from nelsonlab.grid import Grid
+from nelsonlab.operators import lanczos_cap
 
 
 def run_cli(*args) -> int:
@@ -513,12 +514,19 @@ def test_domain_regularity_summary_records_kernel_telemetry(tmp_path):
         assert [step["pairs"] for step in steps] == [npts, 4 * npts * (npts - 1) // 2 + npts]
         for step in steps:
             assert step["chunks"] == -(-step["pairs"] // step["pairs_per_chunk"])
-            gram_bytes = step["gram_side"] ** 2 * 8
-            assert 2 * gram_bytes < step["peak_bytes"] <= 2 * gram_bytes + step["pairs"] * 3 * npts**2 * 8
+            side = step["gram_side"]
+            # one Gram and the Lanczos basis, plus at most every pair's workspace
+            held = (side + lanczos_cap(side, 8)) * side * 8
+            assert held < step["peak_bytes"] <= held + step["pairs"] * 3 * npts**2 * 8
+            assert [record["p"] for record in step["lanczos"]] == [0.0, 1.0]
+            for record in step["lanczos"]:
+                assert 1 <= record["steps"] <= side
+                assert 0.0 <= record["residual"] <= 1e-15
     # at npts 16 the widest step no longer fits one chunk
     assert points[1]["steps"][1]["chunks"] > 1
     csv = (out / "results.csv").read_text()
     assert "gram_side" not in csv and "chunks" not in csv and "peak_bytes" not in csv
+    assert "lanczos" not in csv and "residual" not in csv
 
 
 def test_psido_summary_records_check_telemetry(tmp_path):

@@ -338,9 +338,10 @@ def test_domain_regularity_chunking_does_not_change_norms(bench8, ops2, bench8_n
         assert np.max(np.abs(steps[1] - steps[1 << 40]) / steps[1 << 40]) <= 1e-13
 
 
-def test_domain_regularity_peak_is_the_gram_twice_and_one_chunk():
+def test_domain_regularity_peak_is_one_gram_its_lanczos_basis_and_one_chunk():
     model = assemble_free(sinusoidal_spec(32, n_max=2))
     model.basis.ladder[-1].shared_target_pairs  # cached on the basis, not kernel memory
+    np.random.default_rng()  # numpy.random is imported on first use, not kernel memory
     tracemalloc.start()
     try:
         result = domain_regularity_norms(model, 8.0, [0.0, 0.5])
@@ -349,10 +350,31 @@ def test_domain_regularity_peak_is_the_gram_twice_and_one_chunk():
         tracemalloc.stop()
     plan = result["plans"][-1]
     gram_bytes = plan["gram_side"] ** 2 * 8
-    # tracemalloc does not see the LAPACK copy inside eigvalsh; the second
-    # Gram it sees is the previous power's, still held while the next is summed
-    assert peak <= 2.5 * gram_bytes
+    # each power's Gram is freed before the next is summed, and the top
+    # eigenvalue holds its Lanczos basis but no copy of the Gram
+    assert peak <= 1.35 * gram_bytes
     assert abs(peak - plan["peak_bytes"]) <= 0.25 * plan["peak_bytes"]
+
+
+def test_domain_regularity_takes_no_dense_eigensolver_on_a_gram(bench8_n3, monkeypatch):
+    # the widest Gram, of the step 2 -> 3: side 8 x dim(sector 2) = 288;
+    # Lanczos converges there in far fewer steps, so no tridiagonal reaches it
+    bounds = bench8_n3.basis.sector_bounds
+    side = bench8_n3.grid.size * (bounds[3] - bounds[2])
+
+    def guarded(name, fn):
+        def call(mat, *args, **kwargs):
+            if side in np.shape(mat):
+                raise AssertionError(f"{name} on a matrix of the Gram side {side}")
+            return fn(mat, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, guarded(name, getattr(np.linalg, name)))
+    result = domain_regularity_norms(bench8_n3, 2.0, [0.0, 0.5])
+    assert result["plans"][-1]["gram_side"] == side == 288
+    assert np.max(np.abs(result["steps"][0.0] - np.array(SECTOR_NORMS_N3))) < 1e-7
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
