@@ -31,7 +31,7 @@ from .nelson import (
     lower_sectors,
     sector_layout,
 )
-from .operators import check_dense_size, lanczos_cap, opnorm, top_eigenvalue
+from .operators import check_dense_size, lanczos_peak_bytes, opnorm, top_eigenvalue
 
 
 def free_shift(model: AssembledModel) -> float:
@@ -225,21 +225,22 @@ _CHUNK_BYTES = 1 << 20
 _CHUNK_ARRAYS = 3
 
 
-def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int) -> dict:
+def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int, lanczos_bytes: int = 0) -> dict:
     """Chunking and stated peak bytes of one sector-step Gram, from sizes alone.
 
-    The peak is one Gram, the basis of ``top_eigenvalue`` (``lanczos_cap``
-    vectors of the Gram's side) and one chunk.
+    While a Gram is alive the step holds, one after the other, one chunk of
+    pair workspace and the memory of ``top_eigenvalue`` (``lanczos_bytes``);
+    the peak is the Gram and the larger of the two.
     """
     block = size * size * itemsize
     per_chunk = max(1, min(n_pairs, _CHUNK_BYTES // (_CHUNK_ARRAYS * block)))
-    side = n_src * size
+    gram = (n_src * size) ** 2 * itemsize
     return {
-        "gram_side": side,
+        "gram_side": n_src * size,
         "pairs": n_pairs,
         "pairs_per_chunk": per_chunk,
         "chunks": -(-n_pairs // per_chunk),
-        "peak_bytes": (side + lanczos_cap(side, itemsize)) * side * itemsize + _CHUNK_ARRAYS * per_chunk * block,
+        "peak_bytes": gram + max(_CHUNK_ARRAYS * per_chunk * block, lanczos_bytes),
     }
 
 
@@ -297,7 +298,8 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     bound beta_k |s_k| of its Ritz value is at most 1e-15 of that value, or
     exactly when the Krylov space closes.  Each power's Gram is freed before
     the next is summed, and no array holds every pair, so a step holds one
-    Gram, the Lanczos basis and one chunk.  Each step costs one Gram of side
+    Gram and the larger of one chunk and the Lanczos basis, which grows with
+    the steps taken.  Each step costs one Gram of side
     size * dim(sector n-1) per p, and no dense eigensolver or tensor matrix.
     The shift s enters only through the resolvent factor of G.  An exact
     power-of-two scale of the coefficients keeps their squares from underflowing.
@@ -331,15 +333,17 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
         base = eps_k[:, None] + occ_energy[basis.sector_slice(n)][None, :] + s
         c = coeffs[:, lad.modes] * lad.factors  # C_y of each ladder entry
         itemsize = np.result_type(c, q_k, base).itemsize
-        plan = _step_plan(len(lad.shared_target_pairs[0]), size, n_src, itemsize)
-        plan["lanczos"] = []
+        side = n_src * size
+        records = []
         for p in ps:
             gram = _step_gram(lad, c, q_k, ((base - s) ** p / base) ** 2, n_src)
-            top, iterations, residual = top_eigenvalue(gram.reshape(n_src * size, n_src * size))
+            top, iterations, residual = top_eigenvalue(gram.reshape(side, side))
             del gram
-            plan["lanczos"].append({"p": p, "steps": iterations, "residual": residual})
+            records.append({"p": p, "steps": iterations, "residual": residual})
             steps[p].append(float(np.sqrt(max(0.0, top))) * 2.0**exponent)
-        plans.append(plan)
+        lanczos_bytes = max((lanczos_peak_bytes(side, r["steps"], itemsize) for r in records), default=0)
+        plan = _step_plan(len(lad.shared_target_pairs[0]), size, n_src, itemsize, lanczos_bytes)
+        plans.append(plan | {"lanczos": records})
     norms = {p: max(steps[p], default=0.0) for p in ps}
     return {"norms": norms, "steps": {p: np.array(steps[p]) for p in ps}, "shift": s, "plans": plans}
 

@@ -37,62 +37,63 @@ def opnorm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
-# The basis of ``top_eigenvalue`` holds at most this many vectors, or more if
-# they fit in _LANCZOS_BYTES: a Gram of side 512 then spans its whole space
-_LANCZOS_STEPS = 256
-_LANCZOS_BYTES = 2 << 20
 # relative bound on |lambda - theta| at which ``top_eigenvalue`` stops
 _LANCZOS_RTOL = 1e-15
+# seed of the generator that draws the start vector of ``top_eigenvalue``
+_LANCZOS_SEED = 0
 
 
-def lanczos_cap(side: int, itemsize: int) -> int:
-    """Number of basis vectors ``top_eigenvalue`` may hold for a matrix of side ``side``."""
-    return min(side, max(_LANCZOS_STEPS, _LANCZOS_BYTES // (side * itemsize)))
+def lanczos_peak_bytes(side: int, steps: int, itemsize: int) -> int:
+    """Most bytes ``top_eigenvalue`` holds while it takes ``steps`` steps on a matrix of side ``side``.
+
+    Its basis doubles, up to ``side`` rows, each time it fills, so the most
+    it holds is the old and the new array of the last doubling; besides, it
+    holds the tridiagonal T_k of the last step and its eigenvectors.
+    """
+    grown = 1 << (steps - 1).bit_length()
+    return (grown // 2 + min(side, grown)) * side * itemsize + 2 * steps**2 * 8
 
 
-def top_eigenvalue(mat: np.ndarray, seed: int = 0) -> tuple[float, int, float]:
+def top_eigenvalue(mat: np.ndarray) -> tuple[float, int, float]:
     """Largest eigenvalue of a real symmetric positive-semidefinite matrix, by Lanczos.
 
     The start vector is a standard normal draw from a generator seeded with
-    ``seed``: a structured one (all ones, a basis vector) can be orthogonal
-    to the top eigenspace of a lattice-symmetric matrix.  Each step
-    reorthogonalizes against the whole basis, twice.  With T_k the
+    ``_LANCZOS_SEED``: a structured one (all ones, a basis vector) can be
+    orthogonal to the top eigenspace of a lattice-symmetric matrix.  Each
+    step reorthogonalizes against the whole basis, twice.  With T_k the
     tridiagonal of k steps and theta_k, s_k its top eigenvalue and the last
     entry of its eigenvector, |lambda - theta_k| <= beta_k |s_k|, and the
     iteration stops once that bound is at most ``_LANCZOS_RTOL`` * theta_k.
-    T_k's eigenpair costs O(k^3), so past 32 steps it is taken only at every
-    (1 + k // 32)-th step.  The iteration also stops, exactly, at beta_k = 0
-    (a zero matrix gives 0.0 after one step) or when the basis spans the
-    space (k = side).  The basis holds ``lanczos_cap`` vectors; reaching
-    that cap short of the stopping rule raises, with the residual bound reached.
+    It also stops, exactly, at beta_k = 0 (a zero matrix gives 0.0 after one
+    step) or when the basis spans the space (k = side), so it always
+    returns.  Its memory grows with the steps taken (``lanczos_peak_bytes``).
 
     Returns (theta_k, k, beta_k |s_k| / theta_k).
     """
     side = mat.shape[0]
-    cap = lanczos_cap(side, mat.itemsize)
-    basis = np.empty((cap, side), dtype=mat.dtype)
-    vec = np.random.default_rng(seed).standard_normal(side)
+    basis = np.empty((1, side), dtype=mat.dtype)
+    vec = np.random.default_rng(_LANCZOS_SEED).standard_normal(side)
     basis[0] = vec / np.linalg.norm(vec)
-    alphas, betas = np.zeros(cap), np.zeros(cap)
-    for k in range(cap):
+    alphas, betas = np.zeros(side), np.zeros(side)
+    for k in range(side):
         w = mat @ basis[k]
         alphas[k] = basis[k] @ w
         for _ in range(2):
             w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
         betas[k] = np.linalg.norm(w)
-        if betas[k] == 0.0 or k + 1 == cap or (k + 1) % (1 + k // 32) == 0:
-            tri = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
-            evals, evecs = np.linalg.eigh(tri)
-            theta = float(evals[-1])
-            bound = float(betas[k] * abs(evecs[-1, -1]))
-            residual = bound / max(theta, np.finfo(float).tiny)
-            if betas[k] == 0.0 or k + 1 == side or bound <= _LANCZOS_RTOL * theta:
-                return theta, k + 1, residual
-        if k + 1 < cap:
-            basis[k + 1] = w / betas[k]
-    raise ArithmeticError(
-        f"Lanczos reached its cap of {cap} steps on a matrix of side {side} with relative residual {residual:.3e}"
-    )
+        tri = np.zeros((k + 1, k + 1))
+        tri.flat[:: k + 2] = alphas[: k + 1]
+        tri.flat[1 :: k + 2] = tri.flat[k + 1 :: k + 2] = betas[:k]
+        evals, evecs = np.linalg.eigh(tri)
+        theta = float(evals[-1])
+        bound = float(betas[k] * abs(evecs[-1, -1]))
+        if betas[k] == 0.0 or k + 1 == side or bound <= _LANCZOS_RTOL * theta:
+            return theta, k + 1, bound / max(theta, np.finfo(float).tiny)
+        if k + 1 == len(basis):
+            grown = np.empty((min(side, 2 * len(basis)), side), dtype=basis.dtype)
+            grown[: k + 1] = basis
+            basis = grown
+        basis[k + 1] = w / betas[k]
 
 
 def psd_power(mat: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:

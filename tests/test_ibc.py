@@ -338,7 +338,7 @@ def test_domain_regularity_chunking_does_not_change_norms(bench8, ops2, bench8_n
         assert np.max(np.abs(steps[1] - steps[1 << 40]) / steps[1 << 40]) <= 1e-13
 
 
-def test_domain_regularity_peak_is_one_gram_its_lanczos_basis_and_one_chunk():
+def test_domain_regularity_peak_is_one_gram_and_a_chunk_or_its_lanczos_basis():
     model = assemble_free(sinusoidal_spec(32, n_max=2))
     model.basis.ladder[-1].shared_target_pairs  # cached on the basis, not kernel memory
     np.random.default_rng()  # numpy.random is imported on first use, not kernel memory
@@ -351,7 +351,7 @@ def test_domain_regularity_peak_is_one_gram_its_lanczos_basis_and_one_chunk():
     plan = result["plans"][-1]
     gram_bytes = plan["gram_side"] ** 2 * 8
     # each power's Gram is freed before the next is summed, and the top
-    # eigenvalue holds its Lanczos basis but no copy of the Gram
+    # eigenvalue holds a Lanczos basis that grows with its steps, but no copy of the Gram
     assert peak <= 1.35 * gram_bytes
     assert abs(peak - plan["peak_bytes"]) <= 0.25 * plan["peak_bytes"]
 

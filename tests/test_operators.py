@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,10 +46,9 @@ def test_top_eigenvalue_of_rank_one_and_rank_deficient_matrices():
 
 def test_top_eigenvalue_of_a_top_clustered_spectrum_spans_the_space():
     # eigenvalues crowd toward the top, as in the p = 1 Gram of one-boson
-    # steps; a basis of side 300 fits in the byte budget, so Lanczos may
-    # run past _LANCZOS_STEPS vectors and stop exactly at k = side
+    # steps: Lanczos stops exactly at k = side, past several doublings of its basis
     evals = 1.0 - 0.3 * (np.arange(300) / 300) ** 2
-    assert assert_top_matches_eigvalsh(psd_with_spectrum(evals, 7)) == 300 > operators._LANCZOS_STEPS
+    assert assert_top_matches_eigvalsh(psd_with_spectrum(evals, 7)) == 300
 
 
 def test_top_eigenvalue_of_the_lattice_laplacian():
@@ -62,16 +63,31 @@ def test_top_eigenvalue_of_zero_is_exactly_zero_in_one_step():
 
 
 def test_top_eigenvalue_does_not_depend_on_the_start_vector():
+    # Q A Q^T has the spectrum of A, and the same seeded draw lies
+    # differently against its eigenbasis: a different start vector for A
     b = np.random.default_rng(11).standard_normal((200, 200))
     mat = b @ b.T
-    first, second = top_eigenvalue(mat, seed=0)[0], top_eigenvalue(mat, seed=1)[0]
+    q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((200, 200)))
+    first, second = top_eigenvalue(mat)[0], top_eigenvalue(q @ mat @ q.T)[0]
     assert abs(first - second) <= 1e-14 * first
 
 
-def test_top_eigenvalue_raises_at_its_step_cap(monkeypatch):
-    mat = psd_with_spectrum(np.linspace(0.0, 1.0, 20), 5)
-    assert top_eigenvalue(mat)[1] > 2
-    monkeypatch.setattr(operators, "_LANCZOS_STEPS", 2)
-    monkeypatch.setattr(operators, "_LANCZOS_BYTES", 0)
-    with pytest.raises(ArithmeticError, match="cap of 2 steps"):
+@pytest.mark.parametrize("kind", ["rank 10 of side 1500", "top-clustered of side 300"])
+def test_top_eigenvalue_memory_grows_with_the_steps_taken(kind):
+    if kind.startswith("rank"):
+        b = np.random.default_rng(3).standard_normal((1500, 10))
+        mat = b @ b.T
+    else:
+        mat = psd_with_spectrum(1.0 - 0.3 * (np.arange(300) / 300) ** 2, 7)
+    steps = top_eigenvalue(mat)[1]
+    tracemalloc.start()
+    try:
         top_eigenvalue(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stated = operators.lanczos_peak_bytes(len(mat), steps, mat.itemsize)
+    assert abs(peak - stated) <= 0.25 * stated
+    if kind.startswith("rank"):
+        # a dozen steps hold a dozen-odd basis vectors, not one per row of the matrix
+        assert steps <= 12 and peak <= 0.05 * mat.nbytes
