@@ -4,9 +4,9 @@ A run executes one named experiment against a resolved configuration and
 writes three artifacts into the output directory: ``results.csv`` with one
 row per measurement (experiment, parameters, lhs, rhs, status),
 ``summary.json`` with per-check status, tolerances, seed, config hash,
-wall clock, the process's peak resident set size, the numpy and scipy
-versions, the BLAS name and version and the run's telemetry (matrix sides
-and solver records), and ``plot.gp``, a gnuplot script over the CSV.
+wall clock, the process's peak resident set size and the library's stated
+peak, the numpy and scipy versions, the BLAS name and version and the
+run's telemetry (matrix sides and solver records), and ``plot.gp``.
 Identical (config, seed) pairs produce byte-identical CSV files; sweeps
 are merged in parameter order regardless of the --threads setting.
 
@@ -14,7 +14,8 @@ Configs are flat ``key = value`` text files with three typed sections,
 ``[model]``, ``[sweep]`` and ``[tolerances]``; ``#`` starts a comment.
 Unknown keys, unreadable values, and malformed lines are reported with
 their line number and exit code 2; values the library refuses (model
-ingredients, lattices, cutoffs, dense dimensions) and the CLI's own sweep
+ingredients, lattices, cutoffs, and sizes at which a kernel's stated peak
+passes the memory budget ``operators.MAX_BYTES``) and the CLI's own sweep
 policies exit with code 3; a failed check exits with code 1.
 
 Check naming convention: a check whose name ends in ``-min`` passes when
@@ -40,7 +41,7 @@ import scipy
 
 from . import fock, ibc, inequalities, nelson, psido
 from .grid import Grid
-from .operators import check_dense_size, opnorm
+from .operators import check_bytes, opnorm
 
 EXPERIMENTS = (
     "weyl-identities",
@@ -53,10 +54,14 @@ EXPERIMENTS = (
     "vacuum-energy",
 )
 
-# experiments held to the dense tensor-size guard: none forms a matrix of the
-# whole tensor space, but all three keep the guard until a size policy in
-# bytes covers them
-_DENSE_EXPERIMENTS = {"renorm-convergence", "gross-transform", "ibc-identity"}
+# experiment -> the kernel it runs on each model (one per [sweep] sizes entry
+# for domain-regularity, else at [model] npts) and the kernel's stated peak
+_MODEL_KERNELS = {
+    "renorm-convergence": ("renorm_convergence_experiment", nelson.renorm_peak_bytes),
+    "gross-transform": ("transformed_hamiltonian_check", nelson.transformed_peak_bytes),
+    "ibc-identity": ("build_ibc", ibc.ibc_peak_bytes),
+    "domain-regularity": ("domain_regularity_norms", ibc.regularity_peak_bytes),
+}
 
 
 class ConfigError(ValueError):
@@ -209,10 +214,10 @@ def config_canonical_text(cfg: dict[str, dict]) -> str:
 
 
 def _spec(cfg: dict, npts: int | None = None) -> nelson.ModelSpec:
-    """The model spec at ``npts`` (default: the config's), size-checked as in
+    """The model spec at ``npts`` (default: the config's), refused as in
     ``assemble_free`` before any allocation."""
     npts = cfg["model"]["npts"] if npts is None else npts
-    check_dense_size("one-particle matrix", npts)
+    check_bytes("assemble_free", nelson.free_peak_bytes(npts, cfg["model"]["n_max"]))
     return nelson.sinusoidal_spec(**dict(cfg["model"], npts=npts))
 
 
@@ -226,9 +231,11 @@ def _refusal(field: str):
         raise GuardError(f"{field}: {exc}") from exc
 
 
-def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
+def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
     """Refuse a config before any large allocation: the lattices and model specs
-    a run would build meet the library's own checks, plus the CLI's sweep policies."""
+    a run would build meet the library's own checks, plus the CLI's sweep policies.
+    Returns the largest peak stated for the experiment's kernels (per sweep worker),
+    None if it runs none."""
     model = cfg["model"]
     sweep = cfg["sweep"]
     if model["n_max"] < 1:
@@ -253,25 +260,33 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> None:
     for key in _POSITIVE_SWEEPS.get(experiment, ()):
         if not all(value > 0.0 for value in sweep[key]):
             raise GuardError(f"[sweep] {key}: {experiment} needs positive entries, got {sweep[key]}")
-    for key in ("psido_npts", "parametrix_npts"):
+    stated = []
+    for key, held in (("psido_npts", sweep["draws"]), ("parametrix_npts", 0)):
         with _refusal(f"[sweep] {key}"):
-            check_dense_size("symbol table", Grid(1, sweep[key], model["box"]).size)
+            size = Grid(1, sweep[key], model["box"]).size
+            if experiment == "psido-calculus":
+                stated.append(check_bytes("symbol calculus", psido.calculus_peak_bytes(size, held)))
     with _refusal("[sweep] rearr_npts, rearr_box"):
         Grid(1, sweep["rearr_npts"], sweep["rearr_box"])
     with _refusal("[model]"):
         spec = _spec(cfg)
-        if experiment in _DENSE_EXPERIMENTS:
-            nelson.check_tensor_size(spec)
     for lam in sweep["lams"]:
         with _refusal("[sweep] lams"):
             spec.grid.check_cutoff(lam)
     for size, lam in zip(sweep["sizes"], sweep["domain_lams"]):
         with _refusal(f"[sweep] sizes entry {size}"):
             sized = _spec(cfg, size)
-            if experiment == "domain-regularity":
-                ibc.check_gram_size(sized)
         with _refusal(f"[sweep] domain_lams at npts = {size}"):
             sized.grid.check_cutoff(lam)
+    if experiment in _MODEL_KERNELS:
+        name, peak = _MODEL_KERNELS[experiment]
+        points = [("[model] npts, n_max", model["npts"])]
+        if experiment == "domain-regularity":
+            points = [(f"[sweep] sizes entry {size}", size) for size in sweep["sizes"]]
+        for field, npts in points:
+            with _refusal(field):
+                stated += [nelson.free_peak_bytes(npts, model["n_max"]), check_bytes(name, peak(npts, model["n_max"]))]
+    return max(stated, default=None)
 
 
 @dataclass(frozen=True)
@@ -688,6 +703,7 @@ def render_plot(experiment: str) -> str:
 
 def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    stated_peak = check_guards(cfg, experiment)
     payload = {
         "experiment": experiment,
         "seed": seed,
@@ -697,6 +713,7 @@ def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
         "wall_clock_s": round(wall_clock, 3),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "stated_peak_mib": None if stated_peak is None else round(stated_peak / 2**20, 1),
         "versions": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations_with_replacement
 from math import comb, factorial
 
 import numpy as np
@@ -18,18 +19,19 @@ import numpy as np
 from .operators import check_hermitian, hermitian_func, opnorm, psd_power
 
 
-def fock_dim(n_modes: int, n_max: int) -> int:
-    return sum(comb(n_modes + n - 1, n) for n in range(n_max + 1))
+def sector_dims(n_modes: int, n_max: int) -> list[int]:
+    """Number of occupation vectors with n bosons, for n = 0..n_max."""
+    return [comb(n_modes + n - 1, n) for n in range(n_max + 1)]
 
 
-def _compositions(total: int, parts: int):
-    """Occupation vectors summing to ``total``, first mode weakly first."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Occupation vectors summing to ``total``, one row each, first mode weakly first (no recursion)."""
+    count = comb(parts + total - 1, total)
+    picks = chain.from_iterable(combinations_with_replacement(range(parts), total))
+    occ = np.zeros((count, parts), dtype=np.int64)
+    for column in np.fromiter(picks, dtype=np.int64, count=count * total).reshape(count, total).T:
+        occ[np.arange(count), column] += 1
+    return occ
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -68,11 +70,15 @@ class FockBasis:
     n_max: int
     occupations: np.ndarray  # (dim, n_modes)
     sector_bounds: tuple[int, ...]  # sector n occupies rows [bounds[n], bounds[n+1])
-    index: dict
 
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
+
+    @cached_property
+    def index(self) -> dict:
+        """Row of each occupation vector, keyed by its tuple."""
+        return {tuple(row): i for i, row in enumerate(self.occupations.tolist())}
 
     def sector_slice(self, n: int) -> slice:
         return slice(self.sector_bounds[n], self.sector_bounds[n + 1])
@@ -129,14 +135,9 @@ class FockBasis:
 def fock_basis(n_modes: int, n_max: int) -> FockBasis:
     if n_modes < 1 or n_max < 0:
         raise ValueError("need n_modes >= 1 and n_max >= 0")
-    rows = []
-    bounds = [0]
-    for n in range(n_max + 1):
-        rows.extend(_compositions(n, n_modes))
-        bounds.append(len(rows))
-    occ = np.array(rows, dtype=np.int64)
-    index = {tuple(r): i for i, r in enumerate(rows)}
-    return FockBasis(n_modes, n_max, occ, tuple(bounds), index)
+    sectors = [_compositions(n, n_modes) for n in range(n_max + 1)]
+    bounds = np.cumsum([0] + [len(sector) for sector in sectors])
+    return FockBasis(n_modes, n_max, np.concatenate(sectors), tuple(int(b) for b in bounds))
 
 
 def annihilate(basis: FockBasis, f: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ rows ``FockBasis.tensor_rows(size, n, n)``.  H0 + s is block diagonal, A and
 G map sector n-1 into sector n only, and G^k maps n-k into n.  So A comes
 from the creation ladder, G from the free spectrum without a solve, and the
 defect H_ibc - (H_lam + E_lam), the Neumann series and its residual multiply
-only the nonzero sector blocks.  No matrix of the whole tensor space is formed.
+only the nonzero sector blocks.  No matrix of the whole tensor space is formed,
+and each kernel refuses at entry if its stated peak passes ``operators.MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -22,24 +23,22 @@ from math import comb
 
 import numpy as np
 
+from .fock import sector_dims
 from .nelson import (
     AssembledModel,
-    ModelSpec,
-    check_tensor_size,
     creation_blocks,
     form_factor,
     lower_sectors,
     sector_layout,
 )
-from .operators import check_dense_size, lanczos_peak_bytes, opnorm, top_eigenvalue
+from .operators import check_bytes, lanczos_peak_bytes, opnorm, top_eigenvalue
 
 
 def free_shift(model: AssembledModel) -> float:
     """Shift making H0 + s >= mass_floor / 2.
 
     The bottom of H0 is the bottom of K (zero-boson sector; every boson adds
-    at least the mass floor), so the value is available at sizes where dense
-    H0 is not.
+    at least the mass floor).
     """
     return max(0.0, 0.5 * model.spec.mass_floor - float(model.k_evals[0]))
 
@@ -146,6 +145,16 @@ class IbcOperators:
     neumann_tail: float
 
 
+def ibc_peak_bytes(npts: int, n_max: int) -> int:
+    """Most bytes ``build_ibc`` and its identity checks hold at once on a d = 1 lattice of ``npts`` points:
+    A, G, DG and the defect a float64 block per step n-1 -> n, the Neumann series one per
+    pair m > n, and ``neumann_residual`` block rows 1..n_max by columns 0..n_max-1."""
+    sides = [npts * dim for dim in sector_dims(npts, n_max)]
+    steps = sum(top * low for top, low in zip(sides[1:], sides[:-1]))
+    pairs = sum(sides[m] * sides[n] for m in range(n_max + 1) for n in range(m))
+    return 8 * (4 * steps + pairs + sum(sides[1:]) * sum(sides[:-1]))
+
+
 def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
     """Assemble A, G, the Neumann series, and the defect of the IBC Hamiltonian.
 
@@ -158,7 +167,7 @@ def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
     so D, s and E_lam cancel from the defect R = H_ibc - (H_lam + E_lam(X)):
     R[n, n-1] = -(DG)_n - A_n and R[n-1, n-1] = G_n*(DG)_n + A_n*G_n.
     """
-    check_tensor_size(model.spec)
+    check_bytes("build_ibc", ibc_peak_bytes(model.grid.size, model.basis.n_max))
     s = free_shift(model)
     a = creation_blocks(model, lam)
     g = _resolve_free(model, s, a)
@@ -211,13 +220,6 @@ def defect_norm(ops: IbcOperators) -> float:
 # domain regularity
 
 
-def check_gram_size(spec: ModelSpec) -> None:
-    """Refuse a model whose widest sector-step Gram matrix, of side
-    size * dim(sector n_max - 1) = size * C(size + n_max - 2, n_max - 1), passes the guard."""
-    sector = comb(spec.grid.size + spec.n_max - 2, spec.n_max - 1) if spec.n_max else 0
-    check_dense_size("sector Gram matrix", spec.grid.size, sector)
-
-
 # bytes of pair workspace that one chunk of ``_step_gram`` may hold
 _CHUNK_BYTES = 1 << 20
 # a chunk holds at most three (pairs x size^2) arrays at once: its pair
@@ -242,6 +244,17 @@ def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int, lanczos_bytes
         "chunks": -(-n_pairs // per_chunk),
         "peak_bytes": gram + max(_CHUNK_ARRAYS * per_chunk * block, lanczos_bytes),
     }
+
+
+def regularity_peak_bytes(npts: int, n_max: int) -> int:
+    """Most bytes ``domain_regularity_norms`` holds at once on a d = 1 lattice of ``npts`` points:
+    the largest ``_step_plan`` peak, with a Lanczos run of as many steps as the Gram has rows.
+    A target with j occupied modes has j^2 ladder pairs, and C(npts, j) C(n-1, j-1) have j."""
+    peaks = [0]
+    for n, src in enumerate(sector_dims(npts, n_max)[:-1], start=1):
+        pairs = sum(j * j * comb(npts, j) * comb(n - 1, j - 1) for j in range(1, min(n, npts) + 1))
+        peaks.append(_step_plan(pairs, npts, src, 8, lanczos_peak_bytes(npts * src, npts * src, 8))["peak_bytes"])
+    return max(peaks)
 
 
 def _step_gram(lad, c: np.ndarray, q_k: np.ndarray, weight: np.ndarray, n_src: int) -> np.ndarray:
@@ -288,18 +301,13 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
         W_o = Q_K diag(S_p^2[:, o]) Q_K*,  C_y[o,a] = v_y[k] sqrt(occ_o[k]),
 
     a sum over the pairs of ladder entries a -> o, b -> o that share their
-    target o.  ``_step_gram`` sums it in chunks of pairs, ordered by target,
-    of at most ``_CHUNK_BYTES`` of workspace: each chunk forms W_o for its
-    own targets only, sums its pairs per source key (a, b) with
-    ``np.add.reduceat`` and adds the sums to the Gram.  The step norm is the
-    square root of the Gram's top eigenvalue, clamped at zero so that zero
-    coupling gives exactly 0.0.  ``operators.top_eigenvalue`` finds it by
-    Lanczos from a seeded random start vector and stops once the residual
-    bound beta_k |s_k| of its Ritz value is at most 1e-15 of that value, or
-    exactly when the Krylov space closes.  Each power's Gram is freed before
-    the next is summed, and no array holds every pair, so a step holds one
-    Gram and the larger of one chunk and the Lanczos basis, which grows with
-    the steps taken.  Each step costs one Gram of side
+    target o, which ``_step_gram`` takes in chunks.  The step norm is the
+    square root of the Gram's top eigenvalue (``operators.top_eigenvalue``),
+    clamped at zero so that zero coupling gives exactly 0.0.  Each power's
+    Gram is freed before the next is summed, so a step holds one Gram and the
+    larger of one chunk and the Lanczos basis, which grows with the steps
+    taken; the guard at entry allows a run of as many steps as the Gram has
+    rows (``regularity_peak_bytes``).  Each step costs one Gram of side
     size * dim(sector n-1) per p, and no dense eigensolver or tensor matrix.
     The shift s enters only through the resolvent factor of G.  An exact
     power-of-two scale of the coefficients keeps their squares from underflowing.
@@ -312,10 +320,11 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     Returns the norm per p under "norms" and the step norms n = 1..N_max per
     p under "steps"; at p = 0 these are the sector norms ||G||_{n-1 -> n}.
     "plans" holds each step's Gram side, ladder pair count, chunking and
-    stated peak bytes (``_step_plan``), and under "lanczos" the step count
-    and final relative residual bound of each p's top eigenvalue.
+    peak bytes for the Lanczos steps taken (``_step_plan``), and under
+    "lanczos" the step count and final relative residual bound of each p's
+    top eigenvalue.
     """
-    check_gram_size(model.spec)
+    check_bytes("domain_regularity_norms", regularity_peak_bytes(model.grid.size, model.basis.n_max))
     ps = [float(p) for p in ps]
     size = model.grid.size
     basis = model.basis

@@ -30,7 +30,6 @@ are complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .grid import (
     norm as lattice_norm,
     sobolev_norm,
 )
-from .operators import check_dense_size, check_hermitian, opnorm
+from .operators import check_bytes, check_hermitian, opnorm
 from .psido import dequantize
 
 
@@ -148,11 +147,6 @@ def sinusoidal_spec(
     )
 
 
-def check_tensor_size(spec: ModelSpec) -> None:
-    """Refuse a model whose dense H0 (lattice x Fock space) exceeds the guard."""
-    check_dense_size("H0", spec.grid.size, fock.fock_dim(spec.grid.size, spec.n_max))
-
-
 def divergence_form(grid: Grid, g: np.ndarray) -> np.ndarray:
     """Real symmetric part of D diag(g) D.
 
@@ -167,13 +161,12 @@ def divergence_form(grid: Grid, g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AssembledModel:
-    """Free pieces of the model: one-particle matrices, modes, and H0.
+    """Free pieces of the model: one-particle matrices, modes, and the free spectrum.
 
     The free spectrum is stored once: K = k_evecs diag(k_evals) k_evecs* and
     dGamma = diag(occupation_energies), so H0 = (Q_K x 1) diag(eps_i + E_o)
-    (Q_K x 1)*.  The dense tensor H0 is built on first access and cached; its
-    dimension is guarded so quadrature- and sector-level work on large grids
-    never pays for it.
+    (Q_K x 1)*.  No matrix of the tensor space is stored: every kernel reads
+    H0 through this spectrum, sector by sector.
     """
 
     spec: ModelSpec
@@ -200,16 +193,7 @@ class AssembledModel:
 
     @property
     def dim(self) -> int:
-        return self.grid.size * self.basis.dim
-
-    @cached_property
-    def h0(self) -> np.ndarray:
-        """K x 1 + 1 x dGamma as a dense matrix (lazy, size-guarded)."""
-        check_tensor_size(self.spec)
-        mat = np.kron(self.k, np.eye(self.fock_dim)) + np.diag(
-            np.tile(self.occupation_energies, self.grid.size)
-        )
-        return check_hermitian(mat)
+        return self.grid.size * self.fock_dim
 
     def omega_power(self, p: float) -> np.ndarray:
         """omega^p through the stored eigendecomposition of h (p acts as p/2 on h)."""
@@ -223,6 +207,13 @@ class AssembledModel:
         return (self.mode_vectors.conj().T @ np.asarray(u).T * self.grid.weight).T
 
 
+def free_peak_bytes(npts: int, n_max: int) -> int:
+    """Most bytes ``assemble_free`` holds at once on a d = 1 lattice of ``npts`` points: nine
+    float64 matrices of side npts, the Fock occupation table twice and the top sector's picks."""
+    dims = fock.sector_dims(npts, n_max)
+    return 8 * (9 * npts**2 + 2 * sum(dims) * npts + dims[-1] * (n_max + 3))
+
+
 def assemble_free(spec: ModelSpec) -> AssembledModel:
     """Build K and its spectrum, h, omega, the spectral modes, and dGamma.
 
@@ -231,7 +222,7 @@ def assemble_free(spec: ModelSpec) -> AssembledModel:
     h); its diagonal, the occupation energies, is summed in mode order.
     """
     grid = spec.grid
-    check_dense_size("one-particle matrix", grid.size)
+    check_bytes("assemble_free", free_peak_bytes(grid.size, spec.n_max))
     k0 = divergence_form(grid, spec.g)
     k = k0 + np.diag(spec.w)
     k_evals, k_evecs = np.linalg.eigh(k)
@@ -346,23 +337,6 @@ def creation_blocks(model: AssembledModel, lam: float) -> dict:
     return blocks
 
 
-def creation_family(model: AssembledModel, lam: float) -> np.ndarray:
-    """A = blockdiag_X a*(v_{lam,X}), the creation part of the interaction.
-
-    The dense A on the whole tensor space, for the relative-bound check: one
-    scatter of the basis table ``FockBasis.creation_entries`` fills every X
-    block.  ``creation_blocks`` gives the same A by boson-sector blocks.
-    """
-    check_tensor_size(model.spec)
-    size, fdim = model.grid.size, model.fock_dim
-    rows, cols, modes, factors = model.basis.creation_entries
-    x = np.arange(size)[:, None]
-    coeffs = form_factor(model, lam)
-    mat = np.zeros((size, fdim, size, fdim), dtype=coeffs.dtype)
-    mat[x, rows, x, cols] = coeffs[:, modes] * factors
-    return mat.reshape(model.dim, model.dim)
-
-
 # ---------------------------------------------------------------------------
 # vacuum energy and dressing
 
@@ -427,6 +401,13 @@ def gross_bound_ratio(model: AssembledModel, lam: float) -> float:
     return num / sobolev_norm(model.grid, rho * scale, -2.0)
 
 
+def transformed_peak_bytes(npts: int, n_max: int) -> int:
+    """Most bytes ``transformed_hamiltonian_check`` holds at once on a d = 1 lattice of ``npts`` points:
+    twelve complex Fock-side operators of one X, six (safe_dim)^2 blocks and two stacks of W_X."""
+    fdim, safe = (sum(fock.sector_dims(npts, n)) for n in (n_max, max(0, n_max - 2)))
+    return 16 * (12 * fdim**2 + 6 * (npts * safe) ** 2 + 2 * npts * safe * fdim)
+
+
 def transformed_hamiltonian_check(
     model: AssembledModel, lam: float, b_family: np.ndarray | None = None
 ) -> dict:
@@ -450,8 +431,7 @@ def transformed_hamiltonian_check(
 
     and every right-side term is a Fock block restricted to s x s before it
     is multiplied: (a* a*)[s, s] = a*[s, :] a*[:, s].  No matrix of the
-    tensor side is formed; the widest arrays are the Fock-side operators of
-    one X and the (safe_dim)^2 blocks, safe_dim = size * |s|.
+    tensor side is formed (``transformed_peak_bytes``).
 
     Pass ``b_family``, a real (size, size) array of lattice rows B_X, to
     override the dressing; zero or X-independent rows are the degenerate checks.
@@ -459,7 +439,7 @@ def transformed_hamiltonian_check(
     residual norm relative to the safe-sector norm of the left side.
     """
     spec = model.spec
-    check_tensor_size(spec)  # before any allocation
+    check_bytes("transformed_hamiltonian_check", transformed_peak_bytes(spec.grid.size, spec.n_max))
     grid = model.grid
     size = grid.size
     basis = model.basis
@@ -552,33 +532,6 @@ def transformed_hamiltonian_check(
 
 # ---------------------------------------------------------------------------
 # renormalization sweep
-
-
-def relative_bound_report(
-    model: AssembledModel, lam: float, eps: float = 0.5, draws: int = 20, seed: int = 11
-) -> dict:
-    """Check ||Phi psi|| <= eps ||H0 psi|| + C_eps ||psi|| on random states.
-
-    C_eps is assembled from the interaction data itself: the worst mode norms
-    of omega^{-1/2} v (against the dGamma^{1/2} piece) and of v (against the
-    constant), plus eps * |min W| to undo the potential shift.
-    """
-    phi_part = creation_family(model, lam)
-    phi_part += phi_part.conj().T
-    h0_mat = model.h0
-    v = form_factor(model, lam)
-    v_bound = float(np.max(np.linalg.norm(v, axis=1)))
-    v_half = float(np.max(np.linalg.norm(v / np.sqrt(model.mode_freqs), axis=1)))
-    c_eps = eps * abs(float(np.min(model.spec.w))) + v_half**2 / eps + v_bound
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
-        psi = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-        psi /= np.linalg.norm(psi)
-        lhs = float(np.linalg.norm(phi_part @ psi))
-        rhs = eps * float(np.linalg.norm(h0_mat @ psi)) + c_eps
-        worst = max(worst, lhs / rhs)
-    return {"worst_ratio": worst, "c_eps": c_eps, "eps": eps, "draws": draws}
 
 
 def _real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -766,6 +719,17 @@ def _resolvent_distance(split_a: _TopSectorSplit, split_b: _TopSectorSplit, seed
     return float(np.sqrt(max(theta, 0.0))), record
 
 
+def renorm_peak_bytes(npts: int, n_max: int) -> int:
+    """Most bytes ``renorm_convergence_experiment`` holds at once on a d = 1 lattice of ``npts`` points.
+    In float64 units, with C = s_N s_(N-1) and S the side of sectors 0..N-1: three splits
+    (C, L, the complex Schur LU and the rotation each), the creation blocks twice, and a
+    split's build (five C and two complex S^2 more)."""
+    sides = [npts * dim for dim in fock.sector_dims(npts, n_max)]
+    blocks = sum(top * low for top, low in zip(sides[1:], sides[:-1]))
+    coupling, low = sides[-1] * sides[-2] if n_max else 0, sum(sides[:-1])
+    return 8 * (2 * blocks + 3 * (coupling + 3 * low**2 + npts**2) + 5 * coupling + 4 * low**2)
+
+
 def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     """Resolvent-distance table along a cutoff sweep, with and without E_lam.
 
@@ -783,6 +747,7 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     lams = [float(v) for v in lams]
     if len(lams) < 2:
         raise ValueError("need at least two sweep points")
+    check_bytes("renorm_convergence_experiment", renorm_peak_bytes(model.grid.size, model.basis.n_max))
     levels, pairs = [], []
     previous = None
     for lam in lams:
@@ -800,12 +765,12 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
             }
         )
         if previous is not None:
-            lam_prev, prev_plain, prev_sub = previous
-            d_sub, solver_sub = _resolvent_distance(prev_sub, sub)
-            d_plain, solver_plain = _resolvent_distance(prev_plain, plain)
+            # read through ``previous``, so that its splits are freed when it moves on
+            d_sub, solver_sub = _resolvent_distance(previous[2], sub)
+            d_plain, solver_plain = _resolvent_distance(previous[1], plain)
             pairs.append(
                 {
-                    "lam": lam_prev,
+                    "lam": previous[0],
                     "lam_next": lam,
                     "d_subtracted": d_sub,
                     "d_unsubtracted": d_plain,

@@ -1,4 +1,4 @@
-"""Dense operators as numpy arrays: the size guard, the hermiticity check, and
+"""Dense operators as numpy arrays: the memory guard, the hermiticity check, and
 spectral helpers (norm, top eigenvalue, psd powers, functions of hermitian matrices)."""
 
 from __future__ import annotations
@@ -7,21 +7,19 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 
-# Largest side of a dense matrix (lattice size * Fock dimension, or lattice size
-# for phase-space symbol tables) the library assembles.
-MAX_DENSE_DIM = 4096
+# Most bytes one guarded kernel may hold at once: 1 GiB.
+MAX_BYTES = 1 << 30
 
 
 class SizeError(ValueError):
-    """A dense assembly would exceed the memory guard."""
+    """A kernel would hold more than ``MAX_BYTES`` at once."""
 
 
-def check_dense_size(what: str, size: int, block: int = 1) -> None:
-    """Refuse a dense matrix of side size * block above ``MAX_DENSE_DIM``."""
-    if size * block > MAX_DENSE_DIM:
-        raise SizeError(
-            f"dense dimension guard: {what} of side {size} x {block} = {size * block} exceeds {MAX_DENSE_DIM}"
-        )
+def check_bytes(what: str, nbytes: int) -> int:
+    """Refuse the kernel ``what`` if its stated peak ``nbytes`` exceeds ``MAX_BYTES``; else return it."""
+    if nbytes > MAX_BYTES:
+        raise SizeError(f"memory guard: {what} would hold {nbytes} bytes ({nbytes / 2**30:.2f} GiB), above {MAX_BYTES}")
+    return nbytes
 
 
 def check_hermitian(mat: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Grid, cosine_ramp, momentum_multiplier
-from .operators import HERMITIAN_TOL, check_dense_size, hermitian_func, opnorm
+from .operators import HERMITIAN_TOL, check_bytes, hermitian_func, opnorm
 
 
 class EllipticityError(ValueError):
@@ -54,6 +54,13 @@ class OrderFunction:
         return self.values
 
 
+def calculus_peak_bytes(size: int, symbols: int) -> int:
+    """Most bytes the symbol calculus holds at once on a lattice of ``size`` points, in complex
+    tables of its side: 16 (the caches and ``parametrix``, its widest step, make 13.5) and
+    the ``symbols`` that the caller holds besides."""
+    return 16 * size**2 * (16 + symbols)
+
+
 def xi_power_order(grid: Grid, m: float) -> OrderFunction:
     """The family <xi>^m."""
     return OrderFunction(f"xi^{m:g}", grid.xi_bracket() ** m)
@@ -73,7 +80,7 @@ class Symbol:
 
     def __post_init__(self) -> None:
         n = self.grid.size
-        check_dense_size("symbol table", n)
+        check_bytes("symbol calculus", calculus_peak_bytes(n, 0))
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (n, n):
             raise ValueError(f"values must have shape ({n}, {n}), got {v.shape}")

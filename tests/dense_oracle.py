@@ -1,15 +1,32 @@
 """Dense routes on the whole tensor space: the oracles of the sector-block library.
 
-The library forms no matrix of the whole tensor space for H_lam, E_lam(X) or
-H_ibc; these builders lay them out densely at the small sizes the tests run.
-Every matrix is X-major like the tensor: row X * fock_dim + o.
+The library forms no matrix of the whole tensor space for H0, A, H_lam,
+E_lam(X) or H_ibc; these builders lay them out densely at the small sizes the
+tests run.  Every matrix is X-major like the tensor: row X * fock_dim + o.
 """
 
 import numpy as np
 
 from nelsonlab.ibc import free_shift
-from nelsonlab.nelson import creation_family, vacuum_energy
+from nelsonlab.nelson import form_factor, vacuum_energy
 from nelsonlab.operators import check_hermitian
+
+
+def free_hamiltonian(model):
+    """H0 = K x 1 + 1 x dGamma."""
+    mat = np.kron(model.k, np.eye(model.fock_dim)) + np.diag(np.tile(model.occupation_energies, model.grid.size))
+    return check_hermitian(mat)
+
+
+def creation_family(model, lam):
+    """A = blockdiag_X a*(v_{lam,X}): one scatter of the basis table ``FockBasis.creation_entries``."""
+    size, fdim = model.grid.size, model.fock_dim
+    rows, cols, modes, factors = model.basis.creation_entries
+    x = np.arange(size)[:, None]
+    coeffs = form_factor(model, lam)
+    mat = np.zeros((size, fdim, size, fdim), dtype=coeffs.dtype)
+    mat[x, rows, x, cols] = coeffs[:, modes] * factors
+    return mat.reshape(model.dim, model.dim)
 
 
 def scatter(model, *parts):
@@ -43,7 +60,7 @@ def cutoff_hamiltonian(model, lam):
     """H_lam = H0 + A + A*, with H0 on the Fock diagonal and A + A* off it."""
     mat = creation_family(model, lam)
     mat += mat.conj().T
-    mat += model.h0
+    mat += free_hamiltonian(model)
     return check_hermitian(mat)
 
 
@@ -54,7 +71,7 @@ def ibc_route(model, lam):
     """
     s = free_shift(model)
     eye = np.eye(model.dim)
-    h0s = model.h0 + s * eye
+    h0s = free_hamiltonian(model) + s * eye
     a = creation_family(model, lam)
     g = -np.linalg.solve(h0s, a)
     h_ibc = (eye - g).conj().T @ h0s @ (eye - g) + a.conj().T @ g

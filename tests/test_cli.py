@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nelsonlab import cli, nelson, psido
+from nelsonlab import cli, ibc, nelson, psido
 from nelsonlab.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -105,12 +105,14 @@ def test_saturation_guard_names_cutoff(tmp_path, capsys):
 
 
 def test_dense_dimension_guard_only_for_dense_experiments():
+    # at npts 64, n_max 2 the top creation block of build_ibc alone is 4.1 GiB;
+    # domain-regularity reads [sweep] sizes instead, and no experiment no estimate
     cfg = resolve_config(None)
-    cfg["model"]["npts"] = 32
-    with pytest.raises(GuardError, match="dense dimension"):
+    cfg["model"]["npts"] = 64
+    with pytest.raises(GuardError, match=r"\[model\] npts, n_max: memory guard: build_ibc would hold 26455572480 bytes"):
         check_guards(cfg, "ibc-identity")
     check_guards(cfg, "domain-regularity")
-    check_guards(cfg, None)
+    assert check_guards(cfg, None) is None
 
 
 def test_domain_regularity_gram_guard_refuses_before_assembly(tmp_path, capsys, monkeypatch):
@@ -120,18 +122,19 @@ def test_domain_regularity_gram_guard_refuses_before_assembly(tmp_path, capsys, 
     monkeypatch.setattr(nelson, "assemble_free", refuse)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[sweep]\nsizes = 8, 16, 32, 128\ndomain_lams = 2, 4, 8, 16\n")
-    # 128 x C(128,1) = 16384 is the Gram side of the last sizes entry
+    # 128 x C(128,1) = 16384 is the Gram side of the last sizes entry: 2 GiB,
+    # and 7 GiB more for a Lanczos run of as many steps
     base = ("--experiment", "domain-regularity", "--config", str(cfg))
     out = tmp_path / "run"
     for extra in (("--validate",), ("--out", str(out))):
         assert run_cli(*base, *extra) == 3
         err = capsys.readouterr().err
-        assert "sizes" in err and "dense dimension" in err and "16384" in err
+        assert "sizes entry 128" in err and "domain_regularity_norms would hold 9663676416 bytes" in err
     assert not out.exists()
     # other experiments never read sizes
     assert run_cli("--experiment", "weyl-identities", "--config", str(cfg), "--validate") == 0
     # the defaults reach a Gram side of 32 x C(32,1) = 1024
-    check_guards(resolve_config(None), "domain-regularity")
+    assert check_guards(resolve_config(None), "domain-regularity") < 2**30
 
 
 def test_lattice_guard_rejects_non_power_of_two():
@@ -158,12 +161,16 @@ def test_paired_sweep_lengths_checked():
         ("sweep", "domain_lams", "0, 4, 8", "domain-regularity"),
         ("sweep", "psido_npts", "12", "psido-calculus"),
         ("sweep", "parametrix_npts", "48", "psido-calculus"),
+        ("sweep", "psido_npts", "4096", "psido-calculus"),
         ("sweep", "psido_npts", "8192", "psido-calculus"),
         ("sweep", "parametrix_npts", "8192", "psido-calculus"),
         ("sweep", "rearr_npts", "100", "appendix-inequalities"),
         ("model", "coupling", "0", "gross-transform"),
         ("model", "coupling", "-0.0", "domain-regularity"),
         ("model", "coupling", "1e-320", "gross-transform"),
+        ("model", "npts", "64", "renorm-convergence"),
+        ("model", "npts", "128", "gross-transform"),
+        ("model", "npts", "64", "ibc-identity"),
     ],
 )
 def test_library_refusals_exit_three_before_assembly(
@@ -245,6 +252,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ROOT / "configs" / "default.cfg",
         ROOT / "configs" / "regularity-64.cfg",
+        ROOT / "configs" / "ibc-identity-32.cfg",
         *sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")),
     ],
     ids=lambda path: path.name,
@@ -359,12 +367,7 @@ def test_ibc_identity_run_passes(tmp_path, capsys):
     assert (out / "plot.gp").exists()
 
 
-def test_ibc_identity_forms_no_tensor_matrix(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a matrix of the tensor side was requested")
-
-    monkeypatch.setattr(nelson.AssembledModel, "h0", property(refuse))
-    monkeypatch.setattr(nelson, "creation_family", refuse)
+def test_ibc_identity_forms_no_tensor_matrix():
     cfg = resolve_config(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "dense-tensor.cfg"))
     one_dense = 8 * 1320**2  # one float64 array of side 1320 at n_max 3: 13.9 MB
     tracemalloc.start()
@@ -431,6 +434,8 @@ def test_summary_records_config_hash_and_seed(tmp_path):
     assert sum_a["seed"] == 7
     assert sum_a["wall_clock_s"] >= 0.0
     assert sum_a["peak_rss_mib"] > 0.0
+    # weyl-identities runs no kernel under the memory guard
+    assert sum_a["stated_peak_mib"] is None
     assert set(sum_a["versions"]) == {"numpy", "scipy", "blas", "blas_version"}
     assert sum_a["versions"]["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -502,7 +507,10 @@ def test_domain_regularity_summary_records_kernel_telemetry(tmp_path):
     cfg.write_text("[sweep]\nsizes = 8, 16\ndomain_lams = 2.0, 4.0\npowers = 0.0, 1.0\n")
     out = tmp_path / "run"
     assert run_cli("--experiment", "domain-regularity", "--config", str(cfg), "--out", str(out)) == 0
-    points = json.loads((out / "summary.json").read_text())["telemetry"]["points"]
+    summary = json.loads((out / "summary.json").read_text())
+    # the pre-flight's stated peak: the Gram kernel at the widest sizes entry
+    assert summary["stated_peak_mib"] == round(ibc.regularity_peak_bytes(16, 2) / 2**20, 1)
+    points = summary["telemetry"]["points"]
     assert [(point["npts"], point["lam"]) for point in points] == [(8, 2.0), (16, 4.0)]
     # step n has a Gram of side npts x dim(sector n-1); its pairs are the
     # ladder entries a -> o, b -> o sharing o: npts of them into sector 1,

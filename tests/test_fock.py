@@ -8,11 +8,11 @@ from nelsonlab.fock import (
     dgamma_power,
     field,
     fock_basis,
-    fock_dim,
     gross_check_static,
     momentum,
     number_operator,
     second_quantize,
+    sector_dims,
     sector_projector,
     weyl,
     weyl_truncation_tolerance,
@@ -35,8 +35,33 @@ def _vacuum(basis):
     "m,n,dim", [(8, 2, 45), (8, 3, 165), (16, 2, 153), (1, 40, 41), (2, 2, 6)]
 )
 def test_dimensions(m, n, dim):
-    assert fock_dim(m, n) == dim
+    assert sum(sector_dims(m, n)) == dim
     assert fock_basis(m, n).dim == dim
+
+
+def _recursive_compositions(total, parts):
+    """Occupation vectors summing to ``total``, first mode weakly first, by recursion on the modes."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for rest in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_enumeration_matches_the_recursive_order(m):
+    for n in range(5):
+        want = [row for total in range(n + 1) for row in _recursive_compositions(total, m)]
+        assert fock_basis(m, n).occupations.tolist() == [list(row) for row in want]
+
+
+def test_enumeration_builds_past_the_recursion_limit():
+    # one mode per recursion level would stop near 1000 modes
+    b = fock_basis(1024, 1)
+    assert b.dim == 1025 and b.sector_bounds == (0, 1, 1025)
+    assert np.array_equal(b.occupations[1:], np.eye(1024, dtype=np.int64))
+    assert b.index[tuple(b.occupations[7])] == 7
 
 
 def test_enumeration_vacuum_first_and_sector_sorted():

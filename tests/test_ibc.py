@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nelsonlab import fock, ibc, nelson
+from nelsonlab import fock, ibc
 from nelsonlab.ibc import (
     IbcOperators,
     build_ibc,
@@ -13,20 +13,29 @@ from nelsonlab.ibc import (
     domain_regularity_norms,
     factorization_identity_check,
     free_shift,
+    ibc_peak_bytes,
     invert_one_minus_G,
     neumann_residual,
+    regularity_peak_bytes,
 )
 from nelsonlab.nelson import (
-    AssembledModel,
     assemble_free,
-    creation_family,
+    creation_blocks,
     form_factor,
     form_factor_rho,
     sinusoidal_spec,
 )
 from nelsonlab.operators import HERMITIAN_TOL, SizeError
 
-from dense_oracle import cutoff_hamiltonian, ibc_route, scatter, split_blocks, vacuum_energy_diagonal
+from dense_oracle import (
+    creation_family,
+    cutoff_hamiltonian,
+    free_hamiltonian,
+    ibc_route,
+    scatter,
+    split_blocks,
+    vacuum_energy_diagonal,
+)
 
 # Frozen references for the bench model at L = 8, M = 8 (independent dense
 # oracle; see test_nelson.py for the model constants).
@@ -124,7 +133,7 @@ def test_sector_blocks_match_dense_route(model_name, lam, request):
     # H_ibc(G) - (H_lam + E) = (1-G)*(H0+s)(1-G) + A*G - (H0+s) - A - A*
     off = {key: 1.01 * block for key, block in ops.g.items()}
     g_off, a = scatter(model, off), scatter(model, ops.a)
-    h0s = model.h0 + ops.shift * eye
+    h0s = free_hamiltonian(model) + ops.shift * eye
     want = (eye - g_off).T @ h0s @ (eye - g_off) + a.T @ g_off - h0s - a - a.T
     got = scatter(model, ibc._defect(model, ops.shift, ops.a, off))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -233,16 +242,9 @@ def test_keystone_zero_coupling():
     assert keystone(model, 2.0) < 1e-14
 
 
-def test_build_ibc_reads_neither_dense_H0_nor_A(monkeypatch):
-    # fresh model: no cached H0; A and H0 + s come from the ladder and the spectrum
+def test_build_ibc_reads_neither_dense_H0_nor_A():
+    # the library has no dense H0 or A: A comes from the ladder, H0 + s from the spectrum
     model = assemble_free(sinusoidal_spec(8, n_max=3))
-
-    def forbidden(*args):
-        raise AssertionError("formed a dense H0 or A")
-
-    monkeypatch.setattr(AssembledModel, "h0", property(forbidden))
-    monkeypatch.setattr(nelson, "creation_family", forbidden)
-    monkeypatch.setattr(ibc, "creation_family", forbidden, raising=False)
     ops = build_ibc(model, 2.0)
     assert neumann_residual(model, ops) < 1e-12
     assert factorization_identity_check(model, ops) < 1e-12
@@ -250,15 +252,16 @@ def test_build_ibc_reads_neither_dense_H0_nor_A(monkeypatch):
 
 
 def test_build_ibc_guard_refuses_before_the_ladder(monkeypatch):
-    # dense side 32 x fock_dim(32, 2) = 32 x 561 = 17952; the model itself is cheap
-    model = assemble_free(sinusoidal_spec(32))
+    # the top creation block alone, 64 x 2080 by 64 x 64 float64, is 4.1 GiB;
+    # the model itself is cheap
+    model = assemble_free(sinusoidal_spec(64))
 
     def forbidden(*args):
         raise AssertionError("read the ladder or the coupling past the guard")
 
     monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
     monkeypatch.setattr(ibc, "form_factor", forbidden)
-    with pytest.raises(SizeError, match="17952"):
+    with pytest.raises(SizeError, match="build_ibc would hold 26455572480 bytes"):
         build_ibc(model, 2.0)
 
 
@@ -293,7 +296,7 @@ def test_ibc_resolvent_distances_decrease(bench8):
 def test_zero_coupling_ibc_reduces_to_free():
     model = assemble_free(sinusoidal_spec(8, coupling=0.0))
     assert build_ibc(model, 2.0).defect == {}
-    assert np.max(np.abs(ibc_route(model, 2.0)[1] - model.h0)) < 1e-12
+    assert np.max(np.abs(ibc_route(model, 2.0)[1] - free_hamiltonian(model))) < 1e-12
 
 
 def dense_domain_norms(model, g, ps):
@@ -305,7 +308,7 @@ def dense_domain_norms(model, g, ps):
     mass 1 > |w_amplitude|.  Only the columns of the sectors below the cap
     enter: G maps the top sector out of the truncation, so they are zero.
     """
-    w, v = np.linalg.eigh(model.h0)
+    w, v = np.linalg.eigh(free_hamiltonian(model))
     cols = model.basis.tensor_rows(model.grid.size, 0, model.basis.n_max - 1)
     vg = v.conj().T @ g[:, cols]
     return {p: opnorm(v @ (np.clip(w, 0.0, None)[:, None] ** p * vg)) for p in ps}
@@ -356,6 +359,40 @@ def test_domain_regularity_peak_is_one_gram_and_a_chunk_or_its_lanczos_basis():
     assert abs(peak - plan["peak_bytes"]) <= 0.25 * plan["peak_bytes"]
 
 
+def test_domain_regularity_peak_is_within_its_stated_bytes():
+    # the widest model of the regularity workload; the stated peak allows a
+    # Lanczos run of as many steps as the Gram has rows, where this one takes 28
+    model = assemble_free(sinusoidal_spec(32, n_max=2))
+    model.basis.ladder[-1].shared_target_pairs  # cached on the basis, not kernel memory
+    np.random.default_rng()  # numpy.random is imported on first use, not kernel memory
+    tracemalloc.start()
+    try:
+        domain_regularity_norms(model, 8.0, [0.0, 0.2, 0.4, 0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= regularity_peak_bytes(32, 2) <= 4 * peak
+
+
+def test_build_ibc_peak_is_within_its_stated_bytes(bench8_n3):
+    # n_max 3 of the dense-tensor workload, with the three identity checks of a run
+    bench8_n3.basis.ladder  # cached on the basis, not kernel memory
+
+    def run():
+        ops = build_ibc(bench8_n3, 4.0)
+        factorization_identity_check(bench8_n3, ops)
+        neumann_residual(bench8_n3, ops)
+        defect_norm(ops)
+
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ibc_peak_bytes(8, 3) <= 4 * peak
+
+
 def test_domain_regularity_takes_no_dense_eigensolver_on_a_gram(bench8_n3, monkeypatch):
     # the widest Gram, of the step 2 -> 3: side 8 x dim(sector 2) = 288;
     # Lanczos converges there in far fewer steps, so no tridiagonal reaches it
@@ -404,7 +441,7 @@ def test_domain_regularity_matches_dense_on_random_models(
     fast = domain_regularity_norms(model, 2.0, ps)["norms"]
     # G alone; build_ibc would also form the defect and the Neumann inverse
     g = -np.linalg.solve(
-        model.h0 + free_shift(model) * np.eye(model.dim),
+        free_hamiltonian(model) + free_shift(model) * np.eye(model.dim),
         creation_family(model, 2.0),
     )
     dense = dense_domain_norms(model, g, ps)
@@ -413,7 +450,8 @@ def test_domain_regularity_matches_dense_on_random_models(
 
 
 def test_domain_regularity_gram_guard_refuses_before_allocating(monkeypatch):
-    # Gram side 32 x C(33, 2) = 16896; the model itself is cheap (Fock dim 6545)
+    # Gram side 32 x C(33, 2) = 16896, 2.1 GiB before its Lanczos memory; the
+    # model itself is cheap (Fock dim 6545)
     model = assemble_free(sinusoidal_spec(32, n_max=3))
 
     def forbidden(*args):
@@ -421,7 +459,7 @@ def test_domain_regularity_gram_guard_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
     monkeypatch.setattr(ibc, "form_factor", forbidden)
-    with pytest.raises(SizeError, match="16896"):
+    with pytest.raises(SizeError, match="domain_regularity_norms would hold 11349786624 bytes"):
         domain_regularity_norms(model, 2.0, [0.5])
 
 
@@ -465,9 +503,9 @@ def test_real_model_stays_float64(bench8_n3, ops2_n3):
     arrays = {
         "rho": form_factor_rho(model, 2.0),
         "v": form_factor(model, 2.0),
-        "A": creation_family(model, 2.0),
+        "A": scatter(model, creation_blocks(model, 2.0)),
         "H_lam": cutoff_hamiltonian(model, 2.0),
-        "H0": model.h0,
+        "H0": free_hamiltonian(model),
         "G": scatter(model, ops2_n3.g),
         "R": scatter(model, ops2_n3.defect),
         "series": scatter(model, ops2_n3.series),

@@ -20,7 +20,6 @@ AWAITING_PROMOTION = frozenset(
     {
         "fock.ac_estimate_report",
         "nelson.form_factor_split",
-        "nelson.relative_bound_report",
         "psido.asymptotic_resum",
         "psido.cotlar_stein_bound",
         "psido.functional_calculus_check",

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,23 +20,24 @@ from nelsonlab.nelson import (
     ModelSpecError,
     SpectralError,
     assemble_free,
-    creation_family,
     divergence_form,
     form_factor,
+    free_peak_bytes,
     form_factor_rho,
     form_factor_split,
     gross_B,
     gross_bound_ratio,
-    relative_bound_report,
     renorm_convergence_experiment,
+    renorm_peak_bytes,
     sinusoidal_spec,
     transformed_hamiltonian_check,
+    transformed_peak_bytes,
     vacuum_energy,
     vacuum_energy_quadrature,
 )
 from nelsonlab.operators import HERMITIAN_TOL, SizeError, check_hermitian, opnorm
 
-from dense_oracle import cutoff_hamiltonian, vacuum_energy_diagonal
+from dense_oracle import creation_family, cutoff_hamiltonian, free_hamiltonian, vacuum_energy_diagonal
 
 # Frozen reference values for the bench model g = 1 + 0.3 sin x, W = 0.2 cos x,
 # mu = 1, box = 2*pi, coupling 1, gaussian profile, computed with independent
@@ -167,7 +167,7 @@ def test_free_spectrum_matches_dense_oracle(request, name):
     old_h0 = np.kron(model.k, np.eye(model.fock_dim)) + np.kron(
         np.eye(model.grid.size), dense_dgamma
     )
-    assert np.array_equal(model.h0, old_h0)
+    assert np.array_equal(free_hamiltonian(model), old_h0)
     q, eps = model.k_evecs, model.k_evals
     assert np.max(np.abs((q * eps) @ q.T - model.k)) < 1e-12
     assert np.all(np.diff(eps) >= 0.0)
@@ -179,8 +179,9 @@ def test_dgamma_kills_vacuum(bench8):
 
 
 def test_h0_hermitian_and_bounded_by_potential_floor(bench8):
-    assert np.max(np.abs(bench8.h0 - bench8.h0.conj().T)) <= HERMITIAN_TOL
-    ev0 = np.linalg.eigvalsh(bench8.h0)[0]
+    h0 = free_hamiltonian(bench8)
+    assert np.max(np.abs(h0 - h0.conj().T)) <= HERMITIAN_TOL
+    ev0 = np.linalg.eigvalsh(h0)[0]
     assert abs(ev0 - H0_MIN_EIG_L8) < 1e-9
     assert ev0 >= np.min(bench8.spec.w) - 1e-12
 
@@ -192,13 +193,6 @@ def test_check_hermitian_refuses_twice_the_tolerance():
     mat[0, 1] = 2.0 * HERMITIAN_TOL
     with pytest.raises(ValueError, match="declared hermitian but max deviation 2.000e-10"):
         check_hermitian(mat)
-
-
-def test_h0_refuses_an_asymmetric_k(bench8):
-    k = bench8.k.copy()
-    k[0, 1] += 1e-6
-    with pytest.raises(ValueError, match="declared hermitian"):
-        replace(bench8, k=k).h0
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +297,7 @@ def test_cutoff_hamiltonian_lowers_ground_state(bench8):
     assert np.max(np.abs(h2 - h2.conj().T)) <= HERMITIAN_TOL
     gs = np.linalg.eigvalsh(h2)[0]
     assert abs(gs - GS_H2_L8) < 1e-9
-    assert gs < np.linalg.eigvalsh(bench8.h0)[0]
+    assert gs < np.linalg.eigvalsh(free_hamiltonian(bench8))[0]
 
 
 @pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
@@ -311,7 +305,7 @@ def test_cutoff_hamiltonian_lowers_ground_state(bench8):
 def test_cutoff_hamiltonian_matches_field_oracle(request, name, lam):
     # dense oracle: H0 plus the field Phi(sqrt2 v_{lam,X}) on each diagonal X block
     model = request.getfixturevalue(name)
-    want = model.h0.astype(complex)
+    want = free_hamiltonian(model).astype(complex)
     v = form_factor(model, lam)
     f = model.fock_dim
     for xi in range(model.grid.size):
@@ -469,7 +463,7 @@ def _dense_transformed_oracle(model, lam, b_family=None):
     over full Fock blocks, then compares both on the safe rows.
     """
     spec, grid, basis = model.spec, model.grid, model.basis
-    h0 = model.h0
+    h0 = free_hamiltonian(model)
     size, fdim = grid.size, basis.dim
     pd = 1j * derivative_matrix(grid)
     omega = model.omega
@@ -568,12 +562,7 @@ def test_transformed_check_matches_dense_oracle(request, name, lam, family):
         assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12 * floor.get(key, 0.0)), key
 
 
-def test_transformed_check_forms_no_tensor_matrix(bench8_n3, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a matrix of the tensor side was requested")
-
-    monkeypatch.setattr(nelson.AssembledModel, "h0", property(refuse))
-    monkeypatch.setattr(nelson, "creation_family", refuse)
+def test_transformed_check_forms_no_tensor_matrix(bench8_n3):
     one_dense = 16 * bench8_n3.dim**2  # one complex array of side 1320: 27.9 MB
     tracemalloc.start()
     try:
@@ -585,15 +574,61 @@ def test_transformed_check_forms_no_tensor_matrix(bench8_n3, monkeypatch):
     assert report["safe_dim"] == 72
 
 
-def test_size_guard_reports_dimensions(bench32):
-    with pytest.raises(SizeError, match="17952"):
-        bench32.h0
-    with pytest.raises(SizeError, match="17952"):
-        transformed_hamiltonian_check(bench32, 2.0)
-    with pytest.raises(SizeError, match="17952"):
-        creation_family(bench32, 2.0)
-    with pytest.raises(SizeError, match="17952"):
-        relative_bound_report(bench32, 2.0)
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak of ``fn()``: the bytes it allocated and held at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assemble_free_peak_is_within_its_stated_bytes():
+    # the largest model of configs/regularity-64.cfg
+    spec = sinusoidal_spec(64)
+    peak = _traced_peak(lambda: assemble_free(spec))
+    assert peak <= free_peak_bytes(64, 2) <= 4 * peak
+
+
+def test_transformed_check_peak_is_within_its_stated_bytes(bench8_n3):
+    # n_max 3 of the dense-tensor workload
+    peak = _traced_peak(lambda: transformed_hamiltonian_check(bench8_n3, 4.0))
+    assert peak <= transformed_peak_bytes(8, 3) <= 4 * peak
+
+
+def test_renorm_peak_is_within_its_stated_bytes(bench8_n3):
+    # n_max 3 of the dense-tensor workload; the ladder is cached on the basis,
+    # and scipy's solvers are imported on first use, so neither is kernel memory
+    import scipy.linalg
+    import scipy.sparse.linalg  # noqa: F401
+
+    bench8_n3.basis.ladder
+    peak = _traced_peak(lambda: renorm_convergence_experiment(bench8_n3, [1.0, 2.0, 4.0]))
+    assert peak <= renorm_peak_bytes(8, 3) <= 4 * peak
+
+
+def test_size_guard_reports_dimensions():
+    # at npts 128, n_max 2 each dense Fock-side operator of one X is complex
+    # of side fock_dim 8385 (1.1 GB); the model itself is cheap
+    model = assemble_free(sinusoidal_spec(128))
+    with pytest.raises(SizeError, match="transformed_hamiltonian_check would hold 13535097024 bytes"):
+        transformed_hamiltonian_check(model, 2.0)
+    with pytest.raises(SizeError, match="assemble_free would hold 4405831434240 bytes"):
+        assemble_free(sinusoidal_spec(8192))
+
+
+def test_renorm_guard_refuses_before_the_ladder(monkeypatch):
+    # at npts 64, n_max 2 the top creation block alone is 4.1 GiB; the model itself is cheap
+    model = assemble_free(sinusoidal_spec(64))
+
+    def forbidden(*args):
+        raise AssertionError("read the ladder or the coupling past the guard")
+
+    monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
+    monkeypatch.setattr(nelson, "form_factor", forbidden)
+    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 45424836608 bytes"):
+        renorm_convergence_experiment(model, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -765,10 +800,27 @@ def test_renorm_sweep_takes_no_dense_svd(bench8, monkeypatch):
     assert abs(row["d_subtracted"] - RENORM_D_SUB[(1.0, 2.0)]) < 1e-6
 
 
-def test_relative_bound_on_random_states(bench8):
-    report = relative_bound_report(bench8, 2.0)
-    assert report["worst_ratio"] < 1.0
-    assert abs(report["worst_ratio"] - 0.0511) < 1e-3
+def test_relative_bound_on_random_states(bench8, eps=0.5, draws=20, seed=11):
+    # ||Phi psi|| <= eps ||H0 psi|| + C_eps ||psi|| on random states, on the dense
+    # oracle.  C_eps is assembled from the interaction data itself: the worst
+    # mode norms of omega^{-1/2} v (against the dGamma^{1/2} piece) and of v
+    # (against the constant), plus eps * |min W| to undo the potential shift
+    phi_part = creation_family(bench8, 2.0)
+    phi_part += phi_part.conj().T
+    h0 = free_hamiltonian(bench8)
+    v = form_factor(bench8, 2.0)
+    v_bound = float(np.max(np.linalg.norm(v, axis=1)))
+    v_half = float(np.max(np.linalg.norm(v / np.sqrt(bench8.mode_freqs), axis=1)))
+    c_eps = eps * abs(float(np.min(bench8.spec.w))) + v_half**2 / eps + v_bound
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        psi = rng.standard_normal(bench8.dim) + 1j * rng.standard_normal(bench8.dim)
+        psi /= np.linalg.norm(psi)
+        ratio = np.linalg.norm(phi_part @ psi) / (eps * np.linalg.norm(h0 @ psi) + c_eps)
+        worst = max(worst, float(ratio))
+    assert worst < 1.0
+    assert abs(worst - 0.0511) < 1e-3
 
 
 def test_form_factor_lam_zero_limit(bench8):

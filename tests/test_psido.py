@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,6 +20,7 @@ from nelsonlab.psido import (
     _translation_phase,
     adjoint_symbol,
     asymptotic_resum,
+    calculus_peak_bytes,
     change_quantization,
     constant_symbol,
     cotlar_stein_bound,
@@ -670,11 +672,29 @@ def test_symbol_rejects_non_finite_values():
         Symbol(G32, vals)
 
 
+def test_calculus_peak_is_within_its_stated_bytes():
+    # the parametrix on the 256-point lattice of the calculus workload, the
+    # widest step of psido-calculus, from empty per-grid caches
+    grid = Grid(1, 256, 2 * np.pi)
+    x, k = grid.position_mesh()[:, 0], grid.momentum_mesh()[:, 0]
+    sym = Symbol(grid, np.outer(1.0 + 0.3 * np.sin(x), 1.0 + k**2), xi_power_order(grid, 2))
+    for table in (_axis_components, _target_index, _translation_phase, _column_table, _chi_mesh, _reordering_phase):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        parametrix(sym, 1.0, iterations=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= calculus_peak_bytes(grid.size, 0) <= 4 * peak
+
+
 def test_symbol_refuses_table_past_dense_guard():
-    # the guard fires before the values are read, so no 8192 x 8192 table exists
-    with pytest.raises(SizeError, match="symbol table of side 8192"):
+    # the guard fires before the values are read, so no 8192 x 8192 table
+    # exists; the calculus on it would hold 16 such complex tables
+    with pytest.raises(SizeError, match="symbol calculus would hold 17179869184 bytes"):
         Symbol(Grid(1, 8192, 2 * np.pi), np.ones((1, 1)))
-    with pytest.raises(SizeError, match="16384"):
+    with pytest.raises(SizeError, match="symbol calculus would hold 68719476736 bytes"):
         Symbol(Grid(2, 128, 2 * np.pi), np.ones((1, 1)))
 
 
