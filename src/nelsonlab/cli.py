@@ -55,12 +55,14 @@ EXPERIMENTS = (
 )
 
 # experiment -> the kernel it runs on each model (one per [sweep] sizes entry
-# for domain-regularity, else at [model] npts) and the kernel's stated peak
+# for domain-regularity, else at [model] npts), the kernel's stated peak, and
+# the sweep over which ``_ordered_map`` runs up to --threads kernels at once
+# (None: one kernel at a time)
 _MODEL_KERNELS = {
-    "renorm-convergence": ("renorm_convergence_experiment", nelson.renorm_peak_bytes),
-    "gross-transform": ("transformed_hamiltonian_check", nelson.transformed_peak_bytes),
-    "ibc-identity": ("build_ibc", ibc.ibc_peak_bytes),
-    "domain-regularity": ("domain_regularity_norms", ibc.regularity_peak_bytes),
+    "renorm-convergence": ("renorm_convergence_experiment", nelson.renorm_peak_bytes, None),
+    "gross-transform": ("transformed_hamiltonian_check", nelson.transformed_peak_bytes, "lams"),
+    "ibc-identity": ("build_ibc", ibc.ibc_peak_bytes, "lams"),
+    "domain-regularity": ("domain_regularity_norms", ibc.regularity_peak_bytes, None),
 }
 
 
@@ -231,11 +233,12 @@ def _refusal(field: str):
         raise GuardError(f"{field}: {exc}") from exc
 
 
-def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
+def check_guards(cfg: dict[str, dict], experiment: str | None, workers: int = 1) -> int | None:
     """Refuse a config before any large allocation: the lattices and model specs
     a run would build meet the library's own checks, plus the CLI's sweep policies.
-    Returns the largest peak stated for the experiment's kernels (per sweep worker),
-    None if it runs none."""
+    A swept kernel is counted once per sweep worker that can hold one at the same
+    time, min(``workers``, sweep points).  Returns the largest peak stated for the
+    experiment's kernels, None if it runs none."""
     model = cfg["model"]
     sweep = cfg["sweep"]
     if model["n_max"] < 1:
@@ -279,13 +282,17 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
         with _refusal(f"[sweep] domain_lams at npts = {size}"):
             sized.grid.check_cutoff(lam)
     if experiment in _MODEL_KERNELS:
-        name, peak = _MODEL_KERNELS[experiment]
+        name, peak, swept = _MODEL_KERNELS[experiment]
         points = [("[model] npts, n_max", model["npts"])]
         if experiment == "domain-regularity":
             points = [(f"[sweep] sizes entry {size}", size) for size in sweep["sizes"]]
+        copies = 1 if swept is None else min(workers, len(sweep[swept]))
+        if copies > 1:
+            name = f"{copies} sweep workers of {name}"
         for field, npts in points:
             with _refusal(field):
-                stated += [nelson.free_peak_bytes(npts, model["n_max"]), check_bytes(name, peak(npts, model["n_max"]))]
+                held = copies * peak(npts, model["n_max"])
+                stated += [nelson.free_peak_bytes(npts, model["n_max"]), check_bytes(name, held)]
     return max(stated, default=None)
 
 
@@ -703,7 +710,7 @@ def render_plot(experiment: str) -> str:
 
 def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    stated_peak = check_guards(cfg, experiment)
+    stated_peak = check_guards(cfg, experiment, threads)
     payload = {
         "experiment": experiment,
         "seed": seed,
@@ -754,7 +761,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="config file ([model]/[sweep]/[tolerances] key = value text)")
     parser.add_argument("--seed", type=int, default=7, help="seed for random draws (default 7)")
     parser.add_argument(
-        "--threads", type=int, default=1, help="sweep worker threads (default 1); 0 means all cores"
+        "--threads",
+        type=int,
+        default=1,
+        help="sweep worker threads (default 1); 0 means all cores; the memory guard counts each worker's kernel",
     )
     parser.add_argument("--out", default="results", help="output directory (default: results)")
     parser.add_argument("--list", action="store_true", help="print the experiment names and exit")
@@ -771,7 +781,7 @@ def main(argv=None) -> int:
     threads = args.threads if args.threads > 0 else (cpu_count() or 1)
     try:
         cfg = resolve_config(args.config)
-        check_guards(cfg, args.experiment)
+        check_guards(cfg, args.experiment, threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,11 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal keys."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
 @dataclass(frozen=True, eq=False)
 class SectorLadder:
     """Nonzero elements <o| a*_k |a> = sqrt(occ_o[k]) from sector n-1 to n.
@@ -52,6 +57,17 @@ class SectorLadder:
     sources: np.ndarray
     modes: np.ndarray
     factors: np.ndarray
+
+    @cached_property
+    def target_heads(self) -> np.ndarray:
+        """The first entry of each target's run; every target of the sector has one."""
+        return _run_heads(self.targets)
+
+    @cached_property
+    def by_source(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries stable-sorted by source, and the first of each source's run in that order."""
+        order = np.argsort(self.sources, kind="stable")
+        return order, _run_heads(self.sources[order])
 
     @cached_property
     def shared_target_pairs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -19,13 +19,14 @@ and each kernel refuses at entry if its stated peak passes ``operators.MAX_BYTES
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-
 import numpy as np
 
 from .fock import sector_dims
 from .nelson import (
     AssembledModel,
+    _ladder_pairs,
+    _step_gram,
+    _step_plan,
     creation_blocks,
     form_factor,
     lower_sectors,
@@ -220,72 +221,14 @@ def defect_norm(ops: IbcOperators) -> float:
 # domain regularity
 
 
-# bytes of pair workspace that one chunk of ``_step_gram`` may hold
-_CHUNK_BYTES = 1 << 20
-# a chunk holds at most three (pairs x size^2) arrays at once: its pair
-# blocks, the W_o gathered onto them, and the W_o of its targets
-_CHUNK_ARRAYS = 3
-
-
-def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int, lanczos_bytes: int = 0) -> dict:
-    """Chunking and stated peak bytes of one sector-step Gram, from sizes alone.
-
-    While a Gram is alive the step holds, one after the other, one chunk of
-    pair workspace and the memory of ``top_eigenvalue`` (``lanczos_bytes``);
-    the peak is the Gram and the larger of the two.
-    """
-    block = size * size * itemsize
-    per_chunk = max(1, min(n_pairs, _CHUNK_BYTES // (_CHUNK_ARRAYS * block)))
-    gram = (n_src * size) ** 2 * itemsize
-    return {
-        "gram_side": n_src * size,
-        "pairs": n_pairs,
-        "pairs_per_chunk": per_chunk,
-        "chunks": -(-n_pairs // per_chunk),
-        "peak_bytes": gram + max(_CHUNK_ARRAYS * per_chunk * block, lanczos_bytes),
-    }
-
-
 def regularity_peak_bytes(npts: int, n_max: int) -> int:
     """Most bytes ``domain_regularity_norms`` holds at once on a d = 1 lattice of ``npts`` points:
-    the largest ``_step_plan`` peak, with a Lanczos run of as many steps as the Gram has rows.
-    A target with j occupied modes has j^2 ladder pairs, and C(npts, j) C(n-1, j-1) have j."""
+    the largest ``_step_plan`` peak, with a Lanczos run of as many steps as the Gram has rows."""
     peaks = [0]
     for n, src in enumerate(sector_dims(npts, n_max)[:-1], start=1):
-        pairs = sum(j * j * comb(npts, j) * comb(n - 1, j - 1) for j in range(1, min(n, npts) + 1))
-        peaks.append(_step_plan(pairs, npts, src, 8, lanczos_peak_bytes(npts * src, npts * src, 8))["peak_bytes"])
+        lanczos = lanczos_peak_bytes(npts * src, npts * src, 8)
+        peaks.append(_step_plan(_ladder_pairs(npts, n), npts, src, 8, lanczos)["peak_bytes"])
     return max(peaks)
-
-
-def _step_gram(lad, c: np.ndarray, q_k: np.ndarray, weight: np.ndarray, n_src: int) -> np.ndarray:
-    """Gram sum_o conj(C_y[o,a]) W_o[y,z] C_z[o,b] of one sector step, W_o = Q_K diag(weight[:, o]) Q_K*.
-
-    ``c`` holds C_y of each ladder entry a -> o (rows y), ``weight`` one
-    column per target o.  Each chunk of target-ordered pairs (``_step_plan``)
-    is stable-sorted by source key (a, b) and summed per key with
-    ``np.add.reduceat``; the summed keys of a chunk are unique, so one
-    fancy-indexed ``+=`` adds them all.  Returned with shape (n_src, size, n_src, size).
-    """
-    size = q_k.shape[0]
-    first, second = lad.shared_target_pairs
-    dtype = np.result_type(c, q_k, weight)
-    per_chunk = _step_plan(len(first), size, n_src, dtype.itemsize)["pairs_per_chunk"]
-    gram = np.zeros((n_src, size, n_src, size), dtype=dtype)
-    for start in range(0, len(first), per_chunk):
-        i, j = first[start : start + per_chunk], second[start : start + per_chunk]
-        key = lad.sources[i] * n_src + lad.sources[j]
-        order = np.argsort(key, kind="stable")
-        i, j, key = i[order], j[order], key[order]
-        targets, local = np.unique(lad.targets[i], return_inverse=True)
-        w = (q_k[None, :, :] * weight[:, targets].T[:, None, :]) @ q_k.conj().T
-        blocks = c[:, i].conj().T[:, :, None] * c[:, j].T[:, None, :]
-        blocks *= w[local]
-        del w
-        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        sums = np.add.reduceat(blocks, heads, axis=0)
-        del blocks
-        gram[lad.sources[i[heads]], :, lad.sources[j[heads]], :] += sums
-    return gram
 
 
 def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:

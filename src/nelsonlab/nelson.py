@@ -30,6 +30,7 @@ are complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .grid import (
     norm as lattice_norm,
     sobolev_norm,
 )
-from .operators import check_bytes, check_hermitian, opnorm
+from .operators import check_bytes, check_hermitian, lanczos_peak_bytes, opnorm, top_eigenvalue
 from .psido import dequantize
 
 
@@ -314,20 +315,21 @@ def form_factor_split(
     return u, residual, np.linalg.norm(residual, axis=1) / np.linalg.norm(u, axis=1)
 
 
-def creation_blocks(model: AssembledModel, lam: float) -> dict:
-    """The nonzero boson-sector blocks of A = blockdiag_X a*(v_{lam,X}).
+def creation_blocks(model: AssembledModel, lam: float, top: int | None = None) -> dict:
+    """The nonzero boson-sector blocks of A = blockdiag_X a*(v_{lam,X}), into sectors 1..``top``.
 
     Returns {(n, n-1): A_n}: A_n maps sector n-1 into sector n, X-major like
     the tensor, and holds v_X[k] sqrt(occ_o[k]) per entry of
-    ``FockBasis.ladder`` and point X.  The IBC assembly and the top-sector
-    split of the cutoff sweep read A only through these blocks.
+    ``FockBasis.ladder`` and point X.  ``top`` defaults to the boson cap;
+    the top-sector split of the cutoff sweep stops one below it and applies
+    the top step through the ladder instead (``_create``, ``_annihilate``).
     """
     size, basis = model.grid.size, model.basis
     dims = np.diff(basis.sector_bounds)
     coeffs = form_factor(model, lam)
     x = np.arange(size)[:, None]
     blocks = {}
-    for n, lad in enumerate(basis.ladder, start=1):
+    for n, lad in enumerate(basis.ladder[:top], start=1):
         entries = coeffs[:, lad.modes] * lad.factors
         if not entries.any():
             continue
@@ -335,6 +337,85 @@ def creation_blocks(model: AssembledModel, lam: float) -> dict:
         block[x, lad.targets, x, lad.sources] = entries
         blocks[n, n - 1] = block.reshape(size * dims[n], size * dims[n - 1])
     return blocks
+
+
+def _create(lad, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A_n v for the step ``lad`` with entries ``c`` (one row per X): (size, dim n-1) -> (size, dim n).
+
+    A scatter of the ladder entries, summed by target; the entries are
+    ordered by target, so ``np.add.reduceat`` sums each target's run.
+    """
+    return np.add.reduceat(c * v[:, lad.sources], lad.target_heads, axis=1)
+
+
+def _annihilate(lad, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A_n^T u for the step ``lad`` with entries ``c``: (size, dim n) -> (size, dim n-1), summed by source."""
+    order, heads = lad.by_source
+    return np.add.reduceat((c * u[:, lad.targets])[:, order], heads, axis=1)
+
+
+# bytes of pair workspace that one chunk of ``_step_gram`` may hold
+_CHUNK_BYTES = 1 << 20
+# a chunk holds at most three (pairs x size^2) arrays at once: its pair
+# blocks, the W_o gathered onto them, and the W_o of its targets
+_CHUNK_ARRAYS = 3
+
+
+def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int, lanczos_bytes: int = 0) -> dict:
+    """Chunking and stated peak bytes of one sector-step Gram, from sizes alone.
+
+    While a Gram is alive the step holds, one after the other, one chunk of
+    pair workspace and the memory of ``top_eigenvalue`` (``lanczos_bytes``);
+    the peak is the Gram and the larger of the two.
+    """
+    block = size * size * itemsize
+    per_chunk = max(1, min(n_pairs, _CHUNK_BYTES // (_CHUNK_ARRAYS * block)))
+    gram = (n_src * size) ** 2 * itemsize
+    return {
+        "gram_side": n_src * size,
+        "pairs": n_pairs,
+        "pairs_per_chunk": per_chunk,
+        "chunks": -(-n_pairs // per_chunk),
+        "peak_bytes": gram + max(_CHUNK_ARRAYS * per_chunk * block, lanczos_bytes),
+    }
+
+
+def _ladder_pairs(npts: int, n: int) -> int:
+    """Number of pairs of ladder entries of the step n-1 -> n that share their target, on ``npts`` modes:
+    a target with j occupied modes has j^2 of them, and C(npts, j) C(n-1, j-1) targets have j."""
+    return sum(j * j * comb(npts, j) * comb(n - 1, j - 1) for j in range(1, min(n, npts) + 1))
+
+
+def _step_gram(lad, c: np.ndarray, q_k: np.ndarray, weight: np.ndarray, n_src: int) -> np.ndarray:
+    """Gram sum_o conj(C_y[o,a]) W_o[y,z] C_z[o,b] of one sector step, W_o = Q_K diag(weight[:, o]) Q_K*.
+
+    ``c`` holds C_y of each ladder entry a -> o (rows y), ``weight`` one
+    column per target o, real or complex.  Each chunk of target-ordered pairs (``_step_plan``)
+    is stable-sorted by source key (a, b) and summed per key with
+    ``np.add.reduceat``; the summed keys of a chunk are unique, so one
+    fancy-indexed ``+=`` adds them all.  Returned with shape (n_src, size, n_src, size).
+    """
+    size = q_k.shape[0]
+    first, second = lad.shared_target_pairs
+    dtype = np.result_type(c, q_k, weight)
+    per_chunk = _step_plan(len(first), size, n_src, dtype.itemsize)["pairs_per_chunk"]
+    gram = np.zeros((n_src, size, n_src, size), dtype=dtype)
+    for start in range(0, len(first), per_chunk):
+        i, j = first[start : start + per_chunk], second[start : start + per_chunk]
+        key = lad.sources[i] * n_src + lad.sources[j]
+        order = np.argsort(key, kind="stable")
+        i, j, key = i[order], j[order], key[order]
+        targets, local = np.unique(lad.targets[i], return_inverse=True)
+        w = (q_k[None, :, :] * weight[:, targets].T[:, None, :]) @ q_k.conj().T
+        # in the weight's dtype: a complex weight meets real coefficients
+        blocks = np.multiply(c[:, i].conj().T[:, :, None], c[:, j].T[:, None, :], dtype=dtype)
+        blocks *= w[local]
+        del w
+        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        sums = np.add.reduceat(blocks, heads, axis=0)
+        del blocks
+        gram[lad.sources[i[heads]], :, lad.sources[j[heads]], :] += sums
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -535,50 +616,84 @@ def transformed_hamiltonian_check(
 
 
 def _real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat @ x for a real matrix and a flat complex vector, through the real view of x.
+    """mat @ x for a real matrix and a real or complex 2-D array x.
 
-    The rows of x viewed as (mat.shape[1], -1) floats carry its real and
-    imaginary parts side by side, so the product stays a real GEMM.
+    A complex x viewed as floats carries its real and imaginary parts side
+    by side along its rows, so the product stays a real GEMM.
     """
-    return (mat @ x.view(float).reshape(mat.shape[1], -1)).view(complex).ravel()
+    x = np.ascontiguousarray(x)
+    return (mat @ x.view(float)).view(x.dtype)
+
+
+def _subtract_top_gram(mat: np.ndarray, lad, c: np.ndarray, q: np.ndarray, weight: np.ndarray) -> None:
+    """Subtract C diag(weight) C^T, C = A_N^T (Q x 1), from the sector N-1 corner of ``mat`` (its last rows and columns).
+
+    C diag(w) C^T[(y,a),(z,b)] = sum_o C_y[o,a] W_o[y,z] C_z[o,b] with
+    W_o = Q diag(w[:, o]) Q^T is the Gram of the step N-1 -> N
+    (``_step_gram``), with a real or a complex weight.
+    """
+    size, n_src = len(q), len(lad.by_source[1])
+    side = size * n_src
+    gram = _step_gram(lad, c, q, weight, n_src)
+    # the step Gram is source-major (a, y, b, z); the corner is X-major (y, a, z, b)
+    corner = mat[-side:, -side:].reshape(size, n_src, size, n_src)
+    corner -= gram.transpose(1, 0, 3, 2)
 
 
 @dataclass(frozen=True, eq=False)
 class _TopSectorSplit:
-    """H = [[L, B], [B^T, D]] split at the top boson sector N = n_max.
+    """H = [[L, B], [B^T, D]] split at the top boson sector N = n_max, with neither A_N nor C formed.
 
     ``low`` is L, H on sectors 0..N-1 laid out sector by sector (X-major
     within each).  D = (K + diag E) x 1 + 1 x dGamma on sector N is
-    diagonal, with entries ``top`` d = eps_i + E_o, in the rotated
+    diagonal, with entries ``top`` d[i, o] = eps_i + E_o, in the rotated
     coordinates (Q x 1)^T, Q = ``rotation`` the eigenvectors of K + diag E.
-    ``coupling`` is C = A_N^T (Q x 1), the rows of B on sector N-1 (the last
-    rows of L) in those coordinates.  ``lu`` factors the Schur complement
-    S = L + i - C diag(1/(d + i)) C^T of H + i.
+    B couples sector N only to sector N-1, the last rows of L, through
+    C = A_N^T (Q x 1) in those coordinates; C and C^T are applied as a
+    rotation along X and a scatter of the top step's ``ladder`` with its
+    ``entries`` (one row per X, ``_create`` and ``_annihilate``), and
+    C diag(w) C^T is the Gram of that step (``_step_gram``).  ``inverse`` is
+    the inverse of the Schur complement S = L + i - C diag(1/(d + i)) C^T of
+    H + i; S^{-1} is the corner of (H + i)^{-1} on sectors 0..N-1, so
+    ||S^{-1}|| <= 1 and the inverse is well conditioned.
     """
 
     low: np.ndarray
-    coupling: np.ndarray
+    ladder: fock.SectorLadder
+    entries: np.ndarray
     rotation: np.ndarray
     top: np.ndarray
-    lu: tuple
+    inverse: np.ndarray
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
         """The data that determine H."""
-        return self.low, self.coupling, self.rotation, self.top
+        return self.low, self.entries, self.rotation, self.top
+
+    @property
+    def edge(self) -> int:
+        """The first row of sector N-1 in L."""
+        return len(self.low) - self.entries.shape[0] * len(self.ladder.by_source[1])
+
+    def couple(self, u: np.ndarray) -> np.ndarray:
+        """C u for u in the rotated coordinates, shaped like ``top``: a flat vector on sector N-1."""
+        return _annihilate(self.ladder, self.entries, _real_times(self.rotation, u)).ravel()
+
+    def couple_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """C^T v for a flat vector v on sector N-1, shaped like ``top``."""
+        size = len(self.rotation)
+        return _real_times(self.rotation.T, _create(self.ladder, self.entries, v.reshape(size, -1)))
 
     def resolve(self, x: np.ndarray) -> np.ndarray:
         """(H + i)^{-1} x, with x laid out as L's rows, then sector N X-major."""
-        from scipy import linalg
-
-        cut = len(self.low)
+        cut, edge = len(self.low), self.edge
         inverse = 1.0 / (self.top + 1j)
-        rotated = _real_times(self.rotation.T, x[cut:])
+        rotated = _real_times(self.rotation.T, x[cut:].reshape(self.top.shape))
         rhs = x[:cut].copy()
-        rhs[cut - len(self.coupling) :] -= _real_times(self.coupling, rotated * inverse)
-        low = linalg.lu_solve(self.lu, rhs)
-        tail = _real_times(self.coupling.T, low[cut - len(self.coupling) :])
-        return np.concatenate([low, _real_times(self.rotation, (rotated - tail) * inverse)])
+        rhs[edge:] -= self.couple(rotated * inverse)
+        low = self.inverse @ rhs
+        tail = self.couple_adjoint(low[edge:])
+        return np.concatenate([low, _real_times(self.rotation, (rotated - tail) * inverse).ravel()])
 
 
 def sector_layout(model: AssembledModel, blocks: dict, rows: range, cols: range) -> np.ndarray:
@@ -612,62 +727,76 @@ def lower_sectors(model: AssembledModel, blocks: dict, energies: np.ndarray) -> 
     return sector_layout(model, parts, low, low)
 
 
-def _split_top_sector(model: AssembledModel, blocks: dict, energies: np.ndarray) -> _TopSectorSplit:
-    """Split H_lam + E_lam(X) at sector n_max, from the sector blocks of A and one E per X.
+def _split_top_sector(model: AssembledModel, lam: float, energies: np.ndarray) -> _TopSectorSplit:
+    """Split H_lam + E_lam(X) at sector n_max, from the creation ladder and one E per X.
 
-    ``blocks`` is ``creation_blocks(model, lam)``; ``energies`` is
-    E_lam(X), zeros for H_lam itself.  Only K + diag E (side grid.size) is
-    diagonalized, and the one matrix factored has the side of sectors
-    0..n_max-1.
+    ``energies`` is E_lam(X), zeros for H_lam itself.  L takes the creation
+    blocks below the top sector; the top step stays a ladder scatter.  Only
+    K + diag E (side grid.size) is diagonalized, and the one matrix inverted
+    has the side of sectors 0..n_max-1.
     """
-    from scipy import linalg
-
-    size, basis = model.grid.size, model.basis
+    basis = model.basis
     top = basis.n_max
-    if top < 1:
-        raise ValueError("the top-sector split needs n_max >= 1")
-    sides = size * np.diff(basis.sector_bounds)
-    low = lower_sectors(model, blocks, energies)
+    lad = basis.ladder[top - 1]
+    low = lower_sectors(model, creation_blocks(model, lam, top - 1), energies)
     evals, q = np.linalg.eigh(model.k + np.diag(energies))
-    d = (evals[:, None] + model.occupation_energies[basis.sector_slice(top)]).ravel()
-    a_top = blocks[top, top - 1] if (top, top - 1) in blocks else np.zeros((sides[top], sides[top - 1]))
-    coupling = np.ascontiguousarray((q.T @ a_top.reshape(size, -1)).reshape(sides[top], -1).T)
-    schur = low + 1j * np.eye(len(low))
-    schur[-len(coupling) :, -len(coupling) :] -= (coupling / (d + 1j)) @ coupling.T  # sector N-1
-    return _TopSectorSplit(low, coupling, q, d, linalg.lu_factor(schur))
+    d = evals[:, None] + model.occupation_energies[basis.sector_slice(top)]
+    entries = form_factor(model, lam)[:, lad.modes] * lad.factors
+    schur = low.astype(complex)
+    schur.flat[:: len(low) + 1] += 1j
+    _subtract_top_gram(schur, lad, entries, q, 1.0 / (d + 1j))
+    return _TopSectorSplit(low, lad, entries, q, d, np.linalg.inv(schur))
+
+
+# seed of the draw that starts the inverse iteration of ``_lowest_pair``
+_INVERSE_ITERATION_SEED = 0
 
 
 def _lowest_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    from scipy import linalg
+    """Lowest eigenvalue of a real symmetric matrix and its unit eigenvector; ``mat`` is overwritten.
 
-    (value,), vecs = linalg.eigh(mat, subset_by_index=[0, 0])
-    return float(value), vecs[:, 0]
+    ``eigvalsh`` places a shift n eps max|m_ij| below the lowest eigenvalue,
+    a margin that bounds the error of its value, so the shifted matrix stays
+    nonsingular.  One inverse-iteration solve from a seeded draw then damps
+    every other eigenvector by the margin over its gap, and the eigenvalue
+    is the vector's Rayleigh quotient: its roundoff is that of the rows the
+    vector lives on, not of the whole matrix.
+    """
+    n = len(mat)
+    margin = n * np.finfo(float).eps * max(float(mat.max()), -float(mat.min()))
+    shift = float(np.linalg.eigvalsh(mat)[0]) - margin
+    mat.flat[:: n + 1] -= shift
+    vec = np.linalg.solve(mat, np.random.default_rng(_INVERSE_ITERATION_SEED).standard_normal(n))
+    vec /= np.linalg.norm(vec)
+    return shift + float(vec @ (mat @ vec)), vec
 
 
 def _ground_level(split: _TopSectorSplit) -> tuple[float, dict]:
     """Lowest eigenvalue of H from the Feshbach complement on sectors 0..N-1.
 
     E0 is the root of f(E) = lambda_min(L - Sigma(E)) - E with
-    Sigma(E) = C diag(1/(d - E)) C^T on sector N-1.  Every boson costs at
-    least the mass floor, so by interlacing e0 = lambda_min(L) < min d and
+    Sigma(E) = C diag(1/(d - E)) C^T on sector N-1, the Gram of the top
+    step (``_subtract_top_gram``).  Every boson costs at least
+    the mass floor, so by interlacing e0 = lambda_min(L) < min d and
     f(e0) <= 0.  Below min d, f is concave and decreasing with
-    f'(E) = -1 - ||diag(1/(d - E)) C^T psi||^2 (psi the lowest eigenvector),
-    so Newton's iterates from e0 fall monotonically to the root; the loop
+    f'(E) = -1 - ||diag(1/(d - E)) C^T psi||^2 (psi the lowest eigenvector,
+    from ``_lowest_pair``; C^T psi is a ladder scatter and a rotation), so
+    Newton's iterates from e0 fall monotonically to the root; the loop
     stops at the first iterate that does not fall.
 
     Returns E0 and its record: the evaluations of f and the final |f(E0)|.
     """
-    cut = len(split.low) - len(split.coupling)
+    edge = split.edge
 
     def f(e: float) -> tuple[float, float]:
         weight = 1.0 / (split.top - e)
         mat = split.low.copy()
-        mat[cut:, cut:] -= (split.coupling * weight) @ split.coupling.T
+        _subtract_top_gram(mat, split.ladder, split.entries, split.rotation, weight)
         value, vec = _lowest_pair(mat)
-        slope = -1.0 - float(np.sum((split.coupling.T @ vec[cut:] * weight) ** 2))
+        slope = -1.0 - float(np.sum((split.couple_adjoint(vec[edge:]) * weight) ** 2))
         return value - e, slope
 
-    level = _lowest_pair(split.low)[0]
+    level = _lowest_pair(split.low.copy())[0]
     evaluations = 0
     while True:
         value, slope = f(level)
@@ -679,55 +808,64 @@ def _ground_level(split: _TopSectorSplit) -> tuple[float, dict]:
     return level, {"newton_evaluations": evaluations, "residual": abs(value)}
 
 
+# most Lanczos steps of one resolvent distance: its stated memory (``renorm_peak_bytes``)
+_DISTANCE_STEPS = 256
+
+
 def _resolvent_distance(split_a: _TopSectorSplit, split_b: _TopSectorSplit, seed: int = 0) -> tuple[float, dict]:
     """||(H_a + i)^{-1} - (H_b + i)^{-1}|| for two real symmetric H split at the top sector.
 
-    ARPACK finds the top eigenvalue theta of the Hermitian Gram operator
-    M* M, M = R_a - R_b, to machine precision; no resolvent is formed.
-    Each R = (H + i)^{-1} is applied through the LU of its Schur complement
-    (``_TopSectorSplit.resolve``), and R* x = conj(R conj x) since H is
-    real, so one Gram application is four solves.  The start vector is
-    drawn from a generator seeded with ``seed``: a constant one can be
-    orthogonal to the top singular vector.  Bitwise equal splits give
-    exactly 0.
+    Lanczos (``operators.top_eigenvalue``) finds the top eigenvalue theta
+    of the Hermitian Gram operator M* M, M = R_a - R_b, to machine
+    precision; no resolvent is formed.  Each R = (H + i)^{-1} is applied
+    through the inverse of its Schur complement and the ladder scatter of
+    the top step (``_TopSectorSplit.resolve``), and R* x = conj(R conj x)
+    since H is real, so one Gram application is four of them.  The start
+    vector is drawn from a generator seeded with ``seed``: a constant one
+    can be orthogonal to the top singular vector.  A run takes at most
+    ``_DISTANCE_STEPS`` steps.  Bitwise equal splits give exactly 0.
 
     Returns sqrt(theta) and the solver's record: the Gram applications
-    ARPACK made and the residual ||G u - theta u|| / theta of its vector.
+    (one per Lanczos step) and the Lanczos bound on ||G u - theta u|| / theta.
     """
     if all(np.array_equal(a, b) for a, b in zip(split_a.arrays, split_b.arrays)):
         return 0.0, {"gram_applications": 0, "residual": 0.0}
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    n = len(split_a.low) + len(split_a.top)
-    applications = 0
 
     def gram(x: np.ndarray) -> np.ndarray:
-        nonlocal applications
-        applications += 1
-        x = np.ascontiguousarray(x, dtype=complex).reshape(n)
         y = (split_a.resolve(x) - split_b.resolve(x)).conj()
         return (split_a.resolve(y) - split_b.resolve(y)).conj()
 
     rng = np.random.default_rng(seed)
+    n = len(split_a.low) + split_a.top.size
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    op = LinearOperator((n, n), matvec=gram, dtype=complex)
-    theta, vecs = eigsh(op, k=1, which="LA", tol=0, v0=start)
-    record = {"gram_applications": applications}
-    theta, vec = float(theta[0]), vecs[:, 0]
-    residual = np.linalg.norm(gram(vec) - theta * vec) / np.linalg.norm(vec)
-    record["residual"] = float(residual / max(theta, np.finfo(float).tiny))
-    return float(np.sqrt(max(theta, 0.0))), record
+    theta, steps, residual = top_eigenvalue(gram, start, _DISTANCE_STEPS)
+    return float(np.sqrt(max(theta, 0.0))), {"gram_applications": steps, "residual": residual}
 
 
 def renorm_peak_bytes(npts: int, n_max: int) -> int:
     """Most bytes ``renorm_convergence_experiment`` holds at once on a d = 1 lattice of ``npts`` points.
-    In float64 units, with C = s_N s_(N-1) and S the side of sectors 0..N-1: three splits
-    (C, L, the complex Schur LU and the rotation each), the creation blocks twice, and a
-    split's build (five C and two complex S^2 more)."""
-    sides = [npts * dim for dim in fock.sector_dims(npts, n_max)]
-    blocks = sum(top * low for top, low in zip(sides[1:], sides[:-1]))
-    coupling, low = sides[-1] * sides[-2] if n_max else 0, sum(sides[:-1])
-    return 8 * (2 * blocks + 3 * (coupling + 3 * low**2 + npts**2) + 5 * coupling + 4 * low**2)
+
+    With S the side of sectors 0..N-1 and T that of sector N, a split holds
+    L (float64) and its Schur inverse (complex), S^2 units of 24 bytes, plus
+    Q, d and the top step's entries (N = n_max >= 1).  The sweep holds four splits while it
+    takes a resolvent distance, whose Lanczos basis of side S + T grows to
+    at most ``_DISTANCE_STEPS`` vectors; it holds three while it builds the
+    fourth, which needs L, the complex Schur complement and then three more
+    of its size inside ``np.linalg.inv`` (or, before that, the top step's
+    complex Gram with one chunk, ``_step_plan``); and four while a Newton
+    evaluation holds a copy of L and a copy of that inside ``eigvalsh`` or
+    ``np.linalg.solve`` (or the real Gram).  The top step's ladder tables
+    are counted too.  Nothing of side T x S is formed.
+    """
+    dims = fock.sector_dims(npts, n_max)
+    low, top = npts * sum(dims[:-1]), npts * dims[-1]
+    entries, pairs = n_max * top, _ladder_pairs(npts, n_max)
+    split = 24 * low**2 + 8 * (npts**2 + top + entries)
+    gram = {itemsize: _step_plan(pairs, npts, dims[-2], itemsize)["peak_bytes"] for itemsize in (8, 16)}
+    build = 3 * split + 24 * low**2 + max(gram[16], 48 * low**2)
+    newton = 4 * split + 8 * low**2 + max(gram[8], 8 * low**2)
+    distance = 4 * split + lanczos_peak_bytes(low + top, _DISTANCE_STEPS, 16) + 8 * 16 * (low + top)
+    return 16 * (pairs + entries) + max(build, newton, distance)
 
 
 def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
@@ -738,22 +876,24 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     D = ||(H + E + i)^{-1} - (H' + E' + i)^{-1}|| (largest singular value)
     next to the unsubtracted comparison.  Each Hamiltonian is split once at
     the top boson sector (``_split_top_sector``): its level is the root of
-    the Feshbach complement (``_ground_level``) and its Schur LU feeds
+    the Feshbach complement (``_ground_level``) and its Schur inverse feeds
     ``_resolvent_distance``, so no matrix of the tensor side is formed or
-    diagonalized.  Only the splits of the previous sweep point are kept.
+    diagonalized, and the top creation block is applied as a ladder scatter,
+    never formed.  Only the splits of the previous sweep point are kept.
     Each row carries its solver records under ``solver``; ``dim`` is the
     tensor dimension and ``schur_dim`` the side of sectors 0..n_max-1.
     """
     lams = [float(v) for v in lams]
     if len(lams) < 2:
         raise ValueError("need at least two sweep points")
+    if model.basis.n_max < 1:
+        raise ValueError("the top-sector split needs n_max >= 1")
     check_bytes("renorm_convergence_experiment", renorm_peak_bytes(model.grid.size, model.basis.n_max))
     levels, pairs = [], []
     previous = None
     for lam in lams:
-        blocks = creation_blocks(model, lam)
-        plain = _split_top_sector(model, blocks, np.zeros(model.grid.size))
-        sub = _split_top_sector(model, blocks, vacuum_energy(model, lam))
+        plain = _split_top_sector(model, lam, np.zeros(model.grid.size))
+        sub = _split_top_sector(model, lam, vacuum_energy(model, lam))
         gs_plain, newton_plain = _ground_level(plain)
         gs_sub, newton_sub = _ground_level(sub)
         levels.append(

@@ -52,32 +52,43 @@ def lanczos_peak_bytes(side: int, steps: int, itemsize: int) -> int:
     return (grown // 2 + min(side, grown)) * side * itemsize + 2 * steps**2 * 8
 
 
-def top_eigenvalue(mat: np.ndarray) -> tuple[float, int, float]:
-    """Largest eigenvalue of a real symmetric positive-semidefinite matrix, by Lanczos.
+class ConvergenceError(ArithmeticError):
+    """Lanczos used up its step budget before its bound met the tolerance."""
 
-    The start vector is a standard normal draw from a generator seeded with
-    ``_LANCZOS_SEED``: a structured one (all ones, a basis vector) can be
-    orthogonal to the top eigenspace of a lattice-symmetric matrix.  Each
-    step reorthogonalizes against the whole basis, twice.  With T_k the
-    tridiagonal of k steps and theta_k, s_k its top eigenvalue and the last
-    entry of its eigenvector, |lambda - theta_k| <= beta_k |s_k|, and the
-    iteration stops once that bound is at most ``_LANCZOS_RTOL`` * theta_k.
-    It also stops, exactly, at beta_k = 0 (a zero matrix gives 0.0 after one
-    step) or when the basis spans the space (k = side), so it always
-    returns.  Its memory grows with the steps taken (``lanczos_peak_bytes``).
+
+def top_eigenvalue(op, start: np.ndarray | None = None, max_steps: int | None = None) -> tuple[float, int, float]:
+    """Largest eigenvalue of a Hermitian positive-semidefinite operator, by Lanczos.
+
+    ``op`` is a real symmetric matrix or a function x -> A x.  The start
+    vector ``start``, whose dtype the basis takes, is required for a
+    function; for a matrix it defaults to a standard normal draw from a
+    generator seeded with ``_LANCZOS_SEED``: a structured one (all ones, a
+    basis vector) can be orthogonal to the top eigenspace of a
+    lattice-symmetric matrix.  Each step reorthogonalizes against the whole
+    basis, twice.  With T_k the tridiagonal of k steps and theta_k, s_k its
+    top eigenvalue and the last entry of its eigenvector,
+    |lambda - theta_k| <= beta_k |s_k|, and the iteration stops once that
+    bound is at most ``_LANCZOS_RTOL`` * theta_k.  It also stops, exactly, at
+    beta_k = 0 (a zero matrix gives 0.0 after one step) or when the basis
+    spans the space (k = side).  Its memory grows with the steps taken
+    (``lanczos_peak_bytes``); a run that reaches ``max_steps`` below the side
+    without meeting its bound raises ``ConvergenceError``, so a caller can
+    state the memory of a run of at most that many steps.
 
     Returns (theta_k, k, beta_k |s_k| / theta_k).
     """
-    side = mat.shape[0]
-    basis = np.empty((1, side), dtype=mat.dtype)
-    vec = np.random.default_rng(_LANCZOS_SEED).standard_normal(side)
-    basis[0] = vec / np.linalg.norm(vec)
+    if start is None:
+        start = np.random.default_rng(_LANCZOS_SEED).standard_normal(len(op))
+    matvec = op if callable(op) else op.__matmul__
+    side = len(start)
+    basis = np.empty((1, side), dtype=start.dtype)
+    basis[0] = start / np.linalg.norm(start)
     alphas, betas = np.zeros(side), np.zeros(side)
     for k in range(side):
-        w = mat @ basis[k]
-        alphas[k] = basis[k] @ w
+        w = matvec(basis[k])
+        alphas[k] = (basis[k].conj() @ w).real
         for _ in range(2):
-            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+            w -= basis[: k + 1].T @ (basis[: k + 1].conj() @ w)
         betas[k] = np.linalg.norm(w)
         tri = np.zeros((k + 1, k + 1))
         tri.flat[:: k + 2] = alphas[: k + 1]
@@ -87,6 +98,8 @@ def top_eigenvalue(mat: np.ndarray) -> tuple[float, int, float]:
         bound = float(betas[k] * abs(evecs[-1, -1]))
         if betas[k] == 0.0 or k + 1 == side or bound <= _LANCZOS_RTOL * theta:
             return theta, k + 1, bound / max(theta, np.finfo(float).tiny)
+        if k + 1 == max_steps:
+            raise ConvergenceError(f"Lanczos bound {bound:.3e} above {_LANCZOS_RTOL:g} * {theta:.6g} after {max_steps} steps")
         if k + 1 == len(basis):
             grown = np.empty((min(side, 2 * len(basis)), side), dtype=basis.dtype)
             grown[: k + 1] = basis

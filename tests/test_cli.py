@@ -253,6 +253,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ROOT / "configs" / "default.cfg",
         ROOT / "configs" / "regularity-64.cfg",
         ROOT / "configs" / "ibc-identity-32.cfg",
+        ROOT / "configs" / "renorm-32.cfg",
         *sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")),
     ],
     ids=lambda path: path.name,
@@ -581,6 +582,57 @@ def test_cli_import_leaves_quadrature_and_sparse_solvers_unloaded():
     code = "import sys, nelsonlab.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_renorm_run_leaves_scipy_linalg_and_sparse_unloaded():
+    # the renorm kernel needs numpy alone; importing scipy.linalg and
+    # scipy.sparse.linalg costs the process about 24 MiB of its peak
+    config = ROOT / "perfbench" / "workloads" / "dense-tensor.cfg"
+    code = (
+        "import sys, tempfile; from nelsonlab.cli import main; "
+        f"code = main(['--experiment', 'renorm-convergence', '--config', {str(config)!r}, '--out', tempfile.mkdtemp()]); "
+        "print(code, sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def test_renorm_reaches_npts_32_within_the_budget():
+    # four splits of side 1056 and a Lanczos basis of side 17 952: 213 MiB, not the
+    # 1.5 GB of dense A_N and C; the sweep runs one kernel at a time, whatever --threads
+    cfg = resolve_config(str(ROOT / "configs" / "renorm-32.cfg"))
+    assert check_guards(cfg, "renorm-convergence", 2) == nelson.renorm_peak_bytes(32, 2) < 256 * 2**20
+
+
+def test_memory_guard_counts_each_sweep_worker(tmp_path, capsys, monkeypatch):
+    # configs/ibc-identity-32.cfg states 810 MiB for build_ibc; two sweep
+    # workers hold two of its three cutoffs at once, 1620 MiB
+    def refuse(spec):
+        raise AssertionError("assembled a model past the guard")
+
+    monkeypatch.setattr(nelson, "assemble_free", refuse)
+    base = ("--experiment", "ibc-identity", "--config", str(ROOT / "configs" / "ibc-identity-32.cfg"))
+    out = tmp_path / "run"
+    assert run_cli(*base, "--threads", "2", "--out", str(out)) == 3
+    assert "2 sweep workers of build_ibc would hold" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(*base, "--threads", "1", "--validate") == 0
+    cfg = resolve_config(str(ROOT / "configs" / "ibc-identity-32.cfg"))
+    assert check_guards(cfg, "ibc-identity", 1) == ibc.ibc_peak_bytes(32, 2)
+    # a worker beyond the sweep's cutoffs holds nothing, and a sequential kernel is counted once
+    small = resolve_config(None)
+    assert check_guards(small, "ibc-identity", 8) == 3 * ibc.ibc_peak_bytes(8, 2)
+    assert check_guards(small, "renorm-convergence", 8) == check_guards(small, "renorm-convergence", 1)
+
+
+def test_summary_states_the_peak_of_every_sweep_worker(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[sweep]\nlams = 1.0, 2.0\n")
+    for threads in (1, 2):
+        out = tmp_path / f"run-{threads}"
+        assert run_cli("--experiment", "ibc-identity", "--config", str(cfg), "--threads", str(threads), "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stated_peak_mib"] == round(threads * ibc.ibc_peak_bytes(8, 2) / 2**20, 1)
 
 
 def test_weyl_rows_pass_and_shrink(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nelsonlab import fock, ibc
+from nelsonlab import fock, ibc, nelson
 from nelsonlab.ibc import (
     IbcOperators,
     build_ibc,
@@ -331,7 +331,7 @@ def test_domain_regularity_chunking_does_not_change_norms(bench8, ops2, bench8_n
         steps = {}
         # a budget of one byte leaves one pair per chunk; 1 TiB takes every pair at once
         for budget in (1, 1 << 40):
-            monkeypatch.setattr(ibc, "_CHUNK_BYTES", budget)
+            monkeypatch.setattr(nelson, "_CHUNK_BYTES", budget)
             result = domain_regularity_norms(model, 2.0, ps)
             for plan in result["plans"]:
                 assert plan["chunks"] == (plan["pairs"] if budget == 1 else 1)

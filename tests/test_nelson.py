@@ -37,7 +37,7 @@ from nelsonlab.nelson import (
 )
 from nelsonlab.operators import HERMITIAN_TOL, SizeError, check_hermitian, opnorm
 
-from dense_oracle import creation_family, cutoff_hamiltonian, free_hamiltonian, vacuum_energy_diagonal
+from dense_oracle import creation_family, cutoff_hamiltonian, free_hamiltonian, split_blocks, vacuum_energy_diagonal
 
 # Frozen reference values for the bench model g = 1 + 0.3 sin x, W = 0.2 cos x,
 # mu = 1, box = 2*pi, coupling 1, gaussian profile, computed with independent
@@ -599,11 +599,9 @@ def test_transformed_check_peak_is_within_its_stated_bytes(bench8_n3):
 
 def test_renorm_peak_is_within_its_stated_bytes(bench8_n3):
     # n_max 3 of the dense-tensor workload; the ladder is cached on the basis,
-    # and scipy's solvers are imported on first use, so neither is kernel memory
-    import scipy.linalg
-    import scipy.sparse.linalg  # noqa: F401
-
+    # and numpy.random is imported on first use, so neither is kernel memory
     bench8_n3.basis.ladder
+    np.random.default_rng()
     peak = _traced_peak(lambda: renorm_convergence_experiment(bench8_n3, [1.0, 2.0, 4.0]))
     assert peak <= renorm_peak_bytes(8, 3) <= 4 * peak
 
@@ -619,7 +617,8 @@ def test_size_guard_reports_dimensions():
 
 
 def test_renorm_guard_refuses_before_the_ladder(monkeypatch):
-    # at npts 64, n_max 2 the top creation block alone is 4.1 GiB; the model itself is cheap
+    # at npts 64, n_max 2 the sectors below the top one have side 64 x 65 = 4160,
+    # so four splits (L and its complex Schur inverse each) hold 1.5 GiB; the model itself is cheap
     model = assemble_free(sinusoidal_spec(64))
 
     def forbidden(*args):
@@ -627,7 +626,7 @@ def test_renorm_guard_refuses_before_the_ladder(monkeypatch):
 
     monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
     monkeypatch.setattr(nelson, "form_factor", forbidden)
-    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 45424836608 bytes"):
+    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 2540706816 bytes"):
         renorm_convergence_experiment(model, [1.0, 2.0])
 
 
@@ -706,10 +705,7 @@ def test_renorm_distances_match_dense_svd_at_n_max_3(bench8_n3):
 
 
 def test_resolvent_distance_independent_of_start_vector(bench8):
-    splits = [
-        nelson._split_top_sector(bench8, nelson.creation_blocks(bench8, lam), np.zeros(8))
-        for lam in (1.0, 2.0)
-    ]
+    splits = [nelson._split_top_sector(bench8, lam, np.zeros(8)) for lam in (1.0, 2.0)]
     runs = [nelson._resolvent_distance(*splits, seed=seed) for seed in (0, 1, 2)]
     values = [value for value, _ in runs]
     assert max(values) - min(values) <= 1e-13 * values[0]
@@ -745,6 +741,60 @@ def test_top_sector_kernel_matches_dense_oracle(npts, n_max):
     assert abs(row["d_subtracted"] - opnorm(sub_a - sub_b)) <= 1e-12
 
 
+@pytest.mark.parametrize("npts", [4, 8])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_step_gram_matches_dense_oracle(npts, n_max):
+    # C diag(w) C^T with C = A_n^T (Q x 1) from the dense A, for each step n-1 -> n
+    # and a real and a complex weight on the rotated sector n
+    model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
+    blocks = split_blocks(model, creation_family(model, 2.0))
+    coeffs, q = form_factor(model, 2.0), model.k_evecs
+    dims = np.diff(model.basis.sector_bounds)
+    rng = np.random.default_rng(10 * npts + n_max)
+    for n, lad in enumerate(model.basis.ladder, start=1):
+        side = npts * dims[n - 1]
+        c = coeffs[:, lad.modes] * lad.factors
+        dense_c = blocks[n, n - 1].T @ np.kron(q, np.eye(dims[n]))
+        real = rng.uniform(0.5, 2.0, (npts, dims[n]))
+        for weight in (real, 1.0 / (real + 1j)):
+            want = (dense_c * weight.ravel()) @ dense_c.T
+            gram = nelson._step_gram(lad, c, q, weight, dims[n - 1])
+            got = gram.transpose(1, 0, 3, 2).reshape(side, side)
+            assert got.dtype == weight.dtype
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("npts", [4, 8])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_ladder_scatter_applies_the_dense_creation_block(npts, n_max):
+    model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
+    blocks = split_blocks(model, creation_family(model, 2.0))
+    coeffs = form_factor(model, 2.0)
+    dims = np.diff(model.basis.sector_bounds)
+    rng = np.random.default_rng(10 * npts + n_max)
+    for n, lad in enumerate(model.basis.ladder, start=1):
+        c = coeffs[:, lad.modes] * lad.factors
+        a_n = blocks[n, n - 1]
+        v = rng.standard_normal((npts, dims[n - 1])) + 1j * rng.standard_normal((npts, dims[n - 1]))
+        u = rng.standard_normal((npts, dims[n]))
+        scale = np.abs(a_n).max()
+        assert np.abs(nelson._create(lad, c, v).ravel() - a_n @ v.ravel()).max() <= 1e-14 * scale
+        assert np.abs(nelson._annihilate(lad, c, u).ravel() - a_n.T @ u.ravel()).max() <= 1e-14 * scale
+
+
+def test_lowest_pair_by_inverse_iteration():
+    # a diagonal matrix: eigvalsh returns its entry exactly, and the margin
+    # below it keeps the inverse-iteration solve nonsingular
+    value, vec = nelson._lowest_pair(np.diag([1.0, 2.0, 3.0]))
+    assert value == 1.0 and abs(abs(vec[0]) - 1.0) <= 1e-15
+    b = np.random.default_rng(5).standard_normal((60, 60))
+    mat = b + b.T
+    evals, evecs = np.linalg.eigh(mat)
+    value, vec = nelson._lowest_pair(mat.copy())
+    assert abs(value - evals[0]) <= 1e-13 * abs(evals[0])
+    assert abs(abs(vec @ evecs[:, 0]) - 1.0) <= 1e-12
+
+
 def test_renorm_sweep_at_zero_coupling():
     # no coupling: H_lam is H0 at every lam and E_lam = 0, so every resolvent
     # distance is exactly 0 without a Gram application, and the level is min K
@@ -761,8 +811,6 @@ def test_renorm_sweep_at_zero_coupling():
 
 
 def test_renorm_sweep_runs_no_solver_on_the_tensor_space(bench8_n3, monkeypatch):
-    import scipy.linalg
-
     side = bench8_n3.dim
 
     def guarded(name, fn):
@@ -775,8 +823,6 @@ def test_renorm_sweep_runs_no_solver_on_the_tensor_space(bench8_n3, monkeypatch)
 
     for name in ("eigh", "eigvalsh", "svd", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, guarded(name, getattr(np.linalg, name)))
-    for name in ("eigh", "lu_factor"):
-        monkeypatch.setattr(scipy.linalg, name, guarded(name, getattr(scipy.linalg, name)))
     report = renorm_convergence_experiment(bench8_n3, [1.0, 4.0])
     # the rows of perfbench/reference/dense-tensor/renorm-convergence.csv
     levels = [(row["gs_plain"], row["gs_subtracted"]) for row in report["levels"]]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nelsonlab import operators
-from nelsonlab.operators import top_eigenvalue
+from nelsonlab.operators import ConvergenceError, top_eigenvalue
 
 
 def psd_with_spectrum(evals: np.ndarray, seed: int) -> np.ndarray:
@@ -91,3 +91,22 @@ def test_top_eigenvalue_memory_grows_with_the_steps_taken(kind):
     if kind.startswith("rank"):
         # a dozen steps hold a dozen-odd basis vectors, not one per row of the matrix
         assert steps <= 12 and peak <= 0.05 * mat.nbytes
+
+
+def test_top_eigenvalue_of_a_hermitian_operator_given_as_a_function():
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
+    mat = b @ b.conj().T
+    start = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    want = np.linalg.eigvalsh(mat)[-1]
+    value, steps, residual = top_eigenvalue(lambda x: mat @ x, start)
+    assert abs(value - want) <= 1e-14 * want
+    assert residual <= 1e-15 and 1 <= steps <= 80
+
+
+def test_top_eigenvalue_refuses_past_its_step_budget():
+    # the top-clustered spectrum needs every step; a budget of 40 holds 40 basis vectors at most
+    mat = psd_with_spectrum(1.0 - 0.3 * (np.arange(300) / 300) ** 2, 7)
+    with pytest.raises(ConvergenceError, match="after 40 steps"):
+        top_eigenvalue(mat, max_steps=40)
+    assert top_eigenvalue(mat, max_steps=300)[1] == 300
