@@ -5,8 +5,9 @@ writes three artifacts into the output directory: ``results.csv`` with one
 row per measurement (experiment, parameters, lhs, rhs, status),
 ``summary.json`` with per-check status, tolerances, seed, config hash,
 wall clock, the process's peak resident set size and the library's stated
-peak, the numpy and scipy versions, the BLAS name and version and the
-run's telemetry (matrix sides and solver records), and ``plot.gp``.
+peak, the numpy and scipy versions (scipy's from its installed metadata:
+the library never imports scipy), the BLAS name and version and the run's
+telemetry (matrix sides and solver records), and ``plot.gp``.
 Identical (config, seed) pairs produce byte-identical CSV files; sweeps
 are merged in parameter order regardless of the --threads setting.
 
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from os import cpu_count, makedirs, path
 
 import numpy as np
-import scipy
 
 from . import fock, ibc, inequalities, nelson, psido
 from .grid import Grid
@@ -708,6 +708,18 @@ def render_plot(experiment: str) -> str:
     )
 
 
+def _installed_version(package: str) -> str | None:
+    """Version of an installed distribution, read without importing it; None when absent."""
+    # imported on use: importlib.metadata costs a process about 20 ms and 1.3 MB,
+    # which --validate need not pay
+    from importlib import metadata
+
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     stated_peak = check_guards(cfg, experiment, threads)
@@ -723,7 +735,7 @@ def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
         "stated_peak_mib": None if stated_peak is None else round(stated_peak / 2**20, 1),
         "versions": {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _installed_version("scipy"),
             "blas": blas.get("name"),
             "blas_version": blas.get("version"),
         },

@@ -45,6 +45,7 @@ from .grid import (
     norm as lattice_norm,
     sobolev_norm,
 )
+from .inequalities import _ATOL_PER_TOL, _radial_quad
 from .operators import check_bytes, check_hermitian, lanczos_peak_bytes, opnorm, top_eigenvalue
 from .psido import dequantize
 
@@ -450,16 +451,14 @@ def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
     """
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
-    from scipy.integrate import quad
 
-    def integrand(r: float) -> float:
+    def integrand(r, _):
         h0 = g_const * r * r
         return (h0 + 1.0) ** -0.5 / (h0 + 1.0) * gaussian_profile_hat(r / lam) ** 2 * r ** (d - 1)
 
     sphere = {1: 2.0, 3: 4.0 * np.pi}[d]
-    head, _ = quad(integrand, 0.0, lam, limit=200)
-    tail, _ = quad(integrand, lam, np.inf, limit=200)
-    return 0.5 * (2.0 * np.pi) ** -d * sphere * (head + tail)
+    # [0, lam] and the tail [lam, inf), to the target of the default quadrature tolerance
+    return 0.5 * (2.0 * np.pi) ** -d * sphere * _radial_quad(integrand, [0.0, lam], 1e-6 * _ATOL_PER_TOL)
 
 
 def gross_B(model: AssembledModel, lam: float) -> np.ndarray:
@@ -847,14 +846,16 @@ def renorm_peak_bytes(npts: int, n_max: int) -> int:
 
     With S the side of sectors 0..N-1 and T that of sector N, a split holds
     L (float64) and its Schur inverse (complex), S^2 units of 24 bytes, plus
-    Q, d and the top step's entries (N = n_max >= 1).  The sweep holds four splits while it
-    takes a resolvent distance, whose Lanczos basis of side S + T grows to
-    at most ``_DISTANCE_STEPS`` vectors; it holds three while it builds the
-    fourth, which needs L, the complex Schur complement and then three more
-    of its size inside ``np.linalg.inv`` (or, before that, the top step's
-    complex Gram with one chunk, ``_step_plan``); and four while a Newton
-    evaluation holds a copy of L and a copy of that inside ``eigvalsh`` or
-    ``np.linalg.solve`` (or the real Gram).  The top step's ladder tables
+    Q, d and the top step's entries (N = n_max >= 1).  Each sweep point
+    takes its plain distance before it builds the subtracted split, so the
+    sweep holds three splits while it takes a resolvent distance, whose
+    Lanczos basis of side S + T grows to at most ``_DISTANCE_STEPS``
+    vectors; it holds two while it builds the third, which needs L, the
+    complex Schur complement and then three more of its size inside
+    ``np.linalg.inv`` (or, before that, the top step's complex Gram with one
+    chunk, ``_step_plan``); and three while a Newton evaluation holds a copy
+    of L and a copy of that inside ``eigvalsh`` or ``np.linalg.solve`` (or
+    the real Gram).  The top step's ladder tables
     are counted too.  Nothing of side T x S is formed.
     """
     dims = fock.sector_dims(npts, n_max)
@@ -862,9 +863,9 @@ def renorm_peak_bytes(npts: int, n_max: int) -> int:
     entries, pairs = n_max * top, _ladder_pairs(npts, n_max)
     split = 24 * low**2 + 8 * (npts**2 + top + entries)
     gram = {itemsize: _step_plan(pairs, npts, dims[-2], itemsize)["peak_bytes"] for itemsize in (8, 16)}
-    build = 3 * split + 24 * low**2 + max(gram[16], 48 * low**2)
-    newton = 4 * split + 8 * low**2 + max(gram[8], 8 * low**2)
-    distance = 4 * split + lanczos_peak_bytes(low + top, _DISTANCE_STEPS, 16) + 8 * 16 * (low + top)
+    build = 2 * split + 24 * low**2 + max(gram[16], 48 * low**2)
+    newton = 3 * split + 8 * low**2 + max(gram[8], 8 * low**2)
+    distance = 3 * split + lanczos_peak_bytes(low + top, _DISTANCE_STEPS, 16) + 8 * 16 * (low + top)
     return 16 * (pairs + entries) + max(build, newton, distance)
 
 
@@ -879,7 +880,8 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     the Feshbach complement (``_ground_level``) and its Schur inverse feeds
     ``_resolvent_distance``, so no matrix of the tensor side is formed or
     diagonalized, and the top creation block is applied as a ladder scatter,
-    never formed.  Only the splits of the previous sweep point are kept.
+    never formed.  Of the previous sweep point only its splits are kept, and
+    its plain split is dropped once the plain distance is taken.
     Each row carries its solver records under ``solver``; ``dim`` is the
     tensor dimension and ``schur_dim`` the side of sectors 0..n_max-1.
     """
@@ -890,11 +892,15 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
         raise ValueError("the top-sector split needs n_max >= 1")
     check_bytes("renorm_convergence_experiment", renorm_peak_bytes(model.grid.size, model.basis.n_max))
     levels, pairs = [], []
-    previous = None
+    prev_plain = prev_sub = None
     for lam in lams:
         plain = _split_top_sector(model, lam, np.zeros(model.grid.size))
-        sub = _split_top_sector(model, lam, vacuum_energy(model, lam))
         gs_plain, newton_plain = _ground_level(plain)
+        if prev_plain is not None:
+            d_plain, solver_plain = _resolvent_distance(prev_plain, plain)
+        # drop the previous plain split before the subtracted one is built: three splits at most
+        prev_plain = None
+        sub = _split_top_sector(model, lam, vacuum_energy(model, lam))
         gs_sub, newton_sub = _ground_level(sub)
         levels.append(
             {
@@ -904,18 +910,16 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
                 "solver": {"subtracted": newton_sub, "unsubtracted": newton_plain},
             }
         )
-        if previous is not None:
-            # read through ``previous``, so that its splits are freed when it moves on
-            d_sub, solver_sub = _resolvent_distance(previous[2], sub)
-            d_plain, solver_plain = _resolvent_distance(previous[1], plain)
+        if prev_sub is not None:
+            d_sub, solver_sub = _resolvent_distance(prev_sub, sub)
             pairs.append(
                 {
-                    "lam": previous[0],
+                    "lam": prev_lam,
                     "lam_next": lam,
                     "d_subtracted": d_sub,
                     "d_unsubtracted": d_plain,
                     "solver": {"subtracted": solver_sub, "unsubtracted": solver_plain},
                 }
             )
-        previous = (lam, plain, sub)
+        prev_lam, prev_plain, prev_sub = lam, plain, sub
     return {"dim": model.dim, "schur_dim": len(plain.low), "levels": levels, "pairs": pairs}

@@ -597,8 +597,19 @@ def test_renorm_run_leaves_scipy_linalg_and_sparse_unloaded():
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
+def test_quadrature_runs_load_no_scipy(tmp_path):
+    # the radial quadratures run on numpy alone; scipy is only the tests' oracle
+    code = (
+        "import sys; from nelsonlab.cli import main; "
+        f"codes = [main(['--experiment', e, '--out', {str(tmp_path)!r} + '/' + e]) for e in ('appendix-inequalities', 'vacuum-energy')]; "
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+
 def test_renorm_reaches_npts_32_within_the_budget():
-    # four splits of side 1056 and a Lanczos basis of side 17 952: 213 MiB, not the
+    # three splits of side 1056 and a Lanczos basis of side 17 952: 187 MiB, not the
     # 1.5 GB of dense A_N and C; the sweep runs one kernel at a time, whatever --threads
     cfg = resolve_config(str(ROOT / "configs" / "renorm-32.cfg"))
     assert check_guards(cfg, "renorm-convergence", 2) == nelson.renorm_peak_bytes(32, 2) < 256 * 2**20

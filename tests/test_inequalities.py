@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from nelsonlab.grid import Grid
+from nelsonlab.grid import Grid, gaussian_profile_hat
 from nelsonlab.inequalities import (
     DomainError,
     PreconditionError,
+    QuadratureError,
     RadialProfile,
     ScalingError,
     diagonal_divergence_demo,
@@ -18,7 +19,9 @@ from nelsonlab.inequalities import (
     peetre_check,
     rearrange,
     subtracted_kernel,
+    _adaptive_quad,
 )
+from nelsonlab.nelson import vacuum_energy_quadrature
 
 GRID = Grid(1, 128, 32.0)
 SMALL = Grid(1, 16, 8.0)
@@ -271,6 +274,127 @@ def test_quadrature_tolerance_convergence():
     coarse = integral_3d(F, 1.0, tol=1e-6)
     fine = integral_3d(F, 1.0, tol=5e-7)
     assert abs(coarse - fine) < 5e-7
+
+
+def test_estimate_at_the_origin_is_the_closed_form():
+    # at xi = 0 the integral is 4 pi int r^2 / (2r + omega)^4 dr = pi / (6 omega)
+    for om in (0.25, 1.0, 2.0, 3.7, 8.0, 100.0):
+        value, _ = integral_estimate_check(0, 0, 4, 1, 0.0, om, 0.0, 0.0)
+        assert value == pytest.approx(np.pi / (6.0 * om), rel=1e-12, abs=0.0)
+
+
+def test_adaptive_quad_sums_panels_and_tails_per_owner():
+    # int_a^inf dx / (1 + x^2) = pi/2 - atan(a), split at a + 1, two owners in one batch
+    starts = np.array([0.0, 2.5])
+    lo, hi = np.concatenate((starts, starts + 1.0)), np.concatenate((starts + 1.0, [np.inf, np.inf]))
+    got = _adaptive_quad(lambda x, _: 1.0 / (1.0 + x * x), lo, hi, [0, 1, 0, 1], 2, 1e-13)
+    np.testing.assert_allclose(got, np.pi / 2.0 - np.arctan(starts), rtol=1e-14)
+
+
+def test_adaptive_quad_raises_at_its_round_cap():
+    # the halves of the panel at 0 never agree on 1/x, and a jump at an irrational point
+    # halves its disagreement once per round
+    with pytest.raises(QuadratureError, match="after 100 bisection rounds"):
+        _adaptive_quad(lambda x, _: 1.0 / x, [0.0], [1.0], [0], 1, 1e-6)
+    with pytest.raises(QuadratureError, match="1 panels still above the target 1e-12 after 12 bisection rounds"):
+        _adaptive_quad(lambda x, _: (x > 2.0**-0.5) * 1.0, [0.0], [1.0], [0], 1, 1e-12, max_rounds=12)
+
+
+# -- scipy.integrate.quad as the oracle; the library itself never imports scipy
+
+_QUAD = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 500}
+
+
+def _quad_radial(f, edges):
+    """int_0^inf f(r) dr by QUADPACK, split at ``edges``."""
+    from scipy.integrate import quad
+
+    pieces = [quad(f, a, b, **_QUAD)[0] for a, b in zip(edges[:-1], edges[1:])]
+    return sum(pieces) + quad(f, edges[-1], np.inf, **_QUAD)[0]
+
+
+def _quad_integral_3d(F, R, splits=()):
+    """The (r, s) reduction of ``integral_3d``, nested QUADPACK calls on scalars."""
+    from scipy.integrate import quad
+
+    if R == 0.0:
+        edge = 4.0 * max(splits) if splits else 16.0
+        return _quad_radial(lambda r: 4.0 * np.pi * r * r * F(r, r), sorted({0.0, *splits, edge}))
+
+    def rad(r):
+        # s = lo + width * u: hi - lo would lose the width 2 min(r, R) to roundoff at r >> R
+        lo, width = abs(r - R), 2.0 * min(r, R)
+        cuts = sorted((p - lo) / width for p in (R / 2.0, R) if 0.0 < p - lo < width)
+        return sum(
+            quad(lambda u: 2.0 * np.pi * r * (width / R) * (lo + width * u) * F(r, lo + width * u), a, b, **_QUAD)[0]
+            for a, b in zip([0.0, *cuts], [*cuts, 1.0])
+        )
+
+    return _quad_radial(rad, sorted({0.0, R / 2.0, R, 2.0 * R, *splits}))
+
+
+def _high_pass(lam):
+    return (lambda r: 1.0) if lam == 0.0 else (lambda r: 1.0 - gaussian_profile_hat(r / lam))
+
+
+cutoffs = st.just(0.0) | st.floats(min_value=0.5, max_value=64.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.1, max_value=20.0), st.just(0.0) | st.floats(min_value=1e-3, max_value=16.0), cutoffs)
+def test_integral_3d_matches_quadpack(omega, xi, lam):
+    zeta = _high_pass(lam)
+
+    def F(r, s):
+        return zeta(r) / (r + s + omega) ** 4
+
+    splits = (lam,) if lam > 0.0 else ()
+    assert integral_3d(F, xi, split_extra=splits) == pytest.approx(_quad_integral_3d(F, xi, splits), rel=1e-10)
+
+
+def test_integral_3d_is_continuous_at_the_origin():
+    # at |Xi| far below roundoff of r the inner interval keeps its width 2 min(r, R)
+    def F(r, s):
+        return 1.0 / (r + s + 1.0) ** 4
+
+    at_zero = integral_3d(F, 0.0)
+    for R in (1e-300, 1e-12, 1e-8):
+        assert integral_3d(F, R) == pytest.approx(at_zero, rel=1e-12)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.25, max_value=64.0), cutoffs)
+def test_offset_decay_matches_quadpack(xi, lam):
+    zeta = _high_pass(lam)
+
+    def F(r, s):
+        return zeta(r) * r**-2.0 / (s * s + 1.0)
+
+    want = _quad_integral_3d(F, xi, (lam,) if lam > 0.0 else ())
+    assert offset_decay_check(2.0, [xi], lam)["integral"][0] == pytest.approx(want, rel=1e-10)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.5, max_value=128.0), st.floats(min_value=0.25, max_value=16.0))
+def test_radial_sweeps_match_quadpack(lam, g_const):
+    lams = np.array([lam, 2.0 * lam])
+    demo = diagonal_divergence_demo(lams, g_const=g_const)
+    prefactor = 0.5 * (2.0 * np.pi) ** -3 * 4.0 * np.pi
+    for column, kernel, sign in (("unsubtracted", lambda h0: 1.0 / (h0 + 1.0), 1.0), ("subtracted", subtracted_kernel, -1.0)):
+        for cut, got in zip(lams, demo[column]):
+
+            def f(r):
+                h0 = g_const * r * r
+                return (h0 + 1.0) ** -0.5 * kernel(h0) * gaussian_profile_hat(r / cut) ** 2 * r * r
+
+            assert got == pytest.approx(sign * prefactor * _quad_radial(f, [0.0, cut]), rel=1e-10)
+    for d, sphere in ((1, 2.0), (3, 4.0 * np.pi)):
+
+        def e(r):
+            return (r * r + 1.0) ** -1.5 * gaussian_profile_hat(r / lam) ** 2 * r ** (d - 1)
+
+        want = 0.5 * (2.0 * np.pi) ** -d * sphere * _quad_radial(e, [0.0, lam])
+        assert vacuum_energy_quadrature(lam, d) == pytest.approx(want, rel=1e-10)
 
 
 # -- diagonal divergence demo

@@ -618,7 +618,7 @@ def test_size_guard_reports_dimensions():
 
 def test_renorm_guard_refuses_before_the_ladder(monkeypatch):
     # at npts 64, n_max 2 the sectors below the top one have side 64 x 65 = 4160,
-    # so four splits (L and its complex Schur inverse each) hold 1.5 GiB; the model itself is cheap
+    # so three splits (L and its complex Schur inverse each) hold 1.2 GiB; the model itself is cheap
     model = assemble_free(sinusoidal_spec(64))
 
     def forbidden(*args):
@@ -626,8 +626,23 @@ def test_renorm_guard_refuses_before_the_ladder(monkeypatch):
 
     monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
     monkeypatch.setattr(nelson, "form_factor", forbidden)
-    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 2540706816 bytes"):
+    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 2122144768 bytes"):
         renorm_convergence_experiment(model, [1.0, 2.0])
+
+
+# the stated peaks of a sweep that held both splits of the previous cutoff
+# until the subtracted distance was taken
+FOUR_SPLIT_PEAK_BYTES = {(8, 1): 1301632, (8, 3): 21952000, (16, 2): 23799552, (32, 2): 222924288, (64, 2): 2540706816}
+
+
+def test_renorm_peak_drops_by_one_split():
+    # the plain distance comes before the subtracted split is built, so the
+    # build, Newton and distance terms each hold one split fewer
+    for (npts, n_max), before in FOUR_SPLIT_PEAK_BYTES.items():
+        dims = fock.sector_dims(npts, n_max)
+        low, top = npts * sum(dims[:-1]), npts * dims[-1]
+        split = 24 * low**2 + 8 * (npts**2 + top + n_max * top)
+        assert renorm_peak_bytes(npts, n_max) == before - split
 
 
 # ---------------------------------------------------------------------------
