@@ -708,19 +708,15 @@ def render_plot(experiment: str) -> str:
     )
 
 
-def _installed_version(package: str) -> str | None:
-    """Version of an installed distribution, read without importing it; None when absent."""
+def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
     # imported on use: importlib.metadata costs a process about 20 ms and 1.3 MB,
-    # which --validate need not pay
+    # which --validate need not pay; scipy's version is read without importing it
     from importlib import metadata
 
     try:
-        return metadata.version(package)
+        scipy_version = metadata.version("scipy")
     except metadata.PackageNotFoundError:
-        return None
-
-
-def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
+        scipy_version = None
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     stated_peak = check_guards(cfg, experiment, threads)
     payload = {
@@ -735,7 +731,7 @@ def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
         "stated_peak_mib": None if stated_peak is None else round(stated_peak / 2**20, 1),
         "versions": {
             "numpy": np.__version__,
-            "scipy": _installed_version("scipy"),
+            "scipy": scipy_version,
             "blas": blas.get("name"),
             "blas_version": blas.get("version"),
         },

@@ -12,10 +12,11 @@ periodic lattice enters by ordering its cells by distance to the origin
 The integral estimates target kernels F(|xi|, |Xi - xi|) on R^3: the
 integrals reduce to an (r, s) double quadrature with measure 2*pi*r*s/|Xi|
 on the inner variable, split at the singular radii and at the cutoff scale,
-with power-law tails mapped to a finite interval.  Every radial integral of
-the package runs on one vectorised adaptive Gauss-Legendre rule
-(``_adaptive_quad``) to the absolute target tol * 1e-5 per panel, on numpy
-alone.  Reported values are deterministic for a fixed tolerance.
+with integrable powers at the singular radii and a power-law tail mapped
+away on (0, 1].  Every radial integral of the package runs on one vectorised
+adaptive Gauss-Legendre rule (``_adaptive_quad``) to the absolute target
+tol * 1e-5 per panel, on numpy alone.  Reported values are deterministic
+for a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -161,39 +162,30 @@ _MAX_ROUNDS = 100
 _ATOL_PER_TOL = 1e-5
 
 
-def _adaptive_quad(f, lo, hi, owner, size: int, atol: float, max_rounds: int = _MAX_ROUNDS) -> np.ndarray:
-    """Per-owner sums of int_lo^hi f(x, owner) dx over a batch of panels.
+def _adaptive_quad(f, lo, hi, owner, size: int, tol: float = 1e-6) -> np.ndarray:
+    """Per-owner sums of int_lo^hi f(x, owner) dx over a batch of finite panels.
 
     ``f`` takes the nodes, shape (m, n), and the owner of each row, shape
-    (m, 1), and returns the integrand there.  A panel with hi = inf is a tail,
-    integrated in t over (0, 1] through x = lo + (1 - t)/t.  Every round
-    compares each panel's Gauss-Legendre value with the sum over its two
-    halves: a panel whose values agree to ``atol``, or to the roundoff of
+    (m, 1), and returns the integrand there.  Every round compares each
+    panel's Gauss-Legendre value with the sum over its two halves: a panel
+    whose values agree to tol * _ATOL_PER_TOL, or to the roundoff of
     int |f|, adds the halves to its owner's total, the others are bisected.
-    Panels left after ``max_rounds`` raise ``QuadratureError``.
+    Panels left after ``_MAX_ROUNDS`` rounds raise ``QuadratureError``.
     """
+    atol = tol * _ATOL_PER_TOL
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     owner = np.asarray(owner, dtype=np.intp)
-    tail = np.isinf(hi)
-    shift = np.where(tail, lo, 0.0)
-    lo, hi = np.where(tail, 0.0, lo), np.where(tail, 1.0, hi)
 
-    def sums(a, b, shift, tail, owner):
+    def sums(a, b, owner):
         half = 0.5 * (b - a)[:, None]
-        u = 0.5 * (a + b)[:, None] + half * _GL_NODES
-        t = np.where(tail[:, None], u, 1.0)
-        x = np.where(tail[:, None], shift[:, None] + (1.0 - t) / t, u)
-        vals = f(x, owner[:, None]) * (half / (t * t))
+        vals = f(0.5 * (a + b)[:, None] + half * _GL_NODES, owner[:, None]) * half
         return vals @ _GL_WEIGHTS, np.abs(vals) @ _GL_WEIGHTS
 
-    def twice(v):
-        return np.concatenate((v, v))
-
     total = np.zeros(size)
-    whole = sums(lo, hi, shift, tail, owner)[0]
-    for _ in range(max_rounds):
+    whole = sums(lo, hi, owner)[0]
+    for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo + hi)
-        halves, mass = sums(np.concatenate((lo, mid)), np.concatenate((mid, hi)), twice(shift), twice(tail), twice(owner))
+        halves, mass = sums(np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((owner, owner)))
         left, right = np.split(halves, 2)
         value = left + right
         done = np.abs(value - whole) <= np.maximum(atol, 64.0 * np.finfo(float).eps * np.sum(np.split(mass, 2), axis=0))
@@ -203,44 +195,91 @@ def _adaptive_quad(f, lo, hi, owner, size: int, atol: float, max_rounds: int = _
             return total
         lo, hi = np.concatenate((lo[open_], mid[open_])), np.concatenate((mid[open_], hi[open_]))
         whole = np.concatenate((left[open_], right[open_]))
-        shift, tail, owner = twice(shift[open_]), twice(tail[open_]), twice(owner[open_])
+        owner = np.concatenate((owner[open_], owner[open_]))
     raise QuadratureError(
-        f"{int(open_.sum())} panels still above the target {atol:.3g} after {max_rounds} bisection rounds"
+        f"{int(open_.sum())} panels still above the target {atol:.3g} after {_MAX_ROUNDS} bisection rounds"
     )
 
 
-def _radial_quad(rad, edges, atol: float) -> float:
-    """int_0^inf rad(r) dr over the panels between consecutive ``edges`` and
-    the tail beyond the last edge, as one batch."""
-    edges = np.asarray(edges, dtype=float)
-    hi = np.append(edges[1:], np.inf)
-    return float(_adaptive_quad(rad, edges, hi, np.zeros(edges.size, dtype=int), 1, atol)[0])
+def _radial_quad(rad, edges, tol: float = 1e-6, powers=None) -> np.ndarray:
+    """int_0^inf rad dr for each row k of ``edges``, one batch.
 
-
-def integral_3d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
-    """int_{R^3} F(|xi|, |Xi - xi|) dxi with |Xi| = R, for a vectorised F.
-
-    In the coordinates (r, s) = (|xi|, |Xi - xi|) the inner integral runs
-    over s in [|r - R|, r + R] with measure 2*pi*r*s/R (R > 0), split at R/2
-    and R; at R = 0 the integrand is 4*pi*r^2 F(r, r).  The radial integral
-    splits at R/2, R, 2R and any extra points (``_radial_quad``).  Each batch
-    of outer nodes r takes its inner integrals as one batch of panels.
+    rad(r0, dr, k) is the integrand at r = r0 + dr, where r0 is the anchor
+    of the node's panel, shape (m, 1), and dr its offset from it, exact
+    however close r comes to a singular edge.  A row 0 = e_0 < e_1 < ... <
+    e_last splits [0, inf) into panels and the tail beyond e_last.
+    ``powers`` holds, for every column j, the power of |r - e_j| in rad near
+    e_j and last the power of r as r -> inf; the default is a bounded
+    integrand decaying like r^-2.  A panel whose end e_j has a power p < 0
+    runs in u = (|r - e_j| / width)^(p + 1) and the tail in
+    u = (r - e_last + 1)^(q + 1) with q = max(power at inf, -2), both over
+    (0, 1]: an integrable singularity or a tail slower than r^-2 cancels
+    against the Jacobian and leaves a bounded integrand.  No two singular
+    edges may be adjacent.
     """
-    atol = tol * _ATOL_PER_TOL
+    edges = np.atleast_2d(np.asarray(edges, dtype=float))
+    rows, n = edges.shape
+    powers = np.append(np.zeros(n), -2.0) if powers is None else np.asarray(powers, dtype=float)
+    at_right = powers[1:-1] < 0.0
+    # every panel maps u in (0, 1] to r = anchor + scale * u^power - lift; the
+    # tail last, from its anchor e_last on the unit scale
+    left, right = edges[:, :-1], edges[:, 1:]
+    anchor = np.column_stack((np.where(at_right, right, left), edges[:, -1])).ravel()
+    scale = np.column_stack((np.where(at_right, left - right, right - left), np.ones(rows))).ravel()
+    lift = np.tile(np.append(np.zeros(n - 1), 1.0), rows)
+    end_power = np.append(np.minimum(np.where(at_right, powers[1:-1], powers[:-2]), 0.0), max(powers[-1], -2.0))
+    power = np.tile(1.0 / (end_power + 1.0), rows)
+    panel_row = np.repeat(np.arange(rows), n)
+
+    def mapped(u, k):
+        w = scale[k] * u ** power[k]
+        return rad(anchor[k], w - lift[k], panel_row[k]) * (np.abs(power[k] * w) / u)
+
+    per_panel = _adaptive_quad(mapped, np.zeros(power.size), np.ones(power.size), np.arange(power.size), power.size, tol)
+    return np.bincount(panel_row, weights=per_panel, minlength=rows)
+
+
+def integral_3d(F, R: float, split_extra=(), tol: float = 1e-6, powers=(0.0, 0.0, -2.0)) -> float:
+    """int_{R^3} F(|xi|, |Xi - xi|) dxi with |Xi| = R.
+
+    ``F`` must take arrays of r and s and return the array of its values:
+    every quadrature node of a round enters in one call.  In the coordinates
+    (r, s) = (|xi|, |Xi - xi|) the inner integral runs over s in
+    [|r - R|, r + R] with measure 2*pi*r*s/R (R > 0), split at R/2 and R; at
+    R = 0 the integrand is 4*pi*r^2 F(r, r).  The radial integral splits at
+    R/2, R, 2R and any extra points.  ``powers`` are those of the radial
+    integrand, about 4*pi*r^2 F, in r as r -> 0, in |r - R| as r -> R and in
+    r as r -> inf; negative ones are mapped away (``_radial_quad``).  Each
+    batch of outer nodes r takes its inner integrals as one batch of panels.
+
+    Closer to -1 than the maps resolve in double precision, the powers raise
+    ``PreconditionError``: within 0.04 at 0 and at inf, where the maps place
+    nodes at radii whose squares overflow, and within 0.2 at R, where the
+    inner integrals would need more bisection rounds than the cap.
+    """
+    at_zero, at_R, at_inf = powers
+    if at_zero < -0.96 or at_inf > -1.04 or (R > 0.0 and at_R < -0.8):
+        raise PreconditionError(
+            f"radial powers {at_zero:.4g} at 0, {at_R:.4g} at R and {at_inf:.4g} at inf "
+            "need at least -0.96, -0.8 and at most -1.04"
+        )
     if R == 0.0:
 
-        def rad(r, _):
+        def rad(r0, dr, _):
+            r = r0 + dr
             return 4.0 * np.pi * r * r * F(r, r)
 
         pts = sorted(p for p in split_extra if p > 0)
-        edge = 4.0 * pts[-1] if pts else 16.0
-        return _radial_quad(rad, [0.0] + pts + [edge], atol)
+        edges = [0.0] + pts + [4.0 * pts[-1] if pts else 16.0]
+        return float(_radial_quad(rad, edges, tol, [at_zero] + [0.0] * (len(edges) - 1) + [at_inf])[0])
 
-    def rad(r, _):
+    def rad(r0, dr, _):
         # s = lo + width * u over u in [0, 1], split where s passes R/2 and R; the
-        # width 2 min(r, R) is exact where hi - lo would cancel (r << R)
+        # width 2 min(r, R) is exact where hi - lo would cancel (r << R), and lo
+        # is the exact offset on the panels anchored at R
+        r = r0 + dr
         flat = r.ravel()
-        lo, width = np.abs(flat - R), 2.0 * np.minimum(flat, R)
+        lo, width = np.abs(np.where(r0 == R, dr, r - R)).ravel(), 2.0 * np.minimum(flat, R)
         cuts = np.clip(R / 2.0 - lo, 0.0, width) / width, np.clip(R - lo, 0.0, width) / width
         a, b = np.concatenate((np.zeros(flat.size), *cuts)), np.concatenate((*cuts, np.ones(flat.size)))
         owner = np.tile(np.arange(flat.size), 3)
@@ -252,10 +291,11 @@ def integral_3d(F, R: float, split_extra=(), tol: float = 1e-6) -> float:
             rk, s = flat[k], lo[k] + width[k] * u
             return scale[k] * s * F(rk, s)
 
-        return _adaptive_quad(ang, a[keep], b[keep], owner[keep], flat.size, atol).reshape(r.shape)
+        return _adaptive_quad(ang, a[keep], b[keep], owner[keep], flat.size, tol).reshape(r.shape)
 
     edges = sorted({0.0, R / 2.0, R, 2.0 * R, *[p for p in split_extra if p > 0]})
-    return _radial_quad(rad, edges, atol)
+    edge_powers = [at_zero if e == 0.0 else at_R if e == R else 0.0 for e in edges]
+    return float(_radial_quad(rad, edges, tol, edge_powers + [at_inf])[0])
 
 
 def _high_pass(lam: float):
@@ -283,7 +323,9 @@ def integral_estimate_check(
     returns (I, C * omega^p * lam^-eps) with p = -alpha + (3 - nu -
     sigma)/gamma + eps and C fitted over {omega, 4 omega} so the bound
     dominates both evaluations.  At lam = 0 the quadrupled-omega value
-    must match the predicted power within 15 percent.
+    must match the predicted power within 15 percent.  Exponents within
+    0.04 of the window's ends, or sigma > 2.8 at xi > 0, pass what the
+    quadrature resolves and raise ``PreconditionError`` (``integral_3d``).
     """
     if not nu + sigma < 3 < nu + sigma + alpha * gamma:
         raise PreconditionError(
@@ -307,8 +349,13 @@ def integral_estimate_check(
         return F
 
     splits = (lam,) if lam > 0.0 else ()
-    value = integral_3d(kernel(omega), xi, split_extra=splits, tol=tol)
-    scaled = integral_3d(kernel(4.0 * omega), xi, split_extra=splits, tol=tol)
+    # r^2 |xi'|^-nu near 0 (with |Xi - xi'|^-sigma too at xi = 0) and zeta_lam
+    # adding r^2; |Xi - xi'|^-sigma integrated over s leaves |r - xi|^(2 - sigma);
+    # the whole kernel decays like r^-(nu + sigma + alpha gamma)
+    at_zero = 2.0 - nu - (sigma if xi == 0.0 else 0.0) + (2.0 if lam > 0.0 else 0.0)
+    powers = (at_zero, 2.0 - sigma, 2.0 - nu - sigma - alpha * gamma)
+    value = integral_3d(kernel(omega), xi, split_extra=splits, tol=tol, powers=powers)
+    scaled = integral_3d(kernel(4.0 * omega), xi, split_extra=splits, tol=tol, powers=powers)
     predicted = 4.0**power
     if lam == 0.0 and abs(scaled / value / predicted - 1.0) > 0.15:
         raise ScalingError(
@@ -328,7 +375,9 @@ def offset_decay_check(
     """Decay of int zeta_lam |xi'|^-nu / (|Xi - xi'|^2 + 1) dxi' in |Xi|.
 
     Sweeps |Xi| over ``xis``, fits the log-log slope, and reports the
-    prefactor proxy max I(|Xi|) * |Xi|^(nu - 1 - eps).
+    prefactor proxy max I(|Xi|) * |Xi|^(nu - 1 - eps).  The quadrature
+    resolves nu from 1.04 to 2.96 (to 3 at lam > 0); closer to the ends of
+    (1, 3) ``integral_3d`` raises ``PreconditionError``.
     """
     if not 1.0 < nu < 3.0:
         raise PreconditionError(f"nu must lie in (1, 3), got {nu}")
@@ -341,8 +390,9 @@ def offset_decay_check(
         return zeta(r) * r**-nu / (s * s + 1.0)
 
     splits = (lam,) if lam > 0.0 else ()
+    powers = (2.0 - nu + (2.0 if lam > 0.0 else 0.0), 0.0, -nu)
     integrals = np.array(
-        [integral_3d(F, float(R), split_extra=splits, tol=tol) for R in xis]
+        [integral_3d(F, float(R), split_extra=splits, tol=tol, powers=powers) for R in xis]
     )
     if xis.size >= 2:
         slope = float(np.polyfit(np.log(xis), np.log(integrals), 1)[0])
@@ -390,15 +440,15 @@ def diagonal_divergence_demo(lams=(4.0, 8.0, 16.0, 32.0, 64.0), g_const: float =
         raise PreconditionError("the cutoff sweep needs at least two positive values")
     prefactor = 0.5 * TWO_PI**-3 * 4.0 * np.pi
     # [0, lam] and the tail [lam, inf) of every cutoff, one batch per kernel
-    lo, hi = np.concatenate((np.zeros(lams.size), lams)), np.append(lams, np.full(lams.size, np.inf))
-    owner = np.tile(np.arange(lams.size), 2)
+    edges = np.column_stack((np.zeros(lams.size), lams))
 
     def sweep(kernel, sign):
-        def f(r, k):
+        def f(r0, dr, k):
+            r = r0 + dr
             h0 = g_const * r * r
             return (h0 + 1.0) ** -0.5 * kernel(h0) * gaussian_profile_hat(r / lams[k]) ** 2 * r * r
 
-        return sign * prefactor * _adaptive_quad(f, lo, hi, owner, lams.size, tol * _ATOL_PER_TOL)
+        return sign * prefactor * _radial_quad(f, edges, tol)
 
     unsub = sweep(lambda h0: 1.0 / (h0 + 1.0), 1.0)
     sub = sweep(subtracted_kernel, -1.0)

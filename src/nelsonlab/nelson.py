@@ -45,7 +45,7 @@ from .grid import (
     norm as lattice_norm,
     sobolev_norm,
 )
-from .inequalities import _ATOL_PER_TOL, _radial_quad
+from .inequalities import _radial_quad
 from .operators import check_bytes, check_hermitian, lanczos_peak_bytes, opnorm, top_eigenvalue
 from .psido import dequantize
 
@@ -452,13 +452,14 @@ def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
 
-    def integrand(r, _):
+    def integrand(r0, dr, _):
+        r = r0 + dr
         h0 = g_const * r * r
         return (h0 + 1.0) ** -0.5 / (h0 + 1.0) * gaussian_profile_hat(r / lam) ** 2 * r ** (d - 1)
 
     sphere = {1: 2.0, 3: 4.0 * np.pi}[d]
-    # [0, lam] and the tail [lam, inf), to the target of the default quadrature tolerance
-    return 0.5 * (2.0 * np.pi) ** -d * sphere * _radial_quad(integrand, [0.0, lam], 1e-6 * _ATOL_PER_TOL)
+    # [0, lam] and the tail [lam, inf) at the default quadrature tolerance
+    return 0.5 * (2.0 * np.pi) ** -d * sphere * float(_radial_quad(integrand, [0.0, lam])[0])
 
 
 def gross_B(model: AssembledModel, lam: float) -> np.ndarray:

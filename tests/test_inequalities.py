@@ -20,6 +20,7 @@ from nelsonlab.inequalities import (
     rearrange,
     subtracted_kernel,
     _adaptive_quad,
+    _radial_quad,
 )
 from nelsonlab.nelson import vacuum_energy_quadrature
 
@@ -241,6 +242,10 @@ def test_estimate_preconditions():
         integral_estimate_check(0, 0, 1, 1, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(PreconditionError, match="omega"):
         integral_estimate_check(0, 0, 4, 1, 0.0, 0.0, 0.0, 0.0)
+    # |Xi - xi'|^-sigma leaves |r - xi|^(2 - sigma) at r = xi, resolved for sigma <= 2.8
+    integral_estimate_check(0, 2.8, 4, 1, 4.0, 1.0, 1.0, 0.05)
+    with pytest.raises(PreconditionError, match="radial powers"):
+        integral_estimate_check(0, 2.85, 4, 1, 4.0, 1.0, 1.0, 0.05)
 
 
 def test_offset_decay_table():
@@ -263,6 +268,10 @@ def test_offset_decay_preconditions():
     for nu in (1.0, 3.0, 0.5):
         with pytest.raises(PreconditionError, match="nu"):
             offset_decay_check(nu, [4.0], 0.0)
+    # within 0.04 of the window the radial powers pass what the quadrature resolves
+    for nu, lam in ((1.03, 0.0), (1.03, 4.0), (2.97, 0.0)):
+        with pytest.raises(PreconditionError, match="radial powers"):
+            offset_decay_check(nu, [4.0], lam)
     with pytest.raises(PreconditionError, match="sweep"):
         offset_decay_check(2.0, [-1.0], 0.0)
 
@@ -283,21 +292,37 @@ def test_estimate_at_the_origin_is_the_closed_form():
         assert value == pytest.approx(np.pi / (6.0 * om), rel=1e-12, abs=0.0)
 
 
-def test_adaptive_quad_sums_panels_and_tails_per_owner():
-    # int_a^inf dx / (1 + x^2) = pi/2 - atan(a), split at a + 1, two owners in one batch
-    starts = np.array([0.0, 2.5])
-    lo, hi = np.concatenate((starts, starts + 1.0)), np.concatenate((starts + 1.0, [np.inf, np.inf]))
-    got = _adaptive_quad(lambda x, _: 1.0 / (1.0 + x * x), lo, hi, [0, 1, 0, 1], 2, 1e-13)
-    np.testing.assert_allclose(got, np.pi / 2.0 - np.arctan(starts), rtol=1e-14)
+def test_radial_quad_sums_panels_and_tails_per_row():
+    # int_0^inf dr / (c^2 + r^2) = pi / (2 c), two rows split at different edges in one batch
+    c = np.array([1.0, 2.0])
+
+    def rad(r0, dr, k):
+        return 1.0 / (c[k] ** 2 + (r0 + dr) ** 2)
+
+    got = _radial_quad(rad, [[0.0, 1.0, 2.0], [0.0, 2.5, 3.5]], tol=1e-8)
+    np.testing.assert_allclose(got, np.pi / (2.0 * c), rtol=1e-14)
+
+
+def test_radial_quad_maps_singular_edges_away():
+    # int_0^1 r^-0.96 dr + int_1^inf r^-1.04 dr = 25 + 25
+    def ends(r0, dr, _):
+        r = r0 + dr
+        return np.where(r < 1.0, r, 1.0) ** -0.96 * np.where(r > 1.0, r, 1.0) ** -1.04
+
+    assert _radial_quad(ends, [0.0, 1.0], powers=[-0.96, 0.0, -1.04])[0] == pytest.approx(50.0, rel=1e-12)
+
+    # int_0^2 |r - 1|^-0.8 dr = 10, the distance to the singular edge exact in dr
+    def inner(r0, dr, _):
+        r = r0 + dr
+        return np.where(r < 2.0, np.abs(np.where(r0 == 1.0, dr, r - 1.0)), np.inf) ** -0.8
+
+    assert _radial_quad(inner, [0.0, 1.0, 2.0], powers=[0.0, -0.8, 0.0, -2.0])[0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_adaptive_quad_raises_at_its_round_cap():
-    # the halves of the panel at 0 never agree on 1/x, and a jump at an irrational point
-    # halves its disagreement once per round
-    with pytest.raises(QuadratureError, match="after 100 bisection rounds"):
-        _adaptive_quad(lambda x, _: 1.0 / x, [0.0], [1.0], [0], 1, 1e-6)
-    with pytest.raises(QuadratureError, match="1 panels still above the target 1e-12 after 12 bisection rounds"):
-        _adaptive_quad(lambda x, _: (x > 2.0**-0.5) * 1.0, [0.0], [1.0], [0], 1, 1e-12, max_rounds=12)
+    # the halves of the panel at 0 never agree on 1/x
+    with pytest.raises(QuadratureError, match="1 panels still above the target 1e-11 after 100 bisection rounds"):
+        _adaptive_quad(lambda x, _: 1.0 / x, [0.0], [1.0], [0], 1)
 
 
 # -- scipy.integrate.quad as the oracle; the library itself never imports scipy
@@ -372,6 +397,33 @@ def test_offset_decay_matches_quadpack(xi, lam):
 
     want = _quad_integral_3d(F, xi, (lam,) if lam > 0.0 else ())
     assert offset_decay_check(2.0, [xi], lam)["integral"][0] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("nu", [1.05, 1.3, 2.7, 2.95])
+def test_offset_decay_across_the_window_matches_quadpack(nu):
+    # r^(2 - nu) at 0 and r^-nu at inf, which bisection alone resolves only near nu = 2
+    xis = [0.5, 4.0]
+    for lam in (0.0, 4.0):
+        zeta = _high_pass(lam)
+
+        def F(r, s):
+            return zeta(r) * r**-nu / (s * s + 1.0)
+
+        want = [_quad_integral_3d(F, xi, (lam,) if lam > 0.0 else ()) for xi in xis]
+        np.testing.assert_allclose(offset_decay_check(nu, xis, lam)["integral"], want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("nu, sigma", [(1.5, 1.4), (0.0, 2.9), (2.9, 0.0)])
+def test_estimate_near_the_window_matches_quadpack(nu, sigma):
+    # at xi = 0 the radial integrand behaves like r^(2 - nu - sigma) = r^-0.9 at 0
+    for lam in (0.0, 4.0):
+        zeta = _high_pass(lam)
+
+        def F(r, s):
+            return zeta(r) * r**-nu * s**-sigma / (2.0 * r + 1.0) ** 4
+
+        want = _quad_integral_3d(F, 0.0, (lam,) if lam > 0.0 else ())
+        assert integral_estimate_check(nu, sigma, 4, 1, lam, 1.0, 0.0, 0.05)[0] == pytest.approx(want, rel=1e-10)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
