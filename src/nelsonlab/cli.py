@@ -5,8 +5,7 @@ writes three artifacts into the output directory: ``results.csv`` with one
 row per measurement (experiment, parameters, lhs, rhs, status),
 ``summary.json`` with per-check status, tolerances, seed, config hash,
 wall clock, the process's peak resident set size and the library's stated
-peak, the numpy and scipy versions (scipy's from its installed metadata:
-the library never imports scipy), the BLAS name and version and the run's
+peak, the numpy version, the BLAS name and version and the run's
 telemetry (matrix sides and solver records), and ``plot.gp``.
 Identical (config, seed) pairs produce byte-identical CSV files; sweeps
 are merged in parameter order regardless of the --threads setting.
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import resource
 import sys
@@ -64,6 +64,11 @@ _MODEL_KERNELS = {
     "ibc-identity": ("build_ibc", ibc.ibc_peak_bytes, "lams"),
     "domain-regularity": ("domain_regularity_norms", ibc.regularity_peak_bytes, None),
 }
+
+
+# symbols that psido-calculus holds at once, whatever its draws and --threads:
+# the first draw and the current pair of ``_symbol_pairs``
+_CALCULUS_HELD_SYMBOLS = 3
 
 
 class ConfigError(ValueError):
@@ -264,7 +269,7 @@ def check_guards(cfg: dict[str, dict], experiment: str | None, workers: int = 1)
         if not all(value > 0.0 for value in sweep[key]):
             raise GuardError(f"[sweep] {key}: {experiment} needs positive entries, got {sweep[key]}")
     stated = []
-    for key, held in (("psido_npts", sweep["draws"]), ("parametrix_npts", 0)):
+    for key, held in (("psido_npts", _CALCULUS_HELD_SYMBOLS), ("parametrix_npts", 0)):
         with _refusal(f"[sweep] {key}"):
             size = Grid(1, sweep[key], model["box"]).size
             if experiment == "psido-calculus":
@@ -380,15 +385,27 @@ def run_weyl_identities(cfg, seed, threads) -> list[Row]:
     return rows
 
 
+def _symbol_pairs(grid: Grid, rng: np.random.Generator, draws: int):
+    """Yield (symbol i, symbol i + 1 mod ``draws``) for i < ``draws``, drawing each
+    symbol from ``rng`` once, in order.  Only the first draw, kept for the last
+    pair, and the current pair are held, so at most three symbols exist at once
+    whatever ``draws`` is."""
+    first = a = psido.random_band_limited(grid, rng)
+    for _ in range(1, draws):
+        b = psido.random_band_limited(grid, rng)
+        yield a, b
+        a = b
+    yield a, first
+
+
 def run_psido_calculus(cfg, seed, threads) -> list[Row]:
+    """The draws run one pair at a time whatever ``threads`` is: a second thread
+    would hold its own temporaries and gains no time on pairs this short."""
     sweep, tol, model = cfg["sweep"], cfg["tolerances"], cfg["model"]
     grid = Grid(1, sweep["psido_npts"], model["box"])
     rng = np.random.default_rng(seed)
-    symbols = [psido.random_band_limited(grid, rng) for _ in range(sweep["draws"])]
 
-    def residuals(i: int) -> dict[str, float]:
-        a = symbols[i]
-        b = symbols[(i + 1) % len(symbols)]
+    def residuals(a: psido.Symbol, b: psido.Symbol) -> dict[str, float]:
         qa = psido.quantize(a, 1.0)
         qb = psido.quantize(b, 1.0)
         roundtrip = float(np.max(np.abs(psido.dequantize(grid, qa, 1.0).values - a.values)))
@@ -397,7 +414,8 @@ def run_psido_calculus(cfg, seed, threads) -> list[Row]:
         change = opnorm(psido.quantize(psido.change_quantization(a, 1.0, 0.5), 0.5) - qa)
         return {"roundtrip": roundtrip, "composition": comp, "adjoint": adj, "requantization": change}
 
-    results = _ordered_map(residuals, list(range(len(symbols))), threads)
+    # starmap drops each pair before it draws the next
+    results = list(itertools.starmap(residuals, _symbol_pairs(grid, rng, sweep["draws"])))
     params = {"npts": grid.npts, "draws": sweep["draws"], "seed": seed}
     names = ("roundtrip", "composition", "adjoint", "requantization")
     rows = [Row(name, params, max(res[name] for res in results), tol["symbol_atol"]) for name in names]
@@ -413,7 +431,7 @@ def run_psido_calculus(cfg, seed, threads) -> list[Row]:
     telemetry = {
         "symbol_side": grid.size,
         "parametrix_side": pgrid.size,
-        "draws": len(symbols),
+        "draws": len(results),
         # the first draw that attains each row's maximum
         "worst_draw": {name: int(np.argmax([res[name] for res in results])) for name in names},
         "parametrix_residuals": [float(r) for r in resid],
@@ -709,14 +727,6 @@ def render_plot(experiment: str) -> str:
 
 
 def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
-    # imported on use: importlib.metadata costs a process about 20 ms and 1.3 MB,
-    # which --validate need not pay; scipy's version is read without importing it
-    from importlib import metadata
-
-    try:
-        scipy_version = metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        scipy_version = None
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     stated_peak = check_guards(cfg, experiment, threads)
     payload = {
@@ -731,7 +741,6 @@ def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
         "stated_peak_mib": None if stated_peak is None else round(stated_peak / 2**20, 1),
         "versions": {
             "numpy": np.__version__,
-            "scipy": scipy_version,
             "blas": blas.get("name"),
             "blas_version": blas.get("version"),
         },

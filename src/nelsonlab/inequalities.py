@@ -82,9 +82,9 @@ class RadialProfile:
         return np.diff(balls, prepend=0.0)
 
 
-def lattice_profile(grid: Grid, values) -> RadialProfile:
-    """Radial profile of a function on a one-dimensional lattice: its flat
-    values ordered by the distance |x| of their cells to the origin."""
+def _lattice_values(grid: Grid, values) -> np.ndarray:
+    """The real parts of flat, real, nonnegative values on a one-dimensional
+    lattice; anything else is refused."""
     if grid.dim != 1:
         raise DomainError(f"lattice rearrangement needs dim 1, got dim {grid.dim}")
     values = np.asarray(values)
@@ -98,6 +98,13 @@ def lattice_profile(grid: Grid, values) -> RadialProfile:
         raise DomainError(
             f"negative value {vals[worst]:.6g} at lattice point {grid.axis_positions()[worst]:.6g}"
         )
+    return vals
+
+
+def lattice_profile(grid: Grid, values) -> RadialProfile:
+    """Radial profile of a function on a one-dimensional lattice: its flat
+    values ordered by the distance |x| of their cells to the origin."""
+    vals = _lattice_values(grid, values)
     half = 0.5 * grid.box
     signed = np.mod(grid.axis_positions() + half, grid.box) - half
     order = np.argsort(np.abs(signed), kind="stable")
@@ -122,13 +129,14 @@ def rearrange(profile: RadialProfile) -> RadialProfile:
 
 
 def hardy_littlewood_check(grid: Grid, f, g) -> tuple[float, float]:
-    """Return (int f g, int f* g*) for nonnegative functions on a lattice."""
-    fp = lattice_profile(grid, f)
-    gp = lattice_profile(grid, g)
-    lhs = grid.weight * float(np.real(f) @ np.real(g))
-    rhs = grid.weight * float(
-        np.sort(fp.values)[::-1] @ np.sort(gp.values)[::-1]
-    )
+    """Return (int f g, int f* g*) for nonnegative functions on a lattice.
+
+    The lattice cells have equal volumes, so f* g* pairs the values of f and
+    g sorted alike: no radial profile is needed."""
+    vf = _lattice_values(grid, f)
+    vg = _lattice_values(grid, g)
+    lhs = grid.weight * float(vf @ vg)
+    rhs = grid.weight * float(np.sort(vf)[::-1] @ np.sort(vg)[::-1])
     return lhs, rhs
 
 

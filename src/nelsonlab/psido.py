@@ -56,8 +56,10 @@ class OrderFunction:
 
 def calculus_peak_bytes(size: int, symbols: int) -> int:
     """Most bytes the symbol calculus holds at once on a lattice of ``size`` points, in complex
-    tables of its side: 16 (the caches and ``parametrix``, its widest step, make 13.5) and
-    the ``symbols`` that the caller holds besides."""
+    tables of its side: 16 (``parametrix``, its widest step, makes 14.5 from empty caches)
+    and the ``symbols`` that the caller holds besides.  The psido-calculus runner states
+    3, the most it holds at once: it peaks at 14 tables over its draws and at 17 in its
+    parametrix, beside the caches that the draws' other orderings left."""
     return 16 * size**2 * (16 + symbols)
 
 

@@ -254,6 +254,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ROOT / "configs" / "regularity-64.cfg",
         ROOT / "configs" / "ibc-identity-32.cfg",
         ROOT / "configs" / "renorm-32.cfg",
+        ROOT / "configs" / "psido-draws-100.cfg",
         *sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")),
     ],
     ids=lambda path: path.name,
@@ -437,7 +438,7 @@ def test_summary_records_config_hash_and_seed(tmp_path):
     assert sum_a["peak_rss_mib"] > 0.0
     # weyl-identities runs no kernel under the memory guard
     assert sum_a["stated_peak_mib"] is None
-    assert set(sum_a["versions"]) == {"numpy", "scipy", "blas", "blas_version"}
+    assert set(sum_a["versions"]) == {"numpy", "blas", "blas_version"}
     assert sum_a["versions"]["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert sum_a["versions"]["blas"] == blas["name"]
@@ -566,6 +567,51 @@ def test_psido_summary_records_check_telemetry(tmp_path):
     assert "side" not in csv and "worst" not in csv and "residuals" not in csv
 
 
+@pytest.mark.parametrize("draws", [1, 2, 5])
+def test_streamed_symbol_pairs_match_the_listed_draws(draws):
+    grid = Grid(1, 16, 2 * np.pi)
+    rng = np.random.default_rng(3)
+    symbols = [psido.random_band_limited(grid, rng) for _ in range(draws)]
+    listed = [(symbols[i], symbols[(i + 1) % draws]) for i in range(draws)]
+    streamed = list(cli._symbol_pairs(grid, np.random.default_rng(3), draws))
+    assert len(streamed) == draws
+    for (a, b), (sa, sb) in zip(listed, streamed):
+        assert np.array_equal(a.values, sa.values) and np.array_equal(b.values, sb.values)
+    # the last pair wraps around to the first draw, kept rather than drawn again
+    assert streamed[-1][1] is streamed[0][0]
+
+
+def test_psido_calculus_peak_does_not_grow_with_draws():
+    cfg = resolve_config(None)
+    cfg["sweep"].update(psido_npts=64, parametrix_npts=64, draws=1)
+    cli.run_psido_calculus(cfg, 7, 1)  # first-use imports and allocations stay out of the peaks
+    table = 16 * Grid(1, 64, cfg["model"]["box"]).size ** 2
+    peaks = {}
+    for draws in (3, 30):
+        cfg["sweep"]["draws"] = draws
+        # from empty per-grid caches
+        for cached in (psido._axis_components, psido._target_index, psido._translation_phase,
+                       psido._column_table, psido._chi_mesh, psido._reordering_phase):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            rows = cli.run_psido_calculus(cfg, 7, 1)
+            peaks[draws] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.telemetry["draws"] == draws
+        assert peaks[draws] <= check_guards(cfg, "psido-calculus")
+    assert abs(peaks[30] - peaks[3]) <= table
+
+
+def test_psido_calculus_guard_does_not_scale_with_draws():
+    # 2000 listed symbols of side 256 alone were 2 GiB, past the budget
+    cfg = resolve_config(None)
+    cfg["sweep"].update(psido_npts=256, draws=2000)
+    assert check_guards(cfg, "psido-calculus") == psido.calculus_peak_bytes(256, cli._CALCULUS_HELD_SYMBOLS)
+    assert check_guards(cfg, "psido-calculus", 2) == check_guards(cfg, "psido-calculus", 1)
+
+
 def test_fock_conjugation_rows_pass_at_tiny_coupling(tmp_path):
     # the Weyl truncation tolerance underflows to 0 here; the rows keep the roundoff floor
     cfg = tmp_path / "c.cfg"
@@ -606,6 +652,17 @@ def test_quadrature_runs_load_no_scipy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+
+def test_summary_reads_no_package_metadata(tmp_path):
+    # importlib.metadata cost each run about 28 ms and 1.4 MiB of its peak
+    code = (
+        "import sys; from nelsonlab.cli import main; "
+        f"code = main(['--experiment', 'weyl-identities', '--out', {str(tmp_path)!r}]); "
+        "print(code, 'importlib.metadata' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
 
 def test_renorm_reaches_npts_32_within_the_budget():

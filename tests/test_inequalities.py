@@ -167,6 +167,19 @@ def test_hardy_littlewood_rejects_mismatched_grids():
         hardy_littlewood_check(GRID, np.ones(GRID.size), np.ones(SMALL.size))
 
 
+def test_hardy_littlewood_refuses_what_lattice_profile_refuses():
+    negative = np.ones(GRID.size)
+    negative[5] = -0.25
+    for bad, match in ((negative, "negative value"), (np.full(GRID.size, 1.0 + 1.0j), "real")):
+        with pytest.raises(DomainError, match=match):
+            lattice_profile(GRID, bad)
+        with pytest.raises(DomainError, match=match):
+            hardy_littlewood_check(GRID, np.ones(GRID.size), bad)
+    plane = Grid(2, 4, 2 * np.pi)
+    with pytest.raises(DomainError, match="dim 1"):
+        hardy_littlewood_check(plane, np.ones(plane.size), np.ones(plane.size))
+
+
 # -- Peetre
 
 

@@ -231,8 +231,8 @@ def test_grid_table_cache_stays_bounded_over_many_orderings():
 
 
 def test_grid_tables_stay_consistent_across_threads():
-    # sweep threads share the cache; alternating grids and orderings evict
-    # entries while other threads read them
+    # threads that call the calculus share the cache; alternating grids and
+    # orderings evict entries while other threads read them
     rng = np.random.default_rng(36)
     cases = [(_rand_symbol(g, rng), t) for g in (Grid(1, 16, 2 * np.pi), Grid(2, 4, 2 * np.pi)) for t in (0.0, 0.3)]
 
