@@ -593,8 +593,8 @@ def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
     )
 
     samples = rng.normal(scale=4.0, size=(sweep["fuzz_samples"], 2, 3))
-    for t in (-4.0, -1.5, 0.5, 4.0):
-        count = inequalities.peetre_check(t, samples)
+    ts = (-4.0, -1.5, 0.5, 4.0)
+    for t, count in zip(ts, inequalities.peetre_check(ts, samples)):
         rows.append(
             Row("peetre-fuzz", {"t": t, "samples": sweep["fuzz_samples"], "seed": seed}, float(count), 0.0)
         )

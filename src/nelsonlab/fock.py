@@ -59,9 +59,15 @@ class SectorLadder:
     factors: np.ndarray
 
     @cached_property
-    def target_heads(self) -> np.ndarray:
-        """The first entry of each target's run; every target of the sector has one."""
-        return _run_heads(self.targets)
+    def target_runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For j = 0, 1, ...: the targets whose run has a j-th entry, and those entries.
+
+        Every target of the sector has a run, of one entry per occupied
+        mode, so j = 0 lists them all.
+        """
+        heads = _run_heads(self.targets)
+        lengths = np.diff(heads, append=len(self.targets))
+        return [(np.flatnonzero(lengths > j), heads[lengths > j] + j) for j in range(lengths.max(initial=0))]
 
     @cached_property
     def by_source(self) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,10 @@ rows ``FockBasis.tensor_rows(size, n, n)``.  H0 + s is block diagonal, A and
 G map sector n-1 into sector n only, and G^k maps n-k into n.  So A comes
 from the creation ladder, G from the free spectrum without a solve, and the
 defect H_ibc - (H_lam + E_lam), the Neumann series and its residual multiply
-only the nonzero sector blocks.  No matrix of the whole tensor space is formed,
-and each kernel refuses at entry if its stated peak passes ``operators.MAX_BYTES``.
+only the nonzero sector blocks.  The domain-regularity norms apply each
+step's M*M through the creation ladder, in a bounded Lanczos basis, and form
+no Gram.  No matrix of the whole tensor space is formed, and each kernel
+refuses at entry if its stated peak passes ``operators.MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ import numpy as np
 from .fock import sector_dims
 from .nelson import (
     AssembledModel,
-    _ladder_pairs,
-    _step_gram,
-    _step_plan,
+    _annihilate,
+    _create,
     creation_blocks,
     form_factor,
     lower_sectors,
     sector_layout,
 )
-from .operators import check_bytes, lanczos_peak_bytes, opnorm, top_eigenvalue
+from .operators import _LANCZOS_SEED, check_bytes, lanczos_peak_bytes, opnorm, top_eigenvalue
 
 
 def free_shift(model: AssembledModel) -> float:
@@ -221,39 +222,73 @@ def defect_norm(ops: IbcOperators) -> float:
 # domain regularity
 
 
+# Lanczos basis length of each step norm.  The shipped configs take at most
+# 164 steps (``configs/regularity-128.cfg`` at npts 128, p = 1), so they never
+# restart, where 128 vectors would; a one-boson step at npts 512, p = 1 needs
+# 379 steps in one basis and takes 596 with two restarts of this one.
+_BASIS = 256
+
+
+def _step_operator(lad, c: np.ndarray, q_k: np.ndarray, weight: np.ndarray):
+    """x -> M*M x with M = diag(sqrt weight) (Q_K* x 1) A_n, on flat vectors of sector n-1, X-major.
+
+    A_n is the ladder scatter ``_create`` with entries ``c`` and A_n* is
+    ``_annihilate`` (the model is real); ``weight`` holds one column per
+    target o of sector n.  No Gram is formed.
+    """
+    size = len(q_k)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        rotated = q_k.T @ _create(lad, c, x.reshape(size, -1))
+        rotated *= weight
+        return _annihilate(lad, c, q_k @ rotated).ravel()
+
+    return apply
+
+
+def _step_peak_bytes(npts: int, n_src: int, n_tgt: int, vectors: int) -> int:
+    """Most bytes one sector step n-1 -> n holds with a Lanczos basis of ``vectors`` vectors, float64.
+
+    Besides the basis (``lanczos_peak_bytes``) and the coefficient table
+    (npts x npts), the ladder has npts * n_src entries, so its coefficients
+    and the two gathers of one scatter are (npts, npts * n_src) each; the
+    rotated vector, the weight and their temporaries are a few (npts, n_tgt).
+    """
+    side = npts * n_src
+    return lanczos_peak_bytes(side, vectors, 8) + 8 * npts * (npts + 3 * side + 4 * n_tgt)
+
+
 def regularity_peak_bytes(npts: int, n_max: int) -> int:
     """Most bytes ``domain_regularity_norms`` holds at once on a d = 1 lattice of ``npts`` points:
-    the largest ``_step_plan`` peak, with a Lanczos run of as many steps as the Gram has rows."""
-    peaks = [0]
-    for n, src in enumerate(sector_dims(npts, n_max)[:-1], start=1):
-        lanczos = lanczos_peak_bytes(npts * src, npts * src, 8)
-        peaks.append(_step_plan(_ladder_pairs(npts, n), npts, src, 8, lanczos)["peak_bytes"])
-    return max(peaks)
+    the widest step with a full Lanczos basis of ``_BASIS`` vectors (``_step_peak_bytes``), or the
+    three complex npts x npts tables of ``form_factor`` before the steps."""
+    dims = sector_dims(npts, n_max)
+    steps = (_step_peak_bytes(npts, src, tgt, min(_BASIS, npts * src)) for src, tgt in zip(dims[:-1], dims[1:]))
+    return max([48 * npts**2, *steps])
 
 
 def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
-    """||H0^p G_lam|| for each p, from the exact Gram matrix of each sector step.
+    """||H0^p G_lam|| for each p, from the top eigenvalue of M*M on each sector step.
 
     G = -(H0 + s)^{-1} A maps sector n-1 into sector n, so the norm is the
     largest of the step norms.  On sector n, H0 = (Q_K x 1) diag(eps_i + E_o)
     (Q_K x 1)*; the left factor (Q_K x 1) is unitary and is dropped, which
     leaves M = S_p (Q_K* x 1) A with S_p = (eps_i + E_o)^p / (eps_i + E_o + s)
-    and the Gram matrix
+    and
 
-        (M*M)[(y,a),(z,b)] = sum_o conj(C_y[o,a]) W_o[y,z] C_z[o,b],
-        W_o = Q_K diag(S_p^2[:, o]) Q_K*,  C_y[o,a] = v_y[k] sqrt(occ_o[k]),
+        M*M x = A_n* (Q_K x 1) (S_p^2 * ((Q_K* x 1) A_n x)),
 
-    a sum over the pairs of ladder entries a -> o, b -> o that share their
-    target o, which ``_step_gram`` takes in chunks.  The step norm is the
-    square root of the Gram's top eigenvalue (``operators.top_eigenvalue``),
-    clamped at zero so that zero coupling gives exactly 0.0.  Each power's
-    Gram is freed before the next is summed, so a step holds one Gram and the
-    larger of one chunk and the Lanczos basis, which grows with the steps
-    taken; the guard at entry allows a run of as many steps as the Gram has
-    rows (``regularity_peak_bytes``).  Each step costs one Gram of side
-    size * dim(sector n-1) per p, and no dense eigensolver or tensor matrix.
-    The shift s enters only through the resolvent factor of G.  An exact
-    power-of-two scale of the coefficients keeps their squares from underflowing.
+    two ladder scatters and two rotations along X (``_step_operator``).  The
+    step norm is the square root of its top eigenvalue
+    (``operators.top_eigenvalue`` in a basis of at most ``_BASIS`` vectors),
+    clamped at zero so that zero coupling gives exactly 0.0.  The start
+    vector is the seeded draw of ``top_eigenvalue`` read in source-major
+    order (a, y), as the Gram sum of ``nelson._step_gram`` lays out its
+    rows.  A step holds the Lanczos basis and the apply's workspace, a few
+    arrays of npts x (ladder entries), and nothing of the side squared
+    (``regularity_peak_bytes``).  The shift s enters only through the
+    resolvent factor of G.  An exact power-of-two scale of the coefficients
+    keeps their squares from underflowing.
 
     On the d = 1 tensor model the one-boson sector gives
     ||H0^p G_lam||^2 ~ int^lam k^{-1} k^{4p-4} dk: the norm stays bounded in
@@ -262,10 +297,9 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
 
     Returns the norm per p under "norms" and the step norms n = 1..N_max per
     p under "steps"; at p = 0 these are the sector norms ||G||_{n-1 -> n}.
-    "plans" holds each step's Gram side, ladder pair count, chunking and
-    peak bytes for the Lanczos steps taken (``_step_plan``), and under
-    "lanczos" the step count and final relative residual bound of each p's
-    top eigenvalue.
+    "plans" holds each step's side and its stated peak bytes for the
+    Lanczos basis it grew to (``_step_peak_bytes``), and under "lanczos" the
+    steps, restarts and final relative residual bound of each p's top eigenvalue.
     """
     check_bytes("domain_regularity_norms", regularity_peak_bytes(model.grid.size, model.basis.n_max))
     ps = [float(p) for p in ps]
@@ -281,21 +315,21 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     steps = {p: [] for p in ps}
     plans = []
     for n, lad in enumerate(basis.ladder, start=1):
-        n_src = basis.sector_bounds[n] - basis.sector_bounds[n - 1]
+        n_src, n_tgt = (int(dim) for dim in np.diff(basis.sector_bounds[n - 1 : n + 2]))
+        side = n_src * size
+        length = min(_BASIS, side)
+        # the seeded draw is source-major (a, y); the apply reads X-major (y, a)
+        start = np.random.default_rng(_LANCZOS_SEED).standard_normal(side).reshape(n_src, size).T.ravel()
         base = eps_k[:, None] + occ_energy[basis.sector_slice(n)][None, :] + s
         c = coeffs[:, lad.modes] * lad.factors  # C_y of each ladder entry
-        itemsize = np.result_type(c, q_k, base).itemsize
-        side = n_src * size
         records = []
         for p in ps:
-            gram = _step_gram(lad, c, q_k, ((base - s) ** p / base) ** 2, n_src)
-            top, iterations, residual = top_eigenvalue(gram.reshape(side, side))
-            del gram
-            records.append({"p": p, "steps": iterations, "residual": residual})
+            apply = _step_operator(lad, c, q_k, ((base - s) ** p / base) ** 2)
+            top, taken, residual = top_eigenvalue(apply, _BASIS, start)
+            records.append({"p": p, "steps": taken, "restarts": (taken - 1) // length, "residual": residual})
             steps[p].append(float(np.sqrt(max(0.0, top))) * 2.0**exponent)
-        lanczos_bytes = max((lanczos_peak_bytes(side, r["steps"], itemsize) for r in records), default=0)
-        plan = _step_plan(len(lad.shared_target_pairs[0]), size, n_src, itemsize, lanczos_bytes)
-        plans.append(plan | {"lanczos": records})
+        vectors = min(length, max((r["steps"] for r in records), default=1))
+        plans.append({"side": side, "peak_bytes": _step_peak_bytes(size, n_src, n_tgt, vectors), "lanczos": records})
     norms = {p: max(steps[p], default=0.0) for p in ps}
     return {"norms": norms, "steps": {p: np.array(steps[p]) for p in ps}, "shift": s, "plans": plans}
 

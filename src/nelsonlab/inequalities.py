@@ -140,23 +140,27 @@ def hardy_littlewood_check(grid: Grid, f, g) -> tuple[float, float]:
     return lhs, rhs
 
 
-def peetre_check(t: float, samples: np.ndarray) -> int:
-    """Count violations of <x>^t <= 2^|t| <y>^t <x-y>^|t| over sample pairs.
+def peetre_check(ts, samples: np.ndarray) -> list[int]:
+    """Count violations of <x>^t <= 2^|t| <y>^t <x-y>^|t| over sample pairs, one count per t of ``ts``.
 
-    ``samples`` has shape (n, 2, d) holding the pairs (x, y).
+    ``samples`` has shape (n, 2, d) holding the pairs (x, y).  The brackets
+    <x>, <y> and <x-y> are evaluated once for all t.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or samples.shape[1] != 2:
         raise DomainError(f"samples must have shape (n, 2, d), got {samples.shape}")
-    x = samples[:, 0, :]
-    y = samples[:, 1, :]
+    # one contiguous row per coordinate, so each bracket sums d rows
+    x, y = np.ascontiguousarray(samples.transpose(1, 2, 0))
 
     def bracket(z: np.ndarray) -> np.ndarray:
-        return np.sqrt(1.0 + np.sum(z * z, axis=1))
+        return np.sqrt(1.0 + np.sum(z * z, axis=0))
 
-    lhs = bracket(x) ** t
-    rhs = 2.0 ** abs(t) * bracket(y) ** t * bracket(x - y) ** abs(t)
-    return int(np.sum(lhs > rhs * (1.0 + 1e-12)))
+    bx, by, bxy = bracket(x), bracket(y), bracket(x - y)
+    counts = []
+    for t in ts:
+        rhs = 2.0 ** abs(t) * by**t * bxy ** abs(t)
+        counts.append(int(np.sum(bx**t > rhs * (1.0 + 1e-12))))
+    return counts
 
 
 class QuadratureError(ArithmeticError):

@@ -343,10 +343,14 @@ def creation_blocks(model: AssembledModel, lam: float, top: int | None = None) -
 def _create(lad, c: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A_n v for the step ``lad`` with entries ``c`` (one row per X): (size, dim n-1) -> (size, dim n).
 
-    A scatter of the ladder entries, summed by target; the entries are
-    ordered by target, so ``np.add.reduceat`` sums each target's run.
+    A scatter of the ladder entries, summed by target: the first entry of
+    every target's run, then its j-th entries in turn (``target_runs``).
     """
-    return np.add.reduceat(c * v[:, lad.sources], lad.target_heads, axis=1)
+    (_, first), *rest = lad.target_runs
+    out = c[:, first] * v[:, lad.sources[first]]
+    for targets, entries in rest:
+        out[:, targets] += c[:, entries] * v[:, lad.sources[entries]]
+    return out
 
 
 def _annihilate(lad, c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -362,13 +366,9 @@ _CHUNK_BYTES = 1 << 20
 _CHUNK_ARRAYS = 3
 
 
-def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int, lanczos_bytes: int = 0) -> dict:
-    """Chunking and stated peak bytes of one sector-step Gram, from sizes alone.
-
-    While a Gram is alive the step holds, one after the other, one chunk of
-    pair workspace and the memory of ``top_eigenvalue`` (``lanczos_bytes``);
-    the peak is the Gram and the larger of the two.
-    """
+def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int) -> dict:
+    """Chunking and stated peak bytes of one sector-step Gram, from sizes alone:
+    the Gram and one chunk of pair workspace."""
     block = size * size * itemsize
     per_chunk = max(1, min(n_pairs, _CHUNK_BYTES // (_CHUNK_ARRAYS * block)))
     gram = (n_src * size) ** 2 * itemsize
@@ -377,7 +377,7 @@ def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int, lanczos_bytes
         "pairs": n_pairs,
         "pairs_per_chunk": per_chunk,
         "chunks": -(-n_pairs // per_chunk),
-        "peak_bytes": gram + max(_CHUNK_ARRAYS * per_chunk * block, lanczos_bytes),
+        "peak_bytes": gram + _CHUNK_ARRAYS * per_chunk * block,
     }
 
 
@@ -808,7 +808,7 @@ def _ground_level(split: _TopSectorSplit) -> tuple[float, dict]:
     return level, {"newton_evaluations": evaluations, "residual": abs(value)}
 
 
-# most Lanczos steps of one resolvent distance: its stated memory (``renorm_peak_bytes``)
+# Lanczos basis length of one resolvent distance: its stated memory (``renorm_peak_bytes``)
 _DISTANCE_STEPS = 256
 
 
@@ -822,8 +822,8 @@ def _resolvent_distance(split_a: _TopSectorSplit, split_b: _TopSectorSplit, seed
     the top step (``_TopSectorSplit.resolve``), and R* x = conj(R conj x)
     since H is real, so one Gram application is four of them.  The start
     vector is drawn from a generator seeded with ``seed``: a constant one
-    can be orthogonal to the top singular vector.  A run takes at most
-    ``_DISTANCE_STEPS`` steps.  Bitwise equal splits give exactly 0.
+    can be orthogonal to the top singular vector.  Its basis holds at most
+    ``_DISTANCE_STEPS`` vectors.  Bitwise equal splits give exactly 0.
 
     Returns sqrt(theta) and the solver's record: the Gram applications
     (one per Lanczos step) and the Lanczos bound on ||G u - theta u|| / theta.
@@ -838,7 +838,7 @@ def _resolvent_distance(split_a: _TopSectorSplit, split_b: _TopSectorSplit, seed
     rng = np.random.default_rng(seed)
     n = len(split_a.low) + split_a.top.size
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    theta, steps, residual = top_eigenvalue(gram, start, _DISTANCE_STEPS)
+    theta, steps, residual = top_eigenvalue(gram, _DISTANCE_STEPS, start)
     return float(np.sqrt(max(theta, 0.0))), {"gram_applications": steps, "residual": residual}
 
 
@@ -850,7 +850,7 @@ def renorm_peak_bytes(npts: int, n_max: int) -> int:
     Q, d and the top step's entries (N = n_max >= 1).  Each sweep point
     takes its plain distance before it builds the subtracted split, so the
     sweep holds three splits while it takes a resolvent distance, whose
-    Lanczos basis of side S + T grows to at most ``_DISTANCE_STEPS``
+    Lanczos basis of side S + T holds at most ``_DISTANCE_STEPS``
     vectors; it holds two while it builds the third, which needs L, the
     complex Schur complement and then three more of its size inside
     ``np.linalg.inv`` (or, before that, the top step's complex Gram with one

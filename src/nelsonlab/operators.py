@@ -42,22 +42,19 @@ _LANCZOS_SEED = 0
 
 
 def lanczos_peak_bytes(side: int, steps: int, itemsize: int) -> int:
-    """Most bytes ``top_eigenvalue`` holds while it takes ``steps`` steps on a matrix of side ``side``.
+    """Most bytes ``top_eigenvalue`` holds while its basis grows to ``steps`` vectors of side ``side``.
 
-    Its basis doubles, up to ``side`` rows, each time it fills, so the most
-    it holds is the old and the new array of the last doubling; besides, it
-    holds the tridiagonal T_k of the last step and its eigenvectors.
+    Its basis doubles, up to its length, each time it fills, so the most it
+    holds is the old and the new array of the last doubling; besides, it
+    holds the tridiagonal T_k of the last step and its eigenvectors.  A run
+    that restarts holds no more than its full basis.
     """
     grown = 1 << (steps - 1).bit_length()
     return (grown // 2 + min(side, grown)) * side * itemsize + 2 * steps**2 * 8
 
 
-class ConvergenceError(ArithmeticError):
-    """Lanczos used up its step budget before its bound met the tolerance."""
-
-
-def top_eigenvalue(op, start: np.ndarray | None = None, max_steps: int | None = None) -> tuple[float, int, float]:
-    """Largest eigenvalue of a Hermitian positive-semidefinite operator, by Lanczos.
+def top_eigenvalue(op, basis: int, start: np.ndarray | None = None) -> tuple[float, int, float]:
+    """Largest eigenvalue of a Hermitian positive-semidefinite operator, by Lanczos in a basis of at most ``basis`` vectors.
 
     ``op`` is a real symmetric matrix or a function x -> A x.  The start
     vector ``start``, whose dtype the basis takes, is required for a
@@ -70,41 +67,53 @@ def top_eigenvalue(op, start: np.ndarray | None = None, max_steps: int | None = 
     |lambda - theta_k| <= beta_k |s_k|, and the iteration stops once that
     bound is at most ``_LANCZOS_RTOL`` * theta_k.  It also stops, exactly, at
     beta_k = 0 (a zero matrix gives 0.0 after one step) or when the basis
-    spans the space (k = side).  Its memory grows with the steps taken
-    (``lanczos_peak_bytes``); a run that reaches ``max_steps`` below the side
-    without meeting its bound raises ``ConvergenceError``, so a caller can
-    state the memory of a run of at most that many steps.
+    spans the space (k = side).  A basis that fills below the side without
+    meeting the bound restarts from its top Ritz vector, whose Rayleigh
+    quotient is theta_k, so theta never decreases in exact arithmetic; a
+    restart cycle that leaves theta where it was ends the run with that
+    theta and its bound.
+    The memory is that of ``lanczos_peak_bytes`` at the steps taken, and at
+    most at ``basis``; no path raises.
 
-    Returns (theta_k, k, beta_k |s_k| / theta_k).
+    Returns (theta, steps over all cycles, beta_k |s_k| / theta); every
+    cycle but the last takes min(side, ``basis``) steps.
     """
     if start is None:
         start = np.random.default_rng(_LANCZOS_SEED).standard_normal(len(op))
     matvec = op if callable(op) else op.__matmul__
     side = len(start)
-    basis = np.empty((1, side), dtype=start.dtype)
-    basis[0] = start / np.linalg.norm(start)
-    alphas, betas = np.zeros(side), np.zeros(side)
-    for k in range(side):
-        w = matvec(basis[k])
-        alphas[k] = (basis[k].conj() @ w).real
-        for _ in range(2):
-            w -= basis[: k + 1].T @ (basis[: k + 1].conj() @ w)
-        betas[k] = np.linalg.norm(w)
-        tri = np.zeros((k + 1, k + 1))
-        tri.flat[:: k + 2] = alphas[: k + 1]
-        tri.flat[1 :: k + 2] = tri.flat[k + 1 :: k + 2] = betas[:k]
-        evals, evecs = np.linalg.eigh(tri)
-        theta = float(evals[-1])
-        bound = float(betas[k] * abs(evecs[-1, -1]))
-        if betas[k] == 0.0 or k + 1 == side or bound <= _LANCZOS_RTOL * theta:
-            return theta, k + 1, bound / max(theta, np.finfo(float).tiny)
-        if k + 1 == max_steps:
-            raise ConvergenceError(f"Lanczos bound {bound:.3e} above {_LANCZOS_RTOL:g} * {theta:.6g} after {max_steps} steps")
-        if k + 1 == len(basis):
-            grown = np.empty((min(side, 2 * len(basis)), side), dtype=basis.dtype)
-            grown[: k + 1] = basis
-            basis = grown
-        basis[k + 1] = w / betas[k]
+    length = min(side, basis)
+    vecs = np.empty((1, side), dtype=start.dtype)
+    vecs[0] = start / np.linalg.norm(start)
+    steps, last = 0, -np.inf
+    while True:
+        alphas, betas = np.zeros(length), np.zeros(length)
+        for k in range(length):
+            w = matvec(vecs[k])
+            steps += 1
+            alphas[k] = (vecs[k].conj() @ w).real
+            for _ in range(2):
+                w -= vecs[: k + 1].T @ (vecs[: k + 1].conj() @ w)
+            betas[k] = np.linalg.norm(w)
+            tri = np.zeros((k + 1, k + 1))
+            tri.flat[:: k + 2] = alphas[: k + 1]
+            tri.flat[1 :: k + 2] = tri.flat[k + 1 :: k + 2] = betas[:k]
+            evals, evecs = np.linalg.eigh(tri)
+            theta = float(evals[-1])
+            bound = float(betas[k] * abs(evecs[-1, -1]))
+            done = betas[k] == 0.0 or k + 1 == side or bound <= _LANCZOS_RTOL * theta
+            if done or k + 1 == length:
+                break
+            if k + 1 == len(vecs):
+                grown = np.empty((min(length, 2 * len(vecs)), side), dtype=vecs.dtype)
+                grown[: k + 1] = vecs
+                vecs = grown
+            vecs[k + 1] = w / betas[k]
+        if done or theta <= last:
+            return theta, steps, bound / max(theta, np.finfo(float).tiny)
+        last = theta
+        ritz = vecs.T @ evecs[:, -1]
+        vecs[0] = ritz / np.linalg.norm(ritz)
 
 
 def psd_power(mat: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:

@@ -56,11 +56,13 @@ class OrderFunction:
 
 def calculus_peak_bytes(size: int, symbols: int) -> int:
     """Most bytes the symbol calculus holds at once on a lattice of ``size`` points, in complex
-    tables of its side: 16 (``parametrix``, its widest step, makes 14.5 from empty caches)
-    and the ``symbols`` that the caller holds besides.  The psido-calculus runner states
-    3, the most it holds at once: it peaks at 14 tables over its draws and at 17 in its
-    parametrix, beside the caches that the draws' other orderings left."""
-    return 16 * size**2 * (16 + symbols)
+    tables of its side: 21 for ``parametrix``, its widest step, and the ``symbols`` that the
+    caller holds besides.  From empty caches a parametrix makes 13.5 tables at t = 1 and 20.0
+    at t != 1, where it fills every per-grid cache (``_grid_table``, 4 tables at most); a t = 1
+    parametrix after work at another ordering makes 16.0, beside the translation and
+    reordering phases and chi that the other ordering left cached.  The psido-calculus runner
+    states 3 symbols, the most it holds at once."""
+    return 16 * size**2 * (21 + symbols)
 
 
 def xi_power_order(grid: Grid, m: float) -> OrderFunction:

@@ -121,19 +121,19 @@ def test_domain_regularity_gram_guard_refuses_before_assembly(tmp_path, capsys, 
 
     monkeypatch.setattr(nelson, "assemble_free", refuse)
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("[sweep]\nsizes = 8, 16, 32, 128\ndomain_lams = 2, 4, 8, 16\n")
-    # 128 x C(128,1) = 16384 is the Gram side of the last sizes entry: 2 GiB,
-    # and 7 GiB more for a Lanczos run of as many steps
+    cfg.write_text("[model]\nn_max = 3\n[sweep]\nsizes = 8, 16, 32, 128\ndomain_lams = 2, 4, 8, 16\n")
+    # the step 2 -> 3 at the last sizes entry has side 128 x C(129, 2) = 1056768:
+    # a full Lanczos basis of 256 such vectors is 3.0 GiB, and the apply's workspace 4.4 GiB
     base = ("--experiment", "domain-regularity", "--config", str(cfg))
     out = tmp_path / "run"
     for extra in (("--validate",), ("--out", str(out))):
         assert run_cli(*base, *extra) == 3
         err = capsys.readouterr().err
-        assert "sizes entry 128" in err and "domain_regularity_norms would hold 9663676416 bytes" in err
+        assert "sizes entry 128" in err and "domain_regularity_norms would hold 7959347200 bytes" in err
     assert not out.exists()
     # other experiments never read sizes
     assert run_cli("--experiment", "weyl-identities", "--config", str(cfg), "--validate") == 0
-    # the defaults reach a Gram side of 32 x C(32,1) = 1024
+    # the defaults reach a step side of 32 x C(32,1) = 1024
     assert check_guards(resolve_config(None), "domain-regularity") < 2**30
 
 
@@ -252,6 +252,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ROOT / "configs" / "default.cfg",
         ROOT / "configs" / "regularity-64.cfg",
+        ROOT / "configs" / "regularity-128.cfg",
         ROOT / "configs" / "ibc-identity-32.cfg",
         ROOT / "configs" / "renorm-32.cfg",
         ROOT / "configs" / "psido-draws-100.cfg",
@@ -510,35 +511,29 @@ def test_domain_regularity_summary_records_kernel_telemetry(tmp_path):
     out = tmp_path / "run"
     assert run_cli("--experiment", "domain-regularity", "--config", str(cfg), "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
-    # the pre-flight's stated peak: the Gram kernel at the widest sizes entry
+    # the pre-flight's stated peak: the kernel at the widest sizes entry
     assert summary["stated_peak_mib"] == round(ibc.regularity_peak_bytes(16, 2) / 2**20, 1)
     points = summary["telemetry"]["points"]
     assert [(point["npts"], point["lam"]) for point in points] == [(8, 2.0), (16, 4.0)]
-    # step n has a Gram of side npts x dim(sector n-1); its pairs are the
-    # ladder entries a -> o, b -> o sharing o: npts of them into sector 1,
-    # and into sector 2 four per target with two distinct modes plus one per doubled mode
+    # step n applies M*M on a side of npts x dim(sector n-1), with at most
+    # _BASIS Lanczos vectors: none of these runs restarts
     for point in points:
         npts = point["npts"]
         steps = point["steps"]
-        assert [step["gram_side"] for step in steps] == [npts, npts * npts]
-        assert [step["pairs"] for step in steps] == [npts, 4 * npts * (npts - 1) // 2 + npts]
+        assert [step["side"] for step in steps] == [npts, npts * npts]
         for step in steps:
-            assert step["chunks"] == -(-step["pairs"] // step["pairs_per_chunk"])
-            side = step["gram_side"]
+            side = step["side"]
             assert [record["p"] for record in step["lanczos"]] == [0.0, 1.0]
             for record in step["lanczos"]:
-                assert 1 <= record["steps"] <= side
+                assert 1 <= record["steps"] <= side and record["restarts"] == 0
                 assert 0.0 <= record["residual"] <= 1e-15
-            # one Gram, then the larger of one chunk (at most every pair's
-            # workspace) and the Lanczos memory of the longest run
+            # the basis of the longest run and the apply's workspace, a few
+            # arrays of npts x side; nothing of the side squared
             lanczos = max(lanczos_peak_bytes(side, record["steps"], 8) for record in step["lanczos"])
-            assert side**2 * 8 + lanczos <= step["peak_bytes"]
-            assert step["peak_bytes"] <= side**2 * 8 + max(lanczos, step["pairs"] * 3 * npts**2 * 8)
-    # at npts 16 the widest step no longer fits one chunk
-    assert points[1]["steps"][1]["chunks"] > 1
+            assert lanczos < step["peak_bytes"] <= lanczos + 8 * npts * (npts + 3 * side + 4 * npts**2)
     csv = (out / "results.csv").read_text()
-    assert "gram_side" not in csv and "chunks" not in csv and "peak_bytes" not in csv
-    assert "lanczos" not in csv and "residual" not in csv
+    assert "side" not in csv and "peak_bytes" not in csv
+    assert "lanczos" not in csv and "restarts" not in csv and "residual" not in csv
 
 
 def test_psido_summary_records_check_telemetry(tmp_path):

@@ -324,54 +324,62 @@ def test_domain_regularity_structured_matches_dense(bench8, ops2, bench8_n3, ops
         assert abs(result["shift"] - SHIFT_L8) < 1e-6
 
 
-def test_domain_regularity_chunking_does_not_change_norms(bench8, ops2, bench8_n3, ops2_n3, monkeypatch):
-    ps = [0.0, 0.2, 0.5, 1.0]
-    for model, ops in ((bench8, ops2), (bench8_n3, ops2_n3)):
-        dense = dense_domain_norms(model, scatter(model, ops.g), ps)
-        steps = {}
-        # a budget of one byte leaves one pair per chunk; 1 TiB takes every pair at once
-        for budget in (1, 1 << 40):
-            monkeypatch.setattr(nelson, "_CHUNK_BYTES", budget)
-            result = domain_regularity_norms(model, 2.0, ps)
-            for plan in result["plans"]:
-                assert plan["chunks"] == (plan["pairs"] if budget == 1 else 1)
-            for p in ps:
-                assert abs(result["norms"][p] - dense[p]) <= 1e-10 * dense[p]
-            steps[budget] = np.concatenate([result["steps"][p] for p in ps])
-        assert np.max(np.abs(steps[1] - steps[1 << 40]) / steps[1 << 40]) <= 1e-13
+@pytest.mark.parametrize("npts", [4, 8])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_step_operator_applies_the_step_gram(npts, n_max):
+    # M*M x through two ladder scatters and two rotations, against the summed
+    # Gram of the same step; the Gram is source-major (a, y), the apply X-major (y, a)
+    model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
+    coeffs, q = form_factor(model, 2.0), model.k_evecs
+    dims = np.diff(model.basis.sector_bounds)
+    s = free_shift(model)
+    rng = np.random.default_rng(10 * npts + n_max)
+    for n, lad in enumerate(model.basis.ladder, start=1):
+        side = npts * dims[n - 1]
+        c = coeffs[:, lad.modes] * lad.factors
+        base = model.k_evals[:, None] + model.occupation_energies[model.basis.sector_slice(n)] + s
+        for p in (0.0, 0.5, 1.0):
+            weight = ((base - s) ** p / base) ** 2
+            gram = nelson._step_gram(lad, c, q, weight, dims[n - 1]).transpose(1, 0, 3, 2).reshape(side, side)
+            apply = ibc._step_operator(lad, c, q, weight)
+            for _ in range(3):
+                x = rng.standard_normal(side)
+                want = gram @ x
+                assert np.abs(apply(x) - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_domain_regularity_peak_is_one_gram_and_a_chunk_or_its_lanczos_basis():
-    model = assemble_free(sinusoidal_spec(32, n_max=2))
-    model.basis.ladder[-1].shared_target_pairs  # cached on the basis, not kernel memory
+def _traced_regularity_peak(model, lam, ps):
+    for lad in model.basis.ladder:
+        lad.target_runs, lad.by_source  # cached on the basis, not kernel memory
     np.random.default_rng()  # numpy.random is imported on first use, not kernel memory
     tracemalloc.start()
     try:
-        result = domain_regularity_norms(model, 8.0, [0.0, 0.5])
-        peak = tracemalloc.get_traced_memory()[1]
+        result = domain_regularity_norms(model, lam, ps)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_domain_regularity_peak_is_its_lanczos_basis_and_apply():
+    result, peak = _traced_regularity_peak(assemble_free(sinusoidal_spec(32, n_max=2)), 8.0, [0.0, 0.5])
     plan = result["plans"][-1]
-    gram_bytes = plan["gram_side"] ** 2 * 8
-    # each power's Gram is freed before the next is summed, and the top
-    # eigenvalue holds a Lanczos basis that grows with its steps, but no copy of the Gram
-    assert peak <= 1.35 * gram_bytes
+    # the widest step holds its Lanczos basis and the apply's workspace, a
+    # quarter of one matrix of its side at most, and no Gram
+    assert peak <= 0.25 * plan["side"] ** 2 * 8
     assert abs(peak - plan["peak_bytes"]) <= 0.25 * plan["peak_bytes"]
 
 
 def test_domain_regularity_peak_is_within_its_stated_bytes():
     # the widest model of the regularity workload; the stated peak allows a
-    # Lanczos run of as many steps as the Gram has rows, where this one takes 28
-    model = assemble_free(sinusoidal_spec(32, n_max=2))
-    model.basis.ladder[-1].shared_target_pairs  # cached on the basis, not kernel memory
-    np.random.default_rng()  # numpy.random is imported on first use, not kernel memory
-    tracemalloc.start()
-    try:
-        domain_regularity_norms(model, 8.0, [0.0, 0.2, 0.4, 0.5])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # full basis of _BASIS vectors, where this one takes 32 steps at most
+    peak = _traced_regularity_peak(assemble_free(sinusoidal_spec(32, n_max=2)), 8.0, [0.0, 0.2, 0.4, 0.5])[1]
     assert peak <= regularity_peak_bytes(32, 2) <= 4 * peak
+
+
+def test_domain_regularity_peak_at_npts_64_is_within_its_stated_bytes():
+    # the widest model of configs/regularity-64.cfg, whose p = 1 run takes 95 steps
+    peak = _traced_regularity_peak(assemble_free(sinusoidal_spec(64, n_max=2)), 16.0, [0.0, 0.2, 0.4, 1.0])[1]
+    assert peak <= regularity_peak_bytes(64, 2) <= 4 * peak
 
 
 def test_build_ibc_peak_is_within_its_stated_bytes(bench8_n3):
@@ -410,7 +418,7 @@ def test_domain_regularity_takes_no_dense_eigensolver_on_a_gram(bench8_n3, monke
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, guarded(name, getattr(np.linalg, name)))
     result = domain_regularity_norms(bench8_n3, 2.0, [0.0, 0.5])
-    assert result["plans"][-1]["gram_side"] == side == 288
+    assert result["plans"][-1]["side"] == side == 288
     assert np.max(np.abs(result["steps"][0.0] - np.array(SECTOR_NORMS_N3))) < 1e-7
 
 
@@ -450,16 +458,17 @@ def test_domain_regularity_matches_dense_on_random_models(
 
 
 def test_domain_regularity_gram_guard_refuses_before_allocating(monkeypatch):
-    # Gram side 32 x C(33, 2) = 16896, 2.1 GiB before its Lanczos memory; the
-    # model itself is cheap (Fock dim 6545)
-    model = assemble_free(sinusoidal_spec(32, n_max=3))
+    # the step 6 -> 7 has side 16 x C(21, 6) = 868224: a full Lanczos basis of 256
+    # such vectors, with the half it doubled from, is 2.5 GiB and the apply's
+    # ladder workspace 0.4 GiB more; the model itself is cheap (Fock dim 245157)
+    model = assemble_free(sinusoidal_spec(16, n_max=7))
 
     def forbidden(*args):
         raise AssertionError("built a ladder or coefficient table past the guard")
 
     monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
     monkeypatch.setattr(ibc, "form_factor", forbidden)
-    with pytest.raises(SizeError, match="domain_regularity_norms would hold 11349786624 bytes"):
+    with pytest.raises(SizeError, match="domain_regularity_norms would hold 3088951296 bytes"):
         domain_regularity_norms(model, 2.0, [0.5])
 
 

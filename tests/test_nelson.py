@@ -779,6 +779,26 @@ def test_step_gram_matches_dense_oracle(npts, n_max):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_step_gram_chunking_does_not_change_the_gram(n_max, monkeypatch):
+    # a budget of one byte leaves one pair per chunk; 1 TiB takes every pair at once
+    model = assemble_free(sinusoidal_spec(8, n_max=n_max))
+    coeffs, q = form_factor(model, 2.0), model.k_evecs
+    dims = np.diff(model.basis.sector_bounds)
+    for n, lad in enumerate(model.basis.ladder, start=1):
+        c = coeffs[:, lad.modes] * lad.factors
+        base = model.k_evals[:, None] + model.occupation_energies[model.basis.sector_slice(n)] + 0.5
+        for weight in (((base - 0.5) ** 0.5 / base) ** 2, 1.0 / (base + 1j)):
+            grams = {}
+            for budget in (1, 1 << 40):
+                monkeypatch.setattr(nelson, "_CHUNK_BYTES", budget)
+                pairs = len(lad.shared_target_pairs[0])
+                plan = nelson._step_plan(pairs, 8, dims[n - 1], weight.itemsize)
+                assert plan["chunks"] == (pairs if budget == 1 else 1)
+                grams[budget] = nelson._step_gram(lad, c, q, weight, dims[n - 1])
+            assert np.abs(grams[1] - grams[1 << 40]).max() <= 1e-13 * np.abs(grams[1 << 40]).max()
+
+
 @pytest.mark.parametrize("npts", [4, 8])
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_ladder_scatter_applies_the_dense_creation_block(npts, n_max):

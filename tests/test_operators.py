@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nelsonlab import operators
-from nelsonlab.operators import ConvergenceError, top_eigenvalue
+from nelsonlab.operators import top_eigenvalue
 
 
 def psd_with_spectrum(evals: np.ndarray, seed: int) -> np.ndarray:
@@ -13,8 +13,9 @@ def psd_with_spectrum(evals: np.ndarray, seed: int) -> np.ndarray:
 
 
 def assert_top_matches_eigvalsh(mat: np.ndarray) -> int:
+    # a basis as long as the side never restarts
     want = np.linalg.eigvalsh(mat)[-1]
-    value, steps, residual = top_eigenvalue(mat)
+    value, steps, residual = top_eigenvalue(mat, len(mat))
     assert abs(value - want) <= 1e-14 * want
     assert residual <= 1e-15
     assert 1 <= steps <= len(mat)
@@ -59,7 +60,7 @@ def test_top_eigenvalue_of_the_lattice_laplacian():
 
 
 def test_top_eigenvalue_of_zero_is_exactly_zero_in_one_step():
-    assert top_eigenvalue(np.zeros((30, 30))) == (0.0, 1, 0.0)
+    assert top_eigenvalue(np.zeros((30, 30)), 30) == (0.0, 1, 0.0)
 
 
 def test_top_eigenvalue_does_not_depend_on_the_start_vector():
@@ -68,7 +69,7 @@ def test_top_eigenvalue_does_not_depend_on_the_start_vector():
     b = np.random.default_rng(11).standard_normal((200, 200))
     mat = b @ b.T
     q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((200, 200)))
-    first, second = top_eigenvalue(mat)[0], top_eigenvalue(q @ mat @ q.T)[0]
+    first, second = top_eigenvalue(mat, 200)[0], top_eigenvalue(q @ mat @ q.T, 200)[0]
     assert abs(first - second) <= 1e-14 * first
 
 
@@ -79,10 +80,10 @@ def test_top_eigenvalue_memory_grows_with_the_steps_taken(kind):
         mat = b @ b.T
     else:
         mat = psd_with_spectrum(1.0 - 0.3 * (np.arange(300) / 300) ** 2, 7)
-    steps = top_eigenvalue(mat)[1]
+    steps = top_eigenvalue(mat, len(mat))[1]
     tracemalloc.start()
     try:
-        top_eigenvalue(mat)
+        top_eigenvalue(mat, len(mat))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -99,14 +100,23 @@ def test_top_eigenvalue_of_a_hermitian_operator_given_as_a_function():
     mat = b @ b.conj().T
     start = rng.standard_normal(80) + 1j * rng.standard_normal(80)
     want = np.linalg.eigvalsh(mat)[-1]
-    value, steps, residual = top_eigenvalue(lambda x: mat @ x, start)
+    value, steps, residual = top_eigenvalue(lambda x: mat @ x, 80, start)
     assert abs(value - want) <= 1e-14 * want
     assert residual <= 1e-15 and 1 <= steps <= 80
 
 
-def test_top_eigenvalue_refuses_past_its_step_budget():
-    # the top-clustered spectrum needs every step; a budget of 40 holds 40 basis vectors at most
-    mat = psd_with_spectrum(1.0 - 0.3 * (np.arange(300) / 300) ** 2, 7)
-    with pytest.raises(ConvergenceError, match="after 40 steps"):
-        top_eigenvalue(mat, max_steps=40)
-    assert top_eigenvalue(mat, max_steps=300)[1] == 300
+def test_top_eigenvalue_restarts_in_a_bounded_basis():
+    # the top-clustered spectrum needs all 100 steps in one basis; a basis of
+    # 20 vectors restarts from its top Ritz vector until a cycle leaves theta
+    # unchanged, and never holds more than its 20 vectors
+    mat = psd_with_spectrum(1.0 - 0.3 * (np.arange(100) / 100) ** 2, 7)
+    want = np.linalg.eigvalsh(mat)[-1]
+    tracemalloc.start()
+    try:
+        value, steps, residual = top_eigenvalue(mat, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - want) <= 1e-14 * want
+    assert steps > 20 and residual >= 0.0
+    assert peak <= operators.lanczos_peak_bytes(100, 20, 8)

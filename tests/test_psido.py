@@ -689,12 +689,32 @@ def test_calculus_peak_is_within_its_stated_bytes():
     assert peak <= calculus_peak_bytes(grid.size, 0) <= 4 * peak
 
 
+@pytest.mark.parametrize("before, t", [(0.5, 1.0), (None, 0.5)], ids=["requantized-then-t1", "t05"])
+def test_calculus_peak_after_other_orderings_is_within_its_stated_bytes(before, t):
+    # from empty caches: a t = 0.5 requantization leaves its ordering's tables
+    # cached through a t = 1 parametrix, and a t = 0.5 parametrix fills every cache
+    grid = Grid(1, 256, 2 * np.pi)
+    x, k = grid.position_mesh()[:, 0], grid.momentum_mesh()[:, 0]
+    sym = Symbol(grid, np.outer(1.0 + 0.3 * np.sin(x), 1.0 + k**2), xi_power_order(grid, 2))
+    for table in (_axis_components, _target_index, _translation_phase, _column_table, _chi_mesh, _reordering_phase):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        if before is not None:
+            quantize(change_quantization(sym, 1.0, before), before)
+        parametrix(sym, t, iterations=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= calculus_peak_bytes(grid.size, 0) <= 4 * peak
+
+
 def test_symbol_refuses_table_past_dense_guard():
     # the guard fires before the values are read, so no 8192 x 8192 table
-    # exists; the calculus on it would hold 16 such complex tables
-    with pytest.raises(SizeError, match="symbol calculus would hold 17179869184 bytes"):
+    # exists; the calculus on it would hold 21 such complex tables
+    with pytest.raises(SizeError, match="symbol calculus would hold 22548578304 bytes"):
         Symbol(Grid(1, 8192, 2 * np.pi), np.ones((1, 1)))
-    with pytest.raises(SizeError, match="symbol calculus would hold 68719476736 bytes"):
+    with pytest.raises(SizeError, match="symbol calculus would hold 90194313216 bytes"):
         Symbol(Grid(2, 128, 2 * np.pi), np.ones((1, 1)))
 
 
