@@ -32,7 +32,6 @@ import json
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from os import cpu_count, makedirs, path
@@ -337,6 +336,9 @@ def _params_text(params: dict) -> str:
 def _ordered_map(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: it loads ``logging``, which a one-thread run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -505,7 +507,8 @@ def run_gross_transform(cfg, seed, threads) -> list[Row]:
         rows.append(Row("fock-dgamma-conjugation", params, report["fock_dgamma_dev"], fock_bound))
         rows.append(Row("fock-field-conjugation", params, report["fock_field_dev"], fock_bound))
         rows.append(Row("dressing-ratio", params, ratio, 1.0))
-        checks.append({"lam": lam, **{key: report[key] for key in ("residual_abs", "scale", "b_norm_max")}})
+        keys = ("residual_abs", "scale", "b_norm_max", "weyl_steps", "weyl_terms")
+        checks.append({"lam": lam, **{key: report[key] for key in keys}})
     telemetry = {"tensor_dim": model.dim, "safe_dim": report["safe_dim"], "transformed": checks}
     return Rows(rows, telemetry)
 

@@ -153,6 +153,20 @@ class FockBasis:
         empty = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)
         return tuple(np.concatenate(column) for column in zip(empty, *entries))
 
+    @cached_property
+    def ladder_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of a* (``creation_entries``) and of its transpose a, summed by the row they add to.
+
+        Concatenates the (rows, cols) pairs of the creation entries with the
+        swapped pairs and stable-sorts them by row: returns that order, the
+        column each sorted entry reads and the first entry of each row's run.
+        With n_max >= 1 every basis row has a run, so the runs are the rows.
+        """
+        rows, cols, _, _ = self.creation_entries
+        adds_to = np.concatenate((rows, cols))
+        order = np.argsort(adds_to, kind="stable")
+        return order, np.concatenate((cols, rows))[order], _run_heads(adds_to[order])
+
 
 def fock_basis(n_modes: int, n_max: int) -> FockBasis:
     if n_modes < 1 or n_max < 0:
@@ -216,6 +230,64 @@ def momentum(basis: FockBasis, f: np.ndarray) -> np.ndarray:
 def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
     """V(f) = exp(i Pi(f)), unitary on the truncation."""
     return hermitian_func(momentum(basis, f), lambda w: np.exp(1j * w))
+
+
+def apply_ladder(basis: FockBasis, create: np.ndarray, annihilate: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(a*(create) + a(annihilate)) applied to each row of ``vectors``, shape (k, dim).
+
+    One gather of the ``ladder_runs`` entries and one ``np.add.reduceat``
+    by row: no matrix of side dim is formed.  Pass zeros for a side that is
+    not wanted.  Real coefficients and vectors give a real result.
+    """
+    create, annihilate = np.asarray(create), np.asarray(annihilate)
+    if create.shape != (basis.n_modes,) or annihilate.shape != (basis.n_modes,):
+        raise ValueError(f"expected {basis.n_modes} mode coefficients")
+    _, _, modes, factors = basis.creation_entries
+    order, reads, heads = basis.ladder_runs
+    entries = np.concatenate((create[modes] * factors, np.conj(annihilate)[modes] * factors))[order]
+    if not len(entries):  # n_max 0: no ladder
+        return np.zeros(vectors.shape, dtype=np.result_type(entries, vectors))
+    gathered = np.take(vectors, reads, axis=1) * entries
+    return np.add.reduceat(gathered, heads, axis=1)
+
+
+# one step of ``weyl_rows``: the bound on the norm of its generator, and the
+# size its first dropped Taylor term stays below
+_STEP_NORM = 2.0
+_TAYLOR_TAIL = 2.0**-53
+
+
+def weyl_rows(basis: FockBasis, f: np.ndarray, rows) -> tuple[np.ndarray, int, int]:
+    """Rows ``rows`` of V(f) = exp(i Pi(f)) without forming V(f): (V(f)[rows, :], steps, terms).
+
+    V(f)[rows, :] is the complex conjugate of the rows (V(f)*[:, rows])^T:
+    exp(G) applied to the unit vectors of ``rows`` (``apply_ladder``, one
+    row each), G = -i Pi(f) = (a*(f) - a(f)) / sqrt(2).  On
+    the truncation ||a(f)|| = sqrt(n_max) ||f||, so ||G|| <= sqrt(2 n_max) ||f||.
+    The exponential is taken in ``steps`` equal steps, each of norm at most 2,
+    and each step is a Taylor series of ``terms`` terms whose first dropped
+    term is below 2^-53 (the terms peak at 2, so roundoff stays near 1e-15).
+    A real f keeps the series real.
+    """
+    f = np.asarray(f)
+    rows = np.asarray(rows)
+    bound = np.sqrt(2.0 * basis.n_max) * float(np.linalg.norm(f))
+    steps = max(1, int(np.ceil(bound / _STEP_NORM)))
+    theta = bound / steps
+    terms, dropped = 0, theta  # theta^(terms+1) / (terms+1)!
+    while dropped > _TAYLOR_TAIL:
+        terms += 1
+        dropped *= theta / (terms + 1)
+    g = f / (np.sqrt(2.0) * steps)
+    x = np.zeros((len(rows), basis.dim), dtype=np.result_type(g, float))
+    x[np.arange(len(rows)), rows] = 1.0
+    for _ in range(steps):
+        term = x
+        for j in range(1, terms + 1):
+            term = apply_ladder(basis, g, -g, term)
+            term /= j
+            x += term
+    return x.conj(), steps, terms
 
 
 def weyl_truncation_tolerance(n_max: int, sector_cap: int, f_norm: float) -> float:

@@ -22,6 +22,7 @@ for a fixed tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -167,7 +168,13 @@ class QuadratureError(ArithmeticError):
     """An adaptive quadrature left panels unconverged after its bisection cap."""
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 10-point Gauss-Legendre nodes and weights on [-1, 1], on first use:
+    ``numpy.polynomial`` is loaded only by the runs that integrate."""
+    return np.polynomial.legendre.leggauss(10)
+
+
 _MAX_ROUNDS = 100
 # quadrature tolerance -> absolute target per panel; QUADPACK ran these
 # integrands to about 1e-12 relative, and the reference cells keep those digits
@@ -188,10 +195,12 @@ def _adaptive_quad(f, lo, hi, owner, size: int, tol: float = 1e-6) -> np.ndarray
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     owner = np.asarray(owner, dtype=np.intp)
 
+    nodes, weights = _gauss_legendre()
+
     def sums(a, b, owner):
         half = 0.5 * (b - a)[:, None]
-        vals = f(0.5 * (a + b)[:, None] + half * _GL_NODES, owner[:, None]) * half
-        return vals @ _GL_WEIGHTS, np.abs(vals) @ _GL_WEIGHTS
+        vals = f(0.5 * (a + b)[:, None] + half * nodes, owner[:, None]) * half
+        return vals @ weights, np.abs(vals) @ weights
 
     total = np.zeros(size)
     whole = sums(lo, hi, owner)[0]

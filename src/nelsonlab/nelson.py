@@ -483,10 +483,18 @@ def gross_bound_ratio(model: AssembledModel, lam: float) -> float:
 
 
 def transformed_peak_bytes(npts: int, n_max: int) -> int:
-    """Most bytes ``transformed_hamiltonian_check`` holds at once on a d = 1 lattice of ``npts`` points:
-    twelve complex Fock-side operators of one X, six (safe_dim)^2 blocks and two stacks of W_X."""
+    """Most bytes ``transformed_hamiltonian_check`` holds at once on a d = 1 lattice of ``npts`` points.
+
+    Complex: the stack of W_X (npts |s| fdim), six (npts |s|)^2 blocks, eight
+    coupling families and derivative matrices of side npts, and per X one
+    ``fock.apply_ladder`` gather (two arrays of |s| x 2 n_max fdim at most:
+    the ladder has at most n_max fdim entries) beside six (|s|, fdim)
+    blocks; and 64 KiB of small arrays.  It grows like npts |s| fdim: no
+    array of side fdim is formed.
+    """
     fdim, safe = (sum(fock.sector_dims(npts, n)) for n in (n_max, max(0, n_max - 2)))
-    return 16 * (12 * fdim**2 + 6 * (npts * safe) ** 2 + 2 * npts * safe * fdim)
+    side = npts * safe
+    return 16 * (side * fdim + 6 * side**2 + 8 * npts**2 + (4 * n_max + 6) * safe * fdim) + (1 << 16)
 
 
 def transformed_hamiltonian_check(
@@ -511,13 +519,17 @@ def transformed_hamiltonian_check(
       (U H_lam U*)[X s, Y s] = K[X, Y] W_X W_Y* + delta_XY W_X (dGamma + A_X + A_X^T) W_X*,
 
     and every right-side term is a Fock block restricted to s x s before it
-    is multiplied: (a* a*)[s, s] = a*[s, :] a*[:, s].  No matrix of the
-    tensor side is formed (``transformed_peak_bytes``).
+    is multiplied: (a* a*)[s, s] = a*[s, :] a*[:, s].  W_X comes from
+    ``fock.weyl_rows``, a Taylor series through the creation ladder, and
+    every other Fock factor is applied to the rows of W_X or to the unit
+    vectors of s by ``fock.apply_ladder``: no array of side fock_dim and no
+    matrix of the tensor side is formed (``transformed_peak_bytes``).
 
     Pass ``b_family``, a real (size, size) array of lattice rows B_X, to
     override the dressing; zero or X-independent rows are the degenerate checks.
     Returns a report dict; the headline entry is ``residual`` = safe-sector
-    residual norm relative to the safe-sector norm of the left side.
+    residual norm relative to the safe-sector norm of the left side, and
+    ``weyl_steps`` and ``weyl_terms`` are the series' largest counts over X.
     """
     spec = model.spec
     check_bytes("transformed_hamiltonian_check", transformed_peak_bytes(spec.grid.size, spec.n_max))
@@ -540,49 +552,73 @@ def transformed_hamiltonian_check(
 
     cap = max(0, basis.n_max - 2)
     safe = basis.tensor_rows(1, 0, cap)
-    ss = np.ix_(safe, safe)
     n_safe = len(safe)
     ident_s = np.eye(n_safe)
-    dgamma = np.diag(model.occupation_energies)
-    weyls = np.stack([fock.weyl(basis, b)[safe] for b in coeffs_b])  # W_X, (size, |s|, fdim)
-    flat = weyls.reshape(size * n_safe, basis.dim)
-    lhs = k[:, None, :, None] * (flat @ flat.conj().T).reshape(size, n_safe, size, n_safe)
-    # the Weyl operators are complex
-    rhs = (k[:, None, :, None] * ident_s[None, :, None, :]).astype(complex)
+    units = np.zeros((n_safe, basis.dim))  # the unit vectors of s, one per row: I[s, :]
+    units[np.arange(n_safe), safe] = 1.0
+    energies = model.occupation_energies
+    dgamma_s = np.diag(energies[safe])
+
+    def field_on(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Phi(f) applied to each row of x, divided by sqrt(2) in complex arithmetic
+        whatever the rows are, as ``fock.field`` divides."""
+        return np.true_divide(fock.apply_ladder(basis, f, f, x), np.sqrt(2.0), dtype=complex)
+
     creators = form_factor(model, lam)
+    # W_X = V(b_X)[s, :]: real for real b_X, as is the left side for real v_X
+    dtype = np.result_type(coeffs_b, creators, float)
+    weyls = np.empty((size, n_safe, basis.dim), dtype=dtype)
+    steps = terms = 0
+    for xi, b in enumerate(coeffs_b):
+        weyls[xi], x_steps, x_terms = fock.weyl_rows(basis, b, safe)
+        steps, terms = max(steps, x_steps), max(terms, x_terms)
+    # K[X, Y] W_X W_Y*, one Y at a time: no conjugate copy of the whole stack
+    flat = weyls.reshape(size * n_safe, basis.dim)
+    lhs = np.empty((size, n_safe, size, n_safe), dtype=dtype)
+    for yi in range(size):
+        lhs[:, :, yi] = k[:, None, yi, None] * (flat @ weyls[yi].conj().T).reshape(size, n_safe, n_safe)
+    del flat
+    # the mixed terms are complex
+    rhs = (k[:, None, :, None] * ident_s[None, :, None, :]).astype(complex)
     coeffs_db = model.project(fam_db)
     coeffs_u = model.project(smeared)
     shifted = model.project(smeared + fam_b @ (model.k0 + omega).T)
     freqs = model.mode_freqs
+    zero = np.zeros(basis.n_modes)
     lowers = np.empty((size, n_safe, n_safe), dtype=complex)  # a(dB_X)[s, s]
     dev_dgamma, dev_field, tolerance = 0.0, 0.0, 0.0
     for xi in range(size):
         w, b = weyls[xi], coeffs_b[xi]
-        a_x = fock.annihilate(basis, creators[xi]).T
-        lhs[xi, :, xi] += w @ (dgamma + a_x + a_x.T) @ w.conj().T
-        aop = fock.annihilate(basis, coeffs_db[xi])
-        lowers[xi] = aop[ss]
-        # the quadratic block, each product restricted before it is formed:
-        # a*[s, :] = a[:, s]* and a*[:, s] = a[s, :]*
-        into, out = aop[:, safe], aop[safe]
-        quadratic = -0.5 * into.conj().T @ out.conj().T - 0.5 * out @ into + into.conj().T @ into
+        # each operator M below acts on the columns of W_X*, the rows of conj(W_X):
+        # W_X M W_X* = W_X (M applied to the rows of conj(W_X))^T
+        w_bar = w.conj()
+        dgamma_w = (w_bar * energies).T
+        # A_X + A_X^T = a*(conj v_X) + a(v_X)
+        v = creators[xi]
+        lhs[xi, :, xi] += w @ (dgamma_w + fock.apply_ladder(basis, v.conj(), v, w_bar).T)
+        # the quadratic block from a(dB)[:, s] and a*(dB)[:, s] = a(dB)[s, :]*,
+        # each product restricted before it is formed
+        into = fock.apply_ladder(basis, zero, coeffs_db[xi], units).T
+        raised = fock.apply_ladder(basis, coeffs_db[xi], zero, units).T
+        lowers[xi] = into[safe]
+        quadratic = -0.5 * into.conj().T @ raised - 0.5 * raised.conj().T @ into + into.conj().T @ into
         b_x = fam_b[xi]
         scalar = (
             0.5 * inner(grid, b_x, omega @ b_x).real
             + inner(grid, b_x, smeared[xi]).real
             + 0.5 * spec.g[xi] * inner(grid, fam_db[xi], fam_db[xi]).real
         )
+        # row i of M applied to the units is column s_i of M: M[:, s] is its transpose
         rhs[xi, :, xi] += (
-            dgamma[ss] + fock.field(basis, shifted[xi])[ss] + spec.g[xi] * quadratic + scalar * ident_s
+            dgamma_s + field_on(shifted[xi], units)[:, safe].T + spec.g[xi] * quadratic + scalar * ident_s
         )
 
         # Fock-only conjugation identities, worst deviation over X
-        conj = w @ dgamma @ w.conj().T
-        pred = dgamma[ss] + fock.field(basis, freqs * b)[ss] + 0.5 * np.dot(b, freqs * b).real * ident_s
+        conj = w @ dgamma_w
+        pred = dgamma_s + field_on(freqs * b, units)[:, safe].T + 0.5 * np.dot(b, freqs * b).real * ident_s
         dev_dgamma = max(dev_dgamma, float(np.abs(conj - pred).max()))
-        phi = fock.field(basis, coeffs_u[xi])
-        conj = w @ phi @ w.conj().T
-        pred = phi[ss] + np.dot(b, coeffs_u[xi]).real * ident_s
+        conj = w @ field_on(coeffs_u[xi], w_bar).T
+        pred = field_on(coeffs_u[xi], units)[:, safe].T + np.dot(b, coeffs_u[xi]).real * ident_s
         dev_field = max(dev_field, float(np.abs(conj - pred).max()))
         tolerance = max(
             tolerance,
@@ -595,9 +631,11 @@ def transformed_hamiltonian_check(
     rhs -= sqrt2 * g_pd[:, None, :, None] * lowers.conj().transpose(0, 2, 1)[:, :, None, :]
     rhs += sqrt2 * pd_g[:, None, :, None] * lowers.transpose(1, 0, 2)[None]
 
+    del weyls, w  # the stack is not read again
     side = size * n_safe
     lhs = lhs.reshape(side, side)
-    residual_abs = opnorm(lhs - rhs.reshape(side, side))
+    # the difference overwrites rhs: no third array of the safe side
+    residual_abs = opnorm(np.subtract(lhs, rhs.reshape(side, side), out=rhs.reshape(side, side)))
     scale = opnorm(lhs)
     return {
         "residual": residual_abs / scale,
@@ -608,6 +646,8 @@ def transformed_hamiltonian_check(
         "fock_tolerance": tolerance,
         "b_norm_max": float(np.max(np.linalg.norm(coeffs_b, axis=1))),
         "safe_dim": side,
+        "weyl_steps": steps,
+        "weyl_terms": terms,
     }
 
 

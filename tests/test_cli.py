@@ -169,7 +169,6 @@ def test_paired_sweep_lengths_checked():
         ("model", "coupling", "-0.0", "domain-regularity"),
         ("model", "coupling", "1e-320", "gross-transform"),
         ("model", "npts", "64", "renorm-convergence"),
-        ("model", "npts", "128", "gross-transform"),
         ("model", "npts", "64", "ibc-identity"),
     ],
 )
@@ -177,6 +176,17 @@ def test_library_refusals_exit_three_before_assembly(
     tmp_path, capsys, monkeypatch, section, key, value, experiment
 ):
     _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, f"[{section}]\n{key} = {value}\n", key, experiment)
+
+
+def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, monkeypatch):
+    # npts 128, n_max 2 states 22 MiB on the safe rows, where the dense Fock
+    # factors of one X stated 12.6 GiB; npts 64, n_max 3 states 5.4 GiB
+    cfg = tmp_path / "admitted.cfg"
+    cfg.write_text("[model]\nnpts = 128\n")
+    assert run_cli("--experiment", "gross-transform", "--config", str(cfg), "--validate") == 0
+    capsys.readouterr()
+    text = "[model]\nnpts = 64\nn_max = 3\n"
+    _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, "n_max", "gross-transform")
 
 
 @pytest.mark.parametrize(
@@ -328,7 +338,7 @@ def test_negative_threads_exit_two_before_any_run(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("started a run or a thread pool")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", forbidden)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", forbidden)
     monkeypatch.setattr(cli, "resolve_config", forbidden)
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as info:
@@ -485,8 +495,10 @@ def test_gross_summary_records_check_telemetry(tmp_path):
     for check, residual in zip(checks, residuals):
         assert check["scale"] > 0.0 and check["b_norm_max"] > 0.0
         assert check["residual_abs"] / check["scale"] == pytest.approx(residual, rel=1e-11)
+        # sqrt(2 n_max) ||b_X|| <= 1.2: one step of the Weyl-row series
+        assert check["weyl_steps"] == 1 and 1 <= check["weyl_terms"] <= 25
     csv = (out / "results.csv").read_text()
-    assert "safe_dim" not in csv and "scale" not in csv and "b_norm" not in csv
+    assert "safe_dim" not in csv and "scale" not in csv and "b_norm" not in csv and "weyl" not in csv
 
 
 def test_ibc_summary_records_assembly_telemetry(tmp_path):
@@ -658,6 +670,18 @@ def test_summary_reads_no_package_metadata(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_one_thread_run_loads_no_thread_pool_or_polynomial_module(tmp_path):
+    # concurrent.futures (with logging) and numpy.polynomial cost every process
+    # about 10 ms and 1.4 MB at import; only --threads > 1 and the quadratures use them
+    code = (
+        "import sys; from nelsonlab.cli import main; "
+        f"code = main(['--experiment', 'gross-transform', '--out', {str(tmp_path)!r}]); "
+        "print(code, [m for m in ('concurrent.futures', 'logging', 'numpy.polynomial') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_renorm_reaches_npts_32_within_the_budget():

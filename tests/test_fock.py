@@ -5,6 +5,7 @@ from nelsonlab.fock import (
     FockBasis,
     ac_estimate_report,
     annihilate,
+    apply_ladder,
     dgamma_power,
     field,
     fock_basis,
@@ -15,9 +16,10 @@ from nelsonlab.fock import (
     sector_dims,
     sector_projector,
     weyl,
+    weyl_rows,
     weyl_truncation_tolerance,
 )
-from nelsonlab.nelson import assemble_free, sinusoidal_spec
+from nelsonlab.nelson import assemble_free, gross_B, sinusoidal_spec
 from nelsonlab.operators import opnorm, psd_power
 
 
@@ -255,6 +257,60 @@ def test_weyl_conjugation_shifts_dgamma():
     target = second_quantize(b, h) + field(b, h @ g) + 0.5 * np.vdot(h @ g, g).real * np.eye(b.dim)
     resid = p @ (v @ second_quantize(b, h) @ v.conj().T - target) @ p
     assert opnorm(resid) <= 1e-7
+
+
+def test_ladder_application_matches_the_dense_operators():
+    rng = np.random.default_rng(21)
+    b = fock_basis(3, 4)
+    f, g = rand_vec(rng, 3), rand_vec(rng, 3)
+    x = rng.standard_normal((5, b.dim)) + 1j * rng.standard_normal((5, b.dim))
+    dense = annihilate(b, f).conj().T + annihilate(b, g)  # a*(f) + a(g)
+    np.testing.assert_allclose(apply_ladder(b, f, g, x), x @ dense.T, rtol=0, atol=1e-13)
+    # a real vector under real coefficients stays real
+    assert apply_ladder(b, f.real, g.real, x.real).dtype == np.float64
+    # no ladder at n_max 0
+    assert not apply_ladder(fock_basis(3, 0), f, g, np.ones((2, 1))).any()
+
+
+def _largest_dressing_lam4():
+    """The dense-tensor basis (npts 8, n_max 3) and its largest mode dressing b_X at lam 4."""
+    model = assemble_free(sinusoidal_spec(8, n_max=3))
+    coeffs = model.project(gross_B(model, 4.0))
+    return model.basis, coeffs[np.argmax(np.linalg.norm(coeffs, axis=1))]
+
+
+@pytest.mark.parametrize("case", ["dressing", "complex", "one-mode", "all-rows"])
+def test_weyl_rows_match_the_dense_weyl_operator(case):
+    rng = np.random.default_rng(22)
+    if case == "dressing":
+        b, f = _largest_dressing_lam4()
+        rows = b.tensor_rows(1, 0, 1)
+    elif case == "complex":
+        b = fock_basis(8, 3)
+        f = rand_vec(rng, 8, 0.2)
+        rows = b.tensor_rows(1, 0, 1)
+    elif case == "one-mode":
+        # sqrt(2 n_max) ||f|| ~ 27: the series needs 14 steps
+        b = fock_basis(1, 40)
+        f = np.array([2.8 + 1.0j])
+        rows = np.arange(0, 41, 4)
+    else:
+        b = fock_basis(3, 4)
+        f = rand_vec(rng, 3, 0.4)
+        rows = np.arange(b.dim)
+    got, steps, terms = weyl_rows(b, f, rows)
+    assert np.abs(got - weyl(b, f)[rows]).max() <= 1e-14
+    if case == "one-mode":
+        assert steps == 14
+    assert 1 <= terms <= 30
+
+
+def test_weyl_rows_of_zero_are_the_unit_rows():
+    b = fock_basis(4, 3)
+    rows = np.array([0, 3, 7])
+    got, steps, terms = weyl_rows(b, np.zeros(4), rows)
+    assert (steps, terms) == (1, 0)
+    assert np.array_equal(got, np.eye(b.dim)[rows])
 
 
 def test_weyl_truncation_tolerance_shrinks_with_headroom():
