@@ -180,13 +180,16 @@ def test_library_refusals_exit_three_before_assembly(
 
 def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, monkeypatch):
     # npts 128, n_max 2 states 22 MiB on the safe rows, where the dense Fock
-    # factors of one X stated 12.6 GiB; npts 64, n_max 3 states 5.4 GiB
+    # factors of one X stated 12.6 GiB.  npts 64, n_max 3 passes the
+    # assemble_free guard (49 MiB) and is refused by the kernel's own
+    # statement, 5.4 GiB
     cfg = tmp_path / "admitted.cfg"
     cfg.write_text("[model]\nnpts = 128\n")
     assert run_cli("--experiment", "gross-transform", "--config", str(cfg), "--validate") == 0
     capsys.readouterr()
     text = "[model]\nnpts = 64\nn_max = 3\n"
-    _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, "n_max", "gross-transform")
+    stated = "[model] npts, n_max: memory guard: transformed_hamiltonian_check would hold 5747265824 bytes"
+    _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, stated, "gross-transform")
 
 
 @pytest.mark.parametrize(

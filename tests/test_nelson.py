@@ -542,28 +542,92 @@ def _dense_transformed_oracle(model, lam, b_family=None):
     }
 
 
+def _b_family(model, lam, family):
+    """The ``b_family`` override of a test family: None for the gross dressing."""
+    size = model.grid.size
+    return {
+        "dressing": None,
+        "zero": np.zeros((size, size)),
+        "constant": np.broadcast_to(gross_B(model, lam)[0], (size, size)),
+    }[family]
+
+
 @pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
 @pytest.mark.parametrize("lam", [1.0, 4.0])
 @pytest.mark.parametrize("family", ["dressing", "zero", "constant"])
 def test_transformed_check_matches_dense_oracle(request, name, lam, family):
     model = request.getfixturevalue(name)
-    size = model.grid.size
-    b_family = {
-        "dressing": None,
-        "zero": np.zeros((size, size)),
-        "constant": np.broadcast_to(gross_B(model, lam)[0], (size, size)),
-    }[family]
+    b_family = _b_family(model, lam, family)
     want = _dense_transformed_oracle(model, lam, b_family)
     got = transformed_hamiltonian_check(model, lam, b_family)
     # the residual is a difference of terms of norm ``scale``, so its roundoff
-    # is relative to the scale: at a constant dressing it cancels to ~1e-5 of it.
-    # The dGamma deviation (~4e-4) is a difference of entries of size ~1 on the
-    # safe rows, so its roundoff is absolute: the oracle's eigh-built Weyl
-    # operator alone puts up to 2.0e-15 into it at n_max 3 (5.6e-12 of it,
-    # against the same rows summed in extended precision)
-    floor = {"residual_abs": want["scale"], "residual": 1.0, "fock_dgamma_dev": 1.0}
+    # is relative to the scale: at a constant dressing it cancels to ~1e-5 of it
+    floor = {"residual_abs": want["scale"], "residual": 1.0}
+    # The dGamma deviation (up to 5.7e-4) is a difference of entries as large as
+    # the safe energies (4.1 at n_max 3), so its roundoff is absolute: the
+    # oracle's eigh-built V and the Taylor rows differ in it by up to 1.1e-15,
+    # and the oracle is the one further from the extended-precision value
+    # (test_dgamma_deviation_matches_extended_precision).  A zero dressing
+    # leaves it exactly 0 on both routes.
+    dgamma_abs = 0.0 if family == "zero" else 1e-14
     for key, value in want.items():
-        assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12 * floor.get(key, 0.0)), key
+        atol = dgamma_abs if key == "fock_dgamma_dev" else 1e-12 * floor.get(key, 0.0)
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=atol), key
+
+
+def _extended_dgamma_dev(model, fam_b):
+    """``fock_dgamma_dev`` of real dressing rows, summed in ``np.longdouble``.
+
+    From the same double inputs (mode coefficients, frequencies, occupation
+    energies): rows s of V(b_X) = exp((a(b_X) - a*(b_X)) / sqrt2) by a Taylor
+    series on the dense Fock generator, in steps of norm <= 1 with 25 terms
+    each, and max |V dGamma V* - dGamma - Phi(freqs b_X) - <b_X, freqs b_X>/2|
+    on s x s.
+    """
+    ext = np.longdouble
+    basis = model.basis
+    rows, cols, modes, factors = basis.creation_entries
+    roots = np.sqrt(np.rint(factors**2).astype(ext))  # sqrt(n + 1) to extended precision
+    sqrt2 = np.sqrt(ext(2))
+    safe = basis.tensor_rows(1, 0, max(0, basis.n_max - 2))
+    energies = model.occupation_energies.astype(ext)
+    freqs = model.mode_freqs.astype(ext)
+
+    def lower(f):
+        mat = np.zeros((basis.dim, basis.dim), dtype=ext)
+        mat[cols, rows] = f[modes] * roots
+        return mat
+
+    dev = ext(0)
+    for b in model.project(fam_b).astype(ext):
+        a = lower(b)
+        generator = (a - a.T) / sqrt2
+        steps = max(1, int(np.ceil(np.sqrt(2.0 * basis.n_max) * float(np.linalg.norm(b.astype(float))))))
+        x = np.eye(basis.dim, dtype=ext)[safe]
+        for _ in range(steps):
+            term = x
+            for j in range(1, 26):
+                term = term @ generator / (j * steps)
+                x = x + term
+        a = lower(freqs * b)
+        pred = np.diag(energies[safe]) + ((a + a.T) / sqrt2)[np.ix_(safe, safe)]
+        pred += np.dot(b, freqs * b) / 2 * np.eye(len(safe), dtype=ext)
+        dev = max(dev, np.abs((x * energies) @ x.T - pred).max())
+    return float(dev)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not extended precision here")
+@pytest.mark.parametrize("name", ["bench8", "bench8_n3"])
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+@pytest.mark.parametrize("family", ["dressing", "constant"])
+def test_dgamma_deviation_matches_extended_precision(request, name, lam, family):
+    # the Taylor rows put at most 3.4e-16 of roundoff into the deviation, where
+    # the eigh-built dense oracle puts up to 1.5e-15
+    model = request.getfixturevalue(name)
+    b_family = _b_family(model, lam, family)
+    fam_b = gross_B(model, lam) if b_family is None else b_family
+    got = transformed_hamiltonian_check(model, lam, b_family)["fock_dgamma_dev"]
+    assert got == pytest.approx(_extended_dgamma_dev(model, fam_b), rel=0.0, abs=1e-15)
 
 
 def test_transformed_check_forms_no_tensor_matrix(bench8_n3):
