@@ -7,8 +7,8 @@ row per measurement (experiment, parameters, lhs, rhs, status),
 wall clock, the process's peak resident set size and the library's stated
 peak, the numpy version, the BLAS name and version and the run's
 telemetry (matrix sides and solver records), and ``plot.gp``.
-Identical (config, seed) pairs produce byte-identical CSV files; sweeps
-are merged in parameter order regardless of the --threads setting.
+Identical (config, seed) pairs produce byte-identical CSV files; a sweep
+runs its points in order in one process.
 
 Configs are flat ``key = value`` text files with three typed sections,
 ``[model]``, ``[sweep]`` and ``[tolerances]``; ``#`` starts a comment.
@@ -34,7 +34,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from os import cpu_count, makedirs, path
+from os import makedirs, path
 
 import numpy as np
 
@@ -54,19 +54,18 @@ EXPERIMENTS = (
 )
 
 # experiment -> the kernel it runs on each model (one per [sweep] sizes entry
-# for domain-regularity, else at [model] npts), the kernel's stated peak, and
-# the sweep over which ``_ordered_map`` runs up to --threads kernels at once
-# (None: one kernel at a time)
+# for domain-regularity, else at [model] npts) and the kernel's stated peak;
+# sweeps run one kernel at a time
 _MODEL_KERNELS = {
-    "renorm-convergence": ("renorm_convergence_experiment", nelson.renorm_peak_bytes, None),
-    "gross-transform": ("transformed_hamiltonian_check", nelson.transformed_peak_bytes, "lams"),
-    "ibc-identity": ("build_ibc", ibc.ibc_peak_bytes, "lams"),
-    "domain-regularity": ("domain_regularity_norms", ibc.regularity_peak_bytes, None),
+    "renorm-convergence": ("renorm_convergence_experiment", nelson.renorm_peak_bytes),
+    "gross-transform": ("transformed_hamiltonian_check", nelson.transformed_peak_bytes),
+    "ibc-identity": ("build_ibc", ibc.ibc_peak_bytes),
+    "domain-regularity": ("domain_regularity_norms", ibc.regularity_peak_bytes),
 }
 
 
-# symbols that psido-calculus holds at once, whatever its draws and --threads:
-# the first draw and the current pair of ``_symbol_pairs``
+# symbols that psido-calculus holds at once, whatever its draws: the first
+# draw and the current pair of ``_symbol_pairs``
 _CALCULUS_HELD_SYMBOLS = 3
 
 
@@ -237,12 +236,11 @@ def _refusal(field: str):
         raise GuardError(f"{field}: {exc}") from exc
 
 
-def check_guards(cfg: dict[str, dict], experiment: str | None, workers: int = 1) -> int | None:
+def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
     """Refuse a config before any large allocation: the lattices and model specs
     a run would build meet the library's own checks, plus the CLI's sweep policies.
-    A swept kernel is counted once per sweep worker that can hold one at the same
-    time, min(``workers``, sweep points).  Returns the largest peak stated for the
-    experiment's kernels, None if it runs none."""
+    Returns the largest peak stated for the experiment's kernels, one kernel at a
+    time, None if it runs none."""
     model = cfg["model"]
     sweep = cfg["sweep"]
     if model["n_max"] < 1:
@@ -286,17 +284,13 @@ def check_guards(cfg: dict[str, dict], experiment: str | None, workers: int = 1)
         with _refusal(f"[sweep] domain_lams at npts = {size}"):
             sized.grid.check_cutoff(lam)
     if experiment in _MODEL_KERNELS:
-        name, peak, swept = _MODEL_KERNELS[experiment]
+        name, peak = _MODEL_KERNELS[experiment]
         points = [("[model] npts, n_max", model["npts"])]
         if experiment == "domain-regularity":
             points = [(f"[sweep] sizes entry {size}", size) for size in sweep["sizes"]]
-        copies = 1 if swept is None else min(workers, len(sweep[swept]))
-        if copies > 1:
-            name = f"{copies} sweep workers of {name}"
         for field, npts in points:
             with _refusal(field):
-                held = copies * peak(npts, model["n_max"])
-                stated += [nelson.free_peak_bytes(npts, model["n_max"]), check_bytes(name, held)]
+                stated += [nelson.free_peak_bytes(npts, model["n_max"]), check_bytes(name, peak(npts, model["n_max"]))]
     return max(stated, default=None)
 
 
@@ -333,17 +327,7 @@ def _params_text(params: dict) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in params.items())
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # imported here: it loads ``logging``, which a one-thread run never needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_weyl_identities(cfg, seed, threads) -> list[Row]:
+def run_weyl_identities(cfg, seed) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
     coupling = sweep["weyl_coupling"]
     cap = sweep["weyl_sector_cap"]
@@ -352,7 +336,8 @@ def run_weyl_identities(cfg, seed, threads) -> list[Row]:
     freq = np.array([[1.4]])
     rho = coupling * np.array([0.8 + 0.3j])
 
-    def residuals(n_max: int) -> dict[str, float]:
+    rows, results = [], []
+    for n_max in sweep["weyl_n_max"]:
         basis = fock.fock_basis(1, n_max)
         proj = fock.sector_projector(basis, cap)
         v = fock.weyl(basis, g)
@@ -365,11 +350,8 @@ def run_weyl_identities(cfg, seed, threads) -> list[Row]:
         target += 0.5 * np.vdot(freq @ g, g).real * eye
         dgamma_resid = opnorm(proj @ (v @ fock.second_quantize(basis, freq) @ v.conj().T - target) @ proj)
         static_resid = fock.gross_check_static(basis, freq, rho, sector_cap=cap)
-        return {"field-shift": field_resid, "dgamma-shift": dgamma_resid, "static-dressing": static_resid}
-
-    results = _ordered_map(residuals, sweep["weyl_n_max"], threads)
-    rows = []
-    for n_max, res in zip(sweep["weyl_n_max"], results):
+        res = {"field-shift": field_resid, "dgamma-shift": dgamma_resid, "static-dressing": static_resid}
+        results.append(res)
         params = {"n_max": n_max, "coupling": coupling, "sector_cap": cap}
         for name, value in res.items():
             rows.append(Row(name, params, value, tol["weyl_rtol"]))
@@ -400,9 +382,9 @@ def _symbol_pairs(grid: Grid, rng: np.random.Generator, draws: int):
     yield a, first
 
 
-def run_psido_calculus(cfg, seed, threads) -> list[Row]:
-    """The draws run one pair at a time whatever ``threads`` is: a second thread
-    would hold its own temporaries and gains no time on pairs this short."""
+def run_psido_calculus(cfg, seed) -> list[Row]:
+    """The draws run one pair at a time, so the run holds three symbols
+    whatever ``draws`` is."""
     sweep, tol, model = cfg["sweep"], cfg["tolerances"], cfg["model"]
     grid = Grid(1, sweep["psido_npts"], model["box"])
     rng = np.random.default_rng(seed)
@@ -441,7 +423,7 @@ def run_psido_calculus(cfg, seed, threads) -> list[Row]:
     return Rows(rows, telemetry)
 
 
-def run_renorm_convergence(cfg, seed, threads) -> list[Row]:
+def run_renorm_convergence(cfg, seed) -> list[Row]:
     sweep = cfg["sweep"]
     model = nelson.assemble_free(_spec(cfg))
     report = nelson.renorm_convergence_experiment(model, sweep["lams"])
@@ -486,19 +468,14 @@ def run_renorm_convergence(cfg, seed, threads) -> list[Row]:
     return Rows(rows, telemetry)
 
 
-def run_gross_transform(cfg, seed, threads) -> list[Row]:
+def run_gross_transform(cfg, seed) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
     model = nelson.assemble_free(_spec(cfg))
     base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
-
-    def one(lam: float):
+    rows, checks = [], []
+    for lam in sweep["lams"]:
         report = nelson.transformed_hamiltonian_check(model, lam)
         ratio = nelson.gross_bound_ratio(model, lam)
-        return report, ratio
-
-    results = _ordered_map(one, sweep["lams"], threads)
-    rows, checks = [], []
-    for lam, (report, ratio) in zip(sweep["lams"], results):
         params = dict(base, lam=lam)
         # the truncation tolerance underflows to 0 for a tiny dressing, where
         # the deviations are pure roundoff
@@ -513,32 +490,28 @@ def run_gross_transform(cfg, seed, threads) -> list[Row]:
     return Rows(rows, telemetry)
 
 
-def run_ibc_identity(cfg, seed, threads) -> list[Row]:
+def run_ibc_identity(cfg, seed) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
     model = nelson.assemble_free(_spec(cfg))
     base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
-
-    def one(lam: float):
+    rows, neumann = [], []
+    for lam in sweep["lams"]:
         ops = ibc.build_ibc(model, lam)
         keystone = ibc.factorization_identity_check(model, ops)
         inverse_resid = ibc.neumann_residual(model, ops)
-        shapes = {f"{m}<-{n}": list(block.shape) for (m, n), block in sorted(ops.g.items())}
-        return keystone, ibc.defect_norm(ops), ops.neumann_tail, inverse_resid, ops.shift, ops.neumann_terms, shapes
-
-    results = _ordered_map(one, sweep["lams"], threads)
-    rows, neumann = [], []
-    for lam, (keystone, mismatch, tail, inverse_resid, shift, terms, shapes) in zip(sweep["lams"], results):
-        params = dict(base, lam=lam, shift=shift)
+        params = dict(base, lam=lam, shift=ops.shift)
         rows.append(Row("keystone-identity", params, keystone, tol["identity_rtol"]))
-        rows.append(Row("spectral-equivalence", params, mismatch, tol["spectral_atol"]))
-        rows.append(Row("neumann-closure", params, tail, 0.0))
+        rows.append(Row("spectral-equivalence", params, ibc.defect_norm(ops), tol["spectral_atol"]))
+        rows.append(Row("neumann-closure", params, ops.neumann_tail, 0.0))
         rows.append(Row("neumann-inverse", params, inverse_resid, tol["identity_rtol"]))
-        neumann.append({"lam": lam, "neumann_terms": terms})
+        neumann.append({"lam": lam, "neumann_terms": ops.neumann_terms})
+        shapes = {f"{m}<-{n}": list(block.shape) for (m, n), block in sorted(ops.g.items())}
+        del ops  # free this cutoff's blocks before the next cutoff builds its own
     # the block shapes of G depend on the model only
     return Rows(rows, {"tensor_dim": model.dim, "g_blocks": shapes, "neumann": neumann})
 
 
-def run_domain_regularity(cfg, seed, threads) -> list[Row]:
+def run_domain_regularity(cfg, seed) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
     models = [nelson.assemble_free(_spec(cfg, size)) for size in sweep["sizes"]]
     report = ibc.domain_regularity_experiment(models, sweep["domain_lams"], sweep["powers"])
@@ -578,7 +551,7 @@ def run_domain_regularity(cfg, seed, threads) -> list[Row]:
     return Rows(rows, {"points": report["points"]})
 
 
-def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
+def run_appendix_inequalities(cfg, seed) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
     quad_tol = tol["quad_tol"]
     rows = []
@@ -622,13 +595,10 @@ def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
 
     eps = tol["scaling_eps"]
     for xi in (0.0, 1.0):
-
-        def estimate(omega: float):
-            return inequalities.integral_estimate_check(
-                0.0, 0.0, 4.0, 1.0, 0.0, omega, xi, eps, tol=quad_tol
-            )
-
-        values = _ordered_map(estimate, sweep["omegas"], threads)
+        values = [
+            inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, 0.0, omega, xi, eps, tol=quad_tol)
+            for omega in sweep["omegas"]
+        ]
         predicted = 2.0 ** (-4.0 + 3.0 + eps)
         for omega, (integral, bound) in zip(sweep["omegas"], values):
             rows.append(
@@ -647,11 +617,10 @@ def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
                 )
             )
 
-    def cutoff_estimate(lam: float):
-        return inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, lam, 1.0, 1.0, eps, tol=quad_tol)
-
     cut_lams = [1.0, 4.0, 16.0, 64.0]
-    cut_values = _ordered_map(cutoff_estimate, cut_lams, threads)
+    cut_values = [
+        inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, lam, 1.0, 1.0, eps, tol=quad_tol) for lam in cut_lams
+    ]
     for lam, (integral, bound) in zip(cut_lams, cut_values):
         rows.append(Row("cutoff-estimate-dominated", {"lam": lam, "eps": eps}, integral, bound + 1e-12))
     prefactors = [integral for integral, _ in cut_values]
@@ -670,14 +639,10 @@ def run_appendix_inequalities(cfg, seed, threads) -> list[Row]:
     return rows
 
 
-def run_vacuum_energy(cfg, seed, threads) -> list[Row]:
+def run_vacuum_energy(cfg, seed) -> list[Row]:
     sweep, tol = cfg["sweep"], cfg["tolerances"]
     lams = sweep["quad_lams"]
-
-    def energy(lam: float) -> float:
-        return nelson.vacuum_energy_quadrature(lam, 3)
-
-    values = _ordered_map(energy, lams, threads)
+    values = [nelson.vacuum_energy_quadrature(lam, 3) for lam in lams]
     slope, r_squared = inequalities.log_fit(lams, values)
     rows = []
     for lam_a, lam_b, val_a, val_b in zip(lams[:-1], lams[1:], values[:-1], values[1:]):
@@ -729,13 +694,11 @@ def render_plot(experiment: str) -> str:
     )
 
 
-def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
+def render_summary(experiment, rows, cfg, seed, stated_peak, wall_clock) -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    stated_peak = check_guards(cfg, experiment, threads)
     payload = {
         "experiment": experiment,
         "seed": seed,
-        "threads": threads,
         "config_hash": hashlib.sha256(config_canonical_text(cfg).encode("utf-8")).hexdigest()[:16],
         "status": "PASS" if all(r.status == "PASS" for r in rows) else "FAIL",
         "wall_clock_s": round(wall_clock, 3),
@@ -762,12 +725,12 @@ def render_summary(experiment, rows, cfg, seed, threads, wall_clock) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def write_outputs(out_dir, experiment, rows, cfg, seed, threads, wall_clock) -> None:
+def write_outputs(out_dir, experiment, rows, cfg, seed, stated_peak, wall_clock) -> None:
     makedirs(out_dir, exist_ok=True)
     with open(path.join(out_dir, "results.csv"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write(render_csv(experiment, rows))
     with open(path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_summary(experiment, rows, cfg, seed, threads, wall_clock))
+        handle.write(render_summary(experiment, rows, cfg, seed, stated_peak, wall_clock))
     with open(path.join(out_dir, "plot.gp"), "w", encoding="utf-8", newline="\n") as handle:
         handle.write(render_plot(experiment))
 
@@ -783,25 +746,23 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads",
         type=int,
+        choices=(1,),
         default=1,
-        help="sweep worker threads (default 1); 0 means all cores; the memory guard counts each worker's kernel",
+        help="accepted only as 1, because the benchmark harness passes it; a sweep runs its points in order",
     )
     parser.add_argument("--out", default="results", help="output directory (default: results)")
     parser.add_argument("--list", action="store_true", help="print the experiment names and exit")
     parser.add_argument("--validate", action="store_true", help="check config and guards without running")
     args = parser.parse_args(argv)
-    if args.threads < 0:
-        parser.error(f"argument --threads: must be 0 (all cores) or positive, got {args.threads}")
 
     if args.list:
         for name in EXPERIMENTS:
             print(name)
         return 0
 
-    threads = args.threads if args.threads > 0 else (cpu_count() or 1)
     try:
         cfg = resolve_config(args.config)
-        check_guards(cfg, args.experiment, threads)
+        stated_peak = check_guards(cfg, args.experiment)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -818,9 +779,9 @@ def main(argv=None) -> int:
         return 2
 
     start = time.perf_counter()
-    rows = _RUNNERS[args.experiment](cfg, args.seed, threads)
+    rows = _RUNNERS[args.experiment](cfg, args.seed)
     wall_clock = time.perf_counter() - start
-    write_outputs(args.out, args.experiment, rows, cfg, args.seed, threads, wall_clock)
+    write_outputs(args.out, args.experiment, rows, cfg, args.seed, stated_peak, wall_clock)
     failed = [row for row in rows if row.status != "PASS"]
     print(f"{args.experiment}: {len(rows) - len(failed)}/{len(rows)} checks pass ({wall_clock:.1f}s)")
     for row in failed:

@@ -337,15 +337,15 @@ def test_unknown_experiment_exits_two():
     assert info.value.code == 2
 
 
-def test_negative_threads_exit_two_before_any_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", ["-3", "0", "2"])
+def test_threads_other_than_one_exit_two_before_any_run(tmp_path, monkeypatch, threads):
     def forbidden(*args, **kwargs):
-        raise AssertionError("started a run or a thread pool")
+        raise AssertionError("read the config")
 
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", forbidden)
     monkeypatch.setattr(cli, "resolve_config", forbidden)
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as info:
-        main(["--experiment", "weyl-identities", "--threads", "-3", "--out", str(out)])
+        main(["--experiment", "weyl-identities", "--threads", threads, "--out", str(out)])
     assert info.value.code == 2
     assert not out.exists()
 
@@ -388,7 +388,7 @@ def test_ibc_identity_forms_no_tensor_matrix():
     one_dense = 8 * 1320**2  # one float64 array of side 1320 at n_max 3: 13.9 MB
     tracemalloc.start()
     try:
-        rows = run_ibc_identity(cfg, 7, 1)
+        rows = run_ibc_identity(cfg, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -397,18 +397,18 @@ def test_ibc_identity_forms_no_tensor_matrix():
     assert all(row.status == "PASS" for row in rows)
 
 
-def test_results_csv_is_byte_identical_across_runs(tmp_path):
+@pytest.mark.parametrize(
+    "experiment, seed, config",
+    [("weyl-identities", 3, ""), ("psido-calculus", 11, ""), ("ibc-identity", 7, "[sweep]\nlams = 1.0, 2.0\n")],
+    ids=["weyl-identities", "psido-calculus", "ibc-identity"],
+)
+def test_results_csv_is_byte_identical_across_runs(tmp_path, experiment, seed, config):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run_cli("--experiment", "weyl-identities", "--seed", "3", "--out", str(out_a)) == 0
-    assert run_cli("--experiment", "weyl-identities", "--seed", "3", "--out", str(out_b)) == 0
-    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
-
-
-def test_results_csv_independent_of_thread_count(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    args = ("--experiment", "psido-calculus", "--seed", "11")
-    assert run_cli(*args, "--threads", "1", "--out", str(out_a)) == 0
-    assert run_cli(*args, "--threads", "4", "--out", str(out_b)) == 0
+    args = ("--experiment", experiment, "--config", str(cfg), "--seed", str(seed))
+    assert run_cli(*args, "--out", str(out_a)) == 0
+    assert run_cli(*args, "--out", str(out_b)) == 0
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
@@ -594,7 +594,7 @@ def test_streamed_symbol_pairs_match_the_listed_draws(draws):
 def test_psido_calculus_peak_does_not_grow_with_draws():
     cfg = resolve_config(None)
     cfg["sweep"].update(psido_npts=64, parametrix_npts=64, draws=1)
-    cli.run_psido_calculus(cfg, 7, 1)  # first-use imports and allocations stay out of the peaks
+    cli.run_psido_calculus(cfg, 7)  # first-use imports and allocations stay out of the peaks
     table = 16 * Grid(1, 64, cfg["model"]["box"]).size ** 2
     peaks = {}
     for draws in (3, 30):
@@ -605,7 +605,7 @@ def test_psido_calculus_peak_does_not_grow_with_draws():
             cached.cache_clear()
         tracemalloc.start()
         try:
-            rows = cli.run_psido_calculus(cfg, 7, 1)
+            rows = cli.run_psido_calculus(cfg, 7)
             peaks[draws] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -619,7 +619,6 @@ def test_psido_calculus_guard_does_not_scale_with_draws():
     cfg = resolve_config(None)
     cfg["sweep"].update(psido_npts=256, draws=2000)
     assert check_guards(cfg, "psido-calculus") == psido.calculus_peak_bytes(256, cli._CALCULUS_HELD_SYMBOLS)
-    assert check_guards(cfg, "psido-calculus", 2) == check_guards(cfg, "psido-calculus", 1)
 
 
 def test_fock_conjugation_rows_pass_at_tiny_coupling(tmp_path):
@@ -677,7 +676,8 @@ def test_summary_reads_no_package_metadata(tmp_path):
 
 def test_one_thread_run_loads_no_thread_pool_or_polynomial_module(tmp_path):
     # concurrent.futures (with logging) and numpy.polynomial cost every process
-    # about 10 ms and 1.4 MB at import; only --threads > 1 and the quadratures use them
+    # about 10 ms and 1.4 MB at import; the CLI starts no thread pool, and only the
+    # quadratures use numpy.polynomial
     code = (
         "import sys; from nelsonlab.cli import main; "
         f"code = main(['--experiment', 'gross-transform', '--out', {str(tmp_path)!r}]); "
@@ -689,40 +689,40 @@ def test_one_thread_run_loads_no_thread_pool_or_polynomial_module(tmp_path):
 
 def test_renorm_reaches_npts_32_within_the_budget():
     # three splits of side 1056 and a Lanczos basis of side 17 952: 187 MiB, not the
-    # 1.5 GB of dense A_N and C; the sweep runs one kernel at a time, whatever --threads
+    # 1.5 GB of dense A_N and C
     cfg = resolve_config(str(ROOT / "configs" / "renorm-32.cfg"))
-    assert check_guards(cfg, "renorm-convergence", 2) == nelson.renorm_peak_bytes(32, 2) < 256 * 2**20
+    assert check_guards(cfg, "renorm-convergence") == nelson.renorm_peak_bytes(32, 2) < 256 * 2**20
 
 
-def test_memory_guard_counts_each_sweep_worker(tmp_path, capsys, monkeypatch):
-    # configs/ibc-identity-32.cfg states 810 MiB for build_ibc; two sweep
-    # workers hold two of its three cutoffs at once, 1620 MiB
-    def refuse(spec):
-        raise AssertionError("assembled a model past the guard")
-
-    monkeypatch.setattr(nelson, "assemble_free", refuse)
-    base = ("--experiment", "ibc-identity", "--config", str(ROOT / "configs" / "ibc-identity-32.cfg"))
-    out = tmp_path / "run"
-    assert run_cli(*base, "--threads", "2", "--out", str(out)) == 3
-    assert "2 sweep workers of build_ibc would hold" in capsys.readouterr().err
-    assert not out.exists()
-    assert run_cli(*base, "--threads", "1", "--validate") == 0
-    cfg = resolve_config(str(ROOT / "configs" / "ibc-identity-32.cfg"))
-    assert check_guards(cfg, "ibc-identity", 1) == ibc.ibc_peak_bytes(32, 2)
-    # a worker beyond the sweep's cutoffs holds nothing, and a sequential kernel is counted once
-    small = resolve_config(None)
-    assert check_guards(small, "ibc-identity", 8) == 3 * ibc.ibc_peak_bytes(8, 2)
-    assert check_guards(small, "renorm-convergence", 8) == check_guards(small, "renorm-convergence", 1)
+def test_memory_guard_states_one_build_ibc_at_npts_32():
+    # configs/ibc-identity-32.cfg states 810 MiB for build_ibc, once for its three cutoffs
+    config = str(ROOT / "configs" / "ibc-identity-32.cfg")
+    assert run_cli("--experiment", "ibc-identity", "--config", config, "--validate") == 0
+    cfg = resolve_config(config)
+    assert check_guards(cfg, "ibc-identity") == ibc.ibc_peak_bytes(32, 2)
 
 
-def test_summary_states_the_peak_of_every_sweep_worker(tmp_path):
+def test_summary_states_the_kernel_peak(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[sweep]\nlams = 1.0, 2.0\n")
-    for threads in (1, 2):
-        out = tmp_path / f"run-{threads}"
-        assert run_cli("--experiment", "ibc-identity", "--config", str(cfg), "--threads", str(threads), "--out", str(out)) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["stated_peak_mib"] == round(threads * ibc.ibc_peak_bytes(8, 2) / 2**20, 1)
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "ibc-identity", "--config", str(cfg), "--threads", "1", "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stated_peak_mib"] == round(ibc.ibc_peak_bytes(8, 2) / 2**20, 1)
+    assert "threads" not in summary
+
+
+def test_guards_run_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    guards = cli.check_guards
+
+    def counting(*args):
+        calls.append(args)
+        return guards(*args)
+
+    monkeypatch.setattr(cli, "check_guards", counting)
+    assert run_cli("--experiment", "ibc-identity", "--out", str(tmp_path / "run")) == 0
+    assert len(calls) == 1
 
 
 def test_weyl_rows_pass_and_shrink(tmp_path):
