@@ -262,6 +262,11 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
             raise GuardError(f"[sweep] {key}: {experiment} needs at least {least}, got {value}")
     if experiment == "domain-regularity" and len(set(sweep["powers"])) != len(sweep["powers"]):
         raise GuardError(f"[sweep] powers: {experiment} compares powers pairwise, so they must be distinct, got {sweep['powers']}")
+    if experiment == "weyl-identities" and not 0 <= sweep["weyl_sector_cap"] <= min(sweep["weyl_n_max"]) - 2:
+        raise GuardError(
+            f"[sweep] weyl_sector_cap: {experiment} measures on the safe sectors, 0 to min(weyl_n_max) - 2 = "
+            f"{min(sweep['weyl_n_max']) - 2}, got {sweep['weyl_sector_cap']}"
+        )
     for key in _POSITIVE_SWEEPS.get(experiment, ()):
         if not all(value > 0.0 for value in sweep[key]):
             raise GuardError(f"[sweep] {key}: {experiment} needs positive entries, got {sweep[key]}")
@@ -333,24 +338,24 @@ def run_weyl_identities(cfg, seed) -> list[Row]:
     cap = sweep["weyl_sector_cap"]
     f = coupling * np.array([1.0 + 0.5j])
     g = coupling * np.array([0.6 - 0.8j])
-    freq = np.array([[1.4]])
+    freqs = np.array([1.4])
     rho = coupling * np.array([0.8 + 0.3j])
+    # the static dressing: V(-omega^{-3/2} rho) takes dGamma(omega) + Phi(omega^{-1/2} rho)
+    # to dGamma(omega) - ||omega^{-1} rho||^2 / 2, so the two deviations cancel in their sum
+    static = (-(freqs**-1.5) * rho, freqs**-0.5 * rho)
 
     rows, results = [], []
     for n_max in sweep["weyl_n_max"]:
         basis = fock.fock_basis(1, n_max)
-        proj = fock.sector_projector(basis, cap)
-        v = fock.weyl(basis, g)
-        shift = complex(np.vdot(f, g).real)
-        eye = np.eye(basis.dim)
-        field_resid = opnorm(
-            proj @ (v @ fock.field(basis, f) @ v.conj().T - (fock.field(basis, f) + shift * eye)) @ proj
-        )
-        target = fock.second_quantize(basis, freq) + fock.field(basis, freq @ g)
-        target += 0.5 * np.vdot(freq @ g, g).real * eye
-        dgamma_resid = opnorm(proj @ (v @ fock.second_quantize(basis, freq) @ v.conj().T - target) @ proj)
-        static_resid = fock.gross_check_static(basis, freq, rho, sector_cap=cap)
-        res = {"field-shift": field_resid, "dgamma-shift": dgamma_resid, "static-dressing": static_resid}
+        energies = basis.occupations @ freqs
+        window = basis.tensor_rows(1, 0, cap)
+        dgamma_dev, field_dev = fock.conjugation_deviations(basis, freqs, energies, g, f, window)
+        static_dgamma, static_field = fock.conjugation_deviations(basis, freqs, energies, *static, window)
+        res = {
+            "field-shift": opnorm(field_dev),
+            "dgamma-shift": opnorm(dgamma_dev),
+            "static-dressing": opnorm(static_dgamma + static_field),
+        }
         results.append(res)
         params = {"n_max": n_max, "coupling": coupling, "sector_cap": cap}
         for name, value in res.items():

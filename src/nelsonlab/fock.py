@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .operators import check_hermitian, hermitian_func, opnorm, psd_power
+from .operators import check_hermitian, psd_power
 
 
 def sector_dims(n_modes: int, n_max: int) -> list[int]:
@@ -215,23 +215,6 @@ def number_operator(basis: FockBasis) -> np.ndarray:
     return check_hermitian(np.diag(basis.sector_totals().astype(complex)))
 
 
-def field(basis: FockBasis, f: np.ndarray) -> np.ndarray:
-    """Phi(f) = (a*(f) + a(f)) / sqrt(2)."""
-    a = annihilate(basis, f)
-    return check_hermitian((a.conj().T + a) / np.sqrt(2.0))
-
-
-def momentum(basis: FockBasis, f: np.ndarray) -> np.ndarray:
-    """Pi(f) = i (a*(f) - a(f)) / sqrt(2) = Phi(i f)."""
-    a = annihilate(basis, f)
-    return check_hermitian(1j * (a.conj().T - a) / np.sqrt(2.0))
-
-
-def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
-    """V(f) = exp(i Pi(f)), unitary on the truncation."""
-    return hermitian_func(momentum(basis, f), lambda w: np.exp(1j * w))
-
-
 def apply_ladder(basis: FockBasis, create: np.ndarray, annihilate: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """(a*(create) + a(annihilate)) applied to each row of ``vectors``, shape (k, dim).
 
@@ -249,6 +232,11 @@ def apply_ladder(basis: FockBasis, create: np.ndarray, annihilate: np.ndarray, v
         return np.zeros(vectors.shape, dtype=np.result_type(entries, vectors))
     gathered = np.take(vectors, reads, axis=1) * entries
     return np.add.reduceat(gathered, heads, axis=1)
+
+
+def apply_field(basis: FockBasis, f: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Phi(f) = (a*(f) + a(f)) / sqrt(2) applied to each row of ``vectors``, in complex arithmetic."""
+    return np.true_divide(apply_ladder(basis, f, f, vectors), np.sqrt(2.0), dtype=complex)
 
 
 # one step of ``weyl_rows``: the bound on the norm of its generator, and the
@@ -300,9 +288,36 @@ def weyl_truncation_tolerance(n_max: int, sector_cap: int, f_norm: float) -> flo
     return float(np.exp(f_norm**2) * f_norm ** (2 * k) / factorial(k))
 
 
-def sector_projector(basis: FockBasis, cap: int) -> np.ndarray:
-    diag = (basis.sector_totals() <= cap).astype(complex)
-    return check_hermitian(np.diag(diag))
+def conjugation_deviations(
+    basis: FockBasis, freqs: np.ndarray, energies: np.ndarray, g: np.ndarray, u: np.ndarray, rows, w=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (dGamma, field) deviations of the Weyl conjugation identities of V(g) on the rows s = ``rows``.
+
+    With W = V(g)[s, :] (``weyl_rows``, or ``w`` when the caller has it) and
+    h diagonal in the modes (per-mode ``freqs``, dGamma(h) = diag(``energies``)),
+    each is an |s| x |s| array that vanishes on the safe sectors up to
+    truncation effects (``weyl_truncation_tolerance``):
+
+      dGamma: W dGamma(h) W* - (dGamma(h) + Phi(h g) + Re<h g, g> / 2)[s, s]
+      field:  W Phi(u) W* - (Phi(u) + Re<u, g>)[s, s]
+
+    Each operator M is applied to the rows of conj(W), W M W* = W (M applied
+    to the rows of conj(W))^T, or to the unit vectors of s, whose image is
+    M[:, s]^T: no matrix of side dim is formed.
+    """
+    if w is None:
+        w, _, _ = weyl_rows(basis, g, rows)
+    ident = np.eye(len(rows))
+    units = np.zeros((len(rows), basis.dim))  # I[s, :]
+    units[np.arange(len(rows)), rows] = 1.0
+    w_bar = w.conj()
+    conj = w @ (w_bar * energies).T
+    pred = np.diag(energies[rows]) + apply_field(basis, freqs * g, units)[:, rows].T
+    pred += 0.5 * np.vdot(freqs * g, g).real * ident
+    dgamma_dev = conj - pred
+    conj = w @ apply_field(basis, u, w_bar).T
+    pred = apply_field(basis, u, units)[:, rows].T + np.vdot(u, g).real * ident
+    return dgamma_dev, conj - pred
 
 
 def dgamma_power(basis: FockBasis, h: np.ndarray, alpha: float) -> np.ndarray:
@@ -312,30 +327,6 @@ def dgamma_power(basis: FockBasis, h: np.ndarray, alpha: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # reference checks
-
-
-def gross_check_static(
-    basis: FockBasis,
-    omega: np.ndarray,
-    rho: np.ndarray,
-    sector_cap: int,
-) -> float:
-    """Residual of the exact dressing identity for a static source.
-
-    Conjugating dGamma(omega) + Phi(omega^{-1/2} rho) by the Weyl operator of
-    f = -omega^{-3/2} rho removes the field term and shifts the energy by
-    -||omega^{-1} rho||^2 / 2.  Returns the residual norm on the sectors up to
-    ``sector_cap``, a window that stays comparable across different caps.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    f = -psd_power(omega, -1.5) @ rho
-    ham = second_quantize(basis, omega) + field(basis, psd_power(omega, -0.5) @ rho)
-    v = weyl(basis, f)
-    shift = 0.5 * float(np.vdot(psd_power(omega, -1.0) @ rho, psd_power(omega, -1.0) @ rho).real)
-    target = second_quantize(basis, omega) - shift * np.eye(basis.dim)
-    p = sector_projector(basis, sector_cap)
-    return opnorm(p @ (v @ ham @ v.conj().T - target) @ p)
 
 
 def ac_estimate_report(

@@ -509,7 +509,9 @@ def transformed_hamiltonian_check(
     block g(X)(-a*a*/2 - aa/2 + a*a) in dB, and a scalar per X.  On the
     continuum all that survives of the difference is zero; on the lattice the
     commutator of the discrete derivative with the X-dependent dressing
-    leaves a residual that shrinks under grid refinement.
+    leaves a residual that does not tend to 0 while the derivative is
+    spectral.  It sits on the Nyquist mode in X: at n_max 2 and lam 1 it
+    falls from 0.0038 at npts 8 to 0.00086 at npts 256 and levels off.
 
     Both sides are compared on the safe rows only: s, the Fock states with
     boson number <= max(0, n_max - 2), at every X.  H_lam = K x 1 +
@@ -523,7 +525,8 @@ def transformed_hamiltonian_check(
     ``fock.weyl_rows``, a Taylor series through the creation ladder, and
     every other Fock factor is applied to the rows of W_X or to the unit
     vectors of s by ``fock.apply_ladder``: no array of side fock_dim and no
-    matrix of the tensor side is formed (``transformed_peak_bytes``).
+    matrix of the tensor side is formed (``transformed_peak_bytes``).  The
+    Fock-only identities are ``fock.conjugation_deviations`` of each W_X.
 
     Pass ``b_family``, a real (size, size) array of lattice rows B_X, to
     override the dressing; zero or X-independent rows are the degenerate checks.
@@ -558,11 +561,6 @@ def transformed_hamiltonian_check(
     units[np.arange(n_safe), safe] = 1.0
     energies = model.occupation_energies
     dgamma_s = np.diag(energies[safe])
-
-    def field_on(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Phi(f) applied to each row of x, divided by sqrt(2) in complex arithmetic
-        whatever the rows are, as ``fock.field`` divides."""
-        return np.true_divide(fock.apply_ladder(basis, f, f, x), np.sqrt(2.0), dtype=complex)
 
     creators = form_factor(model, lam)
     # W_X = V(b_X)[s, :]: real for real b_X, as is the left side for real v_X
@@ -609,17 +607,13 @@ def transformed_hamiltonian_check(
             + 0.5 * spec.g[xi] * inner(grid, fam_db[xi], fam_db[xi]).real
         )
         # row i of M applied to the units is column s_i of M: M[:, s] is its transpose
-        rhs[xi, :, xi] += (
-            dgamma_s + field_on(shifted[xi], units)[:, safe].T + spec.g[xi] * quadratic + scalar * ident_s
-        )
+        field_s = fock.apply_field(basis, shifted[xi], units)[:, safe].T
+        rhs[xi, :, xi] += dgamma_s + field_s + spec.g[xi] * quadratic + scalar * ident_s
 
         # Fock-only conjugation identities, worst deviation over X
-        conj = w @ dgamma_w
-        pred = dgamma_s + field_on(freqs * b, units)[:, safe].T + 0.5 * np.dot(b, freqs * b).real * ident_s
-        dev_dgamma = max(dev_dgamma, float(np.abs(conj - pred).max()))
-        conj = w @ field_on(coeffs_u[xi], w_bar).T
-        pred = field_on(coeffs_u[xi], units)[:, safe].T + np.dot(b, coeffs_u[xi]).real * ident_s
-        dev_field = max(dev_field, float(np.abs(conj - pred).max()))
+        dgamma_x, field_x = fock.conjugation_deviations(basis, freqs, energies, b, coeffs_u[xi], safe, w=w)
+        dev_dgamma = max(dev_dgamma, float(np.abs(dgamma_x).max()))
+        dev_field = max(dev_field, float(np.abs(field_x).max()))
         tolerance = max(
             tolerance,
             fock.weyl_truncation_tolerance(basis.n_max, cap, float(np.linalg.norm(b))),

@@ -1,15 +1,62 @@
-"""Dense routes on the whole tensor space: the oracles of the sector-block library.
+"""Dense routes: the oracles of the sector-block library and of its Weyl rows.
 
 The library forms no matrix of the whole tensor space for H0, A, H_lam,
 E_lam(X) or H_ibc; these builders lay them out densely at the small sizes the
 tests run.  Every matrix is X-major like the tensor: row X * fock_dim + o.
+
+Nor does it form a Weyl operator: ``fock.weyl_rows`` sums its rows as a
+Taylor series.  ``weyl`` here is the whole V(f) from one ``eigh`` of the
+dense momentum matrix, with the dense field, the sector projector and the
+static dressing identity built on it.
 """
 
 import numpy as np
 
+from nelsonlab.fock import annihilate, second_quantize
 from nelsonlab.ibc import free_shift
 from nelsonlab.nelson import form_factor, vacuum_energy
-from nelsonlab.operators import check_hermitian
+from nelsonlab.operators import check_hermitian, hermitian_func, opnorm, psd_power
+
+
+def field(basis, f):
+    """Phi(f) = (a*(f) + a(f)) / sqrt(2)."""
+    a = annihilate(basis, f)
+    return check_hermitian((a.conj().T + a) / np.sqrt(2.0))
+
+
+def momentum(basis, f):
+    """Pi(f) = i (a*(f) - a(f)) / sqrt(2) = Phi(i f)."""
+    a = annihilate(basis, f)
+    return check_hermitian(1j * (a.conj().T - a) / np.sqrt(2.0))
+
+
+def weyl(basis, f):
+    """V(f) = exp(i Pi(f)), unitary on the truncation."""
+    return hermitian_func(momentum(basis, f), lambda w: np.exp(1j * w))
+
+
+def sector_projector(basis, cap):
+    diag = (basis.sector_totals() <= cap).astype(complex)
+    return check_hermitian(np.diag(diag))
+
+
+def gross_check_static(basis, omega, rho, sector_cap):
+    """Residual of the exact dressing identity for a static source.
+
+    Conjugating dGamma(omega) + Phi(omega^{-1/2} rho) by the Weyl operator of
+    f = -omega^{-3/2} rho removes the field term and shifts the energy by
+    -||omega^{-1} rho||^2 / 2.  Returns the residual norm on the sectors up to
+    ``sector_cap``, a window that stays comparable across different caps.
+    """
+    omega = np.asarray(omega, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    f = -psd_power(omega, -1.5) @ rho
+    ham = second_quantize(basis, omega) + field(basis, psd_power(omega, -0.5) @ rho)
+    v = weyl(basis, f)
+    shift = 0.5 * float(np.vdot(psd_power(omega, -1.0) @ rho, psd_power(omega, -1.0) @ rho).real)
+    target = second_quantize(basis, omega) - shift * np.eye(basis.dim)
+    p = sector_projector(basis, sector_cap)
+    return opnorm(p @ (v @ ham @ v.conj().T - target) @ p)
 
 
 def free_hamiltonian(model):

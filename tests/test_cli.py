@@ -204,6 +204,9 @@ def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, mo
         ("[sweep]\npowers =\n", "powers", "domain-regularity"),
         ("[sweep]\nweyl_n_max =\n", "weyl_n_max", "weyl-identities"),
         ("[sweep]\nweyl_n_max = 10\n", "weyl_n_max", "weyl-identities"),
+        # the window must lie in the safe sectors of the smallest truncation, 0..min(weyl_n_max) - 2 = 8
+        ("[sweep]\nweyl_sector_cap = -1\n", "weyl_sector_cap", "weyl-identities"),
+        ("[sweep]\nweyl_sector_cap = 9\n", "weyl_sector_cap", "weyl-identities"),
         ("[sweep]\nomegas =\n", "omegas", "appendix-inequalities"),
         ("[sweep]\nfuzz_pairs = 0\n", "fuzz_pairs", "appendix-inequalities"),
         ("[sweep]\nfuzz_samples = 0\n", "fuzz_samples", "appendix-inequalities"),
@@ -223,6 +226,8 @@ def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, mo
         "no-power",
         "no-weyl-cap",
         "single-weyl-cap",
+        "negative-weyl-window",
+        "unsafe-weyl-window",
         "no-omega",
         "no-fuzz-pair",
         "no-fuzz-sample",
@@ -733,6 +738,17 @@ def test_weyl_rows_pass_and_shrink(tmp_path):
     assert [int(r[1]["n_max"]) for r in static] == [10, 20, 40]
     assert static[-1][2] <= 1e-7
     assert all(r[4] == "PASS" for r in rows)
+
+
+def test_weyl_rows_run_without_eigh(tmp_path, monkeypatch):
+    # every Weyl operator of the run is a sum of rows through the creation ladder
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "weyl-identities", "--out", str(out)) == 0
+    assert all(r[4] == "PASS" for r in read_rows(out))
 
 
 def test_module_entry_point_runs():

@@ -5,22 +5,21 @@ from nelsonlab.fock import (
     FockBasis,
     ac_estimate_report,
     annihilate,
+    apply_field,
     apply_ladder,
+    conjugation_deviations,
     dgamma_power,
-    field,
     fock_basis,
-    gross_check_static,
-    momentum,
     number_operator,
     second_quantize,
     sector_dims,
-    sector_projector,
-    weyl,
     weyl_rows,
     weyl_truncation_tolerance,
 )
 from nelsonlab.nelson import assemble_free, gross_B, sinusoidal_spec
 from nelsonlab.operators import opnorm, psd_power
+
+from dense_oracle import field, gross_check_static, momentum, sector_projector, weyl
 
 
 def rand_vec(rng, n, scale=1.0):
@@ -311,6 +310,47 @@ def test_weyl_rows_of_zero_are_the_unit_rows():
     got, steps, terms = weyl_rows(b, np.zeros(4), rows)
     assert (steps, terms) == (1, 0)
     assert np.array_equal(got, np.eye(b.dim)[rows])
+
+
+def _dense_deviations(b, freqs, g, u, rows):
+    """Both conjugation deviations from the dense V(g), Phi and dGamma, restricted to rows x rows."""
+    v = weyl(b, g)
+    eye = np.eye(b.dim)
+    dgamma = second_quantize(b, np.diag(freqs))
+    pred = dgamma + field(b, freqs * g) + 0.5 * np.vdot(freqs * g, g).real * eye
+    dgamma_dev = v @ dgamma @ v.conj().T - pred
+    field_dev = v @ field(b, u) @ v.conj().T - (field(b, u) + np.vdot(u, g).real * eye)
+    window = np.ix_(rows, rows)
+    return dgamma_dev[window], field_dev[window]
+
+
+@pytest.mark.parametrize(
+    "n_modes, n_max, cap, kind",
+    [(1, 10, 5, "complex"), (1, 20, 5, "complex"), (3, 5, 3, "real"), (3, 5, 3, "complex")],
+)
+def test_conjugation_deviations_match_the_dense_route(n_modes, n_max, cap, kind):
+    rng = np.random.default_rng(23)
+    b = fock_basis(n_modes, n_max)
+    freqs = rng.uniform(0.5, 2.0, n_modes)
+    g = rand_vec(rng, n_modes, 0.3)
+    u = rand_vec(rng, n_modes, 0.5)
+    if kind == "real":
+        g = g.real
+    rows = b.tensor_rows(1, 0, cap)
+    got = conjugation_deviations(b, freqs, b.occupations @ freqs, g, u, rows)
+    for mine, dense in zip(got, _dense_deviations(b, freqs, g, u, rows)):
+        assert mine.shape == (len(rows), len(rows))
+        np.testing.assert_allclose(mine, dense, rtol=0, atol=1e-13)
+
+
+def test_apply_field_matches_the_dense_field():
+    rng = np.random.default_rng(25)
+    b = fock_basis(3, 4)
+    f = rand_vec(rng, 3)
+    x = rng.standard_normal((4, b.dim))
+    got = apply_field(b, f, x)
+    assert got.dtype == np.complex128
+    np.testing.assert_allclose(got, x @ field(b, f).T, rtol=0, atol=1e-13)
 
 
 def test_weyl_truncation_tolerance_shrinks_with_headroom():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nelsonlab import fock, nelson, operators
-from nelsonlab.fock import annihilate, field, second_quantize
+from nelsonlab.fock import annihilate, second_quantize
 from nelsonlab.grid import (
     Grid,
     ResolutionError,
@@ -37,7 +37,15 @@ from nelsonlab.nelson import (
 )
 from nelsonlab.operators import HERMITIAN_TOL, SizeError, check_hermitian, opnorm
 
-from dense_oracle import creation_family, cutoff_hamiltonian, free_hamiltonian, split_blocks, vacuum_energy_diagonal
+from dense_oracle import (
+    creation_family,
+    cutoff_hamiltonian,
+    field,
+    free_hamiltonian,
+    split_blocks,
+    vacuum_energy_diagonal,
+    weyl,
+)
 
 # Frozen reference values for the bench model g = 1 + 0.3 sin x, W = 0.2 cos x,
 # mu = 1, box = 2*pi, coupling 1, gaussian profile, computed with independent
@@ -478,7 +486,7 @@ def _dense_transformed_oracle(model, lam, b_family=None):
     aops = [annihilate(basis, c) for c in model.project(fam_db)]
 
     ident_f = np.eye(fdim)
-    weyls = np.stack([fock.weyl(basis, b) for b in coeffs_b])
+    weyls = np.stack([weyl(basis, b) for b in coeffs_b])
     h_blocks = cutoff_hamiltonian(model, lam).reshape(size, fdim, size, fdim)
     lhs = weyls[:, None] @ h_blocks.transpose(0, 2, 1, 3) @ weyls.conj().transpose(0, 2, 1)
     lhs = lhs.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
