@@ -3,15 +3,16 @@
 A run executes one named experiment against a resolved configuration and
 writes three artifacts into the output directory: ``results.csv`` with one
 row per measurement (experiment, parameters, lhs, rhs, status),
-``summary.json`` with per-check status, tolerances, seed, config hash,
+``summary.json`` with per-check status and bound, seed, config hash,
 wall clock, the process's peak resident set size and the library's stated
 peak, the numpy version, the BLAS name and version and the run's
 telemetry (matrix sides and solver records), and ``plot.gp``.
 Identical (config, seed) pairs produce byte-identical CSV files; a sweep
 runs its points in order in one process.
 
-Configs are flat ``key = value`` text files with three typed sections,
-``[model]``, ``[sweep]`` and ``[tolerances]``; ``#`` starts a comment.
+Configs are flat ``key = value`` text files with two typed sections,
+``[model]`` and ``[sweep]``; ``#`` starts a comment.  The bound each check
+compares against is a constant of this module, next to its runner.
 Unknown keys, unreadable values, and malformed lines are reported with
 their line number and exit code 2; values the library refuses (model
 ingredients, lattices, cutoffs, and sizes at which a kernel's stated peak
@@ -124,7 +125,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("sweep", "quad_lams"): (_floats, "4.0, 8.0, 16.0, 32.0, 64.0"),
     ("sweep", "xis"): (_floats, "4.0, 8.0, 16.0, 32.0, 64.0"),
     ("sweep", "weyl_n_max"): (_ints, "10, 20, 40"),
-    ("sweep", "weyl_coupling"): (float, "0.3"),
     ("sweep", "weyl_sector_cap"): (int, "5"),
     ("sweep", "psido_npts"): (int, "32"),
     ("sweep", "parametrix_npts"): (int, "64"),
@@ -132,27 +132,9 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("sweep", "fuzz_pairs"): (int, "1000"),
     ("sweep", "fuzz_samples"): (int, "100000"),
     ("sweep", "rearr_npts"): (int, "128"),
-    ("sweep", "rearr_box"): (float, "32.0"),
-    ("sweep", "demo_g_const"): (float, "4.0"),
-    ("tolerances", "identity_rtol"): (float, "1e-10"),
-    ("tolerances", "spectral_atol"): (float, "1e-9"),
-    ("tolerances", "symbol_atol"): (float, "1e-10"),
-    ("tolerances", "weyl_rtol"): (float, "1e-7"),
-    ("tolerances", "float_floor"): (float, "1e-12"),
-    ("tolerances", "gross_rtol"): (float, "0.05"),
-    ("tolerances", "parametrix_gain"): (float, "10.0"),
-    ("tolerances", "fit_r2"): (float, "0.99"),
-    ("tolerances", "variation_max"): (float, "0.10"),
-    ("tolerances", "scaling_band"): (float, "0.15"),
-    ("tolerances", "scaling_eps"): (float, "0.05"),
-    ("tolerances", "slope_margin"): (float, "0.1"),
-    ("tolerances", "hl_slack"): (float, "1e-12"),
-    ("tolerances", "norm_cap"): (float, "10.0"),
-    ("tolerances", "growth_ratio_min"): (float, "2.0"),
-    ("tolerances", "quad_tol"): (float, "1e-6"),
 }
 
-_SECTIONS = ("model", "sweep", "tolerances")
+_SECTIONS = ("model", "sweep")
 
 
 def parse_config_text(text: str) -> dict[tuple[str, str], str]:
@@ -276,8 +258,8 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
             size = Grid(1, sweep[key], model["box"]).size
             if experiment == "psido-calculus":
                 stated.append(check_bytes("symbol calculus", psido.calculus_peak_bytes(size, held)))
-    with _refusal("[sweep] rearr_npts, rearr_box"):
-        Grid(1, sweep["rearr_npts"], sweep["rearr_box"])
+    with _refusal("[sweep] rearr_npts"):
+        Grid(1, sweep["rearr_npts"], REARR_BOX)
     with _refusal("[model]"):
         spec = _spec(cfg)
     for lam in sweep["lams"]:
@@ -332,14 +314,18 @@ def _params_text(params: dict) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in params.items())
 
 
+FLOAT_FLOOR = 1e-12  # residuals at roundoff: the -monotone rows, the fock- rows of gross-transform
+WEYL_COUPLING = 0.3  # probe amplitude of the conjugation identities
+WEYL_RTOL = 1e-7  # conjugation identity residuals
+
+
 def run_weyl_identities(cfg, seed) -> list[Row]:
-    sweep, tol = cfg["sweep"], cfg["tolerances"]
-    coupling = sweep["weyl_coupling"]
+    sweep = cfg["sweep"]
     cap = sweep["weyl_sector_cap"]
-    f = coupling * np.array([1.0 + 0.5j])
-    g = coupling * np.array([0.6 - 0.8j])
+    f = WEYL_COUPLING * np.array([1.0 + 0.5j])
+    g = WEYL_COUPLING * np.array([0.6 - 0.8j])
     freqs = np.array([1.4])
-    rho = coupling * np.array([0.8 + 0.3j])
+    rho = WEYL_COUPLING * np.array([0.8 + 0.3j])
     # the static dressing: V(-omega^{-3/2} rho) takes dGamma(omega) + Phi(omega^{-1/2} rho)
     # to dGamma(omega) - ||omega^{-1} rho||^2 / 2, so the two deviations cancel in their sum
     static = (-(freqs**-1.5) * rho, freqs**-0.5 * rho)
@@ -357,9 +343,9 @@ def run_weyl_identities(cfg, seed) -> list[Row]:
             "static-dressing": opnorm(static_dgamma + static_field),
         }
         results.append(res)
-        params = {"n_max": n_max, "coupling": coupling, "sector_cap": cap}
+        params = {"n_max": n_max, "coupling": WEYL_COUPLING, "sector_cap": cap}
         for name, value in res.items():
-            rows.append(Row(name, params, value, tol["weyl_rtol"]))
+            rows.append(Row(name, params, value, WEYL_RTOL))
     for name in ("field-shift", "dgamma-shift", "static-dressing"):
         series = [res[name] for res in results]
         worst = max(np.diff(series))
@@ -368,7 +354,7 @@ def run_weyl_identities(cfg, seed) -> list[Row]:
                 f"{name}-monotone",
                 {"n_max_sweep": "|".join(map(str, sweep["weyl_n_max"])), "sector_cap": cap},
                 float(worst),
-                tol["float_floor"],
+                FLOAT_FLOOR,
             )
         )
     return rows
@@ -387,10 +373,14 @@ def _symbol_pairs(grid: Grid, rng: np.random.Generator, draws: int):
     yield a, first
 
 
+SYMBOL_ATOL = 1e-10  # symbol-calculus identity residuals
+PARAMETRIX_GAIN = 10.0  # residual reduction the parametrix must reach in 3 iterations
+
+
 def run_psido_calculus(cfg, seed) -> list[Row]:
     """The draws run one pair at a time, so the run holds three symbols
     whatever ``draws`` is."""
-    sweep, tol, model = cfg["sweep"], cfg["tolerances"], cfg["model"]
+    sweep, model = cfg["sweep"], cfg["model"]
     grid = Grid(1, sweep["psido_npts"], model["box"])
     rng = np.random.default_rng(seed)
 
@@ -407,7 +397,7 @@ def run_psido_calculus(cfg, seed) -> list[Row]:
     results = list(itertools.starmap(residuals, _symbol_pairs(grid, rng, sweep["draws"])))
     params = {"npts": grid.npts, "draws": sweep["draws"], "seed": seed}
     names = ("roundtrip", "composition", "adjoint", "requantization")
-    rows = [Row(name, params, max(res[name] for res in results), tol["symbol_atol"]) for name in names]
+    rows = [Row(name, params, max(res[name] for res in results), SYMBOL_ATOL) for name in names]
     pgrid = Grid(1, sweep["parametrix_npts"], model["box"])
     x = pgrid.position_mesh()[:, 0]
     k = pgrid.momentum_mesh()[:, 0]
@@ -415,7 +405,7 @@ def run_psido_calculus(cfg, seed) -> list[Row]:
     sym = psido.Symbol(pgrid, np.outer(modulation, 1.0 + k**2), psido.xi_power_order(pgrid, 2))
     _, resid = psido.parametrix(sym, 1.0, iterations=3)
     pparams = {"npts": pgrid.npts, "order": 2, "iterations": 3}
-    rows.append(Row("parametrix-gain-min", pparams, resid[0], tol["parametrix_gain"] * resid[3]))
+    rows.append(Row("parametrix-gain-min", pparams, resid[0], PARAMETRIX_GAIN * resid[3]))
     rows.append(Row("parametrix-monotone", pparams, float(max(np.diff(resid))), 0.0))
     telemetry = {
         "symbol_side": grid.size,
@@ -473,8 +463,11 @@ def run_renorm_convergence(cfg, seed) -> list[Row]:
     return Rows(rows, telemetry)
 
 
+GROSS_RTOL = 0.05  # relative residual of the transformed assembly
+
+
 def run_gross_transform(cfg, seed) -> list[Row]:
-    sweep, tol = cfg["sweep"], cfg["tolerances"]
+    sweep = cfg["sweep"]
     model = nelson.assemble_free(_spec(cfg))
     base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
     rows, checks = [], []
@@ -484,8 +477,8 @@ def run_gross_transform(cfg, seed) -> list[Row]:
         params = dict(base, lam=lam)
         # the truncation tolerance underflows to 0 for a tiny dressing, where
         # the deviations are pure roundoff
-        fock_bound = max(report["fock_tolerance"], tol["float_floor"])
-        rows.append(Row("transformed-residual", params, report["residual"], tol["gross_rtol"]))
+        fock_bound = max(report["fock_tolerance"], FLOAT_FLOOR)
+        rows.append(Row("transformed-residual", params, report["residual"], GROSS_RTOL))
         rows.append(Row("fock-dgamma-conjugation", params, report["fock_dgamma_dev"], fock_bound))
         rows.append(Row("fock-field-conjugation", params, report["fock_field_dev"], fock_bound))
         rows.append(Row("dressing-ratio", params, ratio, 1.0))
@@ -495,8 +488,12 @@ def run_gross_transform(cfg, seed) -> list[Row]:
     return Rows(rows, telemetry)
 
 
+IDENTITY_RTOL = 1e-10  # relative residual of the exact IBC identities
+SPECTRAL_ATOL = 1e-9  # eigenvalue agreement between assemblies
+
+
 def run_ibc_identity(cfg, seed) -> list[Row]:
-    sweep, tol = cfg["sweep"], cfg["tolerances"]
+    sweep = cfg["sweep"]
     model = nelson.assemble_free(_spec(cfg))
     base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
     rows, neumann = [], []
@@ -505,10 +502,10 @@ def run_ibc_identity(cfg, seed) -> list[Row]:
         keystone = ibc.factorization_identity_check(model, ops)
         inverse_resid = ibc.neumann_residual(model, ops)
         params = dict(base, lam=lam, shift=ops.shift)
-        rows.append(Row("keystone-identity", params, keystone, tol["identity_rtol"]))
-        rows.append(Row("spectral-equivalence", params, ibc.defect_norm(ops), tol["spectral_atol"]))
+        rows.append(Row("keystone-identity", params, keystone, IDENTITY_RTOL))
+        rows.append(Row("spectral-equivalence", params, ibc.defect_norm(ops), SPECTRAL_ATOL))
         rows.append(Row("neumann-closure", params, ops.neumann_tail, 0.0))
-        rows.append(Row("neumann-inverse", params, inverse_resid, tol["identity_rtol"]))
+        rows.append(Row("neumann-inverse", params, inverse_resid, IDENTITY_RTOL))
         neumann.append({"lam": lam, "neumann_terms": ops.neumann_terms})
         shapes = {f"{m}<-{n}": list(block.shape) for (m, n), block in sorted(ops.g.items())}
         del ops  # free this cutoff's blocks before the next cutoff builds its own
@@ -516,8 +513,12 @@ def run_ibc_identity(cfg, seed) -> list[Row]:
     return Rows(rows, {"tensor_dim": model.dim, "g_blocks": shapes, "neumann": neumann})
 
 
+NORM_CAP = 10.0  # ceiling of the weighted-norm table entries
+GROWTH_RATIO_MIN = 2.0  # least ratio of last-step excess growth, top power over the next; never loosened
+
+
 def run_domain_regularity(cfg, seed) -> list[Row]:
-    sweep, tol = cfg["sweep"], cfg["tolerances"]
+    sweep = cfg["sweep"]
     models = [nelson.assemble_free(_spec(cfg, size)) for size in sweep["sizes"]]
     report = ibc.domain_regularity_experiment(models, sweep["domain_lams"], sweep["powers"])
     rows = []
@@ -527,7 +528,7 @@ def run_domain_regularity(cfg, seed) -> list[Row]:
                 "sobolev-weighted-norm",
                 {"npts": entry["npts"], "lam": entry["lam"], "p": entry["p"], "shift": entry["shift"]},
                 entry["norm"],
-                tol["norm_cap"],
+                NORM_CAP,
             )
         )
     powers = sweep["powers"]
@@ -537,7 +538,7 @@ def run_domain_regularity(cfg, seed) -> list[Row]:
                 "growth-total",
                 {"p": p, "sizes": "|".join(map(str, sweep["sizes"]))},
                 report["growth"][p]["total"],
-                tol["norm_cap"],
+                NORM_CAP,
             )
         )
     # excess growth over the last refinement step: factors of a slowly
@@ -550,17 +551,23 @@ def run_domain_regularity(cfg, seed) -> list[Row]:
             "growth-separation-min",
             {"p": top, "p_ref": ref, "sizes": "|".join(map(str, sweep["sizes"]))},
             float(excess_top / excess_ref),
-            tol["growth_ratio_min"],
+            GROWTH_RATIO_MIN,
         )
     )
     return Rows(rows, {"points": report["points"]})
 
 
+REARR_BOX = 32.0  # box of the rearrangement lattice
+HL_SLACK = 1e-12  # roundoff slack of the rearrangement inequality
+SCALING_EPS = 0.05  # exponent slack of the scaling predictions
+SCALING_BAND = 0.15  # relative band around the predicted omega-scaling ratios
+SLOPE_MARGIN = 0.1  # slack between fitted and predicted decay slopes
+
+
 def run_appendix_inequalities(cfg, seed) -> list[Row]:
-    sweep, tol = cfg["sweep"], cfg["tolerances"]
-    quad_tol = tol["quad_tol"]
+    sweep = cfg["sweep"]
     rows = []
-    grid = Grid(1, sweep["rearr_npts"], sweep["rearr_box"])
+    grid = Grid(1, sweep["rearr_npts"], REARR_BOX)
     rng = np.random.default_rng(seed)
 
     violations = 0
@@ -568,7 +575,7 @@ def run_appendix_inequalities(cfg, seed) -> list[Row]:
         f = rng.random(grid.size).astype(complex)
         g = rng.random(grid.size).astype(complex)
         lhs, rhs = inequalities.hardy_littlewood_check(grid, f, g)
-        violations += lhs > rhs + tol["hl_slack"]
+        violations += lhs > rhs + HL_SLACK
     rows.append(
         Row("hardy-littlewood-fuzz", {"pairs": sweep["fuzz_pairs"], "npts": grid.npts, "seed": seed}, float(violations), 0.0)
     )
@@ -598,10 +605,10 @@ def run_appendix_inequalities(cfg, seed) -> list[Row]:
         Row("rearrangement-closed-form", {"npts": grid.npts, "masked": int(mask.sum()), "p": 1.5, "lam": 1.0}, float(bad), 0.0)
     )
 
-    eps = tol["scaling_eps"]
+    eps = SCALING_EPS
     for xi in (0.0, 1.0):
         values = [
-            inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, 0.0, omega, xi, eps, tol=quad_tol)
+            inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, 0.0, omega, xi, eps)
             for omega in sweep["omegas"]
         ]
         predicted = 2.0 ** (-4.0 + 3.0 + eps)
@@ -618,13 +625,13 @@ def run_appendix_inequalities(cfg, seed) -> list[Row]:
                     "omega-scaling",
                     {"omega": om_a, "omega_next": om_b, "xi": xi, "eps": eps},
                     float(deviation),
-                    tol["scaling_band"],
+                    SCALING_BAND,
                 )
             )
 
     cut_lams = [1.0, 4.0, 16.0, 64.0]
     cut_values = [
-        inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, lam, 1.0, 1.0, eps, tol=quad_tol) for lam in cut_lams
+        inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, lam, 1.0, 1.0, eps) for lam in cut_lams
     ]
     for lam, (integral, bound) in zip(cut_lams, cut_values):
         rows.append(Row("cutoff-estimate-dominated", {"lam": lam, "eps": eps}, integral, bound + 1e-12))
@@ -632,33 +639,36 @@ def run_appendix_inequalities(cfg, seed) -> list[Row]:
     worst = max(b / a for a, b in zip(prefactors[:-1], prefactors[1:]))
     rows.append(Row("cutoff-prefactor-decreasing", {"lams": "|".join(map(_fmt, cut_lams))}, float(worst), 1.0))
 
-    decay = inequalities.offset_decay_check(2.0, sweep["xis"], 0.0, eps=eps, tol=quad_tol)
+    decay = inequalities.offset_decay_check(2.0, sweep["xis"], 0.0, eps=eps)
     rows.append(
         Row(
             "offset-decay-slope",
             {"nu": 2.0, "eps": eps, "xis": "|".join(map(_fmt, sweep["xis"]))},
             decay["slope"],
-            decay["decay_exponent"] + tol["slope_margin"],
+            decay["decay_exponent"] + SLOPE_MARGIN,
         )
     )
     return rows
 
 
+FIT_R2 = 0.99  # least R^2 of the logarithmic fits
+VARIATION_MAX = 0.10  # spread allowed in the subtracted diagonal sweep
+
+
 def run_vacuum_energy(cfg, seed) -> list[Row]:
-    sweep, tol = cfg["sweep"], cfg["tolerances"]
-    lams = sweep["quad_lams"]
-    values = [nelson.vacuum_energy_quadrature(lam, 3) for lam in lams]
+    lams = cfg["sweep"]["quad_lams"]
+    values = inequalities.vacuum_energy_quadrature(lams, 3)
     slope, r_squared = inequalities.log_fit(lams, values)
     rows = []
     for lam_a, lam_b, val_a, val_b in zip(lams[:-1], lams[1:], values[:-1], values[1:]):
         rows.append(Row("divergence-monotone", {"lam": lam_a, "lam_next": lam_b, "d": 3}, val_a, val_b))
     rows.append(
-        Row("log-divergence-r2-min", {"lams": "|".join(map(_fmt, lams)), "d": 3, "slope": slope}, r_squared, tol["fit_r2"])
+        Row("log-divergence-r2-min", {"lams": "|".join(map(_fmt, lams)), "d": 3, "slope": slope}, r_squared, FIT_R2)
     )
-    demo = inequalities.diagonal_divergence_demo(lams, g_const=sweep["demo_g_const"], tol=tol["quad_tol"])
-    demo_params = {"g_const": sweep["demo_g_const"], "lams": "|".join(map(_fmt, lams))}
-    rows.append(Row("demo-unsubtracted-r2-min", demo_params, demo["log_r_squared"], tol["fit_r2"]))
-    rows.append(Row("demo-subtracted-variation", demo_params, demo["variation"], tol["variation_max"]))
+    demo = inequalities.diagonal_divergence_demo(lams)
+    demo_params = {"g_const": demo["g_const"], "lams": "|".join(map(_fmt, lams))}
+    rows.append(Row("demo-unsubtracted-r2-min", demo_params, demo["log_r_squared"], FIT_R2))
+    rows.append(Row("demo-subtracted-variation", demo_params, demo["variation"], VARIATION_MAX))
     return rows
 
 
@@ -746,7 +756,7 @@ def main(argv=None) -> int:
         description="Run one reproducible experiment and write results.csv, summary.json, plot.gp.",
     )
     parser.add_argument("--experiment", choices=EXPERIMENTS, help="experiment to run")
-    parser.add_argument("--config", help="config file ([model]/[sweep]/[tolerances] key = value text)")
+    parser.add_argument("--config", help="config file ([model]/[sweep] key = value text)")
     parser.add_argument("--seed", type=int, default=7, help="seed for random draws (default 7)")
     parser.add_argument(
         "--threads",

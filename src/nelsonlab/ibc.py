@@ -282,9 +282,9 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     step norm is the square root of its top eigenvalue
     (``operators.top_eigenvalue`` in a basis of at most ``_BASIS`` vectors),
     clamped at zero so that zero coupling gives exactly 0.0.  The start
-    vector is the seeded draw of ``top_eigenvalue`` read in source-major
-    order (a, y), as the Gram sum of ``nelson._step_gram`` lays out its
-    rows.  A step holds the Lanczos basis and the apply's workspace, a few
+    vector is a standard normal draw seeded with ``_LANCZOS_SEED``, read in
+    source-major order (a, y), as the Gram sum of ``nelson._step_gram`` lays
+    out its rows.  A step holds the Lanczos basis and the apply's workspace, a few
     arrays of npts x (ladder entries), and nothing of the side squared
     (``regularity_peak_bytes``).  The shift s enters only through the
     resolvent factor of G.  An exact power-of-two scale of the coefficients

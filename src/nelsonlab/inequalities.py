@@ -189,8 +189,12 @@ def _adaptive_quad(f, lo, hi, owner, size: int, tol: float = 1e-6) -> np.ndarray
     panel's Gauss-Legendre value with the sum over its two halves: a panel
     whose values agree to tol * _ATOL_PER_TOL, or to the roundoff of
     int |f|, adds the halves to its owner's total, the others are bisected.
-    Panels left after ``_MAX_ROUNDS`` rounds raise ``QuadratureError``.
+    Panels left after ``_MAX_ROUNDS`` rounds raise ``QuadratureError``; a
+    ``tol`` that is not finite and positive raises ``ValueError`` before the
+    first round, since no panel could meet its target.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"quadrature tolerance must be finite and positive, got {tol}")
     atol = tol * _ATOL_PER_TOL
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     owner = np.asarray(owner, dtype=np.intp)
@@ -446,6 +450,28 @@ def subtracted_kernel(h0):
     return (h0 + 2.0) / (h0 + 1.0) ** 2 - 1.0 / (h0 + 1.0)
 
 
+def vacuum_energy_quadrature(lams, d: int, g_const: float = 1.0) -> np.ndarray:
+    """Leading symbol form of E_lam for constant coefficients and unit mass, one per cutoff of ``lams``.
+
+    Radial quadrature of (h0+1)^{-1/2} / (K0+1) * gaussian_profile_hat(r/lam)^2
+    with h0 = K0 = g_const * r^2, d in {1, 3}.  The integrand decays like
+    r^{d-1-3}, so the d = 3 value grows logarithmically in lam.
+    """
+    if d not in (1, 3):
+        raise ValueError("d must be 1 or 3")
+    lams = np.asarray(lams, dtype=float)
+
+    def integrand(r0, dr, k):
+        r = r0 + dr
+        h0 = g_const * r * r
+        return (h0 + 1.0) ** -0.5 / (h0 + 1.0) * gaussian_profile_hat(r / lams[k]) ** 2 * r ** (d - 1)
+
+    sphere = {1: 2.0, 3: 4.0 * np.pi}[d]
+    # [0, lam] and the tail [lam, inf) of every cutoff, one batch
+    edges = np.column_stack((np.zeros(lams.size), lams))
+    return 0.5 * (2.0 * np.pi) ** -d * sphere * _radial_quad(integrand, edges)
+
+
 def diagonal_divergence_demo(lams=(4.0, 8.0, 16.0, 32.0, 64.0), g_const: float = 4.0, tol: float = 1e-6) -> dict:
     """Constant-coefficient diagonal integrals under a growing cutoff.
 
@@ -454,7 +480,7 @@ def diagonal_divergence_demo(lams=(4.0, 8.0, 16.0, 32.0, 64.0), g_const: float =
     like log lam; the subtracted column replaces the kernel by the
     cancellation of ``subtracted_kernel`` (with a sign flip) and stays
     bounded.  Returns the columns with the log-fit quality and the
-    relative variation of the subtracted values.
+    relative variation of the subtracted values, and ``g_const``.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or lams.size < 2 or np.any(lams <= 0.0):
@@ -477,6 +503,7 @@ def diagonal_divergence_demo(lams=(4.0, 8.0, 16.0, 32.0, 64.0), g_const: float =
     variation = float((sub.max() - sub.min()) / np.max(np.abs(sub)))
     return {
         "lams": lams,
+        "g_const": g_const,
         "unsubtracted": unsub,
         "subtracted": sub,
         "log_slope": slope,

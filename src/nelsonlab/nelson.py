@@ -15,7 +15,7 @@ Scalar conventions used throughout:
 
 Each of these is evaluated for every particle point X at once and returned
 with one row (or entry) per lattice point.  Full tensor assemblies are
-pinned to d = 1; the d = 3 evaluators are quadrature-only.
+pinned to d = 1; the d = 3 evaluators are the quadratures of ``inequalities``.
 
 The model is real: K, omega and the bump rho_{lam,X} commute with complex
 conjugation, so in the lattice basis and the real eigenmodes of h every
@@ -39,13 +39,11 @@ from .grid import (
     Grid,
     bump_hat,
     derivative_matrix,
-    gaussian_profile_hat,
     idft,
     inner,
     norm as lattice_norm,
     sobolev_norm,
 )
-from .inequalities import _radial_quad
 from .operators import check_bytes, check_hermitian, lanczos_peak_bytes, opnorm, top_eigenvalue
 from .psido import dequantize
 
@@ -440,26 +438,6 @@ def vacuum_energy(model: AssembledModel, lam: float) -> np.ndarray:
     """Second-order energy shifts E_lam(X) = -(1/2) <omega^{-1/2} rho_X, B_X>, one per X."""
     f, b = _dressing(model, lam)
     return -0.5 * np.sum(f.conj() * b, axis=1).real * model.grid.weight
-
-
-def vacuum_energy_quadrature(lam: float, d: int, g_const: float = 1.0) -> float:
-    """Leading symbol form of E_lam for constant coefficients and unit mass.
-
-    Radial quadrature of (h0+1)^{-1/2} / (K0+1) * gaussian_profile_hat(r/lam)^2
-    with h0 = K0 = g_const * r^2, d in {1, 3}.  The integrand decays like
-    r^{d-1-3}, so the d = 3 value grows logarithmically in lam.
-    """
-    if d not in (1, 3):
-        raise ValueError("d must be 1 or 3")
-
-    def integrand(r0, dr, _):
-        r = r0 + dr
-        h0 = g_const * r * r
-        return (h0 + 1.0) ** -0.5 / (h0 + 1.0) * gaussian_profile_hat(r / lam) ** 2 * r ** (d - 1)
-
-    sphere = {1: 2.0, 3: 4.0 * np.pi}[d]
-    # [0, lam] and the tail [lam, inf) at the default quadrature tolerance
-    return 0.5 * (2.0 * np.pi) ** -d * sphere * float(_radial_quad(integrand, [0.0, lam])[0])
 
 
 def gross_B(model: AssembledModel, lam: float) -> np.ndarray:

@@ -37,7 +37,9 @@ def opnorm(mat: np.ndarray) -> float:
 
 # relative bound on |lambda - theta| at which ``top_eigenvalue`` stops
 _LANCZOS_RTOL = 1e-15
-# seed of the generator that draws the start vector of ``top_eigenvalue``
+# seed of the generator that draws a start vector for ``top_eigenvalue``: a
+# structured one (all ones, a basis vector) can be orthogonal to the top
+# eigenspace of a lattice-symmetric matrix
 _LANCZOS_SEED = 0
 
 
@@ -53,15 +55,11 @@ def lanczos_peak_bytes(side: int, steps: int, itemsize: int) -> int:
     return (grown // 2 + min(side, grown)) * side * itemsize + 2 * steps**2 * 8
 
 
-def top_eigenvalue(op, basis: int, start: np.ndarray | None = None) -> tuple[float, int, float]:
+def top_eigenvalue(matvec, basis: int, start: np.ndarray) -> tuple[float, int, float]:
     """Largest eigenvalue of a Hermitian positive-semidefinite operator, by Lanczos in a basis of at most ``basis`` vectors.
 
-    ``op`` is a real symmetric matrix or a function x -> A x.  The start
-    vector ``start``, whose dtype the basis takes, is required for a
-    function; for a matrix it defaults to a standard normal draw from a
-    generator seeded with ``_LANCZOS_SEED``: a structured one (all ones, a
-    basis vector) can be orthogonal to the top eigenspace of a
-    lattice-symmetric matrix.  Each step reorthogonalizes against the whole
+    ``matvec`` is the function x -> A x, and the basis takes the dtype of
+    the start vector ``start``.  Each step reorthogonalizes against the whole
     basis, twice.  With T_k the tridiagonal of k steps and theta_k, s_k its
     top eigenvalue and the last entry of its eigenvector,
     |lambda - theta_k| <= beta_k |s_k|, and the iteration stops once that
@@ -78,9 +76,6 @@ def top_eigenvalue(op, basis: int, start: np.ndarray | None = None) -> tuple[flo
     Returns (theta, steps over all cycles, beta_k |s_k| / theta); every
     cycle but the last takes min(side, ``basis``) steps.
     """
-    if start is None:
-        start = np.random.default_rng(_LANCZOS_SEED).standard_normal(len(op))
-    matvec = op if callable(op) else op.__matmul__
     side = len(start)
     length = min(side, basis)
     vecs = np.empty((1, side), dtype=start.dtype)

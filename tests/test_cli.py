@@ -48,7 +48,7 @@ def test_list_prints_every_experiment(capsys):
 def test_validate_default_config(capsys):
     assert run_cli("--validate") == 0
     out = capsys.readouterr().out
-    assert "[model]" in out and "[sweep]" in out and "[tolerances]" in out
+    assert "[model]" in out and "[sweep]" in out and "[tolerances]" not in out
     assert "npts = 8" in out
 
 
@@ -79,6 +79,28 @@ def test_unreadable_value_names_field(tmp_path, capsys):
     assert run_cli("--validate", "--config", str(cfg)) == 2
     err = capsys.readouterr().err
     assert "npts" in err and "seven" in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        # a bound loosened from a config turned the honest domain-regularity FAIL into exit 0
+        ("[tolerances]\ngrowth_ratio_min = 1.0\n", "[tolerances]"),
+        ("[tolerances]\ngross_rtol = inf\n", "[tolerances]"),
+        ("[sweep]\nweyl_coupling = 0.3\n", "weyl_coupling"),
+        ("[sweep]\nrearr_box = 32.0\n", "rearr_box"),
+        ("[sweep]\ndemo_g_const = 4.0\n", "demo_g_const"),
+    ],
+    ids=["growth-ratio-bound", "gross-bound", "weyl-coupling", "rearr-box", "demo-g-const"],
+)
+def test_bounds_and_probe_constants_are_not_config_keys(tmp_path, capsys, text, named):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    for extra in (("--validate",), ("--out", str(out))):
+        assert run_cli("--experiment", "domain-regularity", "--config", str(cfg), *extra) == 2
+        assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_duplicate_key_rejected():
@@ -268,12 +290,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "config",
     [
-        ROOT / "configs" / "default.cfg",
-        ROOT / "configs" / "regularity-64.cfg",
-        ROOT / "configs" / "regularity-128.cfg",
-        ROOT / "configs" / "ibc-identity-32.cfg",
-        ROOT / "configs" / "renorm-32.cfg",
-        ROOT / "configs" / "psido-draws-100.cfg",
+        *sorted((ROOT / "configs").glob("*.cfg")),
         *sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")),
     ],
     ids=lambda path: path.name,

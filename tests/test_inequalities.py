@@ -21,8 +21,8 @@ from nelsonlab.inequalities import (
     subtracted_kernel,
     _adaptive_quad,
     _radial_quad,
+    vacuum_energy_quadrature,
 )
-from nelsonlab.nelson import vacuum_energy_quadrature
 
 GRID = Grid(1, 128, 32.0)
 SMALL = Grid(1, 16, 8.0)
@@ -336,6 +336,16 @@ def test_adaptive_quad_raises_at_its_round_cap():
         _adaptive_quad(lambda x, _: 1.0 / x, [0.0], [1.0], [0], 1)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_adaptive_quad_refuses_a_tolerance_no_panel_can_meet(tol):
+    # a nan or negative target was never met, and the open panels doubled every round
+    def integrand(x, _):
+        raise AssertionError("integrated past the refusal")
+
+    with pytest.raises(ValueError, match="finite and positive"):
+        _adaptive_quad(integrand, [0.0], [1.0], [0], 1, tol)
+
+
 # -- scipy.integrate.quad as the oracle; the library itself never imports scipy
 
 _QUAD = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 500}
@@ -457,7 +467,14 @@ def test_radial_sweeps_match_quadpack(lam, g_const):
             return (r * r + 1.0) ** -1.5 * gaussian_profile_hat(r / lam) ** 2 * r ** (d - 1)
 
         want = 0.5 * (2.0 * np.pi) ** -d * sphere * _quad_radial(e, [0.0, lam])
-        assert vacuum_energy_quadrature(lam, d) == pytest.approx(want, rel=1e-10)
+        assert vacuum_energy_quadrature([lam], d)[0] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("d, g_const", [(3, 1.0), (1, 1.0), (3, 4.0)])
+def test_vacuum_energy_quadrature_batch_is_bitwise_its_single_cutoffs(d, g_const):
+    lams = [4.0, 8.0, 16.0, 32.0, 64.0]
+    single = [vacuum_energy_quadrature([lam], d, g_const)[0] for lam in lams]
+    assert np.array_equal(vacuum_energy_quadrature(lams, d, g_const), single)
 
 
 # -- diagonal divergence demo
