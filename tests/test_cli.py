@@ -21,7 +21,7 @@ from nelsonlab.cli import (
     run_ibc_identity,
 )
 from nelsonlab.grid import Grid
-from nelsonlab.operators import lanczos_peak_bytes
+from nelsonlab.operators import lanczos_peak_bytes, opnorm
 
 
 def run_cli(*args) -> int:
@@ -595,8 +595,56 @@ def test_psido_summary_records_check_telemetry(tmp_path):
     assert len(resid) == 4
     assert rows["parametrix-gain-min"][2] == pytest.approx(resid[0], rel=1e-11)
     assert rows["parametrix-monotone"][2] == pytest.approx(max(np.diff(resid)), rel=1e-11)
+    assert telemetry["identity_norm"] == "frobenius"
+    assert sorted(telemetry["stage_s"]) == ["identities", "parametrix"]
+    assert all(seconds >= 0.0 for seconds in telemetry["stage_s"].values())
     csv = (out / "results.csv").read_text()
     assert "side" not in csv and "worst" not in csv and "residuals" not in csv
+    assert "frobenius" not in csv and "stage" not in csv
+
+
+def test_psido_identity_rows_bound_the_operator_norm(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[sweep]\npsido_npts = 16\nparametrix_npts = 32\ndraws = 3\n")
+    out = tmp_path / "run"
+    assert run_cli("--experiment", "psido-calculus", "--config", str(cfg), "--seed", "5", "--out", str(out)) == 0
+    worst = json.loads((out / "summary.json").read_text())["telemetry"]["worst_draw"]
+    rows = {r[1]["check"]: r[2] for r in read_rows(out)}
+    grid = Grid(1, 16, resolve_config(None)["model"]["box"])
+    rng = np.random.default_rng(5)
+    symbols = [psido.random_band_limited(grid, rng) for _ in range(3)]
+
+    def residual(name, a, b):
+        qa = psido.quantize(a, 1.0)
+        if name == "composition":
+            return psido.quantize(psido.moyal(a, b, 1.0), 1.0) - qa @ psido.quantize(b, 1.0)
+        if name == "adjoint":
+            return psido.quantize(psido.adjoint_symbol(a, 1.0), 1.0) - qa.conj().T
+        return psido.quantize(psido.change_quantization(a, 1.0, 0.5), 0.5) - qa
+
+    for name in ("composition", "adjoint", "requantization"):
+        i = worst[name]
+        mat = residual(name, symbols[i], symbols[(i + 1) % 3])
+        # the row is the Frobenius norm, so a PASS bounds the operator norm too
+        assert rows[name] == float(f"{np.linalg.norm(mat):.12g}")
+        assert rows[name] >= opnorm(mat)
+
+
+@pytest.mark.parametrize("draws", [3, 7])
+def test_psido_calculus_takes_svds_only_for_the_parametrix(monkeypatch, draws):
+    cfg = resolve_config(None)
+    cfg["sweep"].update(psido_npts=16, parametrix_npts=32, draws=draws)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    cli.run_psido_calculus(cfg, 7)
+    # one opnorm per parametrix residual, iterations + 1 = 4; none per draw
+    assert calls == [(32, 32)] * 4
 
 
 @pytest.mark.parametrize("draws", [1, 2, 5])
