@@ -56,7 +56,7 @@ EXPERIMENTS = (
 
 # experiment -> the kernel it runs on each model (one per [sweep] sizes entry
 # for domain-regularity, else at [model] npts) and the kernel's stated peak;
-# sweeps run one kernel at a time
+# sweeps run one kernel at a time, beside every model the run assembles
 _MODEL_KERNELS = {
     "renorm-convergence": ("renorm_convergence_experiment", nelson.renorm_peak_bytes),
     "gross-transform": ("transformed_hamiltonian_check", nelson.transformed_peak_bytes),
@@ -79,10 +79,11 @@ class GuardError(ValueError):
 
 
 # experiment -> the least length of each sweep list (or least value of each
-# count) it needs, so that every row it derives from a sweep measures something
+# count) it needs, so that every row it derives from a sweep measures something;
+# psido-calculus draws symbols of band psido_npts // 4, which must be at least 1
 _SWEEP_MINIMA = {
     "weyl-identities": {"weyl_n_max": 2},
-    "psido-calculus": {"draws": 1},
+    "psido-calculus": {"draws": 1, "psido_npts": 4},
     "renorm-convergence": {"lams": 2},
     "gross-transform": {"lams": 1},
     "ibc-identity": {"lams": 1},
@@ -221,8 +222,9 @@ def _refusal(field: str):
 def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
     """Refuse a config before any large allocation: the lattices and model specs
     a run would build meet the library's own checks, plus the CLI's sweep policies.
-    Returns the largest peak stated for the experiment's kernels, one kernel at a
-    time, None if it runs none."""
+    Returns the largest peak stated for the run, None if it runs no kernel: the
+    assembly of one model, or one kernel beside the arrays of every model the run
+    holds (``nelson.model_bytes``; domain-regularity assembles all its sizes first)."""
     model = cfg["model"]
     sweep = cfg["sweep"]
     if model["n_max"] < 1:
@@ -275,9 +277,11 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
         points = [("[model] npts, n_max", model["npts"])]
         if experiment == "domain-regularity":
             points = [(f"[sweep] sizes entry {size}", size) for size in sweep["sizes"]]
+        resident = sum(nelson.model_bytes(npts, model["n_max"]) for _, npts in points)
         for field, npts in points:
             with _refusal(field):
-                stated += [nelson.free_peak_bytes(npts, model["n_max"]), check_bytes(name, peak(npts, model["n_max"]))]
+                kernel = check_bytes(f"{name} and the assembled models", resident + peak(npts, model["n_max"]))
+                stated += [nelson.free_peak_bytes(npts, model["n_max"]), kernel]
     return max(stated, default=None)
 
 

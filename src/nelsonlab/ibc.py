@@ -26,8 +26,7 @@ import numpy as np
 from .fock import sector_dims
 from .nelson import (
     AssembledModel,
-    _annihilate,
-    _create,
+    SectorStep,
     creation_blocks,
     form_factor,
     lower_sectors,
@@ -229,23 +228,6 @@ def defect_norm(ops: IbcOperators) -> float:
 _BASIS = 256
 
 
-def _step_operator(lad, c: np.ndarray, q_k: np.ndarray, weight: np.ndarray):
-    """x -> M*M x with M = diag(sqrt weight) (Q_K* x 1) A_n, on flat vectors of sector n-1, X-major.
-
-    A_n is the ladder scatter ``_create`` with entries ``c`` and A_n* is
-    ``_annihilate`` (the model is real); ``weight`` holds one column per
-    target o of sector n.  No Gram is formed.
-    """
-    size = len(q_k)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        rotated = q_k.T @ _create(lad, c, x.reshape(size, -1))
-        rotated *= weight
-        return _annihilate(lad, c, q_k @ rotated).ravel()
-
-    return apply
-
-
 def _step_peak_bytes(npts: int, n_src: int, n_tgt: int, vectors: int) -> int:
     """Most bytes one sector step n-1 -> n holds with a Lanczos basis of ``vectors`` vectors, float64.
 
@@ -278,7 +260,7 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
 
         M*M x = A_n* (Q_K x 1) (S_p^2 * ((Q_K* x 1) A_n x)),
 
-    two ladder scatters and two rotations along X (``_step_operator``).  The
+    two ladder scatters and two rotations along X (a ``SectorStep``).  The
     step norm is the square root of its top eigenvalue
     (``operators.top_eigenvalue`` in a basis of at most ``_BASIS`` vectors),
     clamped at zero so that zero coupling gives exactly 0.0.  The start
@@ -321,11 +303,11 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
         # the seeded draw is source-major (a, y); the apply reads X-major (y, a)
         start = np.random.default_rng(_LANCZOS_SEED).standard_normal(side).reshape(n_src, size).T.ravel()
         base = eps_k[:, None] + occ_energy[basis.sector_slice(n)][None, :] + s
-        c = coeffs[:, lad.modes] * lad.factors  # C_y of each ladder entry
+        step = SectorStep.of(lad, coeffs, q_k)
         records = []
         for p in ps:
-            apply = _step_operator(lad, c, q_k, ((base - s) ** p / base) ** 2)
-            top, taken, residual = top_eigenvalue(apply, _BASIS, start)
+            weight = ((base - s) ** p / base) ** 2
+            top, taken, residual = top_eigenvalue(lambda x: step.couple(weight * step.couple_adjoint(x)), _BASIS, start)
             records.append({"p": p, "steps": taken, "restarts": (taken - 1) // length, "residual": residual})
             steps[p].append(float(np.sqrt(max(0.0, top))) * 2.0**exponent)
         vectors = min(length, max((r["steps"] for r in records), default=1))

@@ -214,6 +214,14 @@ def free_peak_bytes(npts: int, n_max: int) -> int:
     return 8 * (9 * npts**2 + 2 * sum(dims) * npts + dims[-1] * (n_max + 3))
 
 
+def model_bytes(npts: int, n_max: int) -> int:
+    """Bytes the arrays of an ``AssembledModel`` keep on a d = 1 lattice of ``npts`` points: seven float64
+    matrices of side npts, six vectors of length npts (three spectra and the spec's g, mu, w), the Fock
+    occupation table (int64) and the occupation energies; not the ladder tables kernels cache on the basis."""
+    fdim = sum(fock.sector_dims(npts, n_max))
+    return 8 * (7 * npts**2 + 6 * npts + fdim * (npts + 1))
+
+
 def assemble_free(spec: ModelSpec) -> AssembledModel:
     """Build K and its spectrum, h, omega, the spectral modes, and dGamma.
 
@@ -321,7 +329,7 @@ def creation_blocks(model: AssembledModel, lam: float, top: int | None = None) -
     the tensor, and holds v_X[k] sqrt(occ_o[k]) per entry of
     ``FockBasis.ladder`` and point X.  ``top`` defaults to the boson cap;
     the top-sector split of the cutoff sweep stops one below it and applies
-    the top step through the ladder instead (``_create``, ``_annihilate``).
+    the top step as a ``SectorStep`` instead.
     """
     size, basis = model.grid.size, model.basis
     dims = np.diff(basis.sector_bounds)
@@ -329,32 +337,13 @@ def creation_blocks(model: AssembledModel, lam: float, top: int | None = None) -
     x = np.arange(size)[:, None]
     blocks = {}
     for n, lad in enumerate(basis.ladder[:top], start=1):
-        entries = coeffs[:, lad.modes] * lad.factors
+        entries = SectorStep.of(lad, coeffs, model.k_evecs).entries
         if not entries.any():
             continue
         block = np.zeros((size, dims[n], size, dims[n - 1]), dtype=entries.dtype)
         block[x, lad.targets, x, lad.sources] = entries
         blocks[n, n - 1] = block.reshape(size * dims[n], size * dims[n - 1])
     return blocks
-
-
-def _create(lad, c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A_n v for the step ``lad`` with entries ``c`` (one row per X): (size, dim n-1) -> (size, dim n).
-
-    A scatter of the ladder entries, summed by target: the first entry of
-    every target's run, then its j-th entries in turn (``target_runs``).
-    """
-    (_, first), *rest = lad.target_runs
-    out = c[:, first] * v[:, lad.sources[first]]
-    for targets, entries in rest:
-        out[:, targets] += c[:, entries] * v[:, lad.sources[entries]]
-    return out
-
-
-def _annihilate(lad, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """A_n^T u for the step ``lad`` with entries ``c``: (size, dim n) -> (size, dim n-1), summed by source."""
-    order, heads = lad.by_source
-    return np.add.reduceat((c * u[:, lad.targets])[:, order], heads, axis=1)
 
 
 # bytes of pair workspace that one chunk of ``_step_gram`` may hold
@@ -415,6 +404,63 @@ def _step_gram(lad, c: np.ndarray, q_k: np.ndarray, weight: np.ndarray, n_src: i
         del blocks
         gram[lad.sources[i[heads]], :, lad.sources[j[heads]], :] += sums
     return gram
+
+
+@dataclass(frozen=True, eq=False)
+class SectorStep:
+    """The creation step from sector n-1 into the rotated coordinates of sector n: C = A_n^T (Q x 1).
+
+    ``entries`` holds C_y of each entry of the step's ``ladder``, one row per
+    X, and ``rotation`` is Q, real orthogonal.  C and C^T are a ladder scatter
+    and a rotation along X, and C diag(w) C^T is the Gram of the step: neither A_n nor C is formed.
+    """
+
+    ladder: fock.SectorLadder
+    entries: np.ndarray
+    rotation: np.ndarray
+
+    @classmethod
+    def of(cls, ladder: fock.SectorLadder, coeffs: np.ndarray, rotation: np.ndarray) -> SectorStep:
+        """The step with mode coefficients ``coeffs`` (one row per X): C_y = coeffs[:, modes] * factors."""
+        return cls(ladder, coeffs[:, ladder.modes] * ladder.factors, rotation)
+
+    @property
+    def side(self) -> int:
+        """The side of sector n-1, X-major."""
+        return self.entries.shape[0] * len(self.ladder.by_source[1])
+
+    def create(self, v: np.ndarray) -> np.ndarray:
+        """A_n v: (size, dim n-1) -> (size, dim n), a scatter of the ladder entries summed by target:
+        the first entry of every target's run, then its j-th entries in turn (``target_runs``)."""
+        lad, c = self.ladder, self.entries
+        (_, first), *rest = lad.target_runs
+        out = c[:, first] * v[:, lad.sources[first]]
+        for targets, entries in rest:
+            out[:, targets] += c[:, entries] * v[:, lad.sources[entries]]
+        return out
+
+    def annihilate(self, u: np.ndarray) -> np.ndarray:
+        """A_n^T u: (size, dim n) -> (size, dim n-1), summed by source."""
+        order, heads = self.ladder.by_source
+        return np.add.reduceat((self.entries * u[:, self.ladder.targets])[:, order], heads, axis=1)
+
+    def couple(self, u: np.ndarray) -> np.ndarray:
+        """C u for u in the rotated coordinates of sector n: a flat vector on sector n-1."""
+        return self.annihilate(_real_times(self.rotation, u)).ravel()
+
+    def couple_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """C^T v for a flat vector v on sector n-1, in the rotated coordinates of sector n."""
+        return _real_times(self.rotation.T, self.create(v.reshape(len(self.rotation), -1)))
+
+    def subtract_gram(self, mat: np.ndarray, weight: np.ndarray) -> None:
+        """Subtract C diag(weight) C^T from the sector n-1 corner of ``mat`` (its last rows and columns):
+        the Gram sum_o C_y[o,a] W_o[y,z] C_z[o,b], W_o = Q diag(w[:, o]) Q^T, of ``_step_gram``,
+        with a real or a complex weight."""
+        size, n_src = len(self.rotation), len(self.ladder.by_source[1])
+        gram = _step_gram(self.ladder, self.entries, self.rotation, weight, n_src)
+        # the step Gram is source-major (a, y, b, z); the corner is X-major (y, a, z, b)
+        corner = mat[-self.side :, -self.side :].reshape(size, n_src, size, n_src)
+        corner -= gram.transpose(1, 0, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -637,21 +683,6 @@ def _real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mat @ x.view(float)).view(x.dtype)
 
 
-def _subtract_top_gram(mat: np.ndarray, lad, c: np.ndarray, q: np.ndarray, weight: np.ndarray) -> None:
-    """Subtract C diag(weight) C^T, C = A_N^T (Q x 1), from the sector N-1 corner of ``mat`` (its last rows and columns).
-
-    C diag(w) C^T[(y,a),(z,b)] = sum_o C_y[o,a] W_o[y,z] C_z[o,b] with
-    W_o = Q diag(w[:, o]) Q^T is the Gram of the step N-1 -> N
-    (``_step_gram``), with a real or a complex weight.
-    """
-    size, n_src = len(q), len(lad.by_source[1])
-    side = size * n_src
-    gram = _step_gram(lad, c, q, weight, n_src)
-    # the step Gram is source-major (a, y, b, z); the corner is X-major (y, a, z, b)
-    corner = mat[-side:, -side:].reshape(size, n_src, size, n_src)
-    corner -= gram.transpose(1, 0, 3, 2)
-
-
 @dataclass(frozen=True, eq=False)
 class _TopSectorSplit:
     """H = [[L, B], [B^T, D]] split at the top boson sector N = n_max, with neither A_N nor C formed.
@@ -659,53 +690,39 @@ class _TopSectorSplit:
     ``low`` is L, H on sectors 0..N-1 laid out sector by sector (X-major
     within each).  D = (K + diag E) x 1 + 1 x dGamma on sector N is
     diagonal, with entries ``top`` d[i, o] = eps_i + E_o, in the rotated
-    coordinates (Q x 1)^T, Q = ``rotation`` the eigenvectors of K + diag E.
-    B couples sector N only to sector N-1, the last rows of L, through
-    C = A_N^T (Q x 1) in those coordinates; C and C^T are applied as a
-    rotation along X and a scatter of the top step's ``ladder`` with its
-    ``entries`` (one row per X, ``_create`` and ``_annihilate``), and
-    C diag(w) C^T is the Gram of that step (``_step_gram``).  ``inverse`` is
-    the inverse of the Schur complement S = L + i - C diag(1/(d + i)) C^T of
+    coordinates (Q x 1)^T, Q the eigenvectors of K + diag E.  B couples
+    sector N only to sector N-1, the last rows of L, through the top
+    ``step`` C = A_N^T (Q x 1) in those coordinates.  ``inverse`` is the
+    inverse of the Schur complement S = L + i - C diag(1/(d + i)) C^T of
     H + i; S^{-1} is the corner of (H + i)^{-1} on sectors 0..N-1, so
     ||S^{-1}|| <= 1 and the inverse is well conditioned.
     """
 
     low: np.ndarray
-    ladder: fock.SectorLadder
-    entries: np.ndarray
-    rotation: np.ndarray
+    step: SectorStep
     top: np.ndarray
     inverse: np.ndarray
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
         """The data that determine H."""
-        return self.low, self.entries, self.rotation, self.top
+        return self.low, self.step.entries, self.step.rotation, self.top
 
     @property
     def edge(self) -> int:
         """The first row of sector N-1 in L."""
-        return len(self.low) - self.entries.shape[0] * len(self.ladder.by_source[1])
-
-    def couple(self, u: np.ndarray) -> np.ndarray:
-        """C u for u in the rotated coordinates, shaped like ``top``: a flat vector on sector N-1."""
-        return _annihilate(self.ladder, self.entries, _real_times(self.rotation, u)).ravel()
-
-    def couple_adjoint(self, v: np.ndarray) -> np.ndarray:
-        """C^T v for a flat vector v on sector N-1, shaped like ``top``."""
-        size = len(self.rotation)
-        return _real_times(self.rotation.T, _create(self.ladder, self.entries, v.reshape(size, -1)))
+        return len(self.low) - self.step.side
 
     def resolve(self, x: np.ndarray) -> np.ndarray:
         """(H + i)^{-1} x, with x laid out as L's rows, then sector N X-major."""
-        cut, edge = len(self.low), self.edge
+        cut, edge, step = len(self.low), self.edge, self.step
         inverse = 1.0 / (self.top + 1j)
-        rotated = _real_times(self.rotation.T, x[cut:].reshape(self.top.shape))
+        rotated = _real_times(step.rotation.T, x[cut:].reshape(self.top.shape))
         rhs = x[:cut].copy()
-        rhs[edge:] -= self.couple(rotated * inverse)
+        rhs[edge:] -= step.couple(rotated * inverse)
         low = self.inverse @ rhs
-        tail = self.couple_adjoint(low[edge:])
-        return np.concatenate([low, _real_times(self.rotation, (rotated - tail) * inverse).ravel()])
+        tail = step.couple_adjoint(low[edge:])
+        return np.concatenate([low, _real_times(step.rotation, (rotated - tail) * inverse).ravel()])
 
 
 def sector_layout(model: AssembledModel, blocks: dict, rows: range, cols: range) -> np.ndarray:
@@ -749,15 +766,14 @@ def _split_top_sector(model: AssembledModel, lam: float, energies: np.ndarray) -
     """
     basis = model.basis
     top = basis.n_max
-    lad = basis.ladder[top - 1]
     low = lower_sectors(model, creation_blocks(model, lam, top - 1), energies)
     evals, q = np.linalg.eigh(model.k + np.diag(energies))
     d = evals[:, None] + model.occupation_energies[basis.sector_slice(top)]
-    entries = form_factor(model, lam)[:, lad.modes] * lad.factors
+    step = SectorStep.of(basis.ladder[top - 1], form_factor(model, lam), q)
     schur = low.astype(complex)
     schur.flat[:: len(low) + 1] += 1j
-    _subtract_top_gram(schur, lad, entries, q, 1.0 / (d + 1j))
-    return _TopSectorSplit(low, lad, entries, q, d, np.linalg.inv(schur))
+    step.subtract_gram(schur, 1.0 / (d + 1j))
+    return _TopSectorSplit(low, step, d, np.linalg.inv(schur))
 
 
 # seed of the draw that starts the inverse iteration of ``_lowest_pair``
@@ -788,7 +804,7 @@ def _ground_level(split: _TopSectorSplit) -> tuple[float, dict]:
 
     E0 is the root of f(E) = lambda_min(L - Sigma(E)) - E with
     Sigma(E) = C diag(1/(d - E)) C^T on sector N-1, the Gram of the top
-    step (``_subtract_top_gram``).  Every boson costs at least
+    step (``SectorStep.subtract_gram``).  Every boson costs at least
     the mass floor, so by interlacing e0 = lambda_min(L) < min d and
     f(e0) <= 0.  Below min d, f is concave and decreasing with
     f'(E) = -1 - ||diag(1/(d - E)) C^T psi||^2 (psi the lowest eigenvector,
@@ -803,9 +819,9 @@ def _ground_level(split: _TopSectorSplit) -> tuple[float, dict]:
     def f(e: float) -> tuple[float, float]:
         weight = 1.0 / (split.top - e)
         mat = split.low.copy()
-        _subtract_top_gram(mat, split.ladder, split.entries, split.rotation, weight)
+        split.step.subtract_gram(mat, weight)
         value, vec = _lowest_pair(mat)
-        slope = -1.0 - float(np.sum((split.couple_adjoint(vec[edge:]) * weight) ** 2))
+        slope = -1.0 - float(np.sum((split.step.couple_adjoint(vec[edge:]) * weight) ** 2))
         return value - e, slope
 
     level = _lowest_pair(split.low.copy())[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -131,7 +132,7 @@ def test_dense_dimension_guard_only_for_dense_experiments():
     # domain-regularity reads [sweep] sizes instead, and no experiment no estimate
     cfg = resolve_config(None)
     cfg["model"]["npts"] = 64
-    with pytest.raises(GuardError, match=r"\[model\] npts, n_max: memory guard: build_ibc would hold 26455572480 bytes"):
+    with pytest.raises(GuardError, match=r"\[model\] npts, n_max: memory guard: build_ibc and the assembled models would hold 26456920328 bytes"):
         check_guards(cfg, "ibc-identity")
     check_guards(cfg, "domain-regularity")
     assert check_guards(cfg, None) is None
@@ -145,13 +146,14 @@ def test_domain_regularity_gram_guard_refuses_before_assembly(tmp_path, capsys, 
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[model]\nn_max = 3\n[sweep]\nsizes = 8, 16, 32, 128\ndomain_lams = 2, 4, 8, 16\n")
     # the step 2 -> 3 at the last sizes entry has side 128 x C(129, 2) = 1056768:
-    # a full Lanczos basis of 256 such vectors is 3.0 GiB, and the apply's workspace 4.4 GiB
+    # a full Lanczos basis of 256 such vectors is 3.0 GiB, and the apply's workspace 4.4 GiB;
+    # the four models it runs beside hold 0.355 GiB, 0.349 GiB of it the occupation table at npts 128
     base = ("--experiment", "domain-regularity", "--config", str(cfg))
     out = tmp_path / "run"
     for extra in (("--validate",), ("--out", str(out))):
         assert run_cli(*base, *extra) == 3
         err = capsys.readouterr().err
-        assert "sizes entry 128" in err and "domain_regularity_norms would hold 7959347200 bytes" in err
+        assert "sizes entry 128" in err and "domain_regularity_norms and the assembled models would hold 8340081984 bytes" in err
     assert not out.exists()
     # other experiments never read sizes
     assert run_cli("--experiment", "weyl-identities", "--config", str(cfg), "--validate") == 0
@@ -182,6 +184,7 @@ def test_paired_sweep_lengths_checked():
         ("sweep", "lams", "-1, 2", "renorm-convergence"),
         ("sweep", "domain_lams", "0, 4, 8", "domain-regularity"),
         ("sweep", "psido_npts", "12", "psido-calculus"),
+        ("sweep", "psido_npts", "2", "psido-calculus"),
         ("sweep", "parametrix_npts", "48", "psido-calculus"),
         ("sweep", "psido_npts", "4096", "psido-calculus"),
         ("sweep", "psido_npts", "8192", "psido-calculus"),
@@ -204,13 +207,13 @@ def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, mo
     # npts 128, n_max 2 states 22 MiB on the safe rows, where the dense Fock
     # factors of one X stated 12.6 GiB.  npts 64, n_max 3 passes the
     # assemble_free guard (49 MiB) and is refused by the kernel's own
-    # statement, 5.4 GiB
+    # statement beside the model, 5.4 GiB
     cfg = tmp_path / "admitted.cfg"
     cfg.write_text("[model]\nnpts = 128\n")
     assert run_cli("--experiment", "gross-transform", "--config", str(cfg), "--validate") == 0
     capsys.readouterr()
     text = "[model]\nnpts = 64\nn_max = 3\n"
-    stated = "[model] npts, n_max: memory guard: transformed_hamiltonian_check would hold 5747265824 bytes"
+    stated = "[model] npts, n_max: memory guard: transformed_hamiltonian_check and the assembled models would hold 5772408872 bytes"
     _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, stated, "gross-transform")
 
 
@@ -548,8 +551,9 @@ def test_domain_regularity_summary_records_kernel_telemetry(tmp_path):
     out = tmp_path / "run"
     assert run_cli("--experiment", "domain-regularity", "--config", str(cfg), "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
-    # the pre-flight's stated peak: the kernel at the widest sizes entry
-    assert summary["stated_peak_mib"] == round(ibc.regularity_peak_bytes(16, 2) / 2**20, 1)
+    # the pre-flight's stated peak: the kernel at the widest sizes entry beside both models
+    stated = nelson.model_bytes(8, 2) + nelson.model_bytes(16, 2) + ibc.regularity_peak_bytes(16, 2)
+    assert summary["stated_peak_mib"] == round(stated / 2**20, 1)
     points = summary["telemetry"]["points"]
     assert [(point["npts"], point["lam"]) for point in points] == [(8, 2.0), (16, 4.0)]
     # step n applies M*M on a side of npts x dim(sector n-1), with at most
@@ -761,15 +765,15 @@ def test_renorm_reaches_npts_32_within_the_budget():
     # three splits of side 1056 and a Lanczos basis of side 17 952: 187 MiB, not the
     # 1.5 GB of dense A_N and C
     cfg = resolve_config(str(ROOT / "configs" / "renorm-32.cfg"))
-    assert check_guards(cfg, "renorm-convergence") == nelson.renorm_peak_bytes(32, 2) < 256 * 2**20
+    assert check_guards(cfg, "renorm-convergence") == nelson.model_bytes(32, 2) + nelson.renorm_peak_bytes(32, 2) < 256 * 2**20
 
 
 def test_memory_guard_states_one_build_ibc_at_npts_32():
-    # configs/ibc-identity-32.cfg states 810 MiB for build_ibc, once for its three cutoffs
+    # configs/ibc-identity-32.cfg states 810 MiB for build_ibc beside its model, once for its three cutoffs
     config = str(ROOT / "configs" / "ibc-identity-32.cfg")
     assert run_cli("--experiment", "ibc-identity", "--config", config, "--validate") == 0
     cfg = resolve_config(config)
-    assert check_guards(cfg, "ibc-identity") == ibc.ibc_peak_bytes(32, 2)
+    assert check_guards(cfg, "ibc-identity") == nelson.model_bytes(32, 2) + ibc.ibc_peak_bytes(32, 2)
 
 
 def test_summary_states_the_kernel_peak(tmp_path):
@@ -778,8 +782,28 @@ def test_summary_states_the_kernel_peak(tmp_path):
     out = tmp_path / "run"
     assert run_cli("--experiment", "ibc-identity", "--config", str(cfg), "--threads", "1", "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["stated_peak_mib"] == round(ibc.ibc_peak_bytes(8, 2) / 2**20, 1)
+    assert summary["stated_peak_mib"] == round((nelson.model_bytes(8, 2) + ibc.ibc_peak_bytes(8, 2)) / 2**20, 1)
     assert "threads" not in summary
+
+
+def test_model_bytes_are_the_arrays_an_assembled_model_keeps():
+    for npts, n_max in ((4, 1), (8, 2), (16, 3)):
+        model = nelson.assemble_free(nelson.sinusoidal_spec(npts, n_max=n_max))
+        fields = [getattr(model, field.name) for field in dataclasses.fields(model)]
+        arrays = [a for a in fields if isinstance(a, np.ndarray)]
+        arrays += [model.basis.occupations, model.spec.g, model.spec.mu, model.spec.w]
+        assert sum(a.nbytes for a in arrays) == nelson.model_bytes(npts, n_max)
+
+
+def test_stated_peak_holds_the_models_beside_the_kernel():
+    cfg = resolve_config(None)
+    free, resident = nelson.free_peak_bytes(8, 2), nelson.model_bytes(8, 2)
+    assert check_guards(cfg, "renorm-convergence") == max(free, resident + nelson.renorm_peak_bytes(8, 2))
+    # domain-regularity assembles the model of every sizes entry before its first kernel
+    cfg["sweep"].update(sizes=[8, 16], domain_lams=[2.0, 4.0])
+    resident = nelson.model_bytes(8, 2) + nelson.model_bytes(16, 2)
+    want = [nelson.free_peak_bytes(16, 2), *(resident + ibc.regularity_peak_bytes(npts, 2) for npts in (8, 16))]
+    assert check_guards(cfg, "domain-regularity") == max(want)
 
 
 def test_guards_run_once_per_run(tmp_path, monkeypatch):

@@ -327,8 +327,9 @@ def test_domain_regularity_structured_matches_dense(bench8, ops2, bench8_n3, ops
 @pytest.mark.parametrize("npts", [4, 8])
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_step_operator_applies_the_step_gram(npts, n_max):
-    # M*M x through two ladder scatters and two rotations, against the summed
-    # Gram of the same step; the Gram is source-major (a, y), the apply X-major (y, a)
+    # M*M x = C (w * C^T x) through two ladder scatters and two rotations, as
+    # domain_regularity_norms applies it, against the summed Gram of the same
+    # step; the Gram is source-major (a, y), the apply X-major (y, a)
     model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
     coeffs, q = form_factor(model, 2.0), model.k_evecs
     dims = np.diff(model.basis.sector_bounds)
@@ -336,16 +337,24 @@ def test_step_operator_applies_the_step_gram(npts, n_max):
     rng = np.random.default_rng(10 * npts + n_max)
     for n, lad in enumerate(model.basis.ladder, start=1):
         side = npts * dims[n - 1]
-        c = coeffs[:, lad.modes] * lad.factors
+        step = nelson.SectorStep.of(lad, coeffs, q)
+        assert step.side == side
         base = model.k_evals[:, None] + model.occupation_energies[model.basis.sector_slice(n)] + s
         for p in (0.0, 0.5, 1.0):
             weight = ((base - s) ** p / base) ** 2
-            gram = nelson._step_gram(lad, c, q, weight, dims[n - 1]).transpose(1, 0, 3, 2).reshape(side, side)
-            apply = ibc._step_operator(lad, c, q, weight)
+            gram = nelson._step_gram(lad, step.entries, q, weight, dims[n - 1]).transpose(1, 0, 3, 2).reshape(side, side)
             for _ in range(3):
                 x = rng.standard_normal(side)
                 want = gram @ x
-                assert np.abs(apply(x) - want).max() <= 1e-13 * np.abs(want).max()
+                assert np.abs(step.couple(weight * step.couple_adjoint(x)) - want).max() <= 1e-13 * np.abs(want).max()
+        # couple is the adjoint of couple_adjoint on the complex vectors of the resolvent distance:
+        # <C u, v> = <u, C^T v>, C real
+        u = rng.standard_normal((npts, dims[n])) + 1j * rng.standard_normal((npts, dims[n]))
+        v = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+        cu, ctv = step.couple(u), step.couple_adjoint(v)
+        assert cu.shape == (side,) and ctv.shape == u.shape
+        lhs, rhs = np.vdot(cu, v), np.vdot(u, ctv)
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(cu) * np.linalg.norm(v)
 
 
 def _traced_regularity_peak(model, lam, ps):

@@ -894,13 +894,13 @@ def test_ladder_scatter_applies_the_dense_creation_block(npts, n_max):
     dims = np.diff(model.basis.sector_bounds)
     rng = np.random.default_rng(10 * npts + n_max)
     for n, lad in enumerate(model.basis.ladder, start=1):
-        c = coeffs[:, lad.modes] * lad.factors
+        step = nelson.SectorStep.of(lad, coeffs, model.k_evecs)
         a_n = blocks[n, n - 1]
         v = rng.standard_normal((npts, dims[n - 1])) + 1j * rng.standard_normal((npts, dims[n - 1]))
         u = rng.standard_normal((npts, dims[n]))
         scale = np.abs(a_n).max()
-        assert np.abs(nelson._create(lad, c, v).ravel() - a_n @ v.ravel()).max() <= 1e-14 * scale
-        assert np.abs(nelson._annihilate(lad, c, u).ravel() - a_n.T @ u.ravel()).max() <= 1e-14 * scale
+        assert np.abs(step.create(v).ravel() - a_n @ v.ravel()).max() <= 1e-14 * scale
+        assert np.abs(step.annihilate(u).ravel() - a_n.T @ u.ravel()).max() <= 1e-14 * scale
 
 
 def test_lowest_pair_by_inverse_iteration():
