@@ -43,17 +43,6 @@ from . import fock, ibc, inequalities, nelson, psido
 from .grid import Grid
 from .operators import check_bytes, opnorm
 
-EXPERIMENTS = (
-    "weyl-identities",
-    "psido-calculus",
-    "renorm-convergence",
-    "gross-transform",
-    "ibc-identity",
-    "domain-regularity",
-    "appendix-inequalities",
-    "vacuum-energy",
-)
-
 # experiment -> the kernel it runs on each model (one per [sweep] sizes entry
 # for domain-regularity, else at [model] npts) and the kernel's stated peak;
 # sweeps run one kernel at a time, beside every model the run assembles
@@ -88,15 +77,6 @@ _SWEEP_MINIMA = {
     "gross-transform": {"lams": 1},
     "ibc-identity": {"lams": 1},
     "domain-regularity": {"sizes": 2, "powers": 2},
-    "appendix-inequalities": {"omegas": 2, "xis": 2, "fuzz_pairs": 1, "fuzz_samples": 1},
-    "vacuum-energy": {"quad_lams": 2},
-}
-
-# experiment -> the sweep lists whose entries it needs positive (cutoffs, the
-# omega of the integral estimates, the offsets |Xi| of the decay fit)
-_POSITIVE_SWEEPS = {
-    "appendix-inequalities": ("omegas", "xis"),
-    "vacuum-energy": ("quad_lams",),
 }
 
 
@@ -122,17 +102,10 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("sweep", "sizes"): (_ints, "8, 16, 32"),
     ("sweep", "domain_lams"): (_floats, "2.0, 4.0, 8.0"),
     ("sweep", "powers"): (_floats, "0.0, 0.2, 0.4, 0.5"),
-    ("sweep", "omegas"): (_floats, "1.0, 2.0, 4.0, 8.0"),
-    ("sweep", "quad_lams"): (_floats, "4.0, 8.0, 16.0, 32.0, 64.0"),
-    ("sweep", "xis"): (_floats, "4.0, 8.0, 16.0, 32.0, 64.0"),
     ("sweep", "weyl_n_max"): (_ints, "10, 20, 40"),
-    ("sweep", "weyl_sector_cap"): (int, "5"),
     ("sweep", "psido_npts"): (int, "32"),
     ("sweep", "parametrix_npts"): (int, "64"),
     ("sweep", "draws"): (int, "20"),
-    ("sweep", "fuzz_pairs"): (int, "1000"),
-    ("sweep", "fuzz_samples"): (int, "100000"),
-    ("sweep", "rearr_npts"): (int, "128"),
 }
 
 _SECTIONS = ("model", "sweep")
@@ -233,9 +206,10 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
         raise GuardError("ellipticity guard: modulations must stay below 1 in magnitude")
     if model["coupling"] == 0.0 and experiment in ("gross-transform", "domain-regularity"):
         raise GuardError(f"[model] coupling: {experiment} takes norm ratios, 0 / 0 at zero coupling")
+    # weyl-identities measures on the sectors 0..WEYL_SECTOR_CAP, safe up to n_max - 2
     for n in sweep["weyl_n_max"]:
-        if not 1 <= n <= 128:
-            raise GuardError(f"sector guard: weyl_n_max entries must lie in [1, 128], got {n}")
+        if not WEYL_SECTOR_CAP + 2 <= n <= 128:
+            raise GuardError(f"sector guard: weyl_n_max entries must lie in [{WEYL_SECTOR_CAP + 2}, 128], got {n}")
     if len(sweep["sizes"]) != len(sweep["domain_lams"]):
         raise ConfigError(
             f"fields [sweep] sizes and domain_lams must pair up, got {len(sweep['sizes'])} vs {len(sweep['domain_lams'])}"
@@ -244,24 +218,17 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
         value = sweep[key]
         if (len(value) if isinstance(value, list) else value) < least:
             raise GuardError(f"[sweep] {key}: {experiment} needs at least {least}, got {value}")
-    if experiment == "domain-regularity" and len(set(sweep["powers"])) != len(sweep["powers"]):
-        raise GuardError(f"[sweep] powers: {experiment} compares powers pairwise, so they must be distinct, got {sweep['powers']}")
-    if experiment == "weyl-identities" and not 0 <= sweep["weyl_sector_cap"] <= min(sweep["weyl_n_max"]) - 2:
+    powers = sweep["powers"]
+    if experiment == "domain-regularity" and any(b <= a for a, b in zip(powers, powers[1:])):
         raise GuardError(
-            f"[sweep] weyl_sector_cap: {experiment} measures on the safe sectors, 0 to min(weyl_n_max) - 2 = "
-            f"{min(sweep['weyl_n_max']) - 2}, got {sweep['weyl_sector_cap']}"
+            f"[sweep] powers: {experiment} compares the top power with the next, so they must be strictly increasing, got {powers}"
         )
-    for key in _POSITIVE_SWEEPS.get(experiment, ()):
-        if not all(value > 0.0 for value in sweep[key]):
-            raise GuardError(f"[sweep] {key}: {experiment} needs positive entries, got {sweep[key]}")
     stated = []
     for key, held in (("psido_npts", _CALCULUS_HELD_SYMBOLS), ("parametrix_npts", 0)):
         with _refusal(f"[sweep] {key}"):
             size = Grid(1, sweep[key], model["box"]).size
             if experiment == "psido-calculus":
                 stated.append(check_bytes("symbol calculus", psido.calculus_peak_bytes(size, held)))
-    with _refusal("[sweep] rearr_npts"):
-        Grid(1, sweep["rearr_npts"], REARR_BOX)
     with _refusal("[model]"):
         spec = _spec(cfg)
     for lam in sweep["lams"]:
@@ -321,11 +288,11 @@ def _params_text(params: dict) -> str:
 FLOAT_FLOOR = 1e-12  # residuals at roundoff: the -monotone rows, the fock- rows of gross-transform
 WEYL_COUPLING = 0.3  # probe amplitude of the conjugation identities
 WEYL_RTOL = 1e-7  # conjugation identity residuals
+WEYL_SECTOR_CAP = 5  # sector window the residuals are measured on
 
 
 def run_weyl_identities(cfg, seed) -> list[Row]:
     sweep = cfg["sweep"]
-    cap = sweep["weyl_sector_cap"]
     f = WEYL_COUPLING * np.array([1.0 + 0.5j])
     g = WEYL_COUPLING * np.array([0.6 - 0.8j])
     freqs = np.array([1.4])
@@ -338,7 +305,7 @@ def run_weyl_identities(cfg, seed) -> list[Row]:
     for n_max in sweep["weyl_n_max"]:
         basis = fock.fock_basis(1, n_max)
         energies = basis.occupations @ freqs
-        window = basis.tensor_rows(1, 0, cap)
+        window = basis.tensor_rows(1, 0, WEYL_SECTOR_CAP)
         dgamma_dev, field_dev = fock.conjugation_deviations(basis, freqs, energies, g, f, window)
         static_dgamma, static_field = fock.conjugation_deviations(basis, freqs, energies, *static, window)
         res = {
@@ -347,7 +314,7 @@ def run_weyl_identities(cfg, seed) -> list[Row]:
             "static-dressing": opnorm(static_dgamma + static_field),
         }
         results.append(res)
-        params = {"n_max": n_max, "coupling": WEYL_COUPLING, "sector_cap": cap}
+        params = {"n_max": n_max, "coupling": WEYL_COUPLING, "sector_cap": WEYL_SECTOR_CAP}
         for name, value in res.items():
             rows.append(Row(name, params, value, WEYL_RTOL))
     for name in ("field-shift", "dgamma-shift", "static-dressing"):
@@ -356,7 +323,7 @@ def run_weyl_identities(cfg, seed) -> list[Row]:
         rows.append(
             Row(
                 f"{name}-monotone",
-                {"n_max_sweep": "|".join(map(str, sweep["weyl_n_max"])), "sector_cap": cap},
+                {"n_max_sweep": "|".join(map(str, sweep["weyl_n_max"])), "sector_cap": WEYL_SECTOR_CAP},
                 float(worst),
                 FLOAT_FLOOR,
             )
@@ -570,6 +537,11 @@ def run_domain_regularity(cfg, seed) -> list[Row]:
 
 
 REARR_BOX = 32.0  # box of the rearrangement lattice
+REARR_NPTS = 128  # lattice points of the rearrangement lattice
+FUZZ_PAIRS = 1000  # random pairs for the rearrangement inequality
+FUZZ_SAMPLES = 100000  # random samples for the weight inequality
+OMEGAS = (1.0, 2.0, 4.0, 8.0)  # mass parameters of the scaling checks
+XIS = (4.0, 8.0, 16.0, 32.0, 64.0)  # frequency offsets of the decay fit
 HL_SLACK = 1e-12  # roundoff slack of the rearrangement inequality
 SCALING_EPS = 0.05  # exponent slack of the scaling predictions
 SCALING_BAND = 0.15  # relative band around the predicted omega-scaling ratios
@@ -577,26 +549,25 @@ SLOPE_MARGIN = 0.1  # slack between fitted and predicted decay slopes
 
 
 def run_appendix_inequalities(cfg, seed) -> list[Row]:
-    sweep = cfg["sweep"]
     rows = []
-    grid = Grid(1, sweep["rearr_npts"], REARR_BOX)
+    grid = Grid(1, REARR_NPTS, REARR_BOX)
     rng = np.random.default_rng(seed)
 
     violations = 0
-    for _ in range(sweep["fuzz_pairs"]):
+    for _ in range(FUZZ_PAIRS):
         f = rng.random(grid.size).astype(complex)
         g = rng.random(grid.size).astype(complex)
         lhs, rhs = inequalities.hardy_littlewood_check(grid, f, g)
         violations += lhs > rhs + HL_SLACK
     rows.append(
-        Row("hardy-littlewood-fuzz", {"pairs": sweep["fuzz_pairs"], "npts": grid.npts, "seed": seed}, float(violations), 0.0)
+        Row("hardy-littlewood-fuzz", {"pairs": FUZZ_PAIRS, "npts": grid.npts, "seed": seed}, float(violations), 0.0)
     )
 
-    samples = rng.normal(scale=4.0, size=(sweep["fuzz_samples"], 2, 3))
+    samples = rng.normal(scale=4.0, size=(FUZZ_SAMPLES, 2, 3))
     ts = (-4.0, -1.5, 0.5, 4.0)
     for t, count in zip(ts, inequalities.peetre_check(ts, samples)):
         rows.append(
-            Row("peetre-fuzz", {"t": t, "samples": sweep["fuzz_samples"], "seed": seed}, float(count), 0.0)
+            Row("peetre-fuzz", {"t": t, "samples": FUZZ_SAMPLES, "seed": seed}, float(count), 0.0)
         )
 
     half = 0.5 * grid.box
@@ -621,15 +592,15 @@ def run_appendix_inequalities(cfg, seed) -> list[Row]:
     for xi in (0.0, 1.0):
         values = [
             inequalities.integral_estimate_check(0.0, 0.0, 4.0, 1.0, 0.0, omega, xi, eps)
-            for omega in sweep["omegas"]
+            for omega in OMEGAS
         ]
         predicted = 2.0 ** (-4.0 + 3.0 + eps)
-        for omega, (integral, bound) in zip(sweep["omegas"], values):
+        for omega, (integral, bound) in zip(OMEGAS, values):
             rows.append(
                 Row("estimate-dominated", {"omega": omega, "xi": xi, "eps": eps}, integral, bound + 1e-12)
             )
         for (om_a, (val_a, _)), (om_b, (val_b, _)) in zip(
-            zip(sweep["omegas"][:-1], values[:-1]), zip(sweep["omegas"][1:], values[1:])
+            zip(OMEGAS[:-1], values[:-1]), zip(OMEGAS[1:], values[1:])
         ):
             deviation = abs(val_b / val_a / predicted - 1.0)
             rows.append(
@@ -651,11 +622,11 @@ def run_appendix_inequalities(cfg, seed) -> list[Row]:
     worst = max(b / a for a, b in zip(prefactors[:-1], prefactors[1:]))
     rows.append(Row("cutoff-prefactor-decreasing", {"lams": "|".join(map(_fmt, cut_lams))}, float(worst), 1.0))
 
-    decay = inequalities.offset_decay_check(2.0, sweep["xis"], 0.0, eps=eps)
+    decay = inequalities.offset_decay_check(2.0, XIS, 0.0, eps=eps)
     rows.append(
         Row(
             "offset-decay-slope",
-            {"nu": 2.0, "eps": eps, "xis": "|".join(map(_fmt, sweep["xis"]))},
+            {"nu": 2.0, "eps": eps, "xis": "|".join(map(_fmt, XIS))},
             decay["slope"],
             decay["decay_exponent"] + SLOPE_MARGIN,
         )
@@ -665,10 +636,11 @@ def run_appendix_inequalities(cfg, seed) -> list[Row]:
 
 FIT_R2 = 0.99  # least R^2 of the logarithmic fits
 VARIATION_MAX = 0.10  # spread allowed in the subtracted diagonal sweep
+QUAD_LAMS = (4.0, 8.0, 16.0, 32.0, 64.0)  # cutoffs of the quadrature sweeps
 
 
 def run_vacuum_energy(cfg, seed) -> list[Row]:
-    lams = cfg["sweep"]["quad_lams"]
+    lams = QUAD_LAMS
     values = inequalities.vacuum_energy_quadrature(lams, 3)
     slope, r_squared = inequalities.log_fit(lams, values)
     rows = []
@@ -694,6 +666,8 @@ _RUNNERS = {
     "appendix-inequalities": run_appendix_inequalities,
     "vacuum-energy": run_vacuum_energy,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def render_csv(experiment: str, rows: list[Row]) -> str:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, cosine_ramp, momentum_multiplier
+from .grid import Grid, momentum_multiplier
 from .operators import HERMITIAN_TOL, check_bytes, hermitian_func, opnorm
 
 
@@ -360,34 +360,7 @@ def poisson_residual(a: Symbol, b: Symbol, t: float = 1.0) -> float:
     return float(np.max(np.abs(resid) / weight))
 
 
-# -- kernels and norm estimators --------------------------------------------
-
-
-def schur_bound(op: np.ndarray) -> float:
-    """max of the absolute row and column sums of the matrix; dominates the norm.
-
-    The matrix of a kernel operator is K(x, y) * weight, so these are the
-    weighted absolute kernel sums of the Schur test.
-    """
-    absk = np.abs(op)
-    return float(max(absk.sum(axis=0).max(), absk.sum(axis=1).max()))
-
-
-def cotlar_stein_bound(blocks: Sequence[np.ndarray]) -> float:
-    """max of the two square-root cross-Gram row sums; dominates ||sum||."""
-    if not blocks:
-        return 0.0
-    n = len(blocks)
-    star = np.zeros((n, n))
-    plain = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            star[i, j] = np.sqrt(opnorm(blocks[i].conj().T @ blocks[j]))
-            plain[i, j] = np.sqrt(opnorm(blocks[i] @ blocks[j].conj().T))
-    return float(max(star.sum(axis=1).max(), plain.sum(axis=1).max()))
-
-
-# -- parametrix and resummation ---------------------------------------------
+# -- parametrix ------------------------------------------------------------
 
 
 def ellipticity_margin(a: Symbol) -> float:
@@ -423,57 +396,6 @@ def parametrix(a: Symbol, t: float = 1.0, iterations: int = 3):
             b = Symbol(grid, moyal(b0, series, t).values, inv_order)
         residuals.append(opnorm(quantize(moyal(a, b, t), t) - ident))
     return b, residuals
-
-
-def measured_order(a: Symbol, min_shell: int = 1) -> float:
-    """Slope of log2(sup |a|) against dyadic <xi> shells."""
-    bracket = a.grid.xi_bracket()
-    sup = np.max(np.abs(a.values), axis=0)
-    shells = []
-    tops = []
-    s = min_shell
-    while 2.0**s <= np.max(bracket):
-        mask = (bracket >= 2.0**s) & (bracket < 2.0 ** (s + 1))
-        if np.any(mask):
-            top = float(np.max(sup[mask]))
-            if top > 0:
-                shells.append(s)
-                tops.append(np.log2(top))
-        s += 1
-    if len(shells) < 2:
-        raise ValueError("not enough momentum shells for an order fit")
-    return float(np.polyfit(shells, tops, 1)[0])
-
-
-def asymptotic_resum(
-    grid: Grid,
-    terms: Sequence[tuple[Symbol, float]],
-    cutoffs: Sequence[float] | None = None,
-) -> Symbol:
-    """Borel-style sum of an asymptotic series of symbols.
-
-    Each term a_j of order m_j (strictly decreasing) is switched on above
-    momentum ~ 1/eps_j through 1 - chi(eps_j * |xi|) with a cosine bump chi;
-    the default schedule halves eps_j at every order so later terms activate
-    further out.  On a finite lattice, terms whose activation threshold
-    exceeds the momentum range contribute nothing.
-    """
-    orders = [m for _, m in terms]
-    if any(b >= a for a, b in zip(orders, orders[1:])):
-        raise ValueError("orders must be strictly decreasing")
-    if cutoffs is None:
-        eps0 = 8.0 / grid.max_momentum()
-        cutoffs = [eps0 * 2.0**-j for j in range(len(terms))]
-    if len(cutoffs) != len(terms):
-        raise ValueError("need one cutoff per term")
-    radial = np.sqrt(grid.momentum_sq())
-    total = np.zeros((grid.size,) * 2, dtype=complex)
-    for (sym, _), eps in zip(terms, cutoffs):
-        if sym.grid != grid:
-            raise ValueError("all terms must live on the target grid")
-        total += cosine_ramp(eps * radial, 0.5)[None, :] * sym.values
-    order = terms[0][0].order if terms else None
-    return Symbol(grid, total, order)
 
 
 # -- functional calculus ----------------------------------------------------

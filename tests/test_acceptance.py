@@ -236,20 +236,6 @@ def test_rearrangement_and_weight_inequalities():
         assert abs(vals[2.0 * om] / vals[om] / predicted - 1.0) <= 0.15
 
 
-def test_norm_bound_estimators_dominate():
-    # 100 random instances each: the bounds must sit above the spectral norm
-    grid = Grid(1, 32, 2.0 * np.pi)
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        entries = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        op = entries * grid.weight
-        assert psido.schur_bound(op) >= opnorm(op) - 1e-10
-    for _ in range(100):
-        blocks = [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)) for _ in range(3)]
-        total = sum(blocks)
-        assert psido.cotlar_stein_bound(blocks) >= np.linalg.norm(total, 2) - 1e-10
-
-
 def test_cli_reruns_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["--experiment", "weyl-identities", "--seed", "5", "--out", str(out_a)]) == 0

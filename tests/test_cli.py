@@ -91,8 +91,29 @@ def test_unreadable_value_names_field(tmp_path, capsys):
         ("[sweep]\nweyl_coupling = 0.3\n", "weyl_coupling"),
         ("[sweep]\nrearr_box = 32.0\n", "rearr_box"),
         ("[sweep]\ndemo_g_const = 4.0\n", "demo_g_const"),
+        # a single fuzz sample ran the Hardy-Littlewood and Peetre rows and exited 0
+        ("[sweep]\nfuzz_pairs = 1\n", "fuzz_pairs"),
+        ("[sweep]\nfuzz_samples = 1\n", "fuzz_samples"),
+        ("[sweep]\nrearr_npts = 128\n", "rearr_npts"),
+        ("[sweep]\nomegas = 1.0, 2.0, 4.0, 8.0\n", "omegas"),
+        ("[sweep]\nxis = 4.0, 8.0, 16.0, 32.0, 64.0\n", "xis"),
+        ("[sweep]\nquad_lams = 4.0, 8.0, 16.0, 32.0, 64.0\n", "quad_lams"),
+        ("[sweep]\nweyl_sector_cap = 5\n", "weyl_sector_cap"),
     ],
-    ids=["growth-ratio-bound", "gross-bound", "weyl-coupling", "rearr-box", "demo-g-const"],
+    ids=[
+        "growth-ratio-bound",
+        "gross-bound",
+        "weyl-coupling",
+        "rearr-box",
+        "demo-g-const",
+        "fuzz-pairs",
+        "fuzz-samples",
+        "rearr-npts",
+        "omegas",
+        "xis",
+        "quad-lams",
+        "weyl-sector-cap",
+    ],
 )
 def test_bounds_and_probe_constants_are_not_config_keys(tmp_path, capsys, text, named):
     cfg = tmp_path / "c.cfg"
@@ -189,7 +210,6 @@ def test_paired_sweep_lengths_checked():
         ("sweep", "psido_npts", "4096", "psido-calculus"),
         ("sweep", "psido_npts", "8192", "psido-calculus"),
         ("sweep", "parametrix_npts", "8192", "psido-calculus"),
-        ("sweep", "rearr_npts", "100", "appendix-inequalities"),
         ("model", "coupling", "0", "gross-transform"),
         ("model", "coupling", "-0.0", "domain-regularity"),
         ("model", "coupling", "1e-320", "gross-transform"),
@@ -223,44 +243,29 @@ def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, mo
         ("[model]\nnpts = 2\nn_max = 1\n[sweep]\nlams = 0.5\n", "lams", "renorm-convergence"),
         ("[sweep]\nsizes = 8\ndomain_lams = 2.0\n", "sizes", "domain-regularity"),
         ("[sweep]\nsizes = 8, 16\ndomain_lams = 2, 4\npowers = 0.5, 0.5\n", "powers", "domain-regularity"),
-        ("[sweep]\nquad_lams = 4.0\n", "quad_lams", "vacuum-energy"),
+        # the row compares the last two entries: this order read 3.749 and passed where the defaults fail
+        ("[sweep]\npowers = 0.2, 0.4, 0.0, 0.5\n", "powers", "domain-regularity"),
         ("[sweep]\nlams =\n", "lams", "gross-transform"),
         ("[sweep]\nlams =\n", "lams", "ibc-identity"),
         ("[sweep]\npowers =\n", "powers", "domain-regularity"),
         ("[sweep]\nweyl_n_max =\n", "weyl_n_max", "weyl-identities"),
         ("[sweep]\nweyl_n_max = 10\n", "weyl_n_max", "weyl-identities"),
-        # the window must lie in the safe sectors of the smallest truncation, 0..min(weyl_n_max) - 2 = 8
-        ("[sweep]\nweyl_sector_cap = -1\n", "weyl_sector_cap", "weyl-identities"),
-        ("[sweep]\nweyl_sector_cap = 9\n", "weyl_sector_cap", "weyl-identities"),
-        ("[sweep]\nomegas =\n", "omegas", "appendix-inequalities"),
-        ("[sweep]\nfuzz_pairs = 0\n", "fuzz_pairs", "appendix-inequalities"),
-        ("[sweep]\nfuzz_samples = 0\n", "fuzz_samples", "appendix-inequalities"),
-        ("[sweep]\nxis =\n", "xis", "appendix-inequalities"),
-        ("[sweep]\nxis = 4.0\n", "xis", "appendix-inequalities"),
+        # cli.WEYL_SECTOR_CAP = 5 lies outside the safe sectors of the smallest truncation, 0..6 - 2
+        ("[sweep]\nweyl_n_max = 6, 10\n", "weyl_n_max", "weyl-identities"),
         ("[sweep]\ndraws = 0\n", "draws", "psido-calculus"),
-        ("[sweep]\nomegas = 0.0, 1.0\n", "omegas", "appendix-inequalities"),
-        ("[sweep]\nxis = -4.0, 8.0\n", "xis", "appendix-inequalities"),
     ],
     ids=[
         "single-cutoff",
         "single-size",
         "repeated-power",
-        "single-quadrature-cutoff",
+        "unsorted-powers",
         "no-cutoff-gross",
         "no-cutoff-ibc",
         "no-power",
         "no-weyl-cap",
         "single-weyl-cap",
-        "negative-weyl-window",
         "unsafe-weyl-window",
-        "no-omega",
-        "no-fuzz-pair",
-        "no-fuzz-sample",
-        "no-offset",
-        "single-offset",
         "no-draw",
-        "nonpositive-omega",
-        "nonpositive-offset",
     ],
 )
 def test_sweep_policies_exit_three_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nelsonlab.grid import Grid, derivative_matrix, momentum_multiplier
-from nelsonlab.operators import SizeError, opnorm
+from nelsonlab.operators import SizeError
 from nelsonlab.psido import (
     EllipticityError,
     OrderFunction,
@@ -19,21 +19,17 @@ from nelsonlab.psido import (
     _translate_x,
     _translation_phase,
     adjoint_symbol,
-    asymptotic_resum,
     calculus_peak_bytes,
     change_quantization,
     constant_symbol,
-    cotlar_stein_bound,
     dequantize,
     ellipticity_margin,
     functional_calculus_check,
-    measured_order,
     moyal,
     parametrix,
     poisson_residual,
     quantize,
     random_band_limited,
-    schur_bound,
     xi_power_order,
 )
 
@@ -486,61 +482,6 @@ def test_parametrix_rejects_non_elliptic_symbol():
     assert ellipticity_margin(sym) == 0.0
 
 
-# -- order measurement and resummation -----------------------------------------
-
-
-def test_measured_order_of_power_symbols():
-    g = Grid(1, 128, 2 * np.pi)
-    k = g.momentum_mesh()[:, 0]
-    bracket = np.sqrt(1.0 + k**2)
-    assert measured_order(_symbol(g, 1.0, bracket**2)) == pytest.approx(2.0, abs=0.2)
-    assert measured_order(_symbol(g, 1.0, bracket)) == pytest.approx(1.0, abs=0.2)
-    assert measured_order(_symbol(g, 1.0, np.ones(128))) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_measured_order_needs_enough_shells():
-    g = Grid(1, 4, 2 * np.pi)
-    with pytest.raises(ValueError, match="shells"):
-        measured_order(_symbol(g, 1.0, np.ones(4)))
-
-
-def test_resum_single_term_matches_outside_bump():
-    g = Grid(1, 128, 2 * np.pi)
-    k = g.momentum_mesh()[:, 0]
-    a0 = _symbol(g, 1.0, np.sqrt(1.0 + k**2), xi_power_order(g, 1))
-    total = asymptotic_resum(g, [(a0, 1.0)])
-    eps0 = 8.0 / g.max_momentum()
-    far = np.abs(k) >= 1.0 / eps0
-    near = np.abs(k) <= 0.5 / eps0
-    np.testing.assert_allclose(total.values[:, far], a0.values[:, far], atol=1e-14)
-    np.testing.assert_allclose(total.values[:, near], 0.0, atol=1e-14)
-
-
-def test_resum_two_term_remainder_order():
-    # subtracting the leading term leaves a symbol of order <= 0; the shell
-    # fit lands at -0.42 on this grid, well inside the 0.2 tolerance.
-    g = Grid(1, 128, 2 * np.pi)
-    x = g.position_mesh()[:, 0]
-    k = g.momentum_mesh()[:, 0]
-    a0 = _symbol(g, 1.0, np.sqrt(1.0 + k**2), xi_power_order(g, 1))
-    a1 = Symbol(g, np.outer(np.cos(x), np.ones(128)), xi_power_order(g, 0))
-    total = asymptotic_resum(g, [(a0, 1.0), (a1, 0.0)])
-    remainder = Symbol(g, total.values - a0.values)
-    assert measured_order(remainder) <= 0.2
-
-
-def test_resum_rejects_non_decreasing_orders():
-    k = G32.momentum_mesh()[:, 0]
-    a = _symbol(G32, 1.0, np.ones(32))
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        asymptotic_resum(G32, [(a, 1.0), (a, 1.0)])
-
-
-def test_resum_of_empty_series_is_zero():
-    total = asymptotic_resum(G32, [])
-    np.testing.assert_allclose(total.values, 0.0, atol=0.0)
-
-
 # -- functional calculus ---------------------------------------------------------
 
 
@@ -598,49 +539,6 @@ def test_functional_calculus_requires_known_order():
     sym = _symbol(G32, 1.0, 2.0 + k**2, OrderFunction("xi_sq+1", G32.xi_bracket() ** 2 + 1.0))
     with pytest.raises(ValueError, match="order_m"):
         functional_calculus_check(sym, np.sqrt, 0.5)
-
-
-# -- norm estimators ---------------------------------------------------------------
-
-
-def test_schur_bound_of_identity_kernel():
-    op = quantize(constant_symbol(G32), 0.5)
-    assert schur_bound(op) == pytest.approx(1.0, abs=1e-12)
-    assert opnorm(op) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_schur_bound_dominates_spectral_norm():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        entries = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        op = entries * G32.weight
-        assert schur_bound(op) >= opnorm(op) - 1e-10
-
-
-def test_cotlar_stein_bound_on_disjoint_unitaries():
-    rng = np.random.default_rng(32)
-    blocks = []
-    total = np.zeros((32, 32), dtype=complex)
-    for i in range(4):
-        u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
-        block = np.zeros((32, 32), dtype=complex)
-        block[i * 8 : (i + 1) * 8, i * 8 : (i + 1) * 8] = u
-        blocks.append(block)
-        total += block
-    assert cotlar_stein_bound(blocks) == pytest.approx(1.0, abs=1e-10)
-    assert np.linalg.norm(total, 2) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_cotlar_stein_dominates_norm_of_sum():
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        blocks = [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)) for _ in range(3)]
-        total = sum(blocks)
-        assert cotlar_stein_bound(blocks) >= np.linalg.norm(total, 2) - 1e-10
-
-
-def test_cotlar_stein_empty_list_is_zero():
-    assert cotlar_stein_bound([]) == 0.0
 
 
 # -- symbol metadata -----------------------------------------------------------------
