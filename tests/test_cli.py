@@ -97,6 +97,12 @@ def test_unreadable_value_names_field(tmp_path, capsys):
         ("[sweep]\nrearr_npts = 128\n", "rearr_npts"),
         ("[sweep]\nomegas = 1.0, 2.0, 4.0, 8.0\n", "omegas"),
         ("[sweep]\nxis = 4.0, 8.0, 16.0, 32.0, 64.0\n", "xis"),
+        # the values the removed pre-flight checks refused are refused as keys now
+        ("[sweep]\nomegas =\n", "omegas"),
+        ("[sweep]\nomegas = 0.0, 1.0\n", "omegas"),
+        ("[sweep]\nxis =\n", "xis"),
+        ("[sweep]\nxis = 4.0\n", "xis"),
+        ("[sweep]\nxis = -4.0, 8.0\n", "xis"),
         ("[sweep]\nquad_lams = 4.0, 8.0, 16.0, 32.0, 64.0\n", "quad_lams"),
         ("[sweep]\nweyl_sector_cap = 5\n", "weyl_sector_cap"),
     ],
@@ -111,6 +117,11 @@ def test_unreadable_value_names_field(tmp_path, capsys):
         "rearr-npts",
         "omegas",
         "xis",
+        "omegas-empty",
+        "omegas-nonpositive",
+        "xis-empty",
+        "xis-single",
+        "xis-nonpositive",
         "quad-lams",
         "weyl-sector-cap",
     ],
