@@ -438,6 +438,7 @@ def run_renorm_convergence(cfg, seed) -> list[Row]:
         "schur_dim": report["schur_dim"],
         "ground_levels": levels,
         "resolvent_distances": distances,
+        "stage_s": report["stage_s"],
     }
     return Rows(rows, telemetry)
 

@@ -29,19 +29,11 @@ from .nelson import (
     SectorStep,
     creation_blocks,
     form_factor,
+    free_shift,
     lower_sectors,
     sector_layout,
 )
 from .operators import _LANCZOS_SEED, check_bytes, lanczos_peak_bytes, opnorm, top_eigenvalue
-
-
-def free_shift(model: AssembledModel) -> float:
-    """Shift making H0 + s >= mass_floor / 2.
-
-    The bottom of H0 is the bottom of K (zero-boson sector; every boson adds
-    at least the mass floor).
-    """
-    return max(0.0, 0.5 * model.spec.mass_floor - float(model.k_evals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -65,22 +57,6 @@ def _block_product(left: dict, right: dict) -> dict:
 
 def _adjoint(blocks: dict) -> dict:
     return {(n, m): block.conj().T for (m, n), block in blocks.items()}
-
-
-def _resolve_free(model: AssembledModel, s: float, a: dict) -> dict:
-    """G = -(H0 + s)^{-1} A blockwise, from the free spectrum and without a solve.
-
-    On sector m, H0 + s = (Q_K x 1) diag(eps_i + E_o + s) (Q_K x 1)*, so each
-    block is -(Q_K x 1)[((Q_K* x 1) A) / (eps_i + E_o + s)]: two rotations along X.
-    """
-    size, basis, q = model.grid.size, model.basis, model.k_evecs
-    g = {}
-    for (m, n), block in a.items():
-        denom = model.k_evals[:, None] + model.occupation_energies[basis.sector_slice(m)] + s
-        rotated = (q.conj().T @ block.reshape(size, -1)).reshape(denom.shape + (-1,))
-        rotated /= -denom[:, :, None]
-        g[m, n] = (q @ rotated.reshape(size, -1)).reshape(block.shape)
-    return g
 
 
 def _defect(model: AssembledModel, s: float, a: dict, g: dict) -> dict:
@@ -163,7 +139,8 @@ def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
     s = ``free_shift(model)``, so H0 + s >= mass_floor / 2 > 0, and
     H_ibc = (1-G)*(H0+s)(1-G) + T + E_lam(X) - s equals H_lam + E_lam(X)
     exactly at finite truncation; T = a(v)G.  The blocks A_n from sector n-1
-    into n are ``creation_blocks``.  With D = H0 + s the square is
+    into n are ``creation_blocks``, and G_n is their free resolve
+    (``AssembledModel.free_resolve``), without a solve.  With D = H0 + s the square is
     D - DG - (DG)* + G*DG and H_lam + E_lam(X) = D - s + A + A* + E_lam(X),
     so D, s and E_lam cancel from the defect R = H_ibc - (H_lam + E_lam(X)):
     R[n, n-1] = -(DG)_n - A_n and R[n-1, n-1] = G_n*(DG)_n + A_n*G_n.
@@ -171,7 +148,9 @@ def build_ibc(model: AssembledModel, lam: float) -> IbcOperators:
     check_bytes("build_ibc", ibc_peak_bytes(model.grid.size, model.basis.n_max))
     s = free_shift(model)
     a = creation_blocks(model, lam)
-    g = _resolve_free(model, s, a)
+    g = {(m, n): model.free_resolve(block, s, m) for (m, n), block in a.items()}
+    for block in g.values():
+        np.negative(block, out=block)
     series, meta = invert_one_minus_G(model, g)
     return IbcOperators(
         shift=s,

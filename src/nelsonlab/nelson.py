@@ -24,11 +24,14 @@ the one place where realness is checked; everything downstream inherits
 the dtype of its data, and only the Weyl operators of the conjugation
 check and the Schur resolvent of the cutoff sweep, (H + i)^{-1} through the
 complement L + i - C diag(1/(d + i)) C^T on the sectors below the top one,
-are complex.
+are complex.  That split serves the sweep's resolvent distances only: its
+ground levels come from one eigensolver on the tensor apply of H_lam + E_lam,
+preconditioned by the free resolvent (``ground_state``).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from math import comb
 
@@ -44,7 +47,7 @@ from .grid import (
     norm as lattice_norm,
     sobolev_norm,
 )
-from .operators import check_bytes, check_hermitian, lanczos_peak_bytes, opnorm, top_eigenvalue
+from .operators import _LANCZOS_SEED, check_bytes, check_hermitian, lanczos_peak_bytes, lowest_eigenpair, opnorm, top_eigenvalue
 from .psido import dequantize
 
 
@@ -206,6 +209,21 @@ class AssembledModel:
         """
         return (self.mode_vectors.conj().T @ np.asarray(u).T * self.grid.weight).T
 
+    def free_resolve(self, x: np.ndarray, z, sector: int | None = None) -> np.ndarray:
+        """(H0 + z)^{-1} x for a real or complex z; x is X-major over the states of ``sector`` (all when None)
+        and any columns.  H0 + z = (Q_K x 1) diag(eps_i + E_o + z) (Q_K x 1)^T: rotate along X, divide, rotate back."""
+        occ = self.occupation_energies if sector is None else self.occupation_energies[self.basis.sector_slice(sector)]
+        denom = self.k_evals[:, None] + occ + z
+        size, q = len(denom), self.k_evecs
+        rotated = (q.T @ x.reshape(size, -1)).astype(np.result_type(x, denom), copy=False).reshape(denom.shape + (-1,))
+        rotated /= denom[:, :, None]
+        return (q @ rotated.reshape(size, -1)).reshape(x.shape)
+
+
+def free_shift(model: AssembledModel) -> float:
+    """Shift making H0 + s >= mass_floor / 2: the bottom of H0 is that of K, and every boson adds the mass floor."""
+    return max(0.0, 0.5 * model.spec.mass_floor - float(model.k_evals[0]))
+
 
 def free_peak_bytes(npts: int, n_max: int) -> int:
     """Most bytes ``assemble_free`` holds at once on a d = 1 lattice of ``npts`` points: nine
@@ -360,8 +378,6 @@ def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int) -> dict:
     per_chunk = max(1, min(n_pairs, _CHUNK_BYTES // (_CHUNK_ARRAYS * block)))
     gram = (n_src * size) ** 2 * itemsize
     return {
-        "gram_side": n_src * size,
-        "pairs": n_pairs,
         "pairs_per_chunk": per_chunk,
         "chunks": -(-n_pairs // per_chunk),
         "peak_bytes": gram + _CHUNK_ARRAYS * per_chunk * block,
@@ -685,37 +701,23 @@ def _real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _TopSectorSplit:
-    """H = [[L, B], [B^T, D]] split at the top boson sector N = n_max, with neither A_N nor C formed.
+    """(H + i)^{-1} for H = [[L, B], [B^T, D]] split at the top boson sector N = n_max; A_N and C are never formed.
 
-    ``low`` is L, H on sectors 0..N-1 laid out sector by sector (X-major
-    within each).  D = (K + diag E) x 1 + 1 x dGamma on sector N is
-    diagonal, with entries ``top`` d[i, o] = eps_i + E_o, in the rotated
-    coordinates (Q x 1)^T, Q the eigenvectors of K + diag E.  B couples
-    sector N only to sector N-1, the last rows of L, through the top
-    ``step`` C = A_N^T (Q x 1) in those coordinates.  ``inverse`` is the
-    inverse of the Schur complement S = L + i - C diag(1/(d + i)) C^T of
-    H + i; S^{-1} is the corner of (H + i)^{-1} on sectors 0..N-1, so
-    ||S^{-1}|| <= 1 and the inverse is well conditioned.
+    L, H on sectors 0..N-1 sector by sector (X-major within each), is not kept.  D = (K + diag E) x 1 + 1 x dGamma
+    on sector N is diagonal, ``top`` d[i, o] = eps_i + E_o, in the coordinates (Q x 1)^T, Q the eigenvectors of
+    K + diag E; B couples sector N only to sector N-1 through the top ``step`` C = A_N^T (Q x 1).  ``inverse`` is
+    S^{-1}, S = L + i - C diag(1/(d + i)) C^T the Schur complement of H + i: the corner of (H + i)^{-1} on sectors
+    0..N-1, so ||S^{-1}|| <= 1 and the inverse is well conditioned.
     """
 
-    low: np.ndarray
     step: SectorStep
     top: np.ndarray
     inverse: np.ndarray
 
-    @property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """The data that determine H."""
-        return self.low, self.step.entries, self.step.rotation, self.top
-
-    @property
-    def edge(self) -> int:
-        """The first row of sector N-1 in L."""
-        return len(self.low) - self.step.side
-
     def resolve(self, x: np.ndarray) -> np.ndarray:
-        """(H + i)^{-1} x, with x laid out as L's rows, then sector N X-major."""
-        cut, edge, step = len(self.low), self.edge, self.step
+        """(H + i)^{-1} x, with x laid out as S's rows, then sector N X-major."""
+        step, cut = self.step, len(self.inverse)
+        edge = cut - step.side  # the first row of sector N-1
         inverse = 1.0 / (self.top + 1j)
         rotated = _real_times(step.rotation.T, x[cut:].reshape(self.top.shape))
         rhs = x[:cut].copy()
@@ -766,74 +768,45 @@ def _split_top_sector(model: AssembledModel, lam: float, energies: np.ndarray) -
     """
     basis = model.basis
     top = basis.n_max
-    low = lower_sectors(model, creation_blocks(model, lam, top - 1), energies)
+    schur = lower_sectors(model, creation_blocks(model, lam, top - 1), energies).astype(complex)
     evals, q = np.linalg.eigh(model.k + np.diag(energies))
     d = evals[:, None] + model.occupation_energies[basis.sector_slice(top)]
     step = SectorStep.of(basis.ladder[top - 1], form_factor(model, lam), q)
-    schur = low.astype(complex)
-    schur.flat[:: len(low) + 1] += 1j
+    schur.flat[:: len(schur) + 1] += 1j
     step.subtract_gram(schur, 1.0 / (d + 1j))
-    return _TopSectorSplit(low, step, d, np.linalg.inv(schur))
+    return _TopSectorSplit(step, d, np.linalg.inv(schur))
 
 
-# seed of the draw that starts the inverse iteration of ``_lowest_pair``
-_INVERSE_ITERATION_SEED = 0
+def hamiltonian_apply(model: AssembledModel, lam: float, energies: np.ndarray):
+    """x -> (H_lam + E_lam(X)) x on flat X-major tensor vectors; ``energies`` is E_lam(X), zeros for H_lam.
 
-
-def _lowest_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue of a real symmetric matrix and its unit eigenvector; ``mat`` is overwritten.
-
-    ``eigvalsh`` places a shift n eps max|m_ij| below the lowest eigenvalue,
-    a margin that bounds the error of its value, so the shifted matrix stays
-    nonsingular.  One inverse-iteration solve from a seeded draw then damps
-    every other eigenvector by the margin over its gap, and the eigenvalue
-    is the vector's Rayleigh quotient: its roundoff is that of the rows the
-    vector lives on, not of the whole matrix.
+    Viewed as (size, fock_dim), x meets K + diag E along X and the occupation energies, and each
+    step's ``SectorStep`` scatters A_n and A_n^T between its sectors: no matrix of the tensor side is formed.
     """
-    n = len(mat)
-    margin = n * np.finfo(float).eps * max(float(mat.max()), -float(mat.min()))
-    shift = float(np.linalg.eigvalsh(mat)[0]) - margin
-    mat.flat[:: n + 1] -= shift
-    vec = np.linalg.solve(mat, np.random.default_rng(_INVERSE_ITERATION_SEED).standard_normal(n))
-    vec /= np.linalg.norm(vec)
-    return shift + float(vec @ (mat @ vec)), vec
+    basis, k, coeffs = model.basis, model.k + np.diag(energies), form_factor(model, lam)
+    steps = [SectorStep.of(lad, coeffs, model.k_evecs) for lad in basis.ladder]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        v = x.reshape(len(k), basis.dim)
+        out = k @ v
+        out += v * model.occupation_energies
+        for n, step in enumerate(steps, start=1):
+            low, high = basis.sector_slice(n - 1), basis.sector_slice(n)
+            out[:, high] += step.create(v[:, low])
+            out[:, low] += step.annihilate(v[:, high])
+        return out.ravel()
+
+    return apply
 
 
-def _ground_level(split: _TopSectorSplit) -> tuple[float, dict]:
-    """Lowest eigenvalue of H from the Feshbach complement on sectors 0..N-1.
+def ground_state(model: AssembledModel, lam: float, energies: np.ndarray) -> tuple[float, np.ndarray, dict]:
+    """Lowest eigenvalue of H_lam + E_lam(X), its flat X-major unit eigenvector and the solver's record.
 
-    E0 is the root of f(E) = lambda_min(L - Sigma(E)) - E with
-    Sigma(E) = C diag(1/(d - E)) C^T on sector N-1, the Gram of the top
-    step (``SectorStep.subtract_gram``).  Every boson costs at least
-    the mass floor, so by interlacing e0 = lambda_min(L) < min d and
-    f(e0) <= 0.  Below min d, f is concave and decreasing with
-    f'(E) = -1 - ||diag(1/(d - E)) C^T psi||^2 (psi the lowest eigenvector,
-    from ``_lowest_pair``; C^T psi is a ladder scatter and a rotation), so
-    Newton's iterates from e0 fall monotonically to the root; the loop
-    stops at the first iterate that does not fall.
-
-    Returns E0 and its record: the evaluations of f and the final |f(E0)|.
+    ``operators.lowest_eigenpair`` applies ``hamiltonian_apply`` from a draw seeded with ``_LANCZOS_SEED``,
+    preconditioned by (H0 + s)^{-1} (``AssembledModel.free_resolve``, s = ``free_shift``).
     """
-    edge = split.edge
-
-    def f(e: float) -> tuple[float, float]:
-        weight = 1.0 / (split.top - e)
-        mat = split.low.copy()
-        split.step.subtract_gram(mat, weight)
-        value, vec = _lowest_pair(mat)
-        slope = -1.0 - float(np.sum((split.step.couple_adjoint(vec[edge:]) * weight) ** 2))
-        return value - e, slope
-
-    level = _lowest_pair(split.low.copy())[0]
-    evaluations = 0
-    while True:
-        value, slope = f(level)
-        evaluations += 1
-        step = level - value / slope
-        if not step < level:
-            break
-        level = step
-    return level, {"newton_evaluations": evaluations, "residual": abs(value)}
+    s, start = free_shift(model), np.random.default_rng(_LANCZOS_SEED).standard_normal(model.dim)
+    return lowest_eigenpair(hamiltonian_apply(model, lam, energies), lambda r: model.free_resolve(r, s), start)
 
 
 # Lanczos basis length of one resolvent distance: its stated memory (``renorm_peak_bytes``)
@@ -856,7 +829,8 @@ def _resolvent_distance(split_a: _TopSectorSplit, split_b: _TopSectorSplit, seed
     Returns sqrt(theta) and the solver's record: the Gram applications
     (one per Lanczos step) and the Lanczos bound on ||G u - theta u|| / theta.
     """
-    if all(np.array_equal(a, b) for a, b in zip(split_a.arrays, split_b.arrays)):
+    arrays = [(split.inverse, split.step.entries, split.step.rotation, split.top) for split in (split_a, split_b)]
+    if all(np.array_equal(a, b) for a, b in zip(*arrays)):
         return 0.0, {"gram_applications": 0, "residual": 0.0}
 
     def gram(x: np.ndarray) -> np.ndarray:
@@ -864,55 +838,51 @@ def _resolvent_distance(split_a: _TopSectorSplit, split_b: _TopSectorSplit, seed
         return (split_a.resolve(y) - split_b.resolve(y)).conj()
 
     rng = np.random.default_rng(seed)
-    n = len(split_a.low) + split_a.top.size
+    n = len(split_a.inverse) + split_a.top.size
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     theta, steps, residual = top_eigenvalue(gram, _DISTANCE_STEPS, start)
     return float(np.sqrt(max(theta, 0.0))), {"gram_applications": steps, "residual": residual}
 
 
+def level_peak_bytes(npts: int, n_max: int) -> int:
+    """Most bytes ``ground_state`` holds on a d = 1 lattice of ``npts`` points: 16 float64 tensor vectors, the
+    entries C_y of every step (at most n per state of sector n), three gathers of the largest, K + diag E and 64 KiB."""
+    dims = fock.sector_dims(npts, n_max)
+    entries = [npts * n * dim for n, dim in enumerate(dims)]
+    return 8 * (16 * npts * sum(dims) + sum(entries) + 3 * max(entries) + npts**2) + (1 << 16)
+
+
 def renorm_peak_bytes(npts: int, n_max: int) -> int:
     """Most bytes ``renorm_convergence_experiment`` holds at once on a d = 1 lattice of ``npts`` points.
 
-    With S the side of sectors 0..N-1 and T that of sector N, a split holds
-    L (float64) and its Schur inverse (complex), S^2 units of 24 bytes, plus
-    Q, d and the top step's entries (N = n_max >= 1).  Each sweep point
-    takes its plain distance before it builds the subtracted split, so the
-    sweep holds three splits while it takes a resolvent distance, whose
-    Lanczos basis of side S + T holds at most ``_DISTANCE_STEPS``
-    vectors; it holds two while it builds the third, which needs L, the
-    complex Schur complement and then three more of its size inside
-    ``np.linalg.inv`` (or, before that, the top step's complex Gram with one
-    chunk, ``_step_plan``); and three while a Newton evaluation holds a copy
-    of L and a copy of that inside ``eigvalsh`` or ``np.linalg.solve`` (or
-    the real Gram).  The top step's ladder tables
-    are counted too.  Nothing of side T x S is formed.
+    With S the side of sectors 0..N-1 and T that of sector N (N = n_max >= 1), a split holds its
+    complex Schur inverse (S^2 units of 16 bytes), Q, d and the top step's entries.  A sweep point
+    takes its levels (``level_peak_bytes``) beside the two splits of the previous one, and its plain
+    distance before it builds the subtracted split: so three splits are held beside a distance's
+    Lanczos basis of side S + T (at most ``_DISTANCE_STEPS`` vectors), and two beside a build, which
+    holds the complex Schur complement and three more of its size inside ``np.linalg.inv`` (or, before,
+    the top step's Gram with one chunk, ``_step_plan``).  Nothing of side T x S is formed.
     """
     dims = fock.sector_dims(npts, n_max)
     low, top = npts * sum(dims[:-1]), npts * dims[-1]
     entries, pairs = n_max * top, _ladder_pairs(npts, n_max)
-    split = 24 * low**2 + 8 * (npts**2 + top + entries)
-    gram = {itemsize: _step_plan(pairs, npts, dims[-2], itemsize)["peak_bytes"] for itemsize in (8, 16)}
-    build = 2 * split + 24 * low**2 + max(gram[16], 48 * low**2)
-    newton = 3 * split + 8 * low**2 + max(gram[8], 8 * low**2)
+    split = 16 * low**2 + 8 * (npts**2 + top + entries)
+    build = 2 * split + 16 * low**2 + max(_step_plan(pairs, npts, dims[-2], 16)["peak_bytes"], 48 * low**2)
+    levels = 2 * split + level_peak_bytes(npts, n_max)
     distance = 3 * split + lanczos_peak_bytes(low + top, _DISTANCE_STEPS, 16) + 8 * 16 * (low + top)
-    return 16 * (pairs + entries) + max(build, newton, distance)
+    return 16 * (pairs + entries) + max(build, levels, distance)
 
 
 def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
-    """Resolvent-distance table along a cutoff sweep, with and without E_lam.
+    """Ground levels and resolvent distances along a cutoff sweep, with and without E_lam.
 
-    For each lam the level row records the ground-state energies of H_lam
-    and H_lam + E_lam(X); for each consecutive pair the distance row records
-    D = ||(H + E + i)^{-1} - (H' + E' + i)^{-1}|| (largest singular value)
-    next to the unsubtracted comparison.  Each Hamiltonian is split once at
-    the top boson sector (``_split_top_sector``): its level is the root of
-    the Feshbach complement (``_ground_level``) and its Schur inverse feeds
-    ``_resolvent_distance``, so no matrix of the tensor side is formed or
-    diagonalized, and the top creation block is applied as a ladder scatter,
-    never formed.  Of the previous sweep point only its splits are kept, and
-    its plain split is dropped once the plain distance is taken.
-    Each row carries its solver records under ``solver``; ``dim`` is the
-    tensor dimension and ``schur_dim`` the side of sectors 0..n_max-1.
+    Per lam the level row holds the ground levels of H_lam and H_lam + E_lam(X) (``ground_state``); per
+    consecutive pair the distance row holds D = ||(H + E + i)^{-1} - (H' + E' + i)^{-1}|| next to the
+    unsubtracted one, from splits at the top boson sector (``_split_top_sector``, ``_resolvent_distance``)
+    that the levels do not read.  No matrix of the tensor side is formed or diagonalized.  Of the previous
+    point only its splits are kept, the plain one until the plain distance is taken.  Rows carry their solver
+    records under ``solver``; ``dim`` is the tensor dimension, ``schur_dim`` the side of sectors 0..n_max-1
+    and ``stage_s`` the seconds of the splits, levels and distances.
     """
     lams = [float(v) for v in lams]
     if len(lams) < 2:
@@ -920,35 +890,32 @@ def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:
     if model.basis.n_max < 1:
         raise ValueError("the top-sector split needs n_max >= 1")
     check_bytes("renorm_convergence_experiment", renorm_peak_bytes(model.grid.size, model.basis.n_max))
+    stage_s = dict.fromkeys(("splits", "levels", "distances"), 0.0)
+
+    def timed(stage: str, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        stage_s[stage] += time.perf_counter() - start
+        return out
+
     levels, pairs = [], []
     prev_plain = prev_sub = None
     for lam in lams:
-        plain = _split_top_sector(model, lam, np.zeros(model.grid.size))
-        gs_plain, newton_plain = _ground_level(plain)
+        zeros, energies = np.zeros(model.grid.size), vacuum_energy(model, lam)
+        gs_plain, _, level_plain = timed("levels", ground_state, model, lam, zeros)
+        gs_sub, _, level_sub = timed("levels", ground_state, model, lam, energies)
+        solver = {"subtracted": level_sub, "unsubtracted": level_plain}
+        levels.append({"lam": lam, "gs_plain": gs_plain, "gs_subtracted": gs_sub, "solver": solver})
+        plain = timed("splits", _split_top_sector, model, lam, zeros)
         if prev_plain is not None:
-            d_plain, solver_plain = _resolvent_distance(prev_plain, plain)
+            d_plain, solver_plain = timed("distances", _resolvent_distance, prev_plain, plain)
         # drop the previous plain split before the subtracted one is built: three splits at most
         prev_plain = None
-        sub = _split_top_sector(model, lam, vacuum_energy(model, lam))
-        gs_sub, newton_sub = _ground_level(sub)
-        levels.append(
-            {
-                "lam": lam,
-                "gs_plain": gs_plain,
-                "gs_subtracted": gs_sub,
-                "solver": {"subtracted": newton_sub, "unsubtracted": newton_plain},
-            }
-        )
+        sub = timed("splits", _split_top_sector, model, lam, energies)
         if prev_sub is not None:
-            d_sub, solver_sub = _resolvent_distance(prev_sub, sub)
-            pairs.append(
-                {
-                    "lam": prev_lam,
-                    "lam_next": lam,
-                    "d_subtracted": d_sub,
-                    "d_unsubtracted": d_plain,
-                    "solver": {"subtracted": solver_sub, "unsubtracted": solver_plain},
-                }
-            )
+            d_sub, solver_sub = timed("distances", _resolvent_distance, prev_sub, sub)
+            solver = {"subtracted": solver_sub, "unsubtracted": solver_plain}
+            pairs.append({"lam": prev_lam, "lam_next": lam, "d_subtracted": d_sub, "d_unsubtracted": d_plain, "solver": solver})
         prev_lam, prev_plain, prev_sub = lam, plain, sub
-    return {"dim": model.dim, "schur_dim": len(plain.low), "levels": levels, "pairs": pairs}
+    stage_s = {stage: round(seconds, 3) for stage, seconds in stage_s.items()}
+    return {"dim": model.dim, "schur_dim": len(plain.inverse), "levels": levels, "pairs": pairs, "stage_s": stage_s}

@@ -1,5 +1,5 @@
 """Dense operators as numpy arrays: the memory guard, the hermiticity check, and
-spectral helpers (norm, top eigenvalue, psd powers, functions of hermitian matrices)."""
+spectral helpers (norm, top and lowest eigenvalue, psd powers, functions of hermitian matrices)."""
 
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ MAX_BYTES = 1 << 30
 
 class SizeError(ValueError):
     """A kernel would hold more than ``MAX_BYTES`` at once."""
+
+
+class ConvergenceError(ArithmeticError):
+    """An iterative solver reached its iteration cap above its tolerance."""
 
 
 def check_bytes(what: str, nbytes: int) -> int:
@@ -37,8 +41,8 @@ def opnorm(mat: np.ndarray) -> float:
 
 # relative bound on |lambda - theta| at which ``top_eigenvalue`` stops
 _LANCZOS_RTOL = 1e-15
-# seed of the generator that draws a start vector for ``top_eigenvalue``: a
-# structured one (all ones, a basis vector) can be orthogonal to the top
+# seed of the generator that draws a start vector for ``top_eigenvalue`` and ``nelson.ground_state``:
+# a structured one (all ones, a basis vector) can be orthogonal to the top
 # eigenspace of a lattice-symmetric matrix
 _LANCZOS_SEED = 0
 
@@ -109,6 +113,50 @@ def top_eigenvalue(matvec, basis: int, start: np.ndarray) -> tuple[float, int, f
         last = theta
         ritz = vecs.T @ evecs[:, -1]
         vecs[0] = ritz / np.linalg.norm(ritz)
+
+
+# bound on ||A x - theta x|| (unit x) at which ``lowest_eigenpair`` stops, and its iteration cap
+LOBPCG_TOL = 1e-11
+_LOBPCG_CAP = 200
+
+
+def lowest_eigenpair(matvec, precondition, start: np.ndarray) -> tuple[float, np.ndarray, dict]:
+    """Lowest eigenvalue of a real symmetric operator and its unit eigenvector, by LOBPCG with one vector.
+
+    ``matvec`` is x -> A x and ``precondition`` r -> T r, T symmetric positive definite, best near
+    (A - sigma)^{-1} for a sigma below the spectrum.  From the unit ``start``, each iteration takes
+    theta = x^T A x and r = A x - theta x and moves x to the lowest Ritz vector of A on {x, T r, p},
+    p the previous step (Knyazev, SIAM J. Sci. Comput. 23, 2001), orthonormalized through the
+    eigenpairs of their Gram with directions below sqrt(eps) dropped.  A is applied to x and T r; A p
+    follows p.  It stops at ||r|| <= ``LOBPCG_TOL``, where theta is off by at most ||r||^2 over the
+    gap, and raises ``ConvergenceError`` after ``_LOBPCG_CAP`` iterations.  It holds a few vectors.
+
+    Returns (theta, x, {"iterations", "residual": ||r||}).
+    """
+    x = start / np.linalg.norm(start)
+    prev, prev_image = [], []
+    for iteration in range(_LOBPCG_CAP + 1):
+        ax = matvec(x)
+        theta = float(x @ ax)
+        r = ax - theta * x
+        residual = float(np.linalg.norm(r))
+        if residual <= LOBPCG_TOL:
+            return theta, x, {"iterations": iteration, "residual": residual}
+        w = precondition(r)
+        w /= np.linalg.norm(w)
+        trial, images = np.array([x, w, *prev]), np.array([ax, matvec(w), *prev_image])
+        evals, evecs = np.linalg.eigh(trial @ trial.T)
+        keep = evals > np.sqrt(np.finfo(float).eps) * evals[-1]
+        basis = evecs[:, keep] / np.sqrt(evals[keep])
+        ritz = basis.T @ (trial @ images.T) @ basis
+        coeffs = basis @ np.linalg.eigh(0.5 * (ritz + ritz.T))[1][:, 0]
+        step, image = coeffs[1:] @ trial[1:], coeffs[1:] @ images[1:]
+        del trial, images  # before the next iteration stacks its own
+        x = coeffs[0] * x + step
+        x /= np.linalg.norm(x)
+        size = np.linalg.norm(step)
+        prev, prev_image = ([step / size], [image / size]) if size > 0.0 else ([], [])
+    raise ConvergenceError(f"lowest_eigenpair: residual {residual:.3e} above {LOBPCG_TOL:.0e} after {_LOBPCG_CAP} iterations")
 
 
 def psd_power(mat: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:

@@ -13,8 +13,7 @@ static dressing identity built on it.
 import numpy as np
 
 from nelsonlab.fock import annihilate, second_quantize
-from nelsonlab.ibc import free_shift
-from nelsonlab.nelson import form_factor, vacuum_energy
+from nelsonlab.nelson import form_factor, free_shift, vacuum_energy
 from nelsonlab.operators import check_hermitian, hermitian_func, opnorm, psd_power
 
 

@@ -12,7 +12,6 @@ from nelsonlab.ibc import (
     domain_regularity_experiment,
     domain_regularity_norms,
     factorization_identity_check,
-    free_shift,
     ibc_peak_bytes,
     invert_one_minus_G,
     neumann_residual,
@@ -23,6 +22,7 @@ from nelsonlab.nelson import (
     creation_blocks,
     form_factor,
     form_factor_rho,
+    free_shift,
     sinusoidal_spec,
 )
 from nelsonlab.operators import HERMITIAN_TOL, SizeError

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nelsonlab.grid import Grid, gaussian_profile_hat
 from nelsonlab.inequalities import (
@@ -456,6 +456,8 @@ def test_estimate_near_the_window_matches_quadpack(nu, sigma):
 @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(st.floats(min_value=0.5, max_value=128.0), st.floats(min_value=0.25, max_value=16.0))
+@example(lam=39.0, g_const=12.0)
+@example(lam=103.0, g_const=12.0)
 def test_radial_sweeps_match_quadpack(lam, g_const):
     lams = np.array([lam, 2.0 * lam])
     demo = diagonal_divergence_demo(lams, g_const=g_const)

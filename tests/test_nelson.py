@@ -703,8 +703,9 @@ def test_size_guard_reports_dimensions():
 
 
 def test_renorm_guard_refuses_before_the_ladder(monkeypatch):
-    # at npts 64, n_max 2 the sectors below the top one have side 64 x 65 = 4160,
-    # so three splits (L and its complex Schur inverse each) hold 1.2 GiB; the model itself is cheap
+    # at npts 64, n_max 2 the sectors below the top one have side 64 x 65 = 4160, so
+    # three complex Schur inverses hold 0.77 GiB beside a distance's Lanczos basis of
+    # side 141 440 (0.81 GiB); the model itself is cheap
     model = assemble_free(sinusoidal_spec(64))
 
     def forbidden(*args):
@@ -712,23 +713,30 @@ def test_renorm_guard_refuses_before_the_ladder(monkeypatch):
 
     monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
     monkeypatch.setattr(nelson, "form_factor", forbidden)
-    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 2122144768 bytes"):
+    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 1706810368 bytes"):
         renorm_convergence_experiment(model, [1.0, 2.0])
 
 
-# the stated peaks of a sweep that held both splits of the previous cutoff
-# until the subtracted distance was taken
-FOUR_SPLIT_PEAK_BYTES = {(8, 1): 1301632, (8, 3): 21952000, (16, 2): 23799552, (32, 2): 222924288, (64, 2): 2540706816}
+# the stated peaks of a sweep whose splits kept L beside its Schur inverse
+THREE_SPLIT_PEAK_BYTES = {(8, 1): 1298560, (8, 3): 18810368, (16, 2): 21969664, (32, 2): 195747328, (64, 2): 2122144768}
 
 
-def test_renorm_peak_drops_by_one_split():
-    # the plain distance comes before the subtracted split is built, so the
-    # build, Newton and distance terms each hold one split fewer
-    for (npts, n_max), before in FOUR_SPLIT_PEAK_BYTES.items():
-        dims = fock.sector_dims(npts, n_max)
-        low, top = npts * sum(dims[:-1]), npts * dims[-1]
-        split = 24 * low**2 + 8 * (npts**2 + top + n_max * top)
-        assert renorm_peak_bytes(npts, n_max) == before - split
+def test_renorm_peak_drops_l_from_each_split():
+    # a distance, beside three splits, sets the peak, and each split sheds L (S^2 float64)
+    for (npts, n_max), before in THREE_SPLIT_PEAK_BYTES.items():
+        low = npts * sum(fock.sector_dims(npts, n_max)[:-1])
+        assert renorm_peak_bytes(npts, n_max) == before - 3 * 8 * low**2
+
+
+def test_level_peak_is_within_its_stated_bytes():
+    # the eigensolver and the tensor apply hold a few vectors of the tensor dimension
+    for npts, n_max in ((8, 3), (16, 2), (32, 2)):
+        model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
+        model.basis.ladder
+        np.random.default_rng()
+        peak = _traced_peak(lambda: nelson.ground_state(model, 2.0, np.zeros(npts)))
+        assert peak <= nelson.level_peak_bytes(npts, n_max) <= 4 * peak
+        assert nelson.level_peak_bytes(npts, n_max) - (1 << 16) <= 32 * 8 * model.dim
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +842,7 @@ def test_top_sector_kernel_matches_dense_oracle(npts, n_max):
         assert abs(row["gs_plain"] - np.linalg.eigvalsh(h)[0]) <= 1e-12
         assert abs(row["gs_subtracted"] - np.linalg.eigvalsh(sub)[0]) <= 1e-12
         for record in row["solver"].values():
-            assert record["newton_evaluations"] >= 1 and record["residual"] <= 1e-12
+            assert record["iterations"] >= 1 and record["residual"] <= operators.LOBPCG_TOL
         resolvents[lam] = (np.linalg.inv(h + 1j * eye), np.linalg.inv(sub + 1j * eye))
     (plain_a, sub_a), (plain_b, sub_b) = resolvents[1.0], resolvents[2.0]
     (row,) = report["pairs"]
@@ -903,17 +911,26 @@ def test_ladder_scatter_applies_the_dense_creation_block(npts, n_max):
         assert np.abs(step.annihilate(u).ravel() - a_n.T @ u.ravel()).max() <= 1e-14 * scale
 
 
-def test_lowest_pair_by_inverse_iteration():
-    # a diagonal matrix: eigvalsh returns its entry exactly, and the margin
-    # below it keeps the inverse-iteration solve nonsingular
-    value, vec = nelson._lowest_pair(np.diag([1.0, 2.0, 3.0]))
-    assert value == 1.0 and abs(abs(vec[0]) - 1.0) <= 1e-15
-    b = np.random.default_rng(5).standard_normal((60, 60))
-    mat = b + b.T
-    evals, evecs = np.linalg.eigh(mat)
-    value, vec = nelson._lowest_pair(mat.copy())
-    assert abs(value - evals[0]) <= 1e-13 * abs(evals[0])
-    assert abs(abs(vec @ evecs[:, 0]) - 1.0) <= 1e-12
+@pytest.mark.parametrize("npts", [4, 8])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_tensor_apply_matches_dense_oracle(npts, n_max):
+    model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
+    dense = cutoff_hamiltonian(model, 2.0) + np.diag(vacuum_energy_diagonal(model, 2.0))
+    apply = nelson.hamiltonian_apply(model, 2.0, vacuum_energy(model, 2.0))
+    rng = np.random.default_rng(10 * npts + n_max)
+    for x in rng.standard_normal((3, model.dim)):
+        assert np.abs(apply(x) - dense @ x).max() <= 1e-13 * np.abs(dense).max() * np.abs(x).max()
+
+
+@pytest.mark.parametrize("npts, n_max", [(4, 2), (8, 3)])
+def test_free_resolve_matches_dense_inverse(npts, n_max):
+    model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
+    x = np.random.default_rng(npts).standard_normal(model.dim)
+    for z in (nelson.free_shift(model), 1j):
+        want = np.linalg.inv(free_hamiltonian(model) + z * np.eye(model.dim)) @ x
+        got = model.free_resolve(x, z)
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_renorm_sweep_at_zero_coupling():

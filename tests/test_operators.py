@@ -126,3 +126,35 @@ def test_top_eigenvalue_restarts_in_a_bounded_basis():
     assert abs(value - want) <= 1e-14 * want
     assert steps > 20 and residual >= 0.0
     assert peak <= operators.lanczos_peak_bytes(100, 20, 8)
+
+
+def test_lowest_eigenpair_separates_a_pair_1e_6_apart():
+    # the start lies mostly along the second eigenvector; T = (A - sigma)^{-1} with sigma
+    # 1e-9 below the pair damps it by 1e-3 per iteration, and the Ritz step keeps the lowest
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+    spectrum = np.concatenate(([1.0, 1.0 + 1e-6], np.linspace(2.0, 50.0, 58)))
+    mat = (q * spectrum) @ q.T
+    precondition = np.linalg.inv(mat - (1.0 - 1e-9) * np.eye(60))
+    start = q[:, 1] + 1e-3 * q[:, 0] + 1e-2 * rng.standard_normal(60)
+    value, vec, record = operators.lowest_eigenpair(lambda x: mat @ x, lambda r: precondition @ r, start)
+    assert abs(value - 1.0) <= 1e-14
+    assert abs(abs(vec @ q[:, 0]) - 1.0) <= 1e-12 and abs(np.linalg.norm(vec) - 1.0) <= 1e-15
+    assert 1 <= record["iterations"] and record["residual"] <= operators.LOBPCG_TOL
+
+
+def test_lowest_eigenpair_of_a_random_matrix_unpreconditioned():
+    b = np.random.default_rng(5).standard_normal((60, 60))
+    mat = b + b.T
+    value, vec, record = operators.lowest_eigenpair(lambda x: mat @ x, lambda r: r, np.ones(60))
+    evals, evecs = np.linalg.eigh(mat)
+    assert abs(value - evals[0]) <= 1e-13 * abs(evals[0])
+    assert abs(abs(vec @ evecs[:, 0]) - 1.0) <= 1e-12
+    assert np.linalg.norm(mat @ vec - value * vec) == pytest.approx(record["residual"], rel=1e-3)
+
+
+def test_lowest_eigenpair_raises_at_its_cap(monkeypatch):
+    monkeypatch.setattr(operators, "_LOBPCG_CAP", 2)
+    mat = np.diag(np.arange(1.0, 61.0))
+    with pytest.raises(operators.ConvergenceError, match="after 2 iterations"):
+        operators.lowest_eigenpair(lambda x: mat @ x, lambda r: r, np.ones(60))
