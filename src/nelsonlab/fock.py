@@ -75,16 +75,6 @@ class SectorLadder:
         order = np.argsort(self.sources, kind="stable")
         return order, _run_heads(self.sources[order])
 
-    @cached_property
-    def shared_target_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entry pairs (i, j) with equal targets, ordered by target, then i, then j."""
-        counts = np.bincount(self.targets)
-        starts = np.cumsum(counts) - counts
-        group = counts[self.targets]
-        first = np.repeat(np.arange(len(self.targets)), group)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(group) - group, group)
-        return first, starts[self.targets[first]] + offset
-
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:

@@ -224,7 +224,7 @@ def regularity_peak_bytes(npts: int, n_max: int) -> int:
     the widest step with a full Lanczos basis of ``_BASIS`` vectors (``_step_peak_bytes``), or the
     three complex npts x npts tables of ``form_factor`` before the steps."""
     dims = sector_dims(npts, n_max)
-    steps = (_step_peak_bytes(npts, src, tgt, min(_BASIS, npts * src)) for src, tgt in zip(dims[:-1], dims[1:]))
+    steps = (_step_peak_bytes(npts, src, tgt, _BASIS) for src, tgt in zip(dims[:-1], dims[1:]))
     return max([48 * npts**2, *steps])
 
 
@@ -244,9 +244,10 @@ def domain_regularity_norms(model: AssembledModel, lam: float, ps) -> dict:
     (``operators.top_eigenvalue`` in a basis of at most ``_BASIS`` vectors),
     clamped at zero so that zero coupling gives exactly 0.0.  The start
     vector is a standard normal draw seeded with ``_LANCZOS_SEED``, read in
-    source-major order (a, y), as the Gram sum of ``nelson._step_gram`` lays
-    out its rows.  A step holds the Lanczos basis and the apply's workspace, a few
-    arrays of npts x (ladder entries), and nothing of the side squared
+    source-major order (a, y): that order fixes each step's start, and with
+    it the last digits of every step norm in the reference outputs.  A step
+    holds the Lanczos basis and the apply's workspace, a few arrays of
+    npts x (ladder entries), and nothing of the side squared
     (``regularity_peak_bytes``).  The shift s enters only through the
     resolvent factor of G.  An exact power-of-two scale of the coefficients
     keeps their squares from underflowing.

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -151,15 +150,20 @@ def sinusoidal_spec(
 
 
 def divergence_form(grid: Grid, g: np.ndarray) -> np.ndarray:
-    """Real symmetric part of D diag(g) D.
+    """Real symmetric part of sum_a D_a diag(g) D_a, summed over the axes from a = 0.
 
-    D diag(g) D is hermitian up to the Nyquist column, whose unpaired mode
-    makes the product complex for variable g; Re(.) projects back onto the
-    symmetric divergence-form operator and is exact for constant g.
+    D_a diag(g) D_a is hermitian up to the Nyquist column, whose unpaired
+    mode makes the product complex for variable g; Re(.) projects back onto
+    the symmetric divergence-form operator and is exact for constant g.
     """
-    d = derivative_matrix(grid)
-    m = d @ np.diag(np.asarray(g, dtype=complex)) @ d
-    return 0.5 * (m + m.conj().T).real
+    g = np.diag(np.asarray(g, dtype=complex))
+
+    def axis_term(axis: int) -> np.ndarray:
+        d = derivative_matrix(grid, axis)
+        m = d @ g @ d
+        return 0.5 * (m + m.conj().T).real
+
+    return sum((axis_term(axis) for axis in range(1, grid.dim)), axis_term(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,64 +368,6 @@ def creation_blocks(model: AssembledModel, lam: float, top: int | None = None) -
     return blocks
 
 
-# bytes of pair workspace that one chunk of ``_step_gram`` may hold
-_CHUNK_BYTES = 1 << 20
-# a chunk holds at most three (pairs x size^2) arrays at once: its pair
-# blocks, the W_o gathered onto them, and the W_o of its targets
-_CHUNK_ARRAYS = 3
-
-
-def _step_plan(n_pairs: int, size: int, n_src: int, itemsize: int) -> dict:
-    """Chunking and stated peak bytes of one sector-step Gram, from sizes alone:
-    the Gram and one chunk of pair workspace."""
-    block = size * size * itemsize
-    per_chunk = max(1, min(n_pairs, _CHUNK_BYTES // (_CHUNK_ARRAYS * block)))
-    gram = (n_src * size) ** 2 * itemsize
-    return {
-        "pairs_per_chunk": per_chunk,
-        "chunks": -(-n_pairs // per_chunk),
-        "peak_bytes": gram + _CHUNK_ARRAYS * per_chunk * block,
-    }
-
-
-def _ladder_pairs(npts: int, n: int) -> int:
-    """Number of pairs of ladder entries of the step n-1 -> n that share their target, on ``npts`` modes:
-    a target with j occupied modes has j^2 of them, and C(npts, j) C(n-1, j-1) targets have j."""
-    return sum(j * j * comb(npts, j) * comb(n - 1, j - 1) for j in range(1, min(n, npts) + 1))
-
-
-def _step_gram(lad, c: np.ndarray, q_k: np.ndarray, weight: np.ndarray, n_src: int) -> np.ndarray:
-    """Gram sum_o conj(C_y[o,a]) W_o[y,z] C_z[o,b] of one sector step, W_o = Q_K diag(weight[:, o]) Q_K*.
-
-    ``c`` holds C_y of each ladder entry a -> o (rows y), ``weight`` one
-    column per target o, real or complex.  Each chunk of target-ordered pairs (``_step_plan``)
-    is stable-sorted by source key (a, b) and summed per key with
-    ``np.add.reduceat``; the summed keys of a chunk are unique, so one
-    fancy-indexed ``+=`` adds them all.  Returned with shape (n_src, size, n_src, size).
-    """
-    size = q_k.shape[0]
-    first, second = lad.shared_target_pairs
-    dtype = np.result_type(c, q_k, weight)
-    per_chunk = _step_plan(len(first), size, n_src, dtype.itemsize)["pairs_per_chunk"]
-    gram = np.zeros((n_src, size, n_src, size), dtype=dtype)
-    for start in range(0, len(first), per_chunk):
-        i, j = first[start : start + per_chunk], second[start : start + per_chunk]
-        key = lad.sources[i] * n_src + lad.sources[j]
-        order = np.argsort(key, kind="stable")
-        i, j, key = i[order], j[order], key[order]
-        targets, local = np.unique(lad.targets[i], return_inverse=True)
-        w = (q_k[None, :, :] * weight[:, targets].T[:, None, :]) @ q_k.conj().T
-        # in the weight's dtype: a complex weight meets real coefficients
-        blocks = np.multiply(c[:, i].conj().T[:, :, None], c[:, j].T[:, None, :], dtype=dtype)
-        blocks *= w[local]
-        del w
-        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        sums = np.add.reduceat(blocks, heads, axis=0)
-        del blocks
-        gram[lad.sources[i[heads]], :, lad.sources[j[heads]], :] += sums
-    return gram
-
-
 @dataclass(frozen=True, eq=False)
 class SectorStep:
     """The creation step from sector n-1 into the rotated coordinates of sector n: C = A_n^T (Q x 1).
@@ -469,14 +415,22 @@ class SectorStep:
         return _real_times(self.rotation.T, self.create(v.reshape(len(self.rotation), -1)))
 
     def subtract_gram(self, mat: np.ndarray, weight: np.ndarray) -> None:
-        """Subtract C diag(weight) C^T from the sector n-1 corner of ``mat`` (its last rows and columns):
-        the Gram sum_o C_y[o,a] W_o[y,z] C_z[o,b], W_o = Q diag(w[:, o]) Q^T, of ``_step_gram``,
-        with a real or a complex weight."""
-        size, n_src = len(self.rotation), len(self.ladder.by_source[1])
-        gram = _step_gram(self.ladder, self.entries, self.rotation, weight, n_src)
-        # the step Gram is source-major (a, y, b, z); the corner is X-major (y, a, z, b)
-        corner = mat[-self.side :, -self.side :].reshape(size, n_src, size, n_src)
-        corner -= gram.transpose(1, 0, 3, 2)
+        """Subtract C diag(weight) C^T from the sector n-1 corner of ``mat`` (its last rows and columns), in place.
+
+        One target o at a time: W_o = Q diag(weight[:, o]) Q^T, and C_y[i] W_o[y, z] C_z[j] is subtracted at
+        the sources (a_i, a_j) of each pair of entries i, j in o's run (``target_runs``) in one fancy-indexed
+        update.  The entries of a run raise different modes into o, so their sources are distinct and no index
+        of the update repeats.  The weight is real or complex, and nothing of the step's side squared is formed.
+        """
+        lad, c, q = self.ladder, self.entries, self.rotation
+        size, n_src = len(q), len(lad.by_source[1])
+        # the corner is X-major (y, a, z, b), viewed here by source pair (a, b, y, z)
+        corner = mat[-self.side :, -self.side :].reshape(size, n_src, size, n_src).transpose(1, 3, 0, 2)
+        bounds = np.append(lad.target_runs[0][1], len(lad.targets))
+        for o, (head, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+            a, c_o = lad.sources[head:end], c[:, head:end].T
+            w = (q * weight[:, o]) @ q.T
+            corner[a[:, None], a[None, :]] -= (c_o[:, None, :, None] * c_o[None, :, None, :]) * w
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +524,15 @@ def transformed_hamiltonian_check(
 
     Pass ``b_family``, a real (size, size) array of lattice rows B_X, to
     override the dressing; zero or X-independent rows are the degenerate checks.
+    A lattice of d > 1 raises ``ValueError``: the mixed terms differentiate along one axis.
     Returns a report dict; the headline entry is ``residual`` = safe-sector
     residual norm relative to the safe-sector norm of the left side, and
     ``weyl_steps`` and ``weyl_terms`` are the series' largest counts over X.
     """
     spec = model.spec
+    if spec.grid.dim != 1:
+        # the mixed terms differentiate the dressing along one axis
+        raise ValueError(f"transformed_hamiltonian_check needs a d = 1 lattice, got d = {spec.grid.dim}")
     check_bytes("transformed_hamiltonian_check", transformed_peak_bytes(spec.grid.size, spec.n_max))
     grid = model.grid
     size = grid.size
@@ -707,7 +665,8 @@ class _TopSectorSplit:
     on sector N is diagonal, ``top`` d[i, o] = eps_i + E_o, in the coordinates (Q x 1)^T, Q the eigenvectors of
     K + diag E; B couples sector N only to sector N-1 through the top ``step`` C = A_N^T (Q x 1).  ``inverse`` is
     S^{-1}, S = L + i - C diag(1/(d + i)) C^T the Schur complement of H + i: the corner of (H + i)^{-1} on sectors
-    0..N-1, so ||S^{-1}|| <= 1 and the inverse is well conditioned.
+    0..N-1, so ||S^{-1}|| <= 1 and the inverse is well conditioned.  The Gram C diag(1/(d + i)) C^T is subtracted
+    from L + i in place, one target of sector N at a time (``SectorStep.subtract_gram``).
     """
 
     step: SectorStep
@@ -860,17 +819,19 @@ def renorm_peak_bytes(npts: int, n_max: int) -> int:
     takes its levels (``level_peak_bytes``) beside the two splits of the previous one, and its plain
     distance before it builds the subtracted split: so three splits are held beside a distance's
     Lanczos basis of side S + T (at most ``_DISTANCE_STEPS`` vectors), and two beside a build, which
-    holds the complex Schur complement and three more of its size inside ``np.linalg.inv`` (or, before,
-    the top step's Gram with one chunk, ``_step_plan``).  Nothing of side T x S is formed.
+    holds the complex Schur complement and three more of its size inside ``np.linalg.inv``.  The top
+    step's Gram is subtracted from the complement in place, a few npts x npts arrays per target
+    (``SectorStep.subtract_gram``), and the top step's ladder tables are counted once.  Nothing of
+    side T x S is formed.
     """
     dims = fock.sector_dims(npts, n_max)
     low, top = npts * sum(dims[:-1]), npts * dims[-1]
-    entries, pairs = n_max * top, _ladder_pairs(npts, n_max)
+    entries = n_max * top
     split = 16 * low**2 + 8 * (npts**2 + top + entries)
-    build = 2 * split + 16 * low**2 + max(_step_plan(pairs, npts, dims[-2], 16)["peak_bytes"], 48 * low**2)
+    build = 2 * split + 64 * low**2
     levels = 2 * split + level_peak_bytes(npts, n_max)
     distance = 3 * split + lanczos_peak_bytes(low + top, _DISTANCE_STEPS, 16) + 8 * 16 * (low + top)
-    return 16 * (pairs + entries) + max(build, levels, distance)
+    return 16 * entries + max(build, levels, distance)
 
 
 def renorm_convergence_experiment(model: AssembledModel, lams) -> dict:

@@ -53,8 +53,10 @@ def lanczos_peak_bytes(side: int, steps: int, itemsize: int) -> int:
     Its basis doubles, up to its length, each time it fills, so the most it
     holds is the old and the new array of the last doubling; besides, it
     holds the tridiagonal T_k of the last step and its eigenvectors.  A run
-    that restarts holds no more than its full basis.
+    that restarts holds no more than its full basis, and no basis grows
+    past the side.
     """
+    steps = min(steps, side)
     grown = 1 << (steps - 1).bit_length()
     return (grown // 2 + min(side, grown)) * side * itemsize + 2 * steps**2 * 8
 

@@ -132,12 +132,10 @@ def test_sector_ladder_lists_every_creation_element():
         raised[np.arange(len(lad.modes)), lad.modes] += 1
         assert np.array_equal(raised, upper[lad.targets])
         assert np.array_equal(lad.factors, np.sqrt(upper[lad.targets, lad.modes]))
-        first, second = lad.shared_target_pairs
-        assert np.array_equal(lad.targets[first], lad.targets[second])
-        assert len(first) == np.sum(np.count_nonzero(upper, axis=1) ** 2)
-    # 32 modes, sector 1 -> 2: 496 targets with two occupied modes, 32 with one
-    first, _ = fock_basis(32, 2).ladder[1].shared_target_pairs
-    assert len(first) == 496 * 4 + 32
+        # each target's run raises different modes, so its sources are distinct
+        bounds = np.append(lad.target_runs[0][1], len(lad.targets))
+        for head, end in zip(bounds[:-1], bounds[1:]):
+            assert len(np.unique(lad.sources[head:end])) == end - head
 
 
 def test_annihilate_kills_vacuum():

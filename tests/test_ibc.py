@@ -328,8 +328,8 @@ def test_domain_regularity_structured_matches_dense(bench8, ops2, bench8_n3, ops
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_step_operator_applies_the_step_gram(npts, n_max):
     # M*M x = C (w * C^T x) through two ladder scatters and two rotations, as
-    # domain_regularity_norms applies it, against the summed Gram of the same
-    # step; the Gram is source-major (a, y), the apply X-major (y, a)
+    # domain_regularity_norms applies it, against the Gram of the same step
+    # that the top-sector split subtracts
     model = assemble_free(sinusoidal_spec(npts, n_max=n_max))
     coeffs, q = form_factor(model, 2.0), model.k_evecs
     dims = np.diff(model.basis.sector_bounds)
@@ -342,7 +342,9 @@ def test_step_operator_applies_the_step_gram(npts, n_max):
         base = model.k_evals[:, None] + model.occupation_energies[model.basis.sector_slice(n)] + s
         for p in (0.0, 0.5, 1.0):
             weight = ((base - s) ** p / base) ** 2
-            gram = nelson._step_gram(lad, step.entries, q, weight, dims[n - 1]).transpose(1, 0, 3, 2).reshape(side, side)
+            gram = np.zeros((side, side))
+            step.subtract_gram(gram, weight)
+            gram = -gram
             for _ in range(3):
                 x = rng.standard_normal(side)
                 want = gram @ x

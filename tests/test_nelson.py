@@ -148,6 +148,17 @@ def test_divergence_form_is_real_symmetric_psd():
     assert np.linalg.eigvalsh(k0)[0] > -1e-12
 
 
+def test_divergence_form_sums_every_axis():
+    # at d = 2 with constant g, K0 = g |k|^2: |k|^2 spans {0, 1, 2, 4, 5, 8} on 4 x 4 points
+    grid = Grid(2, 4, 2 * np.pi)
+    spec = ModelSpec(grid=grid, g=1.5, mu=1.0, w=0.0, n_max=1)
+    model = assemble_free(spec)
+    want = np.sort(1.5 * grid.momentum_sq())
+    assert np.max(np.abs(np.linalg.eigvalsh(model.k) - want)) < 1e-12
+    with pytest.raises(ValueError, match="d = 1 lattice"):
+        transformed_hamiltonian_check(model, 2.0)
+
+
 def test_variable_h_spectrum_within_ellipticity_window(bench8):
     ev = np.linalg.eigvalsh(bench8.h)
     ximax2 = bench8.grid.max_momentum() ** 2
@@ -684,12 +695,14 @@ def test_transformed_check_at_npts_16_forms_no_fock_matrix():
 
 
 def test_renorm_peak_is_within_its_stated_bytes(bench8_n3):
-    # n_max 3 of the dense-tensor workload; the ladder is cached on the basis,
-    # and numpy.random is imported on first use, so neither is kernel memory
-    bench8_n3.basis.ladder
+    # n_max 3 of the dense-tensor workload, and n_max 1, where a distance's Lanczos
+    # basis can hold no more vectors than its side of 72; the ladder is cached on
+    # the basis, and numpy.random is imported on first use, so neither is kernel memory
     np.random.default_rng()
-    peak = _traced_peak(lambda: renorm_convergence_experiment(bench8_n3, [1.0, 2.0, 4.0]))
-    assert peak <= renorm_peak_bytes(8, 3) <= 4 * peak
+    for model in (bench8_n3, assemble_free(sinusoidal_spec(8, n_max=1))):
+        model.basis.ladder
+        peak = _traced_peak(lambda: renorm_convergence_experiment(model, [1.0, 2.0, 4.0]))
+        assert peak <= renorm_peak_bytes(8, model.basis.n_max) <= 4 * peak
 
 
 def test_size_guard_reports_dimensions():
@@ -713,12 +726,13 @@ def test_renorm_guard_refuses_before_the_ladder(monkeypatch):
 
     monkeypatch.setattr(fock.FockBasis, "ladder", property(forbidden))
     monkeypatch.setattr(nelson, "form_factor", forbidden)
-    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 1706810368 bytes"):
+    with pytest.raises(SizeError, match="renorm_convergence_experiment would hold 1706680320 bytes"):
         renorm_convergence_experiment(model, [1.0, 2.0])
 
 
-# the stated peaks of a sweep whose splits kept L beside its Schur inverse
-THREE_SPLIT_PEAK_BYTES = {(8, 1): 1298560, (8, 3): 18810368, (16, 2): 21969664, (32, 2): 195747328, (64, 2): 2122144768}
+# the stated peaks of a sweep whose splits kept L beside its Schur inverse, with
+# the step Gram subtracted in place and no basis longer than its side
+THREE_SPLIT_PEAK_BYTES = {(8, 1): 259072, (8, 3): 18798592, (16, 2): 21961728, (32, 2): 195715072, (64, 2): 2122014720}
 
 
 def test_renorm_peak_drops_l_from_each_split():
@@ -861,36 +875,32 @@ def test_step_gram_matches_dense_oracle(npts, n_max):
     dims = np.diff(model.basis.sector_bounds)
     rng = np.random.default_rng(10 * npts + n_max)
     for n, lad in enumerate(model.basis.ladder, start=1):
-        side = npts * dims[n - 1]
-        c = coeffs[:, lad.modes] * lad.factors
+        step = nelson.SectorStep.of(lad, coeffs, q)
         dense_c = blocks[n, n - 1].T @ np.kron(q, np.eye(dims[n]))
         real = rng.uniform(0.5, 2.0, (npts, dims[n]))
         for weight in (real, 1.0 / (real + 1j)):
             want = (dense_c * weight.ravel()) @ dense_c.T
-            gram = nelson._step_gram(lad, c, q, weight, dims[n - 1])
-            got = gram.transpose(1, 0, 3, 2).reshape(side, side)
+            got = np.zeros((step.side, step.side), dtype=weight.dtype)
+            step.subtract_gram(got, weight)
+            got = -got
             assert got.dtype == weight.dtype
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n_max", [2, 3])
-def test_step_gram_chunking_does_not_change_the_gram(n_max, monkeypatch):
-    # a budget of one byte leaves one pair per chunk; 1 TiB takes every pair at once
-    model = assemble_free(sinusoidal_spec(8, n_max=n_max))
-    coeffs, q = form_factor(model, 2.0), model.k_evecs
-    dims = np.diff(model.basis.sector_bounds)
-    for n, lad in enumerate(model.basis.ladder, start=1):
-        c = coeffs[:, lad.modes] * lad.factors
-        base = model.k_evals[:, None] + model.occupation_energies[model.basis.sector_slice(n)] + 0.5
-        for weight in (((base - 0.5) ** 0.5 / base) ** 2, 1.0 / (base + 1j)):
-            grams = {}
-            for budget in (1, 1 << 40):
-                monkeypatch.setattr(nelson, "_CHUNK_BYTES", budget)
-                pairs = len(lad.shared_target_pairs[0])
-                plan = nelson._step_plan(pairs, 8, dims[n - 1], weight.itemsize)
-                assert plan["chunks"] == (pairs if budget == 1 else 1)
-                grams[budget] = nelson._step_gram(lad, c, q, weight, dims[n - 1])
-            assert np.abs(grams[1] - grams[1 << 40]).max() <= 1e-13 * np.abs(grams[1 << 40]).max()
+def test_step_gram_forms_nothing_of_the_step_side_squared():
+    # the top step at npts 32, n_max 2 has side 32 x 32 = 1024, so one complex
+    # array of its side squared is 16.8 MB; the Gram goes into the corner in place
+    model = assemble_free(sinusoidal_spec(32, n_max=2))
+    lad = model.basis.ladder[1]
+    lad.target_runs, lad.by_source  # cached on the basis, not kernel memory
+    step = nelson.SectorStep.of(lad, form_factor(model, 2.0), model.k_evecs)
+    base = model.k_evals[:, None] + model.occupation_energies[model.basis.sector_slice(2)]
+    weight = 1.0 / (base + 1j)
+    mat = np.zeros((step.side + 32, step.side + 32), dtype=complex)
+    peak = _traced_peak(lambda: step.subtract_gram(mat, weight))
+    assert np.count_nonzero(mat[:32]) == np.count_nonzero(mat[:, :32]) == 0
+    assert np.count_nonzero(mat[32:, 32:]) > 0
+    assert peak < 16 * step.side**2
 
 
 @pytest.mark.parametrize("npts", [4, 8])
