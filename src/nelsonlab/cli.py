@@ -14,10 +14,12 @@ Configs are flat ``key = value`` text files with two typed sections,
 ``[model]`` and ``[sweep]``; ``#`` starts a comment.  The bound each check
 compares against is a constant of this module, next to its runner.
 Unknown keys, unreadable values, and malformed lines are reported with
-their line number and exit code 2; values the library refuses (model
-ingredients, lattices, cutoffs, and sizes at which a kernel's stated peak
-passes the memory budget ``operators.MAX_BYTES``) and the CLI's own sweep
-policies exit with code 3; a failed check exits with code 1.
+their line number and exit code 2; values the library refuses (lattices,
+cutoffs, and sizes at which a kernel's stated peak passes the memory budget
+``operators.MAX_BYTES``) and the CLI's own sweep policies exit with code 3;
+a failed check exits with code 1.  The model is the bench family of
+``nelson.sinusoidal_spec`` at its defaults; only its lattice and truncation
+are config.
 
 Check naming convention: a check whose name ends in ``-min`` passes when
 lhs >= rhs (fit quality, separation factors); every other check passes
@@ -91,16 +93,9 @@ def _ints(raw: str) -> list[int]:
 # (section, key) -> (parser, default as config text)
 _SCHEMA: dict[tuple[str, str], tuple] = {
     ("model", "npts"): (int, "8"),
-    ("model", "box"): (float, "6.283185307179586"),
-    ("model", "g_modulation"): (float, "0.3"),
-    ("model", "w_amplitude"): (float, "0.2"),
-    ("model", "mass"): (float, "1.0"),
-    ("model", "coupling"): (float, "1.0"),
-    ("model", "sigma"): (float, "0.0"),
     ("model", "n_max"): (int, "2"),
     ("sweep", "lams"): (_floats, "1.0, 2.0, 4.0"),
     ("sweep", "sizes"): (_ints, "8, 16, 32"),
-    ("sweep", "domain_lams"): (_floats, "2.0, 4.0, 8.0"),
     ("sweep", "powers"): (_floats, "0.0, 0.2, 0.4, 0.5"),
     ("sweep", "weyl_n_max"): (_ints, "10, 20, 40"),
     ("sweep", "psido_npts"): (int, "32"),
@@ -175,11 +170,11 @@ def config_canonical_text(cfg: dict[str, dict]) -> str:
 
 
 def _spec(cfg: dict, npts: int | None = None) -> nelson.ModelSpec:
-    """The model spec at ``npts`` (default: the config's), refused as in
+    """The bench model at ``npts`` (default: the config's), refused as in
     ``assemble_free`` before any allocation."""
     npts = cfg["model"]["npts"] if npts is None else npts
     check_bytes("assemble_free", nelson.free_peak_bytes(npts, cfg["model"]["n_max"]))
-    return nelson.sinusoidal_spec(**dict(cfg["model"], npts=npts))
+    return nelson.sinusoidal_spec(npts, n_max=cfg["model"]["n_max"])
 
 
 @contextmanager
@@ -202,31 +197,24 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
     sweep = cfg["sweep"]
     if model["n_max"] < 1:
         raise GuardError(f"sector guard: n_max must be at least 1, got {model['n_max']}")
-    if not (abs(model["w_amplitude"]) < 1.0 and abs(model["g_modulation"]) < 1.0):
-        raise GuardError("ellipticity guard: modulations must stay below 1 in magnitude")
-    if model["coupling"] == 0.0 and experiment in ("gross-transform", "domain-regularity"):
-        raise GuardError(f"[model] coupling: {experiment} takes norm ratios, 0 / 0 at zero coupling")
     # weyl-identities measures on the sectors 0..WEYL_SECTOR_CAP, safe up to n_max - 2
     for n in sweep["weyl_n_max"]:
         if not WEYL_SECTOR_CAP + 2 <= n <= 128:
             raise GuardError(f"sector guard: weyl_n_max entries must lie in [{WEYL_SECTOR_CAP + 2}, 128], got {n}")
-    if len(sweep["sizes"]) != len(sweep["domain_lams"]):
-        raise ConfigError(
-            f"fields [sweep] sizes and domain_lams must pair up, got {len(sweep['sizes'])} vs {len(sweep['domain_lams'])}"
-        )
     for key, least in _SWEEP_MINIMA.get(experiment, {}).items():
         value = sweep[key]
         if (len(value) if isinstance(value, list) else value) < least:
             raise GuardError(f"[sweep] {key}: {experiment} needs at least {least}, got {value}")
-    powers = sweep["powers"]
-    if experiment == "domain-regularity" and any(b <= a for a, b in zip(powers, powers[1:])):
-        raise GuardError(
-            f"[sweep] powers: {experiment} compares the top power with the next, so they must be strictly increasing, got {powers}"
-        )
+    if experiment == "domain-regularity":
+        # it refines along sizes and compares the top power with the next
+        for key in ("sizes", "powers"):
+            values = sweep[key]
+            if any(b <= a for a, b in zip(values, values[1:])):
+                raise GuardError(f"[sweep] {key}: {experiment} needs them strictly increasing, got {values}")
     stated = []
     for key, held in (("psido_npts", _CALCULUS_HELD_SYMBOLS), ("parametrix_npts", 0)):
         with _refusal(f"[sweep] {key}"):
-            size = Grid(1, sweep[key], model["box"]).size
+            size = Grid(1, sweep[key], CALCULUS_BOX).size
             if experiment == "psido-calculus":
                 stated.append(check_bytes("symbol calculus", psido.calculus_peak_bytes(size, held)))
     with _refusal("[model]"):
@@ -234,11 +222,9 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
     for lam in sweep["lams"]:
         with _refusal("[sweep] lams"):
             spec.grid.check_cutoff(lam)
-    for size, lam in zip(sweep["sizes"], sweep["domain_lams"]):
+    for size in sweep["sizes"]:
         with _refusal(f"[sweep] sizes entry {size}"):
-            sized = _spec(cfg, size)
-        with _refusal(f"[sweep] domain_lams at npts = {size}"):
-            sized.grid.check_cutoff(lam)
+            _spec(cfg, size)
     if experiment in _MODEL_KERNELS:
         name, peak = _MODEL_KERNELS[experiment]
         points = [("[model] npts, n_max", model["npts"])]
@@ -346,6 +332,8 @@ def _symbol_pairs(grid: Grid, rng: np.random.Generator, draws: int):
 
 SYMBOL_ATOL = 1e-10  # symbol-calculus identity residuals
 PARAMETRIX_GAIN = 10.0  # residual reduction the parametrix must reach in 3 iterations
+CALCULUS_BOX = 2.0 * np.pi  # box of the symbol and parametrix lattices
+PARAMETRIX_MODULATION = 0.3  # amplitude of the parametrix symbol's sinusoidal coefficient
 
 
 def run_psido_calculus(cfg, seed) -> list[Row]:
@@ -353,8 +341,8 @@ def run_psido_calculus(cfg, seed) -> list[Row]:
     whatever ``draws`` is.  The identity rows report the Frobenius norm of
     each residual, an upper bound on its operator norm, so a PASS still
     bounds the operator norm and no draw takes an SVD."""
-    sweep, model = cfg["sweep"], cfg["model"]
-    grid = Grid(1, sweep["psido_npts"], model["box"])
+    sweep = cfg["sweep"]
+    grid = Grid(1, sweep["psido_npts"], CALCULUS_BOX)
     rng = np.random.default_rng(seed)
 
     def residuals(a: psido.Symbol, b: psido.Symbol) -> dict[str, float]:
@@ -374,10 +362,10 @@ def run_psido_calculus(cfg, seed) -> list[Row]:
     rows = [Row(name, params, max(res[name] for res in results), SYMBOL_ATOL) for name in names]
     stage_s = {"identities": round(time.perf_counter() - start, 3)}
     start = time.perf_counter()
-    pgrid = Grid(1, sweep["parametrix_npts"], model["box"])
+    pgrid = Grid(1, sweep["parametrix_npts"], CALCULUS_BOX)
     x = pgrid.position_mesh()[:, 0]
     k = pgrid.momentum_mesh()[:, 0]
-    modulation = 1.0 + model["g_modulation"] * np.sin(2.0 * np.pi * x / model["box"])
+    modulation = 1.0 + PARAMETRIX_MODULATION * np.sin(2.0 * np.pi * x / CALCULUS_BOX)
     sym = psido.Symbol(pgrid, np.outer(modulation, 1.0 + k**2), psido.xi_power_order(pgrid, 2))
     _, resid = psido.parametrix(sym, 1.0, iterations=3)
     pparams = {"npts": pgrid.npts, "order": 2, "iterations": 3}
@@ -401,7 +389,7 @@ def run_renorm_convergence(cfg, seed) -> list[Row]:
     sweep = cfg["sweep"]
     model = nelson.assemble_free(_spec(cfg))
     report = nelson.renorm_convergence_experiment(model, sweep["lams"])
-    base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
+    base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": model.spec.coupling}
     rows = []
     for level in report["levels"]:
         rows.append(
@@ -449,7 +437,7 @@ GROSS_RTOL = 0.05  # relative residual of the transformed assembly
 def run_gross_transform(cfg, seed) -> list[Row]:
     sweep = cfg["sweep"]
     model = nelson.assemble_free(_spec(cfg))
-    base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
+    base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": model.spec.coupling}
     rows, checks = [], []
     for lam in sweep["lams"]:
         report = nelson.transformed_hamiltonian_check(model, lam)
@@ -475,7 +463,7 @@ SPECTRAL_ATOL = 1e-9  # eigenvalue agreement between assemblies
 def run_ibc_identity(cfg, seed) -> list[Row]:
     sweep = cfg["sweep"]
     model = nelson.assemble_free(_spec(cfg))
-    base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": cfg["model"]["coupling"]}
+    base = {"npts": model.grid.npts, "n_max": model.basis.n_max, "coupling": model.spec.coupling}
     rows, neumann = [], []
     for lam in sweep["lams"]:
         ops = ibc.build_ibc(model, lam)
@@ -495,12 +483,14 @@ def run_ibc_identity(cfg, seed) -> list[Row]:
 
 NORM_CAP = 10.0  # ceiling of the weighted-norm table entries
 GROWTH_RATIO_MIN = 2.0  # least ratio of last-step excess growth, top power over the next; never loosened
+DOMAIN_CUTOFF_FRACTION = 0.5  # cutoff of each sizes entry, a fraction of the largest momentum its lattice resolves
 
 
 def run_domain_regularity(cfg, seed) -> list[Row]:
     sweep = cfg["sweep"]
     models = [nelson.assemble_free(_spec(cfg, size)) for size in sweep["sizes"]]
-    report = ibc.domain_regularity_experiment(models, sweep["domain_lams"], sweep["powers"])
+    lams = [DOMAIN_CUTOFF_FRACTION * model.grid.max_momentum() for model in models]
+    report = ibc.domain_regularity_experiment(models, lams, sweep["powers"])
     rows = []
     for entry in report["rows"]:
         rows.append(

@@ -474,6 +474,16 @@ def test_transformed_check_values_and_decay(bench8):
     assert r8["residual"] / r16["residual"] >= 1.5
 
 
+def test_fock_conjugation_deviations_vanish_at_tiny_coupling():
+    # the Weyl truncation tolerance underflows to 0 here, and the deviations
+    # stay at roundoff, below the floor cli.FLOAT_FLOOR the gross-transform rows keep
+    model = assemble_free(sinusoidal_spec(8, coupling=1e-200))
+    for lam in (1.0, 2.0, 4.0):
+        report = transformed_hamiltonian_check(model, lam)
+        assert report["fock_tolerance"] == 0.0
+        assert report["fock_dgamma_dev"] <= 1e-20 and report["fock_field_dev"] <= 1e-20
+
+
 def _dense_transformed_oracle(model, lam, b_family=None):
     """The conjugation check on the whole tensor space, restricted afterwards.
 
