@@ -71,14 +71,24 @@ class GuardError(ValueError):
 
 # experiment -> the least length of each sweep list (or least value of each
 # count) it needs, so that every row it derives from a sweep measures something;
-# psido-calculus draws symbols of band psido_npts // 4, which must be at least 1
+# psido-calculus draws symbols of band psido_npts // 4, which must be at least 1,
+# and at parametrix_npts 2 its symbol 1 + 0.3 sin x rounds to 1 at both points
+# and inverts exactly, so the parametrix rows pass on nothing
 _SWEEP_MINIMA = {
     "weyl-identities": {"weyl_n_max": 2},
-    "psido-calculus": {"draws": 1, "psido_npts": 4},
+    "psido-calculus": {"draws": 1, "psido_npts": 4, "parametrix_npts": 4},
     "renorm-convergence": {"lams": 2},
     "gross-transform": {"lams": 1},
     "ibc-identity": {"lams": 1},
     "domain-regularity": {"sizes": 2, "powers": 2},
+}
+
+# experiment -> the sweep lists it compares entry by entry, which must increase
+# strictly: renorm-convergence compares consecutive cutoffs, and domain-regularity
+# refines along sizes and compares the top power with the next
+_INCREASING_SWEEPS = {
+    "renorm-convergence": ("lams",),
+    "domain-regularity": ("sizes", "powers"),
 }
 
 
@@ -205,12 +215,10 @@ def check_guards(cfg: dict[str, dict], experiment: str | None) -> int | None:
         value = sweep[key]
         if (len(value) if isinstance(value, list) else value) < least:
             raise GuardError(f"[sweep] {key}: {experiment} needs at least {least}, got {value}")
-    if experiment == "domain-regularity":
-        # it refines along sizes and compares the top power with the next
-        for key in ("sizes", "powers"):
-            values = sweep[key]
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise GuardError(f"[sweep] {key}: {experiment} needs them strictly increasing, got {values}")
+    for key in _INCREASING_SWEEPS.get(experiment, ()):
+        values = sweep[key]
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise GuardError(f"[sweep] {key}: {experiment} needs them strictly increasing, got {values}")
     stated = []
     for key, held in (("psido_npts", _CALCULUS_HELD_SYMBOLS), ("parametrix_npts", 0)):
         with _refusal(f"[sweep] {key}"):
@@ -366,8 +374,8 @@ def run_psido_calculus(cfg, seed) -> list[Row]:
     x = pgrid.position_mesh()[:, 0]
     k = pgrid.momentum_mesh()[:, 0]
     modulation = 1.0 + PARAMETRIX_MODULATION * np.sin(2.0 * np.pi * x / CALCULUS_BOX)
-    sym = psido.Symbol(pgrid, np.outer(modulation, 1.0 + k**2), psido.xi_power_order(pgrid, 2))
-    _, resid = psido.parametrix(sym, 1.0, iterations=3)
+    sym = psido.Symbol(pgrid, np.outer(modulation, 1.0 + k**2))
+    _, resid = psido.parametrix(sym, 2.0, 1.0, iterations=3)
     pparams = {"npts": pgrid.npts, "order": 2, "iterations": 3}
     rows.append(Row("parametrix-gain-min", pparams, resid[0], PARAMETRIX_GAIN * resid[3]))
     rows.append(Row("parametrix-monotone", pparams, float(max(np.diff(resid))), 0.0))

@@ -161,17 +161,17 @@ def lowest_eigenpair(matvec, precondition, start: np.ndarray) -> tuple[float, np
     raise ConvergenceError(f"lowest_eigenpair: residual {residual:.3e} above {LOBPCG_TOL:.0e} after {_LOBPCG_CAP} iterations")
 
 
-def psd_power(mat: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:
+def psd_power(mat: np.ndarray, p: float) -> np.ndarray:
     """Matrix power of a hermitian positive-semidefinite matrix via eigh.
 
     Negative eigenvalues below -1e-10 * scale raise; tiny negatives clip to
-    ``floor``.  Fractional powers of the zero eigenvalue are zero for p > 0.
+    0.  Fractional powers of the zero eigenvalue are zero for p > 0.
     """
     w, v = np.linalg.eigh(np.asarray(mat))
     scale = max(float(np.max(np.abs(w))), 1.0)
     if np.min(w) < -1e-10 * scale:
         raise ValueError(f"matrix is not psd (min eigenvalue {np.min(w):.3e})")
-    w = np.clip(w, floor, None)
+    w = np.clip(w, 0.0, None)
     if p < 0 and np.any(w == 0.0):
         raise ValueError("negative power of a singular matrix")
     return (v * w**p) @ v.conj().T

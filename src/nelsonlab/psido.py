@@ -1,7 +1,10 @@
 """Phase-space calculus for operators on the periodic lattice.
 
 A symbol is a complex tabulation a(x, xi) over the product of the position
-lattice and the momentum lattice.  Quantization at ordering parameter
+lattice and the momentum lattice, and nothing more: where an estimate weighs a
+symbol by its order m (the ellipticity margin of ``parametrix``, the Sobolev
+norms of ``functional_calculus_check``), the caller passes m as a number and
+the weight is <xi>^m.  Quantization at ordering parameter
 t in [0, 1] places the position argument at t*x + (1-t)*y.  Off-lattice
 midpoints are evaluated through the symbol's band-limited trigonometric
 interpolant in x, which makes quantization a bijection on tabulated symbols
@@ -27,52 +30,23 @@ from .operators import HERMITIAN_TOL, check_bytes, hermitian_func, opnorm
 
 
 class EllipticityError(ValueError):
-    """The symbol has no positive lower bound against its order function."""
-
-
-@dataclass(frozen=True)
-class OrderFunction:
-    """Positive weight M controlling symbol growth.
-
-    ``values`` is tabulated over the flat momentum mesh (shape (size,)) or
-    over the full phase-space lattice (shape (size, size)).
-    """
-
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if np.min(v) <= 0:
-            raise ValueError(f"order function {self.name!r} must be strictly positive")
-
-    def table(self, size: int) -> np.ndarray:
-        """Values broadcast to the (x, xi) table shape."""
-        if self.values.ndim == 1:
-            return np.broadcast_to(self.values[None, :], (size, size))
-        return self.values
+    """The symbol has no positive lower bound against <xi>^m, m its order."""
 
 
 def calculus_peak_bytes(size: int, symbols: int) -> int:
     """Most bytes the symbol calculus holds at once on a lattice of ``size`` points, in complex
     tables of its side: 21 for ``parametrix``, its widest step, and the ``symbols`` that the
-    caller holds besides.  From empty caches a parametrix makes 13.5 tables at t = 1 and 20.0
+    caller holds besides.  From empty caches a parametrix makes 13.0 tables at t = 1 and 18.5
     at t != 1, where it fills every per-grid cache (``_grid_table``, 4 tables at most); a t = 1
-    parametrix after work at another ordering makes 16.0, beside the translation and
+    parametrix after work at another ordering makes 15.5, beside the translation and
     reordering phases and chi that the other ordering left cached.  The psido-calculus runner
     states 3 symbols, the most it holds at once."""
     return 16 * size**2 * (21 + symbols)
 
 
-def xi_power_order(grid: Grid, m: float) -> OrderFunction:
-    """The family <xi>^m."""
-    return OrderFunction(f"xi^{m:g}", grid.xi_bracket() ** m)
-
-
 @dataclass(frozen=True, eq=False)
 class Symbol:
-    """Tabulated phase-space symbol with an optional order function.
+    """Tabulated phase-space symbol.
 
     ``values[j, k]`` is a(x_j, xi_k) with x flattened in C order and xi in
     FFT order.  Poisson brackets are computed by spectral differentiation.
@@ -80,7 +54,6 @@ class Symbol:
 
     grid: Grid
     values: np.ndarray
-    order: OrderFunction | None = None
 
     def __post_init__(self) -> None:
         n = self.grid.size
@@ -91,11 +64,6 @@ class Symbol:
         if not np.all(np.isfinite(v)):
             raise ValueError("symbol values must be finite")
         object.__setattr__(self, "values", v)
-
-    def order_table(self) -> np.ndarray:
-        if self.order is None:
-            return np.ones((self.grid.size,) * 2)
-        return self.order.table(self.grid.size)
 
 
 def constant_symbol(grid: Grid, value: complex = 1.0) -> Symbol:
@@ -281,7 +249,7 @@ def change_quantization(a: Symbol, t_from: float, t_to: float) -> Symbol:
     c = np.fft.fftn(a.values.reshape(grid.shape * 2))
     c *= _reordering_phase(grid, t_to - t_from)
     vals = np.fft.ifftn(c).reshape(grid.size, grid.size)
-    return Symbol(grid, vals, a.order)
+    return Symbol(grid, vals)
 
 
 def adjoint_symbol(a: Symbol, t: float) -> Symbol:
@@ -295,7 +263,7 @@ def adjoint_symbol(a: Symbol, t: float) -> Symbol:
     gather = _target_index(grid).T.copy()
     h = np.conj(c2)[np.arange(S)[:, None], gather]
     vals = np.fft.fftn(h.reshape(grid.shape + (S,)), axes=range(d)).reshape(S, S)
-    return change_quantization(Symbol(grid, vals, a.order), 1.0, t)
+    return change_quantization(Symbol(grid, vals), 1.0, t)
 
 
 def moyal(a: Symbol, b: Symbol, t: float = 1.0) -> Symbol:
@@ -317,18 +285,7 @@ def moyal(a: Symbol, b: Symbol, t: float = 1.0) -> Symbol:
     # _target_index(grid)[k, k'] = flat index of (k - k') mod L
     G = bhat[_target_index(grid), np.arange(S)[None, :]]
     c1 = np.conj(E) * ((a1 * E) @ G) / S
-    order = None
-    if a.order is not None or b.order is not None:
-        ta = a.order.table(S) if a.order is not None else np.ones((S, S))
-        tb = b.order.table(S) if b.order is not None else np.ones((S, S))
-        na = a.order.name if a.order is not None else "1"
-        nb = b.order.name if b.order is not None else "1"
-        order = OrderFunction(f"({na})*({nb})", ta * tb)
-    prod = Symbol(grid, c1, order)
-    if t != 1.0:
-        prod = change_quantization(prod, 1.0, t)
-        prod = Symbol(grid, prod.values, order)
-    return prod
+    return change_quantization(Symbol(grid, c1), 1.0, t)
 
 
 def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
@@ -347,41 +304,38 @@ def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
 
 
 def poisson_residual(a: Symbol, b: Symbol, t: float = 1.0) -> float:
-    """Weighted sup of (a#b - b#a) - i{a, b}.
+    """Weighted sup of (a#b - b#a) - i{a, b} for symbols a and b of order 0.
 
-    The weight is M_a * M_b * <xi>^-2, the order the leading Poisson term
-    leaves behind; the standard-ordering expansion fixes the sign of the
-    bracket used here.
+    The weight is <xi>^-2, the order the leading Poisson term leaves behind;
+    the standard-ordering expansion fixes the sign of the bracket used here.
     """
     grid = a.grid
     comm = moyal(a, b, t).values - moyal(b, a, t).values
     resid = comm - 1j * poisson_bracket(a, b).values
-    weight = a.order_table() * b.order_table() * (grid.xi_bracket() ** -2)[None, :]
-    return float(np.max(np.abs(resid) / weight))
+    return float(np.max(np.abs(resid) / (grid.xi_bracket() ** -2)[None, :]))
 
 
 # -- parametrix ------------------------------------------------------------
 
 
-def ellipticity_margin(a: Symbol) -> float:
-    """min |a| / M over phase space."""
-    return float(np.min(np.abs(a.values) / a.order_table()))
+def ellipticity_margin(a: Symbol, order: float) -> float:
+    """min |a| / <xi>^order over phase space."""
+    return float(np.min(np.abs(a.values) / a.grid.xi_bracket() ** order))
 
 
-def parametrix(a: Symbol, t: float = 1.0, iterations: int = 3):
+def parametrix(a: Symbol, order: float, t: float = 1.0, iterations: int = 3):
     """Neumann parametrix b ~ (1/a) # (1 + r + r#r + ...), r = 1 - a#(1/a).
 
-    Returns (b, residuals) where residuals[k] = ||quantize(a # b_k - 1, t)||
-    for k = 0 .. iterations; the residuals are reported, never swallowed.
+    ``a`` has order ``order``: it is elliptic when |a| / <xi>^order has a
+    positive lower bound (``ellipticity_margin``).  Returns (b, residuals)
+    where residuals[k] = ||quantize(a # b_k - 1, t)|| for k = 0 .. iterations;
+    the residuals are reported, never swallowed.
     """
-    margin = ellipticity_margin(a)
+    margin = ellipticity_margin(a, order)
     if margin <= 1e-14:
-        raise EllipticityError(f"symbol is not elliptic: min |a|/M = {margin:.3e}")
+        raise EllipticityError(f"symbol is not elliptic: min |a|/M = {margin:.3e} for M = <xi>^{order:g}")
     grid = a.grid
-    inv_order = None
-    if a.order is not None:
-        inv_order = OrderFunction(f"1/({a.order.name})", 1.0 / a.order.table(grid.size))
-    b0 = Symbol(grid, 1.0 / a.values, inv_order)
+    b0 = Symbol(grid, 1.0 / a.values)
     one = constant_symbol(grid)
     r = Symbol(grid, one.values - moyal(a, b0, t).values)
     ident = np.eye(grid.size)
@@ -393,7 +347,7 @@ def parametrix(a: Symbol, t: float = 1.0, iterations: int = 3):
         if k > 0:
             power = moyal(r, power, t)
             series = Symbol(grid, series.values + power.values)
-            b = Symbol(grid, moyal(b0, series, t).values, inv_order)
+            b = moyal(b0, series, t)
         residuals.append(opnorm(quantize(moyal(a, b, t), t) - ident))
     return b, residuals
 
@@ -405,22 +359,17 @@ def functional_calculus_check(
     a: Symbol,
     f: Callable[[np.ndarray], np.ndarray],
     p: float,
-    order_m: float | None = None,
+    order_m: float,
     s_values: Sequence[float] = (-1.0, 0.0, 1.0),
 ) -> dict:
     """Compare f of the Weyl matrix with the Weyl matrix of f of the symbol.
 
-    For a real elliptic symbol of order m and f of order p the difference
-    should act like an operator of order m*p - 1; the report carries the
-    H^s -> H^{s - (m*p - 1)} norms so a caller can check they stay bounded
-    under grid refinement.
+    For a real elliptic symbol of order m = ``order_m`` and f of order p the
+    difference should act like an operator of order m*p - 1; the report
+    carries the H^s -> H^{s - (m*p - 1)} norms so a caller can check they
+    stay bounded under grid refinement.
     """
     grid = a.grid
-    if order_m is None:
-        name = a.order.name if a.order is not None else ""
-        if not name.startswith("xi^"):
-            raise ValueError("order_m is required unless the symbol uses the xi^m family")
-        order_m = float(name[3:])
     A = quantize(a, 0.5)
     dev = float(np.max(np.abs(A - A.conj().T)))
     if dev > HERMITIAN_TOL:

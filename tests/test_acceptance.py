@@ -136,15 +136,14 @@ def test_parametrix_residual_gain():
     grid = Grid(1, 64, 2.0 * np.pi)
     k = grid.momentum_mesh()[:, 0]
     fiber = 1.0 + k**2
-    order = psido.xi_power_order(grid, 2)
-    flat = psido.Symbol(grid, np.outer(np.ones(grid.npts), fiber), order)
-    _, exact = psido.parametrix(flat, 1.0, iterations=3)
+    flat = psido.Symbol(grid, np.outer(np.ones(grid.npts), fiber))
+    _, exact = psido.parametrix(flat, 2.0, 1.0, iterations=3)
     # a coefficient independent of position inverts exactly at iteration zero,
     # so the gain is only visible once the symbol varies in x
     assert exact[0] <= 1e-12
     x = grid.position_mesh()[:, 0]
-    modulated = psido.Symbol(grid, np.outer(1.0 + 0.25 * np.sin(x), fiber), order)
-    _, resid = psido.parametrix(modulated, 1.0, iterations=3)
+    modulated = psido.Symbol(grid, np.outer(1.0 + 0.25 * np.sin(x), fiber))
+    _, resid = psido.parametrix(modulated, 2.0, 1.0, iterations=3)
     assert resid[3] * 10.0 <= resid[0]
 
 

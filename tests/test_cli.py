@@ -271,6 +271,10 @@ def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, mo
     "text, key, experiment",
     [
         ("[model]\nnpts = 2\nn_max = 1\n[sweep]\nlams = 0.5\n", "lams", "renorm-convergence"),
+        # every distance and cauchy-decreasing row read 0 <= 0 and passed
+        ("[sweep]\nlams = 2.0, 2.0, 2.0\n", "lams", "renorm-convergence"),
+        # a shrinking cutoff ran a coarsening as a refinement and failed cauchy-decreasing
+        ("[sweep]\nlams = 4.0, 2.0, 1.0\n", "lams", "renorm-convergence"),
         ("[sweep]\nsizes = 8\n", "sizes", "domain-regularity"),
         # a repeated size divided by a zero excess growth and died with a traceback
         ("[sweep]\nsizes = 8, 8\n", "sizes", "domain-regularity"),
@@ -287,9 +291,14 @@ def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, mo
         # cli.WEYL_SECTOR_CAP = 5 lies outside the safe sectors of the smallest truncation, 0..6 - 2
         ("[sweep]\nweyl_n_max = 6, 10\n", "weyl_n_max", "weyl-identities"),
         ("[sweep]\ndraws = 0\n", "draws", "psido-calculus"),
+        # 1 + 0.3 sin x rounds to 1 at both points: the symbol inverts exactly
+        # and both parametrix rows read 0 and passed
+        ("[sweep]\nparametrix_npts = 2\n", "parametrix_npts", "psido-calculus"),
     ],
     ids=[
         "single-cutoff",
+        "repeated-cutoff",
+        "shrinking-cutoffs",
         "single-size",
         "repeated-size",
         "shrinking-sizes",
@@ -302,12 +311,31 @@ def test_gross_transform_guard_reads_the_safe_row_statement(tmp_path, capsys, mo
         "single-weyl-cap",
         "unsafe-weyl-window",
         "no-draw",
+        "two-point-parametrix",
     ],
 )
 def test_sweep_policies_exit_three_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment):
     # without these policies a run dies part way with a traceback and exit 1,
     # or exits 0 with rows missing or measuring nothing
     _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment)
+
+
+@pytest.mark.parametrize("experiment", ["gross-transform", "ibc-identity"])
+def test_cutoffs_keep_any_order_where_none_are_compared(tmp_path, experiment):
+    # only renorm-convergence compares consecutive cutoffs
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[sweep]\nlams = 4.0, 2.0, 1.0\n")
+    assert run_cli("--experiment", experiment, "--config", str(cfg), "--validate") == 0
+
+
+def test_least_parametrix_lattice_measures_the_gain():
+    # at parametrix_npts 4 the symbol varies in x, so the first residual is far from roundoff
+    cfg = resolve_config(None)
+    cfg["sweep"].update(psido_npts=4, parametrix_npts=4, draws=1)
+    check_guards(cfg, "psido-calculus")
+    gain = next(row for row in cli.run_psido_calculus(cfg, 7) if row.check == "parametrix-gain-min")
+    assert gain.lhs == pytest.approx(0.402275203555, rel=1e-9)
+    assert gain.rhs == pytest.approx(0.0596480341015, rel=1e-9)
 
 
 def _assert_refused_before_assembly(tmp_path, capsys, monkeypatch, text, key, experiment):

@@ -9,7 +9,6 @@ from nelsonlab.grid import Grid, derivative_matrix, momentum_multiplier
 from nelsonlab.operators import SizeError
 from nelsonlab.psido import (
     EllipticityError,
-    OrderFunction,
     Symbol,
     _axis_components,
     _chi_mesh,
@@ -30,7 +29,6 @@ from nelsonlab.psido import (
     poisson_residual,
     quantize,
     random_band_limited,
-    xi_power_order,
 )
 
 G32 = Grid(1, 32, 2 * np.pi)
@@ -42,11 +40,11 @@ def _rand_symbol(grid, rng):
     return Symbol(grid, vals)
 
 
-def _symbol(grid, values_x, values_xi, order=None):
+def _symbol(grid, values_x, values_xi):
     """Separable symbol a(x, xi) = values_x(x) * values_xi(xi); a scalar is a constant factor."""
     vx = np.broadcast_to(np.asarray(values_x, dtype=complex), (grid.size,))
     vk = np.broadcast_to(np.asarray(values_xi, dtype=complex), (grid.size,))
-    return Symbol(grid, np.outer(vx, vk), order)
+    return Symbol(grid, np.outer(vx, vk))
 
 
 def _wave(grid, k):
@@ -390,18 +388,6 @@ def test_moyal_rejects_grid_mismatch():
         moyal(constant_symbol(G32), constant_symbol(Grid(1, 16, 2 * np.pi)), 1.0)
 
 
-def test_moyal_order_function_multiplies():
-    k = G32.momentum_mesh()[:, 0]
-    a = _symbol(G32, 1.0, 1.0 + k**2, xi_power_order(G32, 2))
-    b = _symbol(G32, 1.0, np.sqrt(1.0 + k**2), xi_power_order(G32, 1))
-    prod = moyal(a, b, 1.0)
-    np.testing.assert_allclose(
-        prod.order.table(G32.size),
-        a.order.table(G32.size) * b.order.table(G32.size),
-        rtol=1e-12,
-    )
-
-
 def test_poisson_leading_order_bounded_under_refinement():
     """The commutator symbol minus i{a, b} stays O(1) in the weighted sup
     norm as the momentum lattice doubles; slope fit stays inside 0.2."""
@@ -427,7 +413,7 @@ def test_poisson_leading_order_bounded_under_refinement():
 
 
 def test_parametrix_constant_symbol():
-    b, residuals = parametrix(constant_symbol(G32, 4.0), iterations=0)
+    b, residuals = parametrix(constant_symbol(G32, 4.0), 0.0, iterations=0)
     np.testing.assert_allclose(b.values, 0.25 * np.ones((32, 32)), atol=1e-13)
     assert residuals[0] < 1e-12
 
@@ -438,8 +424,8 @@ def test_parametrix_multiplier_family_is_exact(m):
     # at roundoff and must not grow along the iteration.
     g = Grid(1, 64, 2 * np.pi)
     k = g.momentum_mesh()[:, 0]
-    sym = _symbol(g, 1.0, (1.0 + k**2) ** (m / 2.0), xi_power_order(g, m))
-    _, residuals = parametrix(sym, iterations=3)
+    sym = _symbol(g, 1.0, (1.0 + k**2) ** (m / 2.0))
+    _, residuals = parametrix(sym, m, iterations=3)
     assert residuals[0] < 1e-12
     for prev, nxt in zip(residuals, residuals[1:]):
         assert nxt <= prev + 1e-13
@@ -451,8 +437,8 @@ def test_parametrix_modulated_bracket_squared_converges():
     g = Grid(1, 64, 2 * np.pi)
     x = g.position_mesh()[:, 0]
     k = g.momentum_mesh()[:, 0]
-    sym = Symbol(g, np.outer(1.0 + 0.25 * np.sin(x), 1.0 + k**2), xi_power_order(g, 2))
-    _, residuals = parametrix(sym, iterations=3)
+    sym = Symbol(g, np.outer(1.0 + 0.25 * np.sin(x), 1.0 + k**2))
+    _, residuals = parametrix(sym, 2.0, iterations=3)
     assert residuals[0] == pytest.approx(0.2474, rel=1e-2)
     assert residuals[3] == pytest.approx(1.836e-3, rel=1e-2)
     assert residuals[3] * 10.0 <= residuals[0]
@@ -464,11 +450,11 @@ def test_parametrix_tracks_dense_inverse():
     g = Grid(1, 64, 2 * np.pi)
     x = g.position_mesh()[:, 0]
     k = g.momentum_mesh()[:, 0]
-    sym = Symbol(g, np.outer(1.0 + 0.25 * np.sin(x), 1.0 + k**2), xi_power_order(g, 2))
+    sym = Symbol(g, np.outer(1.0 + 0.25 * np.sin(x), 1.0 + k**2))
     dense = np.linalg.inv(quantize(sym, 1.0))
     dists = []
     for its in range(4):
-        b, _ = parametrix(sym, iterations=its)
+        b, _ = parametrix(sym, 2.0, iterations=its)
         dists.append(np.linalg.norm(quantize(b, 1.0) - dense, 2))
     for prev, nxt in zip(dists, dists[1:]):
         assert nxt < prev
@@ -476,10 +462,10 @@ def test_parametrix_tracks_dense_inverse():
 
 def test_parametrix_rejects_non_elliptic_symbol():
     k = G32.momentum_mesh()[:, 0]
-    sym = _symbol(G32, 1.0, k**2, xi_power_order(G32, 2))  # vanishes at xi = 0
+    sym = _symbol(G32, 1.0, k**2)  # vanishes at xi = 0
     with pytest.raises(EllipticityError, match="min |a|/M".replace("|", r"\|")):
-        parametrix(sym)
-    assert ellipticity_margin(sym) == 0.0
+        parametrix(sym, 2.0)
+    assert ellipticity_margin(sym, 2.0) == 0.0
 
 
 # -- functional calculus ---------------------------------------------------------
@@ -487,10 +473,10 @@ def test_parametrix_rejects_non_elliptic_symbol():
 
 def test_functional_calculus_identity_and_constant_are_exact():
     k = G32.momentum_mesh()[:, 0]
-    sym = _symbol(G32, 1.0, 1.0 + k**2, xi_power_order(G32, 2))
-    ident = functional_calculus_check(sym, lambda v: v, 1.0)
+    sym = _symbol(G32, 1.0, 1.0 + k**2)
+    ident = functional_calculus_check(sym, lambda v: v, 1.0, 2.0)
     assert ident["operator_norm"] < 1e-12
-    const = functional_calculus_check(sym, lambda v: 2.0 * np.ones_like(v), 0.0)
+    const = functional_calculus_check(sym, lambda v: 2.0 * np.ones_like(v), 0.0, 2.0)
     assert const["operator_norm"] < 1e-12
 
 
@@ -504,7 +490,7 @@ def test_functional_calculus_sqrt_uniform_under_refinement():
         k = g.momentum_mesh()[:, 0]
         vals = np.broadcast_to((1.0 + k**2)[None, :], (npts, npts)).copy()
         vals = vals + 0.25 * np.outer(np.sin(x), 1.0 + np.cos(k * (2 * np.pi / 8)))
-        report = functional_calculus_check(Symbol(g, vals, xi_power_order(g, 2)), np.sqrt, 0.5)
+        report = functional_calculus_check(Symbol(g, vals), np.sqrt, 0.5, 2.0)
         assert report["difference_order"] == pytest.approx(0.0)
         norms.append(report["sobolev_norms"])
     for s in (-1.0, 0.0, 1.0):
@@ -516,7 +502,7 @@ def test_functional_calculus_sqrt_uniform_under_refinement():
 def test_functional_calculus_sqrt_tracks_symbol_on_plane_waves():
     g = Grid(1, 128, 2 * np.pi)
     k = g.momentum_mesh()[:, 0]
-    sym = _symbol(g, 1.0, 1.0 + k**2, xi_power_order(g, 2))
+    sym = _symbol(g, 1.0, 1.0 + k**2)
     a = quantize(sym, 0.5)
     from nelsonlab.operators import hermitian_func
 
@@ -534,19 +520,7 @@ def test_functional_calculus_rejects_complex_symbol():
         functional_calculus_check(bad, np.sqrt, 0.5, order_m=2.0)
 
 
-def test_functional_calculus_requires_known_order():
-    k = G32.momentum_mesh()[:, 0]
-    sym = _symbol(G32, 1.0, 2.0 + k**2, OrderFunction("xi_sq+1", G32.xi_bracket() ** 2 + 1.0))
-    with pytest.raises(ValueError, match="order_m"):
-        functional_calculus_check(sym, np.sqrt, 0.5)
-
-
 # -- symbol metadata -----------------------------------------------------------------
-
-
-def test_order_function_requires_positive_values():
-    with pytest.raises(ValueError, match="positive"):
-        OrderFunction("bad", np.array([1.0, 0.0, 1.0]))
 
 
 def test_random_band_limited_support_and_normalization():
@@ -575,12 +549,12 @@ def test_calculus_peak_is_within_its_stated_bytes():
     # widest step of psido-calculus, from empty per-grid caches
     grid = Grid(1, 256, 2 * np.pi)
     x, k = grid.position_mesh()[:, 0], grid.momentum_mesh()[:, 0]
-    sym = Symbol(grid, np.outer(1.0 + 0.3 * np.sin(x), 1.0 + k**2), xi_power_order(grid, 2))
+    sym = Symbol(grid, np.outer(1.0 + 0.3 * np.sin(x), 1.0 + k**2))
     for table in (_axis_components, _target_index, _translation_phase, _column_table, _chi_mesh, _reordering_phase):
         table.cache_clear()
     tracemalloc.start()
     try:
-        parametrix(sym, 1.0, iterations=3)
+        parametrix(sym, 2.0, 1.0, iterations=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -593,14 +567,14 @@ def test_calculus_peak_after_other_orderings_is_within_its_stated_bytes(before, 
     # cached through a t = 1 parametrix, and a t = 0.5 parametrix fills every cache
     grid = Grid(1, 256, 2 * np.pi)
     x, k = grid.position_mesh()[:, 0], grid.momentum_mesh()[:, 0]
-    sym = Symbol(grid, np.outer(1.0 + 0.3 * np.sin(x), 1.0 + k**2), xi_power_order(grid, 2))
+    sym = Symbol(grid, np.outer(1.0 + 0.3 * np.sin(x), 1.0 + k**2))
     for table in (_axis_components, _target_index, _translation_phase, _column_table, _chi_mesh, _reordering_phase):
         table.cache_clear()
     tracemalloc.start()
     try:
         if before is not None:
             quantize(change_quantization(sym, 1.0, before), before)
-        parametrix(sym, t, iterations=3)
+        parametrix(sym, 2.0, t, iterations=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
